@@ -25,7 +25,6 @@ from .doc_pipeline import (
     GenerationOptions,
     RunReport,
     generate_all,
-    hash_source,
     load_store,
     parse_doc,
     render_record_text,
@@ -111,7 +110,6 @@ __all__ = [
     "extract_params",
     "fit_to_budget",
     "generate_all",
-    "hash_source",
     "install_hook",
     "load_config",
     "load_store",

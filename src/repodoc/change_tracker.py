@@ -327,14 +327,7 @@ def run_update(
         changes = diff_objects(old_graph, graph)
         plan = plan_updates(changes)
 
-        options = GenerationOptions(
-            tiers=config.provider.tiers,
-            reserve=config.completion_reserve_tokens,
-            temperature=config.provider.temperature,
-            doc_language=config.doc_language,
-            child_docs_enabled=config.child_docs_enabled,
-            jobs=jobs,
-        )
+        options = GenerationOptions.from_config(config, jobs)
         run = generate_all(graph, gateway, store, options, only=plan.regenerate_ids)
         report = UpdateReport(
             staged=staged,

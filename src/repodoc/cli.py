@@ -47,7 +47,7 @@ def _common_options() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--repo", default=".", help="repository root (default: cwd)")
     common.add_argument("--config", default=None, help="config file (default: <repo>/.repodoc.json)")
-    common.add_argument("--jobs", type=int, default=1, help="parallel workers (default: 1)")
+    common.add_argument("--jobs", type=int, default=1, help="objects generated at once (default: 1)")
     common.add_argument("--json", action="store_true", help="machine readable output")
     common.add_argument("--verbose", action="store_true", help="log progress details")
     return common
@@ -83,9 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_current_graph(config, jobs: int):
+def _build_current_graph(config):
     files = scan_repository(config.repo_root, config.ignore)
-    parses = parse_repository(config.repo_root, files, jobs=jobs)
+    parses = parse_repository(config.repo_root, files)
     return build_graph(files, parses)
 
 
@@ -101,17 +101,10 @@ def _print_list(title: str, items) -> None:
 def cmd_generate(args) -> int:
     config = load_config(args.repo, args.config)
     gateway = build_gateway(config)
-    graph = _build_current_graph(config, args.jobs)
+    graph = _build_current_graph(config)
     store_path = config.repo_root / config.store_path
     store = load_store(store_path)
-    options = GenerationOptions(
-        tiers=config.provider.tiers,
-        reserve=config.completion_reserve_tokens,
-        temperature=config.provider.temperature,
-        doc_language=config.doc_language,
-        child_docs_enabled=config.child_docs_enabled,
-        jobs=args.jobs,
-    )
+    options = GenerationOptions.from_config(config, args.jobs)
     report = generate_all(graph, gateway, store, options)
     # partial progress is kept even when some objects failed
     save_store(store, store_path)
@@ -179,7 +172,7 @@ def cmd_publish(args) -> int:
 
 def cmd_graph(args) -> int:
     config = load_config(args.repo, args.config)
-    graph = _build_current_graph(config, args.jobs)
+    graph = _build_current_graph(config)
     if args.format == "dot":
         print(graph_to_dot(graph))
     else:

@@ -36,7 +36,6 @@ class ProviderConfig:
     tiers: tuple[ModelTier, ...] = DEFAULT_TIERS
     temperature: float = 0.1
     retries: int = 3
-    max_concurrency: int = 1
 
 
 @dataclass(frozen=True)
@@ -60,7 +59,7 @@ _TOP_KEYS = {
     "child_docs_enabled",
     "completion_reserve_tokens",
 }
-_PROVIDER_KEYS = {"base_url", "tiers", "temperature", "retries", "max_concurrency"}
+_PROVIDER_KEYS = {"base_url", "tiers", "temperature", "retries"}
 
 
 def _require(condition: bool, message: str) -> None:
@@ -120,13 +119,6 @@ def _parse_provider(raw: object) -> ProviderConfig:
             "provider.retries must be a non-negative integer",
         )
         cfg = replace(cfg, retries=retries)
-    if "max_concurrency" in raw:
-        conc = raw["max_concurrency"]
-        _require(
-            isinstance(conc, int) and not isinstance(conc, bool) and conc >= 1,
-            "provider.max_concurrency must be a positive integer",
-        )
-        cfg = replace(cfg, max_concurrency=conc)
     return cfg
 
 
@@ -196,8 +188,4 @@ def build_provider(config: Config) -> Provider:
 
 
 def build_gateway(config: Config) -> Gateway:
-    return Gateway(
-        build_provider(config),
-        retries=config.provider.retries,
-        max_concurrency=config.provider.max_concurrency,
-    )
+    return Gateway(build_provider(config), retries=config.provider.retries)

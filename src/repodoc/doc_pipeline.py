@@ -9,23 +9,18 @@ against; it is the unit of persistence, diffing and Git tracking.
 from __future__ import annotations
 
 import datetime as _dt
+import heapq
 import json
 import logging
 import os
 import re
 import tempfile
-import threading
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .errors import (
-    CorruptStoreError,
-    OverBudgetError,
-    ProviderError,
-    SchedulingError,
-    StoreWriteError,
-)
+from .errors import CorruptStoreError, OverBudgetError, ProviderError, StoreWriteError
 from .llm_gateway import CompletionRequest, Gateway
 from .project_graph import RepoGraph, topological_order
 from .prompt_engine import (
@@ -35,13 +30,13 @@ from .prompt_engine import (
     fit_to_budget,
     render_prompt,
 )
-from .source_model import CLASS, CodeObject, source_digest
+from .source_model import CLASS, CodeObject
+
+if TYPE_CHECKING:
+    from .config import Config
 
 logger = logging.getLogger(__name__)
 
-STORE_DIR = ".project_doc_record"
-STORE_FILENAME = "project_hierarchy.json"
-STORE_RELPATH = f"{STORE_DIR}/{STORE_FILENAME}"
 STORE_VERSION = 1
 
 PARAM_LABEL = "parameters"
@@ -56,11 +51,6 @@ _FIXED_LABELS = {
 
 _HEADER_RE = re.compile(r"^\*\*(.+?)\*\*[ \t]*:[ \t]*(.*)$", re.MULTILINE)
 _BULLET_RE = re.compile(r"^-[ \t]*`([^`]+)`[ \t]*:[ \t]*(.*)$")
-
-
-def hash_source(snippet: str) -> str:
-    """Content hash of the normalized snippet (trailing spaces and CRLF ignored)."""
-    return source_digest(snippet)
 
 
 @dataclass
@@ -317,7 +307,18 @@ class GenerationOptions:
     temperature: float = 0.1
     doc_language: str = "English"
     child_docs_enabled: bool = False
-    jobs: int = 1
+    jobs: int = 1  # objects generated at once, hence provider requests in flight
+
+    @classmethod
+    def from_config(cls, config: "Config", jobs: int) -> "GenerationOptions":
+        return cls(
+            tiers=config.provider.tiers,
+            reserve=config.completion_reserve_tokens,
+            temperature=config.provider.temperature,
+            doc_language=config.doc_language,
+            child_docs_enabled=config.child_docs_enabled,
+            jobs=jobs,
+        )
 
 
 @dataclass
@@ -383,7 +384,8 @@ def _generate_one(
     object_id: str,
     options: GenerationOptions,
     allow_missing: frozenset[str],
-) -> tuple[DocRecord, int, int]:
+) -> tuple[DocRecord, int, int] | OverBudgetError | ProviderError:
+    """One object's record and token counts, or the error that failed it."""
     obj = graph.objects[object_id]
     ctx = assemble_context(
         graph,
@@ -393,14 +395,17 @@ def _generate_one(
         doc_language=options.doc_language,
         allow_missing=allow_missing,
     )
-    ctx, tier = fit_to_budget(ctx, list(options.tiers), options.reserve)
-    request = CompletionRequest(
-        model=tier.name,
-        prompt=render_prompt(ctx),
-        max_completion_tokens=options.reserve,
-        temperature=options.temperature,
-    )
-    response = gateway.complete(request, context_id=object_id)
+    try:
+        ctx, tier = fit_to_budget(ctx, list(options.tiers), options.reserve)
+        request = CompletionRequest(
+            model=tier.name,
+            prompt=render_prompt(ctx),
+            max_completion_tokens=options.reserve,
+            temperature=options.temperature,
+        )
+        response = gateway.complete(request, context_id=object_id)
+    except (OverBudgetError, ProviderError) as exc:
+        return exc
     parsed = parse_doc(response.text, obj.kind, obj.has_return)
     if parsed.missing or parsed.extra:
         logger.warning(
@@ -424,6 +429,12 @@ def generate_all(
     snapshot) are skipped without any gateway call. Failures are recorded and
     do not stop the run; dependents see "None" for a failed prerequisite.
     ``only`` restricts generation to the given ids (used by updates).
+
+    An object is dispatched once all of its pending callees and children have
+    finished, lowest topological rank first, to at most ``options.jobs``
+    workers. With one job it runs on the calling thread, so ``generated`` is
+    the topological order filtered to the pending objects. Workers only
+    generate; this thread records every outcome.
     """
     order = topological_order(graph)
     report = RunReport()
@@ -436,70 +447,56 @@ def generate_all(
         else:
             pending.append(oid)
 
-    failed: set[str] = set()
-    stale = _stale_prerequisites(graph, store, set(pending))
+    rank = {oid: index for index, oid in enumerate(pending)}
+    blockers = dict.fromkeys(pending, 0)
+    dependents: dict[str, list[str]] = {oid: [] for oid in pending}
+    # (prerequisite, dependent) pairs; a pair listed twice also unblocks twice
+    links = [(edge.callee, edge.caller) for edge in graph.edges]
+    links += [(oid, graph.objects[oid].parent_id) for oid in pending]
+    for need, oid in links:
+        if need in rank and oid in rank:
+            blockers[oid] += 1
+            dependents[need].append(oid)
+    ready = [rank[oid] for oid in pending if not blockers[oid]]
+    heapq.heapify(ready)
+    allow_missing = _stale_prerequisites(graph, store, set(pending))
 
-    def _run(oid: str) -> None:
-        try:
-            record, ptok, ctok = _generate_one(
-                graph, gateway, store, oid, options, frozenset(failed) | stale
-            )
-        except (OverBudgetError, ProviderError) as exc:
-            failed.add(oid)
-            report.failures[oid] = str(exc)
-            logger.error("generation failed for %s: %s", oid, exc)
-            return
-        store.records[oid] = record
-        report.generated.append(oid)
-        report.prompt_tokens += ptok
-        report.completion_tokens += ctok
+    def finish(oid: str, outcome) -> None:
+        nonlocal allow_missing
+        if isinstance(outcome, Exception):
+            allow_missing = allow_missing | {oid}
+            report.failures[oid] = str(outcome)
+            logger.error("generation failed for %s: %s", oid, outcome)
+        else:
+            record, ptok, ctok = outcome
+            store.records[oid] = record
+            report.generated.append(oid)
+            report.prompt_tokens += ptok
+            report.completion_tokens += ctok
+        for dep in dependents[oid]:
+            blockers[dep] -= 1
+            if not blockers[dep]:
+                heapq.heappush(ready, rank[dep])
 
-    if options.jobs <= 1:
-        for oid in pending:
-            _run(oid)
-    else:
-        _run_concurrent(graph, pending, options.jobs, _run)
+    jobs = max(1, options.jobs)
+    pool = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else None
+    running: dict[Future, str] = {}
+    try:
+        while ready or running:
+            while ready and len(running) < jobs:
+                oid = pending[heapq.heappop(ready)]
+                args = (graph, gateway, store, oid, options, allow_missing)
+                if pool is None:
+                    finish(oid, _generate_one(*args))
+                else:
+                    running[pool.submit(_generate_one, *args)] = oid
+            if running:
+                finished, _ = wait(running, return_when=FIRST_COMPLETED)
+                for future in sorted(finished, key=lambda f: rank[running[f]]):
+                    finish(running.pop(future), future.result())
+    finally:
+        if pool is not None:
+            pool.shutdown()
 
     store.graph_snapshot = graph
     return report
-
-
-def _run_concurrent(
-    graph: RepoGraph, pending: Sequence[str], jobs: int, run_one
-) -> None:
-    """Dispatch ready objects in parallel; prerequisites gate dispatch.
-
-    An object is ready once all of its pending callees and children are done
-    (success or failure). Completion order is whatever the pool yields, which
-    still respects the dependency relation.
-    """
-    import heapq
-    from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-
-    pending_set = set(pending)
-    blockers: dict[str, set[str]] = {}
-    dependents: dict[str, set[str]] = {oid: set() for oid in pending}
-    for oid in pending:
-        needs = set(graph.callees(oid)) | set(graph.object_children(oid))
-        blockers[oid] = {n for n in needs if n in pending_set}
-        for need in blockers[oid]:
-            dependents[need].add(oid)
-
-    ready = sorted(oid for oid in pending if not blockers[oid])
-    heapq.heapify(ready)
-    done_lock = threading.Lock()
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = {}
-        while ready or futures:
-            while ready and len(futures) < jobs:
-                oid = heapq.heappop(ready)
-                futures[pool.submit(run_one, oid)] = oid
-            finished, _ = wait(futures, return_when=FIRST_COMPLETED)
-            for future in finished:
-                oid = futures.pop(future)
-                future.result()  # run_one never raises; surfacing bugs is fine
-                with done_lock:
-                    for dep in dependents.get(oid, ()):
-                        blockers[dep].discard(oid)
-                        if not blockers[dep]:
-                            heapq.heappush(ready, dep)

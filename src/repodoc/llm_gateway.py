@@ -11,16 +11,10 @@ import re
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Protocol
 
-from .errors import AuthenticationError, OverBudgetError, ProviderError
-from .prompt_engine import (
-    FORMAT_INTRO,
-    OUTPUT_EXAMPLE_INSTRUCTION,
-    ModelTier,
-    choose_tier,
-    estimate_tokens,
-)
+from .errors import AuthenticationError, ProviderError
+from .prompt_engine import FORMAT_INTRO, OUTPUT_EXAMPLE_INSTRUCTION, estimate_tokens
 
 MOCK_SCHEME = "mock:"
 API_KEY_ENV = "REPODOC_API_KEY"
@@ -202,21 +196,19 @@ class RunLedger:
 
 
 class Gateway:
-    """Retry wrapper over a provider with a concurrency bound and a ledger."""
+    """Retry wrapper over a provider with a token ledger; safe to share across threads."""
 
     def __init__(
         self,
         provider: Provider,
         *,
         retries: int = 3,
-        max_concurrency: int = 1,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         self.provider = provider
         self.retries = retries
         self.ledger = RunLedger()
         self._sleep = sleep
-        self._semaphore = threading.BoundedSemaphore(max(1, max_concurrency))
 
     def complete(self, request: CompletionRequest, *, context_id: str | None = None) -> CompletionResponse:
         request.validate()
@@ -224,8 +216,7 @@ class Gateway:
         attempts = self.retries + 1
         for attempt in range(attempts):
             try:
-                with self._semaphore:
-                    response = self.provider.send(request)
+                response = self.provider.send(request)
             except TransientProviderError as exc:
                 last_error = exc
                 if attempt < self.retries:
@@ -238,15 +229,3 @@ class Gateway:
             return response
         target = f" while generating {context_id}" if context_id else ""
         raise ProviderError(f"provider failed after {attempts} attempts{target}: {last_error}")
-
-
-def select_model(
-    token_estimate: int, tiers: Sequence[ModelTier], reserve: int = 1024
-) -> ModelTier:
-    """Smallest tier that fits; raises when even the largest cannot."""
-    tier = choose_tier(token_estimate, tiers, reserve)
-    if tier is None:
-        raise OverBudgetError(
-            f"~{token_estimate} tokens plus {reserve} reserve exceed every configured tier"
-        )
-    return tier

@@ -14,7 +14,6 @@ from .doc_pipeline import DocStore, render_record_text
 from .project_graph import FILE, RepoGraph, ROOT_ID, TreeNode
 from .source_model import CLASS, SOURCE_SUFFIX
 
-DEFAULT_DOC_DIR = "markdown_docs"
 SUMMARY_NAME = "SUMMARY.md"
 PLACEHOLDER = "*(documentation not yet generated)*"
 

@@ -226,7 +226,7 @@ def render_prompt(ctx: PromptContext) -> str:
     parts = [
         ROLE_PREAMBLE,
         HIERARCHY_INTRO + "\n" + ctx.hierarchy_render,
-        DOC_PATH_INTRO + "\n" + target.doc_path + ".",
+        DOC_PATH_INTRO + "\n" + target.id + ".",
         f'Now you need to generate a document for a {target.kind}, whose name is "{target.name}".',
         CODE_INTRO + "\n\n" + target.snippet,
     ]

@@ -65,10 +65,6 @@ class CodeObject:
     parent_id: str
     source_hash: str = ""
 
-    @property
-    def doc_path(self) -> str:
-        return self.id
-
     def to_dict(self, *, include_snippet: bool = True) -> dict:
         data = {
             "id": self.id,
@@ -429,16 +425,9 @@ def scan_repository(root: str | Path, ignore: Sequence[str] = ()) -> list[str]:
     return sorted(found)
 
 
-def parse_repository(
-    root: str | Path, files: Iterable[str], *, jobs: int = 1
-) -> list[FileParse]:
-    """Parse the given repo-relative files, optionally with a thread pool.
-
-    Results are always returned in lexicographic file order regardless of
-    worker scheduling.
-    """
+def parse_repository(root: str | Path, files: Iterable[str]) -> list[FileParse]:
+    """Parse the given repo-relative files in lexicographic file order."""
     root = Path(root)
-    ordered = sorted(files)
 
     def _one(rel: str) -> FileParse:
         try:
@@ -447,9 +436,4 @@ def parse_repository(
             return FileParse(file=rel, parse_error=f"{rel}: {exc}")
         return parse_file(rel, text)
 
-    if jobs <= 1 or len(ordered) <= 1:
-        return [_one(rel) for rel in ordered]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_one, ordered))
+    return [_one(rel) for rel in sorted(files)]

@@ -44,7 +44,6 @@ def test_config_file_overrides(tmp_path):
                 "base_url": "https://llm.internal/v1",
                 "temperature": 0.5,
                 "retries": 1,
-                "max_concurrency": 4,
                 "tiers": [
                     {"name": "small", "context_window": 8000},
                     {"name": "big", "context_window": 32000},
@@ -61,7 +60,6 @@ def test_config_file_overrides(tmp_path):
     assert config.provider.base_url == "https://llm.internal/v1"
     assert config.provider.temperature == 0.5
     assert config.provider.retries == 1
-    assert config.provider.max_concurrency == 4
     assert [t.name for t in config.provider.tiers] == ["small", "big"]
 
 
@@ -127,7 +125,7 @@ def test_tier_validation(tmp_path, tiers, message):
     [
         ({"provider": {"temperature": 3.0}}, "between 0 and 2"),
         ({"provider": {"retries": -1}}, "non-negative"),
-        ({"provider": {"max_concurrency": 0}}, "positive"),
+        ({"provider": {"max_concurrency": 2}}, "unknown provider keys"),
         ({"completion_reserve_tokens": 0}, "positive"),
         ({"child_docs_enabled": "yes"}, "boolean"),
         ({"ignore": "build"}, "list of glob strings"),
@@ -171,7 +169,7 @@ def test_build_provider_http_needs_api_key(tmp_path, monkeypatch):
 
 
 def test_build_gateway_applies_provider_settings(tmp_path):
-    write_config(tmp_path, {"provider": {"retries": 7, "max_concurrency": 2}})
+    write_config(tmp_path, {"provider": {"retries": 7}})
     gateway = build_gateway(load_config(tmp_path))
     assert gateway.retries == 7
     assert isinstance(gateway.provider, MockProvider)

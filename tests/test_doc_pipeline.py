@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import logging
+import threading
 
 import pytest
 
@@ -16,7 +17,8 @@ from repodoc.doc_pipeline import (
     save_store,
 )
 from repodoc.errors import CorruptStoreError
-from repodoc.llm_gateway import Gateway
+from repodoc.llm_gateway import Gateway, MockProvider
+from repodoc.project_graph import topological_order
 
 from .helpers import (
     DEMO_TOPO_ORDER,
@@ -26,6 +28,7 @@ from .helpers import (
     generate_repo,
     make_gateway,
     make_options,
+    write_tree,
 )
 
 COMPLIANT_FUNCTION_DOC = (
@@ -273,7 +276,7 @@ def test_failures_do_not_stop_the_run(demo_repo):
 
 def test_parallel_generation_matches_sequential(labeled_repo):
     _, store_seq, report_seq, _ = generate_repo(labeled_repo, jobs=1)
-    _, store_par, report_par, _ = generate_repo(labeled_repo, jobs=3)
+    _, store_par, report_par, gateway_par = generate_repo(labeled_repo, jobs=3)
     assert report_par.ok
     assert set(report_par.generated) == set(report_seq.generated)
     assert set(store_par.records) == set(store_seq.records)
@@ -281,3 +284,41 @@ def test_parallel_generation_matches_sequential(labeled_repo):
         assert render_record_text(store_par.records[oid]) == render_record_text(
             store_seq.records[oid]
         )
+    totals = (report_par.prompt_tokens, report_par.completion_tokens)
+    assert totals == (report_seq.prompt_tokens, report_seq.completion_tokens)
+    assert totals == (gateway_par.ledger.prompt_tokens, gateway_par.ledger.completion_tokens)
+
+
+class BarrierProvider:
+    """Mock provider whose sends return only once ``parties`` of them overlap."""
+
+    def __init__(self, parties: int) -> None:
+        self._inner = MockProvider()
+        self._barrier = threading.Barrier(parties, timeout=5)
+
+    def send(self, request):
+        self._barrier.wait()
+        return self._inner.send(request)
+
+
+def test_two_jobs_overlap_provider_sends(tmp_path):
+    write_tree(tmp_path, {"m.py": "def a():\n    return 1\n\n\ndef b():\n    return 2\n"})
+    graph = build_repo_graph(tmp_path)
+    gateway = Gateway(BarrierProvider(2), retries=0)
+    report = generate_all(graph, gateway, DocStore(), make_options(jobs=2))
+    assert report.ok
+    assert sorted(report.generated) == ["m.py/a", "m.py/b"]
+
+
+def test_single_job_follows_filtered_topological_order(tmp_path):
+    # z is a prerequisite of b but not pending: the full order is c, z, b,
+    # while ordering only {b, c} by id would put b first.
+    source = "def b():\n    return z()\n\n\ndef c():\n    return 1\n\n\ndef z():\n    return 2\n"
+    write_tree(tmp_path, {"m.py": source})
+    graph, store, _, _ = generate_repo(tmp_path)
+    only = {"m.py/b", "m.py/c"}
+    for oid in only:
+        store.records.pop(oid)
+    report = generate_all(graph, make_gateway(), store, make_options(jobs=1), only=only)
+    assert report.generated == [oid for oid in topological_order(graph) if oid in only]
+    assert report.generated == ["m.py/c", "m.py/b"]

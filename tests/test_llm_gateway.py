@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repodoc.doc_pipeline import parse_doc
-from repodoc.errors import AuthenticationError, OverBudgetError, ProviderError
+from repodoc.errors import AuthenticationError, ProviderError
 from repodoc.llm_gateway import (
     API_KEY_ENV,
     CompletionRequest,
@@ -13,9 +13,8 @@ from repodoc.llm_gateway import (
     HttpChatProvider,
     MockProvider,
     TransientProviderError,
-    select_model,
 )
-from repodoc.prompt_engine import ModelTier, assemble_context, render_prompt
+from repodoc.prompt_engine import assemble_context, render_prompt
 
 from .helpers import generate_repo
 
@@ -185,10 +184,3 @@ def test_http_provider_malformed_body():
     provider = HttpChatProvider("https://api.example.test", "k", session=session)
     with pytest.raises(ProviderError):
         provider.send(request_for("x"))
-
-
-def test_select_model_raises_over_budget():
-    tiers = [ModelTier("base-4k", 4000)]
-    assert select_model(100, tiers).name == "base-4k"
-    with pytest.raises(OverBudgetError):
-        select_model(5000, tiers)

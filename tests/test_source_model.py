@@ -152,11 +152,9 @@ def test_normalization_rules():
     )
 
 
-def test_parse_repository_order_and_jobs(demo_repo):
-    sequential = parse_repository(demo_repo, ["util/b.py", "a.py"])
-    assert [p.file for p in sequential] == ["a.py", "util/b.py"]
-    threaded = parse_repository(demo_repo, ["util/b.py", "a.py"], jobs=4)
-    assert [p.to_dict() for p in threaded] == [p.to_dict() for p in sequential]
+def test_parse_repository_order(demo_repo):
+    parses = parse_repository(demo_repo, ["util/b.py", "a.py"])
+    assert [p.file for p in parses] == ["a.py", "util/b.py"]
 
 
 def test_snippet_reparse_reports_same_signature_facts():
