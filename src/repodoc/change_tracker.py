@@ -222,16 +222,41 @@ def plan_updates(changes: ChangeSet) -> UpdatePlan:
     )
 
 
+def _holder_is_gone(lock_path: Path) -> bool:
+    """True when the lock names the PID of a process that no longer exists.
+
+    Empty content may be a live holder that has not written its PID yet.
+    """
+    try:
+        pid = int(lock_path.read_text(encoding="ascii"))
+        if pid > 0:
+            os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except (OSError, ValueError, OverflowError):
+        pass  # unreadable, not a PID, or a live process we may not signal
+    return False
+
+
 @contextlib.contextmanager
 def _update_lock(store_dir: Path):
     store_dir.mkdir(parents=True, exist_ok=True)
     lock_path = store_dir / LOCK_NAME
+    flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
     try:
-        fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        fd = os.open(lock_path, flags)
     except FileExistsError:
-        raise LockError(
-            f"another update holds {lock_path}; remove it if no update is running"
-        ) from None
+        fd = None
+        if _holder_is_gone(lock_path):
+            logger.warning("removing stale lock %s left by an exited process", lock_path)
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(lock_path)
+            with contextlib.suppress(FileExistsError):
+                fd = os.open(lock_path, flags)
+        if fd is None:
+            raise LockError(
+                f"another update holds {lock_path}; remove it if no update is running"
+            ) from None
     try:
         os.write(fd, str(os.getpid()).encode("ascii"))
         os.close(fd)
@@ -343,8 +368,10 @@ def run_update(
 
         for oid in plan.delete_docs:
             store.records.pop(oid, None)
-        report.written_pages = write_site(graph, store, repo_root / config.doc_dir)
+        # Store first: if saving fails, no page has changed. If writing the
+        # site fails, the next run finds the store current and rewrites pages.
         save_store(store, store_path)
+        report.written_pages = write_site(graph, store, repo_root / config.doc_dir)
         _git(repo_root, "add", "-A", "--", config.doc_dir)
         _git(repo_root, "add", "--", config.store_path)
         return report

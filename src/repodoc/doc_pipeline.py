@@ -288,6 +288,12 @@ def load_store(path: str | Path) -> DocStore:
         return DocStore()
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
+        version = data.get("version")
+        if version != STORE_VERSION:
+            raise CorruptStoreError(
+                f"doc store {path} has version {version}, expected {STORE_VERSION}; "
+                "delete it and rerun generate to rebuild"
+            )
         records = {
             oid: DocRecord.from_dict(rec) for oid, rec in data.get("records", {}).items()
         }

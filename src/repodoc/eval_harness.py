@@ -8,19 +8,13 @@ model in the loop, so they are cheap enough to run on every build.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
 from statistics import fmean
 from typing import Iterable, Mapping, Union
 
+from .doc_pipeline import ATTRIBUTE_LABEL, PARAM_LABEL, ParsedDoc, parse_doc
 from .project_graph import RepoGraph
-from .source_model import CLASS, CodeObject
-
-_HEADER_RE = re.compile(r"^\*\*(.+?)\*\*[ \t]*:[ \t]*(.*)$", re.MULTILINE)
-_BULLET_RE = re.compile(r"^-[ \t]*`([^`]+)`[ \t]*:", re.MULTILINE)
-
-_PARAM_LABELS = {"parameters", "attributes"}
-_FIXED_LABELS = _PARAM_LABELS | {"code description", "note", "output example"}
+from .source_model import CLASS, FUNCTION, CodeObject
 
 ReferenceSource = Union[RepoGraph, Mapping[str, Iterable[str]]]
 
@@ -94,70 +88,31 @@ class FormatCheck:
         }
 
 
-def _sections(doc: str) -> list[tuple[str, str]]:
-    """(lowercased label, section content) for every column-0 bold header."""
-    matches = list(_HEADER_RE.finditer(doc))
-    out: list[tuple[str, str]] = []
-    for index, match in enumerate(matches):
-        end = matches[index + 1].start() if index + 1 < len(matches) else len(doc)
-        inline = match.group(2).strip()
-        rest = doc[match.end() : end].strip()
-        content = "\n".join(part for part in (inline, rest) if part)
-        out.append((match.group(1).strip().lower(), content))
-    return out
+def _format_check(parsed: ParsedDoc, kind: str, has_return: bool) -> FormatCheck:
+    expected_param = ATTRIBUTE_LABEL if kind == CLASS else PARAM_LABEL
+    if has_return:
+        output_example_ok = bool(parsed.output_example)
+    else:
+        output_example_ok = parsed.output_example is None
+    return FormatCheck(
+        name_ok="name" not in parsed.missing,
+        params_ok=expected_param not in parsed.missing,
+        code_description_ok=bool(parsed.code_description),
+        note_ok=bool(parsed.note),
+        output_example_ok=output_example_ok,
+        no_extras=not parsed.extra,
+    )
 
 
 def check_format(doc: str, kind: str, has_return: bool) -> FormatCheck:
     """Verify the five-section layout for one generated doc."""
-    sections = _sections(doc)
-    labels = [label for label, _ in sections]
-
-    name_ok = bool(sections) and labels[0] not in _FIXED_LABELS
-
-    expected_param = "attributes" if kind == CLASS else "parameters"
-    wrong_param = "parameters" if kind == CLASS else "attributes"
-    params_ok = expected_param in labels
-
-    content_by_label: dict[str, str] = {}
-    extras = False
-    for index, (label, content) in enumerate(sections):
-        if index == 0 and label not in _FIXED_LABELS:
-            continue
-        if label not in _FIXED_LABELS or label in content_by_label:
-            extras = True
-            continue
-        content_by_label[label] = content
-    if wrong_param in content_by_label:
-        extras = True
-
-    code_description_ok = bool(content_by_label.get("code description", "").strip())
-    note_ok = bool(content_by_label.get("note", "").strip())
-    if has_return:
-        output_example_ok = bool(content_by_label.get("output example", "").strip())
-    else:
-        output_example_ok = "output example" not in content_by_label
-
-    return FormatCheck(
-        name_ok=name_ok,
-        params_ok=params_ok,
-        code_description_ok=code_description_ok,
-        note_ok=note_ok,
-        output_example_ok=output_example_ok,
-        no_extras=not extras,
-    )
+    return _format_check(parse_doc(doc, kind, has_return), kind, has_return)
 
 
 def extract_params(doc: str) -> list[str]:
     """Backticked bullet names under the parameters or Attributes section,
     in order, duplicates kept."""
-    matches = list(_HEADER_RE.finditer(doc))
-    for index, match in enumerate(matches):
-        if match.group(1).strip().lower() not in _PARAM_LABELS:
-            continue
-        end = matches[index + 1].start() if index + 1 < len(matches) else len(doc)
-        body = doc[match.end() : end]
-        return [m.group(1).strip() for m in _BULLET_RE.finditer(body)]
-    return []
+    return [name for name, _ in parse_doc(doc, FUNCTION, False).params]
 
 
 def param_accuracy(
@@ -230,8 +185,10 @@ def evaluate_docs(
         if obj is None:
             report.errors.append(f"unknown object id: {oid}")
             continue
-        flags = check_format(docs[oid], obj.kind, obj.has_return)
-        accuracy = param_accuracy(extract_params(docs[oid]), obj.params, param_metric)
+        parsed = parse_doc(docs[oid], obj.kind, obj.has_return)
+        flags = _format_check(parsed, obj.kind, obj.has_return)
+        documented = [name for name, _ in parsed.params]
+        accuracy = param_accuracy(documented, obj.params, param_metric)
         accuracies.append(accuracy)
         compliant += flags.compliant
         for key, value in flags.to_dict().items():

@@ -1,4 +1,4 @@
-"""Completion gateway: provider abstraction, retries and token accounting.
+"""Completion gateway: provider abstraction and retries.
 
 Two providers ship with the package: an HTTP chat-completion client and a
 deterministic mock selected by the ``mock:`` base URL scheme. The mock answers
@@ -8,9 +8,8 @@ from the prompt's meta lines alone, so the whole pipeline can run hermetically.
 from __future__ import annotations
 
 import re
-import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Protocol
 
 from .errors import AuthenticationError, ProviderError
@@ -159,44 +158,11 @@ class HttpChatProvider:
         )
 
 
-@dataclass
-class LedgerEntry:
-    model: str
-    prompt_tokens: int
-    completion_tokens: int
-
-
-class RunLedger:
-    """Thread-safe per-run token accounting."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._entries: list[LedgerEntry] = []
-
-    def record(self, response: CompletionResponse) -> None:
-        with self._lock:
-            self._entries.append(
-                LedgerEntry(response.model, response.prompt_tokens, response.completion_tokens)
-            )
-
-    @property
-    def request_count(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    @property
-    def prompt_tokens(self) -> int:
-        with self._lock:
-            return sum(e.prompt_tokens for e in self._entries)
-
-    @property
-    def completion_tokens(self) -> int:
-        with self._lock:
-            return sum(e.completion_tokens for e in self._entries)
-
-
 class Gateway:
-    """Retry wrapper over a provider with a token ledger; safe to share across threads."""
+    """Retry wrapper over a provider; safe to share across threads.
+
+    Token counts travel on each response; ``RunReport`` adds them up per run.
+    """
 
     def __init__(
         self,
@@ -207,7 +173,6 @@ class Gateway:
     ) -> None:
         self.provider = provider
         self.retries = retries
-        self.ledger = RunLedger()
         self._sleep = sleep
 
     def complete(self, request: CompletionRequest, *, context_id: str | None = None) -> CompletionResponse:
@@ -216,16 +181,11 @@ class Gateway:
         attempts = self.retries + 1
         for attempt in range(attempts):
             try:
-                response = self.provider.send(request)
+                return self.provider.send(request)
             except TransientProviderError as exc:
                 last_error = exc
                 if attempt < self.retries:
                     backoff = _BACKOFF_SCHEDULE[min(attempt, len(_BACKOFF_SCHEDULE) - 1)]
                     self._sleep(backoff)
-                continue
-            except AuthenticationError:
-                raise
-            self.ledger.record(response)
-            return response
         target = f" while generating {context_id}" if context_id else ""
         raise ProviderError(f"provider failed after {attempts} attempts{target}: {last_error}")

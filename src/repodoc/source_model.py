@@ -183,36 +183,6 @@ def _package_parts(file_path: str) -> list[str]:
     return parts[:-1]
 
 
-def detect_has_return(node: ast.AST | Sequence[ast.stmt]) -> bool:
-    """True when the body yields a value: ``return expr`` or any yield.
-
-    Nested definitions are excluded. For a class, true when any directly
-    defined method is true.
-    """
-    if isinstance(node, ast.ClassDef):
-        return any(detect_has_return(child) for child in node.body if isinstance(child, _DEF_NODES))
-    if isinstance(node, _DEF_NODES):
-        body: Sequence[ast.AST] = node.body
-    elif isinstance(node, ast.AST):
-        body = [node]
-    else:
-        body = list(node)
-
-    stack: list[ast.AST] = list(body)
-    while stack:
-        current = stack.pop()
-        if isinstance(current, (*_DEF_NODES, ast.ClassDef)):
-            continue
-        if isinstance(current, ast.Return):
-            if current.value is not None:
-                return True
-            continue
-        if isinstance(current, (ast.Yield, ast.YieldFrom)):
-            return True
-        stack.extend(ast.iter_child_nodes(current))
-    return False
-
-
 def _function_params(node: ast.FunctionDef | ast.AsyncFunctionDef) -> tuple[str, ...]:
     args = node.args
     positional = [a.arg for a in (*args.posonlyargs, *args.args)]
@@ -246,47 +216,38 @@ class _Collector(ast.NodeVisitor):
         self.scopes: dict[str, Scope] = {file_path: Scope(kind="module")}
         # (scope id, scope kind); index 0 is the module scope
         self._stack: list[tuple[str, str]] = [(file_path, "module")]
+        # has_return flag of the innermost body being walked; index 0, the
+        # module level, is a throwaway
+        self._returns: list[bool] = [False]
 
     # -- definitions ------------------------------------------------------
 
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._add_object(node, FUNCTION)
+    def visit_FunctionDef(self, node: ast.FunctionDef) -> bool:
+        return self._add_object(node, FUNCTION)
 
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._add_object(node, FUNCTION)
+    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> bool:
+        return self._add_object(node, FUNCTION)
 
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self._add_object(node, CLASS)
+    def visit_ClassDef(self, node: ast.ClassDef) -> bool:
+        return self._add_object(node, CLASS)
 
-    def _add_object(self, node: ast.AST, kind: str) -> None:
+    def _add_object(self, node: ast.AST, kind: str) -> bool:
+        """Record one definition and walk it; returns its ``has_return``.
+
+        A function has a return value when its own body returns a value or
+        yields; nested definitions do not count. A class has one when any def
+        directly in its body does.
+        """
         parent_id, _ = self._stack[-1]
         obj_id = f"{parent_id}/{node.name}"
-        start = node.lineno
-        if node.decorator_list:
-            start = min(start, node.decorator_list[0].lineno)
-        end = node.end_lineno or start
-        snippet = "\n".join(self._lines[start - 1 : end])
-        if kind == CLASS:
-            params = _class_params(node)
-        else:
-            params = _function_params(node)
-        obj = CodeObject(
-            id=obj_id,
-            kind=kind,
-            name=node.name,
-            file=self._file,
-            line_span=(start, end),
-            snippet=snippet,
-            params=params,
-            has_return=detect_has_return(node),
-            parent_id=parent_id,
-            source_hash=source_digest(snippet),
-        )
-        self.objects.append(obj)
+        slot = len(self.objects)
+        self.objects.append(None)  # filled in source order once the body is walked
         self.scopes[parent_id].defs[node.name] = obj_id
         self.scopes.setdefault(obj_id, Scope(kind="class" if kind == CLASS else "function"))
 
-        # Decorators, bases and defaults execute in the parent scope.
+        # Decorators, bases and defaults execute in the parent scope; a yield
+        # there belongs to no body, so it sets a throwaway flag.
+        self._returns.append(False)
         for dec in node.decorator_list:
             self.visit(dec)
         if isinstance(node, ast.ClassDef):
@@ -297,10 +258,45 @@ class _Collector(ast.NodeVisitor):
             if node.returns is not None:
                 self.visit(node.returns)
 
+        self._returns[-1] = False
         self._stack.append((obj_id, "class" if kind == CLASS else "function"))
+        def_returns = False
         for stmt in node.body:
-            self.visit(stmt)
+            if self.visit(stmt) and isinstance(stmt, _DEF_NODES):
+                def_returns = True
         self._stack.pop()
+        body_returns = self._returns.pop()
+        has_return = def_returns if kind == CLASS else body_returns
+
+        start = node.lineno
+        if node.decorator_list:
+            start = min(start, node.decorator_list[0].lineno)
+        end = node.end_lineno or start
+        snippet = "\n".join(self._lines[start - 1 : end])
+        self.objects[slot] = CodeObject(
+            id=obj_id,
+            kind=kind,
+            name=node.name,
+            file=self._file,
+            line_span=(start, end),
+            snippet=snippet,
+            params=_class_params(node) if kind == CLASS else _function_params(node),
+            has_return=has_return,
+            parent_id=parent_id,
+            source_hash=source_digest(snippet),
+        )
+        return has_return
+
+    def visit_Return(self, node: ast.Return) -> None:
+        if node.value is not None:
+            self._returns[-1] = True
+        self.generic_visit(node)
+
+    def visit_Yield(self, node: ast.Yield | ast.YieldFrom) -> None:
+        self._returns[-1] = True
+        self.generic_visit(node)
+
+    visit_YieldFrom = visit_Yield
 
     # -- imports -----------------------------------------------------------
 

@@ -158,7 +158,8 @@ def build_repo_graph(root: Path, ignore: tuple[str, ...] = ()) -> RepoGraph:
 
 
 def make_gateway() -> Gateway:
-    return Gateway(MockProvider(), retries=0)
+    """Mock gateway; ``gateway.provider`` is a CapturingProvider."""
+    return Gateway(CapturingProvider(), retries=0)
 
 
 def make_options(**overrides) -> GenerationOptions:
@@ -168,7 +169,10 @@ def make_options(**overrides) -> GenerationOptions:
 
 
 def generate_repo(root: Path, **option_overrides):
-    """Full mock generation; returns (graph, store, report, gateway)."""
+    """Full mock generation; returns (graph, store, report, gateway).
+
+    ``gateway.provider`` records what the run sent and received.
+    """
     graph = build_repo_graph(root)
     store = DocStore()
     gateway = make_gateway()
@@ -177,15 +181,19 @@ def generate_repo(root: Path, **option_overrides):
 
 
 class CapturingProvider:
-    """Mock provider that also records every prompt it receives."""
+    """Mock provider that also records every prompt it receives and every
+    response it returns."""
 
     def __init__(self) -> None:
         self._inner = MockProvider()
         self.prompts: list[str] = []
+        self.responses: list[CompletionResponse] = []
 
     def send(self, request: CompletionRequest) -> CompletionResponse:
         self.prompts.append(request.prompt)
-        return self._inner.send(request)
+        response = self._inner.send(request)
+        self.responses.append(response)
+        return response
 
 
 class FailingProvider:

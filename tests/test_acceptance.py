@@ -187,7 +187,7 @@ def test_criterion_3_rerun_makes_no_requests_and_no_byte_changes(demo_repo):
     rewritten = write_site(graph, store, out)
     after = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*.md"))}
 
-    assert gateway.ledger.request_count == 0
+    assert gateway.provider.prompts == []
     assert report.generated == [] and len(report.skipped) == 5
     assert rewritten == []
     assert after == before

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import logging
 import os
 import stat
+import subprocess
+import sys
 
 import pytest
 
+from repodoc import change_tracker
 from repodoc.change_tracker import (
     HOOK_MARKER,
     LOCAL_HOOK_NAME,
@@ -22,7 +26,7 @@ from repodoc.change_tracker import (
     staged_changes,
 )
 from repodoc.config import load_config
-from repodoc.errors import LockError, NotAGitRepoError, UsageError
+from repodoc.errors import LockError, NotAGitRepoError, StoreWriteError, UsageError
 from repodoc.llm_gateway import Gateway
 
 from .conftest import git
@@ -224,6 +228,26 @@ def test_update_lock_is_exclusive(tmp_path):
         pass
 
 
+def test_update_lock_takes_over_from_exited_process(tmp_path, caplog):
+    child = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
+                           capture_output=True, text=True, check=True)
+    (tmp_path / ".lock").write_text(child.stdout.strip(), encoding="ascii")
+    with caplog.at_level(logging.WARNING, logger="repodoc.change_tracker"):
+        with _update_lock(tmp_path):
+            assert (tmp_path / ".lock").read_text(encoding="ascii") == str(os.getpid())
+    assert "stale lock" in caplog.text
+    assert not (tmp_path / ".lock").exists()
+
+
+@pytest.mark.parametrize("content", ["", "not a pid"], ids=["empty", "garbage"])
+def test_update_lock_keeps_lock_it_cannot_judge(tmp_path, content):
+    (tmp_path / ".lock").write_text(content, encoding="ascii")
+    with pytest.raises(LockError):
+        with _update_lock(tmp_path):
+            pass
+    assert (tmp_path / ".lock").read_text(encoding="ascii") == content
+
+
 def test_install_hook_fresh_and_idempotent(git_demo_repo):
     hook_path = install_hook(git_demo_repo)
     text = hook_path.read_text(encoding="utf-8")
@@ -311,6 +335,33 @@ def test_run_update_failure_leaves_store_untouched(git_demo_repo):
     assert set(report.run.failures) == {"a.py/f"}
     assert store_path.read_bytes() == before
     assert report.written_pages == []
+
+
+def test_run_update_store_write_failure_leaves_pages_untouched(git_demo_repo, monkeypatch):
+    git(git_demo_repo, "add", "-A")
+    report, config = run_full_update(git_demo_repo)
+    git(git_demo_repo, "commit", "-qm", "seed")
+    doc_dir = git_demo_repo / config.doc_dir
+    def snapshot():
+        return {p: p.read_bytes() for p in sorted(doc_dir.rglob("*")) if p.is_file()}
+
+    before = snapshot()
+
+    # a new parameter changes the page of a.py
+    (git_demo_repo / "a.py").write_text(A_F_EDITED.replace("def f():", "def f(y=0):"), encoding="utf-8")
+    git(git_demo_repo, "add", "a.py")
+
+    def refuse(store, path):
+        raise StoreWriteError("disk full")
+
+    monkeypatch.setattr(change_tracker, "save_store", refuse)
+    with pytest.raises(StoreWriteError):
+        run_full_update(git_demo_repo)
+    assert snapshot() == before
+
+    monkeypatch.undo()
+    report, _ = run_full_update(git_demo_repo)
+    assert report.written_pages == ["a.md"]
 
 
 def test_run_update_incremental_edit_touches_one_object(git_demo_repo):

@@ -192,6 +192,22 @@ def test_store_corrupt_json_raises(tmp_path):
     assert "delete it and rerun generate" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "payload, found",
+    [({"version": 2, "records": {}, "graph": None}, "version 2"),
+     ({"records": {}, "graph": None}, "version None")],
+    ids=["version-2", "no-version"],
+)
+def test_store_version_mismatch_raises(tmp_path, payload, found):
+    path = tmp_path / "store.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(CorruptStoreError) as err:
+        load_store(path)
+    message = str(err.value)
+    assert found in message and "expected 1" in message
+    assert "delete it and rerun generate" in message
+
+
 def test_store_structurally_broken_raises(tmp_path):
     path = tmp_path / "store.json"
     path.write_text(json.dumps({"version": 1, "records": {"a.py/f": {"id": "a.py/f"}}}), encoding="utf-8")
@@ -204,7 +220,7 @@ def test_generate_all_demo_order_and_records(demo_repo):
     assert report.generated == DEMO_TOPO_ORDER
     assert report.skipped == [] and report.ok
     assert set(store.records) == set(DEMO_TOPO_ORDER)
-    assert gateway.ledger.request_count == len(DEMO_TOPO_ORDER)
+    assert len(gateway.provider.prompts) == len(DEMO_TOPO_ORDER)
     assert report.prompt_tokens > 0 and report.completion_tokens > 0
     assert store.graph_snapshot is graph
 
@@ -215,7 +231,7 @@ def test_generate_all_second_run_skips_everything(demo_repo):
     report = generate_all(graph, gateway, store, make_options())
     assert report.generated == []
     assert report.skipped == DEMO_TOPO_ORDER
-    assert gateway.ledger.request_count == 0
+    assert gateway.provider.prompts == []
 
 
 def test_generate_all_regenerates_on_stale_hash(demo_repo):
@@ -227,7 +243,7 @@ def test_generate_all_regenerates_on_stale_hash(demo_repo):
     gateway = make_gateway()
     report = generate_all(graph, gateway, store, make_options())
     assert report.generated == ["a.py/f"]
-    assert gateway.ledger.request_count == 1
+    assert len(gateway.provider.prompts) == 1
 
 
 def test_generate_all_only_filter(demo_repo):
@@ -237,7 +253,7 @@ def test_generate_all_only_filter(demo_repo):
         graph, gateway, store, make_options(), only={"a.py/f", "a.py/g"}
     )
     # records are fresh, so even the named objects are up to date
-    assert report.generated == [] and gateway.ledger.request_count == 0
+    assert report.generated == [] and gateway.provider.prompts == []
     store.records.pop("a.py/f")
     store.records.pop("util/b.py/h")
     report = generate_all(graph, gateway, store, make_options(), only={"a.py/f"})
@@ -286,7 +302,11 @@ def test_parallel_generation_matches_sequential(labeled_repo):
         )
     totals = (report_par.prompt_tokens, report_par.completion_tokens)
     assert totals == (report_seq.prompt_tokens, report_seq.completion_tokens)
-    assert totals == (gateway_par.ledger.prompt_tokens, gateway_par.ledger.completion_tokens)
+    returned = gateway_par.provider.responses
+    assert totals == (
+        sum(r.prompt_tokens for r in returned),
+        sum(r.completion_tokens for r in returned),
+    )
 
 
 class BarrierProvider:

@@ -98,6 +98,17 @@ def test_check_format_class_expects_attributes():
     assert not check_format(FUNCTION_DOC, "Class", True).params_ok
 
 
+def test_check_format_first_param_section_decides():
+    # a function doc whose first parameter section is Attributes is scored as
+    # parse_doc builds the store: the later parameters section is an extra
+    doc = FUNCTION_DOC.replace(
+        "**parameters**:", "**Attributes**:\n- `x`: wrong label.\n**parameters**:"
+    )
+    flags = check_format(doc, "Function", True)
+    assert not flags.params_ok and not flags.no_extras and not flags.compliant
+    assert extract_params(doc) == ["x"]
+
+
 def test_mock_generated_docs_are_fully_compliant(labeled_repo):
     graph, store, _, _ = generate_repo(labeled_repo)
     for oid, record in store.records.items():
@@ -125,6 +136,11 @@ def test_extract_params_stops_at_next_section():
         "**Note**:\n- `b`: different section."
     )
     assert extract_params(doc) == ["a"]
+
+
+def test_extract_params_counts_indented_bullets():
+    doc = "**f**: x.\n**parameters**:\n  - `a`: indented.\n- `b`: flush."
+    assert extract_params(doc) == ["a", "b"]
 
 
 def test_extract_params_without_param_section():

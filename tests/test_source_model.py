@@ -117,6 +117,67 @@ def test_has_return_rules():
         assert parse.objects[0].has_return is expected, text
 
 
+@pytest.mark.parametrize(
+    "text, target, expected",
+    [
+        pytest.param("def a():\n    return x\n", "x.py/a", True, id="return-value"),
+        pytest.param("def a():\n    return\n", "x.py/a", False, id="bare-return"),
+        pytest.param("def a():\n    yield\n", "x.py/a", True, id="yield"),
+        pytest.param("def a():\n    yield from b()\n", "x.py/a", True, id="yield-from"),
+        pytest.param("def a():\n    f = lambda: (yield)\n", "x.py/a", True, id="yield-in-lambda"),
+        pytest.param(
+            "def a():\n    def inner():\n        return 1\n", "x.py/a", False, id="nested-def-return"
+        ),
+        pytest.param(
+            "def a():\n    def inner():\n        return 1\n", "x.py/a/inner", True, id="nested-def-itself"
+        ),
+        pytest.param(
+            "def a():\n    def inner(x=(yield)):\n        pass\n", "x.py/a", False, id="yield-in-nested-default"
+        ),
+        pytest.param(
+            "def a():\n    def inner(x=(yield)):\n        pass\n",
+            "x.py/a/inner",
+            False,
+            id="own-default-yield",
+        ),
+        pytest.param("@d(lambda: (yield))\ndef a():\n    pass\n", "x.py/a", False, id="yield-in-decorator"),
+        pytest.param(
+            "def a():\n    class K:\n        def m(self):\n            return 1\n",
+            "x.py/a",
+            False,
+            id="nested-class-method",
+        ),
+        pytest.param(
+            "class A:\n    def m(self):\n        pass\n\n    def n(self):\n        return 1\n",
+            "x.py/A",
+            True,
+            id="class-with-returning-method",
+        ),
+        pytest.param(
+            "class A:\n    if c:\n        def m(self):\n            return 1\n",
+            "x.py/A",
+            False,
+            id="class-method-under-if",
+        ),
+        pytest.param(
+            "class A:\n    if c:\n        def m(self):\n            return 1\n",
+            "x.py/A/m",
+            True,
+            id="method-under-if-itself",
+        ),
+        pytest.param(
+            "class A:\n    class B:\n        def m(self):\n            return 1\n",
+            "x.py/A",
+            False,
+            id="class-nested-class",
+        ),
+    ],
+)
+def test_has_return_per_object(text, target, expected):
+    objects = {obj.id: obj for obj in parse_file("x.py", text).objects}
+    assert objects[target].has_return is expected
+
+
 def test_param_extraction_full_signature():
     text = "def f(a, b, /, c, *args, d, e=1, **kw):\n    return a\n"
     parse = parse_file("x.py", text)
