@@ -255,7 +255,7 @@ def _update_lock(store_dir: Path):
                 fd = os.open(lock_path, flags)
         if fd is None:
             raise LockError(
-                f"another update holds {lock_path}; remove it if no update is running"
+                f"another generate or update holds {lock_path}; remove it if none is running"
             ) from None
     try:
         os.write(fd, str(os.getpid()).encode("ascii"))

@@ -13,7 +13,7 @@ import logging
 import sys
 from pathlib import Path
 
-from .change_tracker import install_hook, run_update
+from .change_tracker import _update_lock, install_hook, run_update
 from .config import build_gateway, load_config
 from .doc_pipeline import GenerationOptions, generate_all, load_store, save_store
 from .errors import (
@@ -101,14 +101,15 @@ def _print_list(title: str, items) -> None:
 def cmd_generate(args) -> int:
     config = load_config(args.repo, args.config)
     gateway = build_gateway(config)
-    graph = _build_current_graph(config)
     store_path = config.repo_root / config.store_path
-    store = load_store(store_path)
-    options = GenerationOptions.from_config(config, args.jobs)
-    report = generate_all(graph, gateway, store, options)
-    # partial progress is kept even when some objects failed
-    save_store(store, store_path)
-    pages = write_site(graph, store, config.repo_root / config.doc_dir)
+    with _update_lock(store_path.parent):
+        graph = _build_current_graph(config)
+        store = load_store(store_path)
+        options = GenerationOptions.from_config(config, args.jobs)
+        report = generate_all(graph, gateway, store, options)
+        # partial progress is kept even when some objects failed
+        save_store(store, store_path)
+        pages = write_site(graph, store, config.repo_root / config.doc_dir)
     if args.json:
         payload = report.to_dict()
         payload["pages_written"] = pages

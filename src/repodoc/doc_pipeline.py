@@ -261,14 +261,21 @@ class DocStore:
 
 
 def save_store(store: DocStore, path: str | Path) -> None:
-    """Serialize atomically: write a temp file, then rename over the target."""
+    """Serialize atomically: write a temp file, then rename over the target.
+
+    The store gets the mode of any newly created file (0o666 less the
+    umask), not the 0o600 of the temp file.
+    """
     path = Path(path)
     payload = json.dumps(store.to_dict(), indent=2, sort_keys=True) + "\n"
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=".tmp-store-")
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+                os.fchmod(handle.fileno(), 0o666 & ~umask)
                 handle.write(payload)
             os.replace(tmp_name, path)
         except BaseException:

@@ -24,7 +24,7 @@ class NotAGitRepoError(UsageError):
 
 
 class LockError(UsageError):
-    """Another update holds the store lock."""
+    """Another generate or update holds the store lock."""
 
 
 class InternalError(RepodocError):

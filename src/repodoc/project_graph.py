@@ -239,78 +239,66 @@ def prune_cycles(
 ) -> tuple[list[ReferenceEdge], list[ReferenceEdge]]:
     """Remove reference back edges until caller->callee plus parent->child is acyclic.
 
-    Depth-first traversal visits roots and neighbors in lexicographic id
-    order; each back edge is removed at the moment its cycle is detected and
-    the traversal restarts. Containment edges are never removed: when one
-    closes a cycle, the most recently traversed reference edge on the cycle
-    path is removed instead (a reference edge always exists on such a cycle
-    because containment alone forms a tree).
+    One depth-first pass visits roots and neighbors in lexicographic id order.
+    A reference edge that closes a cycle is removed on the spot and the walk
+    goes on. Containment edges are never removed: when one closes a cycle,
+    the deepest reference edge on the path inside the cycle is removed
+    instead (one always exists, because containment alone forms a tree), the
+    nodes found from that edge's target on are forgotten, and the walk resumes
+    at the edge's caller. The removals are those of a traversal restarted
+    from scratch after each one. Returns (kept sorted by caller and callee,
+    removed in removal order).
     """
     kept: dict[tuple[str, str], ReferenceEdge] = {}
     for edge in edges:
         kept.setdefault((edge.caller, edge.callee), edge)
-    containment = list(containment)
-    removed: list[ReferenceEdge] = []
-
-    while True:
-        victim = _find_cycle_edge(kept, containment)
-        if victim is None:
-            break
-        removed.append(kept.pop((victim.caller, victim.callee)))
-    return sorted(kept.values(), key=lambda e: (e.caller, e.callee)), removed
-
-
-_WHITE, _GRAY, _BLACK = 0, 1, 2
-
-
-def _find_cycle_edge(
-    kept: Mapping[tuple[str, str], ReferenceEdge],
-    containment: Sequence[tuple[str, str]],
-) -> ReferenceEdge | None:
     adjacency: dict[str, list[tuple[str, ReferenceEdge | None]]] = {}
-    node_set: set[str] = set()
     for (caller, callee), edge in kept.items():
         adjacency.setdefault(caller, []).append((callee, edge))
-        node_set.update((caller, callee))
     for parent, child in containment:
         adjacency.setdefault(parent, []).append((child, None))
-        node_set.update((parent, child))
     for targets in adjacency.values():
         targets.sort(key=lambda item: (item[0], item[1] is None))
 
-    color = {node: _WHITE for node in node_set}
-    for root in sorted(node_set):
-        if color[root] != _WHITE:
+    removed: list[ReferenceEdge] = []
+    found: dict[str, int] = {}  # node -> discovery rank, in discovery order
+    on_path: dict[str, int] = {}  # node -> index of its frame in path
+    for root in sorted(adjacency):
+        if root in found:
             continue
-        # Iterative DFS; each stack frame is (node, edge used to enter, iterator).
-        path: list[tuple[str, ReferenceEdge | None]] = [(root, None)]
-        iters = [iter(adjacency.get(root, ()))]
-        color[root] = _GRAY
+        found[root], on_path[root] = len(found), 0
+        # each frame is (node, reference edge used to enter it, neighbor iterator)
+        path = [(root, None, iter(adjacency[root]))]
         while path:
-            node, _ = path[-1]
-            advanced = False
-            for target, edge in iters[-1]:
-                if color[target] == _GRAY:
+            node, _, targets = path[-1]
+            for target, edge in targets:
+                if edge is not None and (node, target) not in kept:
+                    continue  # removed earlier in this pass
+                if target in on_path:
                     if edge is not None:
-                        return edge
-                    # Containment closed the cycle: drop the deepest reference
-                    # edge on the path segment inside the cycle.
-                    idx = next(i for i, (n, _) in enumerate(path) if n == target)
-                    for _, used in reversed(path[idx + 1 :]):
-                        if used is not None:
-                            return used
-                    raise InternalError("containment-only cycle detected")
-                if color[target] == _WHITE:
-                    color[target] = _GRAY
-                    path.append((target, edge))
-                    iters.append(iter(adjacency.get(target, ())))
-                    advanced = True
+                        removed.append(kept.pop((node, target)))
+                        continue
+                    inside = range(len(path) - 1, on_path[target], -1)
+                    cut = next((i for i in inside if path[i][1] is not None), None)
+                    if cut is None:
+                        raise InternalError("containment-only cycle detected")
+                    victim = path[cut][1]
+                    removed.append(kept.pop((victim.caller, victim.callee)))
+                    rank = found[victim.callee]
+                    while len(found) > rank:
+                        found.popitem()
+                    for gone, _, _ in path[cut:]:
+                        del on_path[gone]
+                    del path[cut:]
                     break
-            if not advanced:
-                color[node] = _BLACK
+                if target not in found:
+                    found[target], on_path[target] = len(found), len(path)
+                    path.append((target, edge, iter(adjacency.get(target, ()))))
+                    break
+            else:
+                del on_path[node]
                 path.pop()
-                iters.pop()
-    return None
+    return sorted(kept.values(), key=lambda e: (e.caller, e.callee)), removed
 
 
 @dataclass

@@ -107,9 +107,6 @@ class ImportBinding:
     module: str
     member: str | None = None
 
-    def to_dict(self) -> dict:
-        return {"module": self.module, "member": self.member}
-
 
 @dataclass(frozen=True)
 class CallSite:
@@ -119,24 +116,13 @@ class CallSite:
     chain: tuple[str, ...]  # base name followed by attribute names
     line: int
 
-    def to_dict(self) -> dict:
-        return {"caller": self.caller, "chain": list(self.chain), "line": self.line}
-
 
 @dataclass
 class Scope:
     """Names bound directly in one lexical scope (file or object body)."""
 
-    kind: str = "module"  # "module", "function" or "class"
     defs: dict[str, str] = field(default_factory=dict)  # name -> object id
     imports: dict[str, ImportBinding] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "defs": dict(sorted(self.defs.items())),
-            "imports": {k: v.to_dict() for k, v in sorted(self.imports.items())},
-        }
 
 
 @dataclass
@@ -148,15 +134,6 @@ class FileParse:
     parse_error: str | None = None
     calls: list[CallSite] = field(default_factory=list)
     scopes: dict[str, Scope] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "file": self.file,
-            "objects": [o.to_dict() for o in self.objects],
-            "parse_error": self.parse_error,
-            "calls": [c.to_dict() for c in self.calls],
-            "scopes": {k: v.to_dict() for k, v in sorted(self.scopes.items())},
-        }
 
 
 def module_name_for(file_path: str) -> str:
@@ -211,11 +188,13 @@ class _Collector(ast.NodeVisitor):
         self._file = file_path
         self._lines = text.splitlines()
         self._pkg_parts = _package_parts(file_path)
-        self.objects: list[CodeObject] = []
+        # None marks a slot whose definition is still being walked, or one
+        # that a later definition of the same id replaced
+        self.objects: list[CodeObject | None] = []
         self.calls: list[CallSite] = []
-        self.scopes: dict[str, Scope] = {file_path: Scope(kind="module")}
-        # (scope id, scope kind); index 0 is the module scope
-        self._stack: list[tuple[str, str]] = [(file_path, "module")]
+        self.scopes: dict[str, Scope] = {file_path: Scope()}
+        # ids of the scopes enclosing the walk; index 0 is the module scope
+        self._stack: list[str] = [file_path]
         # has_return flag of the innermost body being walked; index 0, the
         # module level, is a throwaway
         self._returns: list[bool] = [False]
@@ -236,14 +215,17 @@ class _Collector(ast.NodeVisitor):
 
         A function has a return value when its own body returns a value or
         yields; nested definitions do not count. A class has one when any def
-        directly in its body does.
+        directly in its body does. A definition of an id already defined in
+        the same scope replaces the earlier one, as at runtime.
         """
-        parent_id, _ = self._stack[-1]
+        parent_id = self._stack[-1]
         obj_id = f"{parent_id}/{node.name}"
+        if node.name in self.scopes[parent_id].defs:
+            self._forget(obj_id)
         slot = len(self.objects)
         self.objects.append(None)  # filled in source order once the body is walked
         self.scopes[parent_id].defs[node.name] = obj_id
-        self.scopes.setdefault(obj_id, Scope(kind="class" if kind == CLASS else "function"))
+        self.scopes[obj_id] = Scope()
 
         # Decorators, bases and defaults execute in the parent scope; a yield
         # there belongs to no body, so it sets a throwaway flag.
@@ -259,7 +241,7 @@ class _Collector(ast.NodeVisitor):
                 self.visit(node.returns)
 
         self._returns[-1] = False
-        self._stack.append((obj_id, "class" if kind == CLASS else "function"))
+        self._stack.append(obj_id)
         def_returns = False
         for stmt in node.body:
             if self.visit(stmt) and isinstance(stmt, _DEF_NODES):
@@ -287,6 +269,24 @@ class _Collector(ast.NodeVisitor):
         )
         return has_return
 
+    def _forget(self, obj_id: str) -> None:
+        """Drop a finished definition with its nested objects, calls and scopes.
+
+        Its slots become tombstones rather than being deleted, so the slots
+        of enclosing definitions still being walked do not move.
+        """
+        prefix = obj_id + "/"
+
+        def dropped(oid: str) -> bool:
+            return oid == obj_id or oid.startswith(prefix)
+
+        for slot, obj in enumerate(self.objects):
+            if obj is not None and dropped(obj.id):
+                self.objects[slot] = None
+        self.calls = [c for c in self.calls if not dropped(c.caller)]
+        for scope_id in [s for s in self.scopes if dropped(s)]:
+            del self.scopes[scope_id]
+
     def visit_Return(self, node: ast.Return) -> None:
         if node.value is not None:
             self._returns[-1] = True
@@ -301,7 +301,7 @@ class _Collector(ast.NodeVisitor):
     # -- imports -----------------------------------------------------------
 
     def visit_Import(self, node: ast.Import) -> None:
-        scope = self.scopes[self._stack[-1][0]]
+        scope = self.scopes[self._stack[-1]]
         for alias in node.names:
             if alias.asname:
                 scope.imports[alias.asname] = ImportBinding(module=alias.name)
@@ -313,7 +313,7 @@ class _Collector(ast.NodeVisitor):
         base = self._import_base(node.module, node.level)
         if base is None:
             return
-        scope = self.scopes[self._stack[-1][0]]
+        scope = self.scopes[self._stack[-1]]
         for alias in node.names:
             if alias.name == "*":
                 continue
@@ -333,7 +333,7 @@ class _Collector(ast.NodeVisitor):
     # -- calls ---------------------------------------------------------------
 
     def visit_Call(self, node: ast.Call) -> None:
-        caller_id, _ = self._stack[-1]
+        caller_id = self._stack[-1]
         if len(self._stack) > 1:  # module-level calls are out of scope
             chain = _flatten_chain(node.func)
             if chain is not None:
@@ -352,20 +352,6 @@ def _flatten_chain(node: ast.expr) -> tuple[str, ...] | None:
     return None  # dynamic receiver; not resolvable statically
 
 
-def _dedup_last(objects: list[CodeObject]) -> list[CodeObject]:
-    # Conditional redefinition can yield one id twice; the last binding wins,
-    # mirroring runtime semantics.
-    seen: set[str] = set()
-    out: list[CodeObject] = []
-    for obj in reversed(objects):
-        if obj.id in seen:
-            continue
-        seen.add(obj.id)
-        out.append(obj)
-    out.reverse()
-    return out
-
-
 def parse_file(path: str, text: str) -> FileParse:
     """Parse one file's text. Syntax errors yield a FileParse with no objects."""
     try:
@@ -378,7 +364,7 @@ def parse_file(path: str, text: str) -> FileParse:
     collector.visit(tree)
     return FileParse(
         file=path,
-        objects=_dedup_last(collector.objects),
+        objects=[o for o in collector.objects if o is not None],
         calls=collector.calls,
         scopes=collector.scopes,
     )

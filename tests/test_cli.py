@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 from repodoc.cli import main
 from repodoc.llm_gateway import Gateway
@@ -77,6 +78,24 @@ def test_corrupt_store_exits_1(demo_repo, capsys):
     code, _, err = run_cli("generate", "--repo", demo_repo, capsys=capsys)
     assert code == 1
     assert "delete it and rerun generate" in err
+
+
+def test_generate_refuses_while_lock_is_held(demo_repo, capsys):
+    assert run_cli("generate", "--repo", demo_repo, capsys=capsys)[0] == 0
+    with (demo_repo / "a.py").open("a", encoding="utf-8") as handle:
+        handle.write("\n\ndef added():\n    return 2\n")
+    outputs = [demo_repo / STORE_REL, *sorted((demo_repo / "markdown_docs").rglob("*"))]
+    before = {p: p.read_bytes() for p in outputs if p.is_file()}
+    lock = demo_repo / ".project_doc_record" / ".lock"
+    lock.write_text(str(os.getpid()), encoding="ascii")  # a live holder
+
+    code, _, err = run_cli("generate", "--repo", demo_repo, capsys=capsys)
+    assert code == 1
+    assert str(lock) in err
+    assert {p: p.read_bytes() for p in outputs if p.is_file()} == before
+    assert sorted((demo_repo / "markdown_docs").rglob("*")) == outputs[1:]
+    assert sorted(p.name for p in lock.parent.iterdir()) == [".lock", "project_hierarchy.json"]
+    assert lock.read_text(encoding="ascii") == str(os.getpid())
 
 
 def test_bad_arguments_exit_1(demo_repo, capsys):

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import logging
+import os
+import stat
 import threading
 
 import pytest
@@ -177,6 +179,22 @@ def test_store_roundtrip_and_byte_stability(tmp_path, demo_repo):
     second = tmp_path / "copy.json"
     save_store(loaded, second)
     assert second.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "umask, mode",
+    [(0o022, 0o644), (0o002, 0o664), (0o077, 0o600)],
+    ids=["umask-022", "umask-002", "umask-077"],
+)
+def test_store_file_mode_follows_umask(tmp_path, umask, mode):
+    path = tmp_path / "store.json"
+    previous = os.umask(umask)
+    try:
+        save_store(DocStore(), path)
+        save_store(DocStore(), path)  # replacing an existing store as well
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(path.stat().st_mode) == mode
 
 
 def test_store_missing_file_is_empty(tmp_path):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +31,7 @@ from .helpers import (
     LABELED_REMOVED_EDGE,
     build_repo_graph,
 )
+from .prune_oracle import prune_cycles_restarting
 
 
 def edge(caller: str, callee: str) -> ReferenceEdge:
@@ -222,6 +224,58 @@ def test_prune_always_yields_dag_and_partitions_input(edge_indices):
     # determinism: a second pass over the same input picks the same edges
     kept2, removed2 = prune_cycles(edges)
     assert pairs(kept2) == pairs(kept) and pairs(removed2) == pairs(removed)
+
+
+def test_prune_containment_closing_cycle_removes_deepest_reference_edge():
+    # from root "a" the walk goes a -> b -> c by reference, and c's containment
+    # edge back to "a" closes the cycle: b -> c is the deepest reference edge
+    edges = [edge("a", "b"), edge("b", "c")]
+    containment = [("c", "a")]
+    kept, removed = prune_cycles(edges, containment)
+    assert (kept, removed) == prune_cycles_restarting(edges, containment)
+    assert pairs(removed) == {("b", "c")}
+    assert pairs(kept) == {("a", "b")}
+
+
+@st.composite
+def _graphs_with_containment(draw):
+    """Random reference edges plus a containment forest over shuffled names."""
+    size = draw(st.integers(2, 12))
+    names = draw(st.permutations([f"n{i:02d}" for i in range(size)]))
+    containment = []
+    for i in range(1, size):
+        parent = draw(st.none() | st.integers(0, i - 1))
+        if parent is not None:
+            containment.append((names[parent], names[i]))
+    # callee = caller shifted by 1..size-1 places, so never the caller itself
+    triples = st.tuples(st.integers(0, size - 1), st.integers(1, size - 1), st.integers(1, 3))
+    edges = [
+        ReferenceEdge(caller=names[a], callee=names[(a + shift) % size], site=("t.py", line))
+        for a, shift, line in draw(st.lists(triples, max_size=3 * size))
+    ]
+    return edges, containment
+
+
+@settings(max_examples=400, deadline=None)
+@given(_graphs_with_containment())
+def test_prune_matches_restarting_oracle(graph):
+    edges, containment = graph
+    kept, removed = prune_cycles(edges, containment)
+    expected_kept, expected_removed = prune_cycles_restarting(edges, containment)
+    assert kept == expected_kept
+    assert removed == expected_removed
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graphs_with_containment())
+def test_prune_leaves_networkx_dag(graph):
+    nx = pytest.importorskip("networkx")
+    edges, containment = graph
+    kept, _ = prune_cycles(edges, containment)
+    dag = nx.DiGraph()
+    dag.add_edges_from(pairs(kept))
+    dag.add_edges_from(containment)
+    assert nx.is_directed_acyclic_graph(dag)
 
 
 # -- topological order ---------------------------------------------------------

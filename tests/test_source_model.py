@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from repodoc.project_graph import build_graph
 from repodoc.source_model import (
     CLASS,
     FUNCTION,
@@ -78,6 +79,104 @@ def test_duplicate_definition_last_wins():
     parse = parse_file("a.py", text)
     assert [o.id for o in parse.objects] == ["a.py/f"]
     assert parse.objects[0].line_span == (5, 6)
+
+
+_NESTED_DEFS = """\
+import sys
+
+
+def helper():
+    return 1
+
+
+if sys.platform == "win32":
+    def outer():
+        def inner():
+            return helper()
+        return inner()
+else:
+    def outer():
+        return helper()
+
+
+def user():
+    return outer()
+"""
+
+_CLASSES = """\
+FAST = True
+
+if FAST:
+    class Arena:
+        def __getstate__(self):
+            return self.size()
+
+        def size(self):
+            return 1
+else:
+    class Arena:
+        def size(self):
+            return 2
+
+
+def make():
+    return Arena()
+"""
+
+_INSIDE_A_DEF = """\
+def wrapper(flag):
+    if flag:
+        def pick():
+            def deep():
+                return 1
+            return deep()
+    else:
+        def pick():
+            return 2
+    return pick()
+"""
+
+
+@pytest.mark.parametrize(
+    "text, dropped, redefined, ids",
+    [
+        (
+            _NESTED_DEFS,
+            "a.py/outer/inner",
+            ("a.py/outer", 14),
+            ["a.py/helper", "a.py/outer", "a.py/user"],
+        ),
+        (
+            _CLASSES,
+            "a.py/Arena/__getstate__",
+            ("a.py/Arena", 11),
+            ["a.py/Arena", "a.py/Arena/size", "a.py/make"],
+        ),
+        (
+            _INSIDE_A_DEF,
+            "a.py/wrapper/pick/deep",
+            ("a.py/wrapper/pick", 8),
+            ["a.py/wrapper", "a.py/wrapper/pick"],
+        ),
+    ],
+    ids=["nested-defs", "classes", "inside-a-def"],
+)
+def test_conditional_redefinition_drops_the_earlier_subtree(text, dropped, redefined, ids):
+    parse = parse_file("a.py", text)
+    assert [o.id for o in parse.objects] == ids
+    # the surviving definition is the last one
+    redefined_id, start = redefined
+    assert {o.id: o.line_span[0] for o in parse.objects}[redefined_id] == start
+    graph = build_graph(["a.py"], [parse])
+    assert sorted(graph.objects) == sorted(ids)
+    named = [
+        *graph.nodes,
+        *parse.scopes,
+        *(c.caller for c in parse.calls),
+        *(oid for scope in parse.scopes.values() for oid in scope.defs.values()),
+        *(end for e in graph.edges + graph.removed_edges for end in (e.caller, e.callee)),
+    ]
+    assert [n for n in named if n == dropped or n.startswith(dropped + "/")] == []
 
 
 def test_decorated_and_async_defs_are_functions():
