@@ -11,11 +11,12 @@ from __future__ import annotations
 import contextlib
 import logging
 import os
+import shlex
 import stat
 import subprocess
 import sys
 from dataclasses import dataclass, field
-from pathlib import Path, PurePosixPath
+from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from .doc_pipeline import (
@@ -29,7 +30,7 @@ from .doc_pipeline import (
 from .errors import LockError, NotAGitRepoError, UsageError
 from .markdown_publisher import write_site
 from .project_graph import RepoGraph, build_graph, empty_graph
-from .source_model import SOURCE_SUFFIX, _is_ignored, parse_file, scan_repository
+from .source_model import is_source, parse_file
 
 if TYPE_CHECKING:
     from .config import Config
@@ -49,15 +50,14 @@ HOOK_MARKER = "# repodoc pre-commit hook"
 LOCAL_HOOK_NAME = "pre-commit.local"
 LOCK_NAME = ".lock"
 
-CHANGE_ADDED = "Added"
-CHANGE_MODIFIED = "Modified"
-CHANGE_DELETED = "Deleted"
+# index entry modes of regular files; links and submodules are not sources
+REGULAR_FILE_MODES = ("100644", "100755")
 
 
-def _git(repo_root: str | Path, *args: str, check: bool = True) -> subprocess.CompletedProcess:
-    proc = subprocess.run(
-        ["git", "-C", str(repo_root), *args], capture_output=True
-    )
+def _git(
+    repo_root: str | Path, *args: str, check: bool = True, input: bytes | None = None
+) -> subprocess.CompletedProcess:
+    proc = subprocess.run(["git", "-C", str(repo_root), *args], input=input, capture_output=True)
     if check and proc.returncode != 0:
         detail = proc.stderr.decode("utf-8", "replace").strip()
         raise UsageError(f"git {' '.join(args)} failed: {detail}")
@@ -82,10 +82,6 @@ def _has_head(repo_root: str | Path) -> bool:
     return proc.returncode == 0
 
 
-def _is_hidden(rel: str) -> bool:
-    return any(part.startswith(".") for part in PurePosixPath(rel).parts)
-
-
 @dataclass(frozen=True)
 class StagedChanges:
     """Staged Python source paths, bucketed by what the index did to them."""
@@ -97,21 +93,10 @@ class StagedChanges:
     def __bool__(self) -> bool:
         return bool(self.added or self.modified or self.removed)
 
-    @property
-    def present(self) -> tuple[str, ...]:
-        return tuple(sorted((*self.added, *self.modified)))
-
-    def as_pairs(self) -> list[tuple[str, str]]:
-        """(path, change kind) pairs sorted by path. Renames show up as a
-        Deleted plus an Added entry; identity is path-based."""
-        pairs = [(p, CHANGE_ADDED) for p in self.added]
-        pairs += [(p, CHANGE_MODIFIED) for p in self.modified]
-        pairs += [(p, CHANGE_DELETED) for p in self.removed]
-        return sorted(pairs)
-
 
 def staged_changes(repo_root: str | Path, ignore: Sequence[str] = ()) -> StagedChanges:
-    """Diff the index against HEAD (or the empty tree before the first commit)."""
+    """Diff the index against HEAD (or the empty tree before the first
+    commit). A rename shows up as a removal plus an addition."""
     base = "HEAD" if _has_head(repo_root) else EMPTY_TREE
     out = _git(
         repo_root, "diff", "--cached", "--name-status", "--no-renames", "-z", base
@@ -124,7 +109,7 @@ def staged_changes(repo_root: str | Path, ignore: Sequence[str] = ()) -> StagedC
         index += 2
         if not status or not path:
             continue
-        if not path.endswith(SOURCE_SUFFIX) or _is_hidden(path) or _is_ignored(path, ignore):
+        if not is_source(path, ignore):
             continue
         code = status[0]
         if code == "A":
@@ -140,10 +125,34 @@ def staged_changes(repo_root: str | Path, ignore: Sequence[str] = ()) -> StagedC
     )
 
 
-def read_staged_text(repo_root: str | Path, path: str) -> str:
-    """Content of the staged (index) version of a file."""
-    out = _git(repo_root, "show", f":{path}").stdout
-    return out.decode("utf-8", "replace")
+def read_staged_text(repo_root: str | Path, ignore: Sequence[str] = ()) -> dict[str, str]:
+    """Text of every source file in the index, by path: what the pending
+    commit will contain, whatever the working tree holds. One ``git ls-files``
+    and one ``git cat-file --batch`` run, however many files there are."""
+    listing = _git(repo_root, "ls-files", "--stage", "-z").stdout
+    blobs: dict[str, str] = {}
+    for entry in filter(None, listing.split(b"\0")):
+        meta, raw_path = entry.split(b"\t", 1)
+        mode, oid, stage = meta.decode("ascii").split()
+        path = os.fsdecode(raw_path)
+        if mode in REGULAR_FILE_MODES and is_source(path, ignore):
+            if stage != "0":
+                raise UsageError(f"{path} has an unresolved merge conflict; resolve and stage it")
+            blobs[path] = oid
+    paths = sorted(blobs)
+    request = "".join(f"{blobs[path]}\n" for path in paths).encode("ascii")
+    out = _git(repo_root, "cat-file", "--batch", input=request).stdout
+    texts: dict[str, str] = {}
+    pos = 0
+    for path in paths:
+        eol = out.index(b"\n", pos)
+        header = out[pos:eol].decode("ascii", "replace")
+        fields = header.split()  # "<oid> blob <size>", or "<oid> missing"
+        if fields[1:2] != ["blob"]:
+            raise UsageError(f"cannot read the staged blob of {path}: git answered {header!r}")
+        start, pos = eol + 1, eol + 2 + int(fields[2])  # a newline follows each blob
+        texts[path] = out[start : pos - 1].decode("utf-8", "replace")
+    return texts
 
 
 @dataclass(frozen=True)
@@ -309,24 +318,11 @@ class UpdateReport:
         }
 
 
-def _staged_graph(
-    repo_root: Path, staged: StagedChanges, ignore: Sequence[str]
-) -> RepoGraph:
+def _staged_graph(repo_root: Path, ignore: Sequence[str]) -> RepoGraph:
     """Graph of the repository as the pending commit will leave it."""
-    files = set(scan_repository(repo_root, ignore))
-    files -= set(staged.removed)
-    files |= set(staged.present)
-    parses = []
-    for rel in sorted(files):
-        if rel in staged.present:
-            text = read_staged_text(repo_root, rel)
-        else:
-            try:
-                text = (repo_root / rel).read_text(encoding="utf-8", errors="replace")
-            except OSError:
-                continue
-        parses.append(parse_file(rel, text))
-    return build_graph([p.file for p in parses], parses)
+    texts = read_staged_text(repo_root, ignore)
+    parses = [parse_file(rel, texts[rel]) for rel in sorted(texts)]
+    return build_graph(sorted(texts), parses)
 
 
 def run_update(
@@ -347,7 +343,7 @@ def run_update(
             return UpdateReport(staged=staged)
 
         store = load_store(store_path)
-        graph = _staged_graph(repo_root, staged, config.ignore)
+        graph = _staged_graph(repo_root, config.ignore)
         old_graph = store.graph_snapshot or empty_graph()
         changes = diff_objects(old_graph, graph)
         plan = plan_updates(changes)
@@ -411,15 +407,9 @@ def install_hook(repo_root: str | Path) -> Path:
             logger.info("moved existing pre-commit hook to %s", local_path)
 
     script = HOOK_TEMPLATE.format(
-        marker=HOOK_MARKER, local_name=LOCAL_HOOK_NAME, python=_shell_quote(sys.executable)
+        marker=HOOK_MARKER, local_name=LOCAL_HOOK_NAME, python=shlex.quote(sys.executable)
     )
     hook_path.write_text(script, encoding="utf-8", newline="\n")
     mode = hook_path.stat().st_mode
     hook_path.chmod(mode | stat.S_IXUSR | stat.S_IXGRP | stat.S_IXOTH)
     return hook_path
-
-
-def _shell_quote(value: str) -> str:
-    import shlex
-
-    return shlex.quote(value)

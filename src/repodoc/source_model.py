@@ -371,21 +371,26 @@ def parse_file(path: str, text: str) -> FileParse:
 
 
 def _is_ignored(rel_posix: str, ignore: Sequence[str]) -> bool:
+    """True when the path, a directory above it or one of its components
+    matches an ignore glob."""
     parts = PurePosixPath(rel_posix).parts
-    for pattern in ignore:
-        if fnmatch.fnmatch(rel_posix, pattern):
-            return True
-        if any(fnmatch.fnmatch(part, pattern) for part in parts):
-            return True
-    return False
+    names = {*parts, *("/".join(parts[:i]) for i in range(2, len(parts) + 1))}
+    return any(fnmatch.fnmatch(name, pattern) for pattern in ignore for name in names)
+
+
+def is_source(rel: str, ignore: Sequence[str] = ()) -> bool:
+    """True for a repo-relative posix path of a Python file that no hidden
+    component (one starting with ".") and no ignore glob excludes."""
+    return (
+        rel.endswith(SOURCE_SUFFIX)
+        and not any(part.startswith(".") for part in PurePosixPath(rel).parts)
+        and not _is_ignored(rel, ignore)
+    )
 
 
 def scan_repository(root: str | Path, ignore: Sequence[str] = ()) -> list[str]:
-    """Relative posix paths of the Python files under ``root``, sorted.
-
-    Hidden directories and files (any component starting with ".") are
-    excluded, which also covers VCS metadata.
-    """
+    """Relative posix paths of the working tree's files that pass
+    ``is_source``, sorted. Hidden and ignored directories are not entered."""
     root = Path(root)
     if not root.is_dir():
         raise UsageError(f"not a directory: {root}")
@@ -397,13 +402,10 @@ def scan_repository(root: str | Path, ignore: Sequence[str] = ()) -> list[str]:
             for d in dirnames
             if not d.startswith(".") and not _is_ignored((rel_dir / d).as_posix(), ignore)
         )
-        for name in sorted(filenames):
-            if name.startswith(".") or not name.endswith(SOURCE_SUFFIX):
-                continue
+        for name in filenames:
             rel = (rel_dir / name).as_posix()
-            if _is_ignored(rel, ignore):
-                continue
-            found.append(rel)
+            if is_source(rel, ignore):
+                found.append(rel)
     return sorted(found)
 
 

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import logging
+import json
 import os
+import shutil
 import stat
 import subprocess
 import sys
@@ -25,9 +27,11 @@ from repodoc.change_tracker import (
     run_update,
     staged_changes,
 )
+from repodoc.cli import main
 from repodoc.config import load_config
 from repodoc.errors import LockError, NotAGitRepoError, StoreWriteError, UsageError
 from repodoc.llm_gateway import Gateway
+from repodoc.source_model import scan_repository
 
 from .conftest import git
 from .helpers import (
@@ -171,7 +175,7 @@ def test_staged_changes_before_first_commit(git_demo_repo):
     staged = staged_changes(git_demo_repo)
     assert staged.added == ("a.py", "util/b.py")
     assert staged.modified == () and staged.removed == ()
-    assert staged.as_pairs() == [("a.py", "Added"), ("util/b.py", "Added")]
+    assert (staged.added, staged.modified, staged.removed) == (("a.py", "util/b.py"), (), ())
 
 
 def test_staged_changes_after_commit(git_demo_repo):
@@ -188,7 +192,7 @@ def test_staged_changes_after_commit(git_demo_repo):
     assert staged.added == ("new.py",)
     assert staged.modified == ("a.py",)
     assert staged.removed == ("util/b.py",)
-    assert staged.present == ("a.py", "new.py")
+    assert tuple(sorted(staged.added + staged.modified)) == ("a.py", "new.py")
 
 
 def test_staged_changes_markdown_only_is_empty(git_demo_repo):
@@ -214,7 +218,132 @@ def test_read_staged_text_prefers_index_over_worktree(git_demo_repo):
     (git_demo_repo / "a.py").write_text(A_F_EDITED, encoding="utf-8")
     git(git_demo_repo, "add", "a.py")
     (git_demo_repo / "a.py").write_text("def later():\n    return 3\n", encoding="utf-8")
-    assert read_staged_text(git_demo_repo, "a.py") == A_F_EDITED
+    assert read_staged_text(git_demo_repo)["a.py"] == A_F_EDITED
+
+
+def test_index_and_working_tree_share_one_source_filter(git_demo_repo):
+    write_tree(git_demo_repo, {
+        ".hidden/x.py": "def x():\n    return 0\n",
+        "util/.secret.py": "def s():\n    return 0\n",
+        "build/gen.py": "def gen():\n    return 0\n",
+        "gen/out/made.py": "def made():\n    return 0\n",
+        "notes.txt": "not python\n",
+        "has space/mod one.py": "def spaced():\n    return 0\n",
+    })
+    ignore = ("build", "gen/out")
+    git(git_demo_repo, "add", "-A")
+    expected = ["a.py", "has space/mod one.py", "util/b.py"]
+    assert scan_repository(git_demo_repo, ignore) == expected
+    assert sorted(read_staged_text(git_demo_repo, ignore)) == expected
+    assert staged_changes(git_demo_repo, ignore).added == tuple(expected)
+
+
+def test_read_staged_text_names_the_file_whose_blob_is_missing(git_demo_repo, capsys):
+    git(git_demo_repo, "add", "-A")
+    oid = git(git_demo_repo, "rev-parse", ":util/b.py").strip()
+    (git_demo_repo / ".git" / "objects" / oid[:2] / oid[2:]).unlink()
+    with pytest.raises(UsageError, match="util/b.py"):
+        read_staged_text(git_demo_repo)
+
+    assert main(["update", "--repo", str(git_demo_repo)]) == 1
+    err = capsys.readouterr().err
+    assert "util/b.py" in err and "Traceback" not in err
+
+
+def test_update_refuses_a_source_with_a_merge_conflict(git_demo_repo):
+    git(git_demo_repo, "add", "-A")
+    git(git_demo_repo, "commit", "-qm", "seed")
+    git(git_demo_repo, "checkout", "-q", "-b", "other")
+    (git_demo_repo / "a.py").write_text(A_F_EDITED, encoding="utf-8")
+    git(git_demo_repo, "commit", "-qam", "theirs")
+    git(git_demo_repo, "checkout", "-q", "-")
+    (git_demo_repo / "a.py").write_text(A_F_EDITED.replace("return 2", "return 3"), encoding="utf-8")
+    git(git_demo_repo, "commit", "-qam", "ours")
+    merge = subprocess.run(["git", "-C", str(git_demo_repo), "merge", "-q", "other"], capture_output=True)
+    assert merge.returncode != 0
+    with pytest.raises(UsageError, match="a.py has an unresolved merge conflict"):
+        run_full_update(git_demo_repo)
+
+
+def test_update_reads_the_index_with_a_fixed_number_of_git_calls(git_demo_repo, monkeypatch):
+    write_tree(git_demo_repo, {f"pkg/m{i}.py": f"def m{i}():\n    return {i}\n" for i in range(6)})
+    git(git_demo_repo, "add", "-A")
+    commands = []
+    real_git = change_tracker._git
+
+    def recording_git(repo_root, *args, **kwargs):
+        commands.append(args[0])
+        return real_git(repo_root, *args, **kwargs)
+
+    monkeypatch.setattr(change_tracker, "_git", recording_git)
+    report, _ = run_full_update(git_demo_repo)
+    assert len(report.run.generated) == 11
+    assert commands.count("ls-files") == 1 and commands.count("cat-file") == 1
+    assert "show" not in commands
+
+
+def _index_twins(clean, stage, diverge):
+    """Two repositories with the same commits, store and index; ``diverge``
+    then changes the working tree of the second one only."""
+    git(clean, "add", "-A")
+    assert run_full_update(clean)[0].ok
+    git(clean, "commit", "-qm", "seed")
+    stage(clean)
+    dirty = clean.parent / "dirty"
+    shutil.copytree(clean, dirty)
+    diverge(dirty)
+    return clean, dirty
+
+
+def _update_outcome(repo):
+    """Plan, pages and index after an update; the store's timestamps masked."""
+    report, config = run_full_update(repo)
+    doc_dir = repo / config.doc_dir
+    pages = {p.relative_to(doc_dir): p.read_bytes() for p in doc_dir.rglob("*") if p.is_file()}
+    index = [line for line in git(repo, "ls-files", "-s").splitlines()
+             if not line.endswith(config.store_path)]
+    store = json.loads(git(repo, "show", f":{config.store_path}"))
+    for record in store["records"].values():
+        record["generated_at"] = ""
+    return report.plan, pages, index, store
+
+
+def _stage_f_edit(repo):
+    (repo / "a.py").write_text(A_F_EDITED, encoding="utf-8")
+    git(repo, "add", "a.py")
+
+
+def _remove_b_from_index_and_disk(repo):
+    git(repo, "rm", "-q", "--cached", "util/b.py")
+    (repo / "util" / "b.py").unlink()
+
+
+INDEX_CASES = {
+    "untracked-file": (
+        _stage_f_edit,
+        lambda repo: write_tree(repo, {"wip.py": "from a import g\n\n\ndef wip():\n    return g(7)\n"}),
+    ),
+    "unstaged-edit-in-def": (
+        _stage_f_edit,
+        lambda repo: write_tree(repo, {"util/b.py": DEMO_FILES["util/b.py"].replace("g(3)", "g(3) + 1")}),
+    ),
+    "staged-then-edited": (
+        _stage_f_edit,
+        lambda repo: write_tree(repo, {"a.py": A_F_EDITED + "\n\ndef k():\n    return g(5)\n"}),
+    ),
+    "removed-from-index-kept-on-disk": (
+        _remove_b_from_index_and_disk,
+        lambda repo: write_tree(repo, {"util/b.py": DEMO_FILES["util/b.py"]}),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INDEX_CASES))
+def test_update_documents_the_index_not_the_working_tree(git_demo_repo, case):
+    clean, dirty = _index_twins(git_demo_repo, *INDEX_CASES[case])
+    expected = _update_outcome(clean)
+    assert expected[0]  # the staged change plans something
+    assert _update_outcome(dirty) == expected
 
 
 def test_update_lock_is_exclusive(tmp_path):
