@@ -27,7 +27,6 @@ from .doc_pipeline import (
     generate_all,
     load_store,
     parse_doc,
-    render_record_text,
     save_store,
 )
 from .errors import (
@@ -122,7 +121,6 @@ __all__ = [
     "reference_recall",
     "reference_sets",
     "render_prompt",
-    "render_record_text",
     "run_update",
     "save_store",
     "scan_repository",

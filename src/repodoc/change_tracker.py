@@ -38,9 +38,6 @@ if TYPE_CHECKING:
 
 logger = logging.getLogger(__name__)
 
-# hash of the empty tree, the diff base before the first commit exists
-EMPTY_TREE = "4b825dc642cb6eb9a060e54bf8d69288fbee4904"
-
 TRIGGER_SOURCE_MODIFIED = "SourceModified"
 TRIGGER_NEW_OBJECT = "NewObject"
 TRIGGER_REFERRER_REMOVED = "ReferrerRemoved"
@@ -77,11 +74,6 @@ def require_git_repo(repo_root: str | Path) -> None:
         raise NotAGitRepoError(f"{repo_root} is not inside a Git repository")
 
 
-def _has_head(repo_root: str | Path) -> bool:
-    proc = _git(repo_root, "rev-parse", "--verify", "--quiet", "HEAD", check=False)
-    return proc.returncode == 0
-
-
 @dataclass(frozen=True)
 class StagedChanges:
     """Staged Python source paths, bucketed by what the index did to them."""
@@ -95,11 +87,10 @@ class StagedChanges:
 
 
 def staged_changes(repo_root: str | Path, ignore: Sequence[str] = ()) -> StagedChanges:
-    """Diff the index against HEAD (or the empty tree before the first
-    commit). A rename shows up as a removal plus an addition."""
-    base = "HEAD" if _has_head(repo_root) else EMPTY_TREE
+    """Diff the index against HEAD; before the first commit every staged
+    file is an addition. A rename shows up as a removal plus an addition."""
     out = _git(
-        repo_root, "diff", "--cached", "--name-status", "--no-renames", "-z", base
+        repo_root, "diff", "--cached", "--name-status", "--no-renames", "-z"
     ).stdout.decode("utf-8", "replace")
     fields = out.split("\0")
     buckets: dict[str, list[str]] = {"A": [], "M": [], "D": []}
@@ -362,14 +353,11 @@ def run_update(
             # leave store and pages untouched; the commit stays blocked
             return report
 
-        for oid in plan.delete_docs:
-            store.records.pop(oid, None)
         # Store first: if saving fails, no page has changed. If writing the
         # site fails, the next run finds the store current and rewrites pages.
         save_store(store, store_path)
         report.written_pages = write_site(graph, store, repo_root / config.doc_dir)
-        _git(repo_root, "add", "-A", "--", config.doc_dir)
-        _git(repo_root, "add", "--", config.store_path)
+        _git(repo_root, "add", "-A", "--", config.doc_dir, config.store_path)
         return report
 
 

@@ -182,13 +182,11 @@ def cmd_graph(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .doc_pipeline import render_record_text
-
     config = load_config(args.repo, args.config)
     store = load_store(config.repo_root / config.store_path)
     if store.graph_snapshot is None:
         raise UsageError("no doc store found; run: repodoc generate")
-    docs = {oid: render_record_text(rec) for oid, rec in store.records.items()}
+    docs = {oid: rec.text for oid, rec in store.records.items()}
     report = evaluate_docs(docs, store.graph_snapshot, args.param_metric)
     payload = json.loads(report.to_json())
     if args.refs:

@@ -16,7 +16,7 @@ import os
 import re
 import tempfile
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -37,7 +37,7 @@ if TYPE_CHECKING:
 
 logger = logging.getLogger(__name__)
 
-STORE_VERSION = 1
+STORE_VERSION = 2
 
 PARAM_LABEL = "parameters"
 ATTRIBUTE_LABEL = "Attributes"
@@ -151,98 +151,71 @@ def _parse_param_section(inline: str, full: str) -> tuple[str, list[tuple[str, s
 
 @dataclass
 class DocRecord:
-    """One object's generated documentation, structured for re-rendering."""
+    """One object's generated documentation: the text pages and prompts show."""
 
-    id: str
-    kind: str
-    name_header: str
-    param_label: str
-    param_section: list[tuple[str, str]]
-    param_tail: str
-    code_description: str
-    note: str
-    output_example: str | None
+    text: str
     source_hash: str
     model: str
     generated_at: str
 
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "kind": self.kind,
-            "name_header": self.name_header,
-            "param_label": self.param_label,
-            "param_section": [[n, d] for n, d in self.param_section],
-            "param_tail": self.param_tail,
-            "code_description": self.code_description,
-            "note": self.note,
-            "output_example": self.output_example,
-            "source_hash": self.source_hash,
-            "model": self.model,
-            "generated_at": self.generated_at,
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "DocRecord":
-        return cls(
-            id=data["id"],
-            kind=data["kind"],
-            name_header=data["name_header"],
-            param_label=data["param_label"],
-            param_section=[(n, d) for n, d in data["param_section"]],
-            param_tail=data.get("param_tail", ""),
-            code_description=data["code_description"],
-            note=data["note"],
-            output_example=data.get("output_example"),
-            source_hash=data["source_hash"],
-            model=data["model"],
-            generated_at=data["generated_at"],
-        )
+def render_doc(doc: ParsedDoc) -> str:
+    """Doc text with bold section labels, one blank line between sections."""
+    parts: list[str] = []
+    if doc.name_header:
+        parts.append(doc.name_header)
+    header = f"**{doc.param_label}**:"
+    if doc.param_tail:
+        header += f" {doc.param_tail}"
+    bullets = [f"- `{name}`: {desc}" for name, desc in doc.params]
+    parts.append("\n".join([header, *bullets]))
+    if doc.code_description:
+        parts.append(f"**Code Description**: {doc.code_description}")
+    if doc.note:
+        parts.append(f"**Note**: {doc.note}")
+    if doc.output_example:
+        parts.append(f"**Output Example**: {doc.output_example}")
+    return "\n\n".join(parts)
 
 
 def record_from_parsed(obj: CodeObject, parsed: ParsedDoc, model: str) -> DocRecord:
-    """Build the stored record; enforces the conditional Output Example rule."""
-    params: list[tuple[str, str]] = []
-    seen: set[str] = set()
+    """Build the stored record: parameters deduplicated first-wins, the kind's
+    label when the doc gave none, and an Output Example only when the object
+    returns."""
+    params: dict[str, str] = {}
     for name, desc in parsed.params:
-        if name in seen:
-            continue
-        seen.add(name)
-        params.append((name, desc))
-    default_label = ATTRIBUTE_LABEL if obj.kind == CLASS else PARAM_LABEL
-    return DocRecord(
-        id=obj.id,
-        kind=obj.kind,
-        name_header=parsed.name_header,
-        param_label=parsed.param_label or default_label,
-        param_section=params,
-        param_tail=parsed.param_tail,
-        code_description=parsed.code_description,
-        note=parsed.note,
+        params.setdefault(name, desc)
+    doc = replace(
+        parsed,
+        param_label=parsed.param_label or (ATTRIBUTE_LABEL if obj.kind == CLASS else PARAM_LABEL),
+        params=list(params.items()),
         output_example=parsed.output_example if obj.has_return else None,
+    )
+    return DocRecord(
+        text=render_doc(doc),
         source_hash=obj.source_hash,
         model=model,
         generated_at=_dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds"),
     )
 
 
-def render_record_text(record: DocRecord) -> str:
-    """Plain doc text with bold section labels; used in pages and prompts."""
-    parts: list[str] = []
-    if record.name_header:
-        parts.append(record.name_header)
-    header = f"**{record.param_label}**:"
-    if record.param_tail:
-        header += f" {record.param_tail}"
-    bullets = [f"- `{name}`: {desc}" for name, desc in record.param_section]
-    parts.append("\n".join([header, *bullets]))
-    if record.code_description:
-        parts.append(f"**Code Description**: {record.code_description}")
-    if record.note:
-        parts.append(f"**Note**: {record.note}")
-    if record.output_example is not None and record.output_example != "":
-        parts.append(f"**Output Example**: {record.output_example}")
-    return "\n\n".join(parts)
+def _record_from_v1(data: dict) -> DocRecord:
+    # version 1 stored each doc as its sections, rules already applied
+    doc = ParsedDoc(
+        name_header=data["name_header"],
+        param_label=data["param_label"],
+        params=[(name, desc) for name, desc in data["param_section"]],
+        param_tail=data.get("param_tail", ""),
+        code_description=data["code_description"],
+        note=data["note"],
+        output_example=data.get("output_example"),
+    )
+    return DocRecord(
+        text=render_doc(doc),
+        source_hash=data["source_hash"],
+        model=data["model"],
+        generated_at=data["generated_at"],
+    )
 
 
 @dataclass
@@ -255,7 +228,7 @@ class DocStore:
     def to_dict(self) -> dict:
         return {
             "version": STORE_VERSION,
-            "records": {oid: self.records[oid].to_dict() for oid in sorted(self.records)},
+            "records": {oid: vars(self.records[oid]) for oid in sorted(self.records)},
             "graph": self.graph_snapshot.to_dict() if self.graph_snapshot else None,
         }
 
@@ -289,20 +262,25 @@ def save_store(store: DocStore, path: str | Path) -> None:
 
 
 def load_store(path: str | Path) -> DocStore:
-    """Load the store; a missing file is an empty store, a broken one an error."""
+    """Load the store; a missing file is an empty store, a broken one an error.
+
+    A version-1 store is migrated in memory; the next save writes the
+    current version.
+    """
     path = Path(path)
     if not path.exists():
         return DocStore()
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
         version = data.get("version")
-        if version != STORE_VERSION:
+        if version not in (1, STORE_VERSION):
             raise CorruptStoreError(
                 f"doc store {path} has version {version}, expected {STORE_VERSION}; "
                 "delete it and rerun generate to rebuild"
             )
         records = {
-            oid: DocRecord.from_dict(rec) for oid, rec in data.get("records", {}).items()
+            oid: _record_from_v1(rec) if version == 1 else DocRecord(**rec)
+            for oid, rec in data.get("records", {}).items()
         }
         graph_data = data.get("graph")
         graph = RepoGraph.from_dict(graph_data) if graph_data else None
@@ -448,6 +426,9 @@ def generate_all(
     workers. With one job it runs on the calling thread, so ``generated`` is
     the topological order filtered to the pending objects. Workers only
     generate; this thread records every outcome.
+
+    The graph then becomes the store's snapshot, and the records of objects
+    it no longer holds are dropped.
     """
     order = topological_order(graph)
     report = RunReport()
@@ -512,4 +493,5 @@ def generate_all(
             pool.shutdown()
 
     store.graph_snapshot = graph
+    store.records = {oid: rec for oid, rec in store.records.items() if oid in graph.objects}
     return report

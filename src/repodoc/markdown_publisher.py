@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path, PurePosixPath
 
-from .doc_pipeline import DocStore, render_record_text
+from .doc_pipeline import DocStore
 from .project_graph import FILE, RepoGraph, ROOT_ID, TreeNode
 from .source_model import CLASS, SOURCE_SUFFIX
 
@@ -47,7 +47,7 @@ def compile_file_doc(graph: RepoGraph, file_id: str, store: DocStore) -> DocPage
         label = _HEADING_BY_KIND.get(obj.kind, "FunctionDef")
         parts.append(f"{'#' * level} {label} {obj.name}")
         record = store.records.get(obj.id)
-        parts.append(render_record_text(record) if record else PLACEHOLDER)
+        parts.append(record.text if record else PLACEHOLDER)
         parts.append("***")
     if parts and parts[-1] == "***":
         parts.pop()

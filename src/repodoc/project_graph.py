@@ -38,22 +38,12 @@ class TreeNode:
     id: str
     node_kind: str  # REPO, DIR, FILE, CLASS or FUNCTION
     children: list[str] = field(default_factory=list)
-    parent: str | None = None
 
 
 @dataclass(frozen=True)
 class ReferenceEdge:
     caller: str
     callee: str
-    site: tuple[str, int]  # (file, line) of the first call expression seen
-
-    def to_dict(self) -> dict:
-        return {"caller": self.caller, "callee": self.callee, "site": [self.site[0], self.site[1]]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ReferenceEdge":
-        site = data.get("site") or ["", 0]
-        return cls(caller=data["caller"], callee=data["callee"], site=(site[0], int(site[1])))
 
 
 def build_tree(files: Sequence[str], parses: Sequence[FileParse]) -> dict[str, TreeNode]:
@@ -65,7 +55,7 @@ def build_tree(files: Sequence[str], parses: Sequence[FileParse]) -> dict[str, T
         if node_id in nodes:
             return node_id
         parent = ROOT_ID if len(path.parts) == 1 else _ensure_dir(path.parent)
-        nodes[node_id] = TreeNode(id=node_id, node_kind=DIR, parent=parent)
+        nodes[node_id] = TreeNode(id=node_id, node_kind=DIR)
         nodes[parent].children.append(node_id)
         return node_id
 
@@ -74,7 +64,7 @@ def build_tree(files: Sequence[str], parses: Sequence[FileParse]) -> dict[str, T
         parent = ROOT_ID if len(path.parts) == 1 else _ensure_dir(path.parent)
         if rel in nodes:
             raise InternalError(f"duplicate file node: {rel}")
-        nodes[rel] = TreeNode(id=rel, node_kind=FILE, parent=parent)
+        nodes[rel] = TreeNode(id=rel, node_kind=FILE)
         nodes[parent].children.append(rel)
 
     for parse in parses:
@@ -83,7 +73,7 @@ def build_tree(files: Sequence[str], parses: Sequence[FileParse]) -> dict[str, T
                 raise InternalError(f"duplicate object id: {obj.id}")
             if obj.parent_id not in nodes:
                 raise InternalError(f"missing parent for {obj.id}")
-            nodes[obj.id] = TreeNode(id=obj.id, node_kind=obj.kind, parent=obj.parent_id)
+            nodes[obj.id] = TreeNode(id=obj.id, node_kind=obj.kind)
             nodes[obj.parent_id].children.append(obj.id)
 
     for node in nodes.values():
@@ -96,9 +86,9 @@ def resolve_references(
 ) -> tuple[list[ReferenceEdge], list[str]]:
     """Resolve call sites to in-repo objects.
 
-    Returns deduplicated edges (first site wins) sorted by (caller, callee),
-    plus a diagnostics list for calls that could not be resolved. Self edges
-    are dropped.
+    Returns deduplicated edges sorted by (caller, callee), plus a
+    diagnostics list for calls that could not be resolved. Self edges are
+    dropped.
     """
     objects: dict[str, CodeObject] = {}
     scopes: dict[str, Scope] = {}
@@ -112,7 +102,7 @@ def resolve_references(
         if node.node_kind == FILE
     }
 
-    edges: dict[tuple[str, str], ReferenceEdge] = {}
+    pairs: set[tuple[str, str]] = set()
     diagnostics: list[str] = []
 
     for parse in sorted(parses, key=lambda p: p.file):
@@ -124,15 +114,9 @@ def resolve_references(
                     f"{parse.file}:{call.line}: unresolved call {dotted} (caller {call.caller})"
                 )
                 continue
-            if target == call.caller:
-                continue
-            key = (call.caller, target)
-            if key not in edges:
-                edges[key] = ReferenceEdge(
-                    caller=call.caller, callee=target, site=(parse.file, call.line)
-                )
-    ordered = sorted(edges.values(), key=lambda e: (e.caller, e.callee))
-    return ordered, diagnostics
+            if target != call.caller:
+                pairs.add((call.caller, target))
+    return [ReferenceEdge(caller, callee) for caller, callee in sorted(pairs)], diagnostics
 
 
 def _scope_chain(caller_id: str, objects: Mapping[str, CodeObject], file_path: str) -> list[str]:
@@ -348,19 +332,15 @@ class RepoGraph:
         nodes = {}
         for node_id in sorted(self.nodes):
             node = self.nodes[node_id]
-            entry: dict = {
-                "node_kind": node.node_kind,
-                "parent": node.parent,
-                "children": list(node.children),
-            }
+            entry: dict = {"node_kind": node.node_kind, "children": list(node.children)}
             obj = self.objects.get(node_id)
             if obj is not None:
-                entry["meta"] = obj.to_dict(include_snippet=False)
+                entry["meta"] = obj.to_dict()
             nodes[node_id] = entry
         return {
             "nodes": nodes,
-            "edges": [e.to_dict() for e in self.edges],
-            "removed_edges": [e.to_dict() for e in self.removed_edges],
+            "edges": [vars(e) for e in self.edges],
+            "removed_edges": [vars(e) for e in self.removed_edges],
         }
 
     @classmethod
@@ -372,7 +352,6 @@ class RepoGraph:
                 id=node_id,
                 node_kind=entry["node_kind"],
                 children=list(entry.get("children", [])),
-                parent=entry.get("parent"),
             )
             meta = entry.get("meta")
             if meta is not None:
@@ -380,8 +359,10 @@ class RepoGraph:
         return cls(
             nodes=nodes,
             objects=objects,
-            edges=[ReferenceEdge.from_dict(e) for e in data.get("edges", [])],
-            removed_edges=[ReferenceEdge.from_dict(e) for e in data.get("removed_edges", [])],
+            edges=[ReferenceEdge(e["caller"], e["callee"]) for e in data.get("edges", [])],
+            removed_edges=[
+                ReferenceEdge(e["caller"], e["callee"]) for e in data.get("removed_edges", [])
+            ],
         )
 
 

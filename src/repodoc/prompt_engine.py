@@ -135,8 +135,6 @@ def assemble_context(
     "None". Caller docs are optional and render as "None" when absent. Blocks
     are ordered lexicographically by id.
     """
-    from .doc_pipeline import render_record_text  # local import; avoids a cycle
-
     obj = graph.objects.get(object_id)
     if obj is None:
         raise SchedulingError(f"unknown object: {object_id}")
@@ -151,13 +149,13 @@ def assemble_context(
             raise SchedulingError(
                 f"{object_id} assembled before its prerequisite {ref_id} was generated"
             )
-        return render_record_text(record)
+        return record.text
 
     def _optional_doc(ref_id: str) -> str:
         record = records.get(ref_id)
         if record is None or ref_id in allow_missing:
             return "None"
-        return render_record_text(record)
+        return record.text
 
     callee_blocks = tuple(
         RefBlock(id=cid, doc=_required_doc(cid), snippet=graph.objects[cid].snippet)

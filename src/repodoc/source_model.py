@@ -65,8 +65,9 @@ class CodeObject:
     parent_id: str
     source_hash: str = ""
 
-    def to_dict(self, *, include_snippet: bool = True) -> dict:
-        data = {
+    def to_dict(self) -> dict:
+        """The object's metadata; its source_hash stands in for the snippet."""
+        return {
             "id": self.id,
             "kind": self.kind,
             "name": self.name,
@@ -77,9 +78,6 @@ class CodeObject:
             "parent_id": self.parent_id,
             "source_hash": self.source_hash,
         }
-        if include_snippet:
-            data["snippet"] = self.snippet
-        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "CodeObject":
@@ -89,7 +87,7 @@ class CodeObject:
             name=data["name"],
             file=data["file"],
             line_span=(int(data["line_span"][0]), int(data["line_span"][1])),
-            snippet=data.get("snippet", ""),
+            snippet="",
             params=tuple(data["params"]),
             has_return=bool(data["has_return"]),
             parent_id=data["parent_id"],

@@ -33,7 +33,7 @@ from repodoc.doc_pipeline import (
     DocStore,
     generate_all,
     load_store,
-    render_record_text,
+    parse_doc,
     save_store,
 )
 from repodoc.errors import CorruptStoreError
@@ -47,7 +47,7 @@ from repodoc.eval_harness import (
 from repodoc.llm_gateway import Gateway
 from repodoc.markdown_publisher import write_site
 from repodoc.project_graph import build_tree, resolve_references
-from repodoc.source_model import parse_repository, scan_repository
+from repodoc.source_model import FUNCTION, parse_repository, scan_repository
 
 from .conftest import git
 from .helpers import (
@@ -315,10 +315,11 @@ def test_criterion_4_update_triggers_match_oracle(tmp_path):
 # --- criterion 5: format checking with zero per-section false negatives -----
 
 
-def _doc_mutations(record, doc: str):
-    name = record.id.rsplit("/", 1)[-1]
+def _doc_mutations(obj, doc: str):
+    name = obj.id.rsplit("/", 1)[-1]
+    parsed = parse_doc(doc, obj.kind, obj.has_return)
     yield "name_ok", doc.split("\n\n", 1)[1]
-    if record.param_label == "parameters":
+    if parsed.param_label == "parameters":
         yield "params_ok", doc.replace("**parameters**:", "**Attributes**:")
     else:
         yield "params_ok", doc.replace("**Attributes**:", "**parameters**:")
@@ -327,7 +328,7 @@ def _doc_mutations(record, doc: str):
         "**Code Description**:",
     )
     yield "note_ok", doc.replace("**Note**:", "Note:")
-    if record.output_example is not None:
+    if parsed.output_example is not None:
         yield "output_example_ok", doc.replace(
             f"\n\n**Output Example**: Deterministic stub output of {name}.", ""
         )
@@ -342,10 +343,10 @@ def test_criterion_5_mock_docs_comply_and_defects_are_caught(labeled_repo):
     seeded = 0
     for oid, record in store.records.items():
         obj = graph.objects[oid]
-        doc = render_record_text(record)
+        doc = record.text
         assert check_format(doc, obj.kind, obj.has_return).compliant, oid
 
-        for flag_name, mutated in _doc_mutations(record, doc):
+        for flag_name, mutated in _doc_mutations(obj, doc):
             assert mutated != doc, (oid, flag_name)
             flags = check_format(mutated, obj.kind, obj.has_return)
             assert not getattr(flags, flag_name), (oid, flag_name)
@@ -378,7 +379,7 @@ def test_criterion_6_param_extraction_and_accuracy(labeled_repo):
     graph, store, _, _ = generate_repo(labeled_repo)
     scores = [
         param_accuracy(
-            extract_params(render_record_text(record)), graph.objects[oid].params
+            extract_params(record.text), graph.objects[oid].params
         )
         for oid, record in store.records.items()
     ]
@@ -456,10 +457,11 @@ def test_criterion_7_hook_updates_docs_within_the_commit(git_demo_repo):
     assert set(store_after.records) == set(store_before.records)
     for oid, record in store_after.records.items():
         if oid == "a.py/f":
-            assert record.to_dict() != store_before.records[oid].to_dict()
-            assert ("value", "stub description of value.") in record.param_section
+            assert record != store_before.records[oid]
+            params = parse_doc(record.text, FUNCTION, True).params
+            assert ("value", "stub description of value.") in params
         else:
-            assert record.to_dict() == store_before.records[oid].to_dict()
+            assert record == store_before.records[oid]
     print(
         "ACCEPTANCE criterion 7: PASS - hook regenerated a.py/f and committed "
         "source, page and store together"
@@ -482,9 +484,7 @@ def test_criterion_8_store_integrity(git_demo_repo, tmp_path):
     copy_path = tmp_path / "copy.json"
     save_store(loaded, copy_path)
     assert copy_path.read_bytes() == store_path.read_bytes()
-    assert {oid: r.to_dict() for oid, r in loaded.records.items()} == {
-        oid: r.to_dict() for oid, r in load_store(copy_path).records.items()
-    }
+    assert loaded.records == load_store(copy_path).records
 
     corrupt = tmp_path / "corrupt.json"
     corrupt.write_text('{"version": 1, "records": "nope"', encoding="utf-8")

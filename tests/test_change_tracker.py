@@ -282,6 +282,34 @@ def test_update_reads_the_index_with_a_fixed_number_of_git_calls(git_demo_repo, 
     assert "show" not in commands
 
 
+def test_one_file_update_runs_five_git_processes(git_demo_repo, monkeypatch):
+    git(git_demo_repo, "add", "-A")
+    assert run_full_update(git_demo_repo)[0].ok
+    git(git_demo_repo, "commit", "-qm", "seed")
+    (git_demo_repo / "a.py").write_text(A_F_EDITED, encoding="utf-8")
+    git(git_demo_repo, "add", "a.py")
+    commands = []
+    real_git = change_tracker._git
+
+    def recording_git(repo_root, *args, **kwargs):
+        commands.append(args[:2])
+        return real_git(repo_root, *args, **kwargs)
+
+    monkeypatch.setattr(change_tracker, "_git", recording_git)
+    report, _ = run_full_update(git_demo_repo)
+    assert report.run.generated == ["a.py/f"]
+    # the repository check, the staged diff, the index listing, the blobs, one add
+    assert commands == [
+        ("rev-parse", "--git-dir"),
+        ("diff", "--cached"),
+        ("ls-files", "--stage"),
+        ("cat-file", "--batch"),
+        ("add", "-A"),
+    ]
+    # the one add staged the page and the store
+    assert git(git_demo_repo, "diff", "--name-only") == ""
+
+
 def _index_twins(clean, stage, diverge):
     """Two repositories with the same commits, store and index; ``diverge``
     then changes the working tree of the second one only."""

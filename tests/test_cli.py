@@ -30,6 +30,17 @@ def test_generate_then_rerun(demo_repo, capsys):
     assert "generated 0 objects, skipped 5, 0 pages written" in out
 
 
+def test_generate_drops_the_docs_of_deleted_objects(demo_repo, capsys):
+    assert run_cli("generate", "--repo", demo_repo, capsys=capsys)[0] == 0
+    (demo_repo / "util" / "b.py").unlink()
+    assert run_cli("generate", "--repo", demo_repo, capsys=capsys)[0] == 0
+    records = json.loads((demo_repo / STORE_REL).read_text(encoding="utf-8"))["records"]
+    assert sorted(records) == ["a.py/C", "a.py/C/m", "a.py/f", "a.py/g"]
+    code, out, _ = run_cli("eval", "--repo", demo_repo, "--json", capsys=capsys)
+    assert code == 0
+    assert json.loads(out)["errors"] == []
+
+
 def test_generate_json_output(demo_repo, capsys):
     code, out, _ = run_cli("generate", "--repo", demo_repo, "--json", capsys=capsys)
     assert code == 0

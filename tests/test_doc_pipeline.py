@@ -5,17 +5,16 @@ import logging
 import os
 import stat
 import threading
+from dataclasses import replace
 
 import pytest
 
 from repodoc.doc_pipeline import (
-    DocRecord,
     DocStore,
     generate_all,
     load_store,
     parse_doc,
     record_from_parsed,
-    render_record_text,
     save_store,
 )
 from repodoc.errors import CorruptStoreError
@@ -134,24 +133,20 @@ def test_parse_doc_keeps_non_bullet_param_prose_as_tail():
 def test_record_roundtrips_through_render_and_reparse(demo_repo):
     graph, store, _, _ = generate_repo(demo_repo)
     for oid, record in store.records.items():
-        text = render_record_text(record)
-        reparsed = parse_doc(text, record.kind, graph.objects[oid].has_return)
-        rebuilt = record_from_parsed(graph.objects[oid], reparsed, record.model)
+        obj = graph.objects[oid]
+        reparsed = parse_doc(record.text, obj.kind, obj.has_return)
+        rebuilt = record_from_parsed(obj, reparsed, record.model)
         assert reparsed.missing == [] and reparsed.extra == []
-        assert rebuilt.name_header == record.name_header
-        assert rebuilt.param_section == record.param_section
-        assert rebuilt.code_description == record.code_description
-        assert rebuilt.note == record.note
-        assert rebuilt.output_example == record.output_example
+        assert rebuilt.text == record.text
 
 
 def test_record_from_parsed_drops_output_example_without_return(demo_repo):
     graph = build_repo_graph(demo_repo)
     obj = graph.objects["a.py/f"]
-    obj = type(obj).from_dict({**obj.to_dict(include_snippet=True), "has_return": False})
+    obj = replace(obj, has_return=False)
     parsed = parse_doc(COMPLIANT_FUNCTION_DOC, "Function", has_return=False)
     record = record_from_parsed(obj, parsed, "base-4k")
-    assert record.output_example is None
+    assert parse_doc(record.text, "Function", has_return=False).output_example is None
 
 
 def test_record_from_parsed_dedups_params_keep_first(demo_repo):
@@ -163,7 +158,7 @@ def test_record_from_parsed_dedups_params_keep_first(demo_repo):
         has_return=True,
     )
     record = record_from_parsed(graph.objects["a.py/g"], parsed, "base-4k")
-    assert record.param_section == [("x", "first.")]
+    assert parse_doc(record.text, "Function", has_return=True).params == [("x", "first.")]
 
 
 def test_store_roundtrip_and_byte_stability(tmp_path, demo_repo):
@@ -173,7 +168,7 @@ def test_store_roundtrip_and_byte_stability(tmp_path, demo_repo):
     loaded = load_store(path)
     assert set(loaded.records) == set(store.records)
     for oid in store.records:
-        assert loaded.records[oid].to_dict() == store.records[oid].to_dict()
+        assert loaded.records[oid] == store.records[oid]
     assert loaded.graph_snapshot is not None
     assert loaded.graph_snapshot.to_dict() == store.graph_snapshot.to_dict()
     second = tmp_path / "copy.json"
@@ -212,9 +207,9 @@ def test_store_corrupt_json_raises(tmp_path):
 
 @pytest.mark.parametrize(
     "payload, found",
-    [({"version": 2, "records": {}, "graph": None}, "version 2"),
+    [({"version": 3, "records": {}, "graph": None}, "version 3"),
      ({"records": {}, "graph": None}, "version None")],
-    ids=["version-2", "no-version"],
+    ids=["version-3", "no-version"],
 )
 def test_store_version_mismatch_raises(tmp_path, payload, found):
     path = tmp_path / "store.json"
@@ -222,7 +217,7 @@ def test_store_version_mismatch_raises(tmp_path, payload, found):
     with pytest.raises(CorruptStoreError) as err:
         load_store(path)
     message = str(err.value)
-    assert found in message and "expected 1" in message
+    assert found in message and "expected 2" in message
     assert "delete it and rerun generate" in message
 
 
@@ -255,9 +250,7 @@ def test_generate_all_second_run_skips_everything(demo_repo):
 def test_generate_all_regenerates_on_stale_hash(demo_repo):
     graph, store, _, _ = generate_repo(demo_repo)
     record = store.records["a.py/f"]
-    store.records["a.py/f"] = DocRecord.from_dict(
-        {**record.to_dict(), "source_hash": "0" * 64}
-    )
+    store.records["a.py/f"] = replace(record, source_hash="0" * 64)
     gateway = make_gateway()
     report = generate_all(graph, gateway, store, make_options())
     assert report.generated == ["a.py/f"]
@@ -315,9 +308,7 @@ def test_parallel_generation_matches_sequential(labeled_repo):
     assert set(report_par.generated) == set(report_seq.generated)
     assert set(store_par.records) == set(store_seq.records)
     for oid in store_seq.records:
-        assert render_record_text(store_par.records[oid]) == render_record_text(
-            store_seq.records[oid]
-        )
+        assert store_par.records[oid].text == store_seq.records[oid].text
     totals = (report_par.prompt_tokens, report_par.completion_tokens)
     assert totals == (report_seq.prompt_tokens, report_seq.completion_tokens)
     returned = gateway_par.provider.responses

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repodoc.doc_pipeline import render_record_text
 from repodoc.eval_harness import (
     check_format,
     evaluate_docs,
@@ -113,7 +112,7 @@ def test_mock_generated_docs_are_fully_compliant(labeled_repo):
     graph, store, _, _ = generate_repo(labeled_repo)
     for oid, record in store.records.items():
         obj = graph.objects[oid]
-        flags = check_format(render_record_text(record), obj.kind, obj.has_return)
+        flags = check_format(record.text, obj.kind, obj.has_return)
         assert flags.compliant, (oid, flags.to_dict())
 
 
@@ -181,7 +180,7 @@ def test_param_accuracy_bounds_and_symmetry(pred, truth):
 
 def test_evaluate_docs_aggregates_match_rows(demo_repo):
     graph, store, _, _ = generate_repo(demo_repo)
-    docs = {oid: render_record_text(rec) for oid, rec in store.records.items()}
+    docs = {oid: rec.text for oid, rec in store.records.items()}
     report = evaluate_docs(docs, graph)
     assert report.errors == []
     assert report.aggregates["objects"] == len(docs)
@@ -205,7 +204,7 @@ def test_evaluate_docs_reports_unknown_ids(demo_repo):
 
 def test_evaluate_docs_precision_metric(demo_repo):
     graph, store, _, _ = generate_repo(demo_repo)
-    docs = {oid: render_record_text(rec) for oid, rec in store.records.items()}
+    docs = {oid: rec.text for oid, rec in store.records.items()}
     report = evaluate_docs(docs, graph, param_metric="precision")
     assert report.aggregates["param_metric"] == "precision"
     assert report.aggregates["param_accuracy"] == 1.0

@@ -35,7 +35,7 @@ from .prune_oracle import prune_cycles_restarting
 
 
 def edge(caller: str, callee: str) -> ReferenceEdge:
-    return ReferenceEdge(caller=caller, callee=callee, site=("t.py", 1))
+    return ReferenceEdge(caller=caller, callee=callee)
 
 
 def pairs(edges) -> set[tuple[str, str]]:
@@ -55,7 +55,7 @@ def test_demo_tree_shape(demo_repo):
     assert graph.nodes["a.py"].node_kind == FILE
     assert graph.nodes["a.py"].children == ["a.py/C", "a.py/f", "a.py/g"]
     assert graph.nodes["a.py/C"].children == ["a.py/C/m"]
-    assert graph.nodes["a.py/C/m"].parent == "a.py/C"
+    assert graph.objects["a.py/C/m"].parent_id == "a.py/C"
 
 
 def test_tree_without_objects_for_unparsed_file():
@@ -152,7 +152,6 @@ def test_first_call_site_wins_for_duplicate_edges():
     nodes = build_tree(["a.py"], parses)
     edges, _ = resolve_references(nodes, parses)
     assert len(edges) == 1
-    assert edges[0].site == ("a.py", 6)
 
 
 # -- cycle pruning ----------------------------------------------------------------
@@ -248,10 +247,10 @@ def _graphs_with_containment(draw):
         if parent is not None:
             containment.append((names[parent], names[i]))
     # callee = caller shifted by 1..size-1 places, so never the caller itself
-    triples = st.tuples(st.integers(0, size - 1), st.integers(1, size - 1), st.integers(1, 3))
+    links = st.tuples(st.integers(0, size - 1), st.integers(1, size - 1))
     edges = [
-        ReferenceEdge(caller=names[a], callee=names[(a + shift) % size], site=("t.py", line))
-        for a, shift, line in draw(st.lists(triples, max_size=3 * size))
+        ReferenceEdge(caller=names[a], callee=names[(a + shift) % size])
+        for a, shift in draw(st.lists(links, max_size=3 * size))
     ]
     return edges, containment
 

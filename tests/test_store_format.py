@@ -1,0 +1,188 @@
+"""The store's format: what a fresh store holds, and version-1 stores.
+
+``tests/data/demo_store_v1`` was written by the last release that saved
+version 1: ``repodoc generate`` on the demo repo with the mock provider, then
+``repodoc eval --json``. It holds that store, its pages and the eval output.
+"""
+
+from __future__ import annotations
+
+import json
+import shutil
+from pathlib import Path
+
+import pytest
+
+from repodoc.cli import main
+from repodoc.doc_pipeline import STORE_VERSION, load_store, save_store
+from repodoc.errors import CorruptStoreError
+from repodoc.llm_gateway import MockProvider
+
+from .helpers import generate_repo
+
+V1_DIR = Path(__file__).parent / "data" / "demo_store_v1"
+STORE_REL = ".project_doc_record/project_hierarchy.json"
+RECORD_KEYS = {"text", "source_hash", "model", "generated_at"}
+
+
+def run_cli(capsys, *argv):
+    code = main([str(a) for a in argv])
+    return code, capsys.readouterr().out
+
+
+def pages(doc_dir: Path) -> dict[str, bytes]:
+    return {
+        p.relative_to(doc_dir).as_posix(): p.read_bytes()
+        for p in doc_dir.rglob("*")
+        if p.is_file()
+    }
+
+
+@pytest.fixture
+def v1_repo(demo_repo: Path) -> Path:
+    (demo_repo / STORE_REL).parent.mkdir()
+    shutil.copy(V1_DIR / "project_hierarchy.json", demo_repo / STORE_REL)
+    shutil.copytree(V1_DIR / "markdown_docs", demo_repo / "markdown_docs")
+    return demo_repo
+
+
+@pytest.fixture
+def sends(monkeypatch) -> list[str]:
+    sent: list[str] = []
+    real_send = MockProvider.send
+
+    def counting_send(self, request):
+        sent.append(request.prompt)
+        return real_send(self, request)
+
+    monkeypatch.setattr(MockProvider, "send", counting_send)
+    return sent
+
+
+def test_fresh_store_holds_only_what_is_read(labeled_repo, tmp_path):
+    _, store, _, _ = generate_repo(labeled_repo)
+    path = tmp_path / "store.json"
+    save_store(store, path)
+    data = json.loads(path.read_text(encoding="utf-8"))
+    assert set(data) == {"version", "records", "graph"}
+    assert data["version"] == STORE_VERSION == 2
+    assert data["records"] and all(set(r) == RECORD_KEYS for r in data["records"].values())
+    graph = data["graph"]
+    assert set(graph) == {"nodes", "edges", "removed_edges"}
+    assert graph["edges"] and graph["removed_edges"]  # the labeled repo has a call ring
+    for edge in graph["edges"] + graph["removed_edges"]:
+        assert set(edge) == {"caller", "callee"}
+    for node in graph["nodes"].values():
+        assert set(node) - {"meta"} == {"node_kind", "children"}
+        assert "snippet" not in node.get("meta", {})
+
+
+def test_v1_store_is_migrated_without_a_request(v1_repo, capsys, sends):
+    v1 = json.loads((V1_DIR / "project_hierarchy.json").read_text(encoding="utf-8"))
+    assert v1["version"] == 1
+    doc_dir = v1_repo / "markdown_docs"
+    before = pages(doc_dir)
+
+    code, out = run_cli(capsys, "publish", "--repo", v1_repo, "--json")
+    assert code == 0 and json.loads(out)["pages_written"] == []
+
+    code, out = run_cli(capsys, "eval", "--repo", v1_repo, "--json")
+    assert code == 0
+    assert out == (V1_DIR / "eval.json").read_text(encoding="utf-8")
+
+    code, out = run_cli(capsys, "generate", "--repo", v1_repo, "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["generated"] == [] and report["pages_written"] == []
+    assert sends == []
+    assert pages(doc_dir) == before
+
+    saved = json.loads((v1_repo / STORE_REL).read_text(encoding="utf-8"))
+    assert saved["version"] == 2
+    assert set(saved["records"]) == set(v1["records"])
+    for oid, record in saved["records"].items():
+        assert set(record) == RECORD_KEYS
+        for key in ("source_hash", "model", "generated_at"):
+            assert record[key] == v1["records"][oid][key]
+    # the migrated store reads back as it was written
+    code, out = run_cli(capsys, "eval", "--repo", v1_repo, "--json")
+    assert out == (V1_DIR / "eval.json").read_text(encoding="utf-8")
+
+
+def test_cold_generate_pages_match_the_version_1_release(demo_repo, capsys, sends):
+    code, _ = run_cli(capsys, "generate", "--repo", demo_repo)
+    assert code == 0
+    assert len(sends) == 5
+    assert pages(demo_repo / "markdown_docs") == pages(V1_DIR / "markdown_docs")
+
+
+def _v1_record(**sections) -> dict:
+    record = {
+        "id": "a.py/f",
+        "kind": "Function",
+        "name_header": "**f**: The function of f.",
+        "param_label": "parameters",
+        "param_section": [],
+        "param_tail": "",
+        "code_description": "Body.",
+        "note": "Careful.",
+        "output_example": None,
+        "source_hash": "0" * 64,
+        "model": "base-4k",
+        "generated_at": "2026-01-01T00:00:00+00:00",
+    }
+    record.update(sections)
+    return record
+
+
+@pytest.mark.parametrize(
+    "sections, text",
+    [
+        (
+            {"output_example": None},
+            "**f**: The function of f.\n\n**parameters**:\n\n"
+            "**Code Description**: Body.\n\n**Note**: Careful.",
+        ),
+        (
+            {"output_example": "", "note": ""},
+            "**f**: The function of f.\n\n**parameters**:\n\n**Code Description**: Body.",
+        ),
+        (
+            {
+                "name_header": "",
+                "param_label": "Attributes",
+                "param_tail": "Two of them.",
+                "param_section": [["x", "first."], ["y", "second."]],
+                "output_example": "3",
+            },
+            "**Attributes**: Two of them.\n- `x`: first.\n- `y`: second.\n\n"
+            "**Code Description**: Body.\n\n**Note**: Careful.\n\n**Output Example**: 3",
+        ),
+    ],
+    ids=["no-output-example", "empty-sections", "tail-bullets-and-example"],
+)
+def test_v1_record_sections_become_their_rendered_text(tmp_path, sections, text):
+    path = tmp_path / "store.json"
+    payload = {"version": 1, "records": {"a.py/f": _v1_record(**sections)}, "graph": None}
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    record = load_store(path).records["a.py/f"]
+    assert record.text == text
+    assert (record.source_hash, record.model) == ("0" * 64, "base-4k")
+    assert record.generated_at == "2026-01-01T00:00:00+00:00"
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"text": "t", "source_hash": "h", "model": "m"},
+        {"text": "t", "source_hash": "h", "model": "m", "generated_at": "g", "kind": "Function"},
+        _v1_record(),
+    ],
+    ids=["missing-key", "unknown-key", "version-1-record-in-version-2"],
+)
+def test_version_2_record_with_other_keys_is_refused(tmp_path, record):
+    path = tmp_path / "store.json"
+    payload = {"version": 2, "records": {"a.py/f": record}, "graph": None}
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(CorruptStoreError, match="delete it and rerun generate"):
+        load_store(path)
