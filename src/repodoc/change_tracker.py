@@ -30,7 +30,7 @@ from .doc_pipeline import (
 from .errors import LockError, NotAGitRepoError, UsageError
 from .markdown_publisher import write_site
 from .project_graph import RepoGraph, build_graph, empty_graph
-from .source_model import is_source, parse_file
+from .source_model import ParseCache, is_source, parse_sources, source_text
 
 if TYPE_CHECKING:
     from .config import Config
@@ -61,17 +61,24 @@ def _git(
     return proc
 
 
-def is_git_repo(repo_root: str | Path) -> bool:
+def git_dir(repo_root: str | Path) -> Path | None:
+    """The git directory of the repository holding ``repo_root``, or None
+    when there is none (or no git)."""
     try:
         proc = _git(repo_root, "rev-parse", "--git-dir", check=False)
     except FileNotFoundError:
-        return False
-    return proc.returncode == 0
+        return None
+    if proc.returncode != 0:
+        return None
+    return Path(repo_root, os.fsdecode(proc.stdout.rstrip(b"\n")))
 
 
-def require_git_repo(repo_root: str | Path) -> None:
-    if not is_git_repo(repo_root):
+def require_git_repo(repo_root: str | Path) -> Path:
+    """The git directory of the repository holding ``repo_root``."""
+    found = git_dir(repo_root)
+    if found is None:
         raise NotAGitRepoError(f"{repo_root} is not inside a Git repository")
+    return found
 
 
 @dataclass(frozen=True)
@@ -116,10 +123,13 @@ def staged_changes(repo_root: str | Path, ignore: Sequence[str] = ()) -> StagedC
     )
 
 
-def read_staged_text(repo_root: str | Path, ignore: Sequence[str] = ()) -> dict[str, str]:
-    """Text of every source file in the index, by path: what the pending
-    commit will contain, whatever the working tree holds. One ``git ls-files``
-    and one ``git cat-file --batch`` run, however many files there are."""
+def read_staged_text(
+    repo_root: str | Path, ignore: Sequence[str] = ()
+) -> dict[str, tuple[str, str]]:
+    """Blob id and text of every source file in the index, by path: what the
+    pending commit will contain, whatever the working tree holds. One
+    ``git ls-files`` and one ``git cat-file --batch`` run, however many files
+    there are."""
     listing = _git(repo_root, "ls-files", "--stage", "-z").stdout
     blobs: dict[str, str] = {}
     for entry in filter(None, listing.split(b"\0")):
@@ -133,7 +143,7 @@ def read_staged_text(repo_root: str | Path, ignore: Sequence[str] = ()) -> dict[
     paths = sorted(blobs)
     request = "".join(f"{blobs[path]}\n" for path in paths).encode("ascii")
     out = _git(repo_root, "cat-file", "--batch", input=request).stdout
-    texts: dict[str, str] = {}
+    sources: dict[str, tuple[str, str]] = {}
     pos = 0
     for path in paths:
         eol = out.index(b"\n", pos)
@@ -142,8 +152,8 @@ def read_staged_text(repo_root: str | Path, ignore: Sequence[str] = ()) -> dict[
         if fields[1:2] != ["blob"]:
             raise UsageError(f"cannot read the staged blob of {path}: git answered {header!r}")
         start, pos = eol + 1, eol + 2 + int(fields[2])  # a newline follows each blob
-        texts[path] = out[start : pos - 1].decode("utf-8", "replace")
-    return texts
+        sources[path] = (blobs[path], source_text(out[start : pos - 1]))
+    return sources
 
 
 @dataclass(frozen=True)
@@ -277,6 +287,7 @@ class UpdateReport:
     written_pages: list[str] = field(default_factory=list)
     parse_errors: list[str] = field(default_factory=list)
     diagnostics: list[str] = field(default_factory=list)
+    parsed_files: int = 0  # files parsed rather than read from the parse cache
 
     @property
     def ok(self) -> bool:
@@ -306,14 +317,16 @@ class UpdateReport:
             "written_pages": list(self.written_pages),
             "parse_errors": list(self.parse_errors),
             "diagnostics": list(self.diagnostics),
+            "parsed_files": self.parsed_files,
         }
 
 
-def _staged_graph(repo_root: Path, ignore: Sequence[str]) -> RepoGraph:
+def _staged_graph(
+    repo_root: Path, ignore: Sequence[str], cache: ParseCache
+) -> RepoGraph:
     """Graph of the repository as the pending commit will leave it."""
-    texts = read_staged_text(repo_root, ignore)
-    parses = [parse_file(rel, texts[rel]) for rel in sorted(texts)]
-    return build_graph(sorted(texts), parses)
+    sources = read_staged_text(repo_root, ignore)
+    return build_graph(sorted(sources), parse_sources(sources, cache))
 
 
 def run_update(
@@ -326,7 +339,7 @@ def run_update(
     exactly as it was and the commit can be retried.
     """
     repo_root = Path(repo_root)
-    require_git_repo(repo_root)
+    cache = ParseCache(require_git_repo(repo_root))
     store_path = repo_root / config.store_path
     with _update_lock(store_path.parent):
         staged = staged_changes(repo_root, config.ignore)
@@ -334,7 +347,7 @@ def run_update(
             return UpdateReport(staged=staged)
 
         store = load_store(store_path)
-        graph = _staged_graph(repo_root, config.ignore)
+        graph = _staged_graph(repo_root, config.ignore, cache)
         old_graph = store.graph_snapshot or empty_graph()
         changes = diff_objects(old_graph, graph)
         plan = plan_updates(changes)
@@ -348,6 +361,7 @@ def run_update(
             run=run,
             parse_errors=list(graph.parse_errors),
             diagnostics=list(graph.diagnostics),
+            parsed_files=cache.parsed,
         )
         if not run.ok:
             # leave store and pages untouched; the commit stays blocked

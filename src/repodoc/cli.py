@@ -13,9 +13,9 @@ import logging
 import sys
 from pathlib import Path
 
-from .change_tracker import _update_lock, install_hook, run_update
+from .change_tracker import _update_lock, git_dir, install_hook, run_update
 from .config import build_gateway, load_config
-from .doc_pipeline import GenerationOptions, generate_all, load_store, save_store
+from .doc_pipeline import STORE_VERSION, GenerationOptions, generate_all, load_store, save_store
 from .errors import (
     CorruptStoreError,
     NotAGitRepoError,
@@ -27,7 +27,7 @@ from .errors import (
 from .eval_harness import evaluate_docs, reference_recall
 from .markdown_publisher import write_site
 from .project_graph import build_graph, graph_to_dot
-from .source_model import parse_repository, scan_repository
+from .source_model import ParseCache, parse_repository, scan_repository
 
 logger = logging.getLogger(__name__)
 
@@ -84,9 +84,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_current_graph(config):
+    """The working tree's graph, and how many files had to be parsed."""
     files = scan_repository(config.repo_root, config.ignore)
-    parses = parse_repository(config.repo_root, files)
-    return build_graph(files, parses)
+    cache = ParseCache(git_dir(config.repo_root))
+    parses = parse_repository(config.repo_root, files, cache)
+    return build_graph(files, parses), cache.parsed
 
 
 def _print_list(title: str, items) -> None:
@@ -103,16 +105,27 @@ def cmd_generate(args) -> int:
     gateway = build_gateway(config)
     store_path = config.repo_root / config.store_path
     with _update_lock(store_path.parent):
-        graph = _build_current_graph(config)
+        graph, parsed_files = _build_current_graph(config)
         store = load_store(store_path)
+        snapshot, record_count = store.graph_snapshot, len(store.records)
         options = GenerationOptions.from_config(config, args.jobs)
         report = generate_all(graph, gateway, store, options)
-        # partial progress is kept even when some objects failed
-        save_store(store, store_path)
+        # partial progress is kept even when some objects failed; a run that
+        # changed nothing leaves the store file as it is
+        unchanged = (
+            not report.generated
+            and len(store.records) == record_count
+            and store.loaded_version == STORE_VERSION
+            and snapshot is not None
+            and snapshot.to_dict() == graph.to_dict()
+        )
+        if not unchanged:
+            save_store(store, store_path)
         pages = write_site(graph, store, config.repo_root / config.doc_dir)
     if args.json:
         payload = report.to_dict()
         payload["pages_written"] = pages
+        payload["parsed_files"] = parsed_files
         payload["parse_errors"] = list(graph.parse_errors)
         payload["diagnostics"] = list(graph.diagnostics)
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -173,7 +186,7 @@ def cmd_publish(args) -> int:
 
 def cmd_graph(args) -> int:
     config = load_config(args.repo, args.config)
-    graph = _build_current_graph(config)
+    graph, _parsed_files = _build_current_graph(config)
     if args.format == "dot":
         print(graph_to_dot(graph))
     else:

@@ -224,6 +224,7 @@ class DocStore:
 
     records: dict[str, DocRecord] = field(default_factory=dict)
     graph_snapshot: RepoGraph | None = None
+    loaded_version: int | None = None  # the format of the file it was loaded from
 
     def to_dict(self) -> dict:
         return {
@@ -288,7 +289,7 @@ def load_store(path: str | Path) -> DocStore:
         raise CorruptStoreError(
             f"doc store {path} is unreadable ({exc}); delete it and rerun generate to rebuild"
         ) from exc
-    return DocStore(records=records, graph_snapshot=graph)
+    return DocStore(records=records, graph_snapshot=graph, loaded_version=version)
 
 
 @dataclass

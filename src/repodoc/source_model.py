@@ -6,20 +6,30 @@ function definitions identified by a path-like qualified id:
     <relative file path>/<dotted object path with "/" separators>
 
 so a method ``m`` on class ``C`` in ``demo/a.py`` has id ``demo/a.py/C/m``.
-Parsing is pure text-to-data; nothing here touches the network or Git.
+Parsing is pure text-to-data; nothing here touches the network or runs Git.
+A ``ParseCache`` keeps parses by Git blob id, so a file is parsed once per
+content.
 """
 
 from __future__ import annotations
 
 import ast
+import contextlib
 import fnmatch
 import hashlib
+import json
+import logging
 import os
+import sys
+import tempfile
 from dataclasses import dataclass, field
+from json.decoder import scanstring
 from pathlib import Path, PurePosixPath
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import UsageError
+
+logger = logging.getLogger(__name__)
 
 SOURCE_SUFFIX = ".py"
 
@@ -407,15 +417,218 @@ def scan_repository(root: str | Path, ignore: Sequence[str] = ()) -> list[str]:
     return sorted(found)
 
 
-def parse_repository(root: str | Path, files: Iterable[str]) -> list[FileParse]:
-    """Parse the given repo-relative files in lexicographic file order."""
+def source_text(data: bytes) -> str:
+    """A source file's text: its bytes decoded as UTF-8, undecodable bytes
+    replaced, and line endings made LF, as reading in text mode does. The
+    working tree and the index both go through here, so the same blob always
+    gives the same text."""
+    text = data.decode("utf-8", "replace")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+def blob_id(data: bytes) -> str:
+    """Git's object id of a blob holding these bytes (``git hash-object``)."""
+    return hashlib.sha1(b"blob %d\0" % len(data) + data).hexdigest()
+
+
+# Bump whenever parse_file can return something else for the same text, so
+# that the parses cached by an older parser are misses.
+PARSER_VERSION = 1
+
+# the parse cache's file name inside a repository's git directory
+PARSE_CACHE_NAME = "repodoc-parse-cache.jsonl"
+
+
+class ParseCache:
+    """File parses of earlier runs, keyed by path and blob id.
+
+    The cache is the JSON-lines file ``PARSE_CACHE_NAME`` in a repository's
+    git directory, so that it never reaches a commit. Its first line names
+    the parser version and the interpreter's ``cache_tag``; a file with
+    another first line holds nothing. Each further line holds one file:
+    ``[path, blob id, parse error, objects, calls, scopes]``. Object ids are
+    stored as positions in the object list, and snippets are left out, since
+    the text restores them. A line that cannot be read is a miss, never an
+    error, and so is a cache that cannot be written. ``ParseCache()``, with
+    no git directory, caches nothing.
+    """
+
+    def __init__(self, git_dir: Path | None = None) -> None:
+        self.path = None if git_dir is None else git_dir / PARSE_CACHE_NAME
+        self.parsed = 0  # files parsed, that is, cache misses
+        header = {"parser": PARSER_VERSION, "cache_tag": sys.implementation.cache_tag}
+        self._header = json.dumps(header, sort_keys=True) + "\n"
+        self._loaded: dict[tuple[str, str], str] = {}  # (path, blob id) -> line
+        self._kept: dict[tuple[str, str], str] = {}  # the lines the next save writes
+        if self.path is not None:
+            self._load(self.path)
+
+    def _load(self, path: Path) -> None:
+        # read line by line, so that the file is never held twice
+        with contextlib.suppress(OSError, ValueError), path.open(
+            encoding="utf-8", newline="\n"
+        ) as handle:
+            if handle.readline() != self._header:
+                return
+            for line in handle:
+                with contextlib.suppress(ValueError, IndexError):
+                    # a line opens with its key: ["<path>","<blob id>",
+                    rel, end = scanstring(line, 2)
+                    blob, _ = scanstring(line, end + 2)
+                    self._loaded[rel, blob] = line if line.endswith("\n") else line + "\n"
+
+    def parse(self, rel: str, blob: str, text: str) -> FileParse:
+        """The parse of ``text``, the content of blob ``blob`` at ``rel``."""
+        key = (rel, blob)
+        line = self._loaded.get(key)
+        if line is not None:
+            try:
+                parse = _decode_parse(rel, text, line)
+            except (ValueError, TypeError, KeyError, IndexError, AttributeError):
+                del self._loaded[key]  # so that the next save drops the line
+            else:
+                self._kept[key] = line
+                return parse
+        self.parsed += 1
+        parse = parse_file(rel, text)
+        if self.path is not None:
+            line = _encode_parse(key, parse)
+            if line is not None:
+                self._kept[key] = line
+        return parse
+
+    def save(self) -> None:
+        """Write the lines of this run's files, unless they are the ones
+        loaded, and let go of all lines: the run's parsing is over."""
+        kept, loaded = self._kept, self._loaded
+        self._kept, self._loaded = {}, {}
+        if self.path is None or kept.keys() == loaded.keys():
+            return
+        payload = "".join([self._header, *kept.values()])
+        try:
+            fd, tmp_name = tempfile.mkstemp(dir=self.path.parent, prefix=".tmp-repodoc-")
+            try:
+                with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+                    handle.write(payload)
+                os.replace(tmp_name, self.path)
+            except BaseException:
+                with contextlib.suppress(OSError):
+                    os.unlink(tmp_name)
+                raise
+        except OSError as exc:
+            logger.info("parse cache %s not written: %s", self.path, exc)
+
+
+def _encode_parse(key: tuple[str, str], parse: FileParse) -> str | None:
+    """One cache line for the parse, or None when it does not fit the layout
+    that ``_decode_parse`` rebuilds: an object's id is its parent's id and its
+    name, a parent comes before its children, and the scopes are the file's
+    and then the objects', in order."""
+    if parse.parse_error is not None:
+        return json.dumps([*key, parse.parse_error, [], [], []], separators=(",", ":")) + "\n"
+    index = {parse.file: -1}  # scope id -> position of its object; -1 for the file
+    objects = []
+    try:
+        for pos, obj in enumerate(parse.objects):
+            parent = index[obj.parent_id]
+            if obj.id != f"{obj.parent_id}/{obj.name}":
+                return None
+            index[obj.id] = pos
+            start, end = obj.line_span
+            objects.append(
+                [obj.name, obj.kind, parent, start, end, obj.params, obj.has_return, obj.source_hash]
+            )
+        if list(parse.scopes) != list(index):
+            return None
+        calls = [[index[c.caller], c.chain, c.line] for c in parse.calls]
+        scopes = [
+            [
+                {name: index[oid] for name, oid in scope.defs.items()},
+                {name: [b.module, b.member] for name, b in scope.imports.items()},
+            ]
+            for scope in parse.scopes.values()
+        ]
+    except KeyError:
+        return None
+    entry = [*key, None, objects, calls, scopes]
+    return json.dumps(entry, separators=(",", ":")) + "\n"
+
+
+def _decode_parse(rel: str, text: str, line: str) -> FileParse:
+    """Rebuild the FileParse of one cache line; snippets come from ``text``."""
+    _rel, _blob, error, objects_data, calls_data, scopes_data = json.loads(line)
+    if error is not None:
+        return FileParse(file=rel, parse_error=error)
+    intern = sys.intern
+    lines = text.splitlines()
+    ids: list[str] = []
+    objects = []
+    for name, kind, parent, start, end, params, has_return, digest in objects_data:
+        name = intern(name)
+        parent_id = ids[parent] if parent >= 0 else rel
+        obj_id = f"{parent_id}/{name}"
+        ids.append(obj_id)
+        objects.append(
+            CodeObject(
+                id=obj_id,
+                kind=intern(kind),
+                name=name,
+                file=rel,
+                line_span=(start, end),
+                snippet="\n".join(lines[start - 1 : end]),
+                params=tuple(map(intern, params)),
+                has_return=has_return,
+                parent_id=parent_id,
+                source_hash=digest,
+            )
+        )
+    calls = [
+        CallSite(caller=ids[caller], chain=tuple(map(intern, chain)), line=lineno)
+        for caller, chain, lineno in calls_data
+    ]
+    scopes = {}
+    for scope_id, (defs, imports) in zip([rel, *ids], scopes_data, strict=True):
+        scopes[scope_id] = Scope(
+            defs={intern(name): ids[pos] for name, pos in defs.items()},
+            imports={
+                intern(name): ImportBinding(
+                    module=intern(module), member=member if member is None else intern(member)
+                )
+                for name, (module, member) in imports.items()
+            },
+        )
+    return FileParse(file=rel, objects=objects, calls=calls, scopes=scopes)
+
+
+def parse_sources(sources: Mapping[str, tuple[str, str]], cache: ParseCache) -> list[FileParse]:
+    """Parse ``{path: (blob id, text)}`` in path order through the cache,
+    then save the cache."""
+    parses = [cache.parse(rel, *sources[rel]) for rel in sorted(sources)]
+    cache.save()
+    return parses
+
+
+def parse_repository(
+    root: str | Path, files: Iterable[str], cache: ParseCache | None = None
+) -> list[FileParse]:
+    """Parse the given repo-relative working-tree files in path order.
+
+    Each file's blob id is computed from its bytes as Git computes it, so a
+    content that the cache saw in the working tree or in the index is not
+    parsed again. A file that cannot be read yields a parse error.
+    """
     root = Path(root)
+    cache = cache or ParseCache()
 
     def _one(rel: str) -> FileParse:
         try:
-            text = (root / rel).read_text(encoding="utf-8", errors="replace")
+            data = (root / rel).read_bytes()
         except OSError as exc:
             return FileParse(file=rel, parse_error=f"{rel}: {exc}")
-        return parse_file(rel, text)
+        return cache.parse(rel, blob_id(data), source_text(data))
 
-    return [_one(rel) for rel in sorted(files)]
+    parses = [_one(rel) for rel in sorted(files)]
+    cache.save()
+    return parses

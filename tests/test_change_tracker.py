@@ -31,7 +31,7 @@ from repodoc.cli import main
 from repodoc.config import load_config
 from repodoc.errors import LockError, NotAGitRepoError, StoreWriteError, UsageError
 from repodoc.llm_gateway import Gateway
-from repodoc.source_model import scan_repository
+from repodoc.source_model import blob_id, scan_repository
 
 from .conftest import git
 from .helpers import (
@@ -218,7 +218,10 @@ def test_read_staged_text_prefers_index_over_worktree(git_demo_repo):
     (git_demo_repo / "a.py").write_text(A_F_EDITED, encoding="utf-8")
     git(git_demo_repo, "add", "a.py")
     (git_demo_repo / "a.py").write_text("def later():\n    return 3\n", encoding="utf-8")
-    assert read_staged_text(git_demo_repo)["a.py"] == A_F_EDITED
+    oid = git(git_demo_repo, "rev-parse", ":a.py").strip()
+    assert read_staged_text(git_demo_repo)["a.py"] == (oid, A_F_EDITED)
+    # the blob id of the working-tree reader is the index's for the same bytes
+    assert blob_id(A_F_EDITED.encode("utf-8")) == oid
 
 
 def test_index_and_working_tree_share_one_source_filter(git_demo_repo):

@@ -30,6 +30,24 @@ def test_generate_then_rerun(demo_repo, capsys):
     assert "generated 0 objects, skipped 5, 0 pages written" in out
 
 
+def test_a_noop_generate_leaves_the_store_alone(demo_repo, capsys):
+    store = demo_repo / STORE_REL
+    assert run_cli("generate", "--repo", demo_repo, capsys=capsys)[0] == 0
+    saved = store.stat()
+    assert run_cli("generate", "--repo", demo_repo, capsys=capsys)[0] == 0
+    rerun = store.stat()
+    assert (rerun.st_ino, rerun.st_mtime_ns) == (saved.st_ino, saved.st_mtime_ns)
+
+    # a comment that shifts lines changes no doc, but the snapshot's line spans
+    before = store.read_text(encoding="utf-8")
+    a_py = demo_repo / "a.py"
+    a_py.write_text("# shifted\n" + a_py.read_text(encoding="utf-8"), encoding="utf-8")
+    code, out, _ = run_cli("generate", "--repo", demo_repo, capsys=capsys)
+    assert code == 0 and "generated 0 objects" in out
+    assert store.stat().st_ino != saved.st_ino
+    assert store.read_text(encoding="utf-8") != before
+
+
 def test_generate_drops_the_docs_of_deleted_objects(demo_repo, capsys):
     assert run_cli("generate", "--repo", demo_repo, capsys=capsys)[0] == 0
     (demo_repo / "util" / "b.py").unlink()
