@@ -281,7 +281,6 @@ class UpdateReport:
     """Outcome of one staged-changes update."""
 
     staged: StagedChanges
-    changes: ChangeSet = field(default_factory=ChangeSet)
     plan: UpdatePlan = field(default_factory=UpdatePlan)
     run: RunReport = field(default_factory=RunReport)
     written_pages: list[str] = field(default_factory=list)
@@ -349,14 +348,12 @@ def run_update(
         store = load_store(store_path)
         graph = _staged_graph(repo_root, config.ignore, cache)
         old_graph = store.graph_snapshot or empty_graph()
-        changes = diff_objects(old_graph, graph)
-        plan = plan_updates(changes)
+        plan = plan_updates(diff_objects(old_graph, graph))
 
         options = GenerationOptions.from_config(config, jobs)
         run = generate_all(graph, gateway, store, options, only=plan.regenerate_ids)
         report = UpdateReport(
             staged=staged,
-            changes=changes,
             plan=plan,
             run=run,
             parse_errors=list(graph.parse_errors),
@@ -369,7 +366,8 @@ def run_update(
 
         # Store first: if saving fails, no page has changed. If writing the
         # site fails, the next run finds the store current and rewrites pages.
-        save_store(store, store_path)
+        if store.changed:
+            save_store(store, store_path)
         report.written_pages = write_site(graph, store, repo_root / config.doc_dir)
         _git(repo_root, "add", "-A", "--", config.doc_dir, config.store_path)
         return report

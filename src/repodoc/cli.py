@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .change_tracker import _update_lock, git_dir, install_hook, run_update
 from .config import build_gateway, load_config
-from .doc_pipeline import STORE_VERSION, GenerationOptions, generate_all, load_store, save_store
+from .doc_pipeline import GenerationOptions, generate_all, load_store, save_store
 from .errors import (
     CorruptStoreError,
     NotAGitRepoError,
@@ -107,19 +107,10 @@ def cmd_generate(args) -> int:
     with _update_lock(store_path.parent):
         graph, parsed_files = _build_current_graph(config)
         store = load_store(store_path)
-        snapshot, record_count = store.graph_snapshot, len(store.records)
         options = GenerationOptions.from_config(config, args.jobs)
         report = generate_all(graph, gateway, store, options)
-        # partial progress is kept even when some objects failed; a run that
-        # changed nothing leaves the store file as it is
-        unchanged = (
-            not report.generated
-            and len(store.records) == record_count
-            and store.loaded_version == STORE_VERSION
-            and snapshot is not None
-            and snapshot.to_dict() == graph.to_dict()
-        )
-        if not unchanged:
+        # partial progress is kept even when some objects failed
+        if store.changed:
             save_store(store, store_path)
         pages = write_site(graph, store, config.repo_root / config.doc_dir)
     if args.json:

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import datetime as _dt
 import heapq
+import itertools
 import json
 import logging
-import os
 import re
-import tempfile
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -30,7 +29,7 @@ from .prompt_engine import (
     fit_to_budget,
     render_prompt,
 )
-from .source_model import CLASS, CodeObject
+from .source_model import CLASS, CodeObject, write_atomically
 
 if TYPE_CHECKING:
     from .config import Config
@@ -224,7 +223,7 @@ class DocStore:
 
     records: dict[str, DocRecord] = field(default_factory=dict)
     graph_snapshot: RepoGraph | None = None
-    loaded_version: int | None = None  # the format of the file it was loaded from
+    changed: bool = False  # set once it differs from the file it was loaded from
 
     def to_dict(self) -> dict:
         return {
@@ -235,29 +234,14 @@ class DocStore:
 
 
 def save_store(store: DocStore, path: str | Path) -> None:
-    """Serialize atomically: write a temp file, then rename over the target.
-
-    The store gets the mode of any newly created file (0o666 less the
-    umask), not the 0o600 of the temp file.
-    """
+    """Serialize atomically with ``write_atomically``: the bytes of
+    ``json.dumps(store.to_dict(), indent=2, sort_keys=True)`` and a newline,
+    encoded piece by piece so that the text is never held whole."""
     path = Path(path)
-    payload = json.dumps(store.to_dict(), indent=2, sort_keys=True) + "\n"
-    umask = os.umask(0)
-    os.umask(umask)
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(store.to_dict())
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=".tmp-store-")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-                os.fchmod(handle.fileno(), 0o666 & ~umask)
-                handle.write(payload)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        write_atomically(path, itertools.chain(chunks, ["\n"]))
     except OSError as exc:
         raise StoreWriteError(f"cannot write doc store {path}: {exc}") from exc
 
@@ -289,7 +273,7 @@ def load_store(path: str | Path) -> DocStore:
         raise CorruptStoreError(
             f"doc store {path} is unreadable ({exc}); delete it and rerun generate to rebuild"
         ) from exc
-    return DocStore(records=records, graph_snapshot=graph, loaded_version=version)
+    return DocStore(records=records, graph_snapshot=graph, changed=version != STORE_VERSION)
 
 
 @dataclass
@@ -429,7 +413,8 @@ def generate_all(
     generate; this thread records every outcome.
 
     The graph then becomes the store's snapshot, and the records of objects
-    it no longer holds are dropped.
+    it no longer holds are dropped. The store is marked changed when a doc
+    was recorded or dropped, or when the graph differs from the old snapshot.
     """
     order = topological_order(graph)
     report = RunReport()
@@ -493,6 +478,14 @@ def generate_all(
         if pool is not None:
             pool.shutdown()
 
-    store.graph_snapshot = graph
-    store.records = {oid: rec for oid, rec in store.records.items() if oid in graph.objects}
+    kept = {oid: rec for oid, rec in store.records.items() if oid in graph.objects}
+    old = store.graph_snapshot
+    store.changed = (
+        store.changed
+        or bool(report.generated)
+        or len(kept) != len(store.records)
+        or old is None
+        or old.to_dict() != graph.to_dict()
+    )
+    store.graph_snapshot, store.records = graph, kept
     return report

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Union
 
 from .doc_pipeline import ATTRIBUTE_LABEL, PARAM_LABEL, ParsedDoc, parse_doc
 from .project_graph import RepoGraph
-from .source_model import CLASS, FUNCTION, CodeObject
+from .source_model import CLASS, FUNCTION
 
 ReferenceSource = Union[RepoGraph, Mapping[str, Iterable[str]]]
 
@@ -156,19 +156,11 @@ class EvalReport:
         )
 
 
-def _object_meta(source: Union[RepoGraph, Mapping[str, CodeObject]]) -> Mapping[str, CodeObject]:
-    if isinstance(source, RepoGraph):
-        return source.objects
-    return source
-
-
 def evaluate_docs(
-    docs: Mapping[str, str],
-    meta: Union[RepoGraph, Mapping[str, CodeObject]],
-    param_metric: str = "jaccard",
+    docs: Mapping[str, str], graph: RepoGraph, param_metric: str = "jaccard"
 ) -> EvalReport:
-    """Score every doc for format compliance and parameter accuracy."""
-    objects = _object_meta(meta)
+    """Score every doc against its object in ``graph`` for format compliance
+    and parameter accuracy."""
     report = EvalReport()
     flag_totals = {
         "name": 0,
@@ -181,7 +173,7 @@ def evaluate_docs(
     compliant = 0
     accuracies: list[float] = []
     for oid in sorted(docs):
-        obj = objects.get(oid)
+        obj = graph.objects.get(oid)
         if obj is None:
             report.errors.append(f"unknown object id: {oid}")
             continue

@@ -322,11 +322,16 @@ class RepoGraph:
             return []
         return [c for c in node.children if c in self.objects]
 
+    @cached_property
+    def _file_object_map(self) -> dict[str, list[str]]:
+        out: dict[str, list[str]] = {}
+        for obj in sorted(self.objects.values(), key=lambda o: (o.line_span[0], o.id)):
+            out.setdefault(obj.file, []).append(obj.id)
+        return out
+
     def file_objects(self, file_id: str) -> list[str]:
         """All objects under a file, in source order (start line, then id)."""
-        out = [o for o in self.objects.values() if o.file == file_id]
-        out.sort(key=lambda o: (o.line_span[0], o.id))
-        return [o.id for o in out]
+        return list(self._file_object_map.get(file_id, []))
 
     def to_dict(self) -> dict:
         nodes = {}

@@ -433,6 +433,25 @@ def blob_id(data: bytes) -> str:
     return hashlib.sha1(b"blob %d\0" % len(data) + data).hexdigest()
 
 
+def write_atomically(path: Path, chunks: Iterable[str]) -> None:
+    """Replace ``path`` with the text of ``chunks``, written one at a time to
+    a temp file beside it that is then renamed over it, so a reader never
+    finds part of a file. The file gets 0o666 less the umask, not a temp
+    file's 0o600. On any failure the temp file is removed and the error raised."""
+    umask = os.umask(0)
+    os.umask(umask)
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=".tmp-repodoc-")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+            os.fchmod(handle.fileno(), 0o666 & ~umask)
+            handle.writelines(chunks)
+        os.replace(tmp_name, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp_name)
+        raise
+
+
 # Bump whenever parse_file can return something else for the same text, so
 # that the parses cached by an older parser are misses.
 PARSER_VERSION = 1
@@ -506,17 +525,8 @@ class ParseCache:
         self._kept, self._loaded = {}, {}
         if self.path is None or kept.keys() == loaded.keys():
             return
-        payload = "".join([self._header, *kept.values()])
         try:
-            fd, tmp_name = tempfile.mkstemp(dir=self.path.parent, prefix=".tmp-repodoc-")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-                    handle.write(payload)
-                os.replace(tmp_name, self.path)
-            except BaseException:
-                with contextlib.suppress(OSError):
-                    os.unlink(tmp_name)
-                raise
+            write_atomically(self.path, [self._header, *kept.values()])
         except OSError as exc:
             logger.info("parse cache %s not written: %s", self.path, exc)
 

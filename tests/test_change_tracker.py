@@ -524,6 +524,32 @@ def test_run_update_store_write_failure_leaves_pages_untouched(git_demo_repo, mo
     assert report.written_pages == ["a.md"]
 
 
+def test_update_saves_the_store_only_when_it_changed(git_demo_repo):
+    store_rel = load_config(git_demo_repo).store_path
+    store = git_demo_repo / store_rel
+    c_py = git_demo_repo / "c.py"
+    c_py.write_text("LIMIT = 1\n\n\ndef k():\n    return LIMIT\n", encoding="utf-8")
+    git(git_demo_repo, "add", "-A")
+    assert main(["update", "--repo", str(git_demo_repo)]) == 0
+    git(git_demo_repo, "commit", "-qm", "seed")
+    saved = store.stat()
+
+    # a new value for a module-level name changes no object and shifts no line
+    c_py.write_text("LIMIT = 2\n\n\ndef k():\n    return LIMIT\n", encoding="utf-8")
+    git(git_demo_repo, "add", "c.py")
+    assert main(["update", "--repo", str(git_demo_repo)]) == 0
+    after = store.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (saved.st_ino, saved.st_mtime_ns)
+    assert git(git_demo_repo, "diff", "--cached", "--name-only").split() == ["c.py"]
+
+    # a body edit regenerates a doc, so the store is saved and staged
+    (git_demo_repo / "a.py").write_text(A_F_EDITED, encoding="utf-8")
+    git(git_demo_repo, "add", "a.py")
+    assert main(["update", "--repo", str(git_demo_repo)]) == 0
+    assert store.stat().st_ino != saved.st_ino
+    assert store_rel in git(git_demo_repo, "diff", "--cached", "--name-only").split()
+
+
 def test_run_update_incremental_edit_touches_one_object(git_demo_repo):
     git(git_demo_repo, "add", "-A")
     report, config = run_full_update(git_demo_repo)

@@ -5,6 +5,7 @@ import logging
 import os
 import stat
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -174,6 +175,26 @@ def test_store_roundtrip_and_byte_stability(tmp_path, demo_repo):
     second = tmp_path / "copy.json"
     save_store(loaded, second)
     assert second.read_bytes() == path.read_bytes()
+
+
+def test_save_store_streams_the_indented_json(tmp_path):
+    # 20 files of 100 functions, each calling the one before: 2,000 objects
+    chain = "".join(f"def f{i}(x):\n    return f{i - 1}(x)\n\n\n" for i in range(1, 100))
+    module = "def f0(x):\n    return x\n\n\n" + chain
+    write_tree(tmp_path / "repo", {f"m{n}.py": module for n in range(20)})
+    _, store, _, _ = generate_repo(tmp_path / "repo")
+    assert len(store.records) == 2000
+    path = tmp_path / "store.json"
+    tracemalloc.start()
+    try:
+        save_store(store, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    text = json.dumps(store.to_dict(), indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes() == text.encode("utf-8")
+    # holding the whole text, as json.dumps does, would take more than this
+    assert peak < path.stat().st_size
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,8 @@ state gives the same parses as no cache at all."""
 from __future__ import annotations
 
 import json
+import os
+import stat
 import sysconfig
 from pathlib import Path
 
@@ -114,10 +116,25 @@ def test_a_damaged_cache_is_only_a_miss(labeled_repo, tmp_path, damage):
     cache = ParseCache(tmp_path)
     assert graph_json(labeled_repo, cache) == expected
     assert cache.parsed > 0
+    assert not list(tmp_path.glob(".tmp-repodoc-*"))
     if cache_path.is_file():  # the run mended the cache
         again = ParseCache(tmp_path)
         assert graph_json(labeled_repo, again) == expected
         assert again.parsed == 0
+
+
+@pytest.mark.parametrize(
+    "umask, mode",
+    [(0o022, 0o644), (0o002, 0o664), (0o077, 0o600)],
+    ids=["umask-022", "umask-002", "umask-077"],
+)
+def test_cache_file_mode_follows_umask(labeled_repo, tmp_path, umask, mode):
+    previous = os.umask(umask)
+    try:
+        graph_json(labeled_repo, ParseCache(tmp_path))
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE((tmp_path / PARSE_CACHE_NAME).stat().st_mode) == mode
 
 
 def test_a_newer_parser_does_not_read_an_older_cache(labeled_repo, tmp_path, monkeypatch):
