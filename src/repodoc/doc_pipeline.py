@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .errors import CorruptStoreError, OverBudgetError, ProviderError, StoreWriteError
 from .llm_gateway import CompletionRequest, Gateway
-from .project_graph import RepoGraph, topological_order
+from .project_graph import DIR, REPO, RepoGraph, topological_order
 from .prompt_engine import (
     DEFAULT_COMPLETION_RESERVE,
     ModelTier,
@@ -36,7 +36,7 @@ if TYPE_CHECKING:
 
 logger = logging.getLogger(__name__)
 
-STORE_VERSION = 2
+STORE_VERSION = 3
 
 PARAM_LABEL = "parameters"
 ATTRIBUTE_LABEL = "Attributes"
@@ -217,6 +217,15 @@ def _record_from_v1(data: dict) -> DocRecord:
     )
 
 
+def _children_in_source_order(graph_data: dict) -> None:
+    # versions 1 and 2 sorted every child list by id and kept each object's
+    # line span; a stable sort by start line gives the order of the source
+    nodes = graph_data["nodes"]
+    for entry in nodes.values():
+        if entry["node_kind"] not in (REPO, DIR):
+            entry["children"].sort(key=lambda oid: nodes[oid]["meta"]["line_span"][0])
+
+
 @dataclass
 class DocStore:
     """All doc records plus the graph snapshot of the last completed run."""
@@ -249,8 +258,8 @@ def save_store(store: DocStore, path: str | Path) -> None:
 def load_store(path: str | Path) -> DocStore:
     """Load the store; a missing file is an empty store, a broken one an error.
 
-    A version-1 store is migrated in memory; the next save writes the
-    current version.
+    Version-1 and version-2 stores are migrated in memory; the next save
+    writes the current version.
     """
     path = Path(path)
     if not path.exists():
@@ -258,7 +267,7 @@ def load_store(path: str | Path) -> DocStore:
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
         version = data.get("version")
-        if version not in (1, STORE_VERSION):
+        if version not in (1, 2, STORE_VERSION):
             raise CorruptStoreError(
                 f"doc store {path} has version {version}, expected {STORE_VERSION}; "
                 "delete it and rerun generate to rebuild"
@@ -268,6 +277,8 @@ def load_store(path: str | Path) -> DocStore:
             for oid, rec in data.get("records", {}).items()
         }
         graph_data = data.get("graph")
+        if graph_data and version != STORE_VERSION:
+            _children_in_source_order(graph_data)
         graph = RepoGraph.from_dict(graph_data) if graph_data else None
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise CorruptStoreError(

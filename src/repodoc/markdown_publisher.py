@@ -12,7 +12,7 @@ from pathlib import Path, PurePosixPath
 
 from .doc_pipeline import DocStore
 from .project_graph import FILE, RepoGraph, ROOT_ID, TreeNode
-from .source_model import CLASS, SOURCE_SUFFIX
+from .source_model import CLASS
 
 SUMMARY_NAME = "SUMMARY.md"
 PLACEHOLDER = "*(documentation not yet generated)*"
@@ -33,17 +33,12 @@ def page_path_for(source_file: str) -> str:
     return str(path.with_suffix(".md"))
 
 
-def _object_depth(object_id: str, file_id: str) -> int:
-    tail = object_id[len(file_id) + 1 :]
-    return tail.count("/") + 1
-
-
 def compile_file_doc(graph: RepoGraph, file_id: str, store: DocStore) -> DocPage:
     """One page: H1 of the file path, then each object in source order."""
     parts = [f"# {file_id}"]
-    for object_id in graph.file_objects(file_id):
+    for object_id, depth in graph.file_objects(file_id):
         obj = graph.objects[object_id]
-        level = min(1 + _object_depth(obj.id, file_id), 6)
+        level = min(1 + depth, 6)
         label = _HEADING_BY_KIND.get(obj.kind, "FunctionDef")
         parts.append(f"{'#' * level} {label} {obj.name}")
         record = store.records.get(obj.id)
@@ -61,8 +56,6 @@ def _summary_lines(node: TreeNode, nodes: dict[str, TreeNode], depth: int) -> li
         child = nodes[child_id]
         indent = "  " * depth
         if child.node_kind == FILE:
-            if not child_id.endswith(SOURCE_SUFFIX):
-                continue
             lines.append(f"{indent}- [{child_id}]({page_path_for(child_id)})")
         else:
             name = PurePosixPath(child_id).name
@@ -85,7 +78,7 @@ def write_site(graph: RepoGraph, store: DocStore, out_dir: str | Path) -> list[s
     out_dir = Path(out_dir)
     expected: dict[str, str] = {SUMMARY_NAME: compile_summary(graph)}
     for node_id, node in graph.nodes.items():
-        if node.node_kind == FILE and node_id.endswith(SOURCE_SUFFIX):
+        if node.node_kind == FILE:
             page = compile_file_doc(graph, node_id, store)
             expected[page.output_path] = page.body
 

@@ -47,7 +47,11 @@ class ReferenceEdge:
 
 
 def build_tree(files: Sequence[str], parses: Sequence[FileParse]) -> dict[str, TreeNode]:
-    """Tree nodes for the repo root, directories, files and parsed objects."""
+    """Tree nodes for the repo root, directories, files and parsed objects.
+
+    The root and each directory list their children sorted; a file and an
+    object list theirs in source order, the order of ``parse.objects``.
+    """
     nodes: dict[str, TreeNode] = {ROOT_ID: TreeNode(id=ROOT_ID, node_kind=REPO)}
 
     def _ensure_dir(path: PurePosixPath) -> str:
@@ -77,7 +81,8 @@ def build_tree(files: Sequence[str], parses: Sequence[FileParse]) -> dict[str, T
             nodes[obj.parent_id].children.append(obj.id)
 
     for node in nodes.values():
-        node.children.sort()
+        if node.node_kind in (REPO, DIR):
+            node.children.sort()
     return nodes
 
 
@@ -317,21 +322,19 @@ class RepoGraph:
         return list(self._caller_map.get(object_id, []))
 
     def object_children(self, object_id: str) -> list[str]:
-        node = self.nodes.get(object_id)
-        if node is None:
-            return []
-        return [c for c in node.children if c in self.objects]
+        """An object's direct children, sorted by id."""
+        return sorted(self.nodes[object_id].children)
 
-    @cached_property
-    def _file_object_map(self) -> dict[str, list[str]]:
-        out: dict[str, list[str]] = {}
-        for obj in sorted(self.objects.values(), key=lambda o: (o.line_span[0], o.id)):
-            out.setdefault(obj.file, []).append(obj.id)
+    def file_objects(self, file_id: str) -> list[tuple[str, int]]:
+        """All objects under a file in source order, a preorder walk of its
+        subtree, each with its depth below the file (1 at the top level)."""
+        out: list[tuple[str, int]] = []
+        stack = [(child, 1) for child in reversed(self.nodes[file_id].children)]
+        while stack:
+            object_id, depth = stack.pop()
+            out.append((object_id, depth))
+            stack.extend((child, depth + 1) for child in reversed(self.nodes[object_id].children))
         return out
-
-    def file_objects(self, file_id: str) -> list[str]:
-        """All objects under a file, in source order (start line, then id)."""
-        return list(self._file_object_map.get(file_id, []))
 
     def to_dict(self) -> dict:
         nodes = {}
@@ -350,6 +353,7 @@ class RepoGraph:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RepoGraph":
+        """The graph of ``to_dict()``; an object's id and kind are its node's."""
         nodes: dict[str, TreeNode] = {}
         objects: dict[str, CodeObject] = {}
         for node_id, entry in data.get("nodes", {}).items():
@@ -360,7 +364,7 @@ class RepoGraph:
             )
             meta = entry.get("meta")
             if meta is not None:
-                objects[node_id] = CodeObject.from_dict(meta)
+                objects[node_id] = CodeObject.from_dict(node_id, entry["node_kind"], meta)
         return cls(
             nodes=nodes,
             objects=objects,

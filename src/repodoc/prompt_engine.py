@@ -92,30 +92,25 @@ class PromptContext:
 
 
 def render_hierarchy(graph: RepoGraph, object_id: str, *, include_children: bool = True) -> str:
-    """Indented ancestor chain down to the target, plus its direct children.
+    """Indented ancestor chain down to the target, plus its direct children
+    sorted by id.
 
     Four spaces per level; the target line is prefixed with "*".
     """
     obj = graph.objects[object_id]
-    labels: list[str] = []
     chain: list[str] = []
-    current: str | None = obj.parent_id
-    while current is not None and current in graph.objects:
+    current = obj.parent_id
+    while current in graph.objects:
         chain.append(graph.objects[current].name)
         current = graph.objects[current].parent_id
-    file_parts = obj.file.split("/")
-    labels.extend(file_parts)
-    labels.extend(reversed(chain))
+    labels = current.split("/") + chain[::-1]  # the chain ends at the file
 
     lines = [("    " * depth) + name for depth, name in enumerate(labels)]
     target_depth = len(labels)
     lines.append(("    " * target_depth) + "*" + obj.name)
     if include_children:
-        node = graph.nodes.get(object_id)
-        if node is not None:
-            for child in node.children:
-                if child in graph.objects:
-                    lines.append(("    " * (target_depth + 1)) + graph.objects[child].name)
+        for child in graph.object_children(object_id):
+            lines.append(("    " * (target_depth + 1)) + graph.objects[child].name)
     return "\n".join(lines)
 
 

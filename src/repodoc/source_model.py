@@ -67,7 +67,6 @@ class CodeObject:
     id: str
     kind: str  # CLASS or FUNCTION
     name: str
-    file: str
     line_span: tuple[int, int]  # 1-based, inclusive
     snippet: str
     params: tuple[str, ...]
@@ -76,13 +75,9 @@ class CodeObject:
     source_hash: str = ""
 
     def to_dict(self) -> dict:
-        """The object's metadata; its source_hash stands in for the snippet."""
+        """What the store keeps of the object. Its tree node states its id,
+        kind and name, and its source_hash stands in for the snippet."""
         return {
-            "id": self.id,
-            "kind": self.kind,
-            "name": self.name,
-            "file": self.file,
-            "line_span": list(self.line_span),
             "params": list(self.params),
             "has_return": self.has_return,
             "parent_id": self.parent_id,
@@ -90,13 +85,14 @@ class CodeObject:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "CodeObject":
+    def from_dict(cls, object_id: str, kind: str, data: dict) -> "CodeObject":
+        """The object whose ``to_dict()`` is ``data``, with the id and kind
+        its tree node states. It has no snippet and no span."""
         return cls(
-            id=data["id"],
-            kind=data["kind"],
-            name=data["name"],
-            file=data["file"],
-            line_span=(int(data["line_span"][0]), int(data["line_span"][1])),
+            id=object_id,
+            kind=kind,
+            name=object_id.rpartition("/")[2],
+            line_span=(0, 0),
             snippet="",
             params=tuple(data["params"]),
             has_return=bool(data["has_return"]),
@@ -193,7 +189,6 @@ class _Collector(ast.NodeVisitor):
     """Single-pass walk producing objects, scopes and call sites."""
 
     def __init__(self, file_path: str, text: str) -> None:
-        self._file = file_path
         self._lines = text.splitlines()
         self._pkg_parts = _package_parts(file_path)
         # None marks a slot whose definition is still being walked, or one
@@ -267,7 +262,6 @@ class _Collector(ast.NodeVisitor):
             id=obj_id,
             kind=kind,
             name=node.name,
-            file=self._file,
             line_span=(start, end),
             snippet=snippet,
             params=_class_params(node) if kind == CLASS else _function_params(node),
@@ -585,7 +579,6 @@ def _decode_parse(rel: str, text: str, line: str) -> FileParse:
                 id=obj_id,
                 kind=intern(kind),
                 name=name,
-                file=rel,
                 line_span=(start, end),
                 snippet="\n".join(lines[start - 1 : end]),
                 params=tuple(map(intern, params)),

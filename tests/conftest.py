@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from .helpers import DEMO_FILES, LABELED_FILES, write_tree
+from .helpers import DEMO_FILES, LABELED_FILES, ORDER_FILES, write_tree
 
 
 @pytest.fixture
@@ -21,6 +21,14 @@ def labeled_repo(tmp_path: Path) -> Path:
     repo = tmp_path / "labeled"
     repo.mkdir()
     write_tree(repo, LABELED_FILES)
+    return repo
+
+
+@pytest.fixture
+def order_repo(tmp_path: Path) -> Path:
+    repo = tmp_path / "order"
+    repo.mkdir()
+    write_tree(repo, ORDER_FILES)
     return repo
 
 

@@ -1,12 +1,14 @@
 """Shared fixtures and utilities for the test suite.
 
-Two fixture repositories are used throughout:
+Three fixture repositories are used throughout:
 
 - the demo repo: four objects in a.py plus one importer in util/b.py, small
   enough that every derived value (edges, order, docs) is frozen by hand;
 - the labeled repo: 15 objects and 12 hand-labeled reference edges covering
   cross-file imports, method calls, instantiation and a two-function call
-  ring, used for recall and end-to-end checks.
+  ring, used for recall and end-to-end checks;
+- the order repo: one file whose source order is not alphabetical, used to
+  check the order of pages and prompts.
 """
 
 from __future__ import annotations
@@ -142,6 +144,49 @@ LABELED_EDGES = {
 LABELED_REMOVED_EDGE = ("core.py/ring_b", "core.py/ring_a")
 
 LABELED_OBJECT_COUNT = 15
+
+
+# b comes before a, method z before y, and the def of r that an if/else
+# keeps comes after s.
+ORDER_FILES = {
+    "order.py": (
+        "def b():\n"
+        "    return a()\n"
+        "\n"
+        "\n"
+        "def a():\n"
+        "    return 1\n"
+        "\n"
+        "\n"
+        "class K:\n"
+        "    def z(self):\n"
+        "        return 1\n"
+        "\n"
+        "    def y(self):\n"
+        "        return self.z()\n"
+        "\n"
+        "\n"
+        "if FLAG:\n"
+        "    def r():\n"
+        "        return 1\n"
+        "\n"
+        "    def s():\n"
+        "        return r()\n"
+        "else:\n"
+        "    def r():\n"
+        "        return 2\n"
+    ),
+}
+
+ORDER_SOURCE_ORDER = [
+    ("order.py/b", 1),
+    ("order.py/a", 1),
+    ("order.py/K", 1),
+    ("order.py/K/z", 2),
+    ("order.py/K/y", 2),
+    ("order.py/s", 1),
+    ("order.py/r", 1),
+]
 
 
 def write_tree(root: Path, files: dict[str, str]) -> None:

@@ -377,6 +377,25 @@ def test_update_documents_the_index_not_the_working_tree(git_demo_repo, case):
     assert _update_outcome(dirty) == expected
 
 
+def _stage_comment_at_top(repo):
+    # every object of a.py moves down one line; none changes
+    (repo / "a.py").write_text("# a comment\n" + DEMO_FILES["a.py"], encoding="utf-8")
+    git(repo, "add", "a.py")
+
+
+def test_update_of_a_comment_that_shifts_lines_stages_only_the_source(git_demo_repo):
+    unstaged_edit = INDEX_CASES["unstaged-edit-in-def"][1]
+    for repo in _index_twins(git_demo_repo, _stage_comment_at_top, unstaged_edit):
+        store = repo / load_config(repo).store_path
+        saved = store.stat()
+        report, _ = run_full_update(repo)
+        assert report.ok and not report.plan
+        assert report.run.generated == [] and report.written_pages == []
+        after = store.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (saved.st_ino, saved.st_mtime_ns)
+        assert git(repo, "diff", "--cached", "--name-only").split() == ["a.py"]
+
+
 def test_update_lock_is_exclusive(tmp_path):
     with _update_lock(tmp_path):
         with pytest.raises(LockError) as err:

@@ -7,7 +7,7 @@ from repodoc.cli import main
 from repodoc.llm_gateway import Gateway
 
 from .conftest import git
-from .helpers import FailingProvider
+from .helpers import DEMO_FILES, FailingProvider
 
 STORE_REL = ".project_doc_record/project_hierarchy.json"
 
@@ -38,10 +38,20 @@ def test_a_noop_generate_leaves_the_store_alone(demo_repo, capsys):
     rerun = store.stat()
     assert (rerun.st_ino, rerun.st_mtime_ns) == (saved.st_ino, saved.st_mtime_ns)
 
-    # a comment that shifts lines changes no doc, but the snapshot's line spans
-    before = store.read_text(encoding="utf-8")
+    # a comment that shifts lines changes no doc and nothing in the snapshot
     a_py = demo_repo / "a.py"
-    a_py.write_text("# shifted\n" + a_py.read_text(encoding="utf-8"), encoding="utf-8")
+    a_py.write_text("# shifted\n" + DEMO_FILES["a.py"], encoding="utf-8")
+    code, out, _ = run_cli("generate", "--repo", demo_repo, capsys=capsys)
+    assert code == 0 and "generated 0 objects" in out
+    shifted = store.stat()
+    assert (shifted.st_ino, shifted.st_mtime_ns) == (saved.st_ino, saved.st_mtime_ns)
+
+    # swapping two functions changes no doc, but the snapshot's source order
+    before = store.read_text(encoding="utf-8")
+    f_def, g_def = "def f():\n    return 1\n", "def g(x):\n    return f() + x\n"
+    swapped = DEMO_FILES["a.py"].replace(f"{f_def}\n\n{g_def}", f"{g_def}\n\n{f_def}")
+    assert swapped != DEMO_FILES["a.py"]
+    a_py.write_text(swapped, encoding="utf-8")
     code, out, _ = run_cli("generate", "--repo", demo_repo, capsys=capsys)
     assert code == 0 and "generated 0 objects" in out
     assert store.stat().st_ino != saved.st_ino

@@ -228,9 +228,9 @@ def test_store_corrupt_json_raises(tmp_path):
 
 @pytest.mark.parametrize(
     "payload, found",
-    [({"version": 3, "records": {}, "graph": None}, "version 3"),
+    [({"version": 4, "records": {}, "graph": None}, "version 4"),
      ({"records": {}, "graph": None}, "version None")],
-    ids=["version-3", "no-version"],
+    ids=["version-4", "no-version"],
 )
 def test_store_version_mismatch_raises(tmp_path, payload, found):
     path = tmp_path / "store.json"
@@ -238,7 +238,7 @@ def test_store_version_mismatch_raises(tmp_path, payload, found):
     with pytest.raises(CorruptStoreError) as err:
         load_store(path)
     message = str(err.value)
-    assert found in message and "expected 2" in message
+    assert found in message and "expected 3" in message
     assert "delete it and rerun generate" in message
 
 

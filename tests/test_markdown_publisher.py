@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+from pathlib import Path
+
+from repodoc.cli import main
 from repodoc.doc_pipeline import DocStore
 from repodoc.markdown_publisher import (
     PLACEHOLDER,
@@ -11,6 +14,8 @@ from repodoc.markdown_publisher import (
 )
 
 from .helpers import build_repo_graph, generate_repo, write_tree
+
+ORDER_V2_PAGE = Path(__file__).parent / "data" / "order_store_v2" / "markdown_docs" / "order.md"
 
 EXPECTED_A_MD = """# a.py
 
@@ -93,6 +98,33 @@ def test_demo_page_is_frozen(demo_repo):
 def test_demo_summary_is_frozen(demo_repo):
     graph, _, _, _ = generate_repo(demo_repo)
     assert compile_summary(graph) == EXPECTED_DEMO_SUMMARY
+
+
+def headings(page: str) -> list[str]:
+    return [line for line in page.splitlines() if line.startswith("#")]
+
+
+def test_page_lists_objects_in_source_order(order_repo):
+    expected = [
+        "# order.py",
+        "## FunctionDef b",
+        "## FunctionDef a",
+        "## ClassDef K",
+        "### FunctionDef z",
+        "### FunctionDef y",
+        "## FunctionDef s",
+        "## FunctionDef r",
+    ]
+    graph, store, _, _ = generate_repo(order_repo)
+    assert headings(compile_file_doc(graph, "order.py", store).body) == expected
+
+    # again from the saved store, and byte for byte as the version-2 release wrote it
+    assert main(["generate", "--repo", str(order_repo)]) == 0
+    page = order_repo / "markdown_docs" / "order.md"
+    page.unlink()
+    assert main(["publish", "--repo", str(order_repo)]) == 0
+    assert headings(page.read_text(encoding="utf-8")) == expected
+    assert page.read_bytes() == ORDER_V2_PAGE.read_bytes()
 
 
 def test_labeled_summary_nests_and_keeps_init(labeled_repo):

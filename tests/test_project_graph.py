@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from .helpers import (
     LABELED_EDGES,
     LABELED_OBJECT_COUNT,
     LABELED_REMOVED_EDGE,
+    ORDER_SOURCE_ORDER,
     build_repo_graph,
 )
 from .prune_oracle import prune_cycles_restarting
@@ -305,14 +307,26 @@ def test_graph_dict_roundtrip(demo_repo):
     assert clone.to_dict() == graph.to_dict()
     assert sorted(clone.objects) == sorted(graph.objects)
     assert clone.callers("a.py/g") == graph.callers("a.py/g")
-    # snippets are intentionally not persisted
-    assert clone.objects["a.py/f"].snippet == ""
-    assert clone.objects["a.py/f"].source_hash == graph.objects["a.py/f"].source_hash
+    # snippets and spans are intentionally not persisted; the rest is rebuilt
+    for oid, obj in graph.objects.items():
+        assert clone.objects[oid] == replace(obj, snippet="", line_span=(0, 0))
 
 
 def test_file_objects_in_source_order(demo_repo):
     graph = build_repo_graph(demo_repo)
-    assert graph.file_objects("a.py") == ["a.py/C", "a.py/C/m", "a.py/f", "a.py/g"]
+    assert graph.file_objects("a.py") == [("a.py/C", 1), ("a.py/C/m", 2), ("a.py/f", 1), ("a.py/g", 1)]
+
+
+def test_source_order_is_the_tree_child_order(order_repo):
+    graph = build_repo_graph(order_repo)
+    assert graph.nodes["order.py"].children == [
+        "order.py/b", "order.py/a", "order.py/K", "order.py/s", "order.py/r"
+    ]
+    assert graph.nodes["order.py/K"].children == ["order.py/K/z", "order.py/K/y"]
+    assert graph.file_objects("order.py") == ORDER_SOURCE_ORDER
+    assert graph.object_children("order.py/K") == ["order.py/K/y", "order.py/K/z"]
+    clone = RepoGraph.from_dict(graph.to_dict())
+    assert clone.file_objects("order.py") == ORDER_SOURCE_ORDER
 
 
 def test_graph_to_dot_smoke(demo_repo):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -102,6 +103,18 @@ def test_prompt_for_class_uses_attributes_and_child_docs(demo_repo):
     assert "**Attributes**: The attributes of this Class." in prompt
     assert CHILD_DOCS_INTRO in prompt
     assert "OBJ_PATH: a.py/C/m" in prompt
+
+
+def test_class_prompt_lists_children_sorted_not_in_source_order(order_repo):
+    # the version-2 release wrote this prompt, when children were kept sorted
+    expected = (Path(__file__).parent / "data" / "order_store_v2" / "class_prompt.txt").read_text(
+        encoding="utf-8"
+    )
+    _, _, report, gateway = generate_repo(order_repo, child_docs_enabled=True)
+    prompt = gateway.provider.prompts[report.generated.index("order.py/K")]
+    assert prompt == expected
+    assert "order.py\n    *K\n        y\n        z\n" in prompt
+    assert prompt.index("OBJ_PATH: order.py/K/y") < prompt.index("OBJ_PATH: order.py/K/z")
 
 
 def test_no_output_example_instruction_without_return(tmp_path):

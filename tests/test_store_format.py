@@ -1,8 +1,10 @@
-"""The store's format: what a fresh store holds, and version-1 stores.
+"""The store's format: what a fresh store holds, and older stores.
 
-``tests/data/demo_store_v1`` was written by the last release that saved
-version 1: ``repodoc generate`` on the demo repo with the mock provider, then
-``repodoc eval --json``. It holds that store, its pages and the eval output.
+Each ``tests/data/*_store_v<N>`` directory was written by the last release
+that saved version N: ``repodoc generate`` on a fixture repo with the mock
+provider, then ``repodoc eval --json``. It holds that store, its pages and
+the eval output. ``order_store_v2/class_prompt.txt`` is the prompt that
+release sent for class ``K`` of the order repo with child docs enabled.
 """
 
 from __future__ import annotations
@@ -18,11 +20,13 @@ from repodoc.doc_pipeline import STORE_VERSION, load_store, save_store
 from repodoc.errors import CorruptStoreError
 from repodoc.llm_gateway import MockProvider
 
-from .helpers import generate_repo
+from .helpers import DEMO_FILES, ORDER_FILES, generate_repo, write_tree
 
-V1_DIR = Path(__file__).parent / "data" / "demo_store_v1"
+DATA = Path(__file__).parent / "data"
+V1_DIR = DATA / "demo_store_v1"
 STORE_REL = ".project_doc_record/project_hierarchy.json"
 RECORD_KEYS = {"text", "source_hash", "model", "generated_at"}
+META_KEYS = {"params", "has_return", "parent_id", "source_hash"}
 
 
 def run_cli(capsys, *argv):
@@ -38,12 +42,13 @@ def pages(doc_dir: Path) -> dict[str, bytes]:
     }
 
 
-@pytest.fixture
-def v1_repo(demo_repo: Path) -> Path:
-    (demo_repo / STORE_REL).parent.mkdir()
-    shutil.copy(V1_DIR / "project_hierarchy.json", demo_repo / STORE_REL)
-    shutil.copytree(V1_DIR / "markdown_docs", demo_repo / "markdown_docs")
-    return demo_repo
+def release_repo(root: Path, files: dict[str, str], release: Path) -> Path:
+    """A repo holding ``files`` and the store and pages of ``release``."""
+    write_tree(root, files)
+    (root / STORE_REL).parent.mkdir()
+    shutil.copy(release / "project_hierarchy.json", root / STORE_REL)
+    shutil.copytree(release / "markdown_docs", root / "markdown_docs")
+    return root
 
 
 @pytest.fixture
@@ -65,48 +70,72 @@ def test_fresh_store_holds_only_what_is_read(labeled_repo, tmp_path):
     save_store(store, path)
     data = json.loads(path.read_text(encoding="utf-8"))
     assert set(data) == {"version", "records", "graph"}
-    assert data["version"] == STORE_VERSION == 2
+    assert data["version"] == STORE_VERSION == 3
     assert data["records"] and all(set(r) == RECORD_KEYS for r in data["records"].values())
     graph = data["graph"]
     assert set(graph) == {"nodes", "edges", "removed_edges"}
     assert graph["edges"] and graph["removed_edges"]  # the labeled repo has a call ring
     for edge in graph["edges"] + graph["removed_edges"]:
         assert set(edge) == {"caller", "callee"}
+    metas = [node["meta"] for node in graph["nodes"].values() if "meta" in node]
+    assert len(metas) == len(data["records"])
+    assert all(set(meta) == META_KEYS for meta in metas)
     for node in graph["nodes"].values():
         assert set(node) - {"meta"} == {"node_kind", "children"}
-        assert "snippet" not in node.get("meta", {})
 
 
-def test_v1_store_is_migrated_without_a_request(v1_repo, capsys, sends):
-    v1 = json.loads((V1_DIR / "project_hierarchy.json").read_text(encoding="utf-8"))
-    assert v1["version"] == 1
-    doc_dir = v1_repo / "markdown_docs"
+def assert_migrated_without_a_request(repo: Path, release: Path, capsys, sends) -> None:
+    """``publish``, ``eval`` and ``generate`` on the store of an older release
+    send nothing and change no page and no eval output; the store is then
+    saved in the current format, every record's metadata kept."""
+    old = json.loads((release / "project_hierarchy.json").read_text(encoding="utf-8"))
+    eval_out = (release / "eval.json").read_text(encoding="utf-8")
+    doc_dir = repo / "markdown_docs"
     before = pages(doc_dir)
 
-    code, out = run_cli(capsys, "publish", "--repo", v1_repo, "--json")
+    code, out = run_cli(capsys, "publish", "--repo", repo, "--json")
     assert code == 0 and json.loads(out)["pages_written"] == []
 
-    code, out = run_cli(capsys, "eval", "--repo", v1_repo, "--json")
+    code, out = run_cli(capsys, "eval", "--repo", repo, "--json")
     assert code == 0
-    assert out == (V1_DIR / "eval.json").read_text(encoding="utf-8")
+    assert out == eval_out
 
-    code, out = run_cli(capsys, "generate", "--repo", v1_repo, "--json")
+    code, out = run_cli(capsys, "generate", "--repo", repo, "--json")
     assert code == 0
     report = json.loads(out)
     assert report["generated"] == [] and report["pages_written"] == []
     assert sends == []
     assert pages(doc_dir) == before
 
-    saved = json.loads((v1_repo / STORE_REL).read_text(encoding="utf-8"))
-    assert saved["version"] == 2
-    assert set(saved["records"]) == set(v1["records"])
+    saved = json.loads((repo / STORE_REL).read_text(encoding="utf-8"))
+    assert saved["version"] == 3
+    assert set(saved["records"]) == set(old["records"])
     for oid, record in saved["records"].items():
         assert set(record) == RECORD_KEYS
         for key in ("source_hash", "model", "generated_at"):
-            assert record[key] == v1["records"][oid][key]
+            assert record[key] == old["records"][oid][key]
     # the migrated store reads back as it was written
-    code, out = run_cli(capsys, "eval", "--repo", v1_repo, "--json")
-    assert out == (V1_DIR / "eval.json").read_text(encoding="utf-8")
+    code, out = run_cli(capsys, "eval", "--repo", repo, "--json")
+    assert out == eval_out
+    shutil.rmtree(doc_dir)
+    code, out = run_cli(capsys, "publish", "--repo", repo, "--json")
+    assert code == 0 and pages(doc_dir) == before
+
+
+def test_v1_store_is_migrated_without_a_request(tmp_path, capsys, sends):
+    repo = release_repo(tmp_path / "demo", DEMO_FILES, V1_DIR)
+    assert json.loads((repo / STORE_REL).read_text(encoding="utf-8"))["version"] == 1
+    assert_migrated_without_a_request(repo, V1_DIR, capsys, sends)
+
+
+@pytest.mark.parametrize(
+    "name, files", [("demo", DEMO_FILES), ("order", ORDER_FILES)], ids=["demo", "order"]
+)
+def test_v2_store_is_migrated_without_a_request(tmp_path, capsys, sends, name, files):
+    release = DATA / f"{name}_store_v2"
+    repo = release_repo(tmp_path / name, files, release)
+    assert json.loads((repo / STORE_REL).read_text(encoding="utf-8"))["version"] == 2
+    assert_migrated_without_a_request(repo, release, capsys, sends)
 
 
 def test_cold_generate_pages_match_the_version_1_release(demo_repo, capsys, sends):
