@@ -22,7 +22,6 @@ from .config import Config, ProviderConfig, build_gateway, build_provider, load_
 from .doc_pipeline import (
     DocRecord,
     DocStore,
-    GenerationOptions,
     RunReport,
     generate_all,
     load_store,
@@ -81,7 +80,6 @@ __all__ = [
     "EvalReport",
     "FormatCheck",
     "Gateway",
-    "GenerationOptions",
     "HttpChatProvider",
     "MockProvider",
     "ModelTier",

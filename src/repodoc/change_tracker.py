@@ -19,14 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from .doc_pipeline import (
-    DocStore,
-    GenerationOptions,
-    RunReport,
-    generate_all,
-    load_store,
-    save_store,
-)
+from .doc_pipeline import DocStore, RunReport, generate_all, load_store, save_store
 from .errors import LockError, NotAGitRepoError, UsageError
 from .markdown_publisher import write_site
 from .project_graph import RepoGraph, build_graph, empty_graph
@@ -328,16 +321,14 @@ def _staged_graph(
     return build_graph(sorted(sources), parse_sources(sources, cache))
 
 
-def run_update(
-    repo_root: str | Path, gateway: "Gateway", config: "Config", jobs: int = 1
-) -> UpdateReport:
+def run_update(gateway: "Gateway", config: "Config", jobs: int) -> UpdateReport:
     """Regenerate docs for staged changes and stage the results.
 
     Nothing is written to the store or the pages unless every planned object
     regenerates successfully, so a failed update leaves the repository
     exactly as it was and the commit can be retried.
     """
-    repo_root = Path(repo_root)
+    repo_root = config.repo_root
     cache = ParseCache(require_git_repo(repo_root))
     store_path = repo_root / config.store_path
     with _update_lock(store_path.parent):
@@ -350,8 +341,7 @@ def run_update(
         old_graph = store.graph_snapshot or empty_graph()
         plan = plan_updates(diff_objects(old_graph, graph))
 
-        options = GenerationOptions.from_config(config, jobs)
-        run = generate_all(graph, gateway, store, options, only=plan.regenerate_ids)
+        run = generate_all(graph, gateway, store, config, jobs, only=plan.regenerate_ids)
         report = UpdateReport(
             staged=staged,
             plan=plan,

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .change_tracker import _update_lock, git_dir, install_hook, run_update
 from .config import build_gateway, load_config
-from .doc_pipeline import GenerationOptions, generate_all, load_store, save_store
+from .doc_pipeline import generate_all, load_store, save_store
 from .errors import (
     CorruptStoreError,
     NotAGitRepoError,
@@ -47,7 +47,9 @@ def _common_options() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--repo", default=".", help="repository root (default: cwd)")
     common.add_argument("--config", default=None, help="config file (default: <repo>/.repodoc.json)")
-    common.add_argument("--jobs", type=int, default=1, help="objects generated at once (default: 1)")
+    common.add_argument(
+        "--jobs", type=int, default=1, help="objects generated at once (default: %(default)s)"
+    )
     common.add_argument("--json", action="store_true", help="machine readable output")
     common.add_argument("--verbose", action="store_true", help="log progress details")
     return common
@@ -107,8 +109,7 @@ def cmd_generate(args) -> int:
     with _update_lock(store_path.parent):
         graph, parsed_files = _build_current_graph(config)
         store = load_store(store_path)
-        options = GenerationOptions.from_config(config, args.jobs)
-        report = generate_all(graph, gateway, store, options)
+        report = generate_all(graph, gateway, store, config, args.jobs)
         # partial progress is kept even when some objects failed
         if store.changed:
             save_store(store, store_path)
@@ -137,7 +138,7 @@ def cmd_generate(args) -> int:
 def cmd_update(args) -> int:
     config = load_config(args.repo, args.config)
     gateway = build_gateway(config)
-    report = run_update(config.repo_root, gateway, config, jobs=args.jobs)
+    report = run_update(gateway, config, args.jobs)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     elif report.ok:
@@ -185,6 +186,18 @@ def cmd_graph(args) -> int:
     return EXIT_PARSE_ERRORS if graph.parse_errors else EXIT_OK
 
 
+def _load_reference_truth(path: str) -> dict[str, set[str]]:
+    """Ground truth references: a JSON object mapping each object id to the
+    list of ids it references."""
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read reference file {path}: {exc}") from exc
+    if not isinstance(raw, dict) or not all(isinstance(refs, list) for refs in raw.values()):
+        raise UsageError(f"reference file {path} must map object ids to lists of ids")
+    return {oid: set(refs) for oid, refs in raw.items()}
+
+
 def cmd_eval(args) -> int:
     config = load_config(args.repo, args.config)
     store = load_store(config.repo_root / config.store_path)
@@ -194,8 +207,7 @@ def cmd_eval(args) -> int:
     report = evaluate_docs(docs, store.graph_snapshot, args.param_metric)
     payload = json.loads(report.to_json())
     if args.refs:
-        truth_raw = json.loads(Path(args.refs).read_text(encoding="utf-8"))
-        truth = {oid: set(refs) for oid, refs in truth_raw.items()}
+        truth = _load_reference_truth(args.refs)
         payload["reference_recall"] = round(reference_recall(store.graph_snapshot, truth), 6)
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))

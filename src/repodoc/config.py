@@ -17,11 +17,12 @@ from .llm_gateway import (
     MockProvider,
     Provider,
 )
-from .prompt_engine import DEFAULT_COMPLETION_RESERVE, ModelTier
+from .prompt_engine import ModelTier
 
 CONFIG_FILENAME = ".repodoc.json"
 DEFAULT_DOC_DIR = "markdown_docs"
 DEFAULT_STORE_PATH = ".project_doc_record/project_hierarchy.json"
+DEFAULT_COMPLETION_RESERVE = 1024
 
 DEFAULT_TIERS = (
     ModelTier("base-4k", 4000),

@@ -17,18 +17,12 @@ import re
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from .errors import CorruptStoreError, OverBudgetError, ProviderError, StoreWriteError
 from .llm_gateway import CompletionRequest, Gateway
 from .project_graph import DIR, REPO, RepoGraph, topological_order
-from .prompt_engine import (
-    DEFAULT_COMPLETION_RESERVE,
-    ModelTier,
-    assemble_context,
-    fit_to_budget,
-    render_prompt,
-)
+from .prompt_engine import assemble_context, fit_to_budget, render_prompt
 from .source_model import CLASS, CodeObject, write_atomically
 
 if TYPE_CHECKING:
@@ -288,27 +282,6 @@ def load_store(path: str | Path) -> DocStore:
 
 
 @dataclass
-class GenerationOptions:
-    tiers: Sequence[ModelTier]
-    reserve: int = DEFAULT_COMPLETION_RESERVE
-    temperature: float = 0.1
-    doc_language: str = "English"
-    child_docs_enabled: bool = False
-    jobs: int = 1  # objects generated at once, hence provider requests in flight
-
-    @classmethod
-    def from_config(cls, config: "Config", jobs: int) -> "GenerationOptions":
-        return cls(
-            tiers=config.provider.tiers,
-            reserve=config.completion_reserve_tokens,
-            temperature=config.provider.temperature,
-            doc_language=config.doc_language,
-            child_docs_enabled=config.child_docs_enabled,
-            jobs=jobs,
-        )
-
-
-@dataclass
 class RunReport:
     """Outcome of one generate/update run."""
 
@@ -369,7 +342,7 @@ def _generate_one(
     gateway: Gateway,
     store: DocStore,
     object_id: str,
-    options: GenerationOptions,
+    config: Config,
     allow_missing: frozenset[str],
 ) -> tuple[DocRecord, int, int] | OverBudgetError | ProviderError:
     """One object's record and token counts, or the error that failed it."""
@@ -378,17 +351,18 @@ def _generate_one(
         graph,
         store,
         object_id,
-        child_docs_enabled=options.child_docs_enabled,
-        doc_language=options.doc_language,
+        child_docs_enabled=config.child_docs_enabled,
+        doc_language=config.doc_language,
         allow_missing=allow_missing,
     )
+    reserve = config.completion_reserve_tokens
     try:
-        ctx, tier = fit_to_budget(ctx, list(options.tiers), options.reserve)
+        ctx, tier = fit_to_budget(ctx, config.provider.tiers, reserve)
         request = CompletionRequest(
             model=tier.name,
             prompt=render_prompt(ctx),
-            max_completion_tokens=options.reserve,
-            temperature=options.temperature,
+            max_completion_tokens=reserve,
+            temperature=config.provider.temperature,
         )
         response = gateway.complete(request, context_id=object_id)
     except (OverBudgetError, ProviderError) as exc:
@@ -406,7 +380,8 @@ def generate_all(
     graph: RepoGraph,
     gateway: Gateway,
     store: DocStore,
-    options: GenerationOptions,
+    config: Config,
+    jobs: int,
     *,
     only: set[str] | None = None,
 ) -> RunReport:
@@ -418,10 +393,11 @@ def generate_all(
     ``only`` restricts generation to the given ids (used by updates).
 
     An object is dispatched once all of its pending callees and children have
-    finished, lowest topological rank first, to at most ``options.jobs``
-    workers. With one job it runs on the calling thread, so ``generated`` is
-    the topological order filtered to the pending objects. Workers only
-    generate; this thread records every outcome.
+    finished, lowest topological rank first, to at most ``jobs`` workers, so
+    at most that many provider requests are in flight. With one job it runs
+    on the calling thread, so ``generated`` is the topological order filtered
+    to the pending objects. Workers only generate; this thread records every
+    outcome. The settings of each request are read from ``config``.
 
     The graph then becomes the store's snapshot, and the records of objects
     it no longer holds are dropped. The store is marked changed when a doc
@@ -469,14 +445,14 @@ def generate_all(
             if not blockers[dep]:
                 heapq.heappush(ready, rank[dep])
 
-    jobs = max(1, options.jobs)
+    jobs = max(1, jobs)
     pool = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else None
     running: dict[Future, str] = {}
     try:
         while ready or running:
             while ready and len(running) < jobs:
                 oid = pending[heapq.heappop(ready)]
-                args = (graph, gateway, store, oid, options, allow_missing)
+                args = (graph, gateway, store, oid, config, allow_missing)
                 if pool is None:
                     finish(oid, _generate_one(*args))
                 else:

@@ -19,6 +19,7 @@ MOCK_SCHEME = "mock:"
 API_KEY_ENV = "REPODOC_API_KEY"
 
 _BACKOFF_SCHEDULE = (1.0, 2.0, 4.0)
+REQUEST_TIMEOUT_S = 120.0
 
 
 @dataclass(frozen=True)
@@ -26,7 +27,7 @@ class CompletionRequest:
     model: str
     prompt: str
     max_completion_tokens: int
-    temperature: float = 0.1
+    temperature: float
 
     def validate(self) -> None:
         if not self.prompt:
@@ -98,17 +99,9 @@ class MockProvider:
 class HttpChatProvider:
     """Minimal OpenAI-style chat completion client."""
 
-    def __init__(
-        self,
-        base_url: str,
-        api_key: str | None,
-        *,
-        session: object | None = None,
-        timeout: float = 120.0,
-    ) -> None:
+    def __init__(self, base_url: str, api_key: str | None, *, session: object | None = None) -> None:
         self._base_url = base_url.rstrip("/")
         self._api_key = api_key
-        self._timeout = timeout
         if session is None:
             import requests
 
@@ -132,7 +125,7 @@ class HttpChatProvider:
                 f"{self._base_url}/chat/completions",
                 json=payload,
                 headers=headers,
-                timeout=self._timeout,
+                timeout=REQUEST_TIMEOUT_S,
             )
         except requests.RequestException as exc:
             raise TransientProviderError(f"request failed: {exc}") from exc
@@ -147,9 +140,13 @@ class HttpChatProvider:
         try:
             data = response.json()
             text = data["choices"][0]["message"]["content"]
-            usage = data.get("usage", {})
+            usage = data.get("usage") or {}  # some providers send "usage": null
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise ProviderError(f"malformed provider response: {exc}") from exc
+        if not isinstance(text, str):
+            raise ProviderError(
+                f"malformed provider response: content is {type(text).__name__}, not a string"
+            )
         return CompletionResponse(
             text=text,
             prompt_tokens=int(usage.get("prompt_tokens", estimate_tokens(request.prompt))),
@@ -168,7 +165,7 @@ class Gateway:
         self,
         provider: Provider,
         *,
-        retries: int = 3,
+        retries: int,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         self.provider = provider

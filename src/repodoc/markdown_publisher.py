@@ -86,7 +86,7 @@ def write_site(graph: RepoGraph, store: DocStore, out_dir: str | Path) -> list[s
     for rel, body in sorted(expected.items()):
         target = out_dir / PurePosixPath(rel)
         target.parent.mkdir(parents=True, exist_ok=True)
-        if target.exists() and target.read_text(encoding="utf-8") == body:
+        if target.exists() and target.read_bytes() == body.encode("utf-8"):
             continue
         target.write_text(body, encoding="utf-8", newline="\n")
         written.append(rel)

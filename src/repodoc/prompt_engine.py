@@ -20,8 +20,6 @@ from .source_model import CLASS, CodeObject
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_COMPLETION_RESERVE = 1024
-
 ROLE_PREAMBLE = (
     "You are an AI documentation assistant, and your task is to generate documentation based "
     "on the given code of an object. The purpose of the documentation is to help developers "
@@ -87,7 +85,7 @@ class PromptContext:
     callee_blocks: tuple[RefBlock, ...]
     caller_blocks: tuple[RefBlock, ...]
     child_docs: tuple[tuple[str, str], ...] | None  # None when disabled
-    doc_language: str = "English"
+    doc_language: str
     hierarchy_compact: str = ""  # ancestor chain only; budget fallback
 
 
@@ -119,8 +117,8 @@ def assemble_context(
     store: "object",
     object_id: str,
     *,
-    child_docs_enabled: bool = False,
-    doc_language: str = "English",
+    child_docs_enabled: bool,
+    doc_language: str,
     allow_missing: frozenset[str] | set[str] = frozenset(),
 ) -> PromptContext:
     """Collect hierarchy, callee/caller blocks and optional child docs.
@@ -258,9 +256,7 @@ def estimate_tokens(text: str) -> int:
     return math.ceil(len(text.encode("utf-8")) / 4)
 
 
-def choose_tier(
-    estimate: int, tiers: Sequence[ModelTier], reserve: int = DEFAULT_COMPLETION_RESERVE
-) -> ModelTier | None:
+def choose_tier(estimate: int, tiers: Sequence[ModelTier], reserve: int) -> ModelTier | None:
     """Smallest tier whose window fits the prompt plus the completion reserve."""
     for tier in tiers:
         if tier.context_window >= estimate + reserve:
@@ -308,7 +304,7 @@ REDUCTION_STEPS: tuple[tuple[str, object], ...] = (
 def fit_to_budget(
     ctx: PromptContext,
     tiers: Sequence[ModelTier],
-    reserve: int = DEFAULT_COMPLETION_RESERVE,
+    reserve: int,
 ) -> tuple[PromptContext, ModelTier]:
     """Pick a tier, applying fixed reductions only when none fits.
 

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repodoc.doc_pipeline import DocStore, GenerationOptions, generate_all
+from repodoc.config import Config
+from repodoc.doc_pipeline import DocStore, generate_all
 from repodoc.llm_gateway import (
     CompletionRequest,
     CompletionResponse,
@@ -24,14 +25,8 @@ from repodoc.llm_gateway import (
     TransientProviderError,
 )
 from repodoc.project_graph import RepoGraph, build_graph
-from repodoc.prompt_engine import ModelTier
+from repodoc.prompt_engine import PromptContext, assemble_context
 from repodoc.source_model import parse_repository, scan_repository
-
-DEFAULT_TEST_TIERS = (
-    ModelTier("base-4k", 4000),
-    ModelTier("extended-16k", 16000),
-    ModelTier("long-128k", 128000),
-)
 
 DEMO_FILES = {
     "a.py": (
@@ -207,13 +202,22 @@ def make_gateway() -> Gateway:
     return Gateway(CapturingProvider(), retries=0)
 
 
-def make_options(**overrides) -> GenerationOptions:
-    defaults = dict(tiers=DEFAULT_TEST_TIERS, reserve=1024)
-    defaults.update(overrides)
-    return GenerationOptions(**defaults)
+def make_config(root: Path, **overrides) -> Config:
+    """The default configuration of ``root`` with the given fields replaced."""
+    return Config(repo_root=root, **overrides)
 
 
-def generate_repo(root: Path, **option_overrides):
+def context_for(graph: RepoGraph, store, object_id: str, **overrides) -> PromptContext:
+    """``assemble_context`` with the prompt settings of the default configuration."""
+    config = make_config(Path("."))
+    settings = dict(
+        child_docs_enabled=config.child_docs_enabled, doc_language=config.doc_language
+    )
+    settings.update(overrides)
+    return assemble_context(graph, store, object_id, **settings)
+
+
+def generate_repo(root: Path, jobs: int = 1, **config_overrides):
     """Full mock generation; returns (graph, store, report, gateway).
 
     ``gateway.provider`` records what the run sent and received.
@@ -221,21 +225,25 @@ def generate_repo(root: Path, **option_overrides):
     graph = build_repo_graph(root)
     store = DocStore()
     gateway = make_gateway()
-    report = generate_all(graph, gateway, store, make_options(**option_overrides))
+    report = generate_all(graph, gateway, store, make_config(root, **config_overrides), jobs)
     return graph, store, report, gateway
 
 
 class CapturingProvider:
-    """Mock provider that also records every prompt it receives and every
+    """Mock provider that also records every request it receives and every
     response it returns."""
 
     def __init__(self) -> None:
         self._inner = MockProvider()
-        self.prompts: list[str] = []
+        self.requests: list[CompletionRequest] = []
         self.responses: list[CompletionResponse] = []
 
+    @property
+    def prompts(self) -> list[str]:
+        return [request.prompt for request in self.requests]
+
     def send(self, request: CompletionRequest) -> CompletionResponse:
-        self.prompts.append(request.prompt)
+        self.requests.append(request)
         response = self._inner.send(request)
         self.responses.append(response)
         return response

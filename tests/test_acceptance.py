@@ -59,7 +59,7 @@ from .helpers import (
     build_repo_graph,
     generate_repo,
     make_gateway,
-    make_options,
+    make_config,
     write_tree,
 )
 
@@ -183,7 +183,7 @@ def test_criterion_3_rerun_makes_no_requests_and_no_byte_changes(demo_repo):
     before = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*.md"))}
 
     gateway = make_gateway()
-    report = generate_all(graph, gateway, store, make_options())
+    report = generate_all(graph, gateway, store, make_config(demo_repo), 1)
     rewritten = write_site(graph, store, out)
     after = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*.md"))}
 
@@ -475,7 +475,7 @@ def test_criterion_8_store_integrity(git_demo_repo, tmp_path):
     repo = git_demo_repo
     git(repo, "add", "-A")
     config = load_config(repo)
-    report = run_update(repo, make_gateway(), config)
+    report = run_update(make_gateway(), config, 1)
     assert report.ok
     git(repo, "commit", "-qm", "seed")
 
@@ -497,7 +497,7 @@ def test_criterion_8_store_integrity(git_demo_repo, tmp_path):
     )
     git(repo, "add", "a.py")
     failing = Gateway(FailingProvider(frozenset({"f"})), retries=0)
-    failed_report = run_update(repo, failing, config)
+    failed_report = run_update(failing, config, 1)
     assert not failed_report.ok
     assert store_path.read_bytes() == before
     print(

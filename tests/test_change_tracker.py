@@ -468,7 +468,7 @@ def test_run_update_without_staged_changes(git_demo_repo):
     git(git_demo_repo, "add", "-A")
     git(git_demo_repo, "commit", "-qm", "seed")
     config = load_config(git_demo_repo)
-    report = run_update(git_demo_repo, make_gateway(), config)
+    report = run_update(make_gateway(), config, 1)
     assert report.ok and not report.staged
     assert report.summary_line() == (
         "Passed: documentation in sync (no staged Python changes)"
@@ -478,7 +478,7 @@ def test_run_update_without_staged_changes(git_demo_repo):
 
 def run_full_update(repo, gateway=None):
     config = load_config(repo)
-    return run_update(repo, gateway or make_gateway(), config), config
+    return run_update(gateway or make_gateway(), config, 1), config
 
 
 def test_run_update_generates_and_stages_everything(git_demo_repo):
@@ -587,7 +587,7 @@ def test_run_update_incremental_edit_touches_one_object(git_demo_repo):
 def test_run_update_outside_git_repo(tmp_path):
     write_tree(tmp_path, DEMO_FILES)
     with pytest.raises(NotAGitRepoError):
-        run_update(tmp_path, make_gateway(), load_config(tmp_path))
+        run_update(make_gateway(), load_config(tmp_path), 1)
 
 
 def test_run_update_respects_lock(git_demo_repo):
@@ -597,7 +597,7 @@ def test_run_update_respects_lock(git_demo_repo):
     lock_dir.mkdir(parents=True, exist_ok=True)
     (lock_dir / ".lock").write_text(str(os.getpid()), encoding="ascii")
     with pytest.raises(LockError):
-        run_update(git_demo_repo, make_gateway(), config)
+        run_update(make_gateway(), config, 1)
     (lock_dir / ".lock").unlink()
 
 

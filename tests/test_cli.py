@@ -233,6 +233,20 @@ def test_eval_requires_store(demo_repo, capsys):
     assert "no doc store found" in err
 
 
+def test_eval_rejects_an_unreadable_reference_file(demo_repo, tmp_path, capsys):
+    run_cli("generate", "--repo", demo_repo, capsys=capsys)
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"a.py/g": [', encoding="utf-8")
+    listed = tmp_path / "listed.json"
+    listed.write_text('["a.py/f"]', encoding="utf-8")
+    for refs in (tmp_path / "missing.json", tmp_path, broken, listed):
+        code, out, err = run_cli("eval", "--repo", demo_repo, "--refs", refs, capsys=capsys)
+        assert code == 1, refs
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(refs) in err
+
+
 def test_generate_accepts_jobs_flag(demo_repo, capsys):
     code, out, _ = run_cli("generate", "--repo", demo_repo, "--jobs", 2, capsys=capsys)
     assert code == 0

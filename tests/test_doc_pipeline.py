@@ -18,9 +18,11 @@ from repodoc.doc_pipeline import (
     record_from_parsed,
     save_store,
 )
+from repodoc.config import load_config
 from repodoc.errors import CorruptStoreError
 from repodoc.llm_gateway import Gateway, MockProvider
 from repodoc.project_graph import topological_order
+from repodoc.prompt_engine import CHILD_DOCS_INTRO
 
 from .helpers import (
     DEMO_TOPO_ORDER,
@@ -29,7 +31,7 @@ from .helpers import (
     build_repo_graph,
     generate_repo,
     make_gateway,
-    make_options,
+    make_config,
     write_tree,
 )
 
@@ -259,10 +261,41 @@ def test_generate_all_demo_order_and_records(demo_repo):
     assert store.graph_snapshot is graph
 
 
+def test_generate_all_reads_every_generation_setting_from_config(demo_repo):
+    settings = {
+        "doc_language": "Deutsch",
+        "child_docs_enabled": True,
+        "completion_reserve_tokens": 700,
+        "provider": {
+            "temperature": 0.55,
+            "tiers": [
+                {"name": "small-6k", "context_window": 6000},
+                {"name": "large-60k", "context_window": 60000},
+            ],
+        },
+    }
+    (demo_repo / ".repodoc.json").write_text(json.dumps(settings), encoding="utf-8")
+    config = load_config(demo_repo)
+    graph = build_repo_graph(demo_repo)
+    gateway = make_gateway()
+    report = generate_all(graph, gateway, DocStore(), config, 1)
+
+    assert report.ok and report.generated == DEMO_TOPO_ORDER
+    requests = gateway.provider.requests
+    assert len(requests) == len(DEMO_TOPO_ORDER)
+    for oid, request in zip(report.generated, requests):
+        assert (request.model, request.max_completion_tokens) == ("small-6k", 700), oid
+        assert request.temperature == 0.55, oid
+        assert "in language Deutsch to serve" in request.prompt, oid
+        assert "for the target object in Deutsch in" in request.prompt, oid
+    class_prompt = requests[report.generated.index("a.py/C")].prompt
+    assert CHILD_DOCS_INTRO + "\n\nOBJ_NAME: m\nOBJ_PATH: a.py/C/m" in class_prompt
+
+
 def test_generate_all_second_run_skips_everything(demo_repo):
     graph, store, _, _ = generate_repo(demo_repo)
     gateway = make_gateway()
-    report = generate_all(graph, gateway, store, make_options())
+    report = generate_all(graph, gateway, store, make_config(demo_repo), 1)
     assert report.generated == []
     assert report.skipped == DEMO_TOPO_ORDER
     assert gateway.provider.prompts == []
@@ -273,7 +306,7 @@ def test_generate_all_regenerates_on_stale_hash(demo_repo):
     record = store.records["a.py/f"]
     store.records["a.py/f"] = replace(record, source_hash="0" * 64)
     gateway = make_gateway()
-    report = generate_all(graph, gateway, store, make_options())
+    report = generate_all(graph, gateway, store, make_config(demo_repo), 1)
     assert report.generated == ["a.py/f"]
     assert len(gateway.provider.prompts) == 1
 
@@ -282,13 +315,13 @@ def test_generate_all_only_filter(demo_repo):
     graph, store, _, _ = generate_repo(demo_repo)
     gateway = make_gateway()
     report = generate_all(
-        graph, gateway, store, make_options(), only={"a.py/f", "a.py/g"}
+        graph, gateway, store, make_config(demo_repo), 1, only={"a.py/f", "a.py/g"}
     )
     # records are fresh, so even the named objects are up to date
     assert report.generated == [] and gateway.provider.prompts == []
     store.records.pop("a.py/f")
     store.records.pop("util/b.py/h")
-    report = generate_all(graph, gateway, store, make_options(), only={"a.py/f"})
+    report = generate_all(graph, gateway, store, make_config(demo_repo), 1, only={"a.py/f"})
     assert report.generated == ["a.py/f"]
     assert "util/b.py/h" in report.skipped
 
@@ -300,7 +333,7 @@ def test_missing_prerequisite_renders_none_and_warns(demo_repo, caplog):
     gateway = Gateway(provider, retries=0)
     with caplog.at_level(logging.WARNING, logger="repodoc.doc_pipeline"):
         report = generate_all(
-            graph, gateway, store, make_options(), only={"a.py/g"}
+            graph, gateway, store, make_config(demo_repo), 1, only={"a.py/g"}
         )
     assert report.generated == ["a.py/g"]
     assert "a.py/f" in caplog.text and "rendering None" in caplog.text
@@ -312,7 +345,7 @@ def test_failures_do_not_stop_the_run(demo_repo):
     graph = build_repo_graph(demo_repo)
     store = DocStore()
     gateway = Gateway(FailingProvider(frozenset({"f"})), retries=0)
-    report = generate_all(graph, gateway, store, make_options())
+    report = generate_all(graph, gateway, store, make_config(demo_repo), 1)
     assert not report.ok
     assert set(report.failures) == {"a.py/f"}
     assert "synthetic failure" in report.failures["a.py/f"]
@@ -355,7 +388,7 @@ def test_two_jobs_overlap_provider_sends(tmp_path):
     write_tree(tmp_path, {"m.py": "def a():\n    return 1\n\n\ndef b():\n    return 2\n"})
     graph = build_repo_graph(tmp_path)
     gateway = Gateway(BarrierProvider(2), retries=0)
-    report = generate_all(graph, gateway, DocStore(), make_options(jobs=2))
+    report = generate_all(graph, gateway, DocStore(), make_config(tmp_path), 2)
     assert report.ok
     assert sorted(report.generated) == ["m.py/a", "m.py/b"]
 
@@ -369,6 +402,6 @@ def test_single_job_follows_filtered_topological_order(tmp_path):
     only = {"m.py/b", "m.py/c"}
     for oid in only:
         store.records.pop(oid)
-    report = generate_all(graph, make_gateway(), store, make_options(jobs=1), only=only)
+    report = generate_all(graph, make_gateway(), store, make_config(tmp_path), 1, only=only)
     assert report.generated == [oid for oid in topological_order(graph) if oid in only]
     assert report.generated == ["m.py/c", "m.py/b"]

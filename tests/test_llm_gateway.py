@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -14,18 +15,20 @@ from repodoc.llm_gateway import (
     MockProvider,
     TransientProviderError,
 )
-from repodoc.prompt_engine import assemble_context, render_prompt
+from repodoc.prompt_engine import estimate_tokens, render_prompt
 
-from .helpers import generate_repo
+from .helpers import context_for, generate_repo
 
 
 def request_for(prompt: str) -> CompletionRequest:
-    return CompletionRequest(model="base-4k", prompt=prompt, max_completion_tokens=256)
+    return CompletionRequest(
+        model="base-4k", prompt=prompt, max_completion_tokens=256, temperature=0.1
+    )
 
 
 def prompt_for(demo_repo, object_id: str) -> str:
     graph, store, _, _ = generate_repo(demo_repo)
-    return render_prompt(assemble_context(graph, store, object_id))
+    return render_prompt(context_for(graph, store, object_id))
 
 
 def test_mock_doc_for_function_with_param(demo_repo):
@@ -114,11 +117,11 @@ def test_gateway_does_not_retry_authentication_errors():
 
 
 def test_gateway_validates_requests():
-    gateway = Gateway(MockProvider())
+    gateway = Gateway(MockProvider(), retries=0)
     with pytest.raises(ValueError):
-        gateway.complete(CompletionRequest(model="m", prompt="", max_completion_tokens=8))
+        gateway.complete(request_for(""))
     with pytest.raises(ValueError):
-        gateway.complete(CompletionRequest(model="m", prompt="x", max_completion_tokens=0))
+        gateway.complete(replace(request_for("x"), max_completion_tokens=0))
 
 
 class _FakeHttpResponse:
@@ -181,4 +184,23 @@ def test_http_provider_malformed_body():
     session = _FakeSession(_FakeHttpResponse(200, {"choices": []}))
     provider = HttpChatProvider("https://api.example.test", "k", session=session)
     with pytest.raises(ProviderError):
+        provider.send(request_for("x"))
+
+
+def test_http_provider_null_usage_falls_back_to_estimates():
+    payload = {"choices": [{"message": {"content": "**f**: doc"}}], "usage": None}
+    session = _FakeSession(_FakeHttpResponse(200, payload))
+    provider = HttpChatProvider("https://api.example.test", "k", session=session)
+    response = provider.send(request_for("hello"))
+    assert response.text == "**f**: doc"
+    assert response.prompt_tokens == estimate_tokens("hello")
+    assert response.completion_tokens == estimate_tokens("**f**: doc")
+
+
+@pytest.mark.parametrize("content", [None, 7, ["**f**: doc"]])
+def test_http_provider_non_string_content_is_a_provider_error(content):
+    payload = {"choices": [{"message": {"content": content}}]}
+    session = _FakeSession(_FakeHttpResponse(200, payload))
+    provider = HttpChatProvider("https://api.example.test", "k", session=session)
+    with pytest.raises(ProviderError, match="malformed provider response"):
         provider.send(request_for("x"))

@@ -163,6 +163,16 @@ def test_write_site_roundtrip_and_idempotence(demo_repo, tmp_path):
     assert write_site(graph, store, out) == []
 
 
+def test_write_site_rewrites_a_page_that_is_not_utf8(demo_repo, tmp_path):
+    graph, store, _, _ = generate_repo(demo_repo)
+    out = tmp_path / "site"
+    write_site(graph, store, out)
+    (out / "a.md").write_bytes(b"# a.py\n\nhand-edited \xff\xfe\n")
+    assert write_site(graph, store, out) == ["a.md"]
+    assert (out / "a.md").read_text(encoding="utf-8") == EXPECTED_A_MD
+    assert write_site(graph, store, out) == []
+
+
 def test_write_site_prunes_stale_pages(demo_repo, tmp_path):
     graph, store, _, _ = generate_repo(demo_repo)
     out = tmp_path / "site"

@@ -18,7 +18,6 @@ from repodoc.prompt_engine import (
     ModelTier,
     PromptContext,
     RefBlock,
-    assemble_context,
     choose_tier,
     estimate_tokens,
     fit_to_budget,
@@ -26,7 +25,7 @@ from repodoc.prompt_engine import (
     render_prompt,
 )
 
-from .helpers import build_repo_graph, generate_repo
+from .helpers import build_repo_graph, context_for, generate_repo
 
 TARGET_LINE = re.compile(r"^\s*\*[^*]", re.MULTILINE)
 
@@ -68,14 +67,14 @@ def test_hierarchy_render_frozen(demo_repo):
 def test_every_prompt_marks_exactly_one_target(demo_repo):
     graph, store, report, _ = generate_repo(demo_repo)
     for oid in graph.objects:
-        ctx = assemble_context(graph, store, oid, allow_missing=set(graph.objects))
+        ctx = context_for(graph, store, oid, allow_missing=set(graph.objects))
         marks = TARGET_LINE.findall(render_prompt(ctx))
         assert len(marks) == 1, oid
 
 
 def test_prompt_layout_for_demo_g(demo_repo):
     graph, store, _, _ = generate_repo(demo_repo)
-    ctx = assemble_context(graph, store, "a.py/g")
+    ctx = context_for(graph, store, "a.py/g")
     prompt = render_prompt(ctx)
 
     assert 'for a Function, whose name is "g".' in prompt
@@ -97,7 +96,7 @@ def test_prompt_layout_for_demo_g(demo_repo):
 
 def test_prompt_for_class_uses_attributes_and_child_docs(demo_repo):
     graph, store, _, _ = generate_repo(demo_repo)
-    ctx = assemble_context(graph, store, "a.py/C", child_docs_enabled=True)
+    ctx = context_for(graph, store, "a.py/C", child_docs_enabled=True)
     prompt = render_prompt(ctx)
     assert 'for a Class, whose name is "C".' in prompt
     assert "**Attributes**: The attributes of this Class." in prompt
@@ -122,7 +121,7 @@ def test_no_output_example_instruction_without_return(tmp_path):
         "def log(msg):\n    print(msg)\n", encoding="utf-8"
     )
     graph = build_repo_graph(tmp_path)
-    ctx = assemble_context(graph, DocStore(), "a.py/log")
+    ctx = context_for(graph, DocStore(), "a.py/log")
     assert OUTPUT_EXAMPLE_INSTRUCTION not in render_prompt(ctx)
 
 
@@ -130,17 +129,17 @@ def test_assemble_requires_callee_docs(demo_repo):
     graph = build_repo_graph(demo_repo)
     empty = DocStore()
     with pytest.raises(SchedulingError):
-        assemble_context(graph, empty, "a.py/g")  # callee f has no doc yet
-    ctx = assemble_context(graph, empty, "a.py/g", allow_missing={"a.py/f"})
+        context_for(graph, empty, "a.py/g")  # callee f has no doc yet
+    ctx = context_for(graph, empty, "a.py/g", allow_missing={"a.py/f"})
     assert ctx.callee_blocks[0].doc == "None"
     # caller docs are always optional
-    ctx = assemble_context(graph, empty, "a.py/f")
+    ctx = context_for(graph, empty, "a.py/f")
     assert all(b.doc == "None" for b in ctx.caller_blocks)
 
 
 def _fat_context(demo_repo) -> PromptContext:
     graph, store, _, _ = generate_repo(demo_repo)
-    ctx = assemble_context(graph, store, "a.py/g")
+    ctx = context_for(graph, store, "a.py/g")
     fat = "#" * 4000
     return PromptContext(
         target=ctx.target,
@@ -152,13 +151,14 @@ def _fat_context(demo_repo) -> PromptContext:
             RefBlock(id=b.id, doc=b.doc, snippet=fat) for b in ctx.caller_blocks
         ),
         child_docs=None,
+        doc_language=ctx.doc_language,
         hierarchy_compact=ctx.hierarchy_compact,
     )
 
 
 def test_fit_to_budget_prefers_smallest_tier(demo_repo):
     graph, store, _, _ = generate_repo(demo_repo)
-    ctx = assemble_context(graph, store, "a.py/g")
+    ctx = context_for(graph, store, "a.py/g")
     tiers = [ModelTier("small", 4000), ModelTier("large", 16000)]
     fitted, tier = fit_to_budget(ctx, tiers, reserve=1024)
     assert tier.name == "small"
