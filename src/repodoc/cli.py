@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .change_tracker import _update_lock, git_dir, install_hook, run_update
 from .config import build_gateway, load_config
-from .doc_pipeline import generate_all, load_store, save_store
+from .doc_pipeline import generate_all, load_store, record_snapshot, save_store
 from .errors import (
     CorruptStoreError,
     NotAGitRepoError,
@@ -85,10 +85,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_current_graph(config):
-    """The working tree's graph, and how many files had to be parsed."""
+def _build_current_graph(config, repo_git):
+    """The working tree's graph, and how many files had to be parsed;
+    ``repo_git`` is the repository's git directory, if any."""
     files = scan_repository(config.repo_root, config.ignore)
-    cache = ParseCache(git_dir(config.repo_root))
+    cache = ParseCache(repo_git)
     parses = parse_repository(config.repo_root, files, cache)
     return build_graph(files, parses), cache.parsed
 
@@ -107,12 +108,15 @@ def cmd_generate(args) -> int:
     gateway = build_gateway(config)
     store_path = config.repo_root / config.store_path
     with _update_lock(store_path.parent):
-        graph, parsed_files = _build_current_graph(config)
+        repo_git = git_dir(config.repo_root)
+        graph, parsed_files = _build_current_graph(config, repo_git)
         store = load_store(store_path)
         report = generate_all(graph, gateway, store, config, args.jobs)
         # partial progress is kept even when some objects failed
         if store.changed:
             save_store(store, store_path)
+            if repo_git is not None:
+                record_snapshot(store, repo_git)
         pages = write_site(graph, store, config.repo_root / config.doc_dir)
     if args.json:
         payload = report.to_dict()
@@ -178,7 +182,7 @@ def cmd_publish(args) -> int:
 
 def cmd_graph(args) -> int:
     config = load_config(args.repo, args.config)
-    graph, _parsed_files = _build_current_graph(config)
+    graph, _parsed_files = _build_current_graph(config, git_dir(config.repo_root))
     if args.format == "dot":
         print(graph_to_dot(graph))
     else:

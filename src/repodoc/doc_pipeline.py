@@ -9,28 +9,31 @@ against; it is the unit of persistence, diffing and Git tracking.
 from __future__ import annotations
 
 import datetime as _dt
+import hashlib
 import heapq
-import itertools
 import json
 import logging
 import re
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import CorruptStoreError, OverBudgetError, ProviderError, StoreWriteError
 from .llm_gateway import CompletionRequest, Gateway
 from .project_graph import DIR, REPO, RepoGraph, topological_order
 from .prompt_engine import assemble_context, fit_to_budget, render_prompt
-from .source_model import CLASS, CodeObject, write_atomically
+from .source_model import CLASS, CodeObject, parser_identity, write_atomically
 
 if TYPE_CHECKING:
     from .config import Config
 
 logger = logging.getLogger(__name__)
 
-STORE_VERSION = 3
+# Bump whenever the layout changes or the resolver may give other edges for
+# the same parses: an older store is migrated on load, and since its
+# snapshot's digest names the older version, the hook reuses no file of it.
+STORE_VERSION = 4
 
 PARAM_LABEL = "parameters"
 ATTRIBUTE_LABEL = "Attributes"
@@ -220,6 +223,25 @@ def _children_in_source_order(graph_data: dict) -> None:
             entry["children"].sort(key=lambda oid: nodes[oid]["meta"]["line_span"][0])
 
 
+# the file in a repository's git directory that holds the digest of the
+# snapshot last saved there; it never reaches a commit
+SNAPSHOT_DIGEST_NAME = "repodoc-snapshot-digest"
+
+
+def _snapshot_digest(graph: RepoGraph) -> str:
+    """The digest of what the hook takes from a snapshot unparsed: each
+    node's children, each file's blob id and parse error, and the edges,
+    with the store version and the ``parser_identity`` that gave them."""
+    data = [
+        STORE_VERSION,
+        parser_identity(),
+        [(nid, n.children, n.blob, n.parse_error) for nid, n in sorted(graph.nodes.items())],
+        [(e.caller, e.callee) for e in graph.edges],
+        [(e.caller, e.callee) for e in graph.removed_edges],
+    ]
+    return hashlib.sha256(json.dumps(data).encode("utf-8")).hexdigest()
+
+
 @dataclass
 class DocStore:
     """All doc records plus the graph snapshot of the last completed run."""
@@ -236,24 +258,82 @@ class DocStore:
         }
 
 
+def _store_text(store: DocStore) -> Iterator[str]:
+    """The text of ``store.to_dict()``: compact JSON with sorted keys, one
+    line per record, node and edge, and a final newline. Each line is built
+    and encoded on its own, so neither the text nor the dict is held whole."""
+    encode = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+
+    def lines(opener: str, members: Iterator[str], closer: str) -> Iterator[str]:
+        yield opener
+        separator = "\n"
+        for member in members:
+            yield separator + member
+            separator = ",\n"
+        yield "\n" + closer
+
+    graph = store.graph_snapshot
+    if graph is None:
+        yield '{"graph":null'
+    else:
+        yield '{"graph":{"edges":'
+        yield from lines("[", (encode(vars(e)) for e in graph.edges), "]")
+        yield ',"nodes":'
+        nodes = (f"{encode(nid)}:{encode(entry)}" for nid, entry in graph.node_entries())
+        yield from lines("{", nodes, "}")
+        yield ',"removed_edges":'
+        yield from lines("[", (encode(vars(e)) for e in graph.removed_edges), "]}")
+    yield ',"records":'
+    records = (f"{encode(oid)}:{encode(vars(store.records[oid]))}" for oid in sorted(store.records))
+    yield from lines("{", records, "}")
+    yield f',"version":{STORE_VERSION}}}\n'
+
+
 def save_store(store: DocStore, path: str | Path) -> None:
-    """Serialize atomically with ``write_atomically``: the bytes of
-    ``json.dumps(store.to_dict(), indent=2, sort_keys=True)`` and a newline,
-    encoded piece by piece so that the text is never held whole."""
+    """Serialize atomically with ``write_atomically``, one line per record,
+    node and edge (``_store_text``)."""
     path = Path(path)
-    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(store.to_dict())
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        write_atomically(path, itertools.chain(chunks, ["\n"]))
+        write_atomically(path, _store_text(store))
     except OSError as exc:
         raise StoreWriteError(f"cannot write doc store {path}: {exc}") from exc
+
+
+def record_snapshot(store: DocStore, git_dir: Path) -> None:
+    """After ``save_store``, write the saved snapshot's digest to the
+    repository's ``git_dir``; a digest that cannot be written is logged."""
+    if store.graph_snapshot is None:
+        return
+    path = git_dir / SNAPSHOT_DIGEST_NAME
+    try:
+        write_atomically(path, [_snapshot_digest(store.graph_snapshot) + "\n"])
+    except OSError as exc:
+        logger.info("snapshot digest %s not written: %s", path, exc)
+
+
+def recorded_snapshot(store: DocStore, git_dir: Path) -> RepoGraph | None:
+    """The store's snapshot if ``git_dir`` holds its digest, else None.
+
+    Only such a snapshot may lend the hook its files' objects and edges:
+    this repository's repodoc saved it under the same store version, parser
+    and Python, and it was not merged, checked out or edited since.
+    """
+    graph = store.graph_snapshot
+    if graph is None:
+        return None
+    try:
+        recorded = (git_dir / SNAPSHOT_DIGEST_NAME).read_text(encoding="utf-8")
+    except (OSError, ValueError):
+        return None
+    return graph if recorded == _snapshot_digest(graph) + "\n" else None
 
 
 def load_store(path: str | Path) -> DocStore:
     """Load the store; a missing file is an empty store, a broken one an error.
 
-    Version-1 and version-2 stores are migrated in memory; the next save
-    writes the current version.
+    Stores of versions 1 to 3 are migrated in memory; the next save writes
+    the current version.
     """
     path = Path(path)
     if not path.exists():
@@ -261,7 +341,7 @@ def load_store(path: str | Path) -> DocStore:
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
         version = data.get("version")
-        if version not in (1, 2, STORE_VERSION):
+        if version not in range(1, STORE_VERSION + 1):
             raise CorruptStoreError(
                 f"doc store {path} has version {version}, expected {STORE_VERSION}; "
                 "delete it and rerun generate to rebuild"
@@ -271,7 +351,7 @@ def load_store(path: str | Path) -> DocStore:
             for oid, rec in data.get("records", {}).items()
         }
         graph_data = data.get("graph")
-        if graph_data and version != STORE_VERSION:
+        if graph_data and version < 3:
             _children_in_source_order(graph_data)
         graph = RepoGraph.from_dict(graph_data) if graph_data else None
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
@@ -401,7 +481,8 @@ def generate_all(
 
     The graph then becomes the store's snapshot, and the records of objects
     it no longer holds are dropped. The store is marked changed when a doc
-    was recorded or dropped, or when the graph differs from the old snapshot.
+    was recorded or dropped, or when the graph differs from the old snapshot
+    in more than its files' blob ids and parse errors.
     """
     order = topological_order(graph)
     report = RunReport()
@@ -472,7 +553,7 @@ def generate_all(
         or bool(report.generated)
         or len(kept) != len(store.records)
         or old is None
-        or old.to_dict() != graph.to_dict()
+        or old.to_dict(file_state=False) != graph.to_dict(file_state=False)
     )
     store.graph_snapshot, store.records = graph, kept
     return report

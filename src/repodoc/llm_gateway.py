@@ -140,19 +140,34 @@ class HttpChatProvider:
         try:
             data = response.json()
             text = data["choices"][0]["message"]["content"]
-            usage = data.get("usage") or {}  # some providers send "usage": null
+            usage = data.get("usage")
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise ProviderError(f"malformed provider response: {exc}") from exc
         if not isinstance(text, str):
             raise ProviderError(
                 f"malformed provider response: content is {type(text).__name__}, not a string"
             )
+        if not isinstance(usage, dict):
+            usage = {}  # some providers send "usage": null, or no usage at all
         return CompletionResponse(
             text=text,
-            prompt_tokens=int(usage.get("prompt_tokens", estimate_tokens(request.prompt))),
-            completion_tokens=int(usage.get("completion_tokens", estimate_tokens(text))),
+            prompt_tokens=_token_count(usage, "prompt_tokens", request.prompt),
+            completion_tokens=_token_count(usage, "completion_tokens", text),
             model=str(data.get("model", request.model)),
         )
+
+
+def _token_count(usage: dict, key: str, text: str) -> int:
+    """The provider's count under ``key``, or the estimate for ``text`` when
+    it sent none."""
+    count = usage.get(key)
+    if count is None:
+        return estimate_tokens(text)
+    if not isinstance(count, int) or isinstance(count, bool):
+        raise ProviderError(
+            f"malformed provider response: usage {key} is {count!r}, not an integer"
+        )
+    return count
 
 
 class Gateway:

@@ -11,7 +11,7 @@ import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import PurePosixPath
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InternalError
 from .source_model import (
@@ -38,6 +38,9 @@ class TreeNode:
     id: str
     node_kind: str  # REPO, DIR, FILE, CLASS or FUNCTION
     children: list[str] = field(default_factory=list)
+    # a file's Git blob id, when known, and its parse error, if any
+    blob: str | None = None
+    parse_error: str | None = None
 
 
 @dataclass(frozen=True)
@@ -50,7 +53,8 @@ def build_tree(files: Sequence[str], parses: Sequence[FileParse]) -> dict[str, T
     """Tree nodes for the repo root, directories, files and parsed objects.
 
     The root and each directory list their children sorted; a file and an
-    object list theirs in source order, the order of ``parse.objects``.
+    object list theirs in source order, the order of ``parse.objects``. A
+    file's node takes its blob id and parse error from its parse.
     """
     nodes: dict[str, TreeNode] = {ROOT_ID: TreeNode(id=ROOT_ID, node_kind=REPO)}
 
@@ -72,6 +76,8 @@ def build_tree(files: Sequence[str], parses: Sequence[FileParse]) -> dict[str, T
         nodes[parent].children.append(rel)
 
     for parse in parses:
+        file_node = nodes[parse.file]
+        file_node.blob, file_node.parse_error = parse.blob, parse.parse_error
         for obj in parse.objects:
             if obj.id in nodes:
                 raise InternalError(f"duplicate object id: {obj.id}")
@@ -336,17 +342,38 @@ class RepoGraph:
             stack.extend((child, depth + 1) for child in reversed(self.nodes[object_id].children))
         return out
 
-    def to_dict(self) -> dict:
-        nodes = {}
+    def file_parse(self, file_id: str) -> FileParse:
+        """The file's parse as far as the graph keeps it: its objects in
+        source order, with no snippets, calls or scopes, its blob id and its
+        parse error."""
+        node = self.nodes[file_id]
+        return FileParse(
+            file=file_id,
+            objects=[self.objects[oid] for oid, _ in self.file_objects(file_id)],
+            parse_error=node.parse_error,
+            blob=node.blob,
+        )
+
+    def node_entries(self, *, file_state: bool = True) -> Iterator[tuple[str, dict]]:
+        """Each node's id and plain data, sorted by id, built one at a time.
+        ``file_state=False`` leaves out the file nodes' blob ids and parse
+        errors, which say what was parsed rather than what is documented."""
         for node_id in sorted(self.nodes):
             node = self.nodes[node_id]
             entry: dict = {"node_kind": node.node_kind, "children": list(node.children)}
             obj = self.objects.get(node_id)
             if obj is not None:
                 entry["meta"] = obj.to_dict()
-            nodes[node_id] = entry
+            if file_state and node.blob is not None:
+                entry["blob"] = node.blob
+            if file_state and node.parse_error is not None:
+                entry["parse_error"] = node.parse_error
+            yield node_id, entry
+
+    def to_dict(self, *, file_state: bool = True) -> dict:
+        """The graph as plain data; ``file_state`` as for ``node_entries``."""
         return {
-            "nodes": nodes,
+            "nodes": dict(self.node_entries(file_state=file_state)),
             "edges": [vars(e) for e in self.edges],
             "removed_edges": [vars(e) for e in self.removed_edges],
         }
@@ -361,6 +388,8 @@ class RepoGraph:
                 id=node_id,
                 node_kind=entry["node_kind"],
                 children=list(entry.get("children", [])),
+                blob=entry.get("blob"),
+                parse_error=entry.get("parse_error"),
             )
             meta = entry.get("meta")
             if meta is not None:
@@ -384,12 +413,53 @@ def empty_graph() -> RepoGraph:
     )
 
 
-def build_graph(files: Sequence[str], parses: Sequence[FileParse]) -> RepoGraph:
-    """Tree + resolved references + cycle pruning in one step."""
+def snapshot_fits(
+    snapshot: RepoGraph, files: Sequence[str], parses: Iterable[FileParse]
+) -> bool:
+    """Whether ``build_graph`` may take from ``snapshot`` the files that no
+    parse of ``parses`` covers: the snapshot holds exactly ``files``, each
+    with its blob id, and each parsed file has the object ids that the
+    snapshot holds under it. A call resolves from its own file's parse, the
+    set of files and the set of object ids alone, so a file whose blob is
+    the snapshot's then keeps the snapshot's edges."""
+    file_nodes = [node for node in snapshot.nodes.values() if node.node_kind == FILE]
+    if {node.id for node in file_nodes} != set(files):
+        return False
+    if any(node.blob is None for node in file_nodes):
+        return False
+    return all(
+        {obj.id for obj in parse.objects}
+        == {oid for oid, _ in snapshot.file_objects(parse.file)}
+        for parse in parses
+    )
+
+
+def build_graph(
+    files: Sequence[str], parses: Sequence[FileParse], snapshot: RepoGraph | None = None
+) -> RepoGraph:
+    """Tree + resolved references + cycle pruning in one step.
+
+    Given a ``snapshot`` that ``snapshot_fits``, each file of ``files`` that
+    no parse covers is taken from it: its objects, blob id and parse error,
+    and the reference edges, kept or removed, whose caller lies in it. The
+    caller parses each file whose text may differ from the snapshot's.
+    Cycles are pruned afresh over all edges, since pruning is global.
+    """
+    carried: list[ReferenceEdge] = []
+    if snapshot is not None:
+        if not snapshot_fits(snapshot, files, parses):
+            raise InternalError("the snapshot does not fit the files and parses given")
+        parsed = {p.file for p in parses}
+        taken = [snapshot.file_parse(rel) for rel in files if rel not in parsed]
+        parses = sorted([*parses, *taken], key=lambda p: p.file)
+        callers = {obj.id for parse in taken for obj in parse.objects}
+        carried = [
+            edge for edge in (*snapshot.edges, *snapshot.removed_edges) if edge.caller in callers
+        ]
     nodes = build_tree(files, parses)
     raw_edges, diagnostics = resolve_references(nodes, parses)
     objects = {o.id: o for p in parses for o in p.objects}
-    kept, removed = prune_cycles(raw_edges, object_containment(objects))
+    kept, removed = prune_cycles(raw_edges + carried, object_containment(objects))
     parse_errors = [p.parse_error for p in parses if p.parse_error]
     return RepoGraph(
         nodes=nodes,

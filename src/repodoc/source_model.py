@@ -25,7 +25,7 @@ import tempfile
 from dataclasses import dataclass, field
 from json.decoder import scanstring
 from pathlib import Path, PurePosixPath
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import UsageError
 
@@ -131,13 +131,15 @@ class Scope:
 
 @dataclass
 class FileParse:
-    """Parse result for one file. ``objects`` preserves source order."""
+    """Parse result for one file. ``objects`` preserves source order;
+    ``blob`` is the Git blob id of the parsed text, when known."""
 
     file: str
     objects: list[CodeObject] = field(default_factory=list)
     parse_error: str | None = None
     calls: list[CallSite] = field(default_factory=list)
     scopes: dict[str, Scope] = field(default_factory=dict)
+    blob: str | None = None
 
 
 def module_name_for(file_path: str) -> str:
@@ -447,8 +449,17 @@ def write_atomically(path: Path, chunks: Iterable[str]) -> None:
 
 
 # Bump whenever parse_file can return something else for the same text, so
-# that the parses cached by an older parser are misses.
+# that the parses cached by an older parser are misses, and so that the hook
+# takes no file from a snapshot that an older parser saved.
 PARSER_VERSION = 1
+
+
+def parser_identity() -> str:
+    """The parser version and the interpreter's ``cache_tag``, since
+    ``ast.parse`` takes other syntax on other Python versions: a parse, or
+    a snapshot, made under another identity may differ from this one's."""
+    header = {"parser": PARSER_VERSION, "cache_tag": sys.implementation.cache_tag}
+    return json.dumps(header, sort_keys=True)
 
 # the parse cache's file name inside a repository's git directory
 PARSE_CACHE_NAME = "repodoc-parse-cache.jsonl"
@@ -458,9 +469,9 @@ class ParseCache:
     """File parses of earlier runs, keyed by path and blob id.
 
     The cache is the JSON-lines file ``PARSE_CACHE_NAME`` in a repository's
-    git directory, so that it never reaches a commit. Its first line names
-    the parser version and the interpreter's ``cache_tag``; a file with
-    another first line holds nothing. Each further line holds one file:
+    git directory, so that it never reaches a commit. Its first line is the
+    ``parser_identity``; a file with another first line holds nothing. Each
+    further line holds one file:
     ``[path, blob id, parse error, objects, calls, scopes]``. Object ids are
     stored as positions in the object list, and snippets are left out, since
     the text restores them. A line that cannot be read is a miss, never an
@@ -471,8 +482,7 @@ class ParseCache:
     def __init__(self, git_dir: Path | None = None) -> None:
         self.path = None if git_dir is None else git_dir / PARSE_CACHE_NAME
         self.parsed = 0  # files parsed, that is, cache misses
-        header = {"parser": PARSER_VERSION, "cache_tag": sys.implementation.cache_tag}
-        self._header = json.dumps(header, sort_keys=True) + "\n"
+        self._header = parser_identity() + "\n"
         self._loaded: dict[tuple[str, str], str] = {}  # (path, blob id) -> line
         self._kept: dict[tuple[str, str], str] = {}  # the lines the next save writes
         if self.path is not None:
@@ -510,7 +520,16 @@ class ParseCache:
             line = _encode_parse(key, parse)
             if line is not None:
                 self._kept[key] = line
+        parse.blob = blob
         return parse
+
+    def keep(self, rel: str, blob: str) -> None:
+        """Keep the loaded line of blob ``blob`` at ``rel``, if there is one,
+        for the next save, without decoding it: the run needs no parse of
+        that file, but a later one will."""
+        line = self._loaded.get((rel, blob))
+        if line is not None:
+            self._kept[rel, blob] = line
 
     def save(self) -> None:
         """Write the lines of this run's files, unless they are the ones
@@ -562,9 +581,9 @@ def _encode_parse(key: tuple[str, str], parse: FileParse) -> str | None:
 
 def _decode_parse(rel: str, text: str, line: str) -> FileParse:
     """Rebuild the FileParse of one cache line; snippets come from ``text``."""
-    _rel, _blob, error, objects_data, calls_data, scopes_data = json.loads(line)
+    _rel, blob, error, objects_data, calls_data, scopes_data = json.loads(line)
     if error is not None:
-        return FileParse(file=rel, parse_error=error)
+        return FileParse(file=rel, parse_error=error, blob=blob)
     intern = sys.intern
     lines = text.splitlines()
     ids: list[str] = []
@@ -602,15 +621,7 @@ def _decode_parse(rel: str, text: str, line: str) -> FileParse:
                 for name, (module, member) in imports.items()
             },
         )
-    return FileParse(file=rel, objects=objects, calls=calls, scopes=scopes)
-
-
-def parse_sources(sources: Mapping[str, tuple[str, str]], cache: ParseCache) -> list[FileParse]:
-    """Parse ``{path: (blob id, text)}`` in path order through the cache,
-    then save the cache."""
-    parses = [cache.parse(rel, *sources[rel]) for rel in sorted(sources)]
-    cache.save()
-    return parses
+    return FileParse(file=rel, objects=objects, calls=calls, scopes=scopes, blob=blob)
 
 
 def parse_repository(

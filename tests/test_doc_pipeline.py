@@ -179,7 +179,7 @@ def test_store_roundtrip_and_byte_stability(tmp_path, demo_repo):
     assert second.read_bytes() == path.read_bytes()
 
 
-def test_save_store_streams_the_indented_json(tmp_path):
+def test_save_store_streams_one_value_per_line(tmp_path):
     # 20 files of 100 functions, each calling the one before: 2,000 objects
     chain = "".join(f"def f{i}(x):\n    return f{i - 1}(x)\n\n\n" for i in range(1, 100))
     module = "def f0(x):\n    return x\n\n\n" + chain
@@ -193,8 +193,26 @@ def test_save_store_streams_the_indented_json(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    text = json.dumps(store.to_dict(), indent=2, sort_keys=True) + "\n"
-    assert path.read_bytes() == text.encode("utf-8")
+    text = path.read_text(encoding="utf-8")
+    data = store.to_dict()
+    assert json.loads(text) == data and text.endswith("}\n")
+
+    # one line per edge, node and record: its compact JSON with sorted keys
+    def dump(value) -> str:
+        return json.dumps(value, separators=(",", ":"), sort_keys=True)
+
+    lines = text.splitlines()
+    members = [
+        line.removesuffix(",")
+        for line in lines
+        if not line.endswith(("[", "{")) and not line.startswith(("]", "}"))
+    ]
+    graph = data["graph"]
+    assert len(members) == len(graph["edges"]) + len(graph["nodes"]) + len(data["records"])
+    for member in members:
+        member = member if member.startswith("{") else "{" + member + "}"
+        assert dump(json.loads(member)) == member
+    assert len(lines) == len(members) + 5
     # holding the whole text, as json.dumps does, would take more than this
     assert peak < path.stat().st_size
 
@@ -230,9 +248,9 @@ def test_store_corrupt_json_raises(tmp_path):
 
 @pytest.mark.parametrize(
     "payload, found",
-    [({"version": 4, "records": {}, "graph": None}, "version 4"),
+    [({"version": 5, "records": {}, "graph": None}, "version 5"),
      ({"records": {}, "graph": None}, "version None")],
-    ids=["version-4", "no-version"],
+    ids=["version-5", "no-version"],
 )
 def test_store_version_mismatch_raises(tmp_path, payload, found):
     path = tmp_path / "store.json"
@@ -240,7 +258,7 @@ def test_store_version_mismatch_raises(tmp_path, payload, found):
     with pytest.raises(CorruptStoreError) as err:
         load_store(path)
     message = str(err.value)
-    assert found in message and "expected 3" in message
+    assert found in message and "expected 4" in message
     assert "delete it and rerun generate" in message
 
 

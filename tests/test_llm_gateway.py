@@ -204,3 +204,36 @@ def test_http_provider_non_string_content_is_a_provider_error(content):
     provider = HttpChatProvider("https://api.example.test", "k", session=session)
     with pytest.raises(ProviderError, match="malformed provider response"):
         provider.send(request_for("x"))
+
+
+def _send_with_usage(usage):
+    payload = {"choices": [{"message": {"content": "**f**: doc"}}], "usage": usage}
+    session = _FakeSession(_FakeHttpResponse(200, payload))
+    provider = HttpChatProvider("https://api.example.test", "k", session=session)
+    return provider.send(request_for("hello"))
+
+
+@pytest.mark.parametrize(
+    "usage, counts",
+    [
+        ({"prompt_tokens": None, "completion_tokens": 5}, (None, 5)),
+        ({"prompt_tokens": 12, "completion_tokens": None}, (12, None)),
+        ("12 tokens", (None, None)),
+        (["prompt_tokens", 12], (None, None)),
+        (42, (None, None)),
+    ],
+    ids=["null-prompt", "null-completion", "string", "list", "number"],
+)
+def test_http_provider_missing_usage_counts_fall_back_to_estimates(usage, counts):
+    response = _send_with_usage(usage)
+    estimates = (estimate_tokens("hello"), estimate_tokens("**f**: doc"))
+    expected = tuple(e if c is None else c for c, e in zip(counts, estimates))
+    assert (response.prompt_tokens, response.completion_tokens) == expected
+
+
+@pytest.mark.parametrize(
+    "count", ["12", 12.0, True, [12], {"n": 12}], ids=["string", "float", "bool", "list", "object"]
+)
+def test_http_provider_non_integer_usage_count_is_a_provider_error(count):
+    with pytest.raises(ProviderError, match="malformed provider response"):
+        _send_with_usage({"prompt_tokens": count, "completion_tokens": 5})

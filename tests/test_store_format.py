@@ -19,11 +19,14 @@ from repodoc.cli import main
 from repodoc.doc_pipeline import STORE_VERSION, load_store, save_store
 from repodoc.errors import CorruptStoreError
 from repodoc.llm_gateway import MockProvider
+from repodoc.source_model import blob_id
 
+from .conftest import git
 from .helpers import DEMO_FILES, ORDER_FILES, generate_repo, write_tree
 
 DATA = Path(__file__).parent / "data"
 V1_DIR = DATA / "demo_store_v1"
+V3_DIR = DATA / "demo_store_v3"
 STORE_REL = ".project_doc_record/project_hierarchy.json"
 RECORD_KEYS = {"text", "source_hash", "model", "generated_at"}
 META_KEYS = {"params", "has_return", "parent_id", "source_hash"}
@@ -70,7 +73,7 @@ def test_fresh_store_holds_only_what_is_read(labeled_repo, tmp_path):
     save_store(store, path)
     data = json.loads(path.read_text(encoding="utf-8"))
     assert set(data) == {"version", "records", "graph"}
-    assert data["version"] == STORE_VERSION == 3
+    assert data["version"] == STORE_VERSION == 4
     assert data["records"] and all(set(r) == RECORD_KEYS for r in data["records"].values())
     graph = data["graph"]
     assert set(graph) == {"nodes", "edges", "removed_edges"}
@@ -80,8 +83,14 @@ def test_fresh_store_holds_only_what_is_read(labeled_repo, tmp_path):
     metas = [node["meta"] for node in graph["nodes"].values() if "meta" in node]
     assert len(metas) == len(data["records"])
     assert all(set(meta) == META_KEYS for meta in metas)
-    for node in graph["nodes"].values():
-        assert set(node) - {"meta"} == {"node_kind", "children"}
+    for node_id, node in graph["nodes"].items():
+        if node["node_kind"] == "File":
+            # the blob id of the parsed text, which the hook compares
+            source = (labeled_repo / node_id).read_bytes()
+            assert set(node) == {"node_kind", "children", "blob"}
+            assert node["blob"] == blob_id(source)
+        else:
+            assert set(node) - {"meta"} == {"node_kind", "children"}
 
 
 def assert_migrated_without_a_request(repo: Path, release: Path, capsys, sends) -> None:
@@ -108,7 +117,7 @@ def assert_migrated_without_a_request(repo: Path, release: Path, capsys, sends) 
     assert pages(doc_dir) == before
 
     saved = json.loads((repo / STORE_REL).read_text(encoding="utf-8"))
-    assert saved["version"] == 3
+    assert saved["version"] == STORE_VERSION
     assert set(saved["records"]) == set(old["records"])
     for oid, record in saved["records"].items():
         assert set(record) == RECORD_KEYS
@@ -136,6 +145,35 @@ def test_v2_store_is_migrated_without_a_request(tmp_path, capsys, sends, name, f
     repo = release_repo(tmp_path / name, files, release)
     assert json.loads((repo / STORE_REL).read_text(encoding="utf-8"))["version"] == 2
     assert_migrated_without_a_request(repo, release, capsys, sends)
+
+
+def test_v3_store_is_migrated_without_a_request(tmp_path, capsys, sends):
+    repo = release_repo(tmp_path / "demo", DEMO_FILES, V3_DIR)
+    assert json.loads((repo / STORE_REL).read_text(encoding="utf-8"))["version"] == 3
+    assert_migrated_without_a_request(repo, V3_DIR, capsys, sends)
+
+
+def test_first_update_on_a_v3_store_rebuilds_and_the_next_reuses(git_demo_repo, capsys):
+    repo = release_repo(git_demo_repo, DEMO_FILES, V3_DIR)
+    git(repo, "add", "-A")
+    git(repo, "commit", "-qm", "release 3")
+
+    def staged_update(text: str) -> dict:
+        (repo / "a.py").write_text(text, encoding="utf-8")
+        git(repo, "add", "a.py")
+        capsys.readouterr()
+        assert main(["update", "--repo", str(repo), "--json"]) == 0
+        git(repo, "commit", "-qm", "edit")
+        return json.loads(capsys.readouterr().out)
+
+    # a version-3 snapshot names no blob id, so every file is parsed
+    report = staged_update(DEMO_FILES["a.py"].replace("return 1", "return 2"))
+    assert report["reused_files"] == 0 and report["parsed_files"] == 2
+    assert report["run"]["generated"] == ["a.py/f"]
+    saved = json.loads(git(repo, "show", f"HEAD:{STORE_REL}"))
+    assert saved["version"] == STORE_VERSION
+    report = staged_update(DEMO_FILES["a.py"].replace("return 1", "return 3"))
+    assert report["reused_files"] == 1 and report["parsed_files"] == 1
 
 
 def test_cold_generate_pages_match_the_version_1_release(demo_repo, capsys, sends):
