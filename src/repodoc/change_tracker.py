@@ -17,19 +17,12 @@ import subprocess
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Collection, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .doc_pipeline import (
-    RunReport,
-    generate_all,
-    load_store,
-    record_snapshot,
-    recorded_snapshot,
-    save_store,
-)
+from .doc_pipeline import RunReport, generate_all, load_store, save_store, snapshot_is_recorded
 from .errors import LockError, NotAGitRepoError, UsageError
 from .markdown_publisher import write_site
-from .project_graph import RepoGraph, build_graph, empty_graph, snapshot_fits
+from .project_graph import RepoGraph, add_snippets, empty_graph, source_graph
 from .source_model import ParseCache, is_source, source_text
 
 if TYPE_CHECKING:
@@ -285,7 +278,7 @@ class UpdateReport:
     run: RunReport = field(default_factory=RunReport)
     written_pages: list[str] = field(default_factory=list)
     parse_errors: list[str] = field(default_factory=list)
-    # unresolved calls of the staged added and modified files
+    # unresolved calls of the files whose blob is not the stored snapshot's
     diagnostics: list[str] = field(default_factory=list)
     parsed_files: int = 0  # files parsed rather than read from the parse cache
     reused_files: int = 0  # files whose objects and edges came from the snapshot
@@ -323,70 +316,14 @@ class UpdateReport:
         }
 
 
-def _staged_graph(
-    sources: Mapping[str, tuple[str, str]],
-    cache: ParseCache,
-    snapshot: RepoGraph | None = None,
-    must_parse: Collection[str] = (),
-) -> tuple[RepoGraph, set[str]]:
-    """Graph of ``{path: (blob id, text)}``, the sources the pending commit
-    will hold, and the files it took from ``snapshot`` instead of parsing.
-
-    Each file in ``must_parse`` or with another blob id than the snapshot's
-    is parsed. The others are taken when the snapshot fits the parses
-    (``snapshot_fits``), and parsed as well when it does not. Parses go
-    through the cache; the taken files' cache lines are kept unread.
-    """
-    files = sorted(sources)
-    nodes = snapshot.nodes if snapshot is not None else {}
-    parses = {
-        rel: cache.parse(rel, *sources[rel])
-        for rel in files
-        if rel in must_parse or rel not in nodes or nodes[rel].blob != sources[rel][0]
-    }
-    if snapshot is not None and not snapshot_fits(snapshot, files, parses.values()):
-        snapshot = None
-    if snapshot is None:
-        parses.update((rel, cache.parse(rel, *sources[rel])) for rel in files if rel not in parses)
-    taken = {rel for rel in files if rel not in parses}
-    for rel in taken:
-        cache.keep(rel, sources[rel][0])
-    parsed = [parses[rel] for rel in files if rel in parses]
-    return build_graph(files, parsed, snapshot), taken
-
-
-def _add_snippets(
-    graph: RepoGraph,
-    sources: Mapping[str, tuple[str, str]],
-    cache: ParseCache,
-    taken: Collection[str],
-    targets: Collection[str],
-) -> None:
-    """Give the objects that the prompts of ``targets`` quote their snippets,
-    which objects taken from the snapshot lack: parse each taken file that
-    holds a target, a caller or a callee of one."""
-    quoted = set(targets)
-    for oid in targets:
-        quoted.update(graph.callers(oid), graph.callees(oid))
-    files = set()
-    for oid in quoted:
-        while oid in graph.objects:
-            oid = graph.objects[oid].parent_id
-        files.add(oid)
-    for rel in sorted(files.intersection(taken)):
-        for obj in cache.parse(rel, *sources[rel]).objects:
-            graph.objects[obj.id] = obj
-
-
 def run_update(gateway: "Gateway", config: "Config", jobs: int) -> UpdateReport:
     """Regenerate docs for staged changes and stage the results.
 
-    Only the files whose staged blob differs from the stored snapshot's are
-    parsed and resolved when the commit keeps the set of files and of object
-    ids; the others come from the snapshot. Nothing is written to the store
-    or the pages unless every planned object regenerates successfully, so a
-    failed update leaves the repository exactly as it was and the commit can
-    be retried.
+    The graph of the index is built by ``source_graph``, which takes the
+    files whose staged blob is the recorded snapshot's from that snapshot.
+    Nothing is written to the store or the pages unless every planned object
+    regenerates successfully, so a failed update leaves the repository
+    exactly as it was and the commit can be retried.
     """
     repo_root = config.repo_root
     repo_git = require_git_repo(repo_root)
@@ -399,22 +336,19 @@ def run_update(gateway: "Gateway", config: "Config", jobs: int) -> UpdateReport:
 
         store = load_store(store_path)
         sources = read_staged_text(repo_root, config.ignore)
-        edited = (*staged.added, *staged.modified)
-        snapshot = recorded_snapshot(store, repo_git)
-        graph, taken = _staged_graph(sources, cache, snapshot, edited)
-        old_graph = store.graph_snapshot or empty_graph()
-        plan = plan_updates(diff_objects(old_graph, graph))
-        _add_snippets(graph, sources, cache, taken, plan.regenerate_ids)
+        reuse = snapshot_is_recorded(store, repo_git)
+        graph, taken = source_graph(sources, cache, store.graph_snapshot, reuse=reuse)
+        plan = plan_updates(diff_objects(store.graph_snapshot or empty_graph(), graph))
+        add_snippets(graph, sources, cache, taken, plan.regenerate_ids)
         cache.save()
 
         run = generate_all(graph, gateway, store, config, jobs, only=plan.regenerate_ids)
-        prefixes = tuple(f"{rel}:" for rel in edited)
         report = UpdateReport(
             staged=staged,
             plan=plan,
             run=run,
             parse_errors=list(graph.parse_errors),
-            diagnostics=[d for d in graph.diagnostics if d.startswith(prefixes)],
+            diagnostics=list(graph.diagnostics),
             parsed_files=cache.parsed,
             reused_files=len(taken),
         )
@@ -425,8 +359,7 @@ def run_update(gateway: "Gateway", config: "Config", jobs: int) -> UpdateReport:
         # Store first: if saving fails, no page has changed. If writing the
         # site fails, the next run finds the store current and rewrites pages.
         if store.changed:
-            save_store(store, store_path)
-            record_snapshot(store, repo_git)
+            save_store(store, store_path, repo_git)
         report.written_pages = write_site(graph, store, repo_root / config.doc_dir)
         _git(repo_root, "add", "-A", "--", config.doc_dir, config.store_path)
         return report

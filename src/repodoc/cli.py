@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .change_tracker import _update_lock, git_dir, install_hook, run_update
 from .config import build_gateway, load_config
-from .doc_pipeline import generate_all, load_store, record_snapshot, save_store
+from .doc_pipeline import generate_all, load_store, save_store, snapshot_is_recorded, up_to_date
 from .errors import (
     CorruptStoreError,
     NotAGitRepoError,
@@ -26,8 +26,8 @@ from .errors import (
 )
 from .eval_harness import evaluate_docs, reference_recall
 from .markdown_publisher import write_site
-from .project_graph import build_graph, graph_to_dot
-from .source_model import ParseCache, parse_repository, scan_repository
+from .project_graph import add_snippets, graph_to_dot, source_graph
+from .source_model import ParseCache, scan_repository
 
 logger = logging.getLogger(__name__)
 
@@ -85,15 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_current_graph(config, repo_git):
-    """The working tree's graph, and how many files had to be parsed;
-    ``repo_git`` is the repository's git directory, if any."""
-    files = scan_repository(config.repo_root, config.ignore)
-    cache = ParseCache(repo_git)
-    parses = parse_repository(config.repo_root, files, cache)
-    return build_graph(files, parses), cache.parsed
-
-
 def _print_list(title: str, items) -> None:
     items = list(items)
     if not items:
@@ -109,19 +100,24 @@ def cmd_generate(args) -> int:
     store_path = config.repo_root / config.store_path
     with _update_lock(store_path.parent):
         repo_git = git_dir(config.repo_root)
-        graph, parsed_files = _build_current_graph(config, repo_git)
         store = load_store(store_path)
-        report = generate_all(graph, gateway, store, config, args.jobs)
+        sources = scan_repository(config.repo_root, config.ignore)
+        cache = ParseCache(repo_git)
+        reuse = snapshot_is_recorded(store, repo_git)
+        graph, taken = source_graph(sources, cache, store.graph_snapshot, reuse=reuse)
+        stale = {oid for oid in graph.objects if not up_to_date(graph, store, oid)}
+        add_snippets(graph, sources, cache, taken, stale)
+        cache.save()
+        report = generate_all(graph, gateway, store, config, args.jobs, only=stale)
         # partial progress is kept even when some objects failed
         if store.changed:
-            save_store(store, store_path)
-            if repo_git is not None:
-                record_snapshot(store, repo_git)
+            save_store(store, store_path, repo_git)
         pages = write_site(graph, store, config.repo_root / config.doc_dir)
     if args.json:
         payload = report.to_dict()
         payload["pages_written"] = pages
-        payload["parsed_files"] = parsed_files
+        payload["parsed_files"] = cache.parsed
+        payload["reused_files"] = len(taken)
         payload["parse_errors"] = list(graph.parse_errors)
         payload["diagnostics"] = list(graph.diagnostics)
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -182,7 +178,9 @@ def cmd_publish(args) -> int:
 
 def cmd_graph(args) -> int:
     config = load_config(args.repo, args.config)
-    graph, _parsed_files = _build_current_graph(config, git_dir(config.repo_root))
+    cache = ParseCache(git_dir(config.repo_root))
+    graph, _ = source_graph(scan_repository(config.repo_root, config.ignore), cache)
+    cache.save()
     if args.format == "dot":
         print(graph_to_dot(graph))
     else:

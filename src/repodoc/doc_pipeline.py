@@ -32,7 +32,7 @@ logger = logging.getLogger(__name__)
 
 # Bump whenever the layout changes or the resolver may give other edges for
 # the same parses: an older store is migrated on load, and since its
-# snapshot's digest names the older version, the hook reuses no file of it.
+# snapshot's digest names the older version, no run reuses a file of it.
 STORE_VERSION = 4
 
 PARAM_LABEL = "parameters"
@@ -229,7 +229,7 @@ SNAPSHOT_DIGEST_NAME = "repodoc-snapshot-digest"
 
 
 def _snapshot_digest(graph: RepoGraph) -> str:
-    """The digest of what the hook takes from a snapshot unparsed: each
+    """The digest of what a run takes from a snapshot unparsed: each
     node's children, each file's blob id and parse error, and the edges,
     with the store version and the ``parser_identity`` that gave them."""
     data = [
@@ -289,44 +289,42 @@ def _store_text(store: DocStore) -> Iterator[str]:
     yield f',"version":{STORE_VERSION}}}\n'
 
 
-def save_store(store: DocStore, path: str | Path) -> None:
+def save_store(store: DocStore, path: str | Path, git_dir: Path | None = None) -> None:
     """Serialize atomically with ``write_atomically``, one line per record,
-    node and edge (``_store_text``)."""
+    node and edge (``_store_text``). Given the repository's ``git_dir``, then
+    write the saved snapshot's digest there, so that ``snapshot_is_recorded``
+    holds; a digest that cannot be written is logged."""
     path = Path(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         write_atomically(path, _store_text(store))
     except OSError as exc:
         raise StoreWriteError(f"cannot write doc store {path}: {exc}") from exc
-
-
-def record_snapshot(store: DocStore, git_dir: Path) -> None:
-    """After ``save_store``, write the saved snapshot's digest to the
-    repository's ``git_dir``; a digest that cannot be written is logged."""
-    if store.graph_snapshot is None:
+    if git_dir is None or store.graph_snapshot is None:
         return
-    path = git_dir / SNAPSHOT_DIGEST_NAME
+    digest_path = git_dir / SNAPSHOT_DIGEST_NAME
     try:
-        write_atomically(path, [_snapshot_digest(store.graph_snapshot) + "\n"])
+        write_atomically(digest_path, [_snapshot_digest(store.graph_snapshot) + "\n"])
     except OSError as exc:
-        logger.info("snapshot digest %s not written: %s", path, exc)
+        logger.info("snapshot digest %s not written: %s", digest_path, exc)
 
 
-def recorded_snapshot(store: DocStore, git_dir: Path) -> RepoGraph | None:
-    """The store's snapshot if ``git_dir`` holds its digest, else None.
+def snapshot_is_recorded(store: DocStore, git_dir: Path | None) -> bool:
+    """Whether ``git_dir`` holds the digest of the store's snapshot.
 
-    Only such a snapshot may lend the hook its files' objects and edges:
-    this repository's repodoc saved it under the same store version, parser
-    and Python, and it was not merged, checked out or edited since.
+    Only such a snapshot may lend ``generate`` and the hook its files'
+    objects and edges: this repository's repodoc saved it under the same
+    store version, parser and Python, and it was not merged, checked out or
+    edited since. Outside a Git repository no snapshot is recorded.
     """
     graph = store.graph_snapshot
-    if graph is None:
-        return None
+    if graph is None or git_dir is None:
+        return False
     try:
         recorded = (git_dir / SNAPSHOT_DIGEST_NAME).read_text(encoding="utf-8")
     except (OSError, ValueError):
-        return None
-    return graph if recorded == _snapshot_digest(graph) + "\n" else None
+        return False
+    return recorded == _snapshot_digest(graph) + "\n"
 
 
 def load_store(path: str | Path) -> DocStore:
@@ -394,7 +392,9 @@ def _reference_sets_unchanged(graph: RepoGraph, snapshot: RepoGraph | None, obje
     )
 
 
-def _up_to_date(graph: RepoGraph, store: DocStore, object_id: str) -> bool:
+def up_to_date(graph: RepoGraph, store: DocStore, object_id: str) -> bool:
+    """Whether ``generate_all`` skips the object: its record has its source
+    hash, and its callers and callees are those of the stored snapshot."""
     record = store.records.get(object_id)
     if record is None:
         return False
@@ -490,7 +490,7 @@ def generate_all(
     for oid in order:
         if only is not None and oid not in only:
             report.skipped.append(oid)
-        elif _up_to_date(graph, store, oid):
+        elif up_to_date(graph, store, oid):
             report.skipped.append(oid)
         else:
             pending.append(oid)

@@ -11,7 +11,7 @@ import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import PurePosixPath
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InternalError
 from .source_model import (
@@ -20,8 +20,10 @@ from .source_model import (
     CallSite,
     CodeObject,
     FileParse,
+    ParseCache,
     Scope,
     module_name_for,
+    parse_repository,
 )
 
 REPO = "Repo"
@@ -469,6 +471,65 @@ def build_graph(
         diagnostics=diagnostics,
         parse_errors=parse_errors,
     )
+
+
+def source_graph(
+    sources: Mapping[str, tuple[str, str]],
+    cache: ParseCache,
+    snapshot: RepoGraph | None = None,
+    *,
+    reuse: bool = False,
+) -> tuple[RepoGraph, set[str]]:
+    """The graph of ``sources``, ``{path: (blob id, text)}`` of the working
+    tree or the index, and the files it took from ``snapshot`` unparsed.
+
+    With ``reuse``, which needs a snapshot, only the files whose blob id
+    differs from the snapshot's are parsed; the others are taken from it
+    when it fits their parses (``snapshot_fits``), and parsed as well when
+    it does not. Without it, every file is parsed. Parses go through the
+    cache, and the taken files' cache lines are kept unread. Either way the
+    graph's diagnostics are the unresolved calls of the files whose blob id
+    differs from the snapshot's, or of every file when there is no snapshot.
+    """
+    files = list(sources)
+    nodes = snapshot.nodes if snapshot is not None else {}
+    unchanged = {rel for rel in files if rel in nodes and nodes[rel].blob == sources[rel][0]}
+    todo = set(files) - unchanged if reuse else files
+    parses = {p.file: p for p in parse_repository(sources, todo, cache)}
+    if reuse and not snapshot_fits(snapshot, files, parses.values()):
+        reuse = False
+        parses.update((p.file, p) for p in parse_repository(sources, unchanged, cache))
+    taken = unchanged if reuse else set()
+    for rel in taken:
+        cache.keep(rel, sources[rel][0])
+    parsed = [parses[rel] for rel in files if rel in parses]
+    graph = build_graph(files, parsed, snapshot if reuse else None)
+    dropped = tuple(f"{rel}:" for rel in unchanged)
+    graph.diagnostics = [d for d in graph.diagnostics if not d.startswith(dropped)]
+    return graph, taken
+
+
+def add_snippets(
+    graph: RepoGraph,
+    sources: Mapping[str, tuple[str, str]],
+    cache: ParseCache,
+    taken: Collection[str],
+    targets: Collection[str],
+) -> None:
+    """Give the objects that the prompts of ``targets`` quote their snippets,
+    which objects taken from the snapshot lack: parse each taken file that
+    holds a target, a caller or a callee of one."""
+    quoted = set(targets)
+    for oid in targets:
+        quoted.update(graph.callers(oid), graph.callees(oid))
+    files = set()
+    for oid in quoted:
+        while oid in graph.objects:
+            oid = graph.objects[oid].parent_id
+        files.add(oid)
+    for parse in parse_repository(sources, files.intersection(taken), cache):
+        for obj in parse.objects:
+            graph.objects[obj.id] = obj
 
 
 def topological_order(graph: RepoGraph) -> list[str]:

@@ -20,12 +20,13 @@ import hashlib
 import json
 import logging
 import os
+import stat
 import sys
 import tempfile
 from dataclasses import dataclass, field
 from json.decoder import scanstring
 from pathlib import Path, PurePosixPath
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import UsageError
 
@@ -392,13 +393,19 @@ def is_source(rel: str, ignore: Sequence[str] = ()) -> bool:
     )
 
 
-def scan_repository(root: str | Path, ignore: Sequence[str] = ()) -> list[str]:
-    """Relative posix paths of the working tree's files that pass
-    ``is_source``, sorted. Hidden and ignored directories are not entered."""
+def scan_repository(
+    root: str | Path, ignore: Sequence[str] = ()
+) -> dict[str, tuple[str, str]]:
+    """Blob id and text of every working-tree source file, by relative posix
+    path in sorted order: the shape ``read_staged_text`` gives for the index.
+    A file is a source when it passes ``is_source`` and is a regular file, as
+    in the index; links are not sources. Hidden and ignored directories are
+    not entered. A file that cannot be read stops the scan with an error
+    naming it."""
     root = Path(root)
     if not root.is_dir():
         raise UsageError(f"not a directory: {root}")
-    found: list[str] = []
+    sources: dict[str, tuple[str, str]] = {}
     for dirpath, dirnames, filenames in os.walk(root):
         rel_dir = Path(dirpath).relative_to(root)
         dirnames[:] = sorted(
@@ -408,9 +415,17 @@ def scan_repository(root: str | Path, ignore: Sequence[str] = ()) -> list[str]:
         )
         for name in filenames:
             rel = (rel_dir / name).as_posix()
-            if is_source(rel, ignore):
-                found.append(rel)
-    return sorted(found)
+            if not is_source(rel, ignore):
+                continue
+            path = Path(dirpath, name)
+            try:
+                if not stat.S_ISREG(path.lstat().st_mode):
+                    continue
+                data = path.read_bytes()
+            except OSError as exc:
+                raise UsageError(f"cannot read {rel}: {exc}") from exc
+            sources[rel] = (blob_id(data), source_text(data))
+    return dict(sorted(sources.items()))
 
 
 def source_text(data: bytes) -> str:
@@ -625,24 +640,10 @@ def _decode_parse(rel: str, text: str, line: str) -> FileParse:
 
 
 def parse_repository(
-    root: str | Path, files: Iterable[str], cache: ParseCache | None = None
+    sources: Mapping[str, tuple[str, str]], files: Iterable[str], cache: ParseCache | None = None
 ) -> list[FileParse]:
-    """Parse the given repo-relative working-tree files in path order.
-
-    Each file's blob id is computed from its bytes as Git computes it, so a
-    content that the cache saw in the working tree or in the index is not
-    parsed again. A file that cannot be read yields a parse error.
-    """
-    root = Path(root)
+    """Parse the given paths of ``sources``, ``{path: (blob id, text)}`` of
+    the working tree or the index, through the cache, in path order. The
+    caller saves the cache once the run's parsing is over."""
     cache = cache or ParseCache()
-
-    def _one(rel: str) -> FileParse:
-        try:
-            data = (root / rel).read_bytes()
-        except OSError as exc:
-            return FileParse(file=rel, parse_error=f"{rel}: {exc}")
-        return cache.parse(rel, blob_id(data), source_text(data))
-
-    parses = [_one(rel) for rel in sorted(files)]
-    cache.save()
-    return parses
+    return [cache.parse(rel, *sources[rel]) for rel in sorted(files)]

@@ -192,9 +192,8 @@ def write_tree(root: Path, files: dict[str, str]) -> None:
 
 
 def build_repo_graph(root: Path, ignore: tuple[str, ...] = ()) -> RepoGraph:
-    files = scan_repository(root, ignore)
-    parses = parse_repository(root, files)
-    return build_graph(files, parses)
+    sources = scan_repository(root, ignore)
+    return build_graph(list(sources), parse_repository(sources, sources))
 
 
 def make_gateway() -> Gateway:

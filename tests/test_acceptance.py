@@ -75,9 +75,9 @@ def edge_pairs(edges):
 
 def test_criterion_1_reference_recall_on_labeled_repo(labeled_repo):
     start = time.monotonic()
-    files = scan_repository(labeled_repo)
-    parses = parse_repository(labeled_repo, files)
-    nodes = build_tree(files, parses)
+    sources = scan_repository(labeled_repo)
+    parses = parse_repository(sources, sources)
+    nodes = build_tree(list(sources), parses)
     raw_edges, _ = resolve_references(nodes, parses)
     recall = reference_recall(
         reference_sets(edge_pairs(raw_edges)), reference_sets(LABELED_EDGES)

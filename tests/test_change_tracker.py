@@ -236,7 +236,7 @@ def test_index_and_working_tree_share_one_source_filter(git_demo_repo):
     ignore = ("build", "gen/out")
     git(git_demo_repo, "add", "-A")
     expected = ["a.py", "has space/mod one.py", "util/b.py"]
-    assert scan_repository(git_demo_repo, ignore) == expected
+    assert list(scan_repository(git_demo_repo, ignore)) == expected
     assert sorted(read_staged_text(git_demo_repo, ignore)) == expected
     assert staged_changes(git_demo_repo, ignore).added == tuple(expected)
 
@@ -530,7 +530,7 @@ def test_run_update_store_write_failure_leaves_pages_untouched(git_demo_repo, mo
     (git_demo_repo / "a.py").write_text(A_F_EDITED.replace("def f():", "def f(y=0):"), encoding="utf-8")
     git(git_demo_repo, "add", "a.py")
 
-    def refuse(store, path):
+    def refuse(store, path, git_dir=None):
         raise StoreWriteError("disk full")
 
     monkeypatch.setattr(change_tracker, "save_store", refuse)

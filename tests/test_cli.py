@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+from pathlib import Path
 
 from repodoc.cli import main
 from repodoc.llm_gateway import Gateway
@@ -251,3 +252,39 @@ def test_generate_accepts_jobs_flag(demo_repo, capsys):
     code, out, _ = run_cli("generate", "--repo", demo_repo, "--jobs", 2, capsys=capsys)
     assert code == 0
     assert "generated 5 objects" in out
+
+
+def test_generate_documents_no_symlink(git_demo_repo, capsys):
+    # links are not sources, in the working tree as in the index
+    pkg = git_demo_repo / "pkg"
+    pkg.mkdir()
+    (pkg / "link.py").symlink_to("../a.py")
+    (pkg / "broken.py").symlink_to("missing.py")
+    (git_demo_repo / "linked").symlink_to("util", target_is_directory=True)
+    code, out, _ = run_cli("generate", "--repo", git_demo_repo, "--json", capsys=capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert sorted(report["generated"]) == ["a.py/C", "a.py/C/m", "a.py/f", "a.py/g", "util/b.py/h"]
+    assert sorted(report["pages_written"]) == ["SUMMARY.md", "a.md", "util/b.md"]
+
+    # so the hook, which reads the index, finds the same objects
+    git(git_demo_repo, "add", "-A")
+    code, out, _ = run_cli("update", "--repo", git_demo_repo, "--json", capsys=capsys)
+    assert code == 0
+    assert json.loads(out)["plan"] == {"regenerate": [], "delete_docs": []}
+
+
+def test_generate_stops_on_an_unreadable_file(demo_repo, capsys, monkeypatch):
+    # root reads a file of mode 000, so the read itself is made to fail
+    real = Path.read_bytes
+
+    def read_bytes(path):
+        if path.name == "b.py":
+            raise PermissionError(13, "Permission denied", str(path))
+        return real(path)
+
+    monkeypatch.setattr(Path, "read_bytes", read_bytes)
+    code, out, err = run_cli("generate", "--repo", demo_repo, capsys=capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot read util/b.py: [Errno 13] Permission denied")
+    assert not (demo_repo / STORE_REL).exists()

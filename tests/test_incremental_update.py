@@ -1,9 +1,10 @@
-"""The hook's fast path against the full rebuild.
+"""The fast path of ``update`` and ``generate`` against the full rebuild.
 
-Each step of an edit sequence stages a change, then runs ``update`` twice on
-twin copies of the repository: once as shipped, which takes the unchanged
-files from the snapshot when it may, and once with every file parsed and
-resolved. Graph, parse errors, prompts, pages and store must agree.
+Each step of an edit sequence changes the repository, staged for ``update``
+or in the working tree for ``generate``, then runs the command twice on twin
+copies of the repository: once as shipped, which takes the unchanged files
+from the snapshot when it may, and once with every file parsed and resolved.
+Graph, parse errors, prompts, report, pages and store must agree.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 
 import pytest
 
-from repodoc import change_tracker, source_model
+from repodoc import change_tracker, cli, source_model
 from repodoc.cli import main
 from repodoc.config import load_config
 from repodoc.doc_pipeline import SNAPSHOT_DIGEST_NAME
@@ -90,21 +91,46 @@ def _init_repo(repo):
     git(repo, "config", "commit.gpgsign", "false")
 
 
-def _update(repo, monkeypatch, *, full: bool):
-    """Run ``update``; returns its report, graph and prompts."""
+def _recording(patch, module, *, full: bool) -> list:
+    """Patch ``module`` so that each graph its ``source_graph`` builds is
+    appended to the list returned, and, when ``full``, so that it trusts no
+    snapshot and parses every file."""
     built = []
-    real = change_tracker._staged_graph
+    real = module.source_graph
 
-    def staged_graph(sources, cache, snapshot=None, must_parse=()):
-        graph, taken = real(sources, cache, None if full else snapshot, must_parse)
+    def source_graph(*args, **kwargs):
+        graph, taken = real(*args, **kwargs)
         built.append(graph)
         return graph, taken
 
+    patch.setattr(module, "source_graph", source_graph)
+    if full:
+        patch.setattr(module, "snapshot_is_recorded", lambda store, git_dir: False)
+    return built
+
+
+def _update(repo, monkeypatch, *, full: bool):
+    """Run ``update``; returns its report, graph and prompts."""
     gateway = make_gateway()
     with monkeypatch.context() as patch:
-        patch.setattr(change_tracker, "_staged_graph", staged_graph)
+        built = _recording(patch, change_tracker, full=full)
         report = change_tracker.run_update(gateway, load_config(repo), 1)
     return report, built[0], gateway.provider.prompts
+
+
+def _generate(repo, monkeypatch, capsys, *, full: bool):
+    """Run ``generate --json``; returns its exit code, report, graph and prompts."""
+    gateway = make_gateway()
+    capsys.readouterr()
+    with monkeypatch.context() as patch:
+        built = _recording(patch, cli, full=full)
+        patch.setattr(cli, "build_gateway", lambda config: gateway)
+        code = main(["generate", "--repo", str(repo), "--json"])
+    return code, json.loads(capsys.readouterr().out), built[0], gateway.provider.prompts
+
+
+def _without_counts(report: dict) -> dict:
+    return {k: v for k, v in report.items() if k not in ("parsed_files", "reused_files")}
 
 
 def _outputs(repo):
@@ -138,12 +164,38 @@ def test_fast_path_matches_the_full_rebuild_on_every_commit(tmp_path, monkeypatc
         assert fast_graph.parse_errors == full_graph.parse_errors, name
         assert fast.parse_errors == full.parse_errors, name
         assert fast_prompts == full_prompts, name
-        fast_report, full_report = fast.to_dict(), full.to_dict()
-        for report in (fast_report, full_report):
-            del report["parsed_files"], report["reused_files"]
-        assert fast_report == full_report, name
+        assert _without_counts(fast.to_dict()) == _without_counts(full.to_dict()), name
         assert _outputs(repo) == _outputs(twin), name
         git(repo, "commit", "-qm", name)
+        shutil.rmtree(twin)
+
+
+def test_generate_fast_path_matches_the_full_rebuild_after_every_edit(
+    tmp_path, monkeypatch, capsys
+):
+    repo = tmp_path / "repo"
+    _init_repo(repo)
+    git(repo, "add", "-A")
+    git(repo, "commit", "-qm", "seed")
+    code, first, _, _ = _generate(repo, monkeypatch, capsys, full=False)
+    assert code == 0 and first["reused_files"] == 0
+
+    for name, edit, reused in STEPS:
+        edit(repo)
+        twin = tmp_path / f"full-{name}"
+        shutil.copytree(repo, twin, symlinks=True)
+        code, fast, fast_graph, fast_prompts = _generate(repo, monkeypatch, capsys, full=False)
+        full_code, full, full_graph, full_prompts = _generate(
+            twin, monkeypatch, capsys, full=True
+        )
+        assert code == full_code, name
+        assert fast["reused_files"] == (reused or 0), name
+        assert full["reused_files"] == 0
+        assert fast_graph.to_dict() == full_graph.to_dict(), name
+        assert fast_graph.parse_errors == full_graph.parse_errors, name
+        assert fast_prompts == full_prompts, name
+        assert _without_counts(fast) == _without_counts(full), name
+        assert _outputs(repo) == _outputs(twin), name
         shutil.rmtree(twin)
 
 
@@ -213,26 +265,13 @@ def test_a_syntax_error_reported_from_the_snapshot_fails_the_hook_alike(tmp_path
 
 
 def _main_update(repo, monkeypatch, capsys, *, full: bool) -> tuple[int, dict]:
-    """Run ``update --json`` as the hook does; returns its exit code and
-    report, without the counts of parsed and reused files when ``full``."""
-    real = change_tracker._staged_graph
-
-    def staged_graph(sources, cache, snapshot=None, must_parse=()):
-        return real(sources, cache, None, must_parse)
-
+    """Run ``update --json`` as the hook does, on the full path when
+    ``full``; returns its exit code and report."""
     capsys.readouterr()
     with monkeypatch.context() as patch:
-        if full:
-            patch.setattr(change_tracker, "_staged_graph", staged_graph)
+        _recording(patch, change_tracker, full=full)
         code = main(["update", "--repo", str(repo), "--json"])
     return code, json.loads(capsys.readouterr().out)
-
-
-def _same_but_counts(first: dict, second: dict) -> bool:
-    counts = ("parsed_files", "reused_files")
-    return {k: v for k, v in first.items() if k not in counts} == {
-        k: v for k, v in second.items() if k not in counts
-    }
 
 
 @pytest.mark.parametrize("other", [None, "parser version", "cache tag", "no digest"])
@@ -261,7 +300,7 @@ def test_no_file_is_taken_from_a_snapshot_saved_elsewhere(tmp_path, monkeypatch,
     assert report["reused_files"] == (len(_git_files(repo)) - 1 if other is None else 0)
     assert code == full_code == 2
     assert report["parse_errors"] == full_report["parse_errors"]
-    assert _same_but_counts(report, full_report)
+    assert _without_counts(report) == _without_counts(full_report)
 
 
 def test_a_textually_merged_store_is_not_reused(tmp_path, monkeypatch, capsys):
@@ -298,7 +337,58 @@ def test_a_textually_merged_store_is_not_reused(tmp_path, monkeypatch, capsys):
     full_code, full_report = _main_update(twin, monkeypatch, capsys, full=True)
     assert code == full_code == 0
     assert report["reused_files"] == 0
-    assert _same_but_counts(report, full_report)
+    assert _without_counts(report) == _without_counts(full_report)
     assert _outputs(repo) == _outputs(twin)
     store = (repo / ".project_doc_record" / "project_hierarchy.json").read_text(encoding="utf-8")
     assert '"callee":"core.py/gamma","caller":"util/tools.py/spin"' in store
+
+
+def _generate_json(repo, capsys) -> dict:
+    capsys.readouterr()
+    main(["generate", "--repo", str(repo), "--json"])
+    return json.loads(capsys.readouterr().out)
+
+
+def test_a_noop_generate_parses_nothing_and_reuses_every_file(tmp_path, capsys):
+    repo = tmp_path / "repo"
+    _init_repo(repo)
+    assert _generate_json(repo, capsys)["parsed_files"] == len(FILES)
+    store = repo / load_config(repo).store_path
+    saved, saved_text = store.stat(), store.read_bytes()
+    digest = (repo / ".git" / SNAPSHOT_DIGEST_NAME).read_bytes()
+
+    report = _generate_json(repo, capsys)
+    assert report["parsed_files"] == 0
+    assert report["reused_files"] == len(FILES)
+    assert report["generated"] == [] and report["diagnostics"] == []
+    rerun = store.stat()
+    assert (rerun.st_ino, rerun.st_mtime_ns) == (saved.st_ino, saved.st_mtime_ns)
+    assert store.read_bytes() == saved_text
+    assert (repo / ".git" / SNAPSHOT_DIGEST_NAME).read_bytes() == digest
+
+
+def test_a_generate_after_a_body_edit_parses_one_file(tmp_path, capsys):
+    repo = tmp_path / "repo"
+    _init_repo(repo)
+    first = _generate_json(repo, capsys)
+    # with no snapshot, the unresolved calls of every file
+    assert "app.py:10: unresolved call print (caller app.py/report)" in first["diagnostics"]
+    (repo / "core.py").write_text(CORE.replace("return 1", "return 2"), encoding="utf-8")
+    report = _generate_json(repo, capsys)
+    assert report["parsed_files"] == 1
+    assert report["reused_files"] == len(FILES) - 1
+    assert report["generated"] == ["core.py/alpha"]
+    # the unresolved calls of the edited file only; core.py has none
+    assert report["diagnostics"] == []
+
+
+def test_a_generate_without_the_digest_reuses_nothing(tmp_path, capsys):
+    repo = tmp_path / "repo"
+    _init_repo(repo)
+    _generate_json(repo, capsys)
+    # as after a clone: the store came with the repository, the digest did not
+    (repo / ".git" / SNAPSHOT_DIGEST_NAME).unlink()
+    report = _generate_json(repo, capsys)
+    assert report["reused_files"] == 0
+    assert report["parsed_files"] == 0  # the parse cache still holds every file
+    assert report["generated"] == [] and report["diagnostics"] == []

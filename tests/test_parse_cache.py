@@ -29,8 +29,10 @@ from .helpers import DEMO_FILES, write_tree
 
 
 def graph_json(root: Path, cache: ParseCache) -> str:
-    files = scan_repository(root)
-    return json.dumps(build_graph(files, parse_repository(root, files, cache)).to_dict())
+    sources = scan_repository(root)
+    graph = build_graph(list(sources), parse_repository(sources, sources, cache))
+    cache.save()
+    return json.dumps(graph.to_dict())
 
 
 def run_json(*argv, capsys) -> dict:
@@ -154,10 +156,12 @@ def test_identical_files_keep_their_own_ids(tmp_path):
         "one/m.py": body,
         "two/m.py": body,
     })
-    files = scan_repository(root)
-    fresh = parse_repository(root, files, ParseCache(tmp_path))
+    sources = scan_repository(root)
+    cold = ParseCache(tmp_path)
+    fresh = parse_repository(sources, sources, cold)
+    cold.save()
     warm = ParseCache(tmp_path)
-    assert parse_repository(root, files, warm) == fresh
+    assert parse_repository(sources, sources, warm) == fresh
     assert warm.parsed == 0
     ids = {obj.id for parse in fresh for obj in parse.objects}
     assert ids == {"one/m.py/f", "two/m.py/f"}
@@ -166,11 +170,13 @@ def test_identical_files_keep_their_own_ids(tmp_path):
 def test_a_file_that_fails_to_parse_is_cached_too(tmp_path):
     root = tmp_path / "repo"
     write_tree(root, {"broken.py": "def oops(:\n", "ok.py": "def f():\n    return 1\n"})
-    files = scan_repository(root)
-    fresh = parse_repository(root, files, ParseCache(tmp_path))
+    sources = scan_repository(root)
+    cold = ParseCache(tmp_path)
+    fresh = parse_repository(sources, sources, cold)
+    cold.save()
     assert fresh[0].parse_error
     warm = ParseCache(tmp_path)
-    assert parse_repository(root, files, warm) == fresh
+    assert parse_repository(sources, sources, warm) == fresh
     assert warm.parsed == 0
 
 

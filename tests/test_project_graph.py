@@ -78,9 +78,9 @@ def test_demo_reference_edges(demo_repo):
 
 
 def test_labeled_repo_resolves_every_hand_labeled_edge(labeled_repo):
-    files = scan_repository(labeled_repo)
-    parses = parse_repository(labeled_repo, files)
-    nodes = build_tree(files, parses)
+    sources = scan_repository(labeled_repo)
+    parses = parse_repository(sources, sources)
+    nodes = build_tree(list(sources), parses)
     raw_edges, diagnostics = resolve_references(nodes, parses)
     assert pairs(raw_edges) == LABELED_EDGES
     # print(...) and wrapper.go(...) cannot resolve to repo objects

@@ -22,7 +22,7 @@ from .helpers import DEMO_FILES, write_tree
 
 
 def test_scan_lists_python_files_sorted(demo_repo):
-    assert scan_repository(demo_repo) == ["a.py", "util/b.py"]
+    assert list(scan_repository(demo_repo)) == ["a.py", "util/b.py"]
 
 
 def test_scan_excludes_hidden_and_ignored(tmp_path):
@@ -36,9 +36,9 @@ def test_scan_excludes_hidden_and_ignored(tmp_path):
             "docs/conf.py": "x = 1\n",
         },
     )
-    assert scan_repository(tmp_path) == ["a.py", "build/gen.py", "docs/conf.py"]
-    assert scan_repository(tmp_path, ignore=("build",)) == ["a.py", "docs/conf.py"]
-    assert scan_repository(tmp_path, ignore=("docs/*.py",)) == ["a.py", "build/gen.py"]
+    assert list(scan_repository(tmp_path)) == ["a.py", "build/gen.py", "docs/conf.py"]
+    assert list(scan_repository(tmp_path, ignore=("build",))) == ["a.py", "docs/conf.py"]
+    assert list(scan_repository(tmp_path, ignore=("docs/*.py",))) == ["a.py", "build/gen.py"]
 
 
 def test_parse_demo_objects():
@@ -313,7 +313,7 @@ def test_normalization_rules():
 
 
 def test_parse_repository_order(demo_repo):
-    parses = parse_repository(demo_repo, ["util/b.py", "a.py"])
+    parses = parse_repository(scan_repository(demo_repo), ["util/b.py", "a.py"])
     assert [p.file for p in parses] == ["a.py", "util/b.py"]
 
 
