@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage or configuration problems, 2 completed with
 source files that failed to parse, 3 generation failures (provider errors or
-prompts that cannot fit any context window), 4 not a Git repository.
+prompts that cannot fit any context window), 4 not a Git repository. A
+reader that closes the output pipe early also gives 1, with no traceback.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -237,7 +239,13 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that left early is seen here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe: send what is still buffered nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     except NotAGitRepoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_A_REPO

@@ -16,6 +16,7 @@ from .llm_gateway import (
     MOCK_SCHEME,
     MockProvider,
     Provider,
+    split_http_url,
 )
 from .prompt_engine import ModelTier
 
@@ -103,6 +104,8 @@ def _parse_provider(raw: object) -> ProviderConfig:
             isinstance(raw["base_url"], str) and raw["base_url"],
             "provider.base_url must be a non-empty string",
         )
+        if not raw["base_url"].startswith(MOCK_SCHEME):
+            split_http_url(raw["base_url"])
         cfg = replace(cfg, base_url=raw["base_url"])
     if "tiers" in raw:
         cfg = replace(cfg, tiers=_parse_tiers(raw["tiers"]))

@@ -553,7 +553,7 @@ def generate_all(
         or bool(report.generated)
         or len(kept) != len(store.records)
         or old is None
-        or old.to_dict(file_state=False) != graph.to_dict(file_state=False)
+        or not graph.same_as(old)
     )
     store.graph_snapshot, store.records = graph, kept
     return report

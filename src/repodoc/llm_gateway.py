@@ -7,12 +7,17 @@ from the prompt's meta lines alone, so the whole pipeline can run hermetically.
 
 from __future__ import annotations
 
+import json
 import re
+import threading
 import time
+import weakref
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from functools import partial
+from typing import Any, Callable, Protocol
+from urllib.parse import SplitResult, unquote, urlsplit
 
-from .errors import AuthenticationError, ProviderError
+from .errors import AuthenticationError, ConfigError, ProviderError
 from .prompt_engine import FORMAT_INTRO, OUTPUT_EXAMPLE_INSTRUCTION, estimate_tokens
 
 MOCK_SCHEME = "mock:"
@@ -97,48 +102,67 @@ class MockProvider:
 
 
 class HttpChatProvider:
-    """Minimal OpenAI-style chat completion client."""
+    """Minimal OpenAI-style chat completion client on the standard library.
 
-    def __init__(self, base_url: str, api_key: str | None, *, session: object | None = None) -> None:
-        self._base_url = base_url.rstrip("/")
+    Sends go over keep-alive connections from an idle list, opened when no
+    idle one is left, so no more are open than sends were ever in flight. A
+    reused connection that the server has closed is retried once, at once,
+    on a new socket. HTTPS verifies certificates with the system's CA store;
+    ``http(s)_proxy`` and ``no_proxy`` are honoured. No HTTP code is imported
+    before the first send, and the idle connections close with the provider.
+    """
+
+    def __init__(self, base_url: str, api_key: str | None) -> None:
+        self._url = split_http_url(base_url)
         self._api_key = api_key
-        if session is None:
-            import requests
-
-            session = requests.Session()
-        self._session = session
+        self._lock = threading.Lock()
+        self._idle: list = []
+        self._route: _Route | None = None  # looked up on the first send
+        weakref.finalize(self, _close_all, self._idle)
 
     def send(self, request: CompletionRequest) -> CompletionResponse:
-        import requests
+        import http.client
 
-        headers = {}
-        if self._api_key:
-            headers["Authorization"] = f"Bearer {self._api_key}"
         payload = {
             "model": request.model,
             "messages": [{"role": "user", "content": request.prompt}],
             "max_tokens": request.max_completion_tokens,
             "temperature": request.temperature,
         }
+        body = json.dumps(payload).encode("utf-8")
+        with self._lock:
+            if self._route is None:
+                self._route = _route(self._url)
+            conn = self._idle.pop() if self._idle else self._route.connect()
+        route = self._route
+        headers = {"Content-Type": "application/json", **route.headers}
+        if self._api_key:
+            headers["Authorization"] = f"Bearer {self._api_key}"
+        reused = conn.sock is not None
         try:
-            response = self._session.post(
-                f"{self._base_url}/chat/completions",
-                json=payload,
-                headers=headers,
-                timeout=REQUEST_TIMEOUT_S,
-            )
-        except requests.RequestException as exc:
+            try:
+                status, data = _post(conn, route.target, body, headers)
+            except ConnectionError:
+                if not reused:
+                    raise
+                conn.close()  # closed by the server while idle
+                status, data = _post(conn, route.target, body, headers)
+        except (OSError, http.client.HTTPException) as exc:
+            conn.close()
             raise TransientProviderError(f"request failed: {exc}") from exc
-        if response.status_code in (401, 403):
+        with self._lock:
+            self._idle.append(conn)
+        if status in (401, 403):
             raise AuthenticationError(
-                f"provider rejected credentials (HTTP {response.status_code}); check {API_KEY_ENV}"
+                f"provider rejected credentials (HTTP {status}); check {API_KEY_ENV}"
             )
-        if response.status_code == 429 or response.status_code >= 500:
-            raise TransientProviderError(f"provider returned HTTP {response.status_code}")
-        if response.status_code != 200:
-            raise ProviderError(f"provider returned HTTP {response.status_code}: {response.text[:200]}")
+        if status == 429 or status >= 500:
+            raise TransientProviderError(f"provider returned HTTP {status}")
+        if status != 200:
+            text = data.decode("utf-8", "replace")
+            raise ProviderError(f"provider returned HTTP {status}: {text[:200]}")
         try:
-            data = response.json()
+            data = json.loads(data)
             text = data["choices"][0]["message"]["content"]
             usage = data.get("usage")
         except (KeyError, IndexError, TypeError, ValueError) as exc:
@@ -155,6 +179,86 @@ class HttpChatProvider:
             completion_tokens=_token_count(usage, "completion_tokens", text),
             model=str(data.get("model", request.model)),
         )
+
+
+def split_http_url(base_url: str) -> SplitResult:
+    """``base_url`` split into its parts, less any trailing slash; a
+    ConfigError unless it is an ``http://`` or ``https://`` URL with a host
+    and a valid port."""
+    url = urlsplit(base_url.rstrip("/"))
+    try:
+        valid = url.scheme in ("http", "https") and bool(url.hostname) and url.port != 0
+    except ValueError:  # a port that is not a number or is out of range
+        valid = False
+    if not valid:
+        raise ConfigError(
+            f"provider.base_url must be {MOCK_SCHEME} or an http:// or https:// URL"
+            f" with a host, not {base_url!r}"
+        )
+    return url
+
+
+@dataclass(frozen=True)
+class _Route:
+    connect: Callable[[], Any]  # a new, unopened connection
+    target: str  # what the request line names
+    headers: dict[str, str]  # what each request adds for a proxy
+
+
+def _route(url: SplitResult) -> _Route:
+    """How to reach ``url``: straight, through an HTTP proxy that is sent the
+    absolute URI, or for HTTPS through a CONNECT tunnel, as the proxy
+    environment variables say."""
+    import base64
+    import http.client
+    import urllib.request
+
+    https = url.scheme == "https"
+    port = url.port or (443 if https else 80)
+    target = f"{url.path}/chat/completions"
+    if https:
+        import ssl
+
+        connection = partial(http.client.HTTPSConnection, context=ssl.create_default_context())
+    else:
+        connection = http.client.HTTPConnection
+    proxy = None
+    if not urllib.request.proxy_bypass(url.hostname):
+        proxy = urllib.request.getproxies().get(url.scheme)
+    at, auth = (url.hostname, port), {}
+    if proxy:
+        proxy_url = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+        if proxy_url.scheme != "http" or not proxy_url.hostname:
+            raise ConfigError(f"unsupported proxy {proxy!r}: use an http:// proxy URL")
+        if proxy_url.username is not None:
+            user, password = unquote(proxy_url.username), unquote(proxy_url.password or "")
+            token = base64.b64encode(f"{user}:{password}".encode("utf-8")).decode("ascii")
+            auth["Proxy-Authorization"] = f"Basic {token}"
+        at = (proxy_url.hostname, proxy_url.port or 80)
+    tunnel = bool(proxy) and https
+
+    def connect():
+        conn = connection(*at, timeout=REQUEST_TIMEOUT_S)
+        if tunnel:
+            conn.set_tunnel(url.hostname, port, headers=auth)
+        return conn
+
+    if proxy and not https:
+        return _Route(connect, f"http://{url.netloc}{target}", auth)
+    return _Route(connect, target, {})
+
+
+def _close_all(connections: list) -> None:
+    for conn in connections:
+        conn.close()
+
+
+def _post(conn, target: str, body: bytes, headers: dict[str, str]) -> tuple[int, bytes]:
+    """One request on ``conn``, which opens its socket if it has none; the
+    status and the whole body, so that the connection can be reused."""
+    conn.request("POST", target, body, headers)
+    response = conn.getresponse()
+    return response.status, response.read()
 
 
 def _token_count(usage: dict, key: str, text: str) -> int:

@@ -356,26 +356,44 @@ class RepoGraph:
             blob=node.blob,
         )
 
-    def node_entries(self, *, file_state: bool = True) -> Iterator[tuple[str, dict]]:
-        """Each node's id and plain data, sorted by id, built one at a time.
-        ``file_state=False`` leaves out the file nodes' blob ids and parse
-        errors, which say what was parsed rather than what is documented."""
+    def node_entries(self) -> Iterator[tuple[str, dict]]:
+        """Each node's id and plain data, sorted by id, built one at a time."""
         for node_id in sorted(self.nodes):
             node = self.nodes[node_id]
             entry: dict = {"node_kind": node.node_kind, "children": list(node.children)}
             obj = self.objects.get(node_id)
             if obj is not None:
                 entry["meta"] = obj.to_dict()
-            if file_state and node.blob is not None:
+            if node.blob is not None:
                 entry["blob"] = node.blob
-            if file_state and node.parse_error is not None:
+            if node.parse_error is not None:
                 entry["parse_error"] = node.parse_error
             yield node_id, entry
 
-    def to_dict(self, *, file_state: bool = True) -> dict:
-        """The graph as plain data; ``file_state`` as for ``node_entries``."""
+    def same_as(self, other: "RepoGraph") -> bool:
+        """Whether the two graphs' ``to_dict()`` would be equal but for the
+        file nodes' blob ids and parse errors, which say what was parsed
+        rather than what is documented. Node kinds, children, object meta and
+        edges are compared directly, stopping at the first difference."""
+        if self.edges != other.edges or self.removed_edges != other.removed_edges:
+            return False
+        if self.nodes.keys() != other.nodes.keys():
+            return False
+        for node_id, node in self.nodes.items():
+            twin = other.nodes[node_id]
+            if node.node_kind != twin.node_kind or node.children != twin.children:
+                return False
+            obj, twin_obj = self.objects.get(node_id), other.objects.get(node_id)
+            if obj is twin_obj:
+                continue
+            if obj is None or twin_obj is None or obj.to_dict() != twin_obj.to_dict():
+                return False
+        return True
+
+    def to_dict(self) -> dict:
+        """The graph as plain data."""
         return {
-            "nodes": dict(self.node_entries(file_state=file_state)),
+            "nodes": dict(self.node_entries()),
             "edges": [vars(e) for e in self.edges],
             "removed_edges": [vars(e) for e in self.removed_edges],
         }

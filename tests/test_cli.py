@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 from repodoc.cli import main
@@ -288,3 +290,45 @@ def test_generate_stops_on_an_unreadable_file(demo_repo, capsys, monkeypatch):
     assert code == 1 and out == ""
     assert err.startswith("error: cannot read util/b.py: [Errno 13] Permission denied")
     assert not (demo_repo / STORE_REL).exists()
+
+
+def _repodoc_process(*argv: str) -> subprocess.Popen:
+    """A Python child with this checkout's ``src`` on its path, reading
+    ``argv``, its stdout and stderr piped."""
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    return subprocess.Popen(
+        [sys.executable, *argv],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+
+
+def test_graph_into_a_closed_pipe_exits_quietly(demo_repo):
+    proc = _repodoc_process("-m", "repodoc", "graph", "--repo", str(demo_repo))
+    proc.stdout.close()  # the reader leaves before the first byte, as `| head -c 0` would
+    _, err = proc.communicate(timeout=60)
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+    assert proc.returncode == 1
+
+
+def test_mock_and_noop_generates_import_no_http_code(demo_repo):
+    # the second run points at an HTTP provider but has nothing to send
+    script = (
+        "import json, os, sys\n"
+        "from repodoc.cli import main\n"
+        "repo = sys.argv[1]\n"
+        "assert main(['generate', '--repo', repo]) == 0\n"
+        "config = {'provider': {'base_url': 'http://127.0.0.1:9/v1'}}\n"
+        "open(os.path.join(repo, '.repodoc.json'), 'w').write(json.dumps(config))\n"
+        "os.environ['REPODOC_API_KEY'] = 'unused'\n"
+        "assert main(['generate', '--repo', repo]) == 0\n"
+        "print(sorted({'http.client', 'requests', 'urllib.request', 'ssl'} & set(sys.modules)))\n"
+    )
+    proc = _repodoc_process("-c", script, str(demo_repo))
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    assert "generated 0 objects, skipped 5" in out
+    assert out.splitlines()[-1] == "[]"

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repodoc.cli import main
 from repodoc.config import (
     CONFIG_FILENAME,
     DEFAULT_TIERS,
@@ -137,6 +138,43 @@ def test_scalar_validation(tmp_path, data, message):
     with pytest.raises(ConfigError) as err:
         load_config(tmp_path)
     assert message in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "url",
+    [
+        "api.example.test/v1",
+        "localhost:8080/v1",
+        "ftp://api.example.test/v1",
+        "file:///tmp/x",
+        "https://",
+        "http:///v1",
+        "https://api.example.test:notaport/v1",
+        "https://api.example.test:99999",
+        "http://127.0.0.1:0/v1",
+    ],
+)
+def test_base_url_must_be_mock_or_http(tmp_path, url):
+    write_config(tmp_path, {"provider": {"base_url": url}})
+    with pytest.raises(ConfigError) as err:
+        load_config(tmp_path)
+    assert "provider.base_url" in str(err.value) and repr(url) in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "url", ["mock:", "mock:fixture", "http://127.0.0.1:8080", "https://llm.internal/v1/"]
+)
+def test_base_url_accepts_mock_and_http(tmp_path, url):
+    write_config(tmp_path, {"provider": {"base_url": url}})
+    assert load_config(tmp_path).provider.base_url == url
+
+
+def test_bad_base_url_exits_1_before_any_request(tmp_path, capsys):
+    write_config(tmp_path, {"provider": {"base_url": "api.example.test/v1"}})
+    (tmp_path / "a.py").write_text("def f():\n    return 1\n", encoding="utf-8")
+    assert main(["generate", "--repo", str(tmp_path)]) == 1
+    assert "provider.base_url" in capsys.readouterr().err
+    assert not (tmp_path / "markdown_docs").exists()
 
 
 def test_reserve_must_fit_largest_tier(tmp_path):

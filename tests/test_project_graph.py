@@ -312,6 +312,49 @@ def test_graph_dict_roundtrip(demo_repo):
         assert clone.objects[oid] == replace(obj, snippet="", line_span=(0, 0))
 
 
+def _documented(graph: RepoGraph) -> dict:
+    """``to_dict()`` less the file nodes' blob ids and parse errors."""
+    data = graph.to_dict()
+    for entry in data["nodes"].values():
+        entry.pop("blob", None)
+        entry.pop("parse_error", None)
+    return data
+
+
+def _edit_object(graph: RepoGraph, object_id: str, **changes) -> None:
+    graph.objects[object_id] = replace(graph.objects[object_id], **changes)
+
+
+_GRAPH_EDITS = {
+    "nothing": lambda g: None,
+    "blob": lambda g: setattr(g.nodes["a.py"], "blob", "0" * 40),
+    "parse-error": lambda g: setattr(g.nodes["a.py"], "parse_error", "SyntaxError"),
+    "span-and-snippet": lambda g: _edit_object(g, "a.py/f", line_span=(1, 1), snippet=""),
+    "node-kind": lambda g: setattr(g.nodes["util"], "node_kind", FILE),
+    "child-order": lambda g: g.nodes["a.py"].children.reverse(),
+    "new-node": lambda g: g.nodes.update(x=replace(g.nodes["util"], id="x", children=[])),
+    "params": lambda g: _edit_object(g, "a.py/g", params=("y",)),
+    "has-return": lambda g: _edit_object(g, "a.py/f", has_return=False),
+    "parent": lambda g: _edit_object(g, "a.py/C/m", parent_id="a.py"),
+    "source-hash": lambda g: _edit_object(g, "a.py/f", source_hash="0" * 64),
+    "meta-dropped": lambda g: g.objects.pop("a.py/f"),
+    "edge": lambda g: g.edges.pop(),
+    "edge-order": lambda g: g.edges.reverse(),
+    "removed-edge": lambda g: g.removed_edges.append(ReferenceEdge("a.py/f", "a.py/g")),
+}
+
+
+@pytest.mark.parametrize("edit", _GRAPH_EDITS)
+def test_same_as_agrees_with_the_stored_form(demo_repo, edit):
+    graph = build_repo_graph(demo_repo)
+    other = RepoGraph.from_dict(graph.to_dict())
+    _GRAPH_EDITS[edit](other)
+    expected = _documented(graph) == _documented(other)
+    assert expected == (edit in ("nothing", "blob", "parse-error", "span-and-snippet"))
+    assert graph.same_as(other) is expected
+    assert other.same_as(graph) is expected
+
+
 def test_file_objects_in_source_order(demo_repo):
     graph = build_repo_graph(demo_repo)
     assert graph.file_objects("a.py") == [("a.py/C", 1), ("a.py/C/m", 2), ("a.py/f", 1), ("a.py/g", 1)]
