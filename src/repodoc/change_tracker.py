@@ -9,6 +9,7 @@ flow into every commit.
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import logging
 import os
 import shlex
@@ -38,7 +39,7 @@ TRIGGER_NEW_REFERENCE = "NewReference"
 
 HOOK_MARKER = "# repodoc pre-commit hook"
 LOCAL_HOOK_NAME = "pre-commit.local"
-LOCK_NAME = ".lock"
+LOCK_NAME = "repodoc-lock"
 
 # index entry modes of regular files; links and submodules are not sources
 REGULAR_FILE_MODES = ("100644", "100755")
@@ -89,9 +90,9 @@ class StagedChanges:
 def staged_changes(repo_root: str | Path, ignore: Sequence[str] = ()) -> StagedChanges:
     """Diff the index against HEAD; before the first commit every staged
     file is an addition. A rename shows up as a removal plus an addition."""
-    out = _git(
-        repo_root, "diff", "--cached", "--name-status", "--no-renames", "-z"
-    ).stdout.decode("utf-8", "replace")
+    out = os.fsdecode(
+        _git(repo_root, "diff", "--cached", "--name-status", "--no-renames", "-z").stdout
+    )
     fields = out.split("\0")
     buckets: dict[str, list[str]] = {"A": [], "M": [], "D": []}
     index = 0
@@ -225,48 +226,23 @@ def plan_updates(changes: ChangeSet) -> UpdatePlan:
     )
 
 
-def _holder_is_gone(lock_path: Path) -> bool:
-    """True when the lock names the PID of a process that no longer exists.
-
-    Empty content may be a live holder that has not written its PID yet.
-    """
-    try:
-        pid = int(lock_path.read_text(encoding="ascii"))
-        if pid > 0:
-            os.kill(pid, 0)
-    except ProcessLookupError:
-        return True
-    except (OSError, ValueError, OverflowError):
-        pass  # unreadable, not a PID, or a live process we may not signal
-    return False
-
-
 @contextlib.contextmanager
-def _update_lock(store_dir: Path):
-    store_dir.mkdir(parents=True, exist_ok=True)
-    lock_path = store_dir / LOCK_NAME
-    flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
-    try:
-        fd = os.open(lock_path, flags)
-    except FileExistsError:
-        fd = None
-        if _holder_is_gone(lock_path):
-            logger.warning("removing stale lock %s left by an exited process", lock_path)
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(lock_path)
-            with contextlib.suppress(FileExistsError):
-                fd = os.open(lock_path, flags)
-        if fd is None:
-            raise LockError(
-                f"another generate or update holds {lock_path}; remove it if none is running"
-            ) from None
-    try:
-        os.write(fd, str(os.getpid()).encode("ascii"))
-        os.close(fd)
+def _update_lock(directory: Path):
+    """Hold an exclusive ``flock`` on ``directory``/repodoc-lock while the block
+    runs. The kernel releases it when the holder exits, however it exits, so
+    no lock outlives its run. The file is never written, read or deleted."""
+    lock_path = directory / LOCK_NAME
+    with contextlib.ExitStack() as stack:
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+            fd = os.open(lock_path, os.O_RDWR | os.O_CREAT, 0o666)
+            stack.callback(os.close, fd)
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise LockError(f"another generate, update or publish holds {lock_path}") from None
+        except OSError as exc:
+            raise LockError(f"cannot lock {lock_path}: {exc.strerror or exc}") from None
         yield
-    finally:
-        with contextlib.suppress(OSError):
-            os.unlink(lock_path)
 
 
 @dataclass
@@ -329,7 +305,7 @@ def run_update(gateway: "Gateway", config: "Config", jobs: int) -> UpdateReport:
     repo_git = require_git_repo(repo_root)
     cache = ParseCache(repo_git)
     store_path = repo_root / config.store_path
-    with _update_lock(store_path.parent):
+    with _update_lock(repo_git):
         staged = staged_changes(repo_root, config.ignore)
         if not staged:
             return UpdateReport(staged=staged)

@@ -100,8 +100,8 @@ def cmd_generate(args) -> int:
     config = load_config(args.repo, args.config)
     gateway = build_gateway(config)
     store_path = config.repo_root / config.store_path
-    with _update_lock(store_path.parent):
-        repo_git = git_dir(config.repo_root)
+    repo_git = git_dir(config.repo_root)
+    with _update_lock(repo_git or store_path.parent):
         store = load_store(store_path)
         sources = scan_repository(config.repo_root, config.ignore)
         cache = ParseCache(repo_git)
@@ -167,10 +167,14 @@ def cmd_install_hook(args) -> int:
 
 def cmd_publish(args) -> int:
     config = load_config(args.repo, args.config)
-    store = load_store(config.repo_root / config.store_path)
-    if store.graph_snapshot is None:
+    store_path = config.repo_root / config.store_path
+    if not store_path.exists():
         raise UsageError("no doc store found; run: repodoc generate")
-    pages = write_site(store.graph_snapshot, store, config.repo_root / config.doc_dir)
+    with _update_lock(git_dir(config.repo_root) or store_path.parent):
+        store = load_store(store_path)
+        if store.graph_snapshot is None:
+            raise UsageError("no doc store found; run: repodoc generate")
+        pages = write_site(store.graph_snapshot, store, config.repo_root / config.doc_dir)
     if args.json:
         print(json.dumps({"pages_written": pages}, indent=2))
     else:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field, replace
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 from .errors import ConfigError
 from .llm_gateway import (
@@ -158,6 +158,14 @@ def load_config(repo_root: str | Path, path: str | Path | None = None) -> Config
                 isinstance(raw[key], str) and raw[key], f"{key} must be a non-empty string"
             )
             config = replace(config, **{key: raw[key]})
+    for key in ("doc_dir", "store_path"):
+        # write_site deletes what it did not write under doc_dir: keep it off the root and .git
+        rel = PurePosixPath(getattr(config, key))
+        _require(
+            bool(rel.parts) and not rel.is_absolute() and not {"..", ".git"} & {*rel.parts},
+            f"{key} {getattr(config, key)!r} must be a relative path below the "
+            "repository root, with no '..' or '.git' part",
+        )
     if "child_docs_enabled" in raw:
         _require(
             isinstance(raw["child_docs_enabled"], bool), "child_docs_enabled must be a boolean"

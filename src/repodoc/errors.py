@@ -24,7 +24,7 @@ class NotAGitRepoError(UsageError):
 
 
 class LockError(UsageError):
-    """Another generate or update holds the store lock."""
+    """The run lock is held by another generate, update or publish, or cannot be taken."""
 
 
 class InternalError(RepodocError):

@@ -383,11 +383,21 @@ def _is_ignored(rel_posix: str, ignore: Sequence[str]) -> bool:
     return any(fnmatch.fnmatch(name, pattern) for pattern in ignore for name in names)
 
 
+def _is_utf8(text: str) -> bool:
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def is_source(rel: str, ignore: Sequence[str] = ()) -> bool:
     """True for a repo-relative posix path of a Python file that no hidden
-    component (one starting with ".") and no ignore glob excludes."""
+    component (one starting with "."), no ignore glob and no byte that is not
+    UTF-8 (a lone surrogate from ``os.fsdecode``) excludes."""
     return (
         rel.endswith(SOURCE_SUFFIX)
+        and _is_utf8(rel)
         and not any(part.startswith(".") for part in PurePosixPath(rel).parts)
         and not _is_ignored(rel, ignore)
     )

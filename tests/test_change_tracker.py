@@ -7,6 +7,7 @@ import shutil
 import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,7 @@ from repodoc import change_tracker
 from repodoc.change_tracker import (
     HOOK_MARKER,
     LOCAL_HOOK_NAME,
+    LOCK_NAME,
     TRIGGER_NEW_OBJECT,
     TRIGGER_NEW_REFERENCE,
     TRIGGER_REFERRER_REMOVED,
@@ -401,30 +403,64 @@ def test_update_lock_is_exclusive(tmp_path):
         with pytest.raises(LockError) as err:
             with _update_lock(tmp_path):
                 pass
-        assert "remove it" in str(err.value)
+        message = f"another generate, update or publish holds {tmp_path / LOCK_NAME}"
+        assert message in str(err.value)
     # released on exit, so it can be taken again
     with _update_lock(tmp_path):
         pass
 
 
-def test_update_lock_takes_over_from_exited_process(tmp_path, caplog):
-    child = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
-                           capture_output=True, text=True, check=True)
-    (tmp_path / ".lock").write_text(child.stdout.strip(), encoding="ascii")
-    with caplog.at_level(logging.WARNING, logger="repodoc.change_tracker"):
-        with _update_lock(tmp_path):
-            assert (tmp_path / ".lock").read_text(encoding="ascii") == str(os.getpid())
-    assert "stale lock" in caplog.text
-    assert not (tmp_path / ".lock").exists()
+HOLD_LOCK = """
+import sys, time
+from pathlib import Path
+from repodoc.change_tracker import _update_lock
+with _update_lock(Path(sys.argv[1])):
+    print("locked", flush=True)
+    time.sleep(60)
+"""
 
 
-@pytest.mark.parametrize("content", ["", "not a pid"], ids=["empty", "garbage"])
-def test_update_lock_keeps_lock_it_cannot_judge(tmp_path, content):
-    (tmp_path / ".lock").write_text(content, encoding="ascii")
-    with pytest.raises(LockError):
+def test_update_lock_is_free_once_its_holder_is_killed(tmp_path, caplog):
+    src = Path(change_tracker.__file__).parents[1]
+    child = subprocess.Popen(
+        [sys.executable, "-c", HOLD_LOCK, str(tmp_path)],
+        stdout=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    try:
+        assert child.stdout.readline() == "locked\n"
+        with pytest.raises(LockError):
+            with _update_lock(tmp_path):
+                pass
+    finally:
+        child.kill()  # SIGKILL: the holder runs no cleanup
+        child.wait()
+        child.stdout.close()
+    with caplog.at_level(logging.DEBUG, logger="repodoc"):
         with _update_lock(tmp_path):
             pass
-    assert (tmp_path / ".lock").read_text(encoding="ascii") == content
+    assert caplog.text == ""
+
+
+@pytest.mark.parametrize(
+    "content", ["", "not a pid", str(os.getpid())], ids=["empty", "garbage", "live-pid"]
+)
+def test_update_lock_ignores_what_the_lock_file_holds(tmp_path, content):
+    (tmp_path / LOCK_NAME).write_text(content, encoding="ascii")
+    with _update_lock(tmp_path):
+        pass
+    # neither written nor deleted
+    assert (tmp_path / LOCK_NAME).read_text(encoding="ascii") == content
+
+
+def test_update_lock_that_cannot_be_taken_is_a_lock_error(tmp_path):
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("", encoding="ascii")
+    with pytest.raises(LockError) as err:
+        with _update_lock(not_a_dir):
+            pass
+    assert f"cannot lock {not_a_dir / LOCK_NAME}" in str(err.value)
 
 
 def test_install_hook_fresh_and_idempotent(git_demo_repo):
@@ -494,8 +530,9 @@ def test_run_update_generates_and_stages_everything(git_demo_repo):
     assert "markdown_docs/a.md" in staged_now
     assert "markdown_docs/SUMMARY.md" in staged_now
     assert config.store_path in staged_now
-    # the lock is gone afterwards
-    assert not (git_demo_repo / config.store_path).parent.joinpath(".lock").exists()
+    # the lock lives in the git directory, not beside the store
+    assert (git_demo_repo / ".git" / LOCK_NAME).exists()
+    assert not (git_demo_repo / config.store_path).parent.joinpath(LOCK_NAME).exists()
 
 
 def test_run_update_failure_leaves_store_untouched(git_demo_repo):
@@ -593,12 +630,13 @@ def test_run_update_outside_git_repo(tmp_path):
 def test_run_update_respects_lock(git_demo_repo):
     git(git_demo_repo, "add", "-A")
     config = load_config(git_demo_repo)
-    lock_dir = (git_demo_repo / config.store_path).parent
-    lock_dir.mkdir(parents=True, exist_ok=True)
-    (lock_dir / ".lock").write_text(str(os.getpid()), encoding="ascii")
-    with pytest.raises(LockError):
-        run_update(make_gateway(), config, 1)
-    (lock_dir / ".lock").unlink()
+    staged = git(git_demo_repo, "diff", "--cached", "--name-only")
+    with _update_lock(git_demo_repo / ".git"):
+        with pytest.raises(LockError):
+            run_update(make_gateway(), config, 1)
+    assert not (git_demo_repo / config.store_path).parent.exists()
+    assert not (git_demo_repo / config.doc_dir).exists()
+    assert git(git_demo_repo, "diff", "--cached", "--name-only") == staged
 
 
 def test_update_report_to_dict_is_json_shaped(git_demo_repo):

@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from repodoc.change_tracker import LOCK_NAME, _update_lock
 from repodoc.cli import main
 from repodoc.llm_gateway import Gateway
 
@@ -128,16 +132,77 @@ def test_generate_refuses_while_lock_is_held(demo_repo, capsys):
         handle.write("\n\ndef added():\n    return 2\n")
     outputs = [demo_repo / STORE_REL, *sorted((demo_repo / "markdown_docs").rglob("*"))]
     before = {p: p.read_bytes() for p in outputs if p.is_file()}
-    lock = demo_repo / ".project_doc_record" / ".lock"
-    lock.write_text(str(os.getpid()), encoding="ascii")  # a live holder
+    # outside Git the lock lives beside the store
+    lock = demo_repo / ".project_doc_record" / LOCK_NAME
 
-    code, _, err = run_cli("generate", "--repo", demo_repo, capsys=capsys)
+    with _update_lock(lock.parent):
+        code, _, err = run_cli("generate", "--repo", demo_repo, capsys=capsys)
     assert code == 1
     assert str(lock) in err
     assert {p: p.read_bytes() for p in outputs if p.is_file()} == before
     assert sorted((demo_repo / "markdown_docs").rglob("*")) == outputs[1:]
-    assert sorted(p.name for p in lock.parent.iterdir()) == [".lock", "project_hierarchy.json"]
-    assert lock.read_text(encoding="ascii") == str(os.getpid())
+    assert sorted(p.name for p in lock.parent.iterdir()) == ["project_hierarchy.json", LOCK_NAME]
+    assert lock.read_bytes() == b""
+
+
+def test_publish_refuses_while_lock_is_held(git_demo_repo, capsys):
+    assert run_cli("generate", "--repo", git_demo_repo, capsys=capsys)[0] == 0
+    page = git_demo_repo / "markdown_docs" / "a.md"
+    page.unlink()
+    with _update_lock(git_demo_repo / ".git"):
+        code, _, err = run_cli("publish", "--repo", git_demo_repo, capsys=capsys)
+    assert code == 1
+    assert str(git_demo_repo / ".git" / LOCK_NAME) in err
+    assert not page.exists()
+
+
+def test_runs_leave_nothing_but_docs_and_store_in_the_work_tree(git_demo_repo, capsys):
+    git(git_demo_repo, "add", "-A")
+    git(git_demo_repo, "commit", "-q", "-m", "sources")
+    assert run_cli("generate", "--repo", git_demo_repo, capsys=capsys)[0] == 0
+    with (git_demo_repo / "a.py").open("a", encoding="utf-8") as handle:
+        handle.write("\n\ndef added():\n    return 2\n")
+    git(git_demo_repo, "add", "a.py")
+    assert run_cli("update", "--repo", git_demo_repo, capsys=capsys)[0] == 0
+    assert run_cli("publish", "--repo", git_demo_repo, capsys=capsys)[0] == 0
+    status = git(git_demo_repo, "status", "--porcelain", "--ignored").splitlines()
+    pages = ["markdown_docs/SUMMARY.md", "markdown_docs/a.md", "markdown_docs/util/b.md"]
+    assert sorted(line[3:] for line in status) == sorted(["a.py", STORE_REL, *pages])
+
+
+def test_a_doc_dir_at_the_root_is_refused_before_anything_is_written(git_demo_repo, capsys):
+    (git_demo_repo / "README.md").write_text("# demo\n", encoding="utf-8")
+    (git_demo_repo / "notes").mkdir()
+    (git_demo_repo / "notes" / "todo.md").write_text("- a\n", encoding="utf-8")
+    (git_demo_repo / ".repodoc.json").write_text('{"doc_dir": "."}', encoding="utf-8")
+    before = sorted(git_demo_repo.rglob("*"))
+
+    code, _, err = run_cli("generate", "--repo", git_demo_repo, capsys=capsys)
+    assert code == 1
+    assert "doc_dir '.'" in err
+    assert sorted(git_demo_repo.rglob("*")) == before
+    assert (git_demo_repo / "README.md").read_text(encoding="utf-8") == "# demo\n"
+    git(git_demo_repo, "status")
+
+
+def test_a_file_name_that_is_not_utf8_is_skipped(git_demo_repo, capsys):
+    try:
+        (git_demo_repo / os.fsdecode(b"caf\xe9.py")).write_text(
+            "def g():\n    return 2\n", encoding="utf-8"
+        )
+    except (OSError, UnicodeError):
+        pytest.skip("the file system refuses a name that is not UTF-8")
+    git(git_demo_repo, "add", "-A")
+    pages = ["SUMMARY.md", "a.md", "util/b.md"]
+
+    code, out, err = run_cli("update", "--repo", git_demo_repo, "--json", capsys=capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["staged"]["added"] == ["a.py", "util/b.py"]
+    assert sorted(json.loads(out)["written_pages"]) == pages
+    shutil.rmtree(git_demo_repo / "markdown_docs")
+    code, out, err = run_cli("generate", "--repo", git_demo_repo, "--json", capsys=capsys)
+    assert (code, err) == (0, "")
+    assert sorted(json.loads(out)["pages_written"]) == pages
 
 
 def test_bad_arguments_exit_1(demo_repo, capsys):

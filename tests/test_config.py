@@ -140,6 +140,25 @@ def test_scalar_validation(tmp_path, data, message):
     assert message in str(err.value)
 
 
+@pytest.mark.parametrize("key", ["doc_dir", "store_path"])
+@pytest.mark.parametrize(
+    "path",
+    [".", "./", "/abs", "//abs", "../docs", "docs/../..", ".git", ".git/docs", "sub/.git/x"],
+)
+def test_output_paths_must_stay_below_the_root_and_outside_git(tmp_path, key, path):
+    write_config(tmp_path, {key: path})
+    with pytest.raises(ConfigError) as err:
+        load_config(tmp_path)
+    assert key in str(err.value) and repr(path) in str(err.value)
+
+
+@pytest.mark.parametrize("path", ["docs", "./docs", "docs/api/", ".docs", "a..b"])
+def test_output_paths_below_the_root_are_accepted(tmp_path, path):
+    write_config(tmp_path, {"doc_dir": path, "store_path": f"{path}/store.json"})
+    config = load_config(tmp_path)
+    assert (config.doc_dir, config.store_path) == (path, f"{path}/store.json")
+
+
 @pytest.mark.parametrize(
     "url",
     [
