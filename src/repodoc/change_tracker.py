@@ -18,13 +18,21 @@ import subprocess
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .doc_pipeline import RunReport, generate_all, load_store, save_store, snapshot_is_recorded
+from .doc_pipeline import (
+    DocStore,
+    RunReport,
+    generate_all,
+    load_store,
+    record_snapshot,
+    save_store,
+    snapshot_is_recorded,
+)
 from .errors import LockError, NotAGitRepoError, UsageError
 from .markdown_publisher import write_site
 from .project_graph import RepoGraph, add_snippets, empty_graph, source_graph
-from .source_model import ParseCache, is_source, source_text
+from .source_model import ParseCache, Sources, is_source, source_text
 
 if TYPE_CHECKING:
     from .config import Config
@@ -46,9 +54,21 @@ REGULAR_FILE_MODES = ("100644", "100755")
 
 
 def _git(
-    repo_root: str | Path, *args: str, check: bool = True, input: bytes | None = None
-) -> subprocess.CompletedProcess:
-    proc = subprocess.run(["git", "-C", str(repo_root), *args], input=input, capture_output=True)
+    repo_root: str | Path,
+    *args: str,
+    check: bool = True,
+    input: bytes | None = None,
+    stream: bool = False,
+):
+    """Run git and return its ``CompletedProcess``. With ``stream``, start it
+    and return its ``Popen`` instead, with pipes to write its stdin and read
+    its stdout; the caller closes them and waits for it."""
+    argv = ["git", "-C", str(repo_root), *args]
+    if stream:
+        return subprocess.Popen(
+            argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL
+        )
+    proc = subprocess.run(argv, input=input, capture_output=True)
     if check and proc.returncode != 0:
         detail = proc.stderr.decode("utf-8", "replace").strip()
         raise UsageError(f"git {' '.join(args)} failed: {detail}")
@@ -117,13 +137,63 @@ def staged_changes(repo_root: str | Path, ignore: Sequence[str] = ()) -> StagedC
     )
 
 
+class _BlobReader:
+    """Texts of index blobs from one ``git cat-file --batch`` process,
+    started on the first read and ended by ``close``."""
+
+    # requests written before their answers are read: their bytes stay far
+    # below a pipe's capacity, so git never waits on a full pipe both ways
+    CHUNK = 64
+
+    def __init__(self, repo_root: str | Path, blobs: Mapping[str, str]) -> None:
+        self._repo_root = repo_root
+        self._blobs = blobs
+        self._proc: subprocess.Popen | None = None
+
+    def read(self, paths: list[str]) -> list[str]:
+        if self._proc is None:
+            self._proc = _git(self._repo_root, "cat-file", "--batch", stream=True)
+        stdin, stdout = self._proc.stdin, self._proc.stdout
+        texts = []
+        for start in range(0, len(paths), self.CHUNK):
+            chunk = paths[start : start + self.CHUNK]
+            try:
+                stdin.write("".join(f"{self._blobs[path]}\n" for path in chunk).encode("ascii"))
+                stdin.flush()
+            except BrokenPipeError:
+                pass  # git ended; the empty answer below names the file
+            for path in chunk:
+                header = stdout.readline().decode("ascii", "replace").rstrip("\n")
+                fields = header.split()  # "<oid> blob <size>", or "<oid> missing"
+                if fields[1:2] != ["blob"]:
+                    raise UsageError(
+                        f"cannot read the staged blob of {path}: git answered {header!r}"
+                    )
+                data = stdout.read(int(fields[2]) + 1)  # a newline follows each blob
+                texts.append(source_text(data[:-1]))
+        return texts
+
+    def close(self) -> None:
+        if self._proc is not None:
+            with contextlib.suppress(BrokenPipeError):  # git already ended
+                self._proc.stdin.close()
+            self._proc.stdout.close()
+            self._proc.wait()
+            self._proc = None
+
+
 def read_staged_text(
-    repo_root: str | Path, ignore: Sequence[str] = ()
-) -> dict[str, tuple[str, str]]:
+    repo_root: str | Path, ignore: Sequence[str] = (), snapshot: RepoGraph | None = None
+) -> Sources:
     """Blob id and text of every source file in the index, by path: what the
     pending commit will contain, whatever the working tree holds. One
-    ``git ls-files`` and one ``git cat-file --batch`` run, however many files
-    there are."""
+    ``git ls-files`` gives every blob id, and one ``git cat-file --batch``
+    process reads texts, however many files there are.
+
+    The texts of the files whose blob id is not the one ``snapshot`` holds
+    are read now, and the others on first use, so a run reads only what it
+    parses. Given a snapshot, the caller closes the result, which ends the
+    reader."""
     listing = _git(repo_root, "ls-files", "--stage", "-z").stdout
     blobs: dict[str, str] = {}
     for entry in filter(None, listing.split(b"\0")):
@@ -134,19 +204,17 @@ def read_staged_text(
             if stage != "0":
                 raise UsageError(f"{path} has an unresolved merge conflict; resolve and stage it")
             blobs[path] = oid
-    paths = sorted(blobs)
-    request = "".join(f"{blobs[path]}\n" for path in paths).encode("ascii")
-    out = _git(repo_root, "cat-file", "--batch", input=request).stdout
-    sources: dict[str, tuple[str, str]] = {}
-    pos = 0
-    for path in paths:
-        eol = out.index(b"\n", pos)
-        header = out[pos:eol].decode("ascii", "replace")
-        fields = header.split()  # "<oid> blob <size>", or "<oid> missing"
-        if fields[1:2] != ["blob"]:
-            raise UsageError(f"cannot read the staged blob of {path}: git answered {header!r}")
-        start, pos = eol + 1, eol + 2 + int(fields[2])  # a newline follows each blob
-        sources[path] = (blobs[path], source_text(out[start : pos - 1]))
+    blobs = dict(sorted(blobs.items()))
+    known = snapshot.nodes if snapshot is not None else {}
+    reader = _BlobReader(repo_root, blobs)
+    sources = Sources(blobs, {}, reader.read, reader.close)
+    try:
+        sources.read(rel for rel, oid in blobs.items() if rel not in known or known[rel].blob != oid)
+    except BaseException:
+        sources.close()
+        raise
+    if snapshot is None:
+        sources.close()  # every text is read
     return sources
 
 
@@ -311,11 +379,16 @@ def run_update(gateway: "Gateway", config: "Config", jobs: int) -> UpdateReport:
             return UpdateReport(staged=staged)
 
         store = load_store(store_path)
-        sources = read_staged_text(repo_root, config.ignore)
         reuse = snapshot_is_recorded(store, repo_git)
-        graph, taken = source_graph(sources, cache, store.graph_snapshot, reuse=reuse)
-        plan = plan_updates(diff_objects(store.graph_snapshot or empty_graph(), graph))
-        add_snippets(graph, sources, cache, taken, plan.regenerate_ids)
+        sources = read_staged_text(
+            repo_root, config.ignore, store.graph_snapshot if reuse else None
+        )
+        try:
+            graph, taken = source_graph(sources, cache, store.graph_snapshot, reuse=reuse)
+            plan = plan_updates(diff_objects(store.graph_snapshot or empty_graph(), graph))
+            add_snippets(graph, sources, cache, taken, plan.regenerate_ids)
+        finally:
+            sources.close()
         cache.save()
 
         run = generate_all(graph, gateway, store, config, jobs, only=plan.regenerate_ids)
@@ -332,13 +405,63 @@ def run_update(gateway: "Gateway", config: "Config", jobs: int) -> UpdateReport:
             # leave store and pages untouched; the commit stays blocked
             return report
 
-        # Store first: if saving fails, no page has changed. If writing the
-        # site fails, the next run finds the store current and rewrites pages.
-        if store.changed:
-            save_store(store, store_path, repo_git)
-        report.written_pages = write_site(graph, store, repo_root / config.doc_dir)
-        _git(repo_root, "add", "-A", "--", config.doc_dir, config.store_path)
+        report.written_pages = persist(
+            graph, store, store_path, repo_root / config.doc_dir, repo_git, reuse
+        )
+        _stage(repo_root, config.doc_dir, config.store_path)
         return report
+
+
+def persist(
+    graph: RepoGraph,
+    store: DocStore,
+    store_path: Path | None,
+    doc_dir: Path,
+    repo_git: Path | None,
+    reuse: bool,
+) -> list[str]:
+    """Save the store to ``store_path`` when it changed, write its pages to
+    ``doc_dir``, and only then record the store's digest in ``repo_git``, so
+    that a recorded digest also vouches for the pages. Returns the pages
+    written.
+
+    Store first: if saving fails, no page has changed. The save and the
+    first page written remove the digest, so a run that stops between
+    leaves none and the next one rewrites every stale page. ``reuse`` tells
+    that the digest recorded before the run was the loaded store's; then
+    only the pages of what the run changed are compiled. Without
+    ``store_path``, as for ``publish``, the store is not saved and every
+    page is compiled.
+    """
+    saved = store_path is not None and store.changed
+    changed = None
+    if store_path is not None and reuse and store.file is not None:
+        changed = store.file.edited()
+    if saved:
+        save_store(store, store_path, repo_git)
+    pages = write_site(graph, store, doc_dir, changed, repo_git)
+    if saved or (reuse and pages):
+        record_snapshot(store, repo_git)
+    return pages
+
+
+def _stage(repo_root: Path, *paths: str) -> None:
+    """``git add -A`` the paths; those that Git ignores are left out, and are
+    looked for only once an add has failed."""
+    proc = _git(repo_root, "add", "-A", "--", *paths, check=False)
+    if proc.returncode == 0:
+        return
+    request = "".join(f"{path}\0" for path in paths).encode()
+    listed = _git(
+        repo_root, "check-ignore", "--no-index", "-z", "--stdin", check=False, input=request
+    ).stdout
+    ignored = set(os.fsdecode(listed).split("\0"))
+    rest = [path for path in paths if path not in ignored]
+    if len(rest) == len(paths):
+        detail = proc.stderr.decode("utf-8", "replace").strip()
+        raise UsageError(f"git add -A -- {' '.join(paths)} failed: {detail}")
+    if rest:
+        _git(repo_root, "add", "-A", "--", *rest)
 
 
 HOOK_TEMPLATE = """#!/bin/sh

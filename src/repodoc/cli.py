@@ -15,9 +15,9 @@ import os
 import sys
 from pathlib import Path
 
-from .change_tracker import _update_lock, git_dir, install_hook, run_update
+from .change_tracker import _update_lock, git_dir, install_hook, persist, run_update
 from .config import build_gateway, load_config
-from .doc_pipeline import generate_all, load_store, save_store, snapshot_is_recorded, up_to_date
+from .doc_pipeline import generate_all, load_store, snapshot_is_recorded, up_to_date
 from .errors import (
     CorruptStoreError,
     NotAGitRepoError,
@@ -27,7 +27,6 @@ from .errors import (
     UsageError,
 )
 from .eval_harness import evaluate_docs, reference_recall
-from .markdown_publisher import write_site
 from .project_graph import add_snippets, graph_to_dot, source_graph
 from .source_model import ParseCache, scan_repository
 
@@ -112,9 +111,8 @@ def cmd_generate(args) -> int:
         cache.save()
         report = generate_all(graph, gateway, store, config, args.jobs, only=stale)
         # partial progress is kept even when some objects failed
-        if store.changed:
-            save_store(store, store_path, repo_git)
-        pages = write_site(graph, store, config.repo_root / config.doc_dir)
+        doc_dir = config.repo_root / config.doc_dir
+        pages = persist(graph, store, store_path, doc_dir, repo_git, reuse)
     if args.json:
         payload = report.to_dict()
         payload["pages_written"] = pages
@@ -170,11 +168,14 @@ def cmd_publish(args) -> int:
     store_path = config.repo_root / config.store_path
     if not store_path.exists():
         raise UsageError("no doc store found; run: repodoc generate")
-    with _update_lock(git_dir(config.repo_root) or store_path.parent):
+    repo_git = git_dir(config.repo_root)
+    with _update_lock(repo_git or store_path.parent):
         store = load_store(store_path)
         if store.graph_snapshot is None:
             raise UsageError("no doc store found; run: repodoc generate")
-        pages = write_site(store.graph_snapshot, store, config.repo_root / config.doc_dir)
+        reuse = snapshot_is_recorded(store, repo_git)
+        doc_dir = config.repo_root / config.doc_dir
+        pages = persist(store.graph_snapshot, store, None, doc_dir, repo_git, reuse)
     if args.json:
         print(json.dumps({"pages_written": pages}, indent=2))
     else:

@@ -8,20 +8,23 @@ against; it is the unit of persistence, diffing and Git tracking.
 
 from __future__ import annotations
 
+import contextlib
 import datetime as _dt
 import hashlib
 import heapq
+import itertools
 import json
 import logging
+import os
 import re
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator
 
 from .errors import CorruptStoreError, OverBudgetError, ProviderError, StoreWriteError
 from .llm_gateway import CompletionRequest, Gateway
-from .project_graph import DIR, REPO, RepoGraph, topological_order
+from .project_graph import DIR, REPO, ReferenceEdge, RepoGraph, topological_order
 from .prompt_engine import assemble_context, fit_to_budget, render_prompt
 from .source_model import CLASS, CodeObject, parser_identity, write_atomically
 
@@ -30,9 +33,10 @@ if TYPE_CHECKING:
 
 logger = logging.getLogger(__name__)
 
-# Bump whenever the layout changes or the resolver may give other edges for
-# the same parses: an older store is migrated on load, and since its
-# snapshot's digest names the older version, no run reuses a file of it.
+# Bump whenever the layout changes, the resolver may give other edges for
+# the same parses, or pruning may keep other edges of the same edge set: an
+# older store is migrated on load, and since the digest of its bytes is
+# taken under the older version, no run reuses a file of it.
 STORE_VERSION = 4
 
 PARAM_LABEL = "parameters"
@@ -64,12 +68,13 @@ class ParsedDoc:
     extra: list[str] = field(default_factory=list)
 
 
-def parse_doc(text: str, kind: str, has_return: bool) -> ParsedDoc:
+def parse_doc(text: str, kind: str, has_return: bool, name: str = "") -> ParsedDoc:
     """Split a generated doc into its bold-labelled sections.
 
-    The first bold header whose label is not one of the fixed section labels
-    is taken as the name header. Fixed labels match case-insensitively.
-    Non-compliance is reported, never raised.
+    The first bold header is taken as the name header when its label is the
+    object's ``name`` or is not one of the fixed section labels, so that the
+    doc of an object named ``parameters`` or ``note`` is read alike. Fixed
+    labels match case-insensitively. Non-compliance is reported, never raised.
     """
     parsed = ParsedDoc()
     matches = list(_HEADER_RE.finditer(text))
@@ -81,7 +86,7 @@ def parse_doc(text: str, kind: str, has_return: bool) -> ParsedDoc:
     seen: set[str] = set()
     for index, (label, inline, full) in enumerate(sections):
         canonical = _FIXED_LABELS.get(label.lower())
-        if index == 0 and canonical is None:
+        if index == 0 and (canonical is None or label == name):
             parsed.name_header = full
             seen.add("name")
             continue
@@ -224,22 +229,41 @@ def _children_in_source_order(graph_data: dict) -> None:
 
 
 # the file in a repository's git directory that holds the digest of the
-# snapshot last saved there; it never reaches a commit
+# store last saved there; it never reaches a commit
 SNAPSHOT_DIGEST_NAME = "repodoc-snapshot-digest"
 
+# member lines of the store file joined into one block before it is written
+_BLOCK_LINES = 128
 
-def _snapshot_digest(graph: RepoGraph) -> str:
-    """The digest of what a run takes from a snapshot unparsed: each
-    node's children, each file's blob id and parse error, and the edges,
-    with the store version and the ``parser_identity`` that gave them."""
-    data = [
-        STORE_VERSION,
-        parser_identity(),
-        [(nid, n.children, n.blob, n.parse_error) for nid, n in sorted(graph.nodes.items())],
-        [(e.caller, e.callee) for e in graph.edges],
-        [(e.caller, e.callee) for e in graph.removed_edges],
-    ]
-    return hashlib.sha256(json.dumps(data).encode("utf-8")).hexdigest()
+_encode = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+
+
+def _new_digest():
+    """A SHA-256 fed the ``parser_identity`` and the store version; the
+    store's bytes follow."""
+    return hashlib.sha256(f"{parser_identity()} {STORE_VERSION}\n".encode("utf-8"))
+
+
+@dataclass
+class StoreFile:
+    """The file a store was loaded from or last saved to, as ``save_store``
+    copies lines from it: its (device, inode, size, mtime), the keys of its
+    node and record lines in order, its numbers of kept and removed edge
+    lines, and what in memory no longer matches it. ``generate_all`` notes
+    the records it writes, the graph nodes whose entry changes, and whether
+    the kept or removed edges change."""
+
+    stat: tuple[int, int, int, int]
+    node_ids: list[str]
+    record_ids: list[str]
+    edge_counts: tuple[int, int]
+    edited_records: set[str] = field(default_factory=set)
+    edited_nodes: set[str] = field(default_factory=set)
+    edited_edges: bool = False
+
+    def edited(self) -> set[str]:
+        """The ids of the records and nodes that no longer match the file."""
+        return self.edited_records | self.edited_nodes
 
 
 @dataclass
@@ -249,6 +273,11 @@ class DocStore:
     records: dict[str, DocRecord] = field(default_factory=dict)
     graph_snapshot: RepoGraph | None = None
     changed: bool = False  # set once it differs from the file it was loaded from
+    # the SHA-256 over the parser_identity, the store version and the bytes
+    # of the file it was loaded from or last saved to
+    digest: str | None = None
+    # that file, when it holds a graph and the current version
+    file: StoreFile | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -258,86 +287,269 @@ class DocStore:
         }
 
 
-def _store_text(store: DocStore) -> Iterator[str]:
-    """The text of ``store.to_dict()``: compact JSON with sorted keys, one
-    line per record, node and edge, and a final newline. Each line is built
-    and encoded on its own, so neither the text nor the dict is held whole."""
-    encode = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+class _StaleFile(Exception):
+    """The file to copy store lines from is not laid out as noted."""
 
-    def lines(opener: str, members: Iterator[str], closer: str) -> Iterator[str]:
-        yield opener
-        separator = "\n"
-        for member in members:
-            yield separator + member
-            separator = ",\n"
-        yield "\n" + closer
 
+def _file_stat(st: os.stat_result) -> tuple[int, int, int, int]:
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _section(opener: bytes, chunks: Iterator[bytes], closer: bytes) -> Iterator[bytes]:
+    """A JSON array or object with one member per line. Each chunk holds
+    whole member lines, each ending in ``,\n``; the last comma goes."""
+    previous = opener + b"\n"
+    for chunk in chunks:
+        yield previous
+        previous = chunk
+    if previous.endswith(b",\n"):
+        previous = previous[:-2] + b"\n"
+    yield previous + closer
+
+
+def _encoded(keys: Iterable, encode: Callable[..., bytes]) -> Iterator[bytes]:
+    """The encoded member lines of ``keys``, in chunks."""
+    keys = iter(keys)
+    while batch := list(itertools.islice(keys, _BLOCK_LINES)):
+        yield b",\n".join(map(encode, batch)) + b",\n"
+
+
+def _copied(lines: Iterator[bytes], count: int) -> Iterator[bytes]:
+    """The next ``count`` member lines of ``lines``, in chunks; a section's
+    last line gets the comma the others have."""
+    while count > 0:
+        chunk = b"".join(itertools.islice(lines, min(count, _BLOCK_LINES)))
+        count -= _BLOCK_LINES
+        yield chunk if chunk.endswith(b",\n") else chunk[:-1] + b",\n"
+
+
+def _skip(lines: Iterator[bytes], count: int) -> None:
+    for _ in itertools.islice(lines, count):
+        pass
+
+
+def _keyed(
+    lines: Iterator[bytes],
+    old_keys: list[str],
+    keys: list[str],
+    edited: set[str],
+    encode: Callable[[str], bytes],
+) -> Iterator[bytes]:
+    """The member lines of sorted ``keys``, in chunks. Each key's line is
+    copied from ``lines``, the sorted section whose keys are ``old_keys``,
+    unless the key is ``edited`` or not there; then it is encoded."""
+    old = iter(old_keys)
+    old_key = next(old, None)
+    run = 0  # old lines to copy next
+    fresh: list[str] = []  # keys to encode next
+    for key in keys:
+        while old_key is not None and old_key < key:  # an entry dropped since
+            if run:
+                yield from _copied(lines, run)
+                run = 0
+            _skip(lines, 1)
+            old_key = next(old, None)
+        if old_key == key and key not in edited:
+            if fresh:
+                yield from _encoded(fresh, encode)
+                fresh = []
+            run += 1
+        else:
+            if run:
+                yield from _copied(lines, run)
+                run = 0
+            fresh.append(key)
+            if old_key == key:
+                _skip(lines, 1)
+        if old_key == key:
+            old_key = next(old, None)
+    yield from _copied(lines, run)
+    yield from _encoded(fresh, encode)
+    if old_key is not None:
+        _skip(lines, 1 + sum(1 for _ in old))
+
+
+def _store_blocks(
+    store: DocStore,
+    node_ids: list[str],
+    record_ids: list[str],
+    old: BinaryIO | None = None,
+) -> Iterator[bytes]:
+    """The bytes of ``store.to_dict()``: compact JSON with sorted keys, one
+    line per record, node and edge, and a final newline, in blocks of lines.
+    ``node_ids`` and ``record_ids`` are the sorted keys. Neither the text
+    nor the dict is held whole.
+
+    ``old``, open at its start, is the file ``store.file`` notes, as this
+    function wrote it. Each record and node line that ``store.file`` does
+    not name as edited, and each edge line when the edges are unchanged, is
+    then copied from it instead of encoded. Raises ``_StaleFile`` when the
+    file is not laid out as noted."""
     graph = store.graph_snapshot
+    carry = old is not None and graph is not None and store.file is not None
+    lines: Iterator[bytes] = iter(old) if carry else iter(())
+    # without a file to carry lines from, as if from an empty one
+    base = store.file if carry else StoreFile((0, 0, 0, 0), [], [], (0, 0), edited_edges=True)
+
+    def expect(line: bytes) -> None:
+        if carry and next(lines, None) != line:
+            raise _StaleFile(line)
+
+    def edge_chunks(edges: list[ReferenceEdge], count: int) -> Iterator[bytes]:
+        if not base.edited_edges:
+            return _copied(lines, count)
+        _skip(lines, count)
+        return _encoded(edges, lambda e: _encode(vars(e)).encode("ascii"))
+
+    def node_line(node_id: str) -> bytes:
+        return f"{_encode(node_id)}:{_encode(graph.node_entry(node_id))}".encode("ascii")
+
+    def record_line(oid: str) -> bytes:
+        return f"{_encode(oid)}:{_encode(vars(store.records[oid]))}".encode("ascii")
+
     if graph is None:
-        yield '{"graph":null'
+        yield b'{"graph":null'
     else:
-        yield '{"graph":{"edges":'
-        yield from lines("[", (encode(vars(e)) for e in graph.edges), "]")
-        yield ',"nodes":'
-        nodes = (f"{encode(nid)}:{encode(entry)}" for nid, entry in graph.node_entries())
-        yield from lines("{", nodes, "}")
-        yield ',"removed_edges":'
-        yield from lines("[", (encode(vars(e)) for e in graph.removed_edges), "]}")
-    yield ',"records":'
-    records = (f"{encode(oid)}:{encode(vars(store.records[oid]))}" for oid in sorted(store.records))
-    yield from lines("{", records, "}")
-    yield f',"version":{STORE_VERSION}}}\n'
+        kept_lines, removed_lines = base.edge_counts
+        expect(b'{"graph":{"edges":[\n')
+        yield b'{"graph":{"edges":'
+        yield from _section(b"[", edge_chunks(graph.edges, kept_lines), b"]")
+        expect(b'],"nodes":{\n')
+        yield b',"nodes":'
+        nodes = _keyed(lines, base.node_ids, node_ids, base.edited_nodes, node_line)
+        yield from _section(b"{", nodes, b"}")
+        expect(b'},"removed_edges":[\n')
+        yield b',"removed_edges":'
+        yield from _section(b"[", edge_chunks(graph.removed_edges, removed_lines), b"]}")
+        expect(b']},"records":{\n')
+    yield b',"records":'
+    records = _keyed(lines, base.record_ids, record_ids, base.edited_records, record_line)
+    yield from _section(b"{", records, b"}")
+    expect(b'},"version":%d}\n' % STORE_VERSION)
+    yield b',"version":%d}\n' % STORE_VERSION
 
 
 def save_store(store: DocStore, path: str | Path, git_dir: Path | None = None) -> None:
-    """Serialize atomically with ``write_atomically``, one line per record,
-    node and edge (``_store_text``). Given the repository's ``git_dir``, then
-    write the saved snapshot's digest there, so that ``snapshot_is_recorded``
-    holds; a digest that cannot be written is logged."""
+    """Write the store atomically with ``write_atomically``, one line per
+    record, node and edge (``_store_blocks``), and note the new file in
+    ``store.digest`` and ``store.file``.
+
+    Given the repository's ``git_dir``, first remove the digest recorded
+    there, so that no run trusts the store until ``record_snapshot``
+    records it again, once the pages are written too. When that digest was
+    the one of the file being replaced, and the file is still the one
+    ``store.file`` notes, the lines of the entries that did not change are
+    copied from it. The bytes are those of a full encode either way."""
     path = Path(path)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write_atomically(path, _store_text(store))
-    except OSError as exc:
-        raise StoreWriteError(f"cannot write doc store {path}: {exc}") from exc
-    if git_dir is None or store.graph_snapshot is None:
+    graph = store.graph_snapshot
+    node_ids = sorted(graph.nodes) if graph is not None else []
+    record_ids = sorted(store.records)
+    with contextlib.ExitStack() as stack:
+        old = None
+        if store.file is not None and snapshot_is_recorded(store, git_dir):
+            with contextlib.suppress(OSError):
+                old = stack.enter_context(path.open("rb"))
+                if _file_stat(os.fstat(old.fileno())) != store.file.stat:
+                    old = None
+        forget_snapshot(git_dir)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            try:
+                digest = _write_store(store, path, node_ids, record_ids, old)
+            except _StaleFile:
+                logger.info("doc store %s changed since it was read; encoding it whole", path)
+                digest = _write_store(store, path, node_ids, record_ids, None)
+            stat = _file_stat(path.stat())
+        except OSError as exc:
+            raise StoreWriteError(f"cannot write doc store {path}: {exc}") from exc
+    store.digest = digest
+    store.file = None
+    if graph is not None:
+        edge_counts = (len(graph.edges), len(graph.removed_edges))
+        store.file = StoreFile(stat, node_ids, record_ids, edge_counts)
+
+
+def _write_store(
+    store: DocStore,
+    path: Path,
+    node_ids: list[str],
+    record_ids: list[str],
+    old: BinaryIO | None,
+) -> str:
+    """Write the store's blocks to ``path``; returns their digest."""
+    digest = _new_digest()
+
+    def blocks() -> Iterator[bytes]:
+        for block in _store_blocks(store, node_ids, record_ids, old):
+            digest.update(block)
+            yield block
+
+    write_atomically(path, blocks())
+    return digest.hexdigest()
+
+
+def forget_snapshot(git_dir: Path | None) -> None:
+    """Remove the digest recorded in ``git_dir``, if any, before the store
+    or a page changes."""
+    if git_dir is not None:
+        with contextlib.suppress(FileNotFoundError):
+            (git_dir / SNAPSHOT_DIGEST_NAME).unlink()
+
+
+def record_snapshot(store: DocStore, git_dir: Path | None) -> None:
+    """Record in ``git_dir`` the digest of the file the store was last saved
+    to, so that ``snapshot_is_recorded`` holds. Call it once the pages are
+    written as well. A digest that cannot be written is logged."""
+    if git_dir is None or store.digest is None or store.graph_snapshot is None:
         return
     digest_path = git_dir / SNAPSHOT_DIGEST_NAME
     try:
-        write_atomically(digest_path, [_snapshot_digest(store.graph_snapshot) + "\n"])
+        write_atomically(digest_path, [store.digest.encode("ascii") + b"\n"])
     except OSError as exc:
         logger.info("snapshot digest %s not written: %s", digest_path, exc)
 
 
 def snapshot_is_recorded(store: DocStore, git_dir: Path | None) -> bool:
-    """Whether ``git_dir`` holds the digest of the store's snapshot.
+    """Whether ``git_dir`` records the digest of the file the store was
+    loaded from: a SHA-256 over the ``parser_identity``, the store version
+    and the file's bytes.
 
     Only such a snapshot may lend ``generate`` and the hook its files'
-    objects and edges: this repository's repodoc saved it under the same
-    store version, parser and Python, and it was not merged, checked out or
+    objects and edges, and only then are the pages on disk those of the
+    store: this repository's repodoc saved it under the same parser and
+    Python and then wrote its pages, and it was not merged, checked out or
     edited since. Outside a Git repository no snapshot is recorded.
     """
-    graph = store.graph_snapshot
-    if graph is None or git_dir is None:
+    if store.graph_snapshot is None or store.digest is None or git_dir is None:
         return False
     try:
         recorded = (git_dir / SNAPSHOT_DIGEST_NAME).read_text(encoding="utf-8")
     except (OSError, ValueError):
         return False
-    return recorded == _snapshot_digest(graph) + "\n"
+    return recorded == store.digest + "\n"
 
 
 def load_store(path: str | Path) -> DocStore:
     """Load the store; a missing file is an empty store, a broken one an error.
 
     Stores of versions 1 to 3 are migrated in memory; the next save writes
-    the current version.
+    the current version. The digest of the file's bytes is taken as they
+    are read.
     """
     path = Path(path)
-    if not path.exists():
-        return DocStore()
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        with path.open("rb") as handle:
+            stat = _file_stat(os.fstat(handle.fileno()))
+            raw = handle.read()
+    except FileNotFoundError:
+        return DocStore()
+    digest = _new_digest()
+    digest.update(raw)
+    try:
+        text = raw.decode("utf-8")
+        del raw
+        data = json.loads(text)
+        del text
         version = data.get("version")
         if version not in range(1, STORE_VERSION + 1):
             raise CorruptStoreError(
@@ -356,7 +568,17 @@ def load_store(path: str | Path) -> DocStore:
         raise CorruptStoreError(
             f"doc store {path} is unreadable ({exc}); delete it and rerun generate to rebuild"
         ) from exc
-    return DocStore(records=records, graph_snapshot=graph, changed=version != STORE_VERSION)
+    file = None
+    if version == STORE_VERSION and graph is not None:
+        edge_counts = (len(graph.edges), len(graph.removed_edges))
+        file = StoreFile(stat, list(graph_data["nodes"]), list(records), edge_counts)
+    return DocStore(
+        records=records,
+        graph_snapshot=graph,
+        changed=version != STORE_VERSION,
+        digest=digest.hexdigest(),
+        file=file,
+    )
 
 
 @dataclass
@@ -447,7 +669,7 @@ def _generate_one(
         response = gateway.complete(request, context_id=object_id)
     except (OverBudgetError, ProviderError) as exc:
         return exc
-    parsed = parse_doc(response.text, obj.kind, obj.has_return)
+    parsed = parse_doc(response.text, obj.kind, obj.has_return, obj.name)
     if parsed.missing or parsed.extra:
         logger.warning(
             "%s: non-compliant doc (missing=%s extra=%s)", object_id, parsed.missing, parsed.extra
@@ -548,12 +770,22 @@ def generate_all(
 
     kept = {oid: rec for oid, rec in store.records.items() if oid in graph.objects}
     old = store.graph_snapshot
+    changed_nodes = set(graph.nodes) if old is None else graph.changed_nodes(old)
     store.changed = (
         store.changed
         or bool(report.generated)
         or len(kept) != len(store.records)
         or old is None
-        or not graph.same_as(old)
+        or not graph.same_as(old, changed_nodes)
     )
+    if store.file is not None:
+        store.file.edited_records.update(report.generated)
+        store.file.edited_nodes |= changed_nodes
+        store.file.edited_edges = (
+            store.file.edited_edges
+            or old is None
+            or graph.edges != old.edges
+            or graph.removed_edges != old.removed_edges
+        )
     store.graph_snapshot, store.records = graph, kept
     return report

@@ -104,15 +104,16 @@ def _format_check(parsed: ParsedDoc, kind: str, has_return: bool) -> FormatCheck
     )
 
 
-def check_format(doc: str, kind: str, has_return: bool) -> FormatCheck:
-    """Verify the five-section layout for one generated doc."""
-    return _format_check(parse_doc(doc, kind, has_return), kind, has_return)
+def check_format(doc: str, kind: str, has_return: bool, name: str = "") -> FormatCheck:
+    """Verify the five-section layout for one generated doc of the object
+    named ``name``."""
+    return _format_check(parse_doc(doc, kind, has_return, name), kind, has_return)
 
 
-def extract_params(doc: str) -> list[str]:
-    """Backticked bullet names under the parameters or Attributes section,
-    in order, duplicates kept."""
-    return [name for name, _ in parse_doc(doc, FUNCTION, False).params]
+def extract_params(doc: str, name: str = "") -> list[str]:
+    """Backticked bullet names under the parameters or Attributes section
+    of the doc of the object named ``name``, in order, duplicates kept."""
+    return [param for param, _ in parse_doc(doc, FUNCTION, False, name).params]
 
 
 def param_accuracy(
@@ -177,7 +178,7 @@ def evaluate_docs(
         if obj is None:
             report.errors.append(f"unknown object id: {oid}")
             continue
-        parsed = parse_doc(docs[oid], obj.kind, obj.has_return)
+        parsed = parse_doc(docs[oid], obj.kind, obj.has_return, obj.name)
         flags = _format_check(parsed, obj.kind, obj.has_return)
         documented = [name for name, _ in parsed.params]
         accuracy = param_accuracy(documented, obj.params, param_metric)

@@ -7,11 +7,13 @@ their bytes change; stale pages from deleted sources are removed.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path, PurePosixPath
+from typing import Collection
 
-from .doc_pipeline import DocStore
-from .project_graph import FILE, RepoGraph, ROOT_ID, TreeNode
+from .doc_pipeline import DocStore, forget_snapshot
+from .project_graph import DIR, FILE, REPO, RepoGraph, ROOT_ID, TreeNode
 from .source_model import CLASS
 
 SUMMARY_NAME = "SUMMARY.md"
@@ -72,30 +74,63 @@ def compile_summary(graph: RepoGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_site(graph: RepoGraph, store: DocStore, out_dir: str | Path) -> list[str]:
-    """Write all pages plus SUMMARY.md; prune anything stale. Returns the
-    doc-dir-relative paths actually (re)written."""
+def write_site(
+    graph: RepoGraph,
+    store: DocStore,
+    out_dir: str | Path,
+    changed: Collection[str] | None = None,
+    git_dir: Path | None = None,
+) -> list[str]:
+    """Write each page and SUMMARY.md whose file does not hold its bytes,
+    and remove stale pages. Returns the doc-dir-relative paths (re)written.
+    Given the repository's ``git_dir``, the digest recorded there is removed
+    before any page changes (``forget_snapshot``), so that no run trusts the
+    pages of a run that stopped while writing them.
+
+    Without ``changed``, every page is compiled and compared, and every
+    ``.md`` file that is no page is removed. ``changed`` names the records
+    and graph nodes that differ from those the pages on disk were compiled
+    from. Unless it names the root or a directory, so that the set of files
+    is the same, only the pages of the files that hold one of them are
+    compiled; any other page, SUMMARY.md included, is written only when a
+    stat finds it missing.
+    """
     out_dir = Path(out_dir)
-    expected: dict[str, str] = {SUMMARY_NAME: compile_summary(graph)}
-    for node_id, node in graph.nodes.items():
-        if node.node_kind == FILE:
-            page = compile_file_doc(graph, node_id, store)
-            expected[page.output_path] = page.body
+    pages = {
+        page_path_for(node_id): node_id
+        for node_id, node in graph.nodes.items()
+        if node.node_kind == FILE
+    }
+    files = None if changed is None else {graph.file_of(node_id) for node_id in changed}
+    if files is not None and any(
+        graph.nodes[top].node_kind in (REPO, DIR) for top in files if top in graph.nodes
+    ):
+        files = None  # the set of files changed
+    compile_rels = [
+        rel
+        for rel, file_id in [(SUMMARY_NAME, None), *pages.items()]
+        if files is None or file_id in files or not os.path.exists(out_dir / rel)
+    ]
 
     written: list[str] = []
-    for rel, body in sorted(expected.items()):
+    for rel in sorted(compile_rels):
+        if rel == SUMMARY_NAME:
+            body = compile_summary(graph).encode("utf-8")
+        else:
+            body = compile_file_doc(graph, pages[rel], store).body.encode("utf-8")
         target = out_dir / PurePosixPath(rel)
         target.parent.mkdir(parents=True, exist_ok=True)
-        if target.exists() and target.read_bytes() == body.encode("utf-8"):
+        if target.exists() and target.read_bytes() == body:
             continue
-        target.write_text(body, encoding="utf-8", newline="\n")
+        forget_snapshot(git_dir)
+        target.write_bytes(body)
         written.append(rel)
 
-    if out_dir.exists():
-        keep = set(expected)
+    if files is None and out_dir.exists():
         for page in sorted(out_dir.rglob("*.md")):
             rel = page.relative_to(out_dir).as_posix()
-            if rel not in keep:
+            if rel != SUMMARY_NAME and rel not in pages:
+                forget_snapshot(git_dir)
                 page.unlink()
         for directory in sorted(out_dir.rglob("*"), reverse=True):
             if directory.is_dir() and not any(directory.iterdir()):

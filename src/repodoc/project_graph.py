@@ -11,7 +11,7 @@ import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import PurePosixPath
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import InternalError
 from .source_model import (
@@ -22,6 +22,7 @@ from .source_model import (
     FileParse,
     ParseCache,
     Scope,
+    Sources,
     module_name_for,
     parse_repository,
 )
@@ -356,47 +357,73 @@ class RepoGraph:
             blob=node.blob,
         )
 
-    def node_entries(self) -> Iterator[tuple[str, dict]]:
-        """Each node's id and plain data, sorted by id, built one at a time."""
-        for node_id in sorted(self.nodes):
-            node = self.nodes[node_id]
-            entry: dict = {"node_kind": node.node_kind, "children": list(node.children)}
-            obj = self.objects.get(node_id)
-            if obj is not None:
-                entry["meta"] = obj.to_dict()
-            if node.blob is not None:
-                entry["blob"] = node.blob
-            if node.parse_error is not None:
-                entry["parse_error"] = node.parse_error
-            yield node_id, entry
-
-    def same_as(self, other: "RepoGraph") -> bool:
-        """Whether the two graphs' ``to_dict()`` would be equal but for the
-        file nodes' blob ids and parse errors, which say what was parsed
-        rather than what is documented. Node kinds, children, object meta and
-        edges are compared directly, stopping at the first difference."""
-        if self.edges != other.edges or self.removed_edges != other.removed_edges:
-            return False
-        if self.nodes.keys() != other.nodes.keys():
-            return False
-        for node_id, node in self.nodes.items():
-            twin = other.nodes[node_id]
-            if node.node_kind != twin.node_kind or node.children != twin.children:
-                return False
-            obj, twin_obj = self.objects.get(node_id), other.objects.get(node_id)
-            if obj is twin_obj:
-                continue
-            if obj is None or twin_obj is None or obj.to_dict() != twin_obj.to_dict():
-                return False
-        return True
+    def node_entry(self, node_id: str) -> dict:
+        """A node's plain data: its kind, children and, as it has them, the
+        ``to_dict()`` of its object, its blob id and its parse error."""
+        node = self.nodes[node_id]
+        entry: dict = {"node_kind": node.node_kind, "children": list(node.children)}
+        obj = self.objects.get(node_id)
+        if obj is not None:
+            entry["meta"] = obj.to_dict()
+        if node.blob is not None:
+            entry["blob"] = node.blob
+        if node.parse_error is not None:
+            entry["parse_error"] = node.parse_error
+        return entry
 
     def to_dict(self) -> dict:
         """The graph as plain data."""
         return {
-            "nodes": dict(self.node_entries()),
+            "nodes": {node_id: self.node_entry(node_id) for node_id in sorted(self.nodes)},
             "edges": [vars(e) for e in self.edges],
             "removed_edges": [vars(e) for e in self.removed_edges],
         }
+
+    def file_of(self, node_id: str) -> str:
+        """The top of an object's ``parent_id`` chain, its file; any other
+        id is its own."""
+        while node_id in self.objects:
+            node_id = self.objects[node_id].parent_id
+        return node_id
+
+    def changed_nodes(self, other: "RepoGraph") -> set[str]:
+        """The ids of the nodes whose ``node_entry`` is not the one
+        ``other`` holds under the same id, or that ``other`` lacks."""
+        changed = set()
+        for node_id, node in self.nodes.items():
+            twin = other.nodes.get(node_id)
+            if (
+                twin is None
+                or node.children != twin.children
+                or node.node_kind != twin.node_kind
+                or node.blob != twin.blob
+                or node.parse_error != twin.parse_error
+            ):
+                changed.add(node_id)
+                continue
+            obj, twin_obj = self.objects.get(node_id), other.objects.get(node_id)
+            if obj is not twin_obj and (
+                obj is None or twin_obj is None or obj.to_dict() != twin_obj.to_dict()
+            ):
+                changed.add(node_id)
+        return changed
+
+    def same_as(self, other: "RepoGraph", changed: Collection[str] | None = None) -> bool:
+        """Whether the two graphs' ``to_dict()`` would be equal but for the
+        file nodes' blob ids and parse errors, which say what was parsed
+        rather than what is documented. ``changed`` is
+        ``self.changed_nodes(other)``, when already known."""
+        if self.edges != other.edges or self.removed_edges != other.removed_edges:
+            return False
+        if self.nodes.keys() != other.nodes.keys():
+            return False
+        if changed is None:
+            changed = self.changed_nodes(other)
+        for node_id in changed:
+            node, twin = self.nodes[node_id], other.nodes[node_id]
+            if node.node_kind != FILE or twin.node_kind != FILE or node.children != twin.children:
+                return False
+        return True
 
     @classmethod
     def from_dict(cls, data: dict) -> "RepoGraph":
@@ -463,9 +490,14 @@ def build_graph(
     no parse covers is taken from it: its objects, blob id and parse error,
     and the reference edges, kept or removed, whose caller lies in it. The
     caller parses each file whose text may differ from the snapshot's.
-    Cycles are pruned afresh over all edges, since pruning is global.
+    Cycles are pruned afresh over all edges, since pruning is global, unless
+    the parsed files give exactly the edges, kept or removed, that the
+    snapshot holds for their callers: the edge set and the object ids are
+    then the snapshot's, and ``prune_cycles`` is a function of these alone,
+    so the snapshot's kept and removed lists are taken as they are.
     """
     carried: list[ReferenceEdge] = []
+    local: set[tuple[str, str]] | None = None  # the snapshot's edges of the parsed files
     if snapshot is not None:
         if not snapshot_fits(snapshot, files, parses):
             raise InternalError("the snapshot does not fit the files and parses given")
@@ -473,13 +505,19 @@ def build_graph(
         taken = [snapshot.file_parse(rel) for rel in files if rel not in parsed]
         parses = sorted([*parses, *taken], key=lambda p: p.file)
         callers = {obj.id for parse in taken for obj in parse.objects}
-        carried = [
-            edge for edge in (*snapshot.edges, *snapshot.removed_edges) if edge.caller in callers
-        ]
+        local = set()
+        for edge in (*snapshot.edges, *snapshot.removed_edges):
+            if edge.caller in callers:
+                carried.append(edge)
+            else:
+                local.add((edge.caller, edge.callee))
     nodes = build_tree(files, parses)
     raw_edges, diagnostics = resolve_references(nodes, parses)
     objects = {o.id: o for p in parses for o in p.objects}
-    kept, removed = prune_cycles(raw_edges + carried, object_containment(objects))
+    if local is not None and local == {(e.caller, e.callee) for e in raw_edges}:
+        kept, removed = list(snapshot.edges), list(snapshot.removed_edges)
+    else:
+        kept, removed = prune_cycles(raw_edges + carried, object_containment(objects))
     parse_errors = [p.parse_error for p in parses if p.parse_error]
     return RepoGraph(
         nodes=nodes,
@@ -492,7 +530,7 @@ def build_graph(
 
 
 def source_graph(
-    sources: Mapping[str, tuple[str, str]],
+    sources: Sources,
     cache: ParseCache,
     snapshot: RepoGraph | None = None,
     *,
@@ -505,13 +543,15 @@ def source_graph(
     differs from the snapshot's are parsed; the others are taken from it
     when it fits their parses (``snapshot_fits``), and parsed as well when
     it does not. Without it, every file is parsed. Parses go through the
-    cache, and the taken files' cache lines are kept unread. Either way the
+    cache, and the taken files' cache lines are kept unread, as are their
+    texts when ``sources`` reads them on first use. Either way the
     graph's diagnostics are the unresolved calls of the files whose blob id
     differs from the snapshot's, or of every file when there is no snapshot.
     """
-    files = list(sources)
+    blobs = sources.blobs
+    files = list(blobs)
     nodes = snapshot.nodes if snapshot is not None else {}
-    unchanged = {rel for rel in files if rel in nodes and nodes[rel].blob == sources[rel][0]}
+    unchanged = {rel for rel in files if rel in nodes and nodes[rel].blob == blobs[rel]}
     todo = set(files) - unchanged if reuse else files
     parses = {p.file: p for p in parse_repository(sources, todo, cache)}
     if reuse and not snapshot_fits(snapshot, files, parses.values()):
@@ -519,7 +559,7 @@ def source_graph(
         parses.update((p.file, p) for p in parse_repository(sources, unchanged, cache))
     taken = unchanged if reuse else set()
     for rel in taken:
-        cache.keep(rel, sources[rel][0])
+        cache.keep(rel, blobs[rel])
     parsed = [parses[rel] for rel in files if rel in parses]
     graph = build_graph(files, parsed, snapshot if reuse else None)
     dropped = tuple(f"{rel}:" for rel in unchanged)
@@ -529,7 +569,7 @@ def source_graph(
 
 def add_snippets(
     graph: RepoGraph,
-    sources: Mapping[str, tuple[str, str]],
+    sources: Sources,
     cache: ParseCache,
     taken: Collection[str],
     targets: Collection[str],
@@ -540,11 +580,7 @@ def add_snippets(
     quoted = set(targets)
     for oid in targets:
         quoted.update(graph.callers(oid), graph.callees(oid))
-    files = set()
-    for oid in quoted:
-        while oid in graph.objects:
-            oid = graph.objects[oid].parent_id
-        files.add(oid)
+    files = {graph.file_of(oid) for oid in quoted}
     for parse in parse_repository(sources, files.intersection(taken), cache):
         for obj in parse.objects:
             graph.objects[obj.id] = obj

@@ -26,7 +26,7 @@ import tempfile
 from dataclasses import dataclass, field
 from json.decoder import scanstring
 from pathlib import Path, PurePosixPath
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import UsageError
 
@@ -403,9 +403,54 @@ def is_source(rel: str, ignore: Sequence[str] = ()) -> bool:
     )
 
 
-def scan_repository(
-    root: str | Path, ignore: Sequence[str] = ()
-) -> dict[str, tuple[str, str]]:
+class Sources(Mapping[str, tuple[str, str]]):
+    """The blob id and text of each source file, by path in sorted order:
+    ``{path: (blob id, text)}`` of the working tree or the index.
+
+    Every blob id is known up front, in ``blobs``. A text that was not given
+    is read on first use by ``reader``, which takes paths and returns their
+    texts, and ``read`` reads those of many paths with one call of it, so a
+    run reads only the texts it parses. ``close`` calls ``closer``, which
+    ends the reader.
+    """
+
+    def __init__(
+        self,
+        blobs: dict[str, str],
+        texts: dict[str, str],
+        reader: Callable[[list[str]], list[str]] | None = None,
+        closer: Callable[[], None] | None = None,
+    ) -> None:
+        self.blobs = blobs
+        self._texts = texts
+        self._reader = reader
+        self._closer = closer
+
+    def read(self, paths: Iterable[str]) -> None:
+        """Read the texts of ``paths`` that are not read yet, all at once."""
+        unread = [rel for rel in paths if rel not in self._texts]
+        if unread:
+            if self._reader is None:
+                raise KeyError(unread[0])
+            self._texts.update(zip(unread, self._reader(unread), strict=True))
+
+    def close(self) -> None:
+        if self._closer is not None:
+            self._closer()
+
+    def __getitem__(self, rel: str) -> tuple[str, str]:
+        blob = self.blobs[rel]
+        self.read([rel])
+        return blob, self._texts[rel]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.blobs)
+
+    def __len__(self) -> int:
+        return len(self.blobs)
+
+
+def scan_repository(root: str | Path, ignore: Sequence[str] = ()) -> Sources:
     """Blob id and text of every working-tree source file, by relative posix
     path in sorted order: the shape ``read_staged_text`` gives for the index.
     A file is a source when it passes ``is_source`` and is a regular file, as
@@ -415,7 +460,8 @@ def scan_repository(
     root = Path(root)
     if not root.is_dir():
         raise UsageError(f"not a directory: {root}")
-    sources: dict[str, tuple[str, str]] = {}
+    blobs: dict[str, str] = {}
+    texts: dict[str, str] = {}
     for dirpath, dirnames, filenames in os.walk(root):
         rel_dir = Path(dirpath).relative_to(root)
         dirnames[:] = sorted(
@@ -434,8 +480,8 @@ def scan_repository(
                 data = path.read_bytes()
             except OSError as exc:
                 raise UsageError(f"cannot read {rel}: {exc}") from exc
-            sources[rel] = (blob_id(data), source_text(data))
-    return dict(sorted(sources.items()))
+            blobs[rel], texts[rel] = blob_id(data), source_text(data)
+    return Sources(dict(sorted(blobs.items())), texts)
 
 
 def source_text(data: bytes) -> str:
@@ -454,8 +500,8 @@ def blob_id(data: bytes) -> str:
     return hashlib.sha1(b"blob %d\0" % len(data) + data).hexdigest()
 
 
-def write_atomically(path: Path, chunks: Iterable[str]) -> None:
-    """Replace ``path`` with the text of ``chunks``, written one at a time to
+def write_atomically(path: Path, chunks: Iterable[bytes]) -> None:
+    """Replace ``path`` with the bytes of ``chunks``, written one at a time to
     a temp file beside it that is then renamed over it, so a reader never
     finds part of a file. The file gets 0o666 less the umask, not a temp
     file's 0o600. On any failure the temp file is removed and the error raised."""
@@ -463,7 +509,7 @@ def write_atomically(path: Path, chunks: Iterable[str]) -> None:
     os.umask(umask)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=".tmp-repodoc-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+        with os.fdopen(fd, "wb") as handle:
             os.fchmod(handle.fileno(), 0o666 & ~umask)
             handle.writelines(chunks)
         os.replace(tmp_name, path)
@@ -564,7 +610,9 @@ class ParseCache:
         if self.path is None or kept.keys() == loaded.keys():
             return
         try:
-            write_atomically(self.path, [self._header, *kept.values()])
+            write_atomically(
+                self.path, (line.encode("utf-8") for line in [self._header, *kept.values()])
+            )
         except OSError as exc:
             logger.info("parse cache %s not written: %s", self.path, exc)
 
@@ -654,6 +702,10 @@ def parse_repository(
 ) -> list[FileParse]:
     """Parse the given paths of ``sources``, ``{path: (blob id, text)}`` of
     the working tree or the index, through the cache, in path order. The
-    caller saves the cache once the run's parsing is over."""
+    texts of ``Sources`` not read yet are read in one batch. The caller
+    saves the cache once the run's parsing is over."""
     cache = cache or ParseCache()
-    return [cache.parse(rel, *sources[rel]) for rel in sorted(files)]
+    files = sorted(files)
+    if isinstance(sources, Sources):
+        sources.read(files)
+    return [cache.parse(rel, *sources[rel]) for rel in files]

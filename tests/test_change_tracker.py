@@ -315,6 +315,39 @@ def test_one_file_update_runs_five_git_processes(git_demo_repo, monkeypatch):
     assert git(git_demo_repo, "diff", "--name-only") == ""
 
 
+def test_a_git_ignored_doc_dir_stays_unstaged_and_the_store_is_staged(git_demo_repo):
+    git(git_demo_repo, "add", "-A")
+    git(git_demo_repo, "commit", "-qm", "seed")
+    # twins that differ in one thing: the second one's .gitignore names the doc dir
+    ignored = git_demo_repo.parent / "ignored"
+    shutil.copytree(git_demo_repo, ignored)
+    write_tree(ignored, {".gitignore": "markdown_docs/\n"})
+    git(ignored, "add", ".gitignore")
+    git(ignored, "commit", "-qm", "ignore the pages")
+    store_rel = load_config(ignored).store_path
+
+    for step, text in enumerate([A_F_EDITED, A_F_EDITED.replace("def f():", "def f(y=0):")]):
+        for repo in (git_demo_repo, ignored):
+            (repo / "a.py").write_text(text, encoding="utf-8")
+            git(repo, "add", "a.py")
+            assert main(["update", "--repo", str(repo)]) == 0, (step, repo.name)
+            staged = set(git(repo, "diff", "--cached", "--name-only").split())
+            assert {"a.py", store_rel} <= staged
+            pages = {rel for rel in staged if rel.startswith("markdown_docs/")}
+            if repo == ignored:
+                assert pages == set()
+                assert (repo / "markdown_docs" / "a.md").is_file()
+            elif step == 0:
+                assert pages == {"markdown_docs/SUMMARY.md", "markdown_docs/a.md", "markdown_docs/util/b.md"}
+            # what the commit holds of the store is what the run wrote
+            assert git(repo, "diff", "--name-only") == ""
+            git(repo, "commit", "-qm", f"step {step}")
+    assert git(ignored, "ls-files", "markdown_docs") == ""
+    assert git(git_demo_repo, "show", "HEAD:markdown_docs/a.md") == (
+        git_demo_repo / "markdown_docs" / "a.md"
+    ).read_text(encoding="utf-8")
+
+
 def _index_twins(clean, stage, diverge):
     """Two repositories with the same commits, store and index; ``diverge``
     then changes the working tree of the second one only."""

@@ -11,12 +11,15 @@ from dataclasses import replace
 import pytest
 
 from repodoc.doc_pipeline import (
+    SNAPSHOT_DIGEST_NAME,
     DocStore,
     generate_all,
     load_store,
     parse_doc,
     record_from_parsed,
+    record_snapshot,
     save_store,
+    snapshot_is_recorded,
 )
 from repodoc.config import load_config
 from repodoc.errors import CorruptStoreError
@@ -100,6 +103,21 @@ def test_parse_doc_without_name_header():
     assert parsed.params == [("x", "a number.")]
 
 
+@pytest.mark.parametrize("name", ["parameters", "note"])
+def test_parse_doc_reads_a_name_header_labelled_like_a_section(name):
+    text = COMPLIANT_FUNCTION_DOC.replace("**load**: The function of load", f"**{name}**: The function of {name}")
+    parsed = parse_doc(text, "Function", has_return=True, name=name)
+    assert parsed.missing == [] and parsed.extra == []
+    assert parsed.name_header.startswith(f"**{name}**: The function of {name}")
+    assert parsed.params == [
+        ("path", "where the file lives."),
+        ("strict", "whether unknown keys raise."),
+    ]
+    assert parsed.note == "The path must exist."
+    # without the name, the first header is taken for the section it names
+    assert "name" in parse_doc(text, "Function", has_return=True).missing
+
+
 def test_parse_doc_joins_bullet_continuation_lines():
     text = (
         "**f**: short.\n"
@@ -177,6 +195,59 @@ def test_store_roundtrip_and_byte_stability(tmp_path, demo_repo):
     second = tmp_path / "copy.json"
     save_store(loaded, second)
     assert second.read_bytes() == path.read_bytes()
+
+
+def _carrying_store(tmp_path, demo_repo):
+    """A saved store, loaded again with its digest recorded in a git
+    directory, so that the next save copies its unchanged lines."""
+    _, store, _, _ = generate_repo(demo_repo)
+    path, git_dir = tmp_path / "store.json", tmp_path / "git"
+    git_dir.mkdir()
+    save_store(store, path, git_dir)
+    record_snapshot(store, git_dir)
+    loaded = load_store(path)
+    assert snapshot_is_recorded(loaded, git_dir)
+    return loaded, path, git_dir
+
+
+def test_save_store_copies_unchanged_lines_and_writes_a_full_encode(tmp_path, demo_repo, caplog):
+    caplog.set_level(logging.INFO, logger="repodoc.doc_pipeline")
+    store, path, git_dir = _carrying_store(tmp_path, demo_repo)
+    full = tmp_path / "full.json"
+    record = store.records["a.py/f"]
+    store.records["a.py/f"] = replace(record, text=record.text + " Edited.")
+    # noted as edited: the changed record, and an id that is no record at all
+    store.file.edited_records.update({"a.py/f", "a.py/gone"})
+    save_store(store, path, git_dir)
+    assert not (git_dir / SNAPSHOT_DIGEST_NAME).exists()  # until the pages are written
+    save_store(store, full)
+    assert path.read_bytes() == full.read_bytes()
+    assert store.digest == load_store(path).digest
+
+    # dropped records, one before others and the last, with the file saved
+    # first as the one to copy from
+    store = load_store(path)
+    record_snapshot(store, git_dir)
+    store.records.pop("a.py/C/m")
+    store.records.pop("util/b.py/h")
+    save_store(store, path, git_dir)
+    save_store(store, full)
+    assert path.read_bytes() == full.read_bytes()
+    # both carrying saves copied lines, neither fell back to a full encode
+    assert "encoding it whole" not in caplog.text
+
+
+def test_save_store_encodes_whole_a_file_that_is_not_laid_out_as_noted(tmp_path, demo_repo):
+    store, path, git_dir = _carrying_store(tmp_path, demo_repo)
+    before = path.stat()
+    # the same size and modification time, one section misnamed
+    path.write_bytes(path.read_bytes().replace(b'],"nodes":{', b'],"nodez":{'))
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    store.file.edited_records.add("a.py/f")
+    save_store(store, path, git_dir)
+    full = tmp_path / "full.json"
+    save_store(store, full)
+    assert path.read_bytes() == full.read_bytes()
 
 
 def test_save_store_streams_one_value_per_line(tmp_path):

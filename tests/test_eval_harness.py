@@ -15,7 +15,7 @@ from repodoc.eval_harness import (
     reference_sets,
 )
 
-from .helpers import build_repo_graph, generate_repo
+from .helpers import build_repo_graph, generate_repo, write_tree
 
 FUNCTION_DOC = (
     "**load**: reads the file.\n"
@@ -114,6 +114,26 @@ def test_mock_generated_docs_are_fully_compliant(labeled_repo):
         obj = graph.objects[oid]
         flags = check_format(record.text, obj.kind, obj.has_return)
         assert flags.compliant, (oid, flags.to_dict())
+
+
+def test_objects_named_like_a_section_label_are_generated_and_scored_compliant(tmp_path, caplog):
+    write_tree(tmp_path, {
+        "labels.py": (
+            "def parameters(a, b):\n    return a + b\n\n\n"
+            "class Holder:\n    def __init__(self, note):\n        self.note = note\n\n"
+            "    def note(self):\n        return self\n"
+        ),
+    })
+    with caplog.at_level("WARNING"):
+        graph, store, _, _ = generate_repo(tmp_path)
+    assert "non-compliant" not in caplog.text
+    docs = {oid: record.text for oid, record in store.records.items()}
+    assert {"labels.py/parameters", "labels.py/Holder/note"} <= set(docs)
+    report = evaluate_docs(docs, graph)
+    assert report.aggregates["format_compliance"] == 1.0
+    doc = docs["labels.py/parameters"]
+    assert check_format(doc, "Function", True, "parameters").compliant
+    assert extract_params(doc, "parameters") == ["a", "b"]
 
 
 def test_extract_params_order_and_duplicates():

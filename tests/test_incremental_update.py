@@ -10,13 +10,15 @@ Graph, parse errors, prompts, report, pages and store must agree.
 from __future__ import annotations
 
 import json
+import logging
 import re
 import shutil
+import subprocess
 import sys
 
 import pytest
 
-from repodoc import change_tracker, cli, source_model
+from repodoc import change_tracker, cli, doc_pipeline, markdown_publisher, source_model
 from repodoc.cli import main
 from repodoc.config import load_config
 from repodoc.doc_pipeline import SNAPSHOT_DIGEST_NAME
@@ -33,6 +35,7 @@ FILES = {
 }
 
 X_WITHOUT_CALL = "import y\n\n\ndef p():\n    return 0\n"
+Y_WITHOUT_CALL = "import x\n\n\ndef q():\n    return 0\n"
 APP = LABELED_FILES["app.py"]
 CORE = LABELED_FILES["core.py"]
 
@@ -80,6 +83,8 @@ STEPS = [
     ("body-edit-beside-a-syntax-error", _edit("y.py", FILES["y.py"].replace("x.p()", "x.p() + 2")), 6),
     ("syntax-error-fixed", _edit("bad.py", "VALUE = 1\n"), 6),
     ("file-removed", _edit("bad.py", None), None),
+    # the edge that pruning removed goes, and no kept edge changes
+    ("removed-edge-dropped", _edit("y.py", Y_WITHOUT_CALL), 5),
 ]
 
 
@@ -94,7 +99,8 @@ def _init_repo(repo):
 def _recording(patch, module, *, full: bool) -> list:
     """Patch ``module`` so that each graph its ``source_graph`` builds is
     appended to the list returned, and, when ``full``, so that it trusts no
-    snapshot and parses every file."""
+    snapshot and parses every file, compiles every page and encodes the
+    whole store."""
     built = []
     real = module.source_graph
 
@@ -105,7 +111,8 @@ def _recording(patch, module, *, full: bool) -> list:
 
     patch.setattr(module, "source_graph", source_graph)
     if full:
-        patch.setattr(module, "snapshot_is_recorded", lambda store, git_dir: False)
+        for owner in (module, doc_pipeline):
+            patch.setattr(owner, "snapshot_is_recorded", lambda store, git_dir: False)
     return built
 
 
@@ -142,7 +149,8 @@ def _outputs(repo):
     return pages, re.sub(r'"generated_at":"[^"]*"', '"generated_at":""', store)
 
 
-def test_fast_path_matches_the_full_rebuild_on_every_commit(tmp_path, monkeypatch):
+def test_fast_path_matches_the_full_rebuild_on_every_commit(tmp_path, monkeypatch, caplog):
+    caplog.set_level(logging.INFO, logger="repodoc.doc_pipeline")
     repo = tmp_path / "repo"
     _init_repo(repo)
     git(repo, "add", "-A")
@@ -166,6 +174,8 @@ def test_fast_path_matches_the_full_rebuild_on_every_commit(tmp_path, monkeypatc
         assert fast_prompts == full_prompts, name
         assert _without_counts(fast.to_dict()) == _without_counts(full.to_dict()), name
         assert _outputs(repo) == _outputs(twin), name
+        # the fast path copied the store's lines, never falling back to a full encode
+        assert "encoding it whole" not in caplog.text, name
         git(repo, "commit", "-qm", name)
         shutil.rmtree(twin)
 
@@ -349,22 +359,210 @@ def _generate_json(repo, capsys) -> dict:
     return json.loads(capsys.readouterr().out)
 
 
-def test_a_noop_generate_parses_nothing_and_reuses_every_file(tmp_path, capsys):
+def _files_kept(repo) -> dict:
+    """Inode, modification time and bytes of the store, the digest, the
+    parse cache and every page."""
+    config = load_config(repo)
+    paths = [
+        repo / config.store_path,
+        repo / ".git" / SNAPSHOT_DIGEST_NAME,
+        repo / ".git" / PARSE_CACHE_NAME,
+        *sorted((repo / config.doc_dir).rglob("*.md")),
+    ]
+    return {path: (path.stat().st_ino, path.stat().st_mtime_ns, path.read_bytes()) for path in paths}
+
+
+def test_a_noop_generate_parses_nothing_and_reuses_every_file(tmp_path, monkeypatch, capsys):
     repo = tmp_path / "repo"
     _init_repo(repo)
     assert _generate_json(repo, capsys)["parsed_files"] == len(FILES)
-    store = repo / load_config(repo).store_path
-    saved, saved_text = store.stat(), store.read_bytes()
-    digest = (repo / ".git" / SNAPSHOT_DIGEST_NAME).read_bytes()
+    before = _files_kept(repo)
+    compiled = []
+    for name in ("compile_file_doc", "compile_summary"):
+        real = getattr(markdown_publisher, name)
+        monkeypatch.setattr(
+            markdown_publisher, name, lambda *args, real=real: compiled.append(args) or real(*args)
+        )
 
     report = _generate_json(repo, capsys)
     assert report["parsed_files"] == 0
     assert report["reused_files"] == len(FILES)
     assert report["generated"] == [] and report["diagnostics"] == []
-    rerun = store.stat()
-    assert (rerun.st_ino, rerun.st_mtime_ns) == (saved.st_ino, saved.st_mtime_ns)
-    assert store.read_bytes() == saved_text
-    assert (repo / ".git" / SNAPSHOT_DIGEST_NAME).read_bytes() == digest
+    assert report["pages_written"] == [] and compiled == []
+    assert _files_kept(repo) == before
+
+
+def test_a_deleted_page_is_restored_by_a_noop_generate(tmp_path, capsys):
+    repo = tmp_path / "repo"
+    _init_repo(repo)
+    _generate_json(repo, capsys)
+    page = repo / load_config(repo).doc_dir / "core.md"
+    text = page.read_bytes()
+    page.unlink()
+    report = _generate_json(repo, capsys)
+    assert report["parsed_files"] == 0 and report["generated"] == []
+    assert report["pages_written"] == ["core.md"]
+    assert page.read_bytes() == text
+    # the digest, removed while the page was written, is recorded again
+    assert _generate_json(repo, capsys)["reused_files"] == len(FILES)
+
+
+def test_a_generate_stopped_while_restoring_pages_leaves_no_digest(tmp_path, monkeypatch, capsys):
+    repo = tmp_path / "repo"
+    _init_repo(repo)
+    _generate_json(repo, capsys)
+    doc_dir = repo / load_config(repo).doc_dir
+    pages = {name: (doc_dir / name).read_bytes() for name in ("app.md", "core.md")}
+    for name in pages:
+        (doc_dir / name).unlink()
+    real = markdown_publisher.compile_file_doc
+    compiled = []
+
+    def fail_on_the_second_page(graph, file_id, store):
+        if compiled:
+            raise OSError("no space left on device")
+        compiled.append(file_id)
+        return real(graph, file_id, store)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(markdown_publisher, "compile_file_doc", fail_on_the_second_page)
+        with pytest.raises(OSError):
+            main(["generate", "--repo", str(repo), "--json"])
+    # the store did not change, yet no digest vouches for the pages
+    assert not (repo / ".git" / SNAPSHOT_DIGEST_NAME).exists()
+    report = _generate_json(repo, capsys)
+    assert report["reused_files"] == 0 and report["pages_written"] == ["core.md"]
+    assert {name: (doc_dir / name).read_bytes() for name in pages} == pages
+
+
+def test_a_page_edited_by_hand_is_left_alone_until_publish(tmp_path, capsys):
+    repo = tmp_path / "repo"
+    _init_repo(repo)
+    git(repo, "add", "-A")
+    assert main(["update", "--repo", str(repo)]) == 0
+    git(repo, "commit", "-qm", "seed")
+    page = repo / load_config(repo).doc_dir / "app.md"
+    text = page.read_text(encoding="utf-8")
+    page.write_text(text + "\nA note added by hand.\n", encoding="utf-8")
+
+    # neither a no-op generate nor an update of another file's docs reads it
+    assert _generate_json(repo, capsys)["pages_written"] == []
+    (repo / "core.py").write_text(CORE.replace("def alpha():", "def alpha(y=0):"), encoding="utf-8")
+    git(repo, "add", "core.py")
+    capsys.readouterr()
+    assert main(["update", "--repo", str(repo), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["written_pages"] == ["core.md"]
+    assert page.read_text(encoding="utf-8").endswith("A note added by hand.\n")
+
+    capsys.readouterr()
+    assert main(["publish", "--repo", str(repo), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["pages_written"] == ["app.md"]
+    assert page.read_text(encoding="utf-8") == text
+    assert _generate_json(repo, capsys)["reused_files"] == len(FILES)
+
+
+def test_an_update_cut_off_while_writing_pages_is_mended_by_the_next(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    _init_repo(repo)
+    git(repo, "add", "-A")
+    assert _update(repo, monkeypatch, full=False)[0].ok
+    git(repo, "commit", "-qm", "seed")
+    twin = tmp_path / "twin"
+    shutil.copytree(repo, twin, symlinks=True)
+    for each in (repo, twin):
+        # new parameters change the pages of core.py and app.py
+        write_tree(each, {
+            "core.py": CORE.replace("def alpha():", "def alpha(y=0):"),
+            "app.py": APP.replace("def report():", "def report(z=None):"),
+        })
+        git(each, "add", "-A")
+
+    compiled = []
+    real = markdown_publisher.compile_file_doc
+
+    def fail_on_the_second_page(graph, file_id, store):
+        if compiled:
+            raise OSError("no space left on device")
+        compiled.append(file_id)
+        return real(graph, file_id, store)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(markdown_publisher, "compile_file_doc", fail_on_the_second_page)
+        with pytest.raises(OSError):
+            _update(repo, monkeypatch, full=False)
+    # the store was saved, one page written, and no digest vouches for the rest
+    assert compiled == ["app.py"]
+    assert not (repo / ".git" / SNAPSHOT_DIGEST_NAME).exists()
+
+    report, _, _ = _update(repo, monkeypatch, full=False)
+    full, _, _ = _update(twin, monkeypatch, full=False)
+    assert report.ok and report.run.generated == []
+    assert report.written_pages == ["core.md"]
+    assert full.written_pages == ["app.md", "core.md"]
+    assert _outputs(repo) == _outputs(twin)
+
+
+def test_a_fast_path_update_reads_only_the_blobs_it_parses_or_quotes(tmp_path, monkeypatch, capsys):
+    repo = tmp_path / "repo"
+    _init_repo(repo)
+    git(repo, "add", "-A")
+    assert main(["update", "--repo", str(repo)]) == 0
+    git(repo, "commit", "-qm", "seed")
+    tools = LABELED_FILES["util/tools.py"]
+    (repo / "util" / "tools.py").write_text(tools.replace("beta(x) * 2", "beta(x) * 3"), encoding="utf-8")
+    git(repo, "add", "util/tools.py")
+
+    started, read = [], []
+    real_read = change_tracker._BlobReader.read
+
+    class RecordingPopen(subprocess.Popen):
+        def __init__(self, args, *rest, **options):
+            started.append(args[3])  # git -C <root> <command>
+            super().__init__(args, *rest, **options)
+
+    def recording_read(reader, paths):
+        read.extend(paths)
+        return real_read(reader, paths)
+
+    monkeypatch.setattr(subprocess, "Popen", RecordingPopen)
+    monkeypatch.setattr(change_tracker._BlobReader, "read", recording_read)
+    capsys.readouterr()
+    assert main(["update", "--repo", str(repo), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["run"]["generated"] == ["util/tools.py/scale"]
+    assert report["reused_files"] == len(FILES) - 1
+    assert started == ["rev-parse", "diff", "ls-files", "cat-file", "add"]
+    # the staged file, parsed; then the files of scale's callers and callee, quoted
+    assert read == ["util/tools.py", "app.py", "core.py"]
+
+
+def test_a_missing_blob_of_a_staged_file_ends_the_reader(tmp_path, monkeypatch, capsys):
+    repo = tmp_path / "repo"
+    _init_repo(repo)
+    git(repo, "add", "-A")
+    assert main(["update", "--repo", str(repo)]) == 0
+    git(repo, "commit", "-qm", "seed")
+    tools = LABELED_FILES["util/tools.py"]
+    (repo / "util" / "tools.py").write_text(tools.replace("beta(x) * 2", "beta(x) * 3"), encoding="utf-8")
+    git(repo, "add", "util/tools.py")
+    # the staged file's blob is read before the graph is built, on the fast path
+    oid = git(repo, "rev-parse", ":util/tools.py").strip()
+    (repo / ".git" / "objects" / oid[:2] / oid[2:]).unlink()
+
+    started = []
+
+    class RecordingPopen(subprocess.Popen):
+        def __init__(self, *args, **options):
+            super().__init__(*args, **options)
+            started.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", RecordingPopen)
+    capsys.readouterr()
+    assert main(["update", "--repo", str(repo)]) == 1
+    err = capsys.readouterr().err
+    assert "cannot read the staged blob of util/tools.py" in err and "Traceback" not in err
+    (reader,) = [proc for proc in started if proc.args[3] == "cat-file"]
+    assert reader.returncode is not None and reader.stdout.closed
 
 
 def test_a_generate_after_a_body_edit_parses_one_file(tmp_path, capsys):
@@ -392,3 +590,22 @@ def test_a_generate_without_the_digest_reuses_nothing(tmp_path, capsys):
     assert report["reused_files"] == 0
     assert report["parsed_files"] == 0  # the parse cache still holds every file
     assert report["generated"] == [] and report["diagnostics"] == []
+
+
+def test_a_missing_blob_read_for_a_prompt_names_its_file(tmp_path, capsys):
+    repo = tmp_path / "repo"
+    _init_repo(repo)
+    git(repo, "add", "-A")
+    assert main(["update", "--repo", str(repo)]) == 0
+    git(repo, "commit", "-qm", "seed")
+    tools = LABELED_FILES["util/tools.py"]
+    (repo / "util" / "tools.py").write_text(tools.replace("beta(x) * 2", "beta(x) * 3"), encoding="utf-8")
+    git(repo, "add", "util/tools.py")
+    # core.py is read only to quote scale's callee, after the graph is built
+    oid = git(repo, "rev-parse", ":core.py").strip()
+    (repo / ".git" / "objects" / oid[:2] / oid[2:]).unlink()
+    capsys.readouterr()
+    assert main(["update", "--repo", str(repo)]) == 1
+    err = capsys.readouterr().err
+    assert "cannot read the staged blob of core.py" in err and "Traceback" not in err
+
