@@ -235,14 +235,24 @@ class ChangeSet:
 
 
 def diff_objects(old: RepoGraph, new: RepoGraph) -> ChangeSet:
-    """Compare object inventories and kept reference edges."""
-    old_hash = {oid: obj.source_hash for oid, obj in old.objects.items()}
-    new_hash = {oid: obj.source_hash for oid, obj in new.objects.items()}
-    added = sorted(set(new_hash) - set(old_hash))
-    removed = sorted(set(old_hash) - set(new_hash))
-    modified = sorted(
-        oid for oid in set(old_hash) & set(new_hash) if old_hash[oid] != new_hash[oid]
-    )
+    """Compare object inventories and kept reference edges. When ``new``
+    overlays ``old``, the two hold the same objects, and only the rebuilt
+    ones may differ."""
+    if new.base is old:
+        rebuilt = [oid for oid in new.rebuilt if oid in new.objects]
+        added: list[str] = []
+        removed: list[str] = []
+        modified = sorted(
+            oid for oid in rebuilt if old.objects[oid].source_hash != new.objects[oid].source_hash
+        )
+    else:
+        old_hash = {oid: obj.source_hash for oid, obj in old.objects.items()}
+        new_hash = {oid: obj.source_hash for oid, obj in new.objects.items()}
+        added = sorted(set(new_hash) - set(old_hash))
+        removed = sorted(set(old_hash) - set(new_hash))
+        modified = sorted(
+            oid for oid in set(old_hash) & set(new_hash) if old_hash[oid] != new_hash[oid]
+        )
     old_edges = {(e.caller, e.callee) for e in old.edges}
     new_edges = {(e.caller, e.callee) for e in new.edges}
     return ChangeSet(
@@ -378,7 +388,7 @@ def run_update(gateway: "Gateway", config: "Config", jobs: int) -> UpdateReport:
         if not staged:
             return UpdateReport(staged=staged)
 
-        store = load_store(store_path)
+        store = load_store(store_path, repo_git)
         reuse = snapshot_is_recorded(store, repo_git)
         sources = read_staged_text(
             repo_root, config.ignore, store.graph_snapshot if reuse else None
@@ -429,11 +439,17 @@ def persist(
     first page written remove the digest, so a run that stops between
     leaves none and the next one rewrites every stale page. ``reuse`` tells
     that the digest recorded before the run was the loaded store's; then
-    only the pages of what the run changed are compiled. Without
-    ``store_path``, as for ``publish``, the store is not saved and every
-    page is compiled.
+    only the pages of what the run changed are compiled. Without it, every
+    page is compiled, and when the graph this run built and the records are
+    exactly those of the file loaded (``DocStore.matches_file``: blob ids
+    included, since the digest names the current parser), the store is
+    saved anyway in a Git repository, so that the digest recorded there is
+    of bytes ``save_store`` wrote. Without ``store_path``, as for
+    ``publish``, the store is not saved, no graph was built, and every page
+    is compiled.
     """
-    saved = store_path is not None and store.changed
+    current = repo_git is not None and not reuse and store.matches_file()
+    saved = store_path is not None and (store.changed or current)
     changed = None
     if store_path is not None and reuse and store.file is not None:
         changed = store.file.edited()

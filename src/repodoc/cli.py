@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .change_tracker import _update_lock, git_dir, install_hook, persist, run_update
 from .config import build_gateway, load_config
-from .doc_pipeline import generate_all, load_store, snapshot_is_recorded, up_to_date
+from .doc_pipeline import generate_all, load_store, snapshot_is_recorded, stale_objects
 from .errors import (
     CorruptStoreError,
     NotAGitRepoError,
@@ -101,12 +101,12 @@ def cmd_generate(args) -> int:
     store_path = config.repo_root / config.store_path
     repo_git = git_dir(config.repo_root)
     with _update_lock(repo_git or store_path.parent):
-        store = load_store(store_path)
+        store = load_store(store_path, repo_git)
         sources = scan_repository(config.repo_root, config.ignore)
         cache = ParseCache(repo_git)
         reuse = snapshot_is_recorded(store, repo_git)
         graph, taken = source_graph(sources, cache, store.graph_snapshot, reuse=reuse)
-        stale = {oid for oid in graph.objects if not up_to_date(graph, store, oid)}
+        stale = stale_objects(graph, store)
         add_snippets(graph, sources, cache, taken, stale)
         cache.save()
         report = generate_all(graph, gateway, store, config, args.jobs, only=stale)
@@ -170,7 +170,7 @@ def cmd_publish(args) -> int:
         raise UsageError("no doc store found; run: repodoc generate")
     repo_git = git_dir(config.repo_root)
     with _update_lock(repo_git or store_path.parent):
-        store = load_store(store_path)
+        store = load_store(store_path, repo_git)
         if store.graph_snapshot is None:
             raise UsageError("no doc store found; run: repodoc generate")
         reuse = snapshot_is_recorded(store, repo_git)

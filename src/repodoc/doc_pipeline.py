@@ -17,15 +17,28 @@ import json
 import logging
 import os
 import re
+from collections.abc import MutableMapping
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
+from json.decoder import scanstring
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator
 
 from .errors import CorruptStoreError, OverBudgetError, ProviderError, StoreWriteError
 from .llm_gateway import CompletionRequest, Gateway
-from .project_graph import DIR, REPO, ReferenceEdge, RepoGraph, topological_order
-from .prompt_engine import assemble_context, fit_to_budget, render_prompt
+from .project_graph import (
+    DIR,
+    FILE,
+    REPO,
+    ROOT_ID,
+    ReferenceEdge,
+    RepoGraph,
+    TreeNode,
+    prerequisites,
+    topological_order,
+    tree_node,
+)
+from .prompt_engine import assemble_context, fit_to_budget
 from .source_model import CLASS, CodeObject, parser_identity, write_atomically
 
 if TYPE_CHECKING:
@@ -270,7 +283,7 @@ class StoreFile:
 class DocStore:
     """All doc records plus the graph snapshot of the last completed run."""
 
-    records: dict[str, DocRecord] = field(default_factory=dict)
+    records: MutableMapping[str, DocRecord] = field(default_factory=dict)
     graph_snapshot: RepoGraph | None = None
     changed: bool = False  # set once it differs from the file it was loaded from
     # the SHA-256 over the parser_identity, the store version and the bytes
@@ -278,6 +291,13 @@ class DocStore:
     digest: str | None = None
     # that file, when it holds a graph and the current version
     file: StoreFile | None = None
+
+    def matches_file(self) -> bool:
+        """Whether the store is exactly the file it was loaded from or last
+        saved to: no record written or dropped, and no node or edge that
+        differs, blob ids and parse errors included."""
+        file = self.file
+        return file is not None and not self.changed and not file.edited() and not file.edited_edges
 
     def to_dict(self) -> dict:
         return {
@@ -520,21 +540,150 @@ def snapshot_is_recorded(store: DocStore, git_dir: Path | None) -> bool:
     Python and then wrote its pages, and it was not merged, checked out or
     edited since. Outside a Git repository no snapshot is recorded.
     """
-    if store.graph_snapshot is None or store.digest is None or git_dir is None:
+    return store.graph_snapshot is not None and _digest_recorded(store.digest, git_dir)
+
+
+def _digest_recorded(digest: str | None, git_dir: Path | None) -> bool:
+    if digest is None or git_dir is None:
         return False
     try:
         recorded = (git_dir / SNAPSHOT_DIGEST_NAME).read_text(encoding="utf-8")
     except (OSError, ValueError):
         return False
-    return recorded == store.digest + "\n"
+    return recorded == digest + "\n"
 
 
-def load_store(path: str | Path) -> DocStore:
+class LazyEntries(MutableMapping):
+    """Entries by key, in the order given. ``held`` maps each key to its
+    entry or, until the entry is first read, to its store line, a ``str``.
+    ``decode(key, line)`` then stores the entry with ``settle``, in this
+    mapping and in any other that holds the same line, so that a line is
+    decoded once. Two threads that read a line first may both decode it,
+    to equal entries."""
+
+    def __init__(self, held: dict, decode: Callable[[str, str], None]) -> None:
+        self.held = held
+        self._decode = decode
+
+    def __getitem__(self, key):
+        value = self.held[key]
+        if type(value) is str:
+            self._decode(key, value)
+            value = self.held[key]
+        return value
+
+    def settle(self, key: str, value) -> None:
+        """Hold the decoded entry of ``key``, unless it was decoded or set."""
+        if type(self.held.get(key)) is str:
+            self.held[key] = value
+
+    def __setitem__(self, key: str, value) -> None:
+        self.held[key] = value
+
+    def __delitem__(self, key: str) -> None:
+        del self.held[key]
+
+    def __contains__(self, key) -> bool:
+        return key in self.held
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.held)
+
+    def __len__(self) -> int:
+        return len(self.held)
+
+
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _decode_entry(line: str) -> dict:
+    """The value of one node or record line of the store, ``"<key>":<value>``
+    with a comma after all but a section's last."""
+    _, end = scanstring(line, 1)
+    return _raw_decode(line, end + 1)[0]
+
+
+def _indexed(lines: list[str]) -> dict[str, str]:
+    """Node or record lines by key. A key is read up to the first quote,
+    unless it holds an escape: then the quote may be escaped as well."""
+    items = {line[1 : line.index('"', 1)]: line for line in lines}
+    if "\\" in "".join(items):
+        items = {scanstring(line, 1)[0]: line for line in lines}
+    return items
+
+
+def _edges(lines: list[str]) -> list[ReferenceEdge]:
+    return [ReferenceEdge(e["caller"], e["callee"]) for e in json.loads(f"[{''.join(lines)}]")]
+
+
+# the lines that open and close the sections of a store with a graph
+_SECTION_LINES = (
+    '{"graph":{"edges":[',
+    '],"nodes":{',
+    '},"removed_edges":[',
+    ']},"records":{',
+    '},"version":%d}' % STORE_VERSION,
+)
+
+
+def _lazy_store(raw: bytes, stat: tuple[int, int, int, int]) -> DocStore | None:
+    """The store of ``raw``, bytes that ``save_store`` wrote, or None when
+    it holds no graph. Only the edges and the root, directory and file
+    nodes are decoded; every other node and every record is held as its
+    line and decoded on first read, so a run decodes the entries it reads."""
+    lines = raw.decode("utf-8").split("\n")
+    if lines[0] != _SECTION_LINES[0]:
+        return None
+    sections, start = [], 1
+    for closer in _SECTION_LINES[1:]:
+        end = lines.index(closer, start)
+        sections.append(lines[start:end])
+        start = end + 1
+    edge_lines, node_lines, removed_lines, record_lines = sections
+    del lines, sections
+    node_items = _indexed(node_lines)
+    tree: dict[str, TreeNode] = {}
+    todo = [ROOT_ID]
+    while todo:
+        node_id = todo.pop()
+        node = tree[node_id] = tree_node(node_id, _decode_entry(node_items[node_id]))
+        if node.node_kind in (REPO, DIR):
+            todo.extend(node.children)
+    object_items = {oid: line for oid, line in node_items.items() if oid not in tree}
+    node_items.update(tree)
+
+    def decode_object(oid: str, line: str) -> None:
+        entry = _decode_entry(line)
+        nodes.settle(oid, tree_node(oid, entry))
+        objects.settle(oid, CodeObject.from_dict(oid, entry["node_kind"], entry["meta"]))
+
+    def decode_record(oid: str, line: str) -> None:
+        records.settle(oid, DocRecord(**_decode_entry(line)))
+
+    nodes = LazyEntries(node_items, decode_object)
+    objects = LazyEntries(object_items, decode_object)
+    records = LazyEntries(_indexed(record_lines), decode_record)
+    edges, removed = _edges(edge_lines), _edges(removed_lines)
+    graph = RepoGraph(
+        nodes=nodes,
+        objects=objects,
+        edges=edges,
+        removed_edges=removed,
+        files=sorted(oid for oid, node in tree.items() if node.node_kind == FILE),
+    )
+    file = StoreFile(stat, list(node_items), list(records), (len(edges), len(removed)))
+    return DocStore(records=records, graph_snapshot=graph, file=file)
+
+
+def load_store(path: str | Path, git_dir: Path | None = None) -> DocStore:
     """Load the store; a missing file is an empty store, a broken one an error.
 
     Stores of versions 1 to 3 are migrated in memory; the next save writes
     the current version. The digest of the file's bytes is taken as they
-    are read.
+    are read. When ``git_dir`` records that digest, ``save_store`` wrote
+    the bytes, each entry on a line of its own, and the store is decoded
+    lazily (``_lazy_store``); otherwise it is decoded whole, and a broken
+    entry raises here.
     """
     path = Path(path)
     try:
@@ -545,6 +694,16 @@ def load_store(path: str | Path) -> DocStore:
         return DocStore()
     digest = _new_digest()
     digest.update(raw)
+    if _digest_recorded(digest.hexdigest(), git_dir):
+        try:
+            store = _lazy_store(raw, stat)
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise CorruptStoreError(
+                f"doc store {path} is unreadable ({exc}); delete it and rerun generate to rebuild"
+            ) from exc
+        if store is not None:
+            store.digest = digest.hexdigest()
+            return store
     try:
         text = raw.decode("utf-8")
         del raw
@@ -625,14 +784,63 @@ def up_to_date(graph: RepoGraph, store: DocStore, object_id: str) -> bool:
     return _reference_sets_unchanged(graph, store.graph_snapshot, object_id)
 
 
+_HASH_KEY = '"source_hash":"'
+_HASH_SPAN = len(_HASH_KEY) + 65  # the key, a SHA-256 hex digest and its closing quote
+
+
+def _unmatched(
+    objects: MutableMapping[str, CodeObject], records: MutableMapping[str, DocRecord]
+) -> list[str]:
+    """The ids of ``objects`` whose record is missing or may carry another
+    source hash. Where both entries are still store lines, the lines are
+    compared from the hash's key to the quote after a SHA-256 hex digest,
+    with nothing decoded: a quote inside a string is escaped, so a line's
+    one ``"source_hash":"`` opens its hash, and equal spans hold equal
+    hashes."""
+    lines = objects.held if isinstance(objects, LazyEntries) else {}
+    record_lines = records.held if isinstance(records, LazyEntries) else {}
+    unmatched = []
+    for oid in objects:
+        line, record_line = lines.get(oid), record_lines.get(oid)
+        if type(line) is str and type(record_line) is str:
+            start, record_start = line.find(_HASH_KEY), record_line.find(_HASH_KEY)
+            if line[start : start + _HASH_SPAN] == record_line[record_start : record_start + _HASH_SPAN]:
+                continue
+        elif oid in records and records[oid].source_hash == objects[oid].source_hash:
+            continue
+        unmatched.append(oid)
+    return unmatched
+
+
+def stale_objects(graph: RepoGraph, store: DocStore) -> set[str]:
+    """The objects of ``graph`` that are not ``up_to_date``.
+
+    When the graph overlays the store's snapshot, only three kinds of
+    object can be stale, and only these are checked: the rebuilt ones, the
+    ends of the kept edges that changed, and the snapshot's objects whose
+    record is missing or carries another source hash, which ``_unmatched``
+    finds without decoding either entry."""
+    old = store.graph_snapshot
+    if old is None or graph.base is not old:
+        candidates: Iterable[str] = graph.objects
+    else:
+        candidates = {oid for oid in graph.rebuilt if oid in graph.objects}
+        if graph.edges != old.edges:
+            for edge in set(graph.edges).symmetric_difference(old.edges):
+                candidates.update((edge.caller, edge.callee))
+        candidates.update(_unmatched(old.objects, store.records))
+    return {oid for oid in candidates if not up_to_date(graph, store, oid)}
+
+
 def _stale_prerequisites(graph: RepoGraph, store: DocStore, pending: set[str]) -> frozenset[str]:
-    # Ids whose docs are absent yet will never be produced this run (a past
-    # run failed on them). Their docs render as "None" instead of wedging
-    # every dependent forever.
+    # The callees and children of pending objects whose docs are absent yet
+    # will never be produced this run (a past run failed on them). Their
+    # docs render as "None" instead of wedging every dependent forever.
     stale = {
-        oid
-        for oid in graph.objects
-        if oid not in pending and oid not in store.records
+        need
+        for oid in pending
+        for need in (*graph.callees(oid), *graph.nodes[oid].children)
+        if need not in pending and need not in store.records
     }
     for oid in sorted(stale):
         logger.warning("doc for %s is missing and not scheduled; rendering None", oid)
@@ -659,10 +867,10 @@ def _generate_one(
     )
     reserve = config.completion_reserve_tokens
     try:
-        ctx, tier = fit_to_budget(ctx, config.provider.tiers, reserve)
+        _, tier, prompt = fit_to_budget(ctx, config.provider.tiers, reserve)
         request = CompletionRequest(
             model=tier.name,
-            prompt=render_prompt(ctx),
+            prompt=prompt,
             max_completion_tokens=reserve,
             temperature=config.provider.temperature,
         )
@@ -690,46 +898,41 @@ def generate_all(
     """Generate docs for every stale object, bottom-to-top.
 
     Up-to-date objects (same source hash, same reference sets as the stored
-    snapshot) are skipped without any gateway call. Failures are recorded and
-    do not stop the run; dependents see "None" for a failed prerequisite.
-    ``only`` restricts generation to the given ids (used by updates).
+    snapshot) are skipped without any gateway call, and listed sorted by id.
+    Failures are recorded and do not stop the run; dependents see "None" for
+    a failed prerequisite. ``only`` restricts generation to the given ids
+    (used by updates).
 
-    An object is dispatched once all of its pending callees and children have
-    finished, lowest topological rank first, to at most ``jobs`` workers, so
-    at most that many provider requests are in flight. With one job it runs
-    on the calling thread, so ``generated`` is the topological order filtered
-    to the pending objects. Workers only generate; this thread records every
-    outcome. The settings of each request are read from ``config``.
+    The pending objects are ordered by ``topological_order`` over their own
+    edges and containment. An object is dispatched once all of its pending
+    callees and children have finished, earliest in that order first, to at
+    most ``jobs`` workers, so at most that many provider requests are in
+    flight. With one job it runs on the calling thread, so ``generated`` is
+    that order. Workers only generate; this thread records every outcome.
+    The settings of each request are read from ``config``.
 
     The graph then becomes the store's snapshot, and the records of objects
     it no longer holds are dropped. The store is marked changed when a doc
     was recorded or dropped, or when the graph differs from the old snapshot
     in more than its files' blob ids and parse errors.
     """
-    order = topological_order(graph)
-    report = RunReport()
-    pending: list[str] = []
-    for oid in order:
-        if only is not None and oid not in only:
-            report.skipped.append(oid)
-        elif up_to_date(graph, store, oid):
-            report.skipped.append(oid)
-        else:
-            pending.append(oid)
-
-    rank = {oid: index for index, oid in enumerate(pending)}
-    blockers = dict.fromkeys(pending, 0)
-    dependents: dict[str, list[str]] = {oid: [] for oid in pending}
-    # (prerequisite, dependent) pairs; a pair listed twice also unblocks twice
-    links = [(edge.callee, edge.caller) for edge in graph.edges]
-    links += [(oid, graph.objects[oid].parent_id) for oid in pending]
-    for need, oid in links:
-        if need in rank and oid in rank:
-            blockers[oid] += 1
-            dependents[need].append(oid)
-    ready = [rank[oid] for oid in pending if not blockers[oid]]
+    objects = graph.objects
+    pending = {
+        oid
+        for oid in (objects if only is None else only)
+        if oid in objects and not up_to_date(graph, store, oid)
+    }
+    order = topological_order(graph, pending)
+    report = RunReport(skipped=sorted(oid for oid in objects if oid not in pending))
+    rank = {oid: index for index, oid in enumerate(order)}
+    blockers = dict.fromkeys(order, 0)
+    dependents: dict[str, list[str]] = {oid: [] for oid in order}
+    for need, oid in prerequisites(graph, rank):
+        blockers[oid] += 1
+        dependents[need].append(oid)
+    ready = [rank[oid] for oid in order if not blockers[oid]]
     heapq.heapify(ready)
-    allow_missing = _stale_prerequisites(graph, store, set(pending))
+    allow_missing = _stale_prerequisites(graph, store, pending)
 
     def finish(oid: str, outcome) -> None:
         nonlocal allow_missing
@@ -754,7 +957,7 @@ def generate_all(
     try:
         while ready or running:
             while ready and len(running) < jobs:
-                oid = pending[heapq.heappop(ready)]
+                oid = order[heapq.heappop(ready)]
                 args = (graph, gateway, store, oid, config, allow_missing)
                 if pool is None:
                     finish(oid, _generate_one(*args))
@@ -768,13 +971,15 @@ def generate_all(
         if pool is not None:
             pool.shutdown()
 
-    kept = {oid: rec for oid, rec in store.records.items() if oid in graph.objects}
     old = store.graph_snapshot
+    gone = [oid for oid in store.records if oid not in objects]
+    for oid in gone:
+        del store.records[oid]
     changed_nodes = set(graph.nodes) if old is None else graph.changed_nodes(old)
     store.changed = (
         store.changed
         or bool(report.generated)
-        or len(kept) != len(store.records)
+        or bool(gone)
         or old is None
         or not graph.same_as(old, changed_nodes)
     )
@@ -787,5 +992,5 @@ def generate_all(
             or graph.edges != old.edges
             or graph.removed_edges != old.removed_edges
         )
-    store.graph_snapshot, store.records = graph, kept
+    store.graph_snapshot = graph
     return report

@@ -96,11 +96,7 @@ def write_site(
     stat finds it missing.
     """
     out_dir = Path(out_dir)
-    pages = {
-        page_path_for(node_id): node_id
-        for node_id, node in graph.nodes.items()
-        if node.node_kind == FILE
-    }
+    pages = {page_path_for(file_id): file_id for file_id in graph.files}
     files = None if changed is None else {graph.file_of(node_id) for node_id in changed}
     if files is not None and any(
         graph.nodes[top].node_kind in (REPO, DIR) for top in files if top in graph.nodes

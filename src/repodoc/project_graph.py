@@ -8,10 +8,11 @@ DAG so that a bottom-to-top generation order always exists.
 from __future__ import annotations
 
 import heapq
+from collections.abc import MutableMapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import PurePosixPath
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InternalError
 from .source_model import (
@@ -96,20 +97,22 @@ def build_tree(files: Sequence[str], parses: Sequence[FileParse]) -> dict[str, T
 
 
 def resolve_references(
-    nodes: Mapping[str, TreeNode], parses: Sequence[FileParse]
+    nodes: Mapping[str, TreeNode],
+    parses: Sequence[FileParse],
+    objects: Mapping[str, CodeObject] | None = None,
 ) -> tuple[list[ReferenceEdge], list[str]]:
-    """Resolve call sites to in-repo objects.
+    """Resolve the call sites of ``parses`` to in-repo objects.
 
-    Returns deduplicated edges sorted by (caller, callee), plus a
-    diagnostics list for calls that could not be resolved. Self edges are
-    dropped.
+    ``nodes`` gives the repository's files, by their file nodes, and
+    ``objects`` its objects by id, by default those of ``parses``. Returns
+    deduplicated edges sorted by (caller, callee), plus a diagnostics list
+    for calls that could not be resolved. Self edges are dropped.
     """
-    objects: dict[str, CodeObject] = {}
+    if objects is None:
+        objects = {obj.id: obj for parse in parses for obj in parse.objects}
     scopes: dict[str, Scope] = {}
     for parse in parses:
         scopes.update(parse.scopes)
-        for obj in parse.objects:
-            objects[obj.id] = obj
     module_map = {
         module_name_for(node.id): node.id
         for node in nodes.values()
@@ -223,12 +226,15 @@ def _resolve_module_chain(
     return None
 
 
-def object_containment(objects: Mapping[str, CodeObject]) -> list[tuple[str, str]]:
-    """(parent, child) pairs where both endpoints are objects."""
-    pairs = [
-        (obj.parent_id, obj.id) for obj in objects.values() if obj.parent_id in objects
-    ]
-    return sorted(pairs)
+def parent_of(object_id: str) -> str:
+    """An object's ``parent_id``: its id less the last segment, its name."""
+    return object_id.rpartition("/")[0]
+
+
+def object_containment(objects: Collection[str]) -> list[tuple[str, str]]:
+    """(parent, child) pairs where both endpoints are objects, from the ids
+    of ``objects`` alone."""
+    return sorted((parent_of(oid), oid) for oid in objects if parent_of(oid) in objects)
 
 
 def prune_cycles(
@@ -299,16 +305,59 @@ def prune_cycles(
     return sorted(kept.values(), key=lambda e: (e.caller, e.callee)), removed
 
 
+class Overlay(MutableMapping):
+    """A mapping that reads as ``base`` but for the keys given new values.
+    It keeps the keys of ``base``, so only those may be set."""
+
+    def __init__(self, base: Mapping, changes: dict) -> None:
+        self.base = base
+        self.changes = changes
+
+    def __getitem__(self, key):
+        if key in self.changes:
+            return self.changes[key]
+        return self.base[key]
+
+    def __setitem__(self, key, value) -> None:
+        if key not in self.base:
+            raise InternalError(f"{key} is not a key of the mapping overlaid")
+        self.changes[key] = value
+
+    def __delitem__(self, key) -> None:
+        raise InternalError("an overlay keeps the keys of the mapping overlaid")
+
+    def __contains__(self, key) -> bool:
+        return key in self.base
+
+    def __iter__(self) -> Iterator:
+        return iter(self.base)
+
+    def __len__(self) -> int:
+        return len(self.base)
+
+
 @dataclass
 class RepoGraph:
-    """Tree, object table and pruned reference edges for one repository state."""
+    """Tree, object table and pruned reference edges for one repository state.
 
-    nodes: dict[str, TreeNode]
-    objects: dict[str, CodeObject]
+    ``files`` lists the file ids in order. A graph that ``build_graph``
+    derived from a snapshot has ``base``, that snapshot: its nodes and
+    objects are those of ``base`` but for the ``rebuilt`` ids, the parsed
+    files and their objects, and the ids of both are the same."""
+
+    nodes: MutableMapping[str, TreeNode]
+    objects: MutableMapping[str, CodeObject]
     edges: list[ReferenceEdge]
     removed_edges: list[ReferenceEdge]
     diagnostics: list[str] = field(default_factory=list)
     parse_errors: list[str] = field(default_factory=list)
+    files: list[str] = field(default=None, compare=False)  # type: ignore[assignment]
+    base: RepoGraph | None = field(default=None, compare=False, repr=False)
+    rebuilt: frozenset[str] = field(default=frozenset(), compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.files is None:
+            self.files = [nid for nid, node in self.nodes.items() if node.node_kind == FILE]
 
     @cached_property
     def _callee_map(self) -> dict[str, list[str]]:
@@ -345,18 +394,6 @@ class RepoGraph:
             stack.extend((child, depth + 1) for child in reversed(self.nodes[object_id].children))
         return out
 
-    def file_parse(self, file_id: str) -> FileParse:
-        """The file's parse as far as the graph keeps it: its objects in
-        source order, with no snippets, calls or scopes, its blob id and its
-        parse error."""
-        node = self.nodes[file_id]
-        return FileParse(
-            file=file_id,
-            objects=[self.objects[oid] for oid, _ in self.file_objects(file_id)],
-            parse_error=node.parse_error,
-            blob=node.blob,
-        )
-
     def node_entry(self, node_id: str) -> dict:
         """A node's plain data: its kind, children and, as it has them, the
         ``to_dict()`` of its object, its blob id and its parse error."""
@@ -383,15 +420,16 @@ class RepoGraph:
         """The top of an object's ``parent_id`` chain, its file; any other
         id is its own."""
         while node_id in self.objects:
-            node_id = self.objects[node_id].parent_id
+            node_id = parent_of(node_id)
         return node_id
 
     def changed_nodes(self, other: "RepoGraph") -> set[str]:
         """The ids of the nodes whose ``node_entry`` is not the one
-        ``other`` holds under the same id, or that ``other`` lacks."""
+        ``other`` holds under the same id, or that ``other`` lacks. Over its
+        ``base``, only the rebuilt nodes are compared."""
         changed = set()
-        for node_id, node in self.nodes.items():
-            twin = other.nodes.get(node_id)
+        for node_id in self.rebuilt if self.base is other else self.nodes:
+            node, twin = self.nodes[node_id], other.nodes.get(node_id)
             if (
                 twin is None
                 or node.children != twin.children
@@ -415,7 +453,7 @@ class RepoGraph:
         ``self.changed_nodes(other)``, when already known."""
         if self.edges != other.edges or self.removed_edges != other.removed_edges:
             return False
-        if self.nodes.keys() != other.nodes.keys():
+        if self.base is not other and self.nodes.keys() != other.nodes.keys():
             return False
         if changed is None:
             changed = self.changed_nodes(other)
@@ -431,13 +469,7 @@ class RepoGraph:
         nodes: dict[str, TreeNode] = {}
         objects: dict[str, CodeObject] = {}
         for node_id, entry in data.get("nodes", {}).items():
-            nodes[node_id] = TreeNode(
-                id=node_id,
-                node_kind=entry["node_kind"],
-                children=list(entry.get("children", [])),
-                blob=entry.get("blob"),
-                parse_error=entry.get("parse_error"),
-            )
+            nodes[node_id] = tree_node(node_id, entry)
             meta = entry.get("meta")
             if meta is not None:
                 objects[node_id] = CodeObject.from_dict(node_id, entry["node_kind"], meta)
@@ -449,6 +481,17 @@ class RepoGraph:
                 ReferenceEdge(e["caller"], e["callee"]) for e in data.get("removed_edges", [])
             ],
         )
+
+
+def tree_node(node_id: str, entry: dict) -> TreeNode:
+    """The tree node of a ``node_entry``."""
+    return TreeNode(
+        id=node_id,
+        node_kind=entry["node_kind"],
+        children=list(entry.get("children", [])),
+        blob=entry.get("blob"),
+        parse_error=entry.get("parse_error"),
+    )
 
 
 def empty_graph() -> RepoGraph:
@@ -469,10 +512,9 @@ def snapshot_fits(
     snapshot holds under it. A call resolves from its own file's parse, the
     set of files and the set of object ids alone, so a file whose blob is
     the snapshot's then keeps the snapshot's edges."""
-    file_nodes = [node for node in snapshot.nodes.values() if node.node_kind == FILE]
-    if {node.id for node in file_nodes} != set(files):
+    if set(snapshot.files) != set(files):
         return False
-    if any(node.blob is None for node in file_nodes):
+    if any(snapshot.nodes[rel].blob is None for rel in snapshot.files):
         return False
     return all(
         {obj.id for obj in parse.objects}
@@ -486,46 +528,52 @@ def build_graph(
 ) -> RepoGraph:
     """Tree + resolved references + cycle pruning in one step.
 
-    Given a ``snapshot`` that ``snapshot_fits``, each file of ``files`` that
-    no parse covers is taken from it: its objects, blob id and parse error,
-    and the reference edges, kept or removed, whose caller lies in it. The
-    caller parses each file whose text may differ from the snapshot's.
-    Cycles are pruned afresh over all edges, since pruning is global, unless
-    the parsed files give exactly the edges, kept or removed, that the
-    snapshot holds for their callers: the edge set and the object ids are
-    then the snapshot's, and ``prune_cycles`` is a function of these alone,
-    so the snapshot's kept and removed lists are taken as they are.
+    Given a ``snapshot`` that ``snapshot_fits``, the graph is the snapshot
+    with the entries of the parsed files and their objects replaced (its
+    ``base`` and ``rebuilt``): each file of ``files`` that no parse covers
+    keeps its objects, blob id and parse error, and the reference edges,
+    kept or removed, whose caller lies in it. The caller parses each file
+    whose text may differ from the snapshot's. Cycles are pruned afresh
+    over all edges, since pruning is global, unless the parsed files give
+    exactly the edges, kept or removed, that the snapshot holds for their
+    callers: the edge set and the object ids are then the snapshot's, and
+    ``prune_cycles`` is a function of these alone, so the snapshot's kept
+    and removed lists are taken as they are.
     """
+    rebuilt: frozenset[str] = frozenset()
     carried: list[ReferenceEdge] = []
     local: set[tuple[str, str]] | None = None  # the snapshot's edges of the parsed files
-    if snapshot is not None:
+    if snapshot is None:
+        nodes: MutableMapping[str, TreeNode] = build_tree(files, parses)
+        objects: MutableMapping[str, CodeObject] = {o.id: o for p in parses for o in p.objects}
+    else:
         if not snapshot_fits(snapshot, files, parses):
             raise InternalError("the snapshot does not fit the files and parses given")
-        parsed = {p.file for p in parses}
-        taken = [snapshot.file_parse(rel) for rel in files if rel not in parsed]
-        parses = sorted([*parses, *taken], key=lambda p: p.file)
-        callers = {obj.id for parse in taken for obj in parse.objects}
+        tree = build_tree([p.file for p in parses], parses)
+        rebuilt = frozenset(oid for p in parses for oid in (p.file, *(o.id for o in p.objects)))
+        nodes = Overlay(snapshot.nodes, {oid: tree[oid] for oid in rebuilt})
+        objects = Overlay(snapshot.objects, {o.id: o for p in parses for o in p.objects})
         local = set()
         for edge in (*snapshot.edges, *snapshot.removed_edges):
-            if edge.caller in callers:
-                carried.append(edge)
-            else:
+            if edge.caller in rebuilt:
                 local.add((edge.caller, edge.callee))
-    nodes = build_tree(files, parses)
-    raw_edges, diagnostics = resolve_references(nodes, parses)
-    objects = {o.id: o for p in parses for o in p.objects}
+            else:
+                carried.append(edge)
+    raw_edges, diagnostics = resolve_references({rel: nodes[rel] for rel in files}, parses, objects)
     if local is not None and local == {(e.caller, e.callee) for e in raw_edges}:
         kept, removed = list(snapshot.edges), list(snapshot.removed_edges)
     else:
         kept, removed = prune_cycles(raw_edges + carried, object_containment(objects))
-    parse_errors = [p.parse_error for p in parses if p.parse_error]
     return RepoGraph(
         nodes=nodes,
         objects=objects,
         edges=kept,
         removed_edges=removed,
         diagnostics=diagnostics,
-        parse_errors=parse_errors,
+        parse_errors=[nodes[rel].parse_error for rel in files if nodes[rel].parse_error],
+        files=list(files),
+        base=snapshot,
+        rebuilt=rebuilt,
     )
 
 
@@ -542,9 +590,11 @@ def source_graph(
     With ``reuse``, which needs a snapshot, only the files whose blob id
     differs from the snapshot's are parsed; the others are taken from it
     when it fits their parses (``snapshot_fits``), and parsed as well when
-    it does not. Without it, every file is parsed. Parses go through the
-    cache, and the taken files' cache lines are kept unread, as are their
-    texts when ``sources`` reads them on first use. Either way the
+    it does not: the graph is then the snapshot with the parsed files'
+    entries replaced (``build_graph``). Without it, every file is parsed.
+    Parses go through the cache, and the taken files' cache lines are kept
+    unread, as are their texts when ``sources`` reads them on first use.
+    Either way the
     graph's diagnostics are the unresolved calls of the files whose blob id
     differs from the snapshot's, or of every file when there is no snapshot.
     """
@@ -586,24 +636,32 @@ def add_snippets(
             graph.objects[obj.id] = obj
 
 
-def topological_order(graph: RepoGraph) -> list[str]:
-    """Total generation order: callees before callers, children before parents.
+def prerequisites(graph: RepoGraph, ids: Collection[str]) -> list[tuple[str, str]]:
+    """(prerequisite, dependent) pairs among ``ids``: each callee before its
+    caller, each child before its parent. A parent is read off its child's
+    id, so no entry is decoded."""
+    pairs = []
+    for oid in ids:
+        pairs.extend((callee, oid) for callee in graph.callees(oid) if callee in ids)
+        if parent_of(oid) in ids:
+            pairs.append((oid, parent_of(oid)))
+    return pairs
+
+
+def topological_order(graph: RepoGraph, only: Collection[str] | None = None) -> list[str]:
+    """Generation order of ``only``, by default every object: callees before
+    callers, children before parents, among the ids ordered.
 
     Kahn's algorithm with a lexicographic ready heap, so the order is a pure
-    function of the graph.
+    function of the graph and ``only``. The order of a subset is by its own
+    edges and containment, not the order of every object filtered to it.
     """
-    indegree = {oid: 0 for oid in graph.objects}
-    dependents: dict[str, list[str]] = {oid: [] for oid in graph.objects}
-
-    def _add(prerequisite: str, dependent: str) -> None:
+    ids = graph.objects if only is None else only
+    indegree = dict.fromkeys(ids, 0)
+    dependents: dict[str, list[str]] = {oid: [] for oid in ids}
+    for prerequisite, dependent in prerequisites(graph, indegree):
         dependents[prerequisite].append(dependent)
         indegree[dependent] += 1
-
-    for edge in graph.edges:
-        if edge.caller in indegree and edge.callee in indegree:
-            _add(edge.callee, edge.caller)
-    for parent, child in object_containment(graph.objects):
-        _add(child, parent)
 
     ready = [oid for oid, deg in indegree.items() if deg == 0]
     heapq.heapify(ready)
@@ -615,7 +673,7 @@ def topological_order(graph: RepoGraph) -> list[str]:
             indegree[dependent] -= 1
             if indegree[dependent] == 0:
                 heapq.heappush(ready, dependent)
-    if len(order) != len(graph.objects):
+    if len(order) != len(indegree):
         raise InternalError("cycle survived pruning; generation order undefined")
     return order
 

@@ -305,8 +305,9 @@ def fit_to_budget(
     ctx: PromptContext,
     tiers: Sequence[ModelTier],
     reserve: int,
-) -> tuple[PromptContext, ModelTier]:
-    """Pick a tier, applying fixed reductions only when none fits.
+) -> tuple[PromptContext, ModelTier, str]:
+    """Pick a tier, applying fixed reductions only when none fits. Returns
+    the context, reduced or not, its tier and its rendered prompt.
 
     Reductions are all-or-nothing, applied in order, and never touch the
     target snippet or format block. Once any reduction was needed the largest
@@ -314,10 +315,11 @@ def fit_to_budget(
     """
     if not tiers:
         raise OverBudgetError("no model tiers configured")
-    estimate = estimate_tokens(render_prompt(ctx))
+    prompt = render_prompt(ctx)
+    estimate = estimate_tokens(prompt)
     tier = choose_tier(estimate, tiers, reserve)
     if tier is not None:
-        return ctx, tier
+        return ctx, tier, prompt
 
     largest = tiers[-1]
     for name, step in REDUCTION_STEPS:
@@ -325,10 +327,11 @@ def fit_to_budget(
         if reduced == ctx:
             continue
         ctx = reduced
-        estimate = estimate_tokens(render_prompt(ctx))
+        prompt = render_prompt(ctx)
+        estimate = estimate_tokens(prompt)
         logger.info("budget reduction applied to %s: %s (now ~%d tokens)", ctx.target.id, name, estimate)
         if estimate + reserve <= largest.context_window:
-            return ctx, largest
+            return ctx, largest, prompt
     raise OverBudgetError(
         f"{ctx.target.id}: prompt needs ~{estimate} tokens plus {reserve} reserve; "
         f"largest tier {largest.name} holds {largest.context_window}"

@@ -386,7 +386,7 @@ def test_generate_all_second_run_skips_everything(demo_repo):
     gateway = make_gateway()
     report = generate_all(graph, gateway, store, make_config(demo_repo), 1)
     assert report.generated == []
-    assert report.skipped == DEMO_TOPO_ORDER
+    assert report.skipped == sorted(DEMO_TOPO_ORDER)
     assert gateway.provider.prompts == []
 
 
@@ -483,8 +483,10 @@ def test_two_jobs_overlap_provider_sends(tmp_path):
 
 
 def test_single_job_follows_filtered_topological_order(tmp_path):
-    # z is a prerequisite of b but not pending: the full order is c, z, b,
-    # while ordering only {b, c} by id would put b first.
+    # Only the pending objects are ordered, by their own edges and
+    # containment: z is a prerequisite of b but not pending, so b comes
+    # first by id, though the order of every object, c, z, b, filtered to
+    # {b, c} would put c first. A pending callee still precedes its caller.
     source = "def b():\n    return z()\n\n\ndef c():\n    return 1\n\n\ndef z():\n    return 2\n"
     write_tree(tmp_path, {"m.py": source})
     graph, store, _, _ = generate_repo(tmp_path)
@@ -492,5 +494,11 @@ def test_single_job_follows_filtered_topological_order(tmp_path):
     for oid in only:
         store.records.pop(oid)
     report = generate_all(graph, make_gateway(), store, make_config(tmp_path), 1, only=only)
-    assert report.generated == [oid for oid in topological_order(graph) if oid in only]
-    assert report.generated == ["m.py/c", "m.py/b"]
+    assert report.generated == topological_order(graph, only) == ["m.py/b", "m.py/c"]
+    assert [oid for oid in topological_order(graph) if oid in only] == ["m.py/c", "m.py/b"]
+
+    only = {"m.py/b", "m.py/z"}
+    for oid in only:
+        store.records.pop(oid)
+    report = generate_all(graph, make_gateway(), store, make_config(tmp_path), 1, only=only)
+    assert report.generated == ["m.py/z", "m.py/b"]

@@ -99,8 +99,8 @@ def _init_repo(repo):
 def _recording(patch, module, *, full: bool) -> list:
     """Patch ``module`` so that each graph its ``source_graph`` builds is
     appended to the list returned, and, when ``full``, so that it trusts no
-    snapshot and parses every file, compiles every page and encodes the
-    whole store."""
+    snapshot and decodes the whole store, parses every file, compiles every
+    page and encodes the whole store."""
     built = []
     real = module.source_graph
 
@@ -111,6 +111,8 @@ def _recording(patch, module, *, full: bool) -> list:
 
     patch.setattr(module, "source_graph", source_graph)
     if full:
+        load_store = module.load_store
+        patch.setattr(module, "load_store", lambda path, git_dir=None: load_store(path))
         for owner in (module, doc_pipeline):
             patch.setattr(owner, "snapshot_is_recorded", lambda store, git_dir: False)
     return built
@@ -134,6 +136,15 @@ def _generate(repo, monkeypatch, capsys, *, full: bool):
         patch.setattr(cli, "build_gateway", lambda config: gateway)
         code = main(["generate", "--repo", str(repo), "--json"])
     return code, json.loads(capsys.readouterr().out), built[0], gateway.provider.prompts
+
+
+def _assert_prerequisites_first(generated: list[str], graph, name: str) -> None:
+    """Each generated object comes after its generated callees and children."""
+    position = {oid: index for index, oid in enumerate(generated)}
+    for oid in generated:
+        for need in (*graph.callees(oid), *graph.object_children(oid)):
+            if need in position:
+                assert position[need] < position[oid], (name, need, oid)
 
 
 def _without_counts(report: dict) -> dict:
@@ -173,6 +184,7 @@ def test_fast_path_matches_the_full_rebuild_on_every_commit(tmp_path, monkeypatc
         assert fast.parse_errors == full.parse_errors, name
         assert fast_prompts == full_prompts, name
         assert _without_counts(fast.to_dict()) == _without_counts(full.to_dict()), name
+        _assert_prerequisites_first(fast.run.generated, fast_graph, name)
         assert _outputs(repo) == _outputs(twin), name
         # the fast path copied the store's lines, never falling back to a full encode
         assert "encoding it whole" not in caplog.text, name
@@ -205,6 +217,7 @@ def test_generate_fast_path_matches_the_full_rebuild_after_every_edit(
         assert fast_graph.parse_errors == full_graph.parse_errors, name
         assert fast_prompts == full_prompts, name
         assert _without_counts(fast) == _without_counts(full), name
+        _assert_prerequisites_first(fast["generated"], fast_graph, name)
         assert _outputs(repo) == _outputs(twin), name
         shutil.rmtree(twin)
 
@@ -500,6 +513,8 @@ def test_an_update_cut_off_while_writing_pages_is_mended_by_the_next(tmp_path, m
     assert report.written_pages == ["core.md"]
     assert full.written_pages == ["app.md", "core.md"]
     assert _outputs(repo) == _outputs(twin)
+    # every page was compiled from the store as loaded, so its digest is back
+    assert (repo / ".git" / SNAPSHOT_DIGEST_NAME).exists()
 
 
 def test_a_fast_path_update_reads_only_the_blobs_it_parses_or_quotes(tmp_path, monkeypatch, capsys):
@@ -609,3 +624,174 @@ def test_a_missing_blob_read_for_a_prompt_names_its_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "cannot read the staged blob of core.py" in err and "Traceback" not in err
 
+
+def test_a_generate_records_the_digest_again_when_the_store_is_current(tmp_path, capsys):
+    repo = tmp_path / "repo"
+    _init_repo(repo)
+    _generate_json(repo, capsys)
+    digest = repo / ".git" / SNAPSHOT_DIGEST_NAME
+    recorded = digest.read_bytes()
+    digest.unlink()
+    report = _generate_json(repo, capsys)
+    assert report["reused_files"] == 0 and report["pages_written"] == []
+    # the graph rebuilt, blob ids included, and the records are the store's
+    assert digest.read_bytes() == recorded
+    report = _generate_json(repo, capsys)
+    assert report["reused_files"] == len(FILES) and report["parsed_files"] == 0
+
+
+def test_a_store_edited_by_hand_is_saved_before_its_digest_is_recorded(tmp_path, capsys):
+    repo = tmp_path / "repo"
+    _init_repo(repo)
+    _generate_json(repo, capsys)
+    store_path = repo / load_config(repo).store_path
+    canonical = store_path.read_bytes()
+    # JSON still reads the file, but save_store did not lay it out: a blank
+    # line in the records section and an indented record line
+    text = canonical.decode("utf-8")
+    alpha = next(line for line in text.split("\n") if line.startswith('"core.py/alpha":{"generated_at"'))
+    beta = next(line for line in text.split("\n") if line.startswith('"core.py/beta":{"generated_at"'))
+    store_path.write_text(text.replace(alpha, "\n" + alpha).replace(beta, "  " + beta), encoding="utf-8")
+    report = _generate_json(repo, capsys)
+    assert report["reused_files"] == 0 and report["generated"] == []
+    # the store was current, so it was saved, and the digest is of bytes
+    # that save_store wrote
+    assert store_path.read_bytes() == canonical
+    report = _generate_json(repo, capsys)
+    assert report["reused_files"] == len(FILES) and report["generated"] == []
+    git(repo, "add", "-A")
+    git(repo, "commit", "-qm", "seed")
+    write_tree(repo, {"core.py": CORE.replace("return 1", "return 2")})
+    git(repo, "add", "core.py")
+    capsys.readouterr()
+    assert main(["update", "--repo", str(repo), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["parsed_files"] == 1 and report["reused_files"] == len(FILES) - 1
+    assert report["run"]["generated"] == ["core.py/alpha"]
+
+
+def test_a_blob_only_difference_records_no_digest(tmp_path, capsys):
+    repo = tmp_path / "repo"
+    _init_repo(repo)
+    _generate_json(repo, capsys)
+    digest = repo / ".git" / SNAPSHOT_DIGEST_NAME
+    digest.unlink()
+    # a comment changes the blob of core.py, and no object or edge
+    write_tree(repo, {"core.py": CORE + "# a comment\n"})
+    report = _generate_json(repo, capsys)
+    assert report["generated"] == [] and report["pages_written"] == []
+    # the store keeps the old blob id, which the current parser did not
+    # vouch for, so no digest is recorded and no file is reused next time
+    assert not digest.exists()
+    assert _generate_json(repo, capsys)["reused_files"] == 0
+
+
+def test_a_store_whose_digest_does_not_match_is_decoded_whole(tmp_path, capsys):
+    repo = tmp_path / "repo"
+    _init_repo(repo)
+    _generate_json(repo, capsys)
+    store_path = repo / load_config(repo).store_path
+    git_dir = repo / ".git"
+    assert isinstance(doc_pipeline.load_store(store_path, git_dir).records, doc_pipeline.LazyEntries)
+    # one record line broken, the layout kept: the bytes no longer match
+    # the digest, so the broken entry is found at load
+    text = store_path.read_text(encoding="utf-8")
+    line = next(line for line in text.split("\n") if line.startswith('"core.py/alpha":{"generated_at"'))
+    store_path.write_text(text.replace(line, line.replace('"model":', '"modle":')), encoding="utf-8")
+    with pytest.raises(doc_pipeline.CorruptStoreError, match="unreadable"):
+        doc_pipeline.load_store(store_path, git_dir)
+    capsys.readouterr()
+    assert main(["generate", "--repo", str(repo)]) == 1
+    assert "unreadable" in capsys.readouterr().err
+
+
+def _decoded_entries(patch) -> dict[str, list[str]]:
+    """Wrap the store's entry decoder; returns the ids of the object and
+    record entries it decodes."""
+    decoded: dict[str, list[str]] = {"objects": [], "records": []}
+    real = doc_pipeline._decode_entry
+
+    def decode(line):
+        value = real(line)
+        ((key, _),) = json.loads("{%s}" % line.rstrip(",")).items()
+        if "meta" in value:
+            decoded["objects"].append(key)
+        elif "text" in value:
+            decoded["records"].append(key)
+        return value
+
+    patch.setattr(doc_pipeline, "_decode_entry", decode)
+    return decoded
+
+
+def _ordered(patch) -> list:
+    """Wrap the generation order; returns the number of ids each call
+    ordered, None for every object."""
+    sizes: list = []
+    real = doc_pipeline.topological_order
+
+    def topological_order(graph, only=None):
+        sizes.append(None if only is None else len(only))
+        return real(graph, only)
+
+    patch.setattr(doc_pipeline, "topological_order", topological_order)
+    return sizes
+
+
+def test_a_noop_generate_decodes_no_entry_and_orders_nothing(tmp_path, monkeypatch, capsys):
+    repo = tmp_path / "repo"
+    _init_repo(repo)
+    _generate_json(repo, capsys)
+    decoded, sizes = _decoded_entries(monkeypatch), _ordered(monkeypatch)
+    report = _generate_json(repo, capsys)
+    assert report["reused_files"] == len(FILES) and report["generated"] == []
+    assert len(report["skipped"]) == 17
+    assert decoded == {"objects": [], "records": []}
+    assert sizes == [0]
+
+
+def test_a_one_def_update_decodes_only_the_entries_it_reads(tmp_path, monkeypatch, capsys):
+    repo = tmp_path / "repo"
+    _init_repo(repo)
+    git(repo, "add", "-A")
+    assert main(["update", "--repo", str(repo)]) == 0
+    git(repo, "commit", "-qm", "seed")
+    tools = LABELED_FILES["util/tools.py"]
+    (repo / "util" / "tools.py").write_text(tools.replace("beta(x) * 2", "beta(x) * 3"), encoding="utf-8")
+    git(repo, "add", "util/tools.py")
+    decoded, sizes = _decoded_entries(monkeypatch), _ordered(monkeypatch)
+    capsys.readouterr()
+    assert main(["update", "--repo", str(repo), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["run"]["generated"] == ["util/tools.py/scale"]
+    tools_objects = [
+        "util/tools.py/Wrapper",
+        "util/tools.py/Wrapper/__init__",
+        "util/tools.py/Wrapper/go",
+        "util/tools.py/scale",
+        "util/tools.py/spin",
+    ]
+    # the old entries of the parsed file, compared with the new ones
+    assert sorted(decoded["objects"]) == tools_objects
+    # the records of the parsed file, quoted by its page, and those of
+    # scale's callee and callers, quoted by its prompt
+    assert sorted(decoded["records"]) == sorted(
+        [*tools_objects, "core.py/beta", "app.py/main"]
+    )
+    assert sizes == [1]
+
+
+def test_a_lazy_store_reads_ids_that_the_store_escapes(tmp_path, capsys):
+    repo = tmp_path / "repo"
+    _init_repo(repo)
+    write_tree(repo, {"café.py": "import core\n\n\ndef crème():\n    return core.alpha()\n"})
+    _generate_json(repo, capsys)
+    store_path, git_dir = repo / load_config(repo).store_path, repo / ".git"
+    assert "\\u00e9" in store_path.read_text(encoding="utf-8")
+    lazy, whole = doc_pipeline.load_store(store_path, git_dir), doc_pipeline.load_store(store_path)
+    assert isinstance(lazy.records, doc_pipeline.LazyEntries)
+    assert dict(lazy.records) == whole.records
+    assert lazy.graph_snapshot.to_dict() == whole.graph_snapshot.to_dict()
+    assert lazy.graph_snapshot.files == whole.graph_snapshot.files
+    report = _generate_json(repo, capsys)
+    assert report["reused_files"] == len(FILES) + 1 and report["generated"] == []

@@ -160,21 +160,23 @@ def test_fit_to_budget_prefers_smallest_tier(demo_repo):
     graph, store, _, _ = generate_repo(demo_repo)
     ctx = context_for(graph, store, "a.py/g")
     tiers = [ModelTier("small", 4000), ModelTier("large", 16000)]
-    fitted, tier = fit_to_budget(ctx, tiers, reserve=1024)
+    fitted, tier, rendered = fit_to_budget(ctx, tiers, reserve=1024)
     assert tier.name == "small"
     assert fitted == ctx  # no reduction applied
+    assert rendered == render_prompt(ctx)
 
 
 def test_fit_to_budget_reduces_then_uses_largest_tier(demo_repo):
     ctx = _fat_context(demo_repo)
     # base prompt carries ~12k characters of snippets; neither tier fits it raw
     tiers = [ModelTier("small", 1200), ModelTier("large", 2400)]
-    fitted, tier = fit_to_budget(ctx, tiers, reserve=64)
+    fitted, tier, rendered = fit_to_budget(ctx, tiers, reserve=64)
     assert tier.name == "large"
     assert all(b.snippet is None for b in fitted.caller_blocks) or not fitted.caller_blocks
     # the target's own code is never reduced away
     assert fitted.target.snippet == ctx.target.snippet
     prompt = render_prompt(fitted)
+    assert rendered == prompt  # the prompt returned is the reduced context's
     assert estimate_tokens(prompt) + 64 <= 2400
 
 
@@ -191,7 +193,7 @@ def test_reduction_order_drops_caller_snippets_first(demo_repo, caplog):
     import logging
 
     with caplog.at_level(logging.INFO, logger="repodoc.prompt_engine"):
-        fitted, tier = fit_to_budget(ctx, [ModelTier("mid", 2300)], reserve=64)
+        fitted, tier, _ = fit_to_budget(ctx, [ModelTier("mid", 2300)], reserve=64)
     assert "drop caller snippets" in caplog.text
     assert all(b.snippet is None for b in fitted.caller_blocks)
     assert fitted.caller_blocks  # blocks themselves survived
