@@ -12,13 +12,11 @@ import contextlib
 import fcntl
 import logging
 import os
-import shlex
 import stat
 import subprocess
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .doc_pipeline import (
     DocStore,
@@ -95,8 +93,7 @@ def require_git_repo(repo_root: str | Path) -> Path:
     return found
 
 
-@dataclass(frozen=True)
-class StagedChanges:
+class StagedChanges(NamedTuple):
     """Staged Python source paths, bucketed by what the index did to them."""
 
     added: tuple[str, ...] = ()
@@ -218,8 +215,7 @@ def read_staged_text(
     return sources
 
 
-@dataclass(frozen=True)
-class ChangeSet:
+class ChangeSet(NamedTuple):
     """Object-level difference between two graphs."""
 
     added: tuple[str, ...] = ()
@@ -264,8 +260,7 @@ def diff_objects(old: RepoGraph, new: RepoGraph) -> ChangeSet:
     )
 
 
-@dataclass(frozen=True)
-class UpdatePlan:
+class UpdatePlan(NamedTuple):
     """What to regenerate (with the winning trigger) and which docs to drop."""
 
     regenerate: tuple[tuple[str, str], ...] = ()
@@ -323,19 +318,19 @@ def _update_lock(directory: Path):
         yield
 
 
-@dataclass
 class UpdateReport:
     """Outcome of one staged-changes update."""
 
-    staged: StagedChanges
-    plan: UpdatePlan = field(default_factory=UpdatePlan)
-    run: RunReport = field(default_factory=RunReport)
-    written_pages: list[str] = field(default_factory=list)
-    parse_errors: list[str] = field(default_factory=list)
-    # unresolved calls of the files whose blob is not the stored snapshot's
-    diagnostics: list[str] = field(default_factory=list)
-    parsed_files: int = 0  # files parsed rather than read from the parse cache
-    reused_files: int = 0  # files whose objects and edges came from the snapshot
+    def __init__(self, staged: StagedChanges, plan=UpdatePlan(), run=None) -> None:
+        self.staged = staged
+        self.plan: UpdatePlan = plan
+        self.run: RunReport = RunReport() if run is None else run
+        self.written_pages: list[str] = []
+        self.parse_errors: list[str] = []
+        # unresolved calls of the files whose blob is not the stored snapshot's
+        self.diagnostics: list[str] = []
+        self.parsed_files = 0  # files parsed rather than read from the parse cache
+        self.reused_files = 0  # files whose objects and edges came from the snapshot
 
     @property
     def ok(self) -> bool:
@@ -402,15 +397,10 @@ def run_update(gateway: "Gateway", config: "Config", jobs: int) -> UpdateReport:
         cache.save()
 
         run = generate_all(graph, gateway, store, config, jobs, only=plan.regenerate_ids)
-        report = UpdateReport(
-            staged=staged,
-            plan=plan,
-            run=run,
-            parse_errors=list(graph.parse_errors),
-            diagnostics=list(graph.diagnostics),
-            parsed_files=cache.parsed,
-            reused_files=len(taken),
-        )
+        report = UpdateReport(staged, plan, run)
+        report.parse_errors = list(graph.parse_errors)
+        report.diagnostics = list(graph.diagnostics)
+        report.parsed_files, report.reused_files = cache.parsed, len(taken)
         if not run.ok:
             # leave store and pages untouched; the commit stays blocked
             return report
@@ -440,11 +430,13 @@ def persist(
     leaves none and the next one rewrites every stale page. ``reuse`` tells
     that the digest recorded before the run was the loaded store's; then
     only the pages of what the run changed are compiled. Without it, every
-    page is compiled, and when the graph this run built and the records are
-    exactly those of the file loaded (``DocStore.matches_file``: blob ids
-    included, since the digest names the current parser), the store is
-    saved anyway in a Git repository, so that the digest recorded there is
-    of bytes ``save_store`` wrote. Without ``store_path``, as for
+    page is compiled, and when the store is still exactly the file loaded
+    (``DocStore.matches_file``), it is saved anyway in a Git repository, so
+    that the digest recorded there is of bytes ``save_store`` wrote. That
+    holds also when the graph this run built differs from the snapshot only
+    in blob ids and parse errors: the store keeps the snapshot as loaded,
+    and the next run parses each file whose blob is not the snapshot's, as
+    after a fast-path run with such a change. Without ``store_path``, as for
     ``publish``, the store is not saved, no graph was built, and every page
     is compiled.
     """
@@ -494,6 +486,8 @@ exec {python} -m repodoc update
 def install_hook(repo_root: str | Path) -> Path:
     """Install the pre-commit hook, preserving any existing hook as a chained
     pre-commit.local. Reinstalling over our own hook is a no-op rewrite."""
+    import shlex
+
     repo_root = Path(repo_root)
     require_git_repo(repo_root)
     hooks_rel = _git(repo_root, "rev-parse", "--git-path", "hooks").stdout.decode().strip()

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .change_tracker import _update_lock, git_dir, install_hook, persist, run_update
-from .config import build_gateway, load_config
+from .config import api_key, build_gateway, load_config
 from .doc_pipeline import generate_all, load_store, snapshot_is_recorded, stale_objects
 from .errors import (
     CorruptStoreError,
@@ -26,7 +26,6 @@ from .errors import (
     StoreWriteError,
     UsageError,
 )
-from .eval_harness import evaluate_docs, reference_recall
 from .project_graph import add_snippets, graph_to_dot, source_graph
 from .source_model import ParseCache, scan_repository
 
@@ -97,7 +96,7 @@ def _print_list(title: str, items) -> None:
 
 def cmd_generate(args) -> int:
     config = load_config(args.repo, args.config)
-    gateway = build_gateway(config)
+    api_key(config)  # a missing key fails here, before the lock is taken
     store_path = config.repo_root / config.store_path
     repo_git = git_dir(config.repo_root)
     with _update_lock(repo_git or store_path.parent):
@@ -109,6 +108,7 @@ def cmd_generate(args) -> int:
         stale = stale_objects(graph, store)
         add_snippets(graph, sources, cache, taken, stale)
         cache.save()
+        gateway = build_gateway(config) if stale else None
         report = generate_all(graph, gateway, store, config, args.jobs, only=stale)
         # partial progress is kept even when some objects failed
         doc_dir = config.repo_root / config.doc_dir
@@ -208,6 +208,8 @@ def _load_reference_truth(path: str) -> dict[str, set[str]]:
 
 
 def cmd_eval(args) -> int:
+    from .eval_harness import evaluate_docs, reference_recall
+
     config = load_config(args.repo, args.config)
     store = load_store(config.repo_root / config.store_path)
     if store.graph_snapshot is None:

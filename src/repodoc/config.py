@@ -5,25 +5,30 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
 from pathlib import Path, PurePosixPath
+from typing import TYPE_CHECKING, NamedTuple
+from urllib.parse import SplitResult, urlsplit
 
 from .errors import ConfigError
-from .llm_gateway import (
-    API_KEY_ENV,
-    Gateway,
-    HttpChatProvider,
-    MOCK_SCHEME,
-    MockProvider,
-    Provider,
-    split_http_url,
-)
-from .prompt_engine import ModelTier
+
+if TYPE_CHECKING:
+    from .llm_gateway import Gateway, Provider
+
+MOCK_SCHEME = "mock:"
+API_KEY_ENV = "REPODOC_API_KEY"
 
 CONFIG_FILENAME = ".repodoc.json"
 DEFAULT_DOC_DIR = "markdown_docs"
 DEFAULT_STORE_PATH = ".project_doc_record/project_hierarchy.json"
 DEFAULT_COMPLETION_RESERVE = 1024
+
+
+class ModelTier(NamedTuple):
+    """One model size option; tiers are configured smallest first."""
+
+    name: str
+    context_window: int
+
 
 DEFAULT_TIERS = (
     ModelTier("base-4k", 4000),
@@ -32,21 +37,19 @@ DEFAULT_TIERS = (
 )
 
 
-@dataclass(frozen=True)
-class ProviderConfig:
+class ProviderConfig(NamedTuple):
     base_url: str = MOCK_SCHEME
     tiers: tuple[ModelTier, ...] = DEFAULT_TIERS
     temperature: float = 0.1
     retries: int = 3
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(NamedTuple):
     repo_root: Path
     ignore: tuple[str, ...] = ()
     doc_dir: str = DEFAULT_DOC_DIR
     store_path: str = DEFAULT_STORE_PATH
-    provider: ProviderConfig = field(default_factory=ProviderConfig)
+    provider: ProviderConfig = ProviderConfig()
     doc_language: str = "English"
     child_docs_enabled: bool = False
     completion_reserve_tokens: int = DEFAULT_COMPLETION_RESERVE
@@ -62,6 +65,23 @@ _TOP_KEYS = {
     "completion_reserve_tokens",
 }
 _PROVIDER_KEYS = {"base_url", "tiers", "temperature", "retries"}
+
+
+def split_http_url(base_url: str) -> SplitResult:
+    """``base_url`` split into its parts, less any trailing slash; a
+    ConfigError unless it is an ``http://`` or ``https://`` URL with a host
+    and a valid port."""
+    url = urlsplit(base_url.rstrip("/"))
+    try:
+        valid = url.scheme in ("http", "https") and bool(url.hostname) and url.port != 0
+    except ValueError:  # a port that is not a number or is out of range
+        valid = False
+    if not valid:
+        raise ConfigError(
+            f"provider.base_url must be {MOCK_SCHEME} or an http:// or https:// URL"
+            f" with a host, not {base_url!r}"
+        )
+    return url
 
 
 def _require(condition: bool, message: str) -> None:
@@ -106,23 +126,23 @@ def _parse_provider(raw: object) -> ProviderConfig:
         )
         if not raw["base_url"].startswith(MOCK_SCHEME):
             split_http_url(raw["base_url"])
-        cfg = replace(cfg, base_url=raw["base_url"])
+        cfg = cfg._replace(base_url=raw["base_url"])
     if "tiers" in raw:
-        cfg = replace(cfg, tiers=_parse_tiers(raw["tiers"]))
+        cfg = cfg._replace(tiers=_parse_tiers(raw["tiers"]))
     if "temperature" in raw:
         temp = raw["temperature"]
         _require(
             isinstance(temp, (int, float)) and not isinstance(temp, bool) and 0.0 <= temp <= 2.0,
             "provider.temperature must be a number between 0 and 2",
         )
-        cfg = replace(cfg, temperature=float(temp))
+        cfg = cfg._replace(temperature=float(temp))
     if "retries" in raw:
         retries = raw["retries"]
         _require(
             isinstance(retries, int) and not isinstance(retries, bool) and retries >= 0,
             "provider.retries must be a non-negative integer",
         )
-        cfg = replace(cfg, retries=retries)
+        cfg = cfg._replace(retries=retries)
     return cfg
 
 
@@ -151,13 +171,13 @@ def load_config(repo_root: str | Path, path: str | Path | None = None) -> Config
             isinstance(patterns, list) and all(isinstance(p, str) for p in patterns),
             "ignore must be a list of glob strings",
         )
-        config = replace(config, ignore=tuple(patterns))
+        config = config._replace(ignore=tuple(patterns))
     for key in ("doc_dir", "store_path", "doc_language"):
         if key in raw:
             _require(
                 isinstance(raw[key], str) and raw[key], f"{key} must be a non-empty string"
             )
-            config = replace(config, **{key: raw[key]})
+            config = config._replace(**{key: raw[key]})
     for key in ("doc_dir", "store_path"):
         # write_site deletes what it did not write under doc_dir: keep it off the root and .git
         rel = PurePosixPath(getattr(config, key))
@@ -170,16 +190,16 @@ def load_config(repo_root: str | Path, path: str | Path | None = None) -> Config
         _require(
             isinstance(raw["child_docs_enabled"], bool), "child_docs_enabled must be a boolean"
         )
-        config = replace(config, child_docs_enabled=raw["child_docs_enabled"])
+        config = config._replace(child_docs_enabled=raw["child_docs_enabled"])
     if "completion_reserve_tokens" in raw:
         reserve = raw["completion_reserve_tokens"]
         _require(
             isinstance(reserve, int) and not isinstance(reserve, bool) and reserve > 0,
             "completion_reserve_tokens must be a positive integer",
         )
-        config = replace(config, completion_reserve_tokens=reserve)
+        config = config._replace(completion_reserve_tokens=reserve)
     if "provider" in raw:
-        config = replace(config, provider=_parse_provider(raw["provider"]))
+        config = config._replace(provider=_parse_provider(raw["provider"]))
     _require(
         config.completion_reserve_tokens < config.provider.tiers[-1].context_window,
         "completion_reserve_tokens must fit inside the largest context window",
@@ -187,17 +207,28 @@ def load_config(repo_root: str | Path, path: str | Path | None = None) -> Config
     return config
 
 
-def build_provider(config: Config) -> Provider:
+def api_key(config: Config) -> str:
+    """The key the provider sends: none for the mock, else the value of
+    ``API_KEY_ENV``, and a ConfigError when that is unset or empty."""
     base_url = config.provider.base_url
     if base_url.startswith(MOCK_SCHEME):
-        return MockProvider()
-    api_key = os.environ.get(API_KEY_ENV, "")
-    if not api_key:
+        return ""
+    key = os.environ.get(API_KEY_ENV, "")
+    if not key:
         raise ConfigError(
             f"provider {base_url} needs an API key; set the {API_KEY_ENV} environment variable"
         )
-    return HttpChatProvider(base_url=base_url, api_key=api_key)
+    return key
+
+
+def build_provider(config: Config) -> Provider:
+    key = api_key(config)
+    from .llm_gateway import HttpChatProvider, MockProvider
+
+    return HttpChatProvider(config.provider.base_url, key) if key else MockProvider()
 
 
 def build_gateway(config: Config) -> Gateway:
+    from .llm_gateway import Gateway
+
     return Gateway(build_provider(config), retries=config.provider.retries)

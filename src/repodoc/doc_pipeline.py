@@ -9,7 +9,7 @@ against; it is the unit of persistence, diffing and Git tracking.
 from __future__ import annotations
 
 import contextlib
-import datetime as _dt
+import copy
 import hashlib
 import heapq
 import itertools
@@ -18,14 +18,12 @@ import logging
 import os
 import re
 from collections.abc import MutableMapping
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from json.decoder import scanstring
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator
 
 from .errors import CorruptStoreError, OverBudgetError, ProviderError, StoreWriteError
-from .llm_gateway import CompletionRequest, Gateway
 from .project_graph import (
     DIR,
     FILE,
@@ -38,11 +36,13 @@ from .project_graph import (
     topological_order,
     tree_node,
 )
-from .prompt_engine import assemble_context, fit_to_budget
 from .source_model import CLASS, CodeObject, parser_identity, write_atomically
 
 if TYPE_CHECKING:
+    from concurrent.futures import Future
+
     from .config import Config
+    from .llm_gateway import Gateway
 
 logger = logging.getLogger(__name__)
 
@@ -62,23 +62,24 @@ _FIXED_LABELS = {
     "output example": "Output Example",
 }
 
-_HEADER_RE = re.compile(r"^\*\*(.+?)\*\*[ \t]*:[ \t]*(.*)$", re.MULTILINE)
-_BULLET_RE = re.compile(r"^-[ \t]*`([^`]+)`[ \t]*:[ \t]*(.*)$")
+# compiled on first use, by generation or eval
+_HEADER = r"^\*\*(.+?)\*\*[ \t]*:[ \t]*(.*)$"
+_BULLET = r"^-[ \t]*`([^`]+)`[ \t]*:[ \t]*(.*)$"
 
 
-@dataclass
 class ParsedDoc:
     """Structured view of one generated doc plus a partial-parse report."""
 
-    name_header: str = ""
-    param_label: str | None = None
-    params: list[tuple[str, str]] = field(default_factory=list)
-    param_tail: str = ""
-    code_description: str = ""
-    note: str = ""
-    output_example: str | None = None
-    missing: list[str] = field(default_factory=list)
-    extra: list[str] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.name_header = ""
+        self.param_label: str | None = None
+        self.params: list[tuple[str, str]] = []
+        self.param_tail = ""
+        self.code_description = ""
+        self.note = ""
+        self.output_example: str | None = None
+        self.missing: list[str] = []
+        self.extra: list[str] = []
 
 
 def parse_doc(text: str, kind: str, has_return: bool, name: str = "") -> ParsedDoc:
@@ -90,7 +91,7 @@ def parse_doc(text: str, kind: str, has_return: bool, name: str = "") -> ParsedD
     labels match case-insensitively. Non-compliance is reported, never raised.
     """
     parsed = ParsedDoc()
-    matches = list(_HEADER_RE.finditer(text))
+    matches = list(re.finditer(_HEADER, text, re.MULTILINE))
     sections: list[tuple[str, str, str]] = []  # (label, inline rest, full text)
     for index, match in enumerate(matches):
         end = matches[index + 1].start() if index + 1 < len(matches) else len(text)
@@ -152,7 +153,7 @@ def _parse_param_section(inline: str, full: str) -> tuple[str, list[tuple[str, s
     tail_parts = [inline.strip()] if inline.strip() else []
     params: list[tuple[str, str]] = []
     for line in full.split("\n")[1:]:
-        bullet = _BULLET_RE.match(line.strip())
+        bullet = re.match(_BULLET, line.strip())
         if bullet:
             params.append((bullet.group(1).strip(), bullet.group(2).strip()))
         elif params and line.strip():
@@ -196,34 +197,33 @@ def record_from_parsed(obj: CodeObject, parsed: ParsedDoc, model: str) -> DocRec
     """Build the stored record: parameters deduplicated first-wins, the kind's
     label when the doc gave none, and an Output Example only when the object
     returns."""
+    import datetime
+
     params: dict[str, str] = {}
     for name, desc in parsed.params:
         params.setdefault(name, desc)
-    doc = replace(
-        parsed,
-        param_label=parsed.param_label or (ATTRIBUTE_LABEL if obj.kind == CLASS else PARAM_LABEL),
-        params=list(params.items()),
-        output_example=parsed.output_example if obj.has_return else None,
-    )
+    doc = copy.copy(parsed)
+    doc.param_label = parsed.param_label or (ATTRIBUTE_LABEL if obj.kind == CLASS else PARAM_LABEL)
+    doc.params = list(params.items())
+    doc.output_example = parsed.output_example if obj.has_return else None
     return DocRecord(
         text=render_doc(doc),
         source_hash=obj.source_hash,
         model=model,
-        generated_at=_dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds"),
+        generated_at=datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
     )
 
 
 def _record_from_v1(data: dict) -> DocRecord:
     # version 1 stored each doc as its sections, rules already applied
-    doc = ParsedDoc(
-        name_header=data["name_header"],
-        param_label=data["param_label"],
-        params=[(name, desc) for name, desc in data["param_section"]],
-        param_tail=data.get("param_tail", ""),
-        code_description=data["code_description"],
-        note=data["note"],
-        output_example=data.get("output_example"),
-    )
+    doc = ParsedDoc()
+    doc.name_header = data["name_header"]
+    doc.param_label = data["param_label"]
+    doc.params = [(name, desc) for name, desc in data["param_section"]]
+    doc.param_tail = data.get("param_tail", "")
+    doc.code_description = data["code_description"]
+    doc.note = data["note"]
+    doc.output_example = data.get("output_example")
     return DocRecord(
         text=render_doc(doc),
         source_hash=data["source_hash"],
@@ -257,7 +257,6 @@ def _new_digest():
     return hashlib.sha256(f"{parser_identity()} {STORE_VERSION}\n".encode("utf-8"))
 
 
-@dataclass
 class StoreFile:
     """The file a store was loaded from or last saved to, as ``save_store``
     copies lines from it: its (device, inode, size, mtime), the keys of its
@@ -266,31 +265,32 @@ class StoreFile:
     the records it writes, the graph nodes whose entry changes, and whether
     the kept or removed edges change."""
 
-    stat: tuple[int, int, int, int]
-    node_ids: list[str]
-    record_ids: list[str]
-    edge_counts: tuple[int, int]
-    edited_records: set[str] = field(default_factory=set)
-    edited_nodes: set[str] = field(default_factory=set)
-    edited_edges: bool = False
+    def __init__(self, stat, node_ids, record_ids, edge_counts, edited_edges=False) -> None:
+        self.stat: tuple[int, int, int, int] = stat
+        self.node_ids: list[str] = node_ids
+        self.record_ids: list[str] = record_ids
+        self.edge_counts: tuple[int, int] = edge_counts
+        self.edited_records: set[str] = set()
+        self.edited_nodes: set[str] = set()
+        self.edited_edges: bool = edited_edges
 
     def edited(self) -> set[str]:
         """The ids of the records and nodes that no longer match the file."""
         return self.edited_records | self.edited_nodes
 
 
-@dataclass
 class DocStore:
     """All doc records plus the graph snapshot of the last completed run."""
 
-    records: MutableMapping[str, DocRecord] = field(default_factory=dict)
-    graph_snapshot: RepoGraph | None = None
-    changed: bool = False  # set once it differs from the file it was loaded from
-    # the SHA-256 over the parser_identity, the store version and the bytes
-    # of the file it was loaded from or last saved to
-    digest: str | None = None
-    # that file, when it holds a graph and the current version
-    file: StoreFile | None = None
+    def __init__(self, records=None, graph_snapshot=None, changed=False, digest=None, file=None):
+        self.records: MutableMapping[str, DocRecord] = {} if records is None else records
+        self.graph_snapshot: RepoGraph | None = graph_snapshot
+        self.changed = changed  # set once it differs from the file it was loaded from
+        # the SHA-256 over the parser_identity, the store version and the bytes
+        # of the file it was loaded from or last saved to
+        self.digest: str | None = digest
+        # that file, when it holds a graph and the current version
+        self.file: StoreFile | None = file
 
     def matches_file(self) -> bool:
         """Whether the store is exactly the file it was loaded from or last
@@ -419,7 +419,7 @@ def _store_blocks(
         if not base.edited_edges:
             return _copied(lines, count)
         _skip(lines, count)
-        return _encoded(edges, lambda e: _encode(vars(e)).encode("ascii"))
+        return _encoded(edges, lambda e: _encode(e._asdict()).encode("ascii"))
 
     def node_line(node_id: str) -> bytes:
         return f"{_encode(node_id)}:{_encode(graph.node_entry(node_id))}".encode("ascii")
@@ -740,15 +740,15 @@ def load_store(path: str | Path, git_dir: Path | None = None) -> DocStore:
     )
 
 
-@dataclass
 class RunReport:
     """Outcome of one generate/update run."""
 
-    generated: list[str] = field(default_factory=list)  # completion order
-    skipped: list[str] = field(default_factory=list)
-    failures: dict[str, str] = field(default_factory=dict)
-    prompt_tokens: int = 0
-    completion_tokens: int = 0
+    def __init__(self, skipped: list[str] | None = None) -> None:
+        self.generated: list[str] = []  # completion order
+        self.skipped: list[str] = [] if skipped is None else skipped
+        self.failures: dict[str, str] = {}
+        self.prompt_tokens = 0
+        self.completion_tokens = 0
 
     @property
     def ok(self) -> bool:
@@ -856,6 +856,9 @@ def _generate_one(
     allow_missing: frozenset[str],
 ) -> tuple[DocRecord, int, int] | OverBudgetError | ProviderError:
     """One object's record and token counts, or the error that failed it."""
+    from .llm_gateway import CompletionRequest
+    from .prompt_engine import assemble_context, fit_to_budget
+
     obj = graph.objects[object_id]
     ctx = assemble_context(
         graph,
@@ -888,7 +891,7 @@ def _generate_one(
 
 def generate_all(
     graph: RepoGraph,
-    gateway: Gateway,
+    gateway: Gateway | None,
     store: DocStore,
     config: Config,
     jobs: int,
@@ -907,14 +910,16 @@ def generate_all(
     edges and containment. An object is dispatched once all of its pending
     callees and children have finished, earliest in that order first, to at
     most ``jobs`` workers, so at most that many provider requests are in
-    flight. With one job it runs on the calling thread, so ``generated`` is
-    that order. Workers only generate; this thread records every outcome.
-    The settings of each request are read from ``config``.
+    flight. With one job, or one object pending, it runs on the calling
+    thread, so ``generated`` is that order. Workers only generate; this
+    thread records every outcome. The settings of each request are read from
+    ``config``, and ``gateway`` may be None when no object is pending.
 
-    The graph then becomes the store's snapshot, and the records of objects
-    it no longer holds are dropped. The store is marked changed when a doc
-    was recorded or dropped, or when the graph differs from the old snapshot
-    in more than its files' blob ids and parse errors.
+    The records of objects the graph no longer holds are dropped. The store
+    is marked changed when a doc was recorded or dropped, or when the graph
+    differs from the old snapshot in more than its files' blob ids and parse
+    errors; the graph then becomes the store's snapshot. An unchanged store
+    keeps the snapshot it was loaded with, so it still matches its file.
     """
     objects = graph.objects
     pending = {
@@ -951,8 +956,12 @@ def generate_all(
             if not blockers[dep]:
                 heapq.heappush(ready, rank[dep])
 
-    jobs = max(1, jobs)
-    pool = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else None
+    jobs = max(1, min(jobs, len(order)))
+    pool = None
+    if jobs > 1:
+        from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+
+        pool = ThreadPoolExecutor(max_workers=jobs)
     running: dict[Future, str] = {}
     try:
         while ready or running:
@@ -983,6 +992,8 @@ def generate_all(
         or old is None
         or not graph.same_as(old, changed_nodes)
     )
+    if not store.changed:
+        return report
     if store.file is not None:
         store.file.edited_records.update(report.generated)
         store.file.edited_nodes |= changed_nodes

@@ -8,9 +8,8 @@ model in the loop, so they are cheap enough to run on every build.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from statistics import fmean
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, NamedTuple, Union
 
 from .doc_pipeline import ATTRIBUTE_LABEL, PARAM_LABEL, ParsedDoc, parse_doc
 from .project_graph import RepoGraph
@@ -54,8 +53,7 @@ def reference_recall(predicted: ReferenceSource, truth: ReferenceSource) -> floa
     return fmean(scores) if scores else 0.0
 
 
-@dataclass(frozen=True)
-class FormatCheck:
+class FormatCheck(NamedTuple):
     """Per-section verdicts for one doc."""
 
     name_ok: bool
@@ -139,11 +137,11 @@ def param_accuracy(
     raise ValueError(f"unknown param accuracy mode: {mode}")
 
 
-@dataclass
 class EvalReport:
-    per_object: list[dict] = field(default_factory=list)
-    aggregates: dict = field(default_factory=dict)
-    errors: list[str] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.per_object: list[dict] = []
+        self.aggregates: dict = {}
+        self.errors: list[str] = []
 
     def to_json(self) -> str:
         return json.dumps(

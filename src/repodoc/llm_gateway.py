@@ -14,14 +14,12 @@ import time
 import weakref
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Protocol
+from typing import Any, Callable, NamedTuple, Protocol
 from urllib.parse import SplitResult, unquote, urlsplit
 
+from .config import API_KEY_ENV, split_http_url
 from .errors import AuthenticationError, ConfigError, ProviderError
 from .prompt_engine import FORMAT_INTRO, OUTPUT_EXAMPLE_INSTRUCTION, estimate_tokens
-
-MOCK_SCHEME = "mock:"
-API_KEY_ENV = "REPODOC_API_KEY"
 
 _BACKOFF_SCHEDULE = (1.0, 2.0, 4.0)
 REQUEST_TIMEOUT_S = 120.0
@@ -41,8 +39,7 @@ class CompletionRequest:
             raise ValueError("max_completion_tokens must be positive")
 
 
-@dataclass(frozen=True)
-class CompletionResponse:
+class CompletionResponse(NamedTuple):
     text: str
     prompt_tokens: int
     completion_tokens: int
@@ -181,25 +178,7 @@ class HttpChatProvider:
         )
 
 
-def split_http_url(base_url: str) -> SplitResult:
-    """``base_url`` split into its parts, less any trailing slash; a
-    ConfigError unless it is an ``http://`` or ``https://`` URL with a host
-    and a valid port."""
-    url = urlsplit(base_url.rstrip("/"))
-    try:
-        valid = url.scheme in ("http", "https") and bool(url.hostname) and url.port != 0
-    except ValueError:  # a port that is not a number or is out of range
-        valid = False
-    if not valid:
-        raise ConfigError(
-            f"provider.base_url must be {MOCK_SCHEME} or an http:// or https:// URL"
-            f" with a host, not {base_url!r}"
-        )
-    return url
-
-
-@dataclass(frozen=True)
-class _Route:
+class _Route(NamedTuple):
     connect: Callable[[], Any]  # a new, unopened connection
     target: str  # what the request line names
     headers: dict[str, str]  # what each request adds for a proxy

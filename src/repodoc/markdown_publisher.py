@@ -8,9 +8,8 @@ their bytes change; stale pages from deleted sources are removed.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from pathlib import Path, PurePosixPath
-from typing import Collection
+from typing import Collection, NamedTuple
 
 from .doc_pipeline import DocStore, forget_snapshot
 from .project_graph import DIR, FILE, REPO, RepoGraph, ROOT_ID, TreeNode
@@ -22,8 +21,7 @@ PLACEHOLDER = "*(documentation not yet generated)*"
 _HEADING_BY_KIND = {CLASS: "ClassDef"}
 
 
-@dataclass(frozen=True)
-class DocPage:
+class DocPage(NamedTuple):
     source_file: str
     output_path: str  # posix path relative to the doc dir
     body: str

@@ -12,7 +12,7 @@ from collections.abc import MutableMapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import PurePosixPath
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import InternalError
 from .source_model import (
@@ -37,8 +37,10 @@ ROOT_ID = "."
 _RECEIVERS = ("self", "cls")
 
 
-@dataclass
+@dataclass(eq=False)
 class TreeNode:
+    """One node of the project tree: the root, a directory, a file or an object."""
+
     id: str
     node_kind: str  # REPO, DIR, FILE, CLASS or FUNCTION
     children: list[str] = field(default_factory=list)
@@ -47,8 +49,7 @@ class TreeNode:
     parse_error: str | None = None
 
 
-@dataclass(frozen=True)
-class ReferenceEdge:
+class ReferenceEdge(NamedTuple):
     caller: str
     callee: str
 
@@ -336,42 +337,43 @@ class Overlay(MutableMapping):
         return len(self.base)
 
 
-@dataclass
 class RepoGraph:
     """Tree, object table and pruned reference edges for one repository state.
 
     ``files`` lists the file ids in order. A graph that ``build_graph``
     derived from a snapshot has ``base``, that snapshot: its nodes and
     objects are those of ``base`` but for the ``rebuilt`` ids, the parsed
-    files and their objects, and the ids of both are the same."""
+    files and their objects, and the ids of both are the same. When its
+    kept edges are the list ``base`` holds, so are its caller and callee
+    maps."""
 
-    nodes: MutableMapping[str, TreeNode]
-    objects: MutableMapping[str, CodeObject]
-    edges: list[ReferenceEdge]
-    removed_edges: list[ReferenceEdge]
-    diagnostics: list[str] = field(default_factory=list)
-    parse_errors: list[str] = field(default_factory=list)
-    files: list[str] = field(default=None, compare=False)  # type: ignore[assignment]
-    base: RepoGraph | None = field(default=None, compare=False, repr=False)
-    rebuilt: frozenset[str] = field(default=frozenset(), compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.files is None:
-            self.files = [nid for nid, node in self.nodes.items() if node.node_kind == FILE]
+    def __init__(
+        self, nodes, objects, edges, removed_edges, diagnostics=None, parse_errors=None,
+        files=None, base=None, rebuilt=frozenset(),
+    ) -> None:
+        self.nodes: MutableMapping[str, TreeNode] = nodes
+        self.objects: MutableMapping[str, CodeObject] = objects
+        self.edges: list[ReferenceEdge] = edges
+        self.removed_edges: list[ReferenceEdge] = removed_edges
+        self.diagnostics: list[str] = diagnostics or []
+        self.parse_errors: list[str] = parse_errors or []
+        if files is None:
+            files = [nid for nid, node in nodes.items() if node.node_kind == FILE]
+        self.files: list[str] = files
+        self.base: RepoGraph | None = base
+        self.rebuilt: frozenset[str] = rebuilt
 
     @cached_property
     def _callee_map(self) -> dict[str, list[str]]:
-        out: dict[str, list[str]] = {}
-        for edge in self.edges:
-            out.setdefault(edge.caller, []).append(edge.callee)
-        return {k: sorted(set(v)) for k, v in out.items()}
+        if self.base is not None and self.edges is self.base.edges:
+            return self.base._callee_map
+        return _adjacency((edge.caller, edge.callee) for edge in self.edges)
 
     @cached_property
     def _caller_map(self) -> dict[str, list[str]]:
-        out: dict[str, list[str]] = {}
-        for edge in self.edges:
-            out.setdefault(edge.callee, []).append(edge.caller)
-        return {k: sorted(set(v)) for k, v in out.items()}
+        if self.base is not None and self.edges is self.base.edges:
+            return self.base._caller_map
+        return _adjacency((edge.callee, edge.caller) for edge in self.edges)
 
     def callees(self, object_id: str) -> list[str]:
         return list(self._callee_map.get(object_id, []))
@@ -412,8 +414,8 @@ class RepoGraph:
         """The graph as plain data."""
         return {
             "nodes": {node_id: self.node_entry(node_id) for node_id in sorted(self.nodes)},
-            "edges": [vars(e) for e in self.edges],
-            "removed_edges": [vars(e) for e in self.removed_edges],
+            "edges": [e._asdict() for e in self.edges],
+            "removed_edges": [e._asdict() for e in self.removed_edges],
         }
 
     def file_of(self, node_id: str) -> str:
@@ -483,6 +485,14 @@ class RepoGraph:
         )
 
 
+def _adjacency(pairs: Iterable[tuple[str, str]]) -> dict[str, list[str]]:
+    """Each first id of ``pairs`` with its second ids, sorted and distinct."""
+    out: dict[str, list[str]] = {}
+    for key, value in pairs:
+        out.setdefault(key, []).append(value)
+    return {k: sorted(set(v)) for k, v in out.items()}
+
+
 def tree_node(node_id: str, entry: dict) -> TreeNode:
     """The tree node of a ``node_entry``."""
     return TreeNode(
@@ -542,7 +552,7 @@ def build_graph(
     """
     rebuilt: frozenset[str] = frozenset()
     carried: list[ReferenceEdge] = []
-    local: set[tuple[str, str]] | None = None  # the snapshot's edges of the parsed files
+    local: set[ReferenceEdge] | None = None  # the snapshot's edges of the parsed files
     if snapshot is None:
         nodes: MutableMapping[str, TreeNode] = build_tree(files, parses)
         objects: MutableMapping[str, CodeObject] = {o.id: o for p in parses for o in p.objects}
@@ -556,12 +566,12 @@ def build_graph(
         local = set()
         for edge in (*snapshot.edges, *snapshot.removed_edges):
             if edge.caller in rebuilt:
-                local.add((edge.caller, edge.callee))
+                local.add(edge)
             else:
                 carried.append(edge)
     raw_edges, diagnostics = resolve_references({rel: nodes[rel] for rel in files}, parses, objects)
-    if local is not None and local == {(e.caller, e.callee) for e in raw_edges}:
-        kept, removed = list(snapshot.edges), list(snapshot.removed_edges)
+    if local is not None and local == set(raw_edges):
+        kept, removed = snapshot.edges, snapshot.removed_edges
     else:
         kept, removed = prune_cycles(raw_edges + carried, object_containment(objects))
     return RepoGraph(

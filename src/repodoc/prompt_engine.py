@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import NamedTuple, Sequence
 
+from .config import ModelTier
 from .errors import OverBudgetError, SchedulingError
 from .project_graph import RepoGraph
 from .source_model import CLASS, CodeObject
@@ -55,16 +55,7 @@ NOTE_RULES = (
 )
 
 
-@dataclass(frozen=True)
-class ModelTier:
-    """One model size option; tiers are configured smallest first."""
-
-    name: str
-    context_window: int
-
-
-@dataclass(frozen=True)
-class RefBlock:
+class RefBlock(NamedTuple):
     """A referenced object shown to the model: id, doc text and code."""
 
     id: str
@@ -76,8 +67,7 @@ class RefBlock:
         return self.id.rsplit("/", 1)[-1]
 
 
-@dataclass(frozen=True)
-class PromptContext:
+class PromptContext(NamedTuple):
     """Everything render_prompt needs for one target object."""
 
     target: CodeObject
@@ -265,31 +255,27 @@ def choose_tier(estimate: int, tiers: Sequence[ModelTier], reserve: int) -> Mode
 
 
 def _drop_caller_snippets(ctx: PromptContext) -> PromptContext:
-    return replace(
-        ctx, caller_blocks=tuple(replace(b, snippet=None) for b in ctx.caller_blocks)
-    )
+    return ctx._replace(caller_blocks=tuple(b._replace(snippet=None) for b in ctx.caller_blocks))
 
 
 def _drop_callers(ctx: PromptContext) -> PromptContext:
-    return replace(ctx, caller_blocks=())
+    return ctx._replace(caller_blocks=())
 
 
 def _drop_callee_snippets(ctx: PromptContext) -> PromptContext:
-    return replace(
-        ctx, callee_blocks=tuple(replace(b, snippet=None) for b in ctx.callee_blocks)
-    )
+    return ctx._replace(callee_blocks=tuple(b._replace(snippet=None) for b in ctx.callee_blocks))
 
 
 def _compact_hierarchy(ctx: PromptContext) -> PromptContext:
     if not ctx.hierarchy_compact:
         return ctx
-    return replace(ctx, hierarchy_render=ctx.hierarchy_compact)
+    return ctx._replace(hierarchy_render=ctx.hierarchy_compact)
 
 
 def _drop_child_docs(ctx: PromptContext) -> PromptContext:
     if not ctx.child_docs:
         return ctx
-    return replace(ctx, child_docs=())
+    return ctx._replace(child_docs=())
 
 
 REDUCTION_STEPS: tuple[tuple[str, object], ...] = (

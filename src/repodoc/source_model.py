@@ -22,11 +22,10 @@ import logging
 import os
 import stat
 import sys
-import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from json.decoder import scanstring
 from pathlib import Path, PurePosixPath
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import UsageError
 
@@ -102,8 +101,7 @@ class CodeObject:
         )
 
 
-@dataclass(frozen=True)
-class ImportBinding:
+class ImportBinding(NamedTuple):
     """A name bound by an import statement, resolved to an absolute module path.
 
     ``member`` is None when the binding names the module itself.
@@ -113,8 +111,7 @@ class ImportBinding:
     member: str | None = None
 
 
-@dataclass(frozen=True)
-class CallSite:
+class CallSite(NamedTuple):
     """A name-chain call expression found inside an object's body."""
 
     caller: str  # id of the innermost enclosing object
@@ -122,24 +119,23 @@ class CallSite:
     line: int
 
 
-@dataclass
-class Scope:
+class Scope(NamedTuple):
     """Names bound directly in one lexical scope (file or object body)."""
 
-    defs: dict[str, str] = field(default_factory=dict)  # name -> object id
-    imports: dict[str, ImportBinding] = field(default_factory=dict)
+    defs: dict[str, str]  # name -> object id
+    imports: dict[str, ImportBinding]
 
 
-@dataclass
-class FileParse:
+class FileParse(NamedTuple):
     """Parse result for one file. ``objects`` preserves source order;
-    ``blob`` is the Git blob id of the parsed text, when known."""
+    ``blob`` is the Git blob id of the parsed text, when known. A file that
+    does not parse has its ``parse_error`` and nothing else."""
 
     file: str
-    objects: list[CodeObject] = field(default_factory=list)
-    parse_error: str | None = None
-    calls: list[CallSite] = field(default_factory=list)
-    scopes: dict[str, Scope] = field(default_factory=dict)
+    objects: list[CodeObject]
+    parse_error: str | None
+    calls: list[CallSite]
+    scopes: dict[str, Scope]
     blob: str | None = None
 
 
@@ -198,7 +194,7 @@ class _Collector(ast.NodeVisitor):
         # that a later definition of the same id replaced
         self.objects: list[CodeObject | None] = []
         self.calls: list[CallSite] = []
-        self.scopes: dict[str, Scope] = {file_path: Scope()}
+        self.scopes: dict[str, Scope] = {file_path: Scope({}, {})}
         # ids of the scopes enclosing the walk; index 0 is the module scope
         self._stack: list[str] = [file_path]
         # has_return flag of the innermost body being walked; index 0, the
@@ -231,7 +227,7 @@ class _Collector(ast.NodeVisitor):
         slot = len(self.objects)
         self.objects.append(None)  # filled in source order once the body is walked
         self.scopes[parent_id].defs[node.name] = obj_id
-        self.scopes[obj_id] = Scope()
+        self.scopes[obj_id] = Scope({}, {})
 
         # Decorators, bases and defaults execute in the parent scope; a yield
         # there belongs to no body, so it sets a throwaway flag.
@@ -364,15 +360,11 @@ def parse_file(path: str, text: str) -> FileParse:
     except (SyntaxError, ValueError, RecursionError) as exc:
         lineno = getattr(exc, "lineno", None)
         where = f"{path}:{lineno}" if lineno else path
-        return FileParse(file=path, parse_error=f"{where}: {exc.msg if hasattr(exc, 'msg') else exc}")
+        return FileParse(path, [], f"{where}: {exc.msg if hasattr(exc, 'msg') else exc}", [], {})
     collector = _Collector(path, text)
     collector.visit(tree)
-    return FileParse(
-        file=path,
-        objects=[o for o in collector.objects if o is not None],
-        calls=collector.calls,
-        scopes=collector.scopes,
-    )
+    objects = [o for o in collector.objects if o is not None]
+    return FileParse(path, objects, None, collector.calls, collector.scopes)
 
 
 def _is_ignored(rel_posix: str, ignore: Sequence[str]) -> bool:
@@ -505,6 +497,8 @@ def write_atomically(path: Path, chunks: Iterable[bytes]) -> None:
     a temp file beside it that is then renamed over it, so a reader never
     finds part of a file. The file gets 0o666 less the umask, not a temp
     file's 0o600. On any failure the temp file is removed and the error raised."""
+    import tempfile
+
     umask = os.umask(0)
     os.umask(umask)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=".tmp-repodoc-")
@@ -591,8 +585,7 @@ class ParseCache:
             line = _encode_parse(key, parse)
             if line is not None:
                 self._kept[key] = line
-        parse.blob = blob
-        return parse
+        return parse._replace(blob=blob)
 
     def keep(self, rel: str, blob: str) -> None:
         """Keep the loaded line of blob ``blob`` at ``rel``, if there is one,
@@ -656,7 +649,7 @@ def _decode_parse(rel: str, text: str, line: str) -> FileParse:
     """Rebuild the FileParse of one cache line; snippets come from ``text``."""
     _rel, blob, error, objects_data, calls_data, scopes_data = json.loads(line)
     if error is not None:
-        return FileParse(file=rel, parse_error=error, blob=blob)
+        return FileParse(rel, [], error, [], {}, blob)
     intern = sys.intern
     lines = text.splitlines()
     ids: list[str] = []
@@ -694,7 +687,7 @@ def _decode_parse(rel: str, text: str, line: str) -> FileParse:
                 for name, (module, member) in imports.items()
             },
         )
-    return FileParse(file=rel, objects=objects, calls=calls, scopes=scopes, blob=blob)
+    return FileParse(rel, objects, None, calls, scopes, blob)
 
 
 def parse_repository(

@@ -397,3 +397,90 @@ def test_mock_and_noop_generates_import_no_http_code(demo_repo):
     assert proc.returncode == 0, err
     assert "generated 0 objects, skipped 5" in out
     assert out.splitlines()[-1] == "[]"
+
+
+# modules loaded only by the commands that run them: generation's once an
+# object is pending, eval's by eval, and a worker pool only for --jobs > 1
+LATE_MODULES = (
+    "repodoc.prompt_engine",
+    "repodoc.llm_gateway",
+    "repodoc.eval_harness",
+    "concurrent.futures",
+    "statistics",
+)
+_MAIN_THEN_LIST = (
+    "import json, sys\n"
+    "from repodoc.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    f"print(json.dumps([code, sorted(set({LATE_MODULES!r}) & set(sys.modules))]))\n"
+)
+
+
+def _late_modules_after(repo, *argv: str) -> tuple[int, set[str]]:
+    """Run one command in a fresh interpreter; its exit code and the
+    ``LATE_MODULES`` loaded when it returned."""
+    proc = _repodoc_process("-c", _MAIN_THEN_LIST, *argv, "--repo", str(repo))
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    code, loaded = json.loads(out.splitlines()[-1])
+    return code, set(loaded)
+
+
+@pytest.mark.parametrize(
+    "base_url, staged_edit",
+    [
+        ("mock:", ("return 1", "return 5")),  # regenerates a.py/f
+        ("http://127.0.0.1:9/v1", ("def f():", "# nothing to send\ndef f():")),
+    ],
+)
+def test_each_command_loads_only_what_it_runs(
+    git_demo_repo, capsys, monkeypatch, base_url, staged_edit
+):
+    repo = git_demo_repo
+    assert run_cli("generate", "--repo", repo, capsys=capsys)[0] == 0
+    git(repo, "add", "-A")
+    git(repo, "commit", "-qm", "seed")
+    config = {"provider": {"base_url": base_url}}
+    (repo / ".repodoc.json").write_text(json.dumps(config), encoding="utf-8")
+    monkeypatch.setenv("REPODOC_API_KEY", "unused")
+    assert _late_modules_after(repo, "generate") == (0, set())
+    assert _late_modules_after(repo, "generate", "--jobs", "2") == (0, set())
+
+    (repo / "a.py").write_text(DEMO_FILES["a.py"].replace(*staged_edit), encoding="utf-8")
+    git(repo, "add", "a.py")
+    code, loaded = _late_modules_after(repo, "update", "--jobs", "1")
+    assert code == 0
+    assert not loaded & {"repodoc.eval_harness", "concurrent.futures", "statistics"}
+    assert _late_modules_after(repo, "eval")[0] == 0
+    if base_url == "mock:":
+        for rel in ("a.py", "util/b.py"):
+            text = (repo / rel).read_text(encoding="utf-8")
+            (repo / rel).write_text(text.replace("return", "return -"), encoding="utf-8")
+        code, loaded = _late_modules_after(repo, "generate", "--jobs", "2")
+        assert code == 0 and "concurrent.futures" in loaded
+
+
+@pytest.mark.parametrize("command", ["generate", "update"])
+def test_a_missing_api_key_fails_before_the_lock_and_writes_nothing(
+    git_demo_repo, capsys, monkeypatch, command
+):
+    repo = git_demo_repo
+    assert run_cli("generate", "--repo", repo, capsys=capsys)[0] == 0
+    config = {"provider": {"base_url": "https://llm.example/v1"}}
+    (repo / ".repodoc.json").write_text(json.dumps(config), encoding="utf-8")
+    monkeypatch.delenv("REPODOC_API_KEY", raising=False)
+
+    def files() -> dict:
+        paths = [p for p in repo.rglob("*") if p.is_file() and "objects" not in p.parts]
+        return {p: (p.stat().st_mtime_ns, p.read_bytes()) for p in paths}
+
+    before = files()
+    # a run that reached the lock would report the lock instead
+    with _update_lock(repo / ".git"):
+        code, _, err = run_cli(command, "--repo", repo, capsys=capsys)
+    assert code == 1
+    assert err == (
+        "error: provider https://llm.example/v1 needs an API key; "
+        "set the REPODOC_API_KEY environment variable\n"
+    )
+    assert files() == before

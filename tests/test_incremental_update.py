@@ -18,7 +18,7 @@ import sys
 
 import pytest
 
-from repodoc import change_tracker, cli, doc_pipeline, markdown_publisher, source_model
+from repodoc import change_tracker, cli, doc_pipeline, markdown_publisher, project_graph, source_model
 from repodoc.cli import main
 from repodoc.config import load_config
 from repodoc.doc_pipeline import SNAPSHOT_DIGEST_NAME
@@ -248,6 +248,28 @@ def test_one_file_body_edit_parses_one_file_and_reuses_the_rest(tmp_path, capsys
         "app.py:6: unresolved call wrapper.go (caller app.py/main)",
         "app.py:10: unresolved call print (caller app.py/report)",
     ]
+
+
+@pytest.mark.parametrize("command", ["update", "generate"])
+def test_a_fast_path_run_builds_each_reference_map_once(tmp_path, monkeypatch, capsys, command):
+    repo = tmp_path / "repo"
+    _init_repo(repo)
+    git(repo, "add", "-A")
+    assert main(["update", "--repo", str(repo)]) == 0
+    git(repo, "commit", "-qm", "seed")
+    (repo / "core.py").write_text(CORE.replace("return 1", "return 2"), encoding="utf-8")
+    git(repo, "add", "core.py")
+    builds = []
+    real = project_graph._adjacency
+    monkeypatch.setattr(project_graph, "_adjacency", lambda pairs: builds.append(1) or real(pairs))
+    capsys.readouterr()
+    assert main([command, "--repo", str(repo), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["reused_files"] == len(_git_files(repo)) - 1
+    assert report.get("run", report)["generated"] == ["core.py/alpha"]
+    # the run's graph keeps the snapshot's edges, and with them its maps:
+    # the callee map and the caller map are built once each
+    assert len(builds) == 2
 
 
 def test_fast_path_keeps_the_parse_cache_whole(tmp_path, capsys):
@@ -670,20 +692,25 @@ def test_a_store_edited_by_hand_is_saved_before_its_digest_is_recorded(tmp_path,
     assert report["run"]["generated"] == ["core.py/alpha"]
 
 
-def test_a_blob_only_difference_records_no_digest(tmp_path, capsys):
+def test_a_blob_only_difference_saves_the_store_as_loaded_and_records_its_digest(
+    tmp_path, capsys
+):
     repo = tmp_path / "repo"
     _init_repo(repo)
     _generate_json(repo, capsys)
+    store_path = repo / load_config(repo).store_path
+    stored = store_path.read_bytes()
     digest = repo / ".git" / SNAPSHOT_DIGEST_NAME
     digest.unlink()
     # a comment changes the blob of core.py, and no object or edge
     write_tree(repo, {"core.py": CORE + "# a comment\n"})
     report = _generate_json(repo, capsys)
     assert report["generated"] == [] and report["pages_written"] == []
-    # the store keeps the old blob id, which the current parser did not
-    # vouch for, so no digest is recorded and no file is reused next time
-    assert not digest.exists()
-    assert _generate_json(repo, capsys)["reused_files"] == 0
+    # the store is saved as loaded, with core.py's old blob id, and its
+    # digest recorded: the next run parses core.py and reuses the rest
+    assert digest.exists() and store_path.read_bytes() == stored
+    again = _generate_json(repo, capsys)
+    assert again["reused_files"] == len(FILES) - 1 and again["generated"] == []
 
 
 def test_a_store_whose_digest_does_not_match_is_decoded_whole(tmp_path, capsys):
