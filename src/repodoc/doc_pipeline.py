@@ -9,7 +9,6 @@ against; it is the unit of persistence, diffing and Git tracking.
 from __future__ import annotations
 
 import contextlib
-import copy
 import hashlib
 import heapq
 import itertools
@@ -17,11 +16,12 @@ import json
 import logging
 import os
 import re
+import time
 from collections.abc import MutableMapping
-from dataclasses import dataclass
 from json.decoder import scanstring
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, NamedTuple
 
 from .errors import CorruptStoreError, OverBudgetError, ProviderError, StoreWriteError
 from .project_graph import (
@@ -62,9 +62,18 @@ _FIXED_LABELS = {
     "output example": "Output Example",
 }
 
-# compiled on first use, by generation or eval
-_HEADER = r"^\*\*(.+?)\*\*[ \t]*:[ \t]*(.*)$"
-_BULLET = r"^-[ \t]*`([^`]+)`[ \t]*:[ \t]*(.*)$"
+# the header and bullet patterns, compiled on first use, by generation or eval
+_patterns: tuple[re.Pattern, re.Pattern] | None = None
+
+
+def _compiled() -> tuple[re.Pattern, re.Pattern]:
+    global _patterns
+    if _patterns is None:
+        _patterns = (
+            re.compile(r"^\*\*(.+?)\*\*[ \t]*:[ \t]*(.*)$", re.MULTILINE),
+            re.compile(r"-[ \t]*`([^`]+)`[ \t]*:[ \t]*(.*)$"),
+        )
+    return _patterns
 
 
 class ParsedDoc:
@@ -90,15 +99,14 @@ def parse_doc(text: str, kind: str, has_return: bool, name: str = "") -> ParsedD
     doc of an object named ``parameters`` or ``note`` is read alike. Fixed
     labels match case-insensitively. Non-compliance is reported, never raised.
     """
+    header, bullet = _compiled()
     parsed = ParsedDoc()
-    matches = list(re.finditer(_HEADER, text, re.MULTILINE))
-    sections: list[tuple[str, str, str]] = []  # (label, inline rest, full text)
+    matches = list(header.finditer(text))
+    seen: set[str] = set()
     for index, match in enumerate(matches):
         end = matches[index + 1].start() if index + 1 < len(matches) else len(text)
-        sections.append((match.group(1).strip(), match.group(2), text[match.start() : end].rstrip()))
-
-    seen: set[str] = set()
-    for index, (label, inline, full) in enumerate(sections):
+        label, inline = match.group(1).strip(), match.group(2)
+        full = text[match.start() : end].rstrip()  # the header line and the lines below
         canonical = _FIXED_LABELS.get(label.lower())
         if index == 0 and (canonical is None or label == name):
             parsed.name_header = full
@@ -112,11 +120,12 @@ def parse_doc(text: str, kind: str, has_return: bool, name: str = "") -> ParsedD
                 parsed.extra.append(label)
                 continue
             parsed.param_label = canonical
-            parsed.param_tail, parsed.params = _parse_param_section(inline, full)
+            parsed.param_tail, parsed.params = _parse_param_section(bullet, inline, full)
             seen.add(canonical)
             continue
         seen.add(canonical)
-        content = _section_content(inline, full)
+        inline, body = inline.strip(), full.partition("\n")[2]
+        content = f"{inline}\n{body}".strip() if inline else body.strip()
         if canonical == "Code Description":
             parsed.code_description = content
         elif canonical == "Note":
@@ -142,30 +151,27 @@ def parse_doc(text: str, kind: str, has_return: bool, name: str = "") -> ParsedD
     return parsed
 
 
-def _section_content(inline: str, full: str) -> str:
-    lines = full.split("\n")
-    rest = [inline.strip()] if inline.strip() else []
-    rest.extend(line for line in lines[1:])
-    return "\n".join(rest).strip()
-
-
-def _parse_param_section(inline: str, full: str) -> tuple[str, list[tuple[str, str]]]:
+def _parse_param_section(
+    bullet: re.Pattern, inline: str, full: str
+) -> tuple[str, list[tuple[str, str]]]:
     tail_parts = [inline.strip()] if inline.strip() else []
     params: list[tuple[str, str]] = []
     for line in full.split("\n")[1:]:
-        bullet = re.match(_BULLET, line.strip())
-        if bullet:
-            params.append((bullet.group(1).strip(), bullet.group(2).strip()))
-        elif params and line.strip():
+        line = line.strip()
+        if not line:
+            continue
+        match = bullet.match(line)
+        if match:
+            params.append((match.group(1).strip(), match.group(2).strip()))
+        elif params:
             name, desc = params[-1]
-            params[-1] = (name, f"{desc} {line.strip()}".strip())
-        elif line.strip():
-            tail_parts.append(line.strip())
+            params[-1] = (name, f"{desc} {line}".strip())
+        else:
+            tail_parts.append(line)
     return " ".join(tail_parts), params
 
 
-@dataclass
-class DocRecord:
+class DocRecord(NamedTuple):
     """One object's generated documentation: the text pages and prompts show."""
 
     text: str
@@ -174,22 +180,30 @@ class DocRecord:
     generated_at: str
 
 
-def render_doc(doc: ParsedDoc) -> str:
+def render_doc(
+    name_header: str,
+    param_label: str,
+    param_tail: str,
+    params: Iterable[tuple[str, str]],
+    code_description: str,
+    note: str,
+    output_example: str | None,
+) -> str:
     """Doc text with bold section labels, one blank line between sections."""
     parts: list[str] = []
-    if doc.name_header:
-        parts.append(doc.name_header)
-    header = f"**{doc.param_label}**:"
-    if doc.param_tail:
-        header += f" {doc.param_tail}"
-    bullets = [f"- `{name}`: {desc}" for name, desc in doc.params]
+    if name_header:
+        parts.append(name_header)
+    header = f"**{param_label}**:"
+    if param_tail:
+        header += f" {param_tail}"
+    bullets = [f"- `{name}`: {desc}" for name, desc in params]
     parts.append("\n".join([header, *bullets]))
-    if doc.code_description:
-        parts.append(f"**Code Description**: {doc.code_description}")
-    if doc.note:
-        parts.append(f"**Note**: {doc.note}")
-    if doc.output_example:
-        parts.append(f"**Output Example**: {doc.output_example}")
+    if code_description:
+        parts.append(f"**Code Description**: {code_description}")
+    if note:
+        parts.append(f"**Note**: {note}")
+    if output_example:
+        parts.append(f"**Output Example**: {output_example}")
     return "\n\n".join(parts)
 
 
@@ -197,39 +211,34 @@ def record_from_parsed(obj: CodeObject, parsed: ParsedDoc, model: str) -> DocRec
     """Build the stored record: parameters deduplicated first-wins, the kind's
     label when the doc gave none, and an Output Example only when the object
     returns."""
-    import datetime
-
     params: dict[str, str] = {}
     for name, desc in parsed.params:
         params.setdefault(name, desc)
-    doc = copy.copy(parsed)
-    doc.param_label = parsed.param_label or (ATTRIBUTE_LABEL if obj.kind == CLASS else PARAM_LABEL)
-    doc.params = list(params.items())
-    doc.output_example = parsed.output_example if obj.has_return else None
-    return DocRecord(
-        text=render_doc(doc),
-        source_hash=obj.source_hash,
-        model=model,
-        generated_at=datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
+    text = render_doc(
+        parsed.name_header,
+        parsed.param_label or (ATTRIBUTE_LABEL if obj.kind == CLASS else PARAM_LABEL),
+        parsed.param_tail,
+        params.items(),
+        parsed.code_description,
+        parsed.note,
+        parsed.output_example if obj.has_return else None,
     )
+    generated_at = time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
+    return DocRecord(text, obj.source_hash, model, generated_at)
 
 
 def _record_from_v1(data: dict) -> DocRecord:
     # version 1 stored each doc as its sections, rules already applied
-    doc = ParsedDoc()
-    doc.name_header = data["name_header"]
-    doc.param_label = data["param_label"]
-    doc.params = [(name, desc) for name, desc in data["param_section"]]
-    doc.param_tail = data.get("param_tail", "")
-    doc.code_description = data["code_description"]
-    doc.note = data["note"]
-    doc.output_example = data.get("output_example")
-    return DocRecord(
-        text=render_doc(doc),
-        source_hash=data["source_hash"],
-        model=data["model"],
-        generated_at=data["generated_at"],
+    text = render_doc(
+        data["name_header"],
+        data["param_label"],
+        data.get("param_tail", ""),
+        data["param_section"],
+        data["code_description"],
+        data["note"],
+        data.get("output_example"),
     )
+    return DocRecord(text, data["source_hash"], data["model"], data["generated_at"])
 
 
 def _children_in_source_order(graph_data: dict) -> None:
@@ -249,6 +258,7 @@ SNAPSHOT_DIGEST_NAME = "repodoc-snapshot-digest"
 _BLOCK_LINES = 128
 
 _encode = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+_escape = encode_basestring_ascii  # what _encode gives a string
 
 
 def _new_digest():
@@ -302,7 +312,7 @@ class DocStore:
     def to_dict(self) -> dict:
         return {
             "version": STORE_VERSION,
-            "records": {oid: vars(self.records[oid]) for oid in sorted(self.records)},
+            "records": {oid: self.records[oid]._asdict() for oid in sorted(self.records)},
             "graph": self.graph_snapshot.to_dict() if self.graph_snapshot else None,
         }
 
@@ -422,10 +432,15 @@ def _store_blocks(
         return _encoded(edges, lambda e: _encode(e._asdict()).encode("ascii"))
 
     def node_line(node_id: str) -> bytes:
-        return f"{_encode(node_id)}:{_encode(graph.node_entry(node_id))}".encode("ascii")
+        return f"{_escape(node_id)}:{_encode(graph.node_entry(node_id))}".encode("ascii")
 
     def record_line(oid: str) -> bytes:
-        return f"{_encode(oid)}:{_encode(vars(store.records[oid]))}".encode("ascii")
+        # the fields in the sorted order that _encode gives them
+        text, source_hash, model, generated_at = store.records[oid]
+        return (
+            f'{_escape(oid)}:{{"generated_at":{_escape(generated_at)},"model":{_escape(model)},'
+            f'"source_hash":{_escape(source_hash)},"text":{_escape(text)}}}'
+        ).encode("ascii")
 
     if graph is None:
         yield b'{"graph":null'
@@ -719,6 +734,8 @@ def load_store(path: str | Path, git_dir: Path | None = None) -> DocStore:
             oid: _record_from_v1(rec) if version == 1 else DocRecord(**rec)
             for oid, rec in data.get("records", {}).items()
         }
+        if not all(type(value) is str for record in records.values() for value in record):
+            raise TypeError("a doc record holds a value that is not a string")
         graph_data = data.get("graph")
         if graph_data and version < 3:
             _children_in_source_order(graph_data)
@@ -847,46 +864,44 @@ def _stale_prerequisites(graph: RepoGraph, store: DocStore, pending: set[str]) -
     return frozenset(stale)
 
 
-def _generate_one(
-    graph: RepoGraph,
-    gateway: Gateway,
-    store: DocStore,
-    object_id: str,
-    config: Config,
-    allow_missing: frozenset[str],
-) -> tuple[DocRecord, int, int] | OverBudgetError | ProviderError:
-    """One object's record and token counts, or the error that failed it."""
+def _generator(
+    graph: RepoGraph, gateway: Gateway, store: DocStore, config: Config
+) -> Callable[[str, frozenset[str]], tuple[DocRecord, int, int] | OverBudgetError | ProviderError]:
+    """The function that gives one object's record and token counts, or the
+    error that failed it, given the ids whose docs render as "None".
+    Generation's modules are imported here, once per run that has an object
+    pending."""
     from .llm_gateway import CompletionRequest
     from .prompt_engine import assemble_context, fit_to_budget
 
-    obj = graph.objects[object_id]
-    ctx = assemble_context(
-        graph,
-        store,
-        object_id,
-        child_docs_enabled=config.child_docs_enabled,
-        doc_language=config.doc_language,
-        allow_missing=allow_missing,
-    )
+    tiers, temperature = config.provider.tiers, config.provider.temperature
     reserve = config.completion_reserve_tokens
-    try:
-        _, tier, prompt = fit_to_budget(ctx, config.provider.tiers, reserve)
-        request = CompletionRequest(
-            model=tier.name,
-            prompt=prompt,
-            max_completion_tokens=reserve,
-            temperature=config.provider.temperature,
+
+    def generate_one(object_id: str, allow_missing: frozenset[str]):
+        obj = graph.objects[object_id]
+        ctx = assemble_context(
+            graph,
+            store,
+            object_id,
+            child_docs_enabled=config.child_docs_enabled,
+            doc_language=config.doc_language,
+            allow_missing=allow_missing,
         )
-        response = gateway.complete(request, context_id=object_id)
-    except (OverBudgetError, ProviderError) as exc:
-        return exc
-    parsed = parse_doc(response.text, obj.kind, obj.has_return, obj.name)
-    if parsed.missing or parsed.extra:
-        logger.warning(
-            "%s: non-compliant doc (missing=%s extra=%s)", object_id, parsed.missing, parsed.extra
-        )
-    record = record_from_parsed(obj, parsed, response.model)
-    return record, response.prompt_tokens, response.completion_tokens
+        try:
+            _, tier, prompt = fit_to_budget(ctx, tiers, reserve)
+            request = CompletionRequest(tier.name, prompt, reserve, temperature)
+            response = gateway.complete(request, context_id=object_id)
+        except (OverBudgetError, ProviderError) as exc:
+            return exc
+        parsed = parse_doc(response.text, obj.kind, obj.has_return, obj.name)
+        if parsed.missing or parsed.extra:
+            logger.warning(
+                "%s: non-compliant doc (missing=%s extra=%s)", object_id, parsed.missing, parsed.extra
+            )
+        record = record_from_parsed(obj, parsed, response.model)
+        return record, response.prompt_tokens, response.completion_tokens
+
+    return generate_one
 
 
 def generate_all(
@@ -957,6 +972,7 @@ def generate_all(
                 heapq.heappush(ready, rank[dep])
 
     jobs = max(1, min(jobs, len(order)))
+    generate_one = _generator(graph, gateway, store, config) if order else None
     pool = None
     if jobs > 1:
         from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
@@ -967,11 +983,10 @@ def generate_all(
         while ready or running:
             while ready and len(running) < jobs:
                 oid = order[heapq.heappop(ready)]
-                args = (graph, gateway, store, oid, config, allow_missing)
                 if pool is None:
-                    finish(oid, _generate_one(*args))
+                    finish(oid, generate_one(oid, allow_missing))
                 else:
-                    running[pool.submit(_generate_one, *args)] = oid
+                    running[pool.submit(generate_one, oid, allow_missing)] = oid
             if running:
                 finished, _ = wait(running, return_when=FIRST_COMPLETED)
                 for future in sorted(finished, key=lambda f: rank[running[f]]):

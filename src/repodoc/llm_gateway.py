@@ -12,7 +12,6 @@ import re
 import threading
 import time
 import weakref
-from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, NamedTuple, Protocol
 from urllib.parse import SplitResult, unquote, urlsplit
@@ -25,8 +24,7 @@ _BACKOFF_SCHEDULE = (1.0, 2.0, 4.0)
 REQUEST_TIMEOUT_S = 120.0
 
 
-@dataclass(frozen=True)
-class CompletionRequest:
+class CompletionRequest(NamedTuple):
     model: str
     prompt: str
     max_completion_tokens: int

@@ -7,6 +7,7 @@ their bytes change; stale pages from deleted sources are removed.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from pathlib import Path, PurePosixPath
 from typing import Collection, NamedTuple
@@ -107,16 +108,21 @@ def write_site(
     ]
 
     written: list[str] = []
+    made: set[Path] = set()  # the directories made this run
     for rel in sorted(compile_rels):
         if rel == SUMMARY_NAME:
             body = compile_summary(graph).encode("utf-8")
         else:
             body = compile_file_doc(graph, pages[rel], store).body.encode("utf-8")
         target = out_dir / PurePosixPath(rel)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        if target.exists() and target.read_bytes() == body:
-            continue
-        forget_snapshot(git_dir)
+        with contextlib.suppress(FileNotFoundError):
+            if target.read_bytes() == body:
+                continue
+        if not written:
+            forget_snapshot(git_dir)
+        if target.parent not in made:
+            target.parent.mkdir(parents=True, exist_ok=True)
+            made.add(target.parent)
         target.write_bytes(body)
         written.append(rel)
 

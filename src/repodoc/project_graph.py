@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import MutableMapping
-from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import PurePosixPath
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -37,16 +36,25 @@ ROOT_ID = "."
 _RECEIVERS = ("self", "cls")
 
 
-@dataclass(eq=False)
 class TreeNode:
     """One node of the project tree: the root, a directory, a file or an object."""
 
-    id: str
-    node_kind: str  # REPO, DIR, FILE, CLASS or FUNCTION
-    children: list[str] = field(default_factory=list)
-    # a file's Git blob id, when known, and its parse error, if any
-    blob: str | None = None
-    parse_error: str | None = None
+    __slots__ = ("id", "node_kind", "children", "blob", "parse_error")
+
+    def __init__(
+        self,
+        id: str,
+        node_kind: str,
+        children: list[str] | None = None,
+        blob: str | None = None,
+        parse_error: str | None = None,
+    ) -> None:
+        self.id = id
+        self.node_kind = node_kind  # REPO, DIR, FILE, CLASS or FUNCTION
+        self.children: list[str] = [] if children is None else children
+        # a file's Git blob id, when known, and its parse error, if any
+        self.blob = blob
+        self.parse_error = parse_error
 
 
 class ReferenceEdge(NamedTuple):

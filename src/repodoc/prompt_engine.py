@@ -76,7 +76,6 @@ class PromptContext(NamedTuple):
     caller_blocks: tuple[RefBlock, ...]
     child_docs: tuple[tuple[str, str], ...] | None  # None when disabled
     doc_language: str
-    hierarchy_compact: str = ""  # ancestor chain only; budget fallback
 
 
 def render_hierarchy(graph: RepoGraph, object_id: str, *, include_children: bool = True) -> str:
@@ -155,12 +154,11 @@ def assemble_context(
         )
     return PromptContext(
         target=obj,
-        hierarchy_render=render_hierarchy(graph, object_id, include_children=True),
+        hierarchy_render=render_hierarchy(graph, object_id),
         callee_blocks=callee_blocks,
         caller_blocks=caller_blocks,
         child_docs=child_docs,
         doc_language=doc_language,
-        hierarchy_compact=render_hierarchy(graph, object_id, include_children=False),
     )
 
 
@@ -243,7 +241,8 @@ def render_prompt(ctx: PromptContext) -> str:
 
 def estimate_tokens(text: str) -> int:
     """Budget estimate: ceil(UTF-8 byte length / 4)."""
-    return math.ceil(len(text.encode("utf-8")) / 4)
+    # an ASCII string has as many UTF-8 bytes as characters
+    return math.ceil((len(text) if text.isascii() else len(text.encode("utf-8"))) / 4)
 
 
 def choose_tier(estimate: int, tiers: Sequence[ModelTier], reserve: int) -> ModelTier | None:
@@ -267,9 +266,11 @@ def _drop_callee_snippets(ctx: PromptContext) -> PromptContext:
 
 
 def _compact_hierarchy(ctx: PromptContext) -> PromptContext:
-    if not ctx.hierarchy_compact:
-        return ctx
-    return ctx._replace(hierarchy_render=ctx.hierarchy_compact)
+    # the render without the target's children, which follow the "*" line;
+    # no object name holds a "*", so the last one is the target's
+    render = ctx.hierarchy_render
+    end = render.find("\n", render.rfind("*"))
+    return ctx if end < 0 else ctx._replace(hierarchy_render=render[:end])
 
 
 def _drop_child_docs(ctx: PromptContext) -> PromptContext:

@@ -22,7 +22,6 @@ import logging
 import os
 import stat
 import sys
-from dataclasses import dataclass
 from json.decoder import scanstring
 from pathlib import Path, PurePosixPath
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -60,8 +59,7 @@ def source_digest(text: str) -> str:
     return hashlib.sha256(normalized.encode("utf-8", "surrogatepass")).hexdigest()
 
 
-@dataclass(frozen=True)
-class CodeObject:
+class CodeObject(NamedTuple):
     """One class or function definition extracted from a source file."""
 
     id: str

@@ -400,13 +400,15 @@ def test_mock_and_noop_generates_import_no_http_code(demo_repo):
 
 
 # modules loaded only by the commands that run them: generation's once an
-# object is pending, eval's by eval, and a worker pool only for --jobs > 1
+# object is pending, eval's by eval, and a worker pool only for --jobs > 1;
+# dataclasses by none
 LATE_MODULES = (
     "repodoc.prompt_engine",
     "repodoc.llm_gateway",
     "repodoc.eval_harness",
     "concurrent.futures",
     "statistics",
+    "dataclasses",
 )
 _MAIN_THEN_LIST = (
     "import json, sys\n"
@@ -450,7 +452,7 @@ def test_each_command_loads_only_what_it_runs(
     git(repo, "add", "a.py")
     code, loaded = _late_modules_after(repo, "update", "--jobs", "1")
     assert code == 0
-    assert not loaded & {"repodoc.eval_harness", "concurrent.futures", "statistics"}
+    assert not loaded & {"repodoc.eval_harness", "concurrent.futures", "statistics", "dataclasses"}
     assert _late_modules_after(repo, "eval")[0] == 0
     if base_url == "mock:":
         for rel in ("a.py", "util/b.py"):

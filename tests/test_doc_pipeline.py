@@ -3,10 +3,10 @@ from __future__ import annotations
 import json
 import logging
 import os
+import re
 import stat
 import threading
 import tracemalloc
-from dataclasses import replace
 
 import pytest
 
@@ -26,6 +26,7 @@ from repodoc.errors import CorruptStoreError
 from repodoc.llm_gateway import Gateway, MockProvider
 from repodoc.project_graph import topological_order
 from repodoc.prompt_engine import CHILD_DOCS_INTRO
+from repodoc.source_model import CodeObject
 
 from .helpers import (
     DEMO_TOPO_ORDER,
@@ -151,6 +152,134 @@ def test_parse_doc_keeps_non_bullet_param_prose_as_tail():
     assert parsed.params == []
 
 
+def _target(name: str, kind: str = "Function", has_return: bool = True) -> CodeObject:
+    return CodeObject(
+        id=f"m.py/{name}", kind=kind, name=name, line_span=(1, 2), snippet="", params=(),
+        has_return=has_return, parent_id="m.py", source_hash="h",
+    )
+
+
+_LOAD_HEADER = "**load**: The function of load is to read a config file."
+_COMPLIANT_TEXT = (
+    f"{_LOAD_HEADER}\n\n**parameters**:\n- `path`: where the file lives.\n"
+    "- `strict`: whether unknown keys raise.\n\n"
+    "**Code Description**: Reads the file and validates every key.\n\n"
+    "**Note**: The path must exist."
+)
+_EXAMPLE = "\n\n**Output Example**: {'debug': False}"
+
+# (target, provider answer, missing, extra, record text): answers of every
+# shape the doc path must read, each pinned to the record text it gives
+DOC_PATH_CASES = {
+    "compliant": (_target("load"), COMPLIANT_FUNCTION_DOC, [], [], _COMPLIANT_TEXT + _EXAMPLE),
+    "missing-sections": (
+        _target("load"),
+        "**load**: something.\n**parameters**:\n- `path`: a path.",
+        ["Code Description", "Note", "Output Example"],
+        [],
+        "**load**: something.\n\n**parameters**:\n- `path`: a path.",
+    ),
+    "no-headers": (
+        _target("load"),
+        "Just prose, no sections at all.\n",
+        ["name", "parameters", "Code Description", "Note", "Output Example"],
+        [],
+        "**parameters**:",
+    ),
+    "duplicate-and-unknown-labels": (
+        _target("load"),
+        COMPLIANT_FUNCTION_DOC + "\n**Note**: again.\n**Vibes**: immaculate.\n**parameters**:\n- `x`: late.",
+        [],
+        ["Note", "Vibes", "parameters"],
+        _COMPLIANT_TEXT + _EXAMPLE,
+    ),
+    "parameters-for-a-class": (
+        _target("Loader", "Class", has_return=False),
+        COMPLIANT_FUNCTION_DOC.replace("**load**", "**Loader**"),
+        ["Attributes"],
+        ["parameters"],
+        _COMPLIANT_TEXT.replace("**load**", "**Loader**"),
+    ),
+    "attributes-for-a-function": (
+        _target("load"),
+        COMPLIANT_FUNCTION_DOC.replace("**parameters**:", "**Attributes**:"),
+        ["parameters"],
+        ["Attributes"],
+        _COMPLIANT_TEXT.replace("**parameters**:", "**Attributes**:") + _EXAMPLE,
+    ),
+    "bullet-continuations": (
+        _target("load"),
+        "**load**: short.\n\n**Parameters**: Takes two values.\n- `x`: the first half\n"
+        "  and the second half.\n\n- `x`: a duplicate, dropped.\n-`y` :  spaced\n"
+        "not a bullet, but continues y\n**code description**: body line one\n"
+        "  body line two   \n\n\n**NOTE**:\n  n.  \n",
+        ["Output Example"],
+        [],
+        "**load**: short.\n\n**parameters**: Takes two values.\n"
+        "- `x`: the first half and the second half.\n- `y`: spaced not a bullet, but continues y\n\n"
+        "**Code Description**: body line one\n  body line two\n\n**Note**: n.",
+    ),
+    "prose-before-bullets": (
+        _target("load", has_return=False),
+        "**load**: short.\n**parameters**:\nThis function takes no parameters.\nNone at all.\n"
+        "**Code Description**: body.\n**Note**: n.",
+        [],
+        [],
+        "**load**: short.\n\n**parameters**: This function takes no parameters. None at all.\n\n"
+        "**Code Description**: body.\n\n**Note**: n.",
+    ),
+    "name-equal-to-a-label": (
+        _target("note"),
+        COMPLIANT_FUNCTION_DOC.replace("**load**: The function of load", "**note**: The function of note"),
+        [],
+        [],
+        _COMPLIANT_TEXT.replace("**load**: The function of load", "**note**: The function of note")
+        + _EXAMPLE,
+    ),
+    "a-label-that-is-not-the-name": (
+        _target("other"),
+        COMPLIANT_FUNCTION_DOC.replace("**load**: The function of load", "**note**: The function of note"),
+        ["name"],
+        ["Note"],
+        _COMPLIANT_TEXT.replace(f"{_LOAD_HEADER}\n\n", "").replace(
+            "The path must exist.", "The function of note is to read a config file."
+        )
+        + _EXAMPLE,
+    ),
+    "output-example-without-return": (
+        _target("load", has_return=False), COMPLIANT_FUNCTION_DOC, [], [], _COMPLIANT_TEXT
+    ),
+    "crlf-line-ends": (
+        _target("load"),
+        COMPLIANT_FUNCTION_DOC.replace("\n", "\r\n").replace(
+            "every key.", "every key.\r\nAnd more.\r\n  Indented."
+        )
+        + "\r\n",
+        [],
+        [],
+        _COMPLIANT_TEXT.replace("every key.", "every key.\nAnd more.\r\n  Indented.") + _EXAMPLE,
+    ),
+    "lone-cr-and-tabs": (
+        _target("load"),
+        "**load**\t:\tx\r**parameters**:\n-\t`a`\t:\tb\r\n**Note** :\tq\t\n",
+        ["parameters", "Code Description", "Output Example"],
+        [],
+        "**load**\t:\tx\r**parameters**:\n-\t`a`\t:\tb\n\n**parameters**:\n\n**Note**: q",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", DOC_PATH_CASES)
+def test_a_provider_answer_becomes_the_record_text_it_always_gave(case):
+    obj, answer, missing, extra, text = DOC_PATH_CASES[case]
+    parsed = parse_doc(answer, obj.kind, obj.has_return, obj.name)
+    assert (parsed.missing, parsed.extra) == (missing, extra)
+    record = record_from_parsed(obj, parsed, "base-4k")
+    assert record.text == text
+    assert (record.source_hash, record.model) == ("h", "base-4k")
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", record.generated_at)
+
+
 def test_record_roundtrips_through_render_and_reparse(demo_repo):
     graph, store, _, _ = generate_repo(demo_repo)
     for oid, record in store.records.items():
@@ -164,7 +293,7 @@ def test_record_roundtrips_through_render_and_reparse(demo_repo):
 def test_record_from_parsed_drops_output_example_without_return(demo_repo):
     graph = build_repo_graph(demo_repo)
     obj = graph.objects["a.py/f"]
-    obj = replace(obj, has_return=False)
+    obj = obj._replace(has_return=False)
     parsed = parse_doc(COMPLIANT_FUNCTION_DOC, "Function", has_return=False)
     record = record_from_parsed(obj, parsed, "base-4k")
     assert parse_doc(record.text, "Function", has_return=False).output_example is None
@@ -215,7 +344,7 @@ def test_save_store_copies_unchanged_lines_and_writes_a_full_encode(tmp_path, de
     store, path, git_dir = _carrying_store(tmp_path, demo_repo)
     full = tmp_path / "full.json"
     record = store.records["a.py/f"]
-    store.records["a.py/f"] = replace(record, text=record.text + " Edited.")
+    store.records["a.py/f"] = record._replace(text=record.text + " Edited.")
     # noted as edited: the changed record, and an id that is no record at all
     store.file.edited_records.update({"a.py/f", "a.py/gone"})
     save_store(store, path, git_dir)
@@ -393,7 +522,7 @@ def test_generate_all_second_run_skips_everything(demo_repo):
 def test_generate_all_regenerates_on_stale_hash(demo_repo):
     graph, store, _, _ = generate_repo(demo_repo)
     record = store.records["a.py/f"]
-    store.records["a.py/f"] = replace(record, source_hash="0" * 64)
+    store.records["a.py/f"] = record._replace(source_hash="0" * 64)
     gateway = make_gateway()
     report = generate_all(graph, gateway, store, make_config(demo_repo), 1)
     assert report.generated == ["a.py/f"]

@@ -8,7 +8,6 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 
 import pytest
 
@@ -128,7 +127,7 @@ def test_gateway_validates_requests():
     with pytest.raises(ValueError):
         gateway.complete(request_for(""))
     with pytest.raises(ValueError):
-        gateway.complete(replace(request_for("x"), max_completion_tokens=0))
+        gateway.complete(request_for("x")._replace(max_completion_tokens=0))
 
 
 class _Handler(http.server.BaseHTTPRequestHandler):

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
+import repodoc.markdown_publisher as publisher
 from repodoc.cli import main
-from repodoc.doc_pipeline import DocStore
+from repodoc.doc_pipeline import SNAPSHOT_DIGEST_NAME, DocStore
 from repodoc.markdown_publisher import (
     PLACEHOLDER,
     SUMMARY_NAME,
@@ -186,6 +189,71 @@ def test_write_site_prunes_stale_pages(demo_repo, tmp_path):
     assert not (out / "util").exists()
     assert not (out / "leftover.md").exists()
     assert (out / "a.md").exists()
+
+
+def _digest_in(tmp_path: Path) -> Path:
+    git_dir = tmp_path / "git"
+    git_dir.mkdir()
+    digest = git_dir / SNAPSHOT_DIGEST_NAME
+    digest.write_text("0" * 64 + "\n", encoding="utf-8")
+    return digest
+
+
+def test_a_cold_write_site_forgets_the_digest_once_and_makes_each_directory_once(
+    demo_repo, tmp_path, monkeypatch
+):
+    graph, store, _, _ = generate_repo(demo_repo)
+    digest, out = _digest_in(tmp_path), tmp_path / "site"
+    events: list[tuple[str, object]] = []
+    real_forget, real_write, real_mkdir = publisher.forget_snapshot, Path.write_bytes, Path.mkdir
+
+    def forget(git_dir):
+        events.append(("forget", git_dir))
+        real_forget(git_dir)
+
+    def write_bytes(path, data):
+        events.append(("write", path.relative_to(out).as_posix()))
+        return real_write(path, data)
+
+    def mkdir(path, *args, **kwargs):
+        events.append(("mkdir", path))
+        return real_mkdir(path, *args, **kwargs)
+
+    monkeypatch.setattr(publisher, "forget_snapshot", forget)
+    monkeypatch.setattr(Path, "write_bytes", write_bytes)
+    monkeypatch.setattr(Path, "mkdir", mkdir)
+    assert write_site(graph, store, out, git_dir=digest.parent) == [SUMMARY_NAME, "a.md", "util/b.md"]
+    assert events == [
+        ("forget", digest.parent),
+        ("mkdir", out),
+        ("write", SUMMARY_NAME),
+        ("write", "a.md"),
+        ("mkdir", out / "util"),
+        ("write", "util/b.md"),
+    ]
+    assert not digest.exists()
+
+
+def test_a_write_site_stopped_after_its_first_page_leaves_no_digest(
+    demo_repo, tmp_path, monkeypatch
+):
+    graph, store, _, _ = generate_repo(demo_repo)
+    digest, out = _digest_in(tmp_path), tmp_path / "site"
+    real_write = Path.write_bytes
+
+    class Stopped(Exception):
+        pass
+
+    def write_one(path, data):
+        if out.exists() and any(out.iterdir()):
+            raise Stopped
+        return real_write(path, data)
+
+    monkeypatch.setattr(Path, "write_bytes", write_one)
+    with pytest.raises(Stopped):
+        write_site(graph, store, out, git_dir=digest.parent)
+    assert [p.name for p in out.rglob("*.md")] == [SUMMARY_NAME]
+    assert not digest.exists()
 
 
 def test_heading_depth_caps_at_six(tmp_path):

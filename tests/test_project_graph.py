@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +13,7 @@ from repodoc.project_graph import (
     ROOT_ID,
     ReferenceEdge,
     RepoGraph,
+    TreeNode,
     build_graph,
     build_tree,
     graph_to_dot,
@@ -309,7 +309,7 @@ def test_graph_dict_roundtrip(demo_repo):
     assert clone.callers("a.py/g") == graph.callers("a.py/g")
     # snippets and spans are intentionally not persisted; the rest is rebuilt
     for oid, obj in graph.objects.items():
-        assert clone.objects[oid] == replace(obj, snippet="", line_span=(0, 0))
+        assert clone.objects[oid] == obj._replace(snippet="", line_span=(0, 0))
 
 
 def _documented(graph: RepoGraph) -> dict:
@@ -322,7 +322,7 @@ def _documented(graph: RepoGraph) -> dict:
 
 
 def _edit_object(graph: RepoGraph, object_id: str, **changes) -> None:
-    graph.objects[object_id] = replace(graph.objects[object_id], **changes)
+    graph.objects[object_id] = graph.objects[object_id]._replace(**changes)
 
 
 _GRAPH_EDITS = {
@@ -332,7 +332,7 @@ _GRAPH_EDITS = {
     "span-and-snippet": lambda g: _edit_object(g, "a.py/f", line_span=(1, 1), snippet=""),
     "node-kind": lambda g: setattr(g.nodes["util"], "node_kind", FILE),
     "child-order": lambda g: g.nodes["a.py"].children.reverse(),
-    "new-node": lambda g: g.nodes.update(x=replace(g.nodes["util"], id="x", children=[])),
+    "new-node": lambda g: g.nodes.update(x=TreeNode("x", g.nodes["util"].node_kind)),
     "params": lambda g: _edit_object(g, "a.py/g", params=("y",)),
     "has-return": lambda g: _edit_object(g, "a.py/f", has_return=False),
     "parent": lambda g: _edit_object(g, "a.py/C/m", parent_id="a.py"),

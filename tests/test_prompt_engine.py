@@ -15,6 +15,7 @@ from repodoc.prompt_engine import (
     CHILD_DOCS_INTRO,
     FORMAT_INTRO,
     OUTPUT_EXAMPLE_INSTRUCTION,
+    REDUCTION_STEPS,
     ModelTier,
     PromptContext,
     RefBlock,
@@ -25,7 +26,7 @@ from repodoc.prompt_engine import (
     render_prompt,
 )
 
-from .helpers import build_repo_graph, context_for, generate_repo
+from .helpers import build_repo_graph, context_for, generate_repo, write_tree
 
 TARGET_LINE = re.compile(r"^\s*\*[^*]", re.MULTILINE)
 
@@ -62,6 +63,18 @@ def test_hierarchy_render_frozen(demo_repo):
     assert (
         render_hierarchy(graph, "a.py/C", include_children=False) == "a.py\n    *C"
     )
+
+
+def test_the_compact_hierarchy_is_the_render_without_the_target_children(demo_repo):
+    write_tree(demo_repo, {"a*b/m.py": "class K:\n    def f(self):\n        return 1\n"})
+    graph = build_repo_graph(demo_repo)
+    compact = dict(REDUCTION_STEPS)["compact hierarchy"]
+    for oid in graph.objects:
+        ctx = context_for(graph, DocStore(), oid, allow_missing=set(graph.objects))
+        reduced = compact(ctx)
+        assert reduced.hierarchy_render == render_hierarchy(graph, oid, include_children=False)
+        assert reduced._replace(hierarchy_render=ctx.hierarchy_render) == ctx
+    assert render_hierarchy(graph, "a*b/m.py/K", include_children=False) == "a*b\n    m.py\n        *K"
 
 
 def test_every_prompt_marks_exactly_one_target(demo_repo):
@@ -152,7 +165,6 @@ def _fat_context(demo_repo) -> PromptContext:
         ),
         child_docs=None,
         doc_language=ctx.doc_language,
-        hierarchy_compact=ctx.hierarchy_compact,
     )
 
 

@@ -5,18 +5,21 @@ that saved version N: ``repodoc generate`` on a fixture repo with the mock
 provider, then ``repodoc eval --json``. It holds that store, its pages and
 the eval output. ``order_store_v2/class_prompt.txt`` is the prompt that
 release sent for class ``K`` of the order repo with child docs enabled.
+``demo_cold_store.json`` is the store a cold ``repodoc generate`` of the
+demo repo wrote at version 4, each ``generated_at`` emptied.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import shutil
 from pathlib import Path
 
 import pytest
 
 from repodoc.cli import main
-from repodoc.doc_pipeline import STORE_VERSION, load_store, save_store
+from repodoc.doc_pipeline import STORE_VERSION, DocRecord, DocStore, load_store, save_store
 from repodoc.errors import CorruptStoreError
 from repodoc.llm_gateway import MockProvider
 from repodoc.source_model import blob_id
@@ -27,6 +30,7 @@ from .helpers import DEMO_FILES, ORDER_FILES, generate_repo, write_tree
 DATA = Path(__file__).parent / "data"
 V1_DIR = DATA / "demo_store_v1"
 V3_DIR = DATA / "demo_store_v3"
+COLD_STORE = DATA / "demo_cold_store.json"
 STORE_REL = ".project_doc_record/project_hierarchy.json"
 RECORD_KEYS = {"text", "source_hash", "model", "generated_at"}
 META_KEYS = {"params", "has_return", "parent_id", "source_hash"}
@@ -251,5 +255,50 @@ def test_version_2_record_with_other_keys_is_refused(tmp_path, record):
     path = tmp_path / "store.json"
     payload = {"version": 2, "records": {"a.py/f": record}, "graph": None}
     path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(CorruptStoreError, match="delete it and rerun generate"):
+        load_store(path)
+
+
+def test_a_cold_generate_writes_the_store_of_the_fixture(demo_repo, capsys):
+    assert run_cli(capsys, "generate", "--repo", demo_repo)[0] == 0
+    raw = (demo_repo / STORE_REL).read_bytes()
+    stamps = re.findall(rb'"generated_at":"([^"]*)"', raw)
+    assert len(stamps) == 5
+    assert all(re.fullmatch(rb"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", s) for s in stamps)
+    masked = re.sub(rb'"generated_at":"[^"]*"', b'"generated_at":""', raw)
+    assert masked == COLD_STORE.read_bytes()
+
+
+STRANGE_STRINGS = [
+    "",
+    "plain",
+    "é ü 中文 😀",
+    'a "quote", a \\ backslash and a \\" pair',
+    "controls \x00\x01\x1f\x7f\t\n\r\x08\x0c",
+    "separators \u2028 \u2029",
+    "a lone \ud800 surrogate",
+]
+
+
+def test_record_lines_are_those_of_a_full_encode(tmp_path):
+    records = {
+        f"m.py/{value}{index}": DocRecord(value, value[::-1], f"m {value}", f"{value} at")
+        for index, value in enumerate(STRANGE_STRINGS)
+    }
+    path = tmp_path / "store.json"
+    save_store(DocStore(records=dict(records)), path)
+    lines = path.read_bytes().split(b"\n")
+    assert lines[0] == b'{"graph":null,"records":{' and lines[-2:] == [b'},"version":4}', b""]
+    encode = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+    assert [line.removesuffix(b",") for line in lines[1:-2]] == [
+        f"{encode(oid)}:{encode(records[oid]._asdict())}".encode("ascii") for oid in sorted(records)
+    ]
+    assert load_store(path).records == records
+
+
+def test_a_record_value_that_is_not_a_string_is_refused(tmp_path):
+    path = tmp_path / "store.json"
+    record = {"text": "t", "source_hash": "h", "model": 4, "generated_at": "g"}
+    path.write_text(json.dumps({"version": 4, "records": {"a.py/f": record}, "graph": None}), encoding="utf-8")
     with pytest.raises(CorruptStoreError, match="delete it and rerun generate"):
         load_store(path)
