@@ -21,13 +21,14 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 from .doc_pipeline import (
     DocStore,
     RunReport,
+    forget_snapshot,
     generate_all,
     load_store,
     record_snapshot,
     save_store,
     snapshot_is_recorded,
 )
-from .errors import LockError, NotAGitRepoError, UsageError
+from .errors import LockError, NotAGitRepoError, StoreWriteError, UsageError
 from .markdown_publisher import write_site
 from .project_graph import RepoGraph, add_snippets, empty_graph, source_graph
 from .source_model import ParseCache, Sources, is_source, source_text
@@ -376,12 +377,12 @@ def run_update(gateway: "Gateway", config: "Config", jobs: int) -> UpdateReport:
     """
     repo_root = config.repo_root
     repo_git = require_git_repo(repo_root)
-    cache = ParseCache(repo_git)
     store_path = repo_root / config.store_path
     with _update_lock(repo_git):
         staged = staged_changes(repo_root, config.ignore)
         if not staged:
             return UpdateReport(staged=staged)
+        cache = ParseCache(repo_git)
 
         store = load_store(store_path, repo_git)
         reuse = snapshot_is_recorded(store, repo_git)
@@ -423,31 +424,36 @@ def persist(
     """Save the store to ``store_path`` when it changed, write its pages to
     ``doc_dir``, and only then record the store's digest in ``repo_git``, so
     that a recorded digest also vouches for the pages. Returns the pages
-    written.
+    written. A page that cannot be written is a ``StoreWriteError``, and
+    leaves no digest recorded.
 
     Store first: if saving fails, no page has changed. The save and the
     first page written remove the digest, so a run that stops between
     leaves none and the next one rewrites every stale page. ``reuse`` tells
     that the digest recorded before the run was the loaded store's; then
-    only the pages of what the run changed are compiled. Without it, every
-    page is compiled, and when the store is still exactly the file loaded
-    (``DocStore.matches_file``), it is saved anyway in a Git repository, so
-    that the digest recorded there is of bytes ``save_store`` wrote. That
-    holds also when the graph this run built differs from the snapshot only
-    in blob ids and parse errors: the store keeps the snapshot as loaded,
-    and the next run parses each file whose blob is not the snapshot's, as
-    after a fast-path run with such a change. Without ``store_path``, as for
-    ``publish``, the store is not saved, no graph was built, and every page
-    is compiled.
+    only the pages of what the run changed (``DocStore.edited``) are
+    compiled. Without it, every page is compiled, and when the store is
+    still the file loaded (unchanged, with the digest of that file), it is
+    saved anyway in a Git repository, so that the digest recorded there is
+    of bytes ``save_store`` wrote. That holds also when the graph this run
+    built differs from the snapshot only in blob ids and parse errors: the
+    store keeps the snapshot as loaded, and the next run parses each file
+    whose blob is not the snapshot's, as after a fast-path run with such a
+    change. Without ``store_path``, as for ``publish``, the store is not
+    saved, no graph was built, and every page is compiled.
     """
-    current = repo_git is not None and not reuse and store.matches_file()
+    current = (
+        repo_git is not None and not reuse and not store.changed and store.digest is not None
+    )
     saved = store_path is not None and (store.changed or current)
-    changed = None
-    if store_path is not None and reuse and store.file is not None:
-        changed = store.file.edited()
     if saved:
         save_store(store, store_path, repo_git)
-    pages = write_site(graph, store, doc_dir, changed, repo_git)
+    changed = store.edited if store_path is not None and reuse else None
+    try:
+        pages = write_site(graph, store, doc_dir, changed, repo_git)
+    except OSError as exc:
+        forget_snapshot(repo_git)
+        raise StoreWriteError(f"cannot write pages to {doc_dir}: {exc}") from exc
     if saved or (reuse and pages):
         record_snapshot(store, repo_git)
     return pages

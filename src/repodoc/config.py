@@ -161,6 +161,8 @@ def load_config(repo_root: str | Path, path: str | Path | None = None) -> Config
         raise ConfigError(
             f"{config_path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {config_path}: {exc}") from exc
     _require(isinstance(raw, dict), f"{config_path}: top level must be an object")
     unknown = set(raw) - _TOP_KEYS
     _require(not unknown, f"{config_path}: unknown keys: {', '.join(sorted(unknown))}")

@@ -14,14 +14,13 @@ import heapq
 import itertools
 import json
 import logging
-import os
 import re
 import time
-from collections.abc import MutableMapping
+from collections.abc import Mapping, MutableMapping
 from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from .errors import CorruptStoreError, OverBudgetError, ProviderError, StoreWriteError
 from .project_graph import (
@@ -29,6 +28,7 @@ from .project_graph import (
     FILE,
     REPO,
     ROOT_ID,
+    Overlay,
     ReferenceEdge,
     RepoGraph,
     TreeNode,
@@ -267,47 +267,23 @@ def _new_digest():
     return hashlib.sha256(f"{parser_identity()} {STORE_VERSION}\n".encode("utf-8"))
 
 
-class StoreFile:
-    """The file a store was loaded from or last saved to, as ``save_store``
-    copies lines from it: its (device, inode, size, mtime), the keys of its
-    node and record lines in order, its numbers of kept and removed edge
-    lines, and what in memory no longer matches it. ``generate_all`` notes
-    the records it writes, the graph nodes whose entry changes, and whether
-    the kept or removed edges change."""
-
-    def __init__(self, stat, node_ids, record_ids, edge_counts, edited_edges=False) -> None:
-        self.stat: tuple[int, int, int, int] = stat
-        self.node_ids: list[str] = node_ids
-        self.record_ids: list[str] = record_ids
-        self.edge_counts: tuple[int, int] = edge_counts
-        self.edited_records: set[str] = set()
-        self.edited_nodes: set[str] = set()
-        self.edited_edges: bool = edited_edges
-
-    def edited(self) -> set[str]:
-        """The ids of the records and nodes that no longer match the file."""
-        return self.edited_records | self.edited_nodes
-
-
 class DocStore:
-    """All doc records plus the graph snapshot of the last completed run."""
+    """All doc records plus the graph snapshot of the last completed run.
 
-    def __init__(self, records=None, graph_snapshot=None, changed=False, digest=None, file=None):
+    A store that ``load_store`` decoded lazily holds each node and record
+    that the run has neither decoded nor set as its store line;
+    ``save_store`` writes such a line as it is, unless a graph overlaid on
+    the snapshot gives the node a value of its own."""
+
+    def __init__(self, records=None, graph_snapshot=None, changed=False, digest=None):
         self.records: MutableMapping[str, DocRecord] = {} if records is None else records
         self.graph_snapshot: RepoGraph | None = graph_snapshot
         self.changed = changed  # set once it differs from the file it was loaded from
         # the SHA-256 over the parser_identity, the store version and the bytes
         # of the file it was loaded from or last saved to
         self.digest: str | None = digest
-        # that file, when it holds a graph and the current version
-        self.file: StoreFile | None = file
-
-    def matches_file(self) -> bool:
-        """Whether the store is exactly the file it was loaded from or last
-        saved to: no record written or dropped, and no node or edge that
-        differs, blob ids and parse errors included."""
-        file = self.file
-        return file is not None and not self.changed and not file.edited() and not file.edited_edges
+        # the ids of the records and graph nodes that generate_all changed
+        self.edited: set[str] = set()
 
     def to_dict(self) -> dict:
         return {
@@ -315,14 +291,6 @@ class DocStore:
             "records": {oid: self.records[oid]._asdict() for oid in sorted(self.records)},
             "graph": self.graph_snapshot.to_dict() if self.graph_snapshot else None,
         }
-
-
-class _StaleFile(Exception):
-    """The file to copy store lines from is not laid out as noted."""
-
-
-def _file_stat(st: os.stat_result) -> tuple[int, int, int, int]:
-    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
 
 
 def _section(opener: bytes, chunks: Iterator[bytes], closer: bytes) -> Iterator[bytes]:
@@ -337,190 +305,95 @@ def _section(opener: bytes, chunks: Iterator[bytes], closer: bytes) -> Iterator[
     yield previous + closer
 
 
-def _encoded(keys: Iterable, encode: Callable[..., bytes]) -> Iterator[bytes]:
-    """The encoded member lines of ``keys``, in chunks."""
+def _chunks(keys: Iterable, line: Callable[..., str]) -> Iterator[bytes]:
+    """The member lines ``line`` gives for ``keys``, each ending in a comma,
+    in chunks."""
     keys = iter(keys)
     while batch := list(itertools.islice(keys, _BLOCK_LINES)):
-        yield b",\n".join(map(encode, batch)) + b",\n"
+        yield ("\n".join(map(line, batch)) + "\n").encode("ascii")
 
 
-def _copied(lines: Iterator[bytes], count: int) -> Iterator[bytes]:
-    """The next ``count`` member lines of ``lines``, in chunks; a section's
-    last line gets the comma the others have."""
-    while count > 0:
-        chunk = b"".join(itertools.islice(lines, min(count, _BLOCK_LINES)))
-        count -= _BLOCK_LINES
-        yield chunk if chunk.endswith(b",\n") else chunk[:-1] + b",\n"
+def _held_line(entries: Mapping, key: str) -> str | None:
+    """The store line, ending in a comma, that ``entries`` still hold for
+    ``key`` as loaded: None once the entry was decoded or set, or when an
+    ``Overlay`` over them gives it a value of its own."""
+    while type(entries) is Overlay:
+        if key in entries.changes:
+            return None
+        entries = entries.base
+    line = entries.held.get(key) if type(entries) is LazyEntries else None
+    if type(line) is not str:
+        return None
+    return line if line.endswith(",") else line + ","
 
 
-def _skip(lines: Iterator[bytes], count: int) -> None:
-    for _ in itertools.islice(lines, count):
-        pass
+def _edge_line(edge: ReferenceEdge) -> str:
+    # the fields in the sorted order that _encode gives them
+    return f'{{"callee":{_escape(edge.callee)},"caller":{_escape(edge.caller)}}},'
 
 
-def _keyed(
-    lines: Iterator[bytes],
-    old_keys: list[str],
-    keys: list[str],
-    edited: set[str],
-    encode: Callable[[str], bytes],
-) -> Iterator[bytes]:
-    """The member lines of sorted ``keys``, in chunks. Each key's line is
-    copied from ``lines``, the sorted section whose keys are ``old_keys``,
-    unless the key is ``edited`` or not there; then it is encoded."""
-    old = iter(old_keys)
-    old_key = next(old, None)
-    run = 0  # old lines to copy next
-    fresh: list[str] = []  # keys to encode next
-    for key in keys:
-        while old_key is not None and old_key < key:  # an entry dropped since
-            if run:
-                yield from _copied(lines, run)
-                run = 0
-            _skip(lines, 1)
-            old_key = next(old, None)
-        if old_key == key and key not in edited:
-            if fresh:
-                yield from _encoded(fresh, encode)
-                fresh = []
-            run += 1
-        else:
-            if run:
-                yield from _copied(lines, run)
-                run = 0
-            fresh.append(key)
-            if old_key == key:
-                _skip(lines, 1)
-        if old_key == key:
-            old_key = next(old, None)
-    yield from _copied(lines, run)
-    yield from _encoded(fresh, encode)
-    if old_key is not None:
-        _skip(lines, 1 + sum(1 for _ in old))
-
-
-def _store_blocks(
-    store: DocStore,
-    node_ids: list[str],
-    record_ids: list[str],
-    old: BinaryIO | None = None,
-) -> Iterator[bytes]:
+def _store_blocks(store: DocStore) -> Iterator[bytes]:
     """The bytes of ``store.to_dict()``: compact JSON with sorted keys, one
     line per record, node and edge, and a final newline, in blocks of lines.
-    ``node_ids`` and ``record_ids`` are the sorted keys. Neither the text
-    nor the dict is held whole.
-
-    ``old``, open at its start, is the file ``store.file`` notes, as this
-    function wrote it. Each record and node line that ``store.file`` does
-    not name as edited, and each edge line when the edges are unchanged, is
-    then copied from it instead of encoded. Raises ``_StaleFile`` when the
-    file is not laid out as noted."""
+    Neither the text nor the dict is held whole. A node or record still held
+    as its store line is written as that line, the bytes its encode gives."""
     graph = store.graph_snapshot
-    carry = old is not None and graph is not None and store.file is not None
-    lines: Iterator[bytes] = iter(old) if carry else iter(())
-    # without a file to carry lines from, as if from an empty one
-    base = store.file if carry else StoreFile((0, 0, 0, 0), [], [], (0, 0), edited_edges=True)
 
-    def expect(line: bytes) -> None:
-        if carry and next(lines, None) != line:
-            raise _StaleFile(line)
+    def node_line(node_id: str) -> str:
+        # A node's line holds its object too, which changes only with it:
+        # build_graph overlays both for each rebuilt id, and add_snippets
+        # gives objects only the snippets that the store leaves out.
+        line = _held_line(graph.nodes, node_id)
+        if line is None:
+            return f"{_escape(node_id)}:{_encode(graph.node_entry(node_id))},"
+        return line
 
-    def edge_chunks(edges: list[ReferenceEdge], count: int) -> Iterator[bytes]:
-        if not base.edited_edges:
-            return _copied(lines, count)
-        _skip(lines, count)
-        return _encoded(edges, lambda e: _encode(e._asdict()).encode("ascii"))
-
-    def node_line(node_id: str) -> bytes:
-        return f"{_escape(node_id)}:{_encode(graph.node_entry(node_id))}".encode("ascii")
-
-    def record_line(oid: str) -> bytes:
-        # the fields in the sorted order that _encode gives them
-        text, source_hash, model, generated_at = store.records[oid]
-        return (
-            f'{_escape(oid)}:{{"generated_at":{_escape(generated_at)},"model":{_escape(model)},'
-            f'"source_hash":{_escape(source_hash)},"text":{_escape(text)}}}'
-        ).encode("ascii")
+    def record_line(oid: str) -> str:
+        line = _held_line(store.records, oid)
+        if line is None:
+            text, source_hash, model, generated_at = store.records[oid]
+            return (
+                f'{_escape(oid)}:{{"generated_at":{_escape(generated_at)},"model":{_escape(model)},'
+                f'"source_hash":{_escape(source_hash)},"text":{_escape(text)}}},'
+            )
+        return line
 
     if graph is None:
         yield b'{"graph":null'
     else:
-        kept_lines, removed_lines = base.edge_counts
-        expect(b'{"graph":{"edges":[\n')
         yield b'{"graph":{"edges":'
-        yield from _section(b"[", edge_chunks(graph.edges, kept_lines), b"]")
-        expect(b'],"nodes":{\n')
+        yield from _section(b"[", _chunks(graph.edges, _edge_line), b"]")
         yield b',"nodes":'
-        nodes = _keyed(lines, base.node_ids, node_ids, base.edited_nodes, node_line)
-        yield from _section(b"{", nodes, b"}")
-        expect(b'},"removed_edges":[\n')
+        yield from _section(b"{", _chunks(sorted(graph.nodes), node_line), b"}")
         yield b',"removed_edges":'
-        yield from _section(b"[", edge_chunks(graph.removed_edges, removed_lines), b"]}")
-        expect(b']},"records":{\n')
+        yield from _section(b"[", _chunks(graph.removed_edges, _edge_line), b"]}")
     yield b',"records":'
-    records = _keyed(lines, base.record_ids, record_ids, base.edited_records, record_line)
-    yield from _section(b"{", records, b"}")
-    expect(b'},"version":%d}\n' % STORE_VERSION)
+    yield from _section(b"{", _chunks(sorted(store.records), record_line), b"}")
     yield b',"version":%d}\n' % STORE_VERSION
 
 
 def save_store(store: DocStore, path: str | Path, git_dir: Path | None = None) -> None:
     """Write the store atomically with ``write_atomically``, one line per
-    record, node and edge (``_store_blocks``), and note the new file in
-    ``store.digest`` and ``store.file``.
-
-    Given the repository's ``git_dir``, first remove the digest recorded
-    there, so that no run trusts the store until ``record_snapshot``
-    records it again, once the pages are written too. When that digest was
-    the one of the file being replaced, and the file is still the one
-    ``store.file`` notes, the lines of the entries that did not change are
-    copied from it. The bytes are those of a full encode either way."""
+    record, node and edge (``_store_blocks``), and note the digest of the
+    new file in ``store.digest``. Given the repository's ``git_dir``, first
+    remove the digest recorded there, so that no run trusts the store until
+    ``record_snapshot`` records it again, once the pages are written too.
+    No file is read: the lines of the entries the run left are held."""
     path = Path(path)
-    graph = store.graph_snapshot
-    node_ids = sorted(graph.nodes) if graph is not None else []
-    record_ids = sorted(store.records)
-    with contextlib.ExitStack() as stack:
-        old = None
-        if store.file is not None and snapshot_is_recorded(store, git_dir):
-            with contextlib.suppress(OSError):
-                old = stack.enter_context(path.open("rb"))
-                if _file_stat(os.fstat(old.fileno())) != store.file.stat:
-                    old = None
-        forget_snapshot(git_dir)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            try:
-                digest = _write_store(store, path, node_ids, record_ids, old)
-            except _StaleFile:
-                logger.info("doc store %s changed since it was read; encoding it whole", path)
-                digest = _write_store(store, path, node_ids, record_ids, None)
-            stat = _file_stat(path.stat())
-        except OSError as exc:
-            raise StoreWriteError(f"cannot write doc store {path}: {exc}") from exc
-    store.digest = digest
-    store.file = None
-    if graph is not None:
-        edge_counts = (len(graph.edges), len(graph.removed_edges))
-        store.file = StoreFile(stat, node_ids, record_ids, edge_counts)
-
-
-def _write_store(
-    store: DocStore,
-    path: Path,
-    node_ids: list[str],
-    record_ids: list[str],
-    old: BinaryIO | None,
-) -> str:
-    """Write the store's blocks to ``path``; returns their digest."""
+    forget_snapshot(git_dir)
     digest = _new_digest()
 
     def blocks() -> Iterator[bytes]:
-        for block in _store_blocks(store, node_ids, record_ids, old):
+        for block in _store_blocks(store):
             digest.update(block)
             yield block
 
-    write_atomically(path, blocks())
-    return digest.hexdigest()
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write_atomically(path, blocks())
+    except OSError as exc:
+        raise StoreWriteError(f"cannot write doc store {path}: {exc}") from exc
+    store.digest = digest.hexdigest()
 
 
 def forget_snapshot(git_dir: Path | None) -> None:
@@ -641,11 +514,12 @@ _SECTION_LINES = (
 )
 
 
-def _lazy_store(raw: bytes, stat: tuple[int, int, int, int]) -> DocStore | None:
+def _lazy_store(raw: bytes) -> DocStore | None:
     """The store of ``raw``, bytes that ``save_store`` wrote, or None when
     it holds no graph. Only the edges and the root, directory and file
     nodes are decoded; every other node and every record is held as its
-    line and decoded on first read, so a run decodes the entries it reads."""
+    line and decoded on first read, so a run decodes the entries it reads,
+    and a save writes each line the run did not set as it is."""
     lines = raw.decode("utf-8").split("\n")
     if lines[0] != _SECTION_LINES[0]:
         return None
@@ -686,12 +560,12 @@ def _lazy_store(raw: bytes, stat: tuple[int, int, int, int]) -> DocStore | None:
         removed_edges=removed,
         files=sorted(oid for oid, node in tree.items() if node.node_kind == FILE),
     )
-    file = StoreFile(stat, list(node_items), list(records), (len(edges), len(removed)))
-    return DocStore(records=records, graph_snapshot=graph, file=file)
+    return DocStore(records=records, graph_snapshot=graph)
 
 
 def load_store(path: str | Path, git_dir: Path | None = None) -> DocStore:
-    """Load the store; a missing file is an empty store, a broken one an error.
+    """Load the store; a missing file is an empty store, and one that cannot
+    be read or decoded a ``CorruptStoreError``.
 
     Stores of versions 1 to 3 are migrated in memory; the next save writes
     the current version. The digest of the file's bytes is taken as they
@@ -702,16 +576,16 @@ def load_store(path: str | Path, git_dir: Path | None = None) -> DocStore:
     """
     path = Path(path)
     try:
-        with path.open("rb") as handle:
-            stat = _file_stat(os.fstat(handle.fileno()))
-            raw = handle.read()
+        raw = path.read_bytes()
     except FileNotFoundError:
         return DocStore()
+    except OSError as exc:
+        raise CorruptStoreError(f"cannot read doc store {path}: {exc}") from exc
     digest = _new_digest()
     digest.update(raw)
     if _digest_recorded(digest.hexdigest(), git_dir):
         try:
-            store = _lazy_store(raw, stat)
+            store = _lazy_store(raw)
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise CorruptStoreError(
                 f"doc store {path} is unreadable ({exc}); delete it and rerun generate to rebuild"
@@ -744,16 +618,11 @@ def load_store(path: str | Path, git_dir: Path | None = None) -> DocStore:
         raise CorruptStoreError(
             f"doc store {path} is unreadable ({exc}); delete it and rerun generate to rebuild"
         ) from exc
-    file = None
-    if version == STORE_VERSION and graph is not None:
-        edge_counts = (len(graph.edges), len(graph.removed_edges))
-        file = StoreFile(stat, list(graph_data["nodes"]), list(records), edge_counts)
     return DocStore(
         records=records,
         graph_snapshot=graph,
         changed=version != STORE_VERSION,
         digest=digest.hexdigest(),
-        file=file,
     )
 
 
@@ -933,8 +802,10 @@ def generate_all(
     The records of objects the graph no longer holds are dropped. The store
     is marked changed when a doc was recorded or dropped, or when the graph
     differs from the old snapshot in more than its files' blob ids and parse
-    errors; the graph then becomes the store's snapshot. An unchanged store
-    keeps the snapshot it was loaded with, so it still matches its file.
+    errors; the graph then becomes the store's snapshot, and the ids of the
+    records written and of the nodes that changed join ``store.edited``. An
+    unchanged store keeps the snapshot it was loaded with, so it still
+    matches its file.
     """
     objects = graph.objects
     pending = {
@@ -1009,14 +880,7 @@ def generate_all(
     )
     if not store.changed:
         return report
-    if store.file is not None:
-        store.file.edited_records.update(report.generated)
-        store.file.edited_nodes |= changed_nodes
-        store.file.edited_edges = (
-            store.file.edited_edges
-            or old is None
-            or graph.edges != old.edges
-            or graph.removed_edges != old.removed_edges
-        )
+    store.edited.update(report.generated)
+    store.edited |= changed_nodes
     store.graph_snapshot = graph
     return report

@@ -44,8 +44,8 @@ class ProviderError(RepodocError):
 
 
 class CorruptStoreError(RepodocError):
-    """The persisted doc store cannot be decoded."""
+    """The persisted doc store cannot be read or decoded."""
 
 
 class StoreWriteError(RepodocError):
-    """The doc store could not be written to disk."""
+    """The doc store or its pages could not be written to disk."""

@@ -33,7 +33,7 @@ from repodoc.cli import main
 from repodoc.config import load_config
 from repodoc.errors import LockError, NotAGitRepoError, StoreWriteError, UsageError
 from repodoc.llm_gateway import Gateway
-from repodoc.source_model import blob_id, scan_repository
+from repodoc.source_model import PARSE_CACHE_NAME, ParseCache, blob_id, scan_repository
 
 from .conftest import git
 from .helpers import (
@@ -543,6 +543,21 @@ def test_run_update_without_staged_changes(git_demo_repo):
         "Passed: documentation in sync (no staged Python changes)"
     )
     assert not (git_demo_repo / config.store_path).exists()
+
+
+def test_an_update_with_nothing_staged_reads_no_parse_cache(git_demo_repo, monkeypatch):
+    git(git_demo_repo, "add", "-A")
+    git(git_demo_repo, "commit", "-qm", "seed")
+    config = load_config(git_demo_repo)
+    loads = []
+    monkeypatch.setattr(ParseCache, "_load", lambda cache, path: loads.append(path))
+    assert not run_update(make_gateway(), config, 1).staged
+    assert loads == []
+    # the cache is read once something is staged
+    (git_demo_repo / "a.py").write_text(DEMO_FILES["a.py"] + "\n# edited\n", encoding="utf-8")
+    git(git_demo_repo, "add", "a.py")
+    assert run_update(make_gateway(), config, 1).ok
+    assert loads == [git_demo_repo / ".git" / PARSE_CACHE_NAME]
 
 
 def run_full_update(repo, gateway=None):

@@ -11,6 +11,7 @@ import pytest
 
 from repodoc.change_tracker import LOCK_NAME, _update_lock
 from repodoc.cli import main
+from repodoc.doc_pipeline import SNAPSHOT_DIGEST_NAME
 from repodoc.llm_gateway import Gateway
 
 from .conftest import git
@@ -486,3 +487,53 @@ def test_a_missing_api_key_fails_before_the_lock_and_writes_nothing(
         "set the REPODOC_API_KEY environment variable\n"
     )
     assert files() == before
+
+
+def _one_error_line(err: str) -> str:
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+def test_a_config_file_that_is_not_utf8_exits_1(demo_repo, capsys):
+    config = demo_repo / ".repodoc.json"
+    config.write_bytes(b'{"doc_dir": "caf\xe9"}')
+    code, _, err = run_cli("generate", "--repo", demo_repo, capsys=capsys)
+    assert code == 1
+    assert f"cannot read config file {config}" in _one_error_line(err)
+    assert not (demo_repo / STORE_REL).exists()
+
+
+def test_a_config_file_that_is_a_directory_exits_1(demo_repo, capsys):
+    config = demo_repo / ".repodoc.json"
+    config.mkdir()
+    code, _, err = run_cli("generate", "--repo", demo_repo, capsys=capsys)
+    assert code == 1
+    assert f"cannot read config file {config}" in _one_error_line(err)
+    assert not (demo_repo / STORE_REL).exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "update", "publish"])
+def test_a_store_path_that_is_a_directory_exits_1(git_demo_repo, capsys, command):
+    store = git_demo_repo / STORE_REL
+    store.mkdir(parents=True)
+    git(git_demo_repo, "add", "-A")
+    code, _, err = run_cli(command, "--repo", git_demo_repo, capsys=capsys)
+    assert code == 1
+    assert f"cannot read doc store {store}" in _one_error_line(err)
+    assert not (git_demo_repo / "markdown_docs").exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "update", "publish"])
+def test_a_doc_dir_that_is_a_file_exits_1_and_leaves_no_digest(git_demo_repo, capsys, command):
+    git(git_demo_repo, "add", "-A")
+    assert run_cli("update", "--repo", git_demo_repo, capsys=capsys)[0] == 0
+    digest = git_demo_repo / ".git" / SNAPSHOT_DIGEST_NAME
+    assert digest.exists()
+    doc_dir = git_demo_repo / "markdown_docs"
+    shutil.rmtree(doc_dir)
+    doc_dir.write_text("not a directory\n", encoding="utf-8")
+    code, _, err = run_cli(command, "--repo", git_demo_repo, capsys=capsys)
+    assert code == 1
+    assert f"cannot write pages to {doc_dir}" in _one_error_line(err)
+    assert not digest.exists()
+    assert doc_dir.read_text(encoding="utf-8") == "not a directory\n"

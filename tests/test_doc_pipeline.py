@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import builtins
+import io
 import json
 import logging
 import os
@@ -13,22 +15,23 @@ import pytest
 from repodoc.doc_pipeline import (
     SNAPSHOT_DIGEST_NAME,
     DocStore,
+    LazyEntries,
     generate_all,
     load_store,
     parse_doc,
     record_from_parsed,
     record_snapshot,
     save_store,
-    snapshot_is_recorded,
 )
 from repodoc.config import load_config
 from repodoc.errors import CorruptStoreError
 from repodoc.llm_gateway import Gateway, MockProvider
-from repodoc.project_graph import topological_order
+from repodoc.project_graph import Overlay, RepoGraph, build_tree, topological_order
 from repodoc.prompt_engine import CHILD_DOCS_INTRO
-from repodoc.source_model import CodeObject
+from repodoc.source_model import CodeObject, parse_file
 
 from .helpers import (
+    DEMO_FILES,
     DEMO_TOPO_ORDER,
     CapturingProvider,
     FailingProvider,
@@ -327,56 +330,107 @@ def test_store_roundtrip_and_byte_stability(tmp_path, demo_repo):
 
 
 def _carrying_store(tmp_path, demo_repo):
-    """A saved store, loaded again with its digest recorded in a git
-    directory, so that the next save copies its unchanged lines."""
+    """A saved store, loaded again lazily with its digest recorded in a git
+    directory, so that it holds each entry it has not decoded as its line."""
     _, store, _, _ = generate_repo(demo_repo)
     path, git_dir = tmp_path / "store.json", tmp_path / "git"
     git_dir.mkdir()
     save_store(store, path, git_dir)
     record_snapshot(store, git_dir)
-    loaded = load_store(path)
-    assert snapshot_is_recorded(loaded, git_dir)
+    loaded = load_store(path, git_dir)
+    assert isinstance(loaded.records, LazyEntries)
     return loaded, path, git_dir
 
 
-def test_save_store_copies_unchanged_lines_and_writes_a_full_encode(tmp_path, demo_repo, caplog):
-    caplog.set_level(logging.INFO, logger="repodoc.doc_pipeline")
+def _saved_whole(store, path) -> bytes:
+    """The bytes of a save that encodes every entry: the store's records and
+    graph, decoded into plain mappings."""
+    graph = RepoGraph.from_dict(store.graph_snapshot.to_dict())
+    save_store(DocStore(dict(store.records.items()), graph), path)
+    return path.read_bytes()
+
+
+def test_save_store_copies_unchanged_lines_and_writes_a_full_encode(tmp_path, demo_repo):
     store, path, git_dir = _carrying_store(tmp_path, demo_repo)
     full = tmp_path / "full.json"
     record = store.records["a.py/f"]
     store.records["a.py/f"] = record._replace(text=record.text + " Edited.")
-    # noted as edited: the changed record, and an id that is no record at all
-    store.file.edited_records.update({"a.py/f", "a.py/gone"})
     save_store(store, path, git_dir)
     assert not (git_dir / SNAPSHOT_DIGEST_NAME).exists()  # until the pages are written
-    save_store(store, full)
-    assert path.read_bytes() == full.read_bytes()
+    assert b" Edited." in path.read_bytes()
+    assert path.read_bytes() == _saved_whole(store, full)
     assert store.digest == load_store(path).digest
 
-    # dropped records, one before others and the last, with the file saved
-    # first as the one to copy from
-    store = load_store(path)
+    # the first and the last record dropped, from the store saved above
     record_snapshot(store, git_dir)
-    store.records.pop("a.py/C/m")
-    store.records.pop("util/b.py/h")
+    store = load_store(path, git_dir)
+    record_ids = sorted(store.records)
+    del store.records[record_ids[0]]
+    del store.records[record_ids[-1]]
     save_store(store, path, git_dir)
-    save_store(store, full)
-    assert path.read_bytes() == full.read_bytes()
-    # both carrying saves copied lines, neither fell back to a full encode
-    assert "encoding it whole" not in caplog.text
+    assert sorted(load_store(path).records) == record_ids[1:-1]
+    assert path.read_bytes() == _saved_whole(store, full)
 
 
-def test_save_store_encodes_whole_a_file_that_is_not_laid_out_as_noted(tmp_path, demo_repo):
+def test_save_store_encodes_each_node_an_overlay_changes(tmp_path, demo_repo):
     store, path, git_dir = _carrying_store(tmp_path, demo_repo)
+    snapshot = store.graph_snapshot
+    # f given a parameter over the snapshot, which still holds its old line
+    parse = parse_file("a.py", DEMO_FILES["a.py"].replace("def f():", "def f(y=0):"))
+    (f,) = [obj for obj in parse.objects if obj.name == "f"]
+    store.graph_snapshot = RepoGraph(
+        nodes=Overlay(snapshot.nodes, {f.id: build_tree(["a.py"], [parse])[f.id]}),
+        objects=Overlay(snapshot.objects, {f.id: f}),
+        edges=snapshot.edges,
+        removed_edges=snapshot.removed_edges,
+        files=snapshot.files,
+    )
+    assert type(snapshot.nodes.held[f.id]) is str
+    save_store(store, path, git_dir)
+    assert b'"params":["y"]' in path.read_bytes()
+    assert path.read_bytes() == _saved_whole(store, tmp_path / "full.json")
+
+
+def test_a_store_file_replaced_after_load_does_not_change_what_the_save_writes(
+    tmp_path, demo_repo
+):
+    store, path, git_dir = _carrying_store(tmp_path, demo_repo)
+    loaded = path.read_bytes()
     before = path.stat()
     # the same size and modification time, one section misnamed
-    path.write_bytes(path.read_bytes().replace(b'],"nodes":{', b'],"nodez":{'))
+    path.write_bytes(loaded.replace(b'],"nodes":{', b'],"nodez":{'))
     os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
-    store.file.edited_records.add("a.py/f")
     save_store(store, path, git_dir)
-    full = tmp_path / "full.json"
-    save_store(store, full)
-    assert path.read_bytes() == full.read_bytes()
+    assert path.read_bytes() == loaded
+    path.write_bytes(b"{}")
+    save_store(store, path, git_dir)
+    assert path.read_bytes() == loaded
+
+
+def test_save_store_of_a_lazy_store_opens_only_its_temp_file_and_decodes_nothing(
+    tmp_path, demo_repo, monkeypatch
+):
+    store, path, git_dir = _carrying_store(tmp_path, demo_repo)
+    graph = store.graph_snapshot
+    held = [dict(entries.held) for entries in (store.records, graph.nodes, graph.objects)]
+    assert all(type(line) is str for line in held[0].values())
+    assert all(type(line) is str for line in held[2].values())
+    loaded, opened = path.read_bytes(), []
+    for owner in (os, io, builtins):
+        real = owner.open
+
+        def recording(file, *args, real=real, **kwargs):
+            if not isinstance(file, int):  # a descriptor is one opened already
+                opened.append(os.fspath(file))
+            return real(file, *args, **kwargs)
+
+        monkeypatch.setattr(owner, "open", recording)
+    save_store(store, path, git_dir)
+    monkeypatch.undo()
+    assert len(opened) == 1 and os.path.basename(opened[0]).startswith(".tmp-repodoc-")
+    assert path.read_bytes() == loaded
+    # each entry is still held as the line loaded
+    assert [entries.held for entries in (store.records, graph.nodes, graph.objects)] == held
 
 
 def test_save_store_streams_one_value_per_line(tmp_path):
