@@ -18,6 +18,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
+from .config import build_gateway
 from .doc_pipeline import (
     DocStore,
     RunReport,
@@ -366,11 +367,14 @@ class UpdateReport:
         }
 
 
-def run_update(gateway: "Gateway", config: "Config", jobs: int) -> UpdateReport:
+def run_update(gateway: "Gateway | None", config: "Config", jobs: int) -> UpdateReport:
     """Regenerate docs for staged changes and stage the results.
 
     The graph of the index is built by ``source_graph``, which takes the
     files whose staged blob is the recorded snapshot's from that snapshot.
+    Without ``gateway``, one is built from ``config`` once the plan
+    regenerates an object, so a commit that regenerates nothing needs no
+    API key.
     Nothing is written to the store or the pages unless every planned object
     regenerates successfully, so a failed update leaves the repository
     exactly as it was and the commit can be retried.
@@ -392,6 +396,8 @@ def run_update(gateway: "Gateway", config: "Config", jobs: int) -> UpdateReport:
         try:
             graph, taken = source_graph(sources, cache, store.graph_snapshot, reuse=reuse)
             plan = plan_updates(diff_objects(store.graph_snapshot or empty_graph(), graph))
+            if gateway is None and plan.regenerate:
+                gateway = build_gateway(config)
             add_snippets(graph, sources, cache, taken, plan.regenerate_ids)
         finally:
             sources.close()

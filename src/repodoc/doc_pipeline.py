@@ -22,7 +22,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
-from .errors import CorruptStoreError, OverBudgetError, ProviderError, StoreWriteError
+from .errors import CorruptStoreError, InternalError, OverBudgetError, ProviderError, StoreWriteError
 from .project_graph import (
     DIR,
     FILE,
@@ -33,7 +33,6 @@ from .project_graph import (
     RepoGraph,
     TreeNode,
     prerequisites,
-    topological_order,
     tree_node,
 )
 from .source_model import CLASS, CodeObject, parser_identity, write_atomically
@@ -70,7 +69,8 @@ def _compiled() -> tuple[re.Pattern, re.Pattern]:
     global _patterns
     if _patterns is None:
         _patterns = (
-            re.compile(r"^\*\*(.+?)\*\*[ \t]*:[ \t]*(.*)$", re.MULTILINE),
+            # a header line, whole, with its label and inline text
+            re.compile(r"^(\*\*(.+?)\*\*[ \t]*:[ \t]*(.*))$", re.MULTILINE),
             re.compile(r"-[ \t]*`([^`]+)`[ \t]*:[ \t]*(.*)$"),
         )
     return _patterns
@@ -101,15 +101,16 @@ def parse_doc(text: str, kind: str, has_return: bool, name: str = "") -> ParsedD
     """
     header, bullet = _compiled()
     parsed = ParsedDoc()
-    matches = list(header.finditer(text))
+    # the text before the first header, then per header its line, label, inline
+    # text and the text below up to the next header, empty or opening with "\n"
+    pieces = header.split(text)
     seen: set[str] = set()
-    for index, match in enumerate(matches):
-        end = matches[index + 1].start() if index + 1 < len(matches) else len(text)
-        label, inline = match.group(1).strip(), match.group(2)
-        full = text[match.start() : end].rstrip()  # the header line and the lines below
+    for index in range(len(pieces) // 4):
+        line, label, inline, below = pieces[4 * index + 1 : 4 * index + 5]
+        label = label.strip()
         canonical = _FIXED_LABELS.get(label.lower())
         if index == 0 and (canonical is None or label == name):
-            parsed.name_header = full
+            parsed.name_header = (line + below).rstrip()
             seen.add("name")
             continue
         if canonical is None or canonical in seen:
@@ -120,11 +121,11 @@ def parse_doc(text: str, kind: str, has_return: bool, name: str = "") -> ParsedD
                 parsed.extra.append(label)
                 continue
             parsed.param_label = canonical
-            parsed.param_tail, parsed.params = _parse_param_section(bullet, inline, full)
+            parsed.param_tail, parsed.params = _parse_param_section(bullet, inline, below)
             seen.add(canonical)
             continue
         seen.add(canonical)
-        inline, body = inline.strip(), full.partition("\n")[2]
+        inline, body = inline.strip(), below.rstrip()[1:]
         content = f"{inline}\n{body}".strip() if inline else body.strip()
         if canonical == "Code Description":
             parsed.code_description = content
@@ -152,11 +153,11 @@ def parse_doc(text: str, kind: str, has_return: bool, name: str = "") -> ParsedD
 
 
 def _parse_param_section(
-    bullet: re.Pattern, inline: str, full: str
+    bullet: re.Pattern, inline: str, below: str
 ) -> tuple[str, list[tuple[str, str]]]:
     tail_parts = [inline.strip()] if inline.strip() else []
     params: list[tuple[str, str]] = []
-    for line in full.split("\n")[1:]:
+    for line in below.split("\n")[1:]:
         line = line.strip()
         if not line:
             continue
@@ -257,8 +258,8 @@ SNAPSHOT_DIGEST_NAME = "repodoc-snapshot-digest"
 # member lines of the store file joined into one block before it is written
 _BLOCK_LINES = 128
 
-_encode = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
-_escape = encode_basestring_ascii  # what _encode gives a string
+# what json.dumps gives a string: each store line is a template of its bytes
+_escape = encode_basestring_ascii
 
 
 def _new_digest():
@@ -328,8 +329,26 @@ def _held_line(entries: Mapping, key: str) -> str | None:
 
 
 def _edge_line(edge: ReferenceEdge) -> str:
-    # the fields in the sorted order that _encode gives them
+    # the fields in sorted order
     return f'{{"callee":{_escape(edge.callee)},"caller":{_escape(edge.caller)}}},'
+
+
+def _node_line(graph: RepoGraph, node_id: str) -> str:
+    # graph.node_entry(node_id), its keys and those of its meta in sorted order
+    node = graph.nodes[node_id]
+    fields = [] if node.blob is None else [f'"blob":{_escape(node.blob)}']
+    fields.append(f'"children":[{",".join(map(_escape, node.children))}]')
+    obj = graph.objects.get(node_id)
+    if obj is not None:
+        fields.append(
+            f'"meta":{{"has_return":{"true" if obj.has_return else "false"},'
+            f'"params":[{",".join(map(_escape, obj.params))}],'
+            f'"parent_id":{_escape(obj.parent_id)},"source_hash":{_escape(obj.source_hash)}}}'
+        )
+    fields.append(f'"node_kind":{_escape(node.node_kind)}')
+    if node.parse_error is not None:
+        fields.append(f'"parse_error":{_escape(node.parse_error)}')
+    return f'{_escape(node_id)}:{{{",".join(fields)}}},'
 
 
 def _store_blocks(store: DocStore) -> Iterator[bytes]:
@@ -344,9 +363,7 @@ def _store_blocks(store: DocStore) -> Iterator[bytes]:
         # build_graph overlays both for each rebuilt id, and add_snippets
         # gives objects only the snippets that the store leaves out.
         line = _held_line(graph.nodes, node_id)
-        if line is None:
-            return f"{_escape(node_id)}:{_encode(graph.node_entry(node_id))},"
-        return line
+        return _node_line(graph, node_id) if line is None else line
 
     def record_line(oid: str) -> str:
         line = _held_line(store.records, oid)
@@ -790,14 +807,15 @@ def generate_all(
     a failed prerequisite. ``only`` restricts generation to the given ids
     (used by updates).
 
-    The pending objects are ordered by ``topological_order`` over their own
-    edges and containment. An object is dispatched once all of its pending
-    callees and children have finished, earliest in that order first, to at
-    most ``jobs`` workers, so at most that many provider requests are in
-    flight. With one job, or one object pending, it runs on the calling
-    thread, so ``generated`` is that order. Workers only generate; this
-    thread records every outcome. The settings of each request are read from
-    ``config``, and ``gateway`` may be None when no object is pending.
+    An object is dispatched once all of its pending callees and children
+    (``prerequisites``) have finished, the smallest id of those ready first,
+    to at most ``jobs`` workers, so at most that many provider requests are
+    in flight. With one job, or one object pending, it runs on the calling
+    thread, so ``generated`` is ``topological_order`` of the pending ids:
+    this loop is that Kahn pass. A cycle left among them is an
+    ``InternalError``. Workers only generate; this thread records every
+    outcome. The settings of each request are read from ``config``, and
+    ``gateway`` may be None when no object is pending.
 
     The records of objects the graph no longer holds are dropped. The store
     is marked changed when a doc was recorded or dropped, or when the graph
@@ -813,15 +831,13 @@ def generate_all(
         for oid in (objects if only is None else only)
         if oid in objects and not up_to_date(graph, store, oid)
     }
-    order = topological_order(graph, pending)
     report = RunReport(skipped=sorted(oid for oid in objects if oid not in pending))
-    rank = {oid: index for index, oid in enumerate(order)}
-    blockers = dict.fromkeys(order, 0)
-    dependents: dict[str, list[str]] = {oid: [] for oid in order}
-    for need, oid in prerequisites(graph, rank):
+    blockers = dict.fromkeys(pending, 0)
+    dependents: dict[str, list[str]] = {oid: [] for oid in pending}
+    for need, oid in prerequisites(graph, pending):
         blockers[oid] += 1
         dependents[need].append(oid)
-    ready = [rank[oid] for oid in order if not blockers[oid]]
+    ready = [oid for oid, count in blockers.items() if not count]
     heapq.heapify(ready)
     allow_missing = _stale_prerequisites(graph, store, pending)
 
@@ -840,10 +856,10 @@ def generate_all(
         for dep in dependents[oid]:
             blockers[dep] -= 1
             if not blockers[dep]:
-                heapq.heappush(ready, rank[dep])
+                heapq.heappush(ready, dep)
 
-    jobs = max(1, min(jobs, len(order)))
-    generate_one = _generator(graph, gateway, store, config) if order else None
+    jobs = max(1, min(jobs, len(pending)))
+    generate_one = _generator(graph, gateway, store, config) if pending else None
     pool = None
     if jobs > 1:
         from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
@@ -853,18 +869,20 @@ def generate_all(
     try:
         while ready or running:
             while ready and len(running) < jobs:
-                oid = order[heapq.heappop(ready)]
+                oid = heapq.heappop(ready)
                 if pool is None:
                     finish(oid, generate_one(oid, allow_missing))
                 else:
                     running[pool.submit(generate_one, oid, allow_missing)] = oid
             if running:
                 finished, _ = wait(running, return_when=FIRST_COMPLETED)
-                for future in sorted(finished, key=lambda f: rank[running[f]]):
+                for future in sorted(finished, key=running.__getitem__):
                     finish(running.pop(future), future.result())
     finally:
         if pool is not None:
             pool.shutdown()
+    if len(report.generated) + len(report.failures) < len(pending):
+        raise InternalError("cycle survived pruning; generation order undefined")
 
     old = store.graph_snapshot
     gone = [oid for oid in store.records if oid not in objects]

@@ -14,7 +14,7 @@ from typing import Collection, NamedTuple
 
 from .doc_pipeline import DocStore, forget_snapshot
 from .project_graph import DIR, FILE, REPO, RepoGraph, ROOT_ID, TreeNode
-from .source_model import CLASS
+from .source_model import CLASS, SOURCE_SUFFIX
 
 SUMMARY_NAME = "SUMMARY.md"
 PLACEHOLDER = "*(documentation not yet generated)*"
@@ -30,8 +30,7 @@ class DocPage(NamedTuple):
 
 def page_path_for(source_file: str) -> str:
     """markdown page path for a source file: util/b.py -> util/b.md"""
-    path = PurePosixPath(source_file)
-    return str(path.with_suffix(".md"))
+    return source_file.removesuffix(SOURCE_SUFFIX) + ".md"
 
 
 def compile_file_doc(graph: RepoGraph, file_id: str, store: DocStore) -> DocPage:
@@ -95,6 +94,7 @@ def write_site(
     stat finds it missing.
     """
     out_dir = Path(out_dir)
+    out = os.fspath(out_dir)
     pages = {page_path_for(file_id): file_id for file_id in graph.files}
     files = None if changed is None else {graph.file_of(node_id) for node_id in changed}
     if files is not None and any(
@@ -104,26 +104,28 @@ def write_site(
     compile_rels = [
         rel
         for rel, file_id in [(SUMMARY_NAME, None), *pages.items()]
-        if files is None or file_id in files or not os.path.exists(out_dir / rel)
+        if files is None or file_id in files or not os.path.exists(os.path.join(out, rel))
     ]
 
     written: list[str] = []
-    made: set[Path] = set()  # the directories made this run
+    made: set[str] = set()  # the directories made this run
     for rel in sorted(compile_rels):
         if rel == SUMMARY_NAME:
             body = compile_summary(graph).encode("utf-8")
         else:
             body = compile_file_doc(graph, pages[rel], store).body.encode("utf-8")
-        target = out_dir / PurePosixPath(rel)
-        with contextlib.suppress(FileNotFoundError):
-            if target.read_bytes() == body:
+        target = os.path.join(out, rel)
+        with contextlib.suppress(FileNotFoundError), open(target, "rb") as handle:
+            if handle.read() == body:
                 continue
         if not written:
             forget_snapshot(git_dir)
-        if target.parent not in made:
-            target.parent.mkdir(parents=True, exist_ok=True)
-            made.add(target.parent)
-        target.write_bytes(body)
+        directory = os.path.dirname(target)
+        if directory not in made:
+            os.makedirs(directory, exist_ok=True)
+            made.add(directory)
+        with open(target, "wb") as handle:
+            handle.write(body)
         written.append(rel)
 
     if files is None and out_dir.exists():

@@ -645,6 +645,8 @@ def add_snippets(
     """Give the objects that the prompts of ``targets`` quote their snippets,
     which objects taken from the snapshot lack: parse each taken file that
     holds a target, a caller or a callee of one."""
+    if not taken:
+        return  # every object was parsed, so none lacks its snippet
     quoted = set(targets)
     for oid in targets:
         quoted.update(graph.callers(oid), graph.callees(oid))

@@ -82,22 +82,17 @@ def render_hierarchy(graph: RepoGraph, object_id: str, *, include_children: bool
     """Indented ancestor chain down to the target, plus its direct children
     sorted by id.
 
-    Four spaces per level; the target line is prefixed with "*".
+    Four spaces per level; the target line is prefixed with "*". An object's
+    id is its file's path and then the names of the objects enclosing it
+    and its own, so the chain is read off the ids.
     """
-    obj = graph.objects[object_id]
-    chain: list[str] = []
-    current = obj.parent_id
-    while current in graph.objects:
-        chain.append(graph.objects[current].name)
-        current = graph.objects[current].parent_id
-    labels = current.split("/") + chain[::-1]  # the chain ends at the file
-
-    lines = [("    " * depth) + name for depth, name in enumerate(labels)]
-    target_depth = len(labels)
-    lines.append(("    " * target_depth) + "*" + obj.name)
+    labels = object_id.split("/")
+    depth = len(labels) - 1
+    lines = [("    " * level) + name for level, name in enumerate(labels[:-1])]
+    lines.append(("    " * depth) + "*" + labels[-1])
     if include_children:
-        for child in graph.object_children(object_id):
-            lines.append(("    " * (target_depth + 1)) + graph.objects[child].name)
+        indent = "    " * (depth + 1)
+        lines += [indent + child.rpartition("/")[2] for child in graph.object_children(object_id)]
     return "\n".join(lines)
 
 
@@ -139,47 +134,32 @@ def assemble_context(
             return "None"
         return record.text
 
+    objects = graph.objects
     callee_blocks = tuple(
-        RefBlock(id=cid, doc=_required_doc(cid), snippet=graph.objects[cid].snippet)
-        for cid in graph.callees(object_id)
+        RefBlock(cid, _required_doc(cid), objects[cid].snippet) for cid in graph.callees(object_id)
     )
     caller_blocks = tuple(
-        RefBlock(id=cid, doc=_optional_doc(cid), snippet=graph.objects[cid].snippet)
-        for cid in graph.callers(object_id)
+        RefBlock(cid, _optional_doc(cid), objects[cid].snippet) for cid in graph.callers(object_id)
     )
     child_docs: tuple[tuple[str, str], ...] | None = None
     if child_docs_enabled:
         child_docs = tuple(
             (cid, _required_doc(cid)) for cid in graph.object_children(object_id)
         )
-    return PromptContext(
-        target=obj,
-        hierarchy_render=render_hierarchy(graph, object_id),
-        callee_blocks=callee_blocks,
-        caller_blocks=caller_blocks,
-        child_docs=child_docs,
-        doc_language=doc_language,
+    hierarchy = render_hierarchy(graph, object_id)
+    return PromptContext(obj, hierarchy, callee_blocks, caller_blocks, child_docs, doc_language)
+
+
+def _block_pieces(block: RefBlock) -> tuple[str, ...]:
+    """The pieces of one reference block's text."""
+    name = block.name
+    head = ("OBJ_NAME: ", name, "\nOBJ_PATH: ", block.id, "\nDocument: \n", block.doc)
+    if block.snippet is None:
+        return head
+    return (
+        *head, "\n[Code begin of ", name, "]\n```\n", block.snippet,
+        "\n```==========\n[Code end of ", name, "]",
     )
-
-
-def _render_block(block: RefBlock) -> str:
-    lines = [
-        f"OBJ_NAME: {block.name}",
-        f"OBJ_PATH: {block.id}",
-        "Document: ",
-        block.doc,
-    ]
-    if block.snippet is not None:
-        lines.extend(
-            [
-                f"[Code begin of {block.name}]",
-                "```",
-                block.snippet,
-                "```==========",
-                f"[Code end of {block.name}]",
-            ]
-        )
-    return "\n".join(lines)
 
 
 def _render_format_block(target: CodeObject) -> str:
@@ -200,43 +180,40 @@ def _render_format_block(target: CodeObject) -> str:
 
 
 def render_prompt(ctx: PromptContext) -> str:
-    """Deterministic prompt text for one target object."""
-    target = ctx.target
-    parts = [
-        ROLE_PREAMBLE,
-        HIERARCHY_INTRO + "\n" + ctx.hierarchy_render,
-        DOC_PATH_INTRO + "\n" + target.id + ".",
+    """Deterministic prompt text for one target object: its sections, one
+    blank line apart. The pieces are joined once, so that no doc or snippet
+    is copied more than once."""
+    target, language = ctx.target, ctx.doc_language
+    out = [
+        ROLE_PREAMBLE, "\n\n", HIERARCHY_INTRO, "\n", ctx.hierarchy_render, "\n\n",
+        DOC_PATH_INTRO, "\n", target.id, ".\n\n",
         f'Now you need to generate a document for a {target.kind}, whose name is "{target.name}".',
-        CODE_INTRO + "\n\n" + target.snippet,
+        "\n\n", CODE_INTRO, "\n\n", target.snippet,
     ]
-    if ctx.callee_blocks:
-        parts.append(CALLEE_INTRO + "\n\n" + "\n\n".join(_render_block(b) for b in ctx.callee_blocks))
-    if ctx.caller_blocks:
-        parts.append(CALLER_INTRO + "\n\n" + "\n\n".join(_render_block(b) for b in ctx.caller_blocks))
+    for intro, blocks in ((CALLEE_INTRO, ctx.callee_blocks), (CALLER_INTRO, ctx.caller_blocks)):
+        if blocks:
+            out += ("\n\n", intro)
+            for block in blocks:
+                out.append("\n\n")
+                out += _block_pieces(block)
     if ctx.child_docs:
-        child_parts = [
-            f"OBJ_NAME: {cid.rsplit('/', 1)[-1]}\nOBJ_PATH: {cid}\nDocument: \n{doc}"
-            for cid, doc in ctx.child_docs
-        ]
-        parts.append(CHILD_DOCS_INTRO + "\n\n" + "\n\n".join(child_parts))
-    parts.append(
-        "Please generate a detailed explanation document for this object based on the code of "
-        "the target object itself and combine it with its calling situation in the project."
-    )
-    parts.append(
-        f"Please write out the function of this {target.kind} in bold plain text, followed by "
-        "a detailed analysis in plain text (including all details), in language "
-        f"{ctx.doc_language} to serve as the documentation for this part of the code."
-    )
-    parts.append(FORMAT_INTRO + "\n\n" + _render_format_block(target))
-    parts.append(NOTE_RULES)
-    parts.append(
-        "Keep in mind that your audience is document readers, so use a deterministic tone to "
-        "generate precise content and don't let them know you're provided with code snippet "
+        out += ("\n\n", CHILD_DOCS_INTRO)
+        for cid, doc in ctx.child_docs:
+            out.append("\n\n")
+            out += _block_pieces(RefBlock(cid, doc, None))
+    out += (
+        "\n\nPlease generate a detailed explanation document for this object based on the code "
+        "of the target object itself and combine it with its calling situation in the project.",
+        f"\n\nPlease write out the function of this {target.kind} in bold plain text, followed "
+        "by a detailed analysis in plain text (including all details), in language "
+        f"{language} to serve as the documentation for this part of the code.",
+        "\n\n", FORMAT_INTRO, "\n\n", _render_format_block(target), "\n\n", NOTE_RULES,
+        "\n\nKeep in mind that your audience is document readers, so use a deterministic tone "
+        "to generate precise content and don't let them know you're provided with code snippet "
         "and documents. AVOID ANY SPECULATION and inaccurate descriptions! Now, provide the "
-        f"documentation for the target object in {ctx.doc_language} in a professional way."
+        f"documentation for the target object in {language} in a professional way.",
     )
-    return "\n\n".join(parts)
+    return "".join(out)
 
 
 def estimate_tokens(text: str) -> int:

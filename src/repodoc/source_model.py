@@ -368,7 +368,9 @@ def parse_file(path: str, text: str) -> FileParse:
 def _is_ignored(rel_posix: str, ignore: Sequence[str]) -> bool:
     """True when the path, a directory above it or one of its components
     matches an ignore glob."""
-    parts = PurePosixPath(rel_posix).parts
+    if not ignore:
+        return False
+    parts = rel_posix.split("/")
     names = {*parts, *("/".join(parts[:i]) for i in range(2, len(parts) + 1))}
     return any(fnmatch.fnmatch(name, pattern) for pattern in ignore for name in names)
 
@@ -388,7 +390,7 @@ def is_source(rel: str, ignore: Sequence[str] = ()) -> bool:
     return (
         rel.endswith(SOURCE_SUFFIX)
         and _is_utf8(rel)
-        and not any(part.startswith(".") for part in PurePosixPath(rel).parts)
+        and not any(part.startswith(".") for part in rel.split("/"))
         and not _is_ignored(rel, ignore)
     )
 
@@ -450,24 +452,25 @@ def scan_repository(root: str | Path, ignore: Sequence[str] = ()) -> Sources:
     root = Path(root)
     if not root.is_dir():
         raise UsageError(f"not a directory: {root}")
+    top = os.fspath(root)
     blobs: dict[str, str] = {}
     texts: dict[str, str] = {}
-    for dirpath, dirnames, filenames in os.walk(root):
-        rel_dir = Path(dirpath).relative_to(root)
+    for dirpath, dirnames, filenames in os.walk(top):
+        prefix = dirpath[len(top) :].lstrip(os.sep).replace(os.sep, "/")
+        prefix += "/" if prefix else ""
         dirnames[:] = sorted(
-            d
-            for d in dirnames
-            if not d.startswith(".") and not _is_ignored((rel_dir / d).as_posix(), ignore)
+            d for d in dirnames if not d.startswith(".") and not _is_ignored(prefix + d, ignore)
         )
         for name in filenames:
-            rel = (rel_dir / name).as_posix()
+            rel = prefix + name
             if not is_source(rel, ignore):
                 continue
-            path = Path(dirpath, name)
+            path = os.path.join(dirpath, name)
             try:
-                if not stat.S_ISREG(path.lstat().st_mode):
+                if not stat.S_ISREG(os.lstat(path).st_mode):
                     continue
-                data = path.read_bytes()
+                with open(path, "rb") as handle:
+                    data = handle.read()
             except OSError as exc:
                 raise UsageError(f"cannot read {rel}: {exc}") from exc
             blobs[rel], texts[rel] = blob_id(data), source_text(data)
@@ -657,30 +660,22 @@ def _decode_parse(rel: str, text: str, line: str) -> FileParse:
         parent_id = ids[parent] if parent >= 0 else rel
         obj_id = f"{parent_id}/{name}"
         ids.append(obj_id)
+        kind, params = intern(kind), tuple(map(intern, params))
+        snippet = "\n".join(lines[start - 1 : end])
         objects.append(
-            CodeObject(
-                id=obj_id,
-                kind=intern(kind),
-                name=name,
-                line_span=(start, end),
-                snippet="\n".join(lines[start - 1 : end]),
-                params=tuple(map(intern, params)),
-                has_return=has_return,
-                parent_id=parent_id,
-                source_hash=digest,
-            )
+            CodeObject(obj_id, kind, name, (start, end), snippet, params, has_return, parent_id, digest)
         )
     calls = [
-        CallSite(caller=ids[caller], chain=tuple(map(intern, chain)), line=lineno)
+        CallSite(ids[caller], tuple(map(intern, chain)), lineno)
         for caller, chain, lineno in calls_data
     ]
     scopes = {}
     for scope_id, (defs, imports) in zip([rel, *ids], scopes_data, strict=True):
         scopes[scope_id] = Scope(
-            defs={intern(name): ids[pos] for name, pos in defs.items()},
-            imports={
+            {intern(name): ids[pos] for name, pos in defs.items()},
+            {
                 intern(name): ImportBinding(
-                    module=intern(module), member=member if member is None else intern(member)
+                    intern(module), member if member is None else intern(member)
                 )
                 for name, (module, member) in imports.items()
             },

@@ -46,7 +46,7 @@ from repodoc.eval_harness import (
 )
 from repodoc.llm_gateway import Gateway
 from repodoc.markdown_publisher import write_site
-from repodoc.project_graph import build_tree, resolve_references
+from repodoc.project_graph import build_tree, resolve_references, topological_order
 from repodoc.source_model import FUNCTION, parse_repository, scan_repository
 
 from .conftest import git
@@ -156,6 +156,7 @@ def test_criterion_2_topological_order_on_random_repos(tmp_path):
 
         graph, _, report, _ = generate_repo(root)
         assert report.ok and graph.removed_edges == []
+        assert report.generated == topological_order(graph), seed
         position = {oid: i for i, oid in enumerate(report.generated)}
         assert set(position) == set(graph.objects)
         for edge in graph.edges:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import builtins
+import gc
 import json
 import os
 import shutil
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from repodoc import cli
 from repodoc.change_tracker import LOCK_NAME, _update_lock
 from repodoc.cli import main
 from repodoc.doc_pipeline import SNAPSHOT_DIGEST_NAME
@@ -343,33 +346,76 @@ def test_generate_documents_no_symlink(git_demo_repo, capsys):
 
 
 def test_generate_stops_on_an_unreadable_file(demo_repo, capsys, monkeypatch):
-    # root reads a file of mode 000, so the read itself is made to fail
-    real = Path.read_bytes
+    # root reads a file of mode 000, so the open itself is made to fail
+    real = builtins.open
 
-    def read_bytes(path):
-        if path.name == "b.py":
-            raise PermissionError(13, "Permission denied", str(path))
-        return real(path)
+    def open_file(file, *args, **kwargs):
+        if isinstance(file, str) and os.path.basename(file) == "b.py":
+            raise PermissionError(13, "Permission denied", file)
+        return real(file, *args, **kwargs)
 
-    monkeypatch.setattr(Path, "read_bytes", read_bytes)
+    monkeypatch.setattr(builtins, "open", open_file)
     code, out, err = run_cli("generate", "--repo", demo_repo, capsys=capsys)
     assert code == 1 and out == ""
     assert err.startswith("error: cannot read util/b.py: [Errno 13] Permission denied")
     assert not (demo_repo / STORE_REL).exists()
 
 
-def _repodoc_process(*argv: str) -> subprocess.Popen:
+def _child_env() -> dict[str, str]:
+    """The environment with this checkout's ``src`` first on the path."""
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
+def _repodoc_process(*argv: str, cwd: Path | None = None) -> subprocess.Popen:
     """A Python child with this checkout's ``src`` on its path, reading
     ``argv``, its stdout and stderr piped."""
-    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     return subprocess.Popen(
         [sys.executable, *argv],
-        env=env,
+        cwd=cwd,
+        env=_child_env(),
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
     )
+
+
+def _run_in(repo: Path, *argv: str) -> tuple[int, str]:
+    """Run a Python child in ``repo``; its exit code and stderr."""
+    proc = _repodoc_process(*argv, cwd=repo)
+    _, err = proc.communicate(timeout=120)
+    return proc.returncode, err
+
+
+# a module of the documented repository, fatal if repodoc imported it
+_SHADOW = "raise SystemExit(1)\n"
+_RUN_MODULE = "import runpy; runpy.run_module('repodoc', run_name='__main__', alter_sys=True)"
+
+
+def test_commands_run_from_a_root_holding_a_json_py(git_demo_repo):
+    (git_demo_repo / "json.py").write_text(_SHADOW, encoding="utf-8")
+    # -m puts the working directory first on the path, -c an empty entry
+    for argv in (["-m", "repodoc", "generate"], ["-c", _RUN_MODULE, "generate"]):
+        assert _run_in(git_demo_repo, *argv) == (0, "")
+    assert _run_in(git_demo_repo, "-m", "repodoc", "install-hook") == (0, "")
+
+
+def test_a_commit_that_stages_a_top_level_logging_py_passes_the_hook(git_demo_repo):
+    repo = git_demo_repo
+    assert _run_in(repo, "-m", "repodoc", "generate") == (0, "")
+    git(repo, "add", "-A")
+    git(repo, "commit", "-qm", "seed")
+    assert _run_in(repo, "-m", "repodoc", "install-hook") == (0, "")
+    (repo / "logging.py").write_text(_SHADOW, encoding="utf-8")
+    git(repo, "add", "logging.py")
+    commit = subprocess.run(
+        ["git", "-C", str(repo), "commit", "-qm", "add logging.py"],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert commit.returncode == 0, commit.stderr
+    assert "logging.py" in git(repo, "show", "--name-only", "--pretty=format:", "HEAD").split()
 
 
 def test_graph_into_a_closed_pipe_exits_quietly(demo_repo):
@@ -463,30 +509,88 @@ def test_each_command_loads_only_what_it_runs(
         assert code == 0 and "concurrent.futures" in loaded
 
 
-@pytest.mark.parametrize("command", ["generate", "update"])
-def test_a_missing_api_key_fails_before_the_lock_and_writes_nothing(
-    git_demo_repo, capsys, monkeypatch, command
-):
-    repo = git_demo_repo
-    assert run_cli("generate", "--repo", repo, capsys=capsys)[0] == 0
+_NO_KEY_ERROR = (
+    "error: provider https://llm.example/v1 needs an API key; "
+    "set the REPODOC_API_KEY environment variable\n"
+)
+
+
+def _without_api_key(repo: Path, monkeypatch) -> None:
     config = {"provider": {"base_url": "https://llm.example/v1"}}
     (repo / ".repodoc.json").write_text(json.dumps(config), encoding="utf-8")
     monkeypatch.delenv("REPODOC_API_KEY", raising=False)
 
-    def files() -> dict:
-        paths = [p for p in repo.rglob("*") if p.is_file() and "objects" not in p.parts]
-        return {p: (p.stat().st_mtime_ns, p.read_bytes()) for p in paths}
 
-    before = files()
+def _files(repo: Path) -> dict:
+    """Each file of the repository but Git's objects, with its mtime and bytes."""
+    paths = [p for p in repo.rglob("*") if p.is_file() and "objects" not in p.parts]
+    return {p: (p.stat().st_mtime_ns, p.read_bytes()) for p in paths}
+
+
+def test_a_missing_api_key_fails_before_the_lock_and_writes_nothing(
+    git_demo_repo, capsys, monkeypatch
+):
+    repo = git_demo_repo
+    assert run_cli("generate", "--repo", repo, capsys=capsys)[0] == 0
+    _without_api_key(repo, monkeypatch)
+    before = _files(repo)
     # a run that reached the lock would report the lock instead
     with _update_lock(repo / ".git"):
-        code, _, err = run_cli(command, "--repo", repo, capsys=capsys)
-    assert code == 1
-    assert err == (
-        "error: provider https://llm.example/v1 needs an API key; "
-        "set the REPODOC_API_KEY environment variable\n"
-    )
-    assert files() == before
+        code, _, err = run_cli("generate", "--repo", repo, capsys=capsys)
+    assert (code, err) == (1, _NO_KEY_ERROR)
+    assert _files(repo) == before
+
+
+def _committed_demo(repo: Path, capsys) -> None:
+    assert run_cli("generate", "--repo", repo, capsys=capsys)[0] == 0
+    git(repo, "add", "-A")
+    git(repo, "commit", "-qm", "seed")
+
+
+def test_an_update_that_regenerates_nothing_needs_no_api_key(git_demo_repo, capsys, monkeypatch):
+    repo = git_demo_repo
+    _committed_demo(repo, capsys)
+    _without_api_key(repo, monkeypatch)
+    (repo / "README.md").write_text("# demo, edited\n", encoding="utf-8")
+    git(repo, "add", "README.md")
+    assert run_cli("update", "--repo", repo, capsys=capsys)[0] == 0
+    # a comment changes a file's blob but no object's source
+    (repo / "a.py").write_text("# a comment\n" + DEMO_FILES["a.py"], encoding="utf-8")
+    git(repo, "add", "a.py")
+    code, out, err = run_cli("update", "--repo", repo, "--json", capsys=capsys)
+    assert code == 0, err
+    assert json.loads(out)["plan"] == {"regenerate": [], "delete_docs": []}
+
+
+def test_an_update_that_regenerates_fails_without_an_api_key_and_writes_nothing(
+    git_demo_repo, capsys, monkeypatch
+):
+    repo = git_demo_repo
+    _committed_demo(repo, capsys)
+    _without_api_key(repo, monkeypatch)
+    (repo / "a.py").write_text(DEMO_FILES["a.py"].replace("return 1", "return 5"), encoding="utf-8")
+    git(repo, "add", "a.py")
+    before = _files(repo)
+    code, _, err = run_cli("update", "--repo", repo, capsys=capsys)
+    assert (code, err) == (1, _NO_KEY_ERROR)
+    assert _files(repo) == before
+
+
+def test_main_leaves_the_collector_as_it_found_it(demo_repo, capsys, monkeypatch):
+    before = gc.get_threshold(), gc.get_freeze_count()
+    assert run_cli("generate", "--repo", demo_repo, capsys=capsys)[0] == 0
+    assert (gc.get_threshold(), gc.get_freeze_count()) == before
+    during = []
+
+    def failing_generate(args):
+        during.append((gc.get_threshold()[0], gc.get_freeze_count()))
+        raise RuntimeError("a command that fails")
+
+    monkeypatch.setattr(cli, "cmd_generate", failing_generate)
+    with pytest.raises(RuntimeError, match="a command that fails"):
+        main(["generate", "--repo", str(demo_repo)])
+    assert (gc.get_threshold(), gc.get_freeze_count()) == before
+    assert during[0][0] == 10_000 and during[0][1] > 0
 
 
 def _one_error_line(err: str) -> str:

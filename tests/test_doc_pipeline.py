@@ -24,9 +24,15 @@ from repodoc.doc_pipeline import (
     save_store,
 )
 from repodoc.config import load_config
-from repodoc.errors import CorruptStoreError
+from repodoc.errors import CorruptStoreError, InternalError
 from repodoc.llm_gateway import Gateway, MockProvider
-from repodoc.project_graph import Overlay, RepoGraph, build_tree, topological_order
+from repodoc.project_graph import (
+    Overlay,
+    ReferenceEdge,
+    RepoGraph,
+    build_tree,
+    topological_order,
+)
 from repodoc.prompt_engine import CHILD_DOCS_INTRO
 from repodoc.source_model import CodeObject, parse_file
 
@@ -663,6 +669,25 @@ def test_two_jobs_overlap_provider_sends(tmp_path):
     report = generate_all(graph, gateway, DocStore(), make_config(tmp_path), 2)
     assert report.ok
     assert sorted(report.generated) == ["m.py/a", "m.py/b"]
+
+
+def test_single_job_generates_in_topological_order_on_the_labeled_repo(labeled_repo):
+    graph, store, report, _ = generate_repo(labeled_repo)
+    assert report.generated == topological_order(graph)
+    # a pending subset: every other object by id
+    only = set(sorted(graph.objects)[::2])
+    for oid in only:
+        del store.records[oid]
+    report = generate_all(graph, make_gateway(), store, make_config(labeled_repo), 1, only=only)
+    assert report.generated == topological_order(graph, only)
+
+
+def test_a_cycle_that_survived_pruning_is_an_internal_error(tmp_path):
+    write_tree(tmp_path, {"m.py": "def a():\n    return 1\n\n\ndef b():\n    return 2\n"})
+    graph = build_repo_graph(tmp_path)
+    graph.edges = [ReferenceEdge("m.py/a", "m.py/b"), ReferenceEdge("m.py/b", "m.py/a")]
+    with pytest.raises(InternalError, match="cycle survived pruning"):
+        generate_all(graph, make_gateway(), DocStore(), make_config(tmp_path), 1)
 
 
 def test_single_job_follows_filtered_topological_order(tmp_path):

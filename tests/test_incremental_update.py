@@ -749,18 +749,47 @@ def _decoded_entries(patch) -> dict[str, list[str]]:
     return decoded
 
 
-def _ordered(patch) -> list:
-    """Wrap the generation order; returns the number of ids each call
-    ordered, None for every object."""
-    sizes: list = []
-    real = doc_pipeline.topological_order
+def _ordered(patch) -> list[int]:
+    """Wrap the prerequisites that generation and ``topological_order``
+    order by; returns the number of ids each call was given."""
+    sizes: list[int] = []
+    real = project_graph.prerequisites
 
-    def topological_order(graph, only=None):
-        sizes.append(None if only is None else len(only))
-        return real(graph, only)
+    def prerequisites(graph, ids):
+        sizes.append(len(ids))
+        return real(graph, ids)
 
-    patch.setattr(doc_pipeline, "topological_order", topological_order)
+    patch.setattr(doc_pipeline, "prerequisites", prerequisites)
+    patch.setattr(project_graph, "prerequisites", prerequisites)
     return sizes
+
+
+def test_a_cold_generate_orders_once_and_parses_no_snippet(tmp_path, monkeypatch, capsys):
+    repo = tmp_path / "repo"
+    _init_repo(repo)
+    sizes, parsed = _ordered(monkeypatch), []
+    real = project_graph.parse_repository
+
+    def parse_repository(sources, files, cache=None):
+        parsed.append(sorted(files))
+        return real(sources, files, cache)
+
+    monkeypatch.setattr(project_graph, "parse_repository", parse_repository)
+    report = _generate_json(repo, capsys)
+    assert len(report["generated"]) == 17 and report["reused_files"] == 0
+    # the prerequisite pairs once, and add_snippets has no file to parse
+    assert sizes == [17]
+    assert parsed == [sorted(FILES)]
+
+
+def test_one_and_two_jobs_leave_the_same_store_and_pages(tmp_path, capsys):
+    outputs = []
+    for jobs in ("1", "2"):
+        repo = tmp_path / f"jobs{jobs}"
+        _init_repo(repo)
+        assert main(["generate", "--repo", str(repo), "--jobs", jobs]) == 0
+        outputs.append(_outputs(repo))
+    assert outputs[0] == outputs[1]
 
 
 def test_a_noop_generate_decodes_no_entry_and_orders_nothing(tmp_path, monkeypatch, capsys):

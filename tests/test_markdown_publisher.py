@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import builtins
+import os
 from pathlib import Path
 
 import pytest
@@ -205,23 +207,24 @@ def test_a_cold_write_site_forgets_the_digest_once_and_makes_each_directory_once
     graph, store, _, _ = generate_repo(demo_repo)
     digest, out = _digest_in(tmp_path), tmp_path / "site"
     events: list[tuple[str, object]] = []
-    real_forget, real_write, real_mkdir = publisher.forget_snapshot, Path.write_bytes, Path.mkdir
+    real_forget, real_open, real_makedirs = publisher.forget_snapshot, builtins.open, os.makedirs
 
     def forget(git_dir):
         events.append(("forget", git_dir))
         real_forget(git_dir)
 
-    def write_bytes(path, data):
-        events.append(("write", path.relative_to(out).as_posix()))
-        return real_write(path, data)
+    def open_file(file, mode="r", *args, **kwargs):
+        if mode == "wb":
+            events.append(("write", Path(file).relative_to(out).as_posix()))
+        return real_open(file, mode, *args, **kwargs)
 
-    def mkdir(path, *args, **kwargs):
-        events.append(("mkdir", path))
-        return real_mkdir(path, *args, **kwargs)
+    def makedirs(path, *args, **kwargs):
+        events.append(("mkdir", Path(path)))
+        return real_makedirs(path, *args, **kwargs)
 
     monkeypatch.setattr(publisher, "forget_snapshot", forget)
-    monkeypatch.setattr(Path, "write_bytes", write_bytes)
-    monkeypatch.setattr(Path, "mkdir", mkdir)
+    monkeypatch.setattr(builtins, "open", open_file)
+    monkeypatch.setattr(os, "makedirs", makedirs)
     assert write_site(graph, store, out, git_dir=digest.parent) == [SUMMARY_NAME, "a.md", "util/b.md"]
     assert events == [
         ("forget", digest.parent),
@@ -239,17 +242,17 @@ def test_a_write_site_stopped_after_its_first_page_leaves_no_digest(
 ):
     graph, store, _, _ = generate_repo(demo_repo)
     digest, out = _digest_in(tmp_path), tmp_path / "site"
-    real_write = Path.write_bytes
+    real_open = builtins.open
 
     class Stopped(Exception):
         pass
 
-    def write_one(path, data):
-        if out.exists() and any(out.iterdir()):
+    def write_one(file, mode="r", *args, **kwargs):
+        if mode == "wb" and out.exists() and any(out.iterdir()):
             raise Stopped
-        return real_write(path, data)
+        return real_open(file, mode, *args, **kwargs)
 
-    monkeypatch.setattr(Path, "write_bytes", write_one)
+    monkeypatch.setattr(builtins, "open", write_one)
     with pytest.raises(Stopped):
         write_site(graph, store, out, git_dir=digest.parent)
     assert [p.name for p in out.rglob("*.md")] == [SUMMARY_NAME]

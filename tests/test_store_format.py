@@ -22,7 +22,8 @@ from repodoc.cli import main
 from repodoc.doc_pipeline import STORE_VERSION, DocRecord, DocStore, load_store, save_store
 from repodoc.errors import CorruptStoreError
 from repodoc.llm_gateway import MockProvider
-from repodoc.source_model import blob_id
+from repodoc.project_graph import DIR, FILE, REPO, ROOT_ID, RepoGraph, TreeNode
+from repodoc.source_model import CLASS, FUNCTION, CodeObject, blob_id
 
 from .conftest import git
 from .helpers import DEMO_FILES, ORDER_FILES, generate_repo, write_tree
@@ -294,6 +295,32 @@ def test_record_lines_are_those_of_a_full_encode(tmp_path):
         f"{encode(oid)}:{encode(records[oid]._asdict())}".encode("ascii") for oid in sorted(records)
     ]
     assert load_store(path).records == records
+
+
+def test_node_lines_are_those_of_a_full_encode(tmp_path):
+    # files with and without a blob and a parse error, each holding one
+    # object; every id, name, param and error a strange string
+    nodes = {ROOT_ID: TreeNode(ROOT_ID, REPO, ["d"]), "d": TreeNode("d", DIR)}
+    objects = {}
+    for index, value in enumerate(STRANGE_STRINGS):
+        file_id, kind = f"d/{value}{index}.py", (CLASS, FUNCTION)[index % 2]
+        blob = None if index == 0 else blob_id(value.encode("utf-8", "surrogatepass"))
+        oid = f"{file_id}/{value}"
+        nodes["d"].children.append(file_id)
+        nodes[file_id] = TreeNode(file_id, FILE, [oid], blob, value if index % 3 else None)
+        nodes[oid] = TreeNode(oid, kind)
+        params = (value, value[::-1])
+        objects[oid] = CodeObject(oid, kind, value, (0, 0), "", params, index % 2 == 0, file_id, value)
+    graph = RepoGraph(nodes, objects, [], [])
+    path = tmp_path / "store.json"
+    save_store(DocStore(graph_snapshot=graph), path)
+    lines = path.read_bytes().split(b"\n")
+    start, end = lines.index(b'],"nodes":{') + 1, lines.index(b'},"removed_edges":[')
+    encode = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+    assert [line.removesuffix(b",") for line in lines[start:end]] == [
+        f"{encode(nid)}:{encode(graph.node_entry(nid))}".encode("ascii") for nid in sorted(nodes)
+    ]
+    assert load_store(path).graph_snapshot.to_dict() == graph.to_dict()
 
 
 def test_a_record_value_that_is_not_a_string_is_refused(tmp_path):
