@@ -27,7 +27,6 @@ from .doc_pipeline import (
     load_store,
     record_snapshot,
     save_store,
-    snapshot_is_recorded,
 )
 from .errors import LockError, NotAGitRepoError, StoreWriteError, UsageError
 from .markdown_publisher import write_site
@@ -226,11 +225,6 @@ class ChangeSet(NamedTuple):
     edge_added: tuple[tuple[str, str], ...] = ()
     edge_removed: tuple[tuple[str, str], ...] = ()
 
-    def __bool__(self) -> bool:
-        return bool(
-            self.added or self.removed or self.modified or self.edge_added or self.edge_removed
-        )
-
 
 def diff_objects(old: RepoGraph, new: RepoGraph) -> ChangeSet:
     """Compare object inventories and kept reference edges. When ``new``
@@ -389,13 +383,11 @@ def run_update(gateway: "Gateway | None", config: "Config", jobs: int) -> Update
         cache = ParseCache(repo_git)
 
         store = load_store(store_path, repo_git)
-        reuse = snapshot_is_recorded(store, repo_git)
-        sources = read_staged_text(
-            repo_root, config.ignore, store.graph_snapshot if reuse else None
-        )
+        snapshot = store.graph_snapshot
+        sources = read_staged_text(repo_root, config.ignore, snapshot if store.recorded else None)
         try:
-            graph, taken = source_graph(sources, cache, store.graph_snapshot, reuse=reuse)
-            plan = plan_updates(diff_objects(store.graph_snapshot or empty_graph(), graph))
+            graph, taken = source_graph(sources, cache, snapshot, reuse=store.recorded)
+            plan = plan_updates(diff_objects(snapshot or empty_graph(), graph))
             if gateway is None and plan.regenerate:
                 gateway = build_gateway(config)
             add_snippets(graph, sources, cache, taken, plan.regenerate_ids)
@@ -412,9 +404,8 @@ def run_update(gateway: "Gateway | None", config: "Config", jobs: int) -> Update
             # leave store and pages untouched; the commit stays blocked
             return report
 
-        report.written_pages = persist(
-            graph, store, store_path, repo_root / config.doc_dir, repo_git, reuse
-        )
+        doc_dir = repo_root / config.doc_dir
+        report.written_pages = persist(graph, store, store_path, doc_dir, repo_git)
         _stage(repo_root, config.doc_dir, config.store_path)
         return report
 
@@ -425,7 +416,6 @@ def persist(
     store_path: Path | None,
     doc_dir: Path,
     repo_git: Path | None,
-    reuse: bool,
 ) -> list[str]:
     """Save the store to ``store_path`` when it changed, write its pages to
     ``doc_dir``, and only then record the store's digest in ``repo_git``, so
@@ -435,32 +425,31 @@ def persist(
 
     Store first: if saving fails, no page has changed. The save and the
     first page written remove the digest, so a run that stops between
-    leaves none and the next one rewrites every stale page. ``reuse`` tells
-    that the digest recorded before the run was the loaded store's; then
-    only the pages of what the run changed (``DocStore.edited``) are
-    compiled. Without it, every page is compiled, and when the store is
-    still the file loaded (unchanged, with the digest of that file), it is
-    saved anyway in a Git repository, so that the digest recorded there is
-    of bytes ``save_store`` wrote. That holds also when the graph this run
-    built differs from the snapshot only in blob ids and parse errors: the
-    store keeps the snapshot as loaded, and the next run parses each file
-    whose blob is not the snapshot's, as after a fast-path run with such a
-    change. Without ``store_path``, as for ``publish``, the store is not
-    saved, no graph was built, and every page is compiled.
+    leaves none and the next one rewrites every stale page. When the store
+    was ``recorded`` as loaded, only the pages of what the run changed
+    (``DocStore.edited``) are compiled. Otherwise every page is compiled,
+    and when the store is still the file loaded (unchanged, with the digest
+    of that file), it is saved anyway in a Git repository, so that the
+    digest recorded there is of bytes ``save_store`` wrote. That holds also
+    when the graph this run built differs from the snapshot only in blob
+    ids and parse errors: the store keeps the snapshot as loaded, and the
+    next run parses each file whose blob is not the snapshot's, as after a
+    fast-path run with such a change. Without ``store_path``, as for
+    ``publish``, the store is not saved, no graph was built, and every page
+    is compiled.
     """
-    current = (
-        repo_git is not None and not reuse and not store.changed and store.digest is not None
-    )
+    recorded = store.recorded
+    current = repo_git is not None and not (recorded or store.changed) and store.digest is not None
     saved = store_path is not None and (store.changed or current)
     if saved:
         save_store(store, store_path, repo_git)
-    changed = store.edited if store_path is not None and reuse else None
+    changed = store.edited if store_path is not None and recorded else None
     try:
         pages = write_site(graph, store, doc_dir, changed, repo_git)
     except OSError as exc:
         forget_snapshot(repo_git)
         raise StoreWriteError(f"cannot write pages to {doc_dir}: {exc}") from exc
-    if saved or (reuse and pages):
+    if saved or (recorded and pages):
         record_snapshot(store, repo_git)
     return pages
 

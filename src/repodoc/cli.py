@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .change_tracker import _update_lock, git_dir, install_hook, persist, run_update
 from .config import api_key, build_gateway, load_config
-from .doc_pipeline import generate_all, load_store, snapshot_is_recorded, stale_objects
+from .doc_pipeline import generate_all, load_store, stale_objects
 from .errors import (
     CorruptStoreError,
     NotAGitRepoError,
@@ -44,12 +44,26 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _job_count(value: str) -> int:
+    """The value of ``--jobs``: a whole number of at least 1."""
+    try:
+        jobs = int(value)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"expected a whole number N >= 1, got {value!r}")
+    return jobs
+
+
 def _common_options() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--repo", default=".", help="repository root (default: cwd)")
     common.add_argument("--config", default=None, help="config file (default: <repo>/.repodoc.json)")
     common.add_argument(
-        "--jobs", type=int, default=1, help="objects generated at once (default: %(default)s)"
+        "--jobs",
+        type=_job_count,
+        default=1,
+        help="objects generated at once, N >= 1 (default: %(default)s)",
     )
     common.add_argument("--json", action="store_true", help="machine readable output")
     common.add_argument("--verbose", action="store_true", help="log progress details")
@@ -104,8 +118,7 @@ def cmd_generate(args) -> int:
         store = load_store(store_path, repo_git)
         sources = scan_repository(config.repo_root, config.ignore)
         cache = ParseCache(repo_git)
-        reuse = snapshot_is_recorded(store, repo_git)
-        graph, taken = source_graph(sources, cache, store.graph_snapshot, reuse=reuse)
+        graph, taken = source_graph(sources, cache, store.graph_snapshot, reuse=store.recorded)
         stale = stale_objects(graph, store)
         add_snippets(graph, sources, cache, taken, stale)
         cache.save()
@@ -113,7 +126,7 @@ def cmd_generate(args) -> int:
         report = generate_all(graph, gateway, store, config, args.jobs, only=stale)
         # partial progress is kept even when some objects failed
         doc_dir = config.repo_root / config.doc_dir
-        pages = persist(graph, store, store_path, doc_dir, repo_git, reuse)
+        pages = persist(graph, store, store_path, doc_dir, repo_git)
     if args.json:
         payload = report.to_dict()
         payload["pages_written"] = pages
@@ -173,9 +186,8 @@ def cmd_publish(args) -> int:
         store = load_store(store_path, repo_git)
         if store.graph_snapshot is None:
             raise UsageError("no doc store found; run: repodoc generate")
-        reuse = snapshot_is_recorded(store, repo_git)
         doc_dir = config.repo_root / config.doc_dir
-        pages = persist(store.graph_snapshot, store, None, doc_dir, repo_git, reuse)
+        pages = persist(store.graph_snapshot, store, None, doc_dir, repo_git)
     if args.json:
         print(json.dumps({"pages_written": pages}, indent=2))
     else:
@@ -197,12 +209,14 @@ def cmd_graph(args) -> int:
 
 def _load_reference_truth(path: str) -> dict[str, set[str]]:
     """Ground truth references: a JSON object mapping each object id to the
-    list of ids it references."""
+    list of the ids, strings, it references."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read reference file {path}: {exc}") from exc
-    if not isinstance(raw, dict) or not all(isinstance(refs, list) for refs in raw.values()):
+    if not isinstance(raw, dict) or not all(
+        isinstance(refs, list) and all(type(ref) is str for ref in refs) for refs in raw.values()
+    ):
         raise UsageError(f"reference file {path} must map object ids to lists of ids")
     return {oid: set(refs) for oid, refs in raw.items()}
 
@@ -216,7 +230,7 @@ def cmd_eval(args) -> int:
         raise UsageError("no doc store found; run: repodoc generate")
     docs = {oid: rec.text for oid, rec in store.records.items()}
     report = evaluate_docs(docs, store.graph_snapshot, args.param_metric)
-    payload = json.loads(report.to_json())
+    payload = report.to_dict()
     if args.refs:
         truth = _load_reference_truth(args.refs)
         payload["reference_recall"] = round(reference_recall(store.graph_snapshot, truth), 6)

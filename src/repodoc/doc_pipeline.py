@@ -32,7 +32,7 @@ from .project_graph import (
     ReferenceEdge,
     RepoGraph,
     TreeNode,
-    prerequisites,
+    kahn,
     tree_node,
 )
 from .source_model import CLASS, CodeObject, parser_identity, write_atomically
@@ -285,6 +285,11 @@ class DocStore:
         self.digest: str | None = digest
         # the ids of the records and graph nodes that generate_all changed
         self.edited: set[str] = set()
+        # set by load_store when the git directory recorded the digest of the
+        # file: this repository's repodoc saved it under the same parser and
+        # Python, then wrote its pages, and nothing changed it since. Only
+        # then may its snapshot lend files, and are the pages on disk its own.
+        self.recorded = False
 
     def to_dict(self) -> dict:
         return {
@@ -423,8 +428,9 @@ def forget_snapshot(git_dir: Path | None) -> None:
 
 def record_snapshot(store: DocStore, git_dir: Path | None) -> None:
     """Record in ``git_dir`` the digest of the file the store was last saved
-    to, so that ``snapshot_is_recorded`` holds. Call it once the pages are
-    written as well. A digest that cannot be written is logged."""
+    to, so that the next ``load_store`` of it is ``recorded``. Call it once
+    the pages are written as well. A digest that cannot be written is
+    logged."""
     if git_dir is None or store.digest is None or store.graph_snapshot is None:
         return
     digest_path = git_dir / SNAPSHOT_DIGEST_NAME
@@ -432,30 +438,6 @@ def record_snapshot(store: DocStore, git_dir: Path | None) -> None:
         write_atomically(digest_path, [store.digest.encode("ascii") + b"\n"])
     except OSError as exc:
         logger.info("snapshot digest %s not written: %s", digest_path, exc)
-
-
-def snapshot_is_recorded(store: DocStore, git_dir: Path | None) -> bool:
-    """Whether ``git_dir`` records the digest of the file the store was
-    loaded from: a SHA-256 over the ``parser_identity``, the store version
-    and the file's bytes.
-
-    Only such a snapshot may lend ``generate`` and the hook its files'
-    objects and edges, and only then are the pages on disk those of the
-    store: this repository's repodoc saved it under the same parser and
-    Python and then wrote its pages, and it was not merged, checked out or
-    edited since. Outside a Git repository no snapshot is recorded.
-    """
-    return store.graph_snapshot is not None and _digest_recorded(store.digest, git_dir)
-
-
-def _digest_recorded(digest: str | None, git_dir: Path | None) -> bool:
-    if digest is None or git_dir is None:
-        return False
-    try:
-        recorded = (git_dir / SNAPSHOT_DIGEST_NAME).read_text(encoding="utf-8")
-    except (OSError, ValueError):
-        return False
-    return recorded == digest + "\n"
 
 
 class LazyEntries(MutableMapping):
@@ -509,12 +491,8 @@ def _decode_entry(line: str) -> dict:
 
 
 def _indexed(lines: list[str]) -> dict[str, str]:
-    """Node or record lines by key. A key is read up to the first quote,
-    unless it holds an escape: then the quote may be escaped as well."""
-    items = {line[1 : line.index('"', 1)]: line for line in lines}
-    if "\\" in "".join(items):
-        items = {scanstring(line, 1)[0]: line for line in lines}
-    return items
+    """Node or record lines by key."""
+    return {scanstring(line, 1)[0]: line for line in lines}
 
 
 def _edges(lines: list[str]) -> list[ReferenceEdge]:
@@ -587,9 +565,9 @@ def load_store(path: str | Path, git_dir: Path | None = None) -> DocStore:
     Stores of versions 1 to 3 are migrated in memory; the next save writes
     the current version. The digest of the file's bytes is taken as they
     are read. When ``git_dir`` records that digest, ``save_store`` wrote
-    the bytes, each entry on a line of its own, and the store is decoded
-    lazily (``_lazy_store``); otherwise it is decoded whole, and a broken
-    entry raises here.
+    the bytes, each entry on a line of its own, and a store with a graph is
+    decoded lazily (``_lazy_store``) and ``recorded``; otherwise it is
+    decoded whole, and a broken entry raises here.
     """
     path = Path(path)
     try:
@@ -600,7 +578,11 @@ def load_store(path: str | Path, git_dir: Path | None = None) -> DocStore:
         raise CorruptStoreError(f"cannot read doc store {path}: {exc}") from exc
     digest = _new_digest()
     digest.update(raw)
-    if _digest_recorded(digest.hexdigest(), git_dir):
+    recorded = None
+    if git_dir is not None:
+        with contextlib.suppress(OSError, ValueError):
+            recorded = (git_dir / SNAPSHOT_DIGEST_NAME).read_text(encoding="utf-8")
+    if recorded == digest.hexdigest() + "\n":
         try:
             store = _lazy_store(raw)
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
@@ -608,7 +590,7 @@ def load_store(path: str | Path, git_dir: Path | None = None) -> DocStore:
                 f"doc store {path} is unreadable ({exc}); delete it and rerun generate to rebuild"
             ) from exc
         if store is not None:
-            store.digest = digest.hexdigest()
+            store.digest, store.recorded = digest.hexdigest(), True
             return store
     try:
         text = raw.decode("utf-8")
@@ -808,13 +790,12 @@ def generate_all(
     (used by updates).
 
     An object is dispatched once all of its pending callees and children
-    (``prerequisites``) have finished, the smallest id of those ready first,
-    to at most ``jobs`` workers, so at most that many provider requests are
-    in flight. With one job, or one object pending, it runs on the calling
-    thread, so ``generated`` is ``topological_order`` of the pending ids:
-    this loop is that Kahn pass. A cycle left among them is an
-    ``InternalError``. Workers only generate; this thread records every
-    outcome. The settings of each request are read from ``config``, and
+    have finished, the smallest id of those ready first (``kahn``), to at
+    most ``jobs`` workers, so at most that many provider requests are in
+    flight. With one job, or one object pending, it runs on the calling
+    thread, so ``generated`` is ``topological_order`` of the pending ids. A
+    cycle left among them is an ``InternalError``. Workers only generate;
+    this thread records every outcome. The settings of each request are read from ``config``, and
     ``gateway`` may be None when no object is pending.
 
     The records of objects the graph no longer holds are dropped. The store
@@ -832,13 +813,7 @@ def generate_all(
         if oid in objects and not up_to_date(graph, store, oid)
     }
     report = RunReport(skipped=sorted(oid for oid in objects if oid not in pending))
-    blockers = dict.fromkeys(pending, 0)
-    dependents: dict[str, list[str]] = {oid: [] for oid in pending}
-    for need, oid in prerequisites(graph, pending):
-        blockers[oid] += 1
-        dependents[need].append(oid)
-    ready = [oid for oid, count in blockers.items() if not count]
-    heapq.heapify(ready)
+    ready, done = kahn(graph, pending)
     allow_missing = _stale_prerequisites(graph, store, pending)
 
     def finish(oid: str, outcome) -> None:
@@ -853,10 +828,7 @@ def generate_all(
             report.generated.append(oid)
             report.prompt_tokens += ptok
             report.completion_tokens += ctok
-        for dep in dependents[oid]:
-            blockers[dep] -= 1
-            if not blockers[dep]:
-                heapq.heappush(ready, dep)
+        done(oid)
 
     jobs = max(1, min(jobs, len(pending)))
     generate_one = _generator(graph, gateway, store, config) if pending else None

@@ -7,24 +7,14 @@ model in the loop, so they are cheap enough to run on every build.
 
 from __future__ import annotations
 
-import json
 from statistics import fmean
 from typing import Iterable, Mapping, NamedTuple, Union
 
 from .doc_pipeline import ATTRIBUTE_LABEL, PARAM_LABEL, ParsedDoc, parse_doc
 from .project_graph import RepoGraph
-from .source_model import CLASS, FUNCTION
+from .source_model import CLASS
 
 ReferenceSource = Union[RepoGraph, Mapping[str, Iterable[str]]]
-
-
-def reference_sets(edges: Iterable[tuple[str, str]]) -> dict[str, set[str]]:
-    """Per-object union of callers and callees from (caller, callee) pairs."""
-    refs: dict[str, set[str]] = {}
-    for caller, callee in edges:
-        refs.setdefault(caller, set()).add(callee)
-        refs.setdefault(callee, set()).add(caller)
-    return refs
 
 
 def _reference_map(source: ReferenceSource) -> dict[str, set[str]]:
@@ -86,7 +76,9 @@ class FormatCheck(NamedTuple):
         }
 
 
-def _format_check(parsed: ParsedDoc, kind: str, has_return: bool) -> FormatCheck:
+def check_format(parsed: ParsedDoc, kind: str, has_return: bool) -> FormatCheck:
+    """The five-section layout verdicts for a doc that ``parse_doc`` read
+    for an object of ``kind``."""
     expected_param = ATTRIBUTE_LABEL if kind == CLASS else PARAM_LABEL
     if has_return:
         output_example_ok = bool(parsed.output_example)
@@ -100,18 +92,6 @@ def _format_check(parsed: ParsedDoc, kind: str, has_return: bool) -> FormatCheck
         output_example_ok=output_example_ok,
         no_extras=not parsed.extra,
     )
-
-
-def check_format(doc: str, kind: str, has_return: bool, name: str = "") -> FormatCheck:
-    """Verify the five-section layout for one generated doc of the object
-    named ``name``."""
-    return _format_check(parse_doc(doc, kind, has_return, name), kind, has_return)
-
-
-def extract_params(doc: str, name: str = "") -> list[str]:
-    """Backticked bullet names under the parameters or Attributes section
-    of the doc of the object named ``name``, in order, duplicates kept."""
-    return [param for param, _ in parse_doc(doc, FUNCTION, False, name).params]
 
 
 def param_accuracy(
@@ -143,16 +123,8 @@ class EvalReport:
         self.aggregates: dict = {}
         self.errors: list[str] = []
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "aggregates": self.aggregates,
-                "per_object": self.per_object,
-                "errors": self.errors,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+    def to_dict(self) -> dict:
+        return {"aggregates": self.aggregates, "per_object": self.per_object, "errors": self.errors}
 
 
 def evaluate_docs(
@@ -177,7 +149,7 @@ def evaluate_docs(
             report.errors.append(f"unknown object id: {oid}")
             continue
         parsed = parse_doc(docs[oid], obj.kind, obj.has_return, obj.name)
-        flags = _format_check(parsed, obj.kind, obj.has_return)
+        flags = check_format(parsed, obj.kind, obj.has_return)
         documented = [name for name, _ in parsed.params]
         accuracy = param_accuracy(documented, obj.params, param_metric)
         accuracies.append(accuracy)

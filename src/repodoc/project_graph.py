@@ -11,7 +11,7 @@ import heapq
 from collections.abc import MutableMapping
 from functools import cached_property
 from pathlib import PurePosixPath
-from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import InternalError
 from .source_model import (
@@ -668,32 +668,43 @@ def prerequisites(graph: RepoGraph, ids: Collection[str]) -> list[tuple[str, str
     return pairs
 
 
+def kahn(graph: RepoGraph, ids: Collection[str]) -> tuple[list[str], Callable[[str], None]]:
+    """Kahn's algorithm over the distinct ``ids``, by their ``prerequisites``.
+    Returns the ready heap, at first the ids with no prerequisite among
+    them, and ``done(oid)``, which pushes the ids that ``oid`` was the last
+    prerequisite of. Popping the heap gives the smallest ready id, so an
+    order taken from it is a pure function of the graph and ``ids``; a
+    cycle leaves ids that never become ready."""
+    blockers = dict.fromkeys(ids, 0)
+    dependents: dict[str, list[str]] = {oid: [] for oid in blockers}
+    for need, oid in prerequisites(graph, blockers):
+        blockers[oid] += 1
+        dependents[need].append(oid)
+    ready = [oid for oid, count in blockers.items() if not count]
+    heapq.heapify(ready)
+
+    def done(oid: str) -> None:
+        for dependent in dependents[oid]:
+            blockers[dependent] -= 1
+            if not blockers[dependent]:
+                heapq.heappush(ready, dependent)
+
+    return ready, done
+
+
 def topological_order(graph: RepoGraph, only: Collection[str] | None = None) -> list[str]:
     """Generation order of ``only``, by default every object: callees before
-    callers, children before parents, among the ids ordered.
-
-    Kahn's algorithm with a lexicographic ready heap, so the order is a pure
-    function of the graph and ``only``. The order of a subset is by its own
-    edges and containment, not the order of every object filtered to it.
+    callers, children before parents, among the ids ordered, the smallest
+    ready id first (``kahn``). The order of a subset is by its own edges and
+    containment, not the order of every object filtered to it.
     """
     ids = graph.objects if only is None else only
-    indegree = dict.fromkeys(ids, 0)
-    dependents: dict[str, list[str]] = {oid: [] for oid in ids}
-    for prerequisite, dependent in prerequisites(graph, indegree):
-        dependents[prerequisite].append(dependent)
-        indegree[dependent] += 1
-
-    ready = [oid for oid, deg in indegree.items() if deg == 0]
-    heapq.heapify(ready)
+    ready, done = kahn(graph, ids)
     order: list[str] = []
     while ready:
-        oid = heapq.heappop(ready)
-        order.append(oid)
-        for dependent in dependents[oid]:
-            indegree[dependent] -= 1
-            if indegree[dependent] == 0:
-                heapq.heappush(ready, dependent)
-    if len(order) != len(indegree):
+        order.append(heapq.heappop(ready))
+        done(order[-1])
+    if len(order) != len(ids):
         raise InternalError("cycle survived pruning; generation order undefined")
     return order
 

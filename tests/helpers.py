@@ -14,6 +14,7 @@ Three fixture repositories are used throughout:
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Iterable
 
 from repodoc.config import Config
 from repodoc.doc_pipeline import DocStore, generate_all
@@ -189,6 +190,15 @@ def write_tree(root: Path, files: dict[str, str]) -> None:
         target = root / rel
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(text, encoding="utf-8")
+
+
+def reference_sets(edges: Iterable[tuple[str, str]]) -> dict[str, set[str]]:
+    """Per-object union of callers and callees from (caller, callee) pairs."""
+    refs: dict[str, set[str]] = {}
+    for caller, callee in edges:
+        refs.setdefault(caller, set()).add(callee)
+        refs.setdefault(callee, set()).add(caller)
+    return refs
 
 
 def build_repo_graph(root: Path, ignore: tuple[str, ...] = ()) -> RepoGraph:

@@ -37,13 +37,7 @@ from repodoc.doc_pipeline import (
     save_store,
 )
 from repodoc.errors import CorruptStoreError
-from repodoc.eval_harness import (
-    check_format,
-    extract_params,
-    param_accuracy,
-    reference_recall,
-    reference_sets,
-)
+from repodoc.eval_harness import check_format, param_accuracy, reference_recall
 from repodoc.llm_gateway import Gateway
 from repodoc.markdown_publisher import write_site
 from repodoc.project_graph import build_tree, resolve_references, topological_order
@@ -60,6 +54,7 @@ from .helpers import (
     generate_repo,
     make_gateway,
     make_config,
+    reference_sets,
     write_tree,
 )
 
@@ -345,11 +340,13 @@ def test_criterion_5_mock_docs_comply_and_defects_are_caught(labeled_repo):
     for oid, record in store.records.items():
         obj = graph.objects[oid]
         doc = record.text
-        assert check_format(doc, obj.kind, obj.has_return).compliant, oid
+        parsed = parse_doc(doc, obj.kind, obj.has_return)
+        assert check_format(parsed, obj.kind, obj.has_return).compliant, oid
 
         for flag_name, mutated in _doc_mutations(obj, doc):
             assert mutated != doc, (oid, flag_name)
-            flags = check_format(mutated, obj.kind, obj.has_return)
+            parsed = parse_doc(mutated, obj.kind, obj.has_return)
+            flags = check_format(parsed, obj.kind, obj.has_return)
             assert not getattr(flags, flag_name), (oid, flag_name)
             assert not flags.compliant
             seeded += 1
@@ -374,13 +371,17 @@ CLEAN_INPUT_DOC = (
 )
 
 
+def _params(doc: str) -> list[str]:
+    return [param for param, _ in parse_doc(doc, FUNCTION, False).params]
+
+
 def test_criterion_6_param_extraction_and_accuracy(labeled_repo):
-    assert extract_params(CLEAN_INPUT_DOC) == ["config", "prompt"]
+    assert _params(CLEAN_INPUT_DOC) == ["config", "prompt"]
 
     graph, store, _, _ = generate_repo(labeled_repo)
     scores = [
         param_accuracy(
-            extract_params(record.text), graph.objects[oid].params
+            _params(record.text), graph.objects[oid].params
         )
         for oid, record in store.records.items()
     ]

@@ -311,7 +311,11 @@ def test_eval_rejects_an_unreadable_reference_file(demo_repo, tmp_path, capsys):
     broken.write_text('{"a.py/g": [', encoding="utf-8")
     listed = tmp_path / "listed.json"
     listed.write_text('["a.py/f"]', encoding="utf-8")
-    for refs in (tmp_path / "missing.json", tmp_path, broken, listed):
+    unhashable = tmp_path / "unhashable.json"
+    unhashable.write_text('{"a.py/f": [{"x": 1}]}', encoding="utf-8")
+    numbered = tmp_path / "numbered.json"
+    numbered.write_text('{"a.py/f": [1]}', encoding="utf-8")
+    for refs in (tmp_path / "missing.json", tmp_path, broken, listed, unhashable, numbered):
         code, out, err = run_cli("eval", "--repo", demo_repo, "--refs", refs, capsys=capsys)
         assert code == 1, refs
         assert out == ""
@@ -323,6 +327,17 @@ def test_generate_accepts_jobs_flag(demo_repo, capsys):
     code, out, _ = run_cli("generate", "--repo", demo_repo, "--jobs", 2, capsys=capsys)
     assert code == 0
     assert "generated 5 objects" in out
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_is_a_usage_error(demo_repo, capsys, jobs):
+    code, out, err = run_cli("generate", "--repo", demo_repo, "--jobs", jobs, capsys=capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "--jobs" in err
+    assert not (demo_repo / STORE_REL).exists()
+    assert not (demo_repo / "markdown_docs").exists()
 
 
 def test_generate_documents_no_symlink(git_demo_repo, capsys):

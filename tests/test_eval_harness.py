@@ -1,21 +1,13 @@
 from __future__ import annotations
 
-import json
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repodoc.eval_harness import (
-    check_format,
-    evaluate_docs,
-    extract_params,
-    param_accuracy,
-    reference_recall,
-    reference_sets,
-)
+from repodoc.doc_pipeline import parse_doc
+from repodoc.eval_harness import check_format, evaluate_docs, param_accuracy, reference_recall
 
-from .helpers import build_repo_graph, generate_repo, write_tree
+from .helpers import build_repo_graph, generate_repo, reference_sets, write_tree
 
 FUNCTION_DOC = (
     "**load**: reads the file.\n"
@@ -25,6 +17,14 @@ FUNCTION_DOC = (
     "**Note**: path must exist.\n"
     "**Output Example**: {'a': 1}"
 )
+
+
+def _flags(doc: str, kind: str, has_return: bool, name: str = ""):
+    return check_format(parse_doc(doc, kind, has_return, name), kind, has_return)
+
+
+def _params(doc: str, name: str = "") -> list[str]:
+    return [param for param, _ in parse_doc(doc, "Function", False, name).params]
 
 
 def test_reference_sets_union_both_directions():
@@ -58,43 +58,43 @@ def test_reference_recall_accepts_graphs(demo_repo):
 
 
 def test_check_format_accepts_compliant_function_doc():
-    flags = check_format(FUNCTION_DOC, "Function", has_return=True)
+    flags = _flags(FUNCTION_DOC, "Function", has_return=True)
     assert flags.compliant
     assert flags.to_dict()["compliant"] is True
 
 
 def test_check_format_flags_each_defect():
     no_name = FUNCTION_DOC.split("\n", 1)[1]
-    assert not check_format(no_name, "Function", True).name_ok
+    assert not _flags(no_name, "Function", True).name_ok
 
     wrong_label = FUNCTION_DOC.replace("**parameters**:", "**Attributes**:")
-    flags = check_format(wrong_label, "Function", True)
+    flags = _flags(wrong_label, "Function", True)
     assert not flags.params_ok and not flags.no_extras
 
     unbolded = FUNCTION_DOC.replace("**Note**:", "Note:")
-    assert not check_format(unbolded, "Function", True).note_ok
+    assert not _flags(unbolded, "Function", True).note_ok
 
     empty_desc = FUNCTION_DOC.replace(
         "**Code Description**: reads and validates.", "**Code Description**:"
     )
-    assert not check_format(empty_desc, "Function", True).code_description_ok
+    assert not _flags(empty_desc, "Function", True).code_description_ok
 
     missing_example = FUNCTION_DOC.replace("\n**Output Example**: {'a': 1}", "")
-    assert not check_format(missing_example, "Function", True).output_example_ok
+    assert not _flags(missing_example, "Function", True).output_example_ok
     # the same text is fine when the object does not return a value
-    assert check_format(missing_example, "Function", False).output_example_ok
+    assert _flags(missing_example, "Function", False).output_example_ok
 
     # an Output Example on a non-returning object is itself a defect
-    assert not check_format(FUNCTION_DOC, "Function", False).output_example_ok
+    assert not _flags(FUNCTION_DOC, "Function", False).output_example_ok
 
     duplicated = FUNCTION_DOC + "\n**Note**: twice."
-    assert not check_format(duplicated, "Function", True).no_extras
+    assert not _flags(duplicated, "Function", True).no_extras
 
 
 def test_check_format_class_expects_attributes():
     class_doc = FUNCTION_DOC.replace("**parameters**:", "**Attributes**:")
-    assert check_format(class_doc, "Class", True).compliant
-    assert not check_format(FUNCTION_DOC, "Class", True).params_ok
+    assert _flags(class_doc, "Class", True).compliant
+    assert not _flags(FUNCTION_DOC, "Class", True).params_ok
 
 
 def test_check_format_first_param_section_decides():
@@ -103,16 +103,16 @@ def test_check_format_first_param_section_decides():
     doc = FUNCTION_DOC.replace(
         "**parameters**:", "**Attributes**:\n- `x`: wrong label.\n**parameters**:"
     )
-    flags = check_format(doc, "Function", True)
+    flags = _flags(doc, "Function", True)
     assert not flags.params_ok and not flags.no_extras and not flags.compliant
-    assert extract_params(doc) == ["x"]
+    assert _params(doc) == ["x"]
 
 
 def test_mock_generated_docs_are_fully_compliant(labeled_repo):
     graph, store, _, _ = generate_repo(labeled_repo)
     for oid, record in store.records.items():
         obj = graph.objects[oid]
-        flags = check_format(record.text, obj.kind, obj.has_return)
+        flags = _flags(record.text, obj.kind, obj.has_return)
         assert flags.compliant, (oid, flags.to_dict())
 
 
@@ -132,8 +132,8 @@ def test_objects_named_like_a_section_label_are_generated_and_scored_compliant(t
     report = evaluate_docs(docs, graph)
     assert report.aggregates["format_compliance"] == 1.0
     doc = docs["labels.py/parameters"]
-    assert check_format(doc, "Function", True, "parameters").compliant
-    assert extract_params(doc, "parameters") == ["a", "b"]
+    assert _flags(doc, "Function", True, "parameters").compliant
+    assert _params(doc, "parameters") == ["a", "b"]
 
 
 def test_extract_params_order_and_duplicates():
@@ -146,7 +146,7 @@ def test_extract_params_order_and_duplicates():
         "- plain: not backticked, ignored.\n"
         "**Code Description**: d."
     )
-    assert extract_params(doc) == ["beta", "alpha", "beta"]
+    assert _params(doc) == ["beta", "alpha", "beta"]
 
 
 def test_extract_params_stops_at_next_section():
@@ -154,16 +154,16 @@ def test_extract_params_stops_at_next_section():
         "**f**: x.\n**parameters**:\n- `a`: yes.\n"
         "**Note**:\n- `b`: different section."
     )
-    assert extract_params(doc) == ["a"]
+    assert _params(doc) == ["a"]
 
 
 def test_extract_params_counts_indented_bullets():
     doc = "**f**: x.\n**parameters**:\n  - `a`: indented.\n- `b`: flush."
-    assert extract_params(doc) == ["a", "b"]
+    assert _params(doc) == ["a", "b"]
 
 
 def test_extract_params_without_param_section():
-    assert extract_params("**f**: no sections here.") == []
+    assert _params("**f**: no sections here.") == []
 
 
 def test_param_accuracy_jaccard():
@@ -209,8 +209,7 @@ def test_evaluate_docs_aggregates_match_rows(demo_repo):
     assert report.aggregates["section_rates"]["note"] == 1.0
     assert len(report.per_object) == len(docs)
     assert all(row["compliant"] for row in report.per_object)
-    parsed = json.loads(report.to_json())
-    assert parsed["aggregates"]["param_metric"] == "jaccard"
+    assert report.to_dict()["aggregates"]["param_metric"] == "jaccard"
 
 
 def test_evaluate_docs_reports_unknown_ids(demo_repo):

@@ -113,8 +113,6 @@ def _recording(patch, module, *, full: bool) -> list:
     if full:
         load_store = module.load_store
         patch.setattr(module, "load_store", lambda path, git_dir=None: load_store(path))
-        for owner in (module, doc_pipeline):
-            patch.setattr(owner, "snapshot_is_recorded", lambda store, git_dir: False)
     return built
 
 
@@ -759,7 +757,6 @@ def _ordered(patch) -> list[int]:
         sizes.append(len(ids))
         return real(graph, ids)
 
-    patch.setattr(doc_pipeline, "prerequisites", prerequisites)
     patch.setattr(project_graph, "prerequisites", prerequisites)
     return sizes
 

@@ -18,8 +18,16 @@ from pathlib import Path
 
 import pytest
 
+from repodoc.change_tracker import git_dir
 from repodoc.cli import main
-from repodoc.doc_pipeline import STORE_VERSION, DocRecord, DocStore, load_store, save_store
+from repodoc.doc_pipeline import (
+    SNAPSHOT_DIGEST_NAME,
+    STORE_VERSION,
+    DocRecord,
+    DocStore,
+    load_store,
+    save_store,
+)
 from repodoc.errors import CorruptStoreError
 from repodoc.llm_gateway import MockProvider
 from repodoc.project_graph import DIR, FILE, REPO, ROOT_ID, RepoGraph, TreeNode
@@ -179,6 +187,31 @@ def test_first_update_on_a_v3_store_rebuilds_and_the_next_reuses(git_demo_repo, 
     assert saved["version"] == STORE_VERSION
     report = staged_update(DEMO_FILES["a.py"].replace("return 1", "return 3"))
     assert report["reused_files"] == 1 and report["parsed_files"] == 1
+
+
+@pytest.mark.parametrize(
+    "case", ["git", "outside git", "digest deleted", "byte changed", "v3 fixture", "no git_dir"]
+)
+def test_a_store_is_recorded_only_when_the_git_dir_holds_its_digest(demo_repo, capsys, case):
+    if case != "outside git":
+        git(demo_repo, "init", "-q")
+    if case == "v3 fixture":
+        release_repo(demo_repo, {}, V3_DIR)
+    else:
+        assert main(["generate", "--repo", str(demo_repo)]) == 0
+    path, repo_git = demo_repo / STORE_REL, git_dir(demo_repo)
+    if case == "digest deleted":
+        (repo_git / SNAPSHOT_DIGEST_NAME).unlink()
+    elif case == "byte changed":
+        path.write_bytes(path.read_bytes()[:-1] + b" ")
+    elif case == "v3 fixture":
+        # even a recorded digest of its bytes lends no trust to a store
+        # that save_store did not write
+        digest = load_store(path, repo_git).digest
+        (repo_git / SNAPSHOT_DIGEST_NAME).write_text(digest + "\n", encoding="utf-8")
+    store = load_store(path, None if case == "no git_dir" else repo_git)
+    assert store.graph_snapshot is not None
+    assert store.recorded is (case == "git")
 
 
 def test_cold_generate_pages_match_the_version_1_release(demo_repo, capsys, sends):
