@@ -30,7 +30,7 @@ from .doc_pipeline import (
 )
 from .errors import LockError, NotAGitRepoError, StoreWriteError, UsageError
 from .markdown_publisher import write_site
-from .project_graph import RepoGraph, add_snippets, empty_graph, source_graph
+from .project_graph import ChangeSet, RepoGraph, add_snippets, diff_objects, source_graph
 from .source_model import ParseCache, Sources, is_source, source_text
 
 if TYPE_CHECKING:
@@ -216,46 +216,6 @@ def read_staged_text(
     return sources
 
 
-class ChangeSet(NamedTuple):
-    """Object-level difference between two graphs."""
-
-    added: tuple[str, ...] = ()
-    removed: tuple[str, ...] = ()
-    modified: tuple[str, ...] = ()
-    edge_added: tuple[tuple[str, str], ...] = ()
-    edge_removed: tuple[tuple[str, str], ...] = ()
-
-
-def diff_objects(old: RepoGraph, new: RepoGraph) -> ChangeSet:
-    """Compare object inventories and kept reference edges. When ``new``
-    overlays ``old``, the two hold the same objects, and only the rebuilt
-    ones may differ."""
-    if new.base is old:
-        rebuilt = [oid for oid in new.rebuilt if oid in new.objects]
-        added: list[str] = []
-        removed: list[str] = []
-        modified = sorted(
-            oid for oid in rebuilt if old.objects[oid].source_hash != new.objects[oid].source_hash
-        )
-    else:
-        old_hash = {oid: obj.source_hash for oid, obj in old.objects.items()}
-        new_hash = {oid: obj.source_hash for oid, obj in new.objects.items()}
-        added = sorted(set(new_hash) - set(old_hash))
-        removed = sorted(set(old_hash) - set(new_hash))
-        modified = sorted(
-            oid for oid in set(old_hash) & set(new_hash) if old_hash[oid] != new_hash[oid]
-        )
-    old_edges = {(e.caller, e.callee) for e in old.edges}
-    new_edges = {(e.caller, e.callee) for e in new.edges}
-    return ChangeSet(
-        added=tuple(added),
-        removed=tuple(removed),
-        modified=tuple(modified),
-        edge_added=tuple(sorted(new_edges - old_edges)),
-        edge_removed=tuple(sorted(old_edges - new_edges)),
-    )
-
-
 class UpdatePlan(NamedTuple):
     """What to regenerate (with the winning trigger) and which docs to drop."""
 
@@ -387,7 +347,8 @@ def run_update(gateway: "Gateway | None", config: "Config", jobs: int) -> Update
         sources = read_staged_text(repo_root, config.ignore, snapshot if store.recorded else None)
         try:
             graph, taken = source_graph(sources, cache, snapshot, reuse=store.recorded)
-            plan = plan_updates(diff_objects(snapshot or empty_graph(), graph))
+            changes = diff_objects(snapshot, graph)
+            plan = plan_updates(changes)
             if gateway is None and plan.regenerate:
                 gateway = build_gateway(config)
             add_snippets(graph, sources, cache, taken, plan.regenerate_ids)
@@ -395,7 +356,9 @@ def run_update(gateway: "Gateway | None", config: "Config", jobs: int) -> Update
             sources.close()
         cache.save()
 
-        run = generate_all(graph, gateway, store, config, jobs, only=plan.regenerate_ids)
+        run = generate_all(
+            graph, gateway, store, config, jobs, only=plan.regenerate_ids, changes=changes
+        )
         report = UpdateReport(staged, plan, run)
         report.parse_errors = list(graph.parse_errors)
         report.diagnostics = list(graph.diagnostics)
@@ -428,12 +391,12 @@ def persist(
     leaves none and the next one rewrites every stale page. When the store
     was ``recorded`` as loaded, only the pages of what the run changed
     (``DocStore.edited``) are compiled. Otherwise every page is compiled,
-    and when the store is still the file loaded (unchanged, with the digest
-    of that file), it is saved anyway in a Git repository, so that the
-    digest recorded there is of bytes ``save_store`` wrote. That holds also
-    when the graph this run built differs from the snapshot only in blob
-    ids and parse errors: the store keeps the snapshot as loaded, and the
-    next run parses each file whose blob is not the snapshot's, as after a
+    and in a Git repository a store loaded from a file and left unchanged
+    (``DocStore.changed``: no doc written or dropped, and a graph the
+    ``same`` as the snapshot, blob ids and parse errors aside) is saved
+    anyway, as loaded, so that the digest recorded there is of bytes
+    ``save_store`` wrote. It keeps the snapshot's blob ids, so the next run
+    parses each file whose blob is not the snapshot's, as after a
     fast-path run with such a change. Without ``store_path``, as for
     ``publish``, the store is not saved, no graph was built, and every page
     is compiled.

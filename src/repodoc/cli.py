@@ -27,7 +27,7 @@ from .errors import (
     StoreWriteError,
     UsageError,
 )
-from .project_graph import add_snippets, graph_to_dot, source_graph
+from .project_graph import add_snippets, diff_objects, graph_to_dot, source_graph
 from .source_model import ParseCache, scan_repository
 
 logger = logging.getLogger(__name__)
@@ -119,11 +119,12 @@ def cmd_generate(args) -> int:
         sources = scan_repository(config.repo_root, config.ignore)
         cache = ParseCache(repo_git)
         graph, taken = source_graph(sources, cache, store.graph_snapshot, reuse=store.recorded)
-        stale = stale_objects(graph, store)
+        changes = diff_objects(store.graph_snapshot, graph)
+        stale = stale_objects(graph, store, changes)
         add_snippets(graph, sources, cache, taken, stale)
         cache.save()
         gateway = build_gateway(config) if stale else None
-        report = generate_all(graph, gateway, store, config, args.jobs, only=stale)
+        report = generate_all(graph, gateway, store, config, args.jobs, only=stale, changes=changes)
         # partial progress is kept even when some objects failed
         doc_dir = config.repo_root / config.doc_dir
         pages = persist(graph, store, store_path, doc_dir, repo_git)

@@ -28,10 +28,12 @@ from .project_graph import (
     FILE,
     REPO,
     ROOT_ID,
+    ChangeSet,
     Overlay,
     ReferenceEdge,
     RepoGraph,
     TreeNode,
+    diff_objects,
     kahn,
     tree_node,
 )
@@ -649,26 +651,6 @@ class RunReport:
         }
 
 
-def _reference_sets_unchanged(graph: RepoGraph, snapshot: RepoGraph | None, object_id: str) -> bool:
-    if snapshot is None:
-        return False
-    return (
-        set(graph.callers(object_id)) == set(snapshot.callers(object_id))
-        and set(graph.callees(object_id)) == set(snapshot.callees(object_id))
-    )
-
-
-def up_to_date(graph: RepoGraph, store: DocStore, object_id: str) -> bool:
-    """Whether ``generate_all`` skips the object: its record has its source
-    hash, and its callers and callees are those of the stored snapshot."""
-    record = store.records.get(object_id)
-    if record is None:
-        return False
-    if record.source_hash != graph.objects[object_id].source_hash:
-        return False
-    return _reference_sets_unchanged(graph, store.graph_snapshot, object_id)
-
-
 _HASH_KEY = '"source_hash":"'
 _HASH_SPAN = len(_HASH_KEY) + 65  # the key, a SHA-256 hex digest and its closing quote
 
@@ -697,24 +679,36 @@ def _unmatched(
     return unmatched
 
 
-def stale_objects(graph: RepoGraph, store: DocStore) -> set[str]:
-    """The objects of ``graph`` that are not ``up_to_date``.
+def stale_objects(
+    graph: RepoGraph, store: DocStore, changes: ChangeSet, only: Iterable[str] | None = None
+) -> set[str]:
+    """The pending objects of ``graph`` among ``only``, by default among
+    those that can be pending: the added and modified ones, the ends of the
+    kept edges that changed, and the snapshot's objects whose record is
+    missing or may carry another source hash, which ``_unmatched`` finds
+    without decoding either entry. ``changes`` is ``diff_objects`` of the
+    store's snapshot and ``graph``.
 
-    When the graph overlays the store's snapshot, only three kinds of
-    object can be stale, and only these are checked: the rebuilt ones, the
-    ends of the kept edges that changed, and the snapshot's objects whose
-    record is missing or carries another source hash, which ``_unmatched``
-    finds without decoding either entry."""
-    old = store.graph_snapshot
-    if old is None or graph.base is not old:
-        candidates: Iterable[str] = graph.objects
-    else:
-        candidates = {oid for oid in graph.rebuilt if oid in graph.objects}
-        if graph.edges != old.edges:
-            for edge in set(graph.edges).symmetric_difference(old.edges):
-                candidates.update((edge.caller, edge.callee))
-        candidates.update(_unmatched(old.objects, store.records))
-    return {oid for oid in candidates if not up_to_date(graph, store, oid)}
+    An object is pending when there is no snapshot, it has no record, its
+    record carries another source hash, or it is an end of a kept edge that
+    changed: its doc is made from its source, callers and callees."""
+    old, records, objects = store.graph_snapshot, store.records, graph.objects
+    touched = changes.touched
+    if only is None:
+        only = {*changes.added, *changes.modified, *touched}
+        if old is not None:
+            only.update(_unmatched(old.objects, records))
+    return {
+        oid
+        for oid in only
+        if oid in objects
+        and (
+            old is None
+            or oid in touched
+            or oid not in records
+            or records[oid].source_hash != objects[oid].source_hash
+        )
+    }
 
 
 def _stale_prerequisites(graph: RepoGraph, store: DocStore, pending: set[str]) -> frozenset[str]:
@@ -780,38 +774,43 @@ def generate_all(
     jobs: int,
     *,
     only: set[str] | None = None,
+    changes: ChangeSet | None = None,
 ) -> RunReport:
-    """Generate docs for every stale object, bottom-to-top.
+    """Generate docs for every pending object (``stale_objects``), bottom-to-top.
 
-    Up-to-date objects (same source hash, same reference sets as the stored
-    snapshot) are skipped without any gateway call, and listed sorted by id.
-    Failures are recorded and do not stop the run; dependents see "None" for
-    a failed prerequisite. ``only`` restricts generation to the given ids
-    (used by updates).
+    ``changes`` is ``diff_objects`` of the store's snapshot and ``graph``:
+    ``generate`` and ``update`` compute it once per run and pass it here,
+    and it is computed here when not given. ``only`` restricts generation to
+    the pending objects among the given ids: ``generate`` passes its stale
+    set, ``update`` the ids its plan regenerates. The other objects are
+    skipped without any gateway call, and listed sorted by id. Failures are
+    recorded and do not stop the run; dependents see "None" for a failed
+    prerequisite.
 
     An object is dispatched once all of its pending callees and children
     have finished, the smallest id of those ready first (``kahn``), to at
     most ``jobs`` workers, so at most that many provider requests are in
     flight. With one job, or one object pending, it runs on the calling
-    thread, so ``generated`` is ``topological_order`` of the pending ids. A
-    cycle left among them is an ``InternalError``. Workers only generate;
-    this thread records every outcome. The settings of each request are read from ``config``, and
+    thread, so ``generated`` is ``topological_order`` of the pending ids;
+    that function is not a step of the run, but the order the tests check
+    it against, and the name the benchmark's tracer times as
+    ``project_graph.topo``. A cycle left among the pending ids is an
+    ``InternalError``. Workers only generate; this thread records every
+    outcome. The settings of each request are read from ``config``, and
     ``gateway`` may be None when no object is pending.
 
     The records of objects the graph no longer holds are dropped. The store
     is marked changed when a doc was recorded or dropped, or when the graph
-    differs from the old snapshot in more than its files' blob ids and parse
-    errors; the graph then becomes the store's snapshot, and the ids of the
-    records written and of the nodes that changed join ``store.edited``. An
+    is not the same as the old snapshot (``ChangeSet.same``); the graph then
+    becomes the store's snapshot, and the ids of the records written and of
+    the nodes that changed (``ChangeSet.nodes``) join ``store.edited``. An
     unchanged store keeps the snapshot it was loaded with, so it still
     matches its file.
     """
     objects = graph.objects
-    pending = {
-        oid
-        for oid in (objects if only is None else only)
-        if oid in objects and not up_to_date(graph, store, oid)
-    }
+    if changes is None:
+        changes = diff_objects(store.graph_snapshot, graph)
+    pending = stale_objects(graph, store, changes, only)
     report = RunReport(skipped=sorted(oid for oid in objects if oid not in pending))
     ready, done = kahn(graph, pending)
     allow_missing = _stale_prerequisites(graph, store, pending)
@@ -856,21 +855,13 @@ def generate_all(
     if len(report.generated) + len(report.failures) < len(pending):
         raise InternalError("cycle survived pruning; generation order undefined")
 
-    old = store.graph_snapshot
     gone = [oid for oid in store.records if oid not in objects]
     for oid in gone:
         del store.records[oid]
-    changed_nodes = set(graph.nodes) if old is None else graph.changed_nodes(old)
-    store.changed = (
-        store.changed
-        or bool(report.generated)
-        or bool(gone)
-        or old is None
-        or not graph.same_as(old, changed_nodes)
-    )
+    store.changed = store.changed or bool(report.generated) or bool(gone) or not changes.same
     if not store.changed:
         return report
     store.edited.update(report.generated)
-    store.edited |= changed_nodes
+    store.edited |= changes.nodes
     store.graph_snapshot = graph
     return report

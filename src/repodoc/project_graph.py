@@ -433,46 +433,6 @@ class RepoGraph:
             node_id = parent_of(node_id)
         return node_id
 
-    def changed_nodes(self, other: "RepoGraph") -> set[str]:
-        """The ids of the nodes whose ``node_entry`` is not the one
-        ``other`` holds under the same id, or that ``other`` lacks. Over its
-        ``base``, only the rebuilt nodes are compared."""
-        changed = set()
-        for node_id in self.rebuilt if self.base is other else self.nodes:
-            node, twin = self.nodes[node_id], other.nodes.get(node_id)
-            if (
-                twin is None
-                or node.children != twin.children
-                or node.node_kind != twin.node_kind
-                or node.blob != twin.blob
-                or node.parse_error != twin.parse_error
-            ):
-                changed.add(node_id)
-                continue
-            obj, twin_obj = self.objects.get(node_id), other.objects.get(node_id)
-            if obj is not twin_obj and (
-                obj is None or twin_obj is None or obj.to_dict() != twin_obj.to_dict()
-            ):
-                changed.add(node_id)
-        return changed
-
-    def same_as(self, other: "RepoGraph", changed: Collection[str] | None = None) -> bool:
-        """Whether the two graphs' ``to_dict()`` would be equal but for the
-        file nodes' blob ids and parse errors, which say what was parsed
-        rather than what is documented. ``changed`` is
-        ``self.changed_nodes(other)``, when already known."""
-        if self.edges != other.edges or self.removed_edges != other.removed_edges:
-            return False
-        if self.base is not other and self.nodes.keys() != other.nodes.keys():
-            return False
-        if changed is None:
-            changed = self.changed_nodes(other)
-        for node_id in changed:
-            node, twin = self.nodes[node_id], other.nodes[node_id]
-            if node.node_kind != FILE or twin.node_kind != FILE or node.children != twin.children:
-                return False
-        return True
-
     @classmethod
     def from_dict(cls, data: dict) -> "RepoGraph":
         """The graph of ``to_dict()``; an object's id and kind are its node's."""
@@ -512,12 +472,77 @@ def tree_node(node_id: str, entry: dict) -> TreeNode:
     )
 
 
-def empty_graph() -> RepoGraph:
-    return RepoGraph(
-        nodes={ROOT_ID: TreeNode(id=ROOT_ID, node_kind=REPO)},
-        objects={},
-        edges=[],
-        removed_edges=[],
+class ChangeSet(NamedTuple):
+    """What a graph changed of its snapshot (``diff_objects``)."""
+
+    added: tuple[str, ...]
+    removed: tuple[str, ...]
+    modified: tuple[str, ...]  # the objects of both whose source hash differs
+    edge_added: tuple[tuple[str, str], ...]
+    edge_removed: tuple[tuple[str, str], ...]
+    # the ids whose node_entry differs from the snapshot's, or that it lacks
+    nodes: frozenset[str]
+    # whether the two to_dict() are equal but for the file nodes' blob ids
+    # and parse errors, which say what was parsed rather than what is documented
+    same: bool
+
+    @property
+    def touched(self) -> set[str]:
+        """The ends of the kept edges added or removed."""
+        return {oid for edge in (*self.edge_added, *self.edge_removed) for oid in edge}
+
+
+def diff_objects(old: RepoGraph | None, new: RepoGraph) -> ChangeSet:
+    """The one comparison of a graph with its snapshot: what ``new`` changed
+    of ``old``, or of a graph with no node when ``old`` is None. When ``new``
+    overlays ``old`` (``build_graph``), the two hold the same ids and only
+    the rebuilt ones may differ, so only those are compared; otherwise every
+    node is. The kept edges are compared as sets only when they are not the
+    list ``old`` holds."""
+    over_base = old is not None and new.base is old
+    old_nodes = {} if old is None else old.nodes
+    old_objects = {} if old is None else old.objects
+    old_edges = [] if old is None else old.edges
+    added, modified, nodes = [], [], set()
+    # equal lengths, with no id of new missing from old, mean equal id sets
+    same = old is not None and len(new.nodes) == len(old_nodes)
+    same = same and new.removed_edges == old.removed_edges
+    for node_id in new.rebuilt if over_base else new.nodes:
+        node, twin = new.nodes[node_id], old_nodes.get(node_id)
+        obj, twin_obj = new.objects.get(node_id), old_objects.get(node_id)
+        if obj is not None and twin_obj is None:
+            added.append(node_id)
+        elif obj is not None and obj.source_hash != twin_obj.source_hash:
+            modified.append(node_id)
+        if twin is None:
+            nodes.add(node_id)
+            same = False
+        elif (
+            node.children != twin.children
+            or node.node_kind != twin.node_kind
+            or node.blob != twin.blob
+            or node.parse_error != twin.parse_error
+            or obj is not twin_obj
+            and (obj is None or twin_obj is None or obj.to_dict() != twin_obj.to_dict())
+        ):
+            nodes.add(node_id)
+            # only a file's blob id or parse error may differ
+            same = same and node.node_kind == twin.node_kind == FILE
+            same = same and node.children == twin.children
+    removed = () if over_base else sorted(oid for oid in old_objects if oid not in new.objects)
+    edge_added = edge_removed = ()
+    if new.edges != old_edges:
+        same = False
+        edge_added = tuple(sorted(set(new.edges).difference(old_edges)))
+        edge_removed = tuple(sorted(set(old_edges).difference(new.edges)))
+    return ChangeSet(
+        added=tuple(sorted(added)),
+        removed=tuple(removed),
+        modified=tuple(sorted(modified)),
+        edge_added=edge_added,
+        edge_removed=edge_removed,
+        nodes=frozenset(nodes),
+        same=same,
     )
 
 

@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import logging
 import math
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .config import ModelTier
 from .errors import OverBudgetError, SchedulingError
 from .project_graph import RepoGraph
 from .source_model import CLASS, CodeObject
+
+if TYPE_CHECKING:
+    from .doc_pipeline import DocStore
 
 logger = logging.getLogger(__name__)
 
@@ -98,7 +101,7 @@ def render_hierarchy(graph: RepoGraph, object_id: str, *, include_children: bool
 
 def assemble_context(
     graph: RepoGraph,
-    store: "object",
+    store: DocStore,
     object_id: str,
     *,
     child_docs_enabled: bool,
@@ -116,7 +119,7 @@ def assemble_context(
     if obj is None:
         raise SchedulingError(f"unknown object: {object_id}")
 
-    records = getattr(store, "records", {})
+    records = store.records
 
     def _required_doc(ref_id: str) -> str:
         if ref_id in allow_missing:

@@ -654,6 +654,38 @@ def test_update_saves_the_store_only_when_it_changed(git_demo_repo):
     assert store_rel in git(git_demo_repo, "diff", "--cached", "--name-only").split()
 
 
+def test_each_generate_and_python_update_diffs_the_graph_once(git_demo_repo, monkeypatch):
+    real, calls = diff_objects, []
+
+    def counted(old, new):
+        calls.append(new)
+        return real(old, new)
+
+    # rebind it wherever repodoc imported it
+    for module in [m for name, m in sys.modules.items() if name.startswith("repodoc.")]:
+        if getattr(module, "diff_objects", None) is real:
+            monkeypatch.setattr(module, "diff_objects", counted)
+    counts = []
+
+    def run(command):
+        assert main([command, "--repo", str(git_demo_repo)]) == 0
+        counts.append(len(calls))
+        calls.clear()
+
+    run("generate")  # no store yet
+    run("generate")  # a no-op over the snapshot
+    git(git_demo_repo, "add", "-A")
+    git(git_demo_repo, "commit", "-qm", "seed")
+    (git_demo_repo / "a.py").write_text(A_F_EDITED, encoding="utf-8")
+    git(git_demo_repo, "add", "a.py")
+    run("update")
+    git(git_demo_repo, "commit", "-qm", "edit")
+    (git_demo_repo / "README.md").write_text("# demo, edited\n", encoding="utf-8")
+    git(git_demo_repo, "add", "README.md")
+    run("update")  # no Python staged
+    assert counts == [1, 1, 1, 0]
+
+
 def test_run_update_incremental_edit_touches_one_object(git_demo_repo):
     git(git_demo_repo, "add", "-A")
     report, config = run_full_update(git_demo_repo)

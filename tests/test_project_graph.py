@@ -16,6 +16,7 @@ from repodoc.project_graph import (
     TreeNode,
     build_graph,
     build_tree,
+    diff_objects,
     graph_to_dot,
     object_containment,
     prune_cycles,
@@ -351,8 +352,47 @@ def test_same_as_agrees_with_the_stored_form(demo_repo, edit):
     _GRAPH_EDITS[edit](other)
     expected = _documented(graph) == _documented(other)
     assert expected == (edit in ("nothing", "blob", "parse-error", "span-and-snippet"))
-    assert graph.same_as(other) is expected
-    assert other.same_as(graph) is expected
+    for old, new in ((graph, other), (other, graph)):
+        changes = diff_objects(old, new)
+        assert changes.same is expected
+        assert changes.nodes == {
+            node_id
+            for node_id in new.nodes
+            if node_id not in old.nodes or new.node_entry(node_id) != old.node_entry(node_id)
+        }
+        assert changes.added == tuple(sorted(new.objects.keys() - old.objects.keys()))
+        assert changes.removed == tuple(sorted(old.objects.keys() - new.objects.keys()))
+        assert changes.modified == tuple(
+            sorted(
+                oid
+                for oid in new.objects.keys() & old.objects.keys()
+                if new.objects[oid].source_hash != old.objects[oid].source_hash
+            )
+        )
+
+
+_FILE_EDITS = {
+    "comment": ("class C:", "# one\nclass C:"),
+    "body": ("return 1", "return 2"),
+    "call": ("return f() + x", "return x"),
+}
+
+
+@pytest.mark.parametrize("edit", _FILE_EDITS)
+def test_a_diff_over_the_snapshot_equals_the_full_diff(demo_repo, edit):
+    snapshot = build_repo_graph(demo_repo)
+    path = demo_repo / "a.py"
+    path.write_text(path.read_text(encoding="utf-8").replace(*_FILE_EDITS[edit]), encoding="utf-8")
+    sources = scan_repository(demo_repo)
+    graph = build_graph(list(sources), parse_repository(sources, ["a.py"]), snapshot)
+    assert graph.base is snapshot
+    changes = diff_objects(snapshot, graph)
+    # a copy of the snapshot is not the graph's base, so every node is compared
+    assert changes == diff_objects(RepoGraph.from_dict(snapshot.to_dict()), graph)
+    assert changes.same is (edit == "comment")
+    assert "a.py" in changes.nodes
+    assert bool(changes.modified) is (edit != "comment")
+    assert changes.edge_removed == ((("a.py/g", "a.py/f"),) if edit == "call" else ())
 
 
 def test_file_objects_in_source_order(demo_repo):
