@@ -15,7 +15,6 @@ import itertools
 import json
 import logging
 import re
-import time
 from collections.abc import Mapping, MutableMapping
 from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii
@@ -51,7 +50,7 @@ logger = logging.getLogger(__name__)
 # the same parses, or pruning may keep other edges of the same edge set: an
 # older store is migrated on load, and since the digest of its bytes is
 # taken under the older version, no run reuses a file of it.
-STORE_VERSION = 4
+STORE_VERSION = 5
 
 PARAM_LABEL = "parameters"
 ATTRIBUTE_LABEL = "Attributes"
@@ -178,9 +177,7 @@ class DocRecord(NamedTuple):
     """One object's generated documentation: the text pages and prompts show."""
 
     text: str
-    source_hash: str
-    model: str
-    generated_at: str
+    source_hash: str  # that of the source the text was generated from
 
 
 def render_doc(
@@ -210,7 +207,7 @@ def render_doc(
     return "\n\n".join(parts)
 
 
-def record_from_parsed(obj: CodeObject, parsed: ParsedDoc, model: str) -> DocRecord:
+def record_from_parsed(obj: CodeObject, parsed: ParsedDoc) -> DocRecord:
     """Build the stored record: parameters deduplicated first-wins, the kind's
     label when the doc gave none, and an Output Example only when the object
     returns."""
@@ -226,11 +223,17 @@ def record_from_parsed(obj: CodeObject, parsed: ParsedDoc, model: str) -> DocRec
         parsed.note,
         parsed.output_example if obj.has_return else None,
     )
-    generated_at = time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
-    return DocRecord(text, obj.source_hash, model, generated_at)
+    return DocRecord(text, obj.source_hash)
 
 
-def _record_from_v1(data: dict) -> DocRecord:
+def _record_of(version: int, data: dict) -> DocRecord:
+    """The record a store of ``version`` holds as ``data``, less the model
+    and time of generation that versions 1 to 4 held and nothing read. A
+    missing key raises, and from version 2 on so does a key it does not hold."""
+    if version < 5 and {type(data.pop("model")), type(data.pop("generated_at"))} != {str}:
+        raise TypeError("a doc record holds a value that is not a string")
+    if version > 1:
+        return DocRecord(**data)
     # version 1 stored each doc as its sections, rules already applied
     text = render_doc(
         data["name_header"],
@@ -241,7 +244,7 @@ def _record_from_v1(data: dict) -> DocRecord:
         data["note"],
         data.get("output_example"),
     )
-    return DocRecord(text, data["source_hash"], data["model"], data["generated_at"])
+    return DocRecord(text, data["source_hash"])
 
 
 def _children_in_source_order(graph_data: dict) -> None:
@@ -375,11 +378,8 @@ def _store_blocks(store: DocStore) -> Iterator[bytes]:
     def record_line(oid: str) -> str:
         line = _held_line(store.records, oid)
         if line is None:
-            text, source_hash, model, generated_at = store.records[oid]
-            return (
-                f'{_escape(oid)}:{{"generated_at":{_escape(generated_at)},"model":{_escape(model)},'
-                f'"source_hash":{_escape(source_hash)},"text":{_escape(text)}}},'
-            )
+            text, source_hash = store.records[oid]
+            return f'{_escape(oid)}:{{"source_hash":{_escape(source_hash)},"text":{_escape(text)}}},'
         return line
 
     if graph is None:
@@ -564,7 +564,7 @@ def load_store(path: str | Path, git_dir: Path | None = None) -> DocStore:
     """Load the store; a missing file is an empty store, and one that cannot
     be read or decoded a ``CorruptStoreError``.
 
-    Stores of versions 1 to 3 are migrated in memory; the next save writes
+    Stores of versions 1 to 4 are migrated in memory; the next save writes
     the current version. The digest of the file's bytes is taken as they
     are read. When ``git_dir`` records that digest, ``save_store`` wrote
     the bytes, each entry on a line of its own, and a store with a graph is
@@ -605,10 +605,7 @@ def load_store(path: str | Path, git_dir: Path | None = None) -> DocStore:
                 f"doc store {path} has version {version}, expected {STORE_VERSION}; "
                 "delete it and rerun generate to rebuild"
             )
-        records = {
-            oid: _record_from_v1(rec) if version == 1 else DocRecord(**rec)
-            for oid, rec in data.get("records", {}).items()
-        }
+        records = {oid: _record_of(version, rec) for oid, rec in data.get("records", {}).items()}
         if not all(type(value) is str for record in records.values() for value in record):
             raise TypeError("a doc record holds a value that is not a string")
         graph_data = data.get("graph")
@@ -760,7 +757,7 @@ def _generator(
             logger.warning(
                 "%s: non-compliant doc (missing=%s extra=%s)", object_id, parsed.missing, parsed.extra
             )
-        record = record_from_parsed(obj, parsed, response.model)
+        record = record_from_parsed(obj, parsed)
         return record, response.prompt_tokens, response.completion_tokens
 
     return generate_one

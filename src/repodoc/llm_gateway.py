@@ -8,7 +8,6 @@ from the prompt's meta lines alone, so the whole pipeline can run hermetically.
 from __future__ import annotations
 
 import json
-import re
 import threading
 import time
 import weakref
@@ -41,7 +40,6 @@ class CompletionResponse(NamedTuple):
     text: str
     prompt_tokens: int
     completion_tokens: int
-    model: str
 
 
 class TransientProviderError(ProviderError):
@@ -52,10 +50,24 @@ class Provider(Protocol):
     def send(self, request: CompletionRequest) -> CompletionResponse: ...
 
 
-_MOCK_NAME_RE = re.compile(
-    r'Now you need to generate a document for a (Class|Function), whose name is "([^"]+)"\.'
-)
-_MOCK_BULLET_RE = re.compile(r"^- (.+?): XXX$", re.MULTILINE)
+_MOCK_META = "Now you need to generate a document for a "
+_MOCK_NAME = ', whose name is "'
+
+
+def _mock_meta(prompt: str) -> tuple[str, str]:
+    """The kind and name of the first whole meta line in ``prompt``, 'Now you
+    need to generate a document for a <Class|Function>, whose name is "<name>".'"""
+    start = prompt.find(_MOCK_META)
+    while start >= 0:
+        at = start + len(_MOCK_META)
+        for kind in ("Class", "Function"):
+            if prompt.startswith(kind + _MOCK_NAME, at):
+                name_at = at + len(kind) + len(_MOCK_NAME)
+                end = prompt.find('"', name_at)
+                if end > name_at and prompt.startswith('".', end):
+                    return kind, prompt[name_at:end]
+        start = prompt.find(_MOCK_META, start + 1)
+    raise ProviderError("mock provider: prompt carries no object meta line")
 
 
 class MockProvider:
@@ -68,14 +80,16 @@ class MockProvider:
 
     def send(self, request: CompletionRequest) -> CompletionResponse:
         prompt = request.prompt
-        match = _MOCK_NAME_RE.search(prompt)
-        if match is None:
-            raise ProviderError("mock provider: prompt carries no object meta line")
-        kind, name = match.group(1), match.group(2)
+        kind, name = _mock_meta(prompt)
 
         anchor = prompt.rfind(FORMAT_INTRO)
         tail = prompt[anchor:] if anchor >= 0 else ""
-        params = _MOCK_BULLET_RE.findall(tail)
+        # each line "- <name>: XXX" from the format block on names a parameter
+        params = [
+            line[2:-5]
+            for line in tail.split("\n")
+            if len(line) > 7 and line.startswith("- ") and line.endswith(": XXX")
+        ]
         wants_output_example = OUTPUT_EXAMPLE_INSTRUCTION in tail
 
         label, noun = ("Attributes", "attributes") if kind == "Class" else ("parameters", "parameters")
@@ -88,12 +102,7 @@ class MockProvider:
         if wants_output_example:
             lines.append(f"**Output Example**: Deterministic stub output of {name}.")
         text = "\n".join(lines)
-        return CompletionResponse(
-            text=text,
-            prompt_tokens=estimate_tokens(prompt),
-            completion_tokens=estimate_tokens(text),
-            model=request.model,
-        )
+        return CompletionResponse(text, estimate_tokens(prompt), estimate_tokens(text))
 
 
 class HttpChatProvider:
@@ -168,12 +177,8 @@ class HttpChatProvider:
             )
         if not isinstance(usage, dict):
             usage = {}  # some providers send "usage": null, or no usage at all
-        return CompletionResponse(
-            text=text,
-            prompt_tokens=_token_count(usage, "prompt_tokens", request.prompt),
-            completion_tokens=_token_count(usage, "completion_tokens", text),
-            model=str(data.get("model", request.model)),
-        )
+        prompt_tokens = _token_count(usage, "prompt_tokens", request.prompt)
+        return CompletionResponse(text, prompt_tokens, _token_count(usage, "completion_tokens", text))
 
 
 class _Route(NamedTuple):

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import logging
-import json
 import os
 import shutil
 import stat
@@ -362,15 +361,12 @@ def _index_twins(clean, stage, diverge):
 
 
 def _update_outcome(repo):
-    """Plan, pages and index after an update; the store's timestamps masked."""
+    """Plan, pages, index and the store it holds after an update."""
     report, config = run_full_update(repo)
     doc_dir = repo / config.doc_dir
     pages = {p.relative_to(doc_dir): p.read_bytes() for p in doc_dir.rglob("*") if p.is_file()}
-    index = [line for line in git(repo, "ls-files", "-s").splitlines()
-             if not line.endswith(config.store_path)]
-    store = json.loads(git(repo, "show", f":{config.store_path}"))
-    for record in store["records"].values():
-        record["generated_at"] = ""
+    index = git(repo, "ls-files", "-s").splitlines()
+    store = git(repo, "show", f":{config.store_path}")
     return report.plan, pages, index, store
 
 

@@ -5,7 +5,6 @@ import io
 import json
 import logging
 import os
-import re
 import stat
 import threading
 import tracemalloc
@@ -14,6 +13,8 @@ import pytest
 
 from repodoc.doc_pipeline import (
     SNAPSHOT_DIGEST_NAME,
+    STORE_VERSION,
+    DocRecord,
     DocStore,
     LazyEntries,
     generate_all,
@@ -283,10 +284,7 @@ def test_a_provider_answer_becomes_the_record_text_it_always_gave(case):
     obj, answer, missing, extra, text = DOC_PATH_CASES[case]
     parsed = parse_doc(answer, obj.kind, obj.has_return, obj.name)
     assert (parsed.missing, parsed.extra) == (missing, extra)
-    record = record_from_parsed(obj, parsed, "base-4k")
-    assert record.text == text
-    assert (record.source_hash, record.model) == ("h", "base-4k")
-    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", record.generated_at)
+    assert record_from_parsed(obj, parsed) == DocRecord(text, "h")
 
 
 def test_record_roundtrips_through_render_and_reparse(demo_repo):
@@ -294,7 +292,7 @@ def test_record_roundtrips_through_render_and_reparse(demo_repo):
     for oid, record in store.records.items():
         obj = graph.objects[oid]
         reparsed = parse_doc(record.text, obj.kind, obj.has_return)
-        rebuilt = record_from_parsed(obj, reparsed, record.model)
+        rebuilt = record_from_parsed(obj, reparsed)
         assert reparsed.missing == [] and reparsed.extra == []
         assert rebuilt.text == record.text
 
@@ -304,7 +302,7 @@ def test_record_from_parsed_drops_output_example_without_return(demo_repo):
     obj = graph.objects["a.py/f"]
     obj = obj._replace(has_return=False)
     parsed = parse_doc(COMPLIANT_FUNCTION_DOC, "Function", has_return=False)
-    record = record_from_parsed(obj, parsed, "base-4k")
+    record = record_from_parsed(obj, parsed)
     assert parse_doc(record.text, "Function", has_return=False).output_example is None
 
 
@@ -316,7 +314,7 @@ def test_record_from_parsed_dedups_params_keep_first(demo_repo):
         "Function",
         has_return=True,
     )
-    record = record_from_parsed(graph.objects["a.py/g"], parsed, "base-4k")
+    record = record_from_parsed(graph.objects["a.py/g"], parsed)
     assert parse_doc(record.text, "Function", has_return=True).params == [("x", "first.")]
 
 
@@ -508,9 +506,9 @@ def test_store_corrupt_json_raises(tmp_path):
 
 @pytest.mark.parametrize(
     "payload, found",
-    [({"version": 5, "records": {}, "graph": None}, "version 5"),
+    [({"version": STORE_VERSION + 1, "records": {}, "graph": None}, f"version {STORE_VERSION + 1}"),
      ({"records": {}, "graph": None}, "version None")],
-    ids=["version-5", "no-version"],
+    ids=["a-later-version", "no-version"],
 )
 def test_store_version_mismatch_raises(tmp_path, payload, found):
     path = tmp_path / "store.json"
@@ -518,7 +516,7 @@ def test_store_version_mismatch_raises(tmp_path, payload, found):
     with pytest.raises(CorruptStoreError) as err:
         load_store(path)
     message = str(err.value)
-    assert found in message and "expected 4" in message
+    assert found in message and f"expected {STORE_VERSION}" in message
     assert "delete it and rerun generate" in message
 
 

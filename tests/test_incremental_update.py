@@ -10,7 +10,6 @@ Graph, parse errors, prompts, report, pages and store must agree.
 from __future__ import annotations
 
 import json
-import re
 import shutil
 import subprocess
 import sys
@@ -150,12 +149,12 @@ def _without_counts(report: dict) -> dict:
 
 
 def _outputs(repo):
-    """Pages, and the store with its timestamps masked."""
+    """Pages, and the store's text."""
     config = load_config(repo)
     doc_dir = repo / config.doc_dir
     pages = {p.relative_to(doc_dir): p.read_bytes() for p in doc_dir.rglob("*") if p.is_file()}
     store = (repo / config.store_path).read_text(encoding="utf-8")
-    return pages, re.sub(r'"generated_at":"[^"]*"', '"generated_at":""', store)
+    return pages, store
 
 
 def test_fast_path_matches_the_full_rebuild_on_every_commit(tmp_path, monkeypatch):
@@ -667,8 +666,8 @@ def test_a_store_edited_by_hand_is_saved_before_its_digest_is_recorded(tmp_path,
     # JSON still reads the file, but save_store did not lay it out: a blank
     # line in the records section and an indented record line
     text = canonical.decode("utf-8")
-    alpha = next(line for line in text.split("\n") if line.startswith('"core.py/alpha":{"generated_at"'))
-    beta = next(line for line in text.split("\n") if line.startswith('"core.py/beta":{"generated_at"'))
+    alpha = next(line for line in text.split("\n") if line.startswith('"core.py/alpha":{"source_hash"'))
+    beta = next(line for line in text.split("\n") if line.startswith('"core.py/beta":{"source_hash"'))
     store_path.write_text(text.replace(alpha, "\n" + alpha).replace(beta, "  " + beta), encoding="utf-8")
     report = _generate_json(repo, capsys)
     assert report["reused_files"] == 0 and report["generated"] == []
@@ -719,8 +718,8 @@ def test_a_store_whose_digest_does_not_match_is_decoded_whole(tmp_path, capsys):
     # one record line broken, the layout kept: the bytes no longer match
     # the digest, so the broken entry is found at load
     text = store_path.read_text(encoding="utf-8")
-    line = next(line for line in text.split("\n") if line.startswith('"core.py/alpha":{"generated_at"'))
-    store_path.write_text(text.replace(line, line.replace('"model":', '"modle":')), encoding="utf-8")
+    line = next(line for line in text.split("\n") if line.startswith('"core.py/alpha":{"source_hash"'))
+    store_path.write_text(text.replace(line, line.replace('"text":', '"txet":')), encoding="utf-8")
     with pytest.raises(doc_pipeline.CorruptStoreError, match="unreadable"):
         doc_pipeline.load_store(store_path, git_dir)
     capsys.readouterr()

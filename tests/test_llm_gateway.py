@@ -10,6 +10,8 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repodoc.doc_pipeline import DocStore, generate_all, parse_doc
 from repodoc.errors import AuthenticationError, ConfigError, ProviderError
@@ -21,9 +23,10 @@ from repodoc.llm_gateway import (
     MockProvider,
     TransientProviderError,
 )
-from repodoc.prompt_engine import estimate_tokens, render_prompt
+from repodoc.prompt_engine import FORMAT_INTRO, OUTPUT_EXAMPLE_INSTRUCTION, estimate_tokens, render_prompt
 
 from .helpers import build_repo_graph, context_for, generate_repo, make_config
+from .mock_oracle import regex_answer
 
 
 def request_for(prompt: str) -> CompletionRequest:
@@ -75,6 +78,46 @@ def test_mock_is_deterministic(demo_repo):
 def test_mock_rejects_prompt_without_meta_line():
     with pytest.raises(ProviderError):
         MockProvider().send(request_for("no meta information here"))
+
+
+_META = "Now you need to generate a document for a "
+_NAMES = st.one_of(
+    st.text(st.sampled_from('ab_"., :X\r\n-'), max_size=8),
+    st.sampled_from(["x", "a: XXX", "b: XXX: XXX", "c\r", "- d", " "]),
+)
+# the pieces a prompt is made of: meta lines whole and broken, bullets whole
+# and broken, the format intro and the output example instruction
+_PIECES = st.one_of(
+    st.builds(
+        "{}{}, whose name is \"{}{}".format,
+        st.just(_META),
+        st.sampled_from(["Class", "Function", "Method", "class", ""]),
+        _NAMES,
+        st.sampled_from(['".', '"', ".", '"!', ""]),
+    ),
+    st.builds("- {}: XXX{}".format, _NAMES, st.sampled_from(["", "\r", " ", ": XXX", "\r\n"])),
+    st.sampled_from([FORMAT_INTRO, OUTPUT_EXAMPLE_INSTRUCTION, _META, "- ", ": XXX", "-: XXX"]),
+    st.text(st.sampled_from("ab -:X\r\n"), max_size=10),
+)
+_PROMPTS = st.lists(
+    st.tuples(_PIECES, st.sampled_from(["\n", "", " ", "\r\n", "\n\n", "\r"])), max_size=10
+).map(lambda pairs: "".join(piece + sep for piece, sep in pairs))
+
+
+def _answer(send, prompt: str):
+    try:
+        return tuple(send(prompt))
+    except ProviderError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_PROMPTS)
+@example(f'{_META}Function, whose name is "f".\n{FORMAT_INTRO}\n- a: XXX\n- b: XXX: XXX\n- c: XXX\r\n')
+@example(f'{_META}Class, whose name is "a"b".{_META}Class, whose name is "K".\n{FORMAT_INTRO}\n- : XXX\n')
+def test_mock_answers_as_the_regex_version(prompt):
+    send = MockProvider().send
+    assert _answer(lambda p: send(request_for(p)), prompt) == _answer(regex_answer, prompt)
 
 
 class _FlakyProvider:
@@ -221,10 +264,8 @@ def test_http_provider_success_roundtrip(serve):
     }
     server = serve(canned(200, payload))
     provider = HttpChatProvider(f"{server.url}/v1/", "key-123")
-    response = provider.send(request_for("hello"))
-    assert response.text == "**f**: doc"
-    assert (response.prompt_tokens, response.completion_tokens) == (12, 5)
-    assert response.model == "served-model"
+    # the model the server names is not kept: the request names the tier
+    assert provider.send(request_for("hello")) == ("**f**: doc", 12, 5)
     call = server.calls[0]
     assert call["path"] == "/v1/chat/completions"
     assert call["headers"]["Authorization"] == "Bearer key-123"

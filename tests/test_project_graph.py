@@ -149,6 +149,83 @@ def test_import_alias_and_package_init_resolution(tmp_path):
     assert pairs(graph.edges) == {("main.py/run", "pkg/__init__.py/boot")}
 
 
+RESOLVER_FILES = {
+    "pkg/__init__.py": "",
+    "pkg/mod.py": (
+        "class C:\n"
+        "    @staticmethod\n"
+        "    def smeth():\n"
+        "        return 1\n"
+        "\n"
+        "    def meth(self):\n"
+        "        return 2\n"
+        "\n"
+        "\n"
+        "def f():\n"
+        "    return 3\n"
+    ),
+    "main.py": (
+        "import pkg.mod\n"
+        "import pkg.mod as pm\n"
+        "from pkg import mod\n"
+        "from pkg.mod import C\n"
+        "\n"
+        "\n"
+        "class K:\n"
+        "    def m(self):\n"
+        "        return 4\n"
+        "\n"
+        "    def n(self):\n"
+        "        return self.x.y()\n"
+        "\n"
+        "\n"
+        "def outer():\n"
+        "    def helper():\n"
+        "        return 5\n"
+        "\n"
+        "    def inner():\n"
+        "        return helper()\n"
+        "\n"
+        "    return inner()\n"
+        "\n"
+        "\n"
+        "def uses():\n"
+        "    return K.m(None) + mod.f() + C.smeth() + pm.C.meth(None)\n"
+        "\n"
+        "\n"
+        "def plain():\n"
+        "    return self.m()\n"
+        "\n"
+        "\n"
+        "def module_call():\n"
+        "    return pkg.mod()\n"
+    ),
+}
+
+
+def test_calls_resolve_through_enclosing_functions_classes_and_imported_modules():
+    parses = [parse_file(path, text) for path, text in RESOLVER_FILES.items()]
+    edges, diagnostics = resolve_references(build_tree(sorted(RESOLVER_FILES), parses), parses)
+    assert pairs(edges) == {
+        ("main.py/outer", "main.py/outer/inner"),
+        # a nested function sees the names of the function around it
+        ("main.py/outer/inner", "main.py/outer/helper"),
+        # a class in scope, a module imported from a package, a class
+        # imported from a module, and a module imported under another name
+        ("main.py/uses", "main.py/K/m"),
+        ("main.py/uses", "pkg/mod.py/f"),
+        ("main.py/uses", "pkg/mod.py/C/smeth"),
+        ("main.py/uses", "pkg/mod.py/C/meth"),
+    }
+    assert diagnostics == [
+        # an attribute of an attribute of self, self outside a class, and a
+        # module, which is no call target
+        "main.py:12: unresolved call self.x.y (caller main.py/K/n)",
+        "main.py:30: unresolved call self.m (caller main.py/plain)",
+        "main.py:34: unresolved call pkg.mod (caller main.py/module_call)",
+    ]
+
+
 def test_first_call_site_wins_for_duplicate_edges():
     text = "def f():\n    return 1\n\n\ndef g():\n    f()\n    return f()\n"
     parses = [parse_file("a.py", text)]

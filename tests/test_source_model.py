@@ -6,10 +6,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repodoc.project_graph import build_graph
+from repodoc.project_graph import build_graph, build_tree, resolve_references
 from repodoc.source_model import (
     CLASS,
     FUNCTION,
+    blob_id,
     module_name_for,
     normalize_source,
     parse_file,
@@ -379,3 +380,35 @@ def test_scan_rejects_missing_directory(tmp_path):
 
     with pytest.raises(UsageError):
         scan_repository(tmp_path / "nope")
+
+
+def test_crlf_and_lone_cr_files_parse_as_their_lf_text(tmp_path):
+    lf = "class K:\n    def m(self):\n        return f(1)\n\n\ndef f(x):\n    return x\n"
+    raws = {
+        "lf.py": lf.encode("utf-8"),
+        "crlf.py": lf.replace("\n", "\r\n").encode("utf-8"),
+        "cr.py": lf.replace("\n", "\r").encode("utf-8"),
+    }
+    for name, raw in raws.items():
+        (tmp_path / name).write_bytes(raw)
+    sources = scan_repository(tmp_path)
+    # the blob id is that of the bytes, as Git's; the text is the LF text
+    assert sources.blobs == {name: blob_id(raws[name]) for name in sorted(raws)}
+    assert len(set(sources.blobs.values())) == 3
+
+    def objects(name: str) -> list[tuple[str, str, str]]:
+        parse = parse_file(name, sources[name][1])
+        return [(obj.name, obj.snippet, obj.source_hash) for obj in parse.objects]
+
+    assert objects("lf.py") and objects("crlf.py") == objects("lf.py") == objects("cr.py")
+
+
+def test_a_relative_import_above_the_repository_binds_nothing():
+    parses = [
+        parse_file("far.py", "def far():\n    return 1\n"),
+        parse_file("pkg/a.py", "from .... import far\n\n\ndef g():\n    return far()\n"),
+    ]
+    assert parses[1].scopes["pkg/a.py"].imports == {}
+    edges, diagnostics = resolve_references(build_tree(["far.py", "pkg/a.py"], parses), parses)
+    assert edges == []
+    assert diagnostics == ["pkg/a.py:5: unresolved call far (caller pkg/a.py/g)"]

@@ -6,13 +6,13 @@ provider, then ``repodoc eval --json``. It holds that store, its pages and
 the eval output. ``order_store_v2/class_prompt.txt`` is the prompt that
 release sent for class ``K`` of the order repo with child docs enabled.
 ``demo_cold_store.json`` is the store a cold ``repodoc generate`` of the
-demo repo wrote at version 4, each ``generated_at`` emptied.
+demo repo wrote at version 4, each ``generated_at`` emptied, and
+``demo_cold_store_v5.json`` the one it writes at version 5.
 """
 
 from __future__ import annotations
 
 import json
-import re
 import shutil
 from pathlib import Path
 
@@ -39,9 +39,10 @@ from .helpers import DEMO_FILES, ORDER_FILES, generate_repo, write_tree
 DATA = Path(__file__).parent / "data"
 V1_DIR = DATA / "demo_store_v1"
 V3_DIR = DATA / "demo_store_v3"
-COLD_STORE = DATA / "demo_cold_store.json"
+COLD_STORE_V4 = DATA / "demo_cold_store.json"
+COLD_STORE = DATA / "demo_cold_store_v5.json"
 STORE_REL = ".project_doc_record/project_hierarchy.json"
-RECORD_KEYS = {"text", "source_hash", "model", "generated_at"}
+RECORD_KEYS = {"text", "source_hash"}
 META_KEYS = {"params", "has_return", "parent_id", "source_hash"}
 
 
@@ -86,7 +87,7 @@ def test_fresh_store_holds_only_what_is_read(labeled_repo, tmp_path):
     save_store(store, path)
     data = json.loads(path.read_text(encoding="utf-8"))
     assert set(data) == {"version", "records", "graph"}
-    assert data["version"] == STORE_VERSION == 4
+    assert data["version"] == STORE_VERSION == 5
     assert data["records"] and all(set(r) == RECORD_KEYS for r in data["records"].values())
     graph = data["graph"]
     assert set(graph) == {"nodes", "edges", "removed_edges"}
@@ -109,7 +110,7 @@ def test_fresh_store_holds_only_what_is_read(labeled_repo, tmp_path):
 def assert_migrated_without_a_request(repo: Path, release: Path, capsys, sends) -> None:
     """``publish``, ``eval`` and ``generate`` on the store of an older release
     send nothing and change no page and no eval output; the store is then
-    saved in the current format, every record's metadata kept."""
+    saved in the current format, every record's source hash kept."""
     old = json.loads((release / "project_hierarchy.json").read_text(encoding="utf-8"))
     eval_out = (release / "eval.json").read_text(encoding="utf-8")
     doc_dir = repo / "markdown_docs"
@@ -134,8 +135,7 @@ def assert_migrated_without_a_request(repo: Path, release: Path, capsys, sends) 
     assert set(saved["records"]) == set(old["records"])
     for oid, record in saved["records"].items():
         assert set(record) == RECORD_KEYS
-        for key in ("source_hash", "model", "generated_at"):
-            assert record[key] == old["records"][oid][key]
+        assert record["source_hash"] == old["records"][oid]["source_hash"]
     # the migrated store reads back as it was written
     code, out = run_cli(capsys, "eval", "--repo", repo, "--json")
     assert out == eval_out
@@ -164,6 +164,25 @@ def test_v3_store_is_migrated_without_a_request(tmp_path, capsys, sends):
     repo = release_repo(tmp_path / "demo", DEMO_FILES, V3_DIR)
     assert json.loads((repo / STORE_REL).read_text(encoding="utf-8"))["version"] == 3
     assert_migrated_without_a_request(repo, V3_DIR, capsys, sends)
+
+
+def test_v4_store_is_migrated_without_a_request(demo_repo, capsys, sends):
+    # a fresh store's pages and eval output, then the v4 store's
+    assert run_cli(capsys, "generate", "--repo", demo_repo)[0] == 0
+    doc_dir = demo_repo / "markdown_docs"
+    fresh_pages = pages(doc_dir)
+    fresh_eval = run_cli(capsys, "eval", "--repo", demo_repo, "--json")
+    sends.clear()
+    shutil.rmtree(doc_dir)
+    shutil.copy(COLD_STORE_V4, demo_repo / STORE_REL)
+
+    code, out = run_cli(capsys, "publish", "--repo", demo_repo, "--json")
+    assert code == 0 and pages(doc_dir) == fresh_pages
+    assert run_cli(capsys, "eval", "--repo", demo_repo, "--json") == fresh_eval
+    code, out = run_cli(capsys, "generate", "--repo", demo_repo, "--json")
+    assert code == 0 and json.loads(out)["generated"] == []
+    assert sends == []
+    assert (demo_repo / STORE_REL).read_bytes() == COLD_STORE.read_bytes()
 
 
 def test_first_update_on_a_v3_store_rebuilds_and_the_next_reuses(git_demo_repo, capsys):
@@ -270,10 +289,7 @@ def test_v1_record_sections_become_their_rendered_text(tmp_path, sections, text)
     path = tmp_path / "store.json"
     payload = {"version": 1, "records": {"a.py/f": _v1_record(**sections)}, "graph": None}
     path.write_text(json.dumps(payload), encoding="utf-8")
-    record = load_store(path).records["a.py/f"]
-    assert record.text == text
-    assert (record.source_hash, record.model) == ("0" * 64, "base-4k")
-    assert record.generated_at == "2026-01-01T00:00:00+00:00"
+    assert load_store(path).records["a.py/f"] == DocRecord(text, "0" * 64)
 
 
 @pytest.mark.parametrize(
@@ -294,13 +310,12 @@ def test_version_2_record_with_other_keys_is_refused(tmp_path, record):
 
 
 def test_a_cold_generate_writes_the_store_of_the_fixture(demo_repo, capsys):
-    assert run_cli(capsys, "generate", "--repo", demo_repo)[0] == 0
-    raw = (demo_repo / STORE_REL).read_bytes()
-    stamps = re.findall(rb'"generated_at":"([^"]*)"', raw)
-    assert len(stamps) == 5
-    assert all(re.fullmatch(rb"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", s) for s in stamps)
-    masked = re.sub(rb'"generated_at":"[^"]*"', b'"generated_at":""', raw)
-    assert masked == COLD_STORE.read_bytes()
+    # twice, from nothing: the same sources and answers give the same bytes
+    for _ in range(2):
+        assert run_cli(capsys, "generate", "--repo", demo_repo)[0] == 0
+        assert (demo_repo / STORE_REL).read_bytes() == COLD_STORE.read_bytes()
+        shutil.rmtree((demo_repo / STORE_REL).parent)
+        shutil.rmtree(demo_repo / "markdown_docs")
 
 
 STRANGE_STRINGS = [
@@ -316,13 +331,13 @@ STRANGE_STRINGS = [
 
 def test_record_lines_are_those_of_a_full_encode(tmp_path):
     records = {
-        f"m.py/{value}{index}": DocRecord(value, value[::-1], f"m {value}", f"{value} at")
+        f"m.py/{value}{index}": DocRecord(value, value[::-1])
         for index, value in enumerate(STRANGE_STRINGS)
     }
     path = tmp_path / "store.json"
     save_store(DocStore(records=dict(records)), path)
     lines = path.read_bytes().split(b"\n")
-    assert lines[0] == b'{"graph":null,"records":{' and lines[-2:] == [b'},"version":4}', b""]
+    assert lines[0] == b'{"graph":null,"records":{' and lines[-2:] == [b'},"version":5}', b""]
     encode = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
     assert [line.removesuffix(b",") for line in lines[1:-2]] == [
         f"{encode(oid)}:{encode(records[oid]._asdict())}".encode("ascii") for oid in sorted(records)
@@ -360,5 +375,36 @@ def test_a_record_value_that_is_not_a_string_is_refused(tmp_path):
     path = tmp_path / "store.json"
     record = {"text": "t", "source_hash": "h", "model": 4, "generated_at": "g"}
     path.write_text(json.dumps({"version": 4, "records": {"a.py/f": record}, "graph": None}), encoding="utf-8")
+    with pytest.raises(CorruptStoreError, match="delete it and rerun generate"):
+        load_store(path)
+
+
+@pytest.mark.parametrize(
+    "version, record",
+    [
+        (3, {"text": "t", "source_hash": "h", "model": "m"}),
+        (4, {"text": "t", "source_hash": "h", "model": "m", "generated_at": "g", "kind": "Function"}),
+        (4, {"text": "t", "source_hash": "h"}),
+        (5, {"text": "t"}),
+        (5, {"text": "t", "source_hash": "h", "model": "m"}),
+        (5, {"text": "t", "source_hash": "h", "model": "m", "generated_at": "g"}),
+        (5, {"text": 4, "source_hash": "h"}),
+        (5, ["t", "h"]),
+    ],
+    ids=[
+        "v3-missing-key",
+        "v4-unknown-key",
+        "v4-record-in-v5-form",
+        "v5-missing-key",
+        "v5-model",
+        "v4-record-in-v5",
+        "v5-value-not-a-string",
+        "v5-record-not-an-object",
+    ],
+)
+def test_a_record_its_version_does_not_hold_is_refused(tmp_path, version, record):
+    path = tmp_path / "store.json"
+    payload = {"version": version, "records": {"a.py/f": record}, "graph": None}
+    path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(CorruptStoreError, match="delete it and rerun generate"):
         load_store(path)
