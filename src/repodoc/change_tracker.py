@@ -27,6 +27,7 @@ from .doc_pipeline import (
     load_store,
     record_snapshot,
     save_store,
+    stale_objects,
 )
 from .errors import LockError, NotAGitRepoError, StoreWriteError, UsageError
 from .markdown_publisher import write_site
@@ -180,17 +181,13 @@ class _BlobReader:
             self._proc = None
 
 
-def read_staged_text(
-    repo_root: str | Path, ignore: Sequence[str] = (), snapshot: RepoGraph | None = None
-) -> Sources:
+def read_staged_text(repo_root: str | Path, ignore: Sequence[str] = ()) -> Sources:
     """Blob id and text of every source file in the index, by path: what the
     pending commit will contain, whatever the working tree holds. One
-    ``git ls-files`` gives every blob id, and one ``git cat-file --batch``
-    process reads texts, however many files there are.
-
-    The texts of the files whose blob id is not the one ``snapshot`` holds
-    are read now, and the others on first use, so a run reads only what it
-    parses. Given a snapshot, the caller closes the result, which ends the
+    ``git ls-files`` gives every blob id; no text is read here. The texts
+    are read on first use, ``Sources.read`` reads many in one batch, and one
+    ``git cat-file --batch`` process serves every batch, so a run reads only
+    what it parses or quotes. The caller closes the result, which ends the
     reader."""
     listing = _git(repo_root, "ls-files", "--stage", "-z").stdout
     blobs: dict[str, str] = {}
@@ -203,17 +200,8 @@ def read_staged_text(
                 raise UsageError(f"{path} has an unresolved merge conflict; resolve and stage it")
             blobs[path] = oid
     blobs = dict(sorted(blobs.items()))
-    known = snapshot.nodes if snapshot is not None else {}
     reader = _BlobReader(repo_root, blobs)
-    sources = Sources(blobs, {}, reader.read, reader.close)
-    try:
-        sources.read(rel for rel, oid in blobs.items() if rel not in known or known[rel].blob != oid)
-    except BaseException:
-        sources.close()
-        raise
-    if snapshot is None:
-        sources.close()  # every text is read
-    return sources
+    return Sources(blobs, {}, reader.read, reader.close)
 
 
 class UpdatePlan(NamedTuple):
@@ -221,9 +209,6 @@ class UpdatePlan(NamedTuple):
 
     regenerate: tuple[tuple[str, str], ...] = ()
     delete_docs: tuple[str, ...] = ()
-
-    def __bool__(self) -> bool:
-        return bool(self.regenerate or self.delete_docs)
 
     @property
     def regenerate_ids(self) -> set[str]:
@@ -326,12 +311,16 @@ def run_update(gateway: "Gateway | None", config: "Config", jobs: int) -> Update
 
     The graph of the index is built by ``source_graph``, which takes the
     files whose staged blob is the recorded snapshot's from that snapshot.
-    Without ``gateway``, one is built from ``config`` once the plan
-    regenerates an object, so a commit that regenerates nothing needs no
-    API key.
-    Nothing is written to the store or the pages unless every planned object
-    regenerates successfully, so a failed update leaves the repository
-    exactly as it was and the commit can be retried.
+    The pending objects are the ``stale_objects`` among the ids the plan
+    regenerates; they alone are quoted, requested and generated. Without
+    ``gateway``, one is built from ``config`` once an object is pending, so
+    a commit that regenerates nothing needs no API key.
+    Nothing is written to the store or the pages unless every pending object
+    regenerates successfully, so a failed generation leaves the repository
+    exactly as it was and the commit can be retried. A staged file that
+    fails to parse is different: its docs are written and staged, and the
+    command then exits with the parse-error code, which refuses the commit
+    with those docs left in the index (ROADMAP direction 4).
     """
     repo_root = config.repo_root
     repo_git = require_git_repo(repo_root)
@@ -344,21 +333,20 @@ def run_update(gateway: "Gateway | None", config: "Config", jobs: int) -> Update
 
         store = load_store(store_path, repo_git)
         snapshot = store.graph_snapshot
-        sources = read_staged_text(repo_root, config.ignore, snapshot if store.recorded else None)
+        sources = read_staged_text(repo_root, config.ignore)
         try:
             graph, taken = source_graph(sources, cache, snapshot, reuse=store.recorded)
             changes = diff_objects(snapshot, graph)
             plan = plan_updates(changes)
-            if gateway is None and plan.regenerate:
+            pending = stale_objects(graph, store, changes, plan.regenerate_ids)
+            if gateway is None and pending:
                 gateway = build_gateway(config)
-            add_snippets(graph, sources, cache, taken, plan.regenerate_ids)
+            add_snippets(graph, sources, cache, taken, pending)
         finally:
             sources.close()
         cache.save()
 
-        run = generate_all(
-            graph, gateway, store, config, jobs, only=plan.regenerate_ids, changes=changes
-        )
+        run = generate_all(graph, gateway, store, config, jobs, pending, changes)
         report = UpdateReport(staged, plan, run)
         report.parse_errors = list(graph.parse_errors)
         report.diagnostics = list(graph.diagnostics)
@@ -402,7 +390,7 @@ def persist(
     is compiled.
     """
     recorded = store.recorded
-    current = repo_git is not None and not (recorded or store.changed) and store.digest is not None
+    current = repo_git is not None and not (recorded or store.changed)
     saved = store_path is not None and (store.changed or current)
     if saved:
         save_store(store, store_path, repo_git)

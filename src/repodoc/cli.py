@@ -124,7 +124,7 @@ def cmd_generate(args) -> int:
         add_snippets(graph, sources, cache, taken, stale)
         cache.save()
         gateway = build_gateway(config) if stale else None
-        report = generate_all(graph, gateway, store, config, args.jobs, only=stale, changes=changes)
+        report = generate_all(graph, gateway, store, config, args.jobs, stale, changes)
         # partial progress is kept even when some objects failed
         doc_dir = config.repo_root / config.doc_dir
         pages = persist(graph, store, store_path, doc_dir, repo_git)

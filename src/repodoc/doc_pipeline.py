@@ -32,7 +32,6 @@ from .project_graph import (
     ReferenceEdge,
     RepoGraph,
     TreeNode,
-    diff_objects,
     kahn,
     tree_node,
 )
@@ -769,20 +768,17 @@ def generate_all(
     store: DocStore,
     config: Config,
     jobs: int,
-    *,
-    only: set[str] | None = None,
-    changes: ChangeSet | None = None,
+    pending: set[str],
+    changes: ChangeSet,
 ) -> RunReport:
-    """Generate docs for every pending object (``stale_objects``), bottom-to-top.
+    """Generate docs for the ``pending`` objects, bottom-to-top.
 
-    ``changes`` is ``diff_objects`` of the store's snapshot and ``graph``:
-    ``generate`` and ``update`` compute it once per run and pass it here,
-    and it is computed here when not given. ``only`` restricts generation to
-    the pending objects among the given ids: ``generate`` passes its stale
-    set, ``update`` the ids its plan regenerates. The other objects are
-    skipped without any gateway call, and listed sorted by id. Failures are
-    recorded and do not stop the run; dependents see "None" for a failed
-    prerequisite.
+    The caller decides the run's work: ``changes`` is ``diff_objects`` of
+    the store's snapshot and ``graph``, and ``pending`` is ``stale_objects``
+    of both, among all objects for ``generate`` and among the ids its plan
+    regenerates for ``update``. The other objects are skipped without any
+    gateway call, and listed sorted by id. Failures are recorded and do not
+    stop the run; dependents see "None" for a failed prerequisite.
 
     An object is dispatched once all of its pending callees and children
     have finished, the smallest id of those ready first (``kahn``), to at
@@ -805,9 +801,6 @@ def generate_all(
     matches its file.
     """
     objects = graph.objects
-    if changes is None:
-        changes = diff_objects(store.graph_snapshot, graph)
-    pending = stale_objects(graph, store, changes, only)
     report = RunReport(skipped=sorted(oid for oid in objects if oid not in pending))
     ready, done = kahn(graph, pending)
     allow_missing = _stale_prerequisites(graph, store, pending)

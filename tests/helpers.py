@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable
 
 from repodoc.config import Config
-from repodoc.doc_pipeline import DocStore, generate_all
+from repodoc.doc_pipeline import DocStore, generate_all, stale_objects
 from repodoc.llm_gateway import (
     CompletionRequest,
     CompletionResponse,
@@ -25,7 +25,7 @@ from repodoc.llm_gateway import (
     MockProvider,
     TransientProviderError,
 )
-from repodoc.project_graph import RepoGraph, build_graph
+from repodoc.project_graph import RepoGraph, build_graph, diff_objects
 from repodoc.prompt_engine import PromptContext, assemble_context
 from repodoc.source_model import parse_repository, scan_repository
 
@@ -226,6 +226,14 @@ def context_for(graph: RepoGraph, store, object_id: str, **overrides) -> PromptC
     return assemble_context(graph, store, object_id, **settings)
 
 
+def generate_stale(graph, gateway, store, config, jobs, only=None):
+    """``generate_all`` with the pending set ``generate`` passes: the
+    ``stale_objects`` of ``graph``, among ``only`` when given."""
+    changes = diff_objects(store.graph_snapshot, graph)
+    pending = stale_objects(graph, store, changes, only)
+    return generate_all(graph, gateway, store, config, jobs, pending, changes)
+
+
 def generate_repo(root: Path, jobs: int = 1, **config_overrides):
     """Full mock generation; returns (graph, store, report, gateway).
 
@@ -234,7 +242,7 @@ def generate_repo(root: Path, jobs: int = 1, **config_overrides):
     graph = build_repo_graph(root)
     store = DocStore()
     gateway = make_gateway()
-    report = generate_all(graph, gateway, store, make_config(root, **config_overrides), jobs)
+    report = generate_stale(graph, gateway, store, make_config(root, **config_overrides), jobs)
     return graph, store, report, gateway
 
 

@@ -31,7 +31,6 @@ from repodoc.change_tracker import (
 from repodoc.config import load_config
 from repodoc.doc_pipeline import (
     DocStore,
-    generate_all,
     load_store,
     parse_doc,
     save_store,
@@ -52,6 +51,7 @@ from .helpers import (
     FailingProvider,
     build_repo_graph,
     generate_repo,
+    generate_stale,
     make_gateway,
     make_config,
     reference_sets,
@@ -179,7 +179,7 @@ def test_criterion_3_rerun_makes_no_requests_and_no_byte_changes(demo_repo):
     before = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*.md"))}
 
     gateway = make_gateway()
-    report = generate_all(graph, gateway, store, make_config(demo_repo), 1)
+    report = generate_stale(graph, gateway, store, make_config(demo_repo), 1)
     rewritten = write_site(graph, store, out)
     after = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*.md"))}
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import logging
 import os
 import shutil
@@ -220,7 +221,8 @@ def test_read_staged_text_prefers_index_over_worktree(git_demo_repo):
     git(git_demo_repo, "add", "a.py")
     (git_demo_repo / "a.py").write_text("def later():\n    return 3\n", encoding="utf-8")
     oid = git(git_demo_repo, "rev-parse", ":a.py").strip()
-    assert read_staged_text(git_demo_repo)["a.py"] == (oid, A_F_EDITED)
+    with contextlib.closing(read_staged_text(git_demo_repo)) as sources:
+        assert sources["a.py"] == (oid, A_F_EDITED)
     # the blob id of the working-tree reader is the index's for the same bytes
     assert blob_id(A_F_EDITED.encode("utf-8")) == oid
 
@@ -246,8 +248,9 @@ def test_read_staged_text_names_the_file_whose_blob_is_missing(git_demo_repo, ca
     git(git_demo_repo, "add", "-A")
     oid = git(git_demo_repo, "rev-parse", ":util/b.py").strip()
     (git_demo_repo / ".git" / "objects" / oid[:2] / oid[2:]).unlink()
-    with pytest.raises(UsageError, match="util/b.py"):
-        read_staged_text(git_demo_repo)
+    with contextlib.closing(read_staged_text(git_demo_repo)) as sources:
+        with pytest.raises(UsageError, match="util/b.py"):
+            sources.read(list(sources))
 
     assert main(["update", "--repo", str(git_demo_repo)]) == 1
     err = capsys.readouterr().err
@@ -420,7 +423,7 @@ def test_update_of_a_comment_that_shifts_lines_stages_only_the_source(git_demo_r
         store = repo / load_config(repo).store_path
         saved = store.stat()
         report, _ = run_full_update(repo)
-        assert report.ok and not report.plan
+        assert report.ok and report.plan.regenerate == () and report.plan.delete_docs == ()
         assert report.run.generated == [] and report.written_pages == []
         after = store.stat()
         assert (after.st_ino, after.st_mtime_ns) == (saved.st_ino, saved.st_mtime_ns)

@@ -577,6 +577,30 @@ def test_an_update_that_regenerates_nothing_needs_no_api_key(git_demo_repo, caps
     assert json.loads(out)["plan"] == {"regenerate": [], "delete_docs": []}
 
 
+def test_an_update_whose_planned_objects_have_current_docs_needs_no_api_key(
+    git_demo_repo, capsys, monkeypatch
+):
+    repo = git_demo_repo
+    _committed_demo(repo, capsys)
+    (repo / "a.py").write_text(DEMO_FILES["a.py"].replace("return 1", "return 2"), encoding="utf-8")
+    git(repo, "add", "a.py")
+    git(repo, "commit", "-qm", "f returns 2", "--no-verify")
+    # a generate whose provider is down keeps f's "return 1" doc under the new snapshot
+    config = {"provider": {"base_url": "http://127.0.0.1:9/v1", "retries": 0}}
+    (repo / ".repodoc.json").write_text(json.dumps(config), encoding="utf-8")
+    monkeypatch.setenv("REPODOC_API_KEY", "unused")
+    assert run_cli("generate", "--repo", repo, capsys=capsys)[0] == 3
+    _without_api_key(repo, monkeypatch)
+    (repo / "a.py").write_text(DEMO_FILES["a.py"], encoding="utf-8")
+    git(repo, "add", "a.py")
+    code, out, err = run_cli("update", "--repo", repo, "--json", capsys=capsys)
+    assert code == 0, err
+    report = json.loads(out)
+    # the plan names f, but the doc it holds is of the staged source
+    assert report["plan"]["regenerate"] == [["a.py/f", "SourceModified"]]
+    assert report["run"]["generated"] == [] and report["run"]["failures"] == {}
+
+
 def test_an_update_that_regenerates_fails_without_an_api_key_and_writes_nothing(
     git_demo_repo, capsys, monkeypatch
 ):

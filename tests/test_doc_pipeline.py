@@ -17,7 +17,6 @@ from repodoc.doc_pipeline import (
     DocRecord,
     DocStore,
     LazyEntries,
-    generate_all,
     load_store,
     parse_doc,
     record_from_parsed,
@@ -44,6 +43,7 @@ from .helpers import (
     FailingProvider,
     build_repo_graph,
     generate_repo,
+    generate_stale,
     make_gateway,
     make_config,
     write_tree,
@@ -554,7 +554,7 @@ def test_generate_all_reads_every_generation_setting_from_config(demo_repo):
     config = load_config(demo_repo)
     graph = build_repo_graph(demo_repo)
     gateway = make_gateway()
-    report = generate_all(graph, gateway, DocStore(), config, 1)
+    report = generate_stale(graph, gateway, DocStore(), config, 1)
 
     assert report.ok and report.generated == DEMO_TOPO_ORDER
     requests = gateway.provider.requests
@@ -571,7 +571,7 @@ def test_generate_all_reads_every_generation_setting_from_config(demo_repo):
 def test_generate_all_second_run_skips_everything(demo_repo):
     graph, store, _, _ = generate_repo(demo_repo)
     gateway = make_gateway()
-    report = generate_all(graph, gateway, store, make_config(demo_repo), 1)
+    report = generate_stale(graph, gateway, store, make_config(demo_repo), 1)
     assert report.generated == []
     assert report.skipped == sorted(DEMO_TOPO_ORDER)
     assert gateway.provider.prompts == []
@@ -582,7 +582,7 @@ def test_generate_all_regenerates_on_stale_hash(demo_repo):
     record = store.records["a.py/f"]
     store.records["a.py/f"] = record._replace(source_hash="0" * 64)
     gateway = make_gateway()
-    report = generate_all(graph, gateway, store, make_config(demo_repo), 1)
+    report = generate_stale(graph, gateway, store, make_config(demo_repo), 1)
     assert report.generated == ["a.py/f"]
     assert len(gateway.provider.prompts) == 1
 
@@ -590,14 +590,14 @@ def test_generate_all_regenerates_on_stale_hash(demo_repo):
 def test_generate_all_only_filter(demo_repo):
     graph, store, _, _ = generate_repo(demo_repo)
     gateway = make_gateway()
-    report = generate_all(
+    report = generate_stale(
         graph, gateway, store, make_config(demo_repo), 1, only={"a.py/f", "a.py/g"}
     )
     # records are fresh, so even the named objects are up to date
     assert report.generated == [] and gateway.provider.prompts == []
     store.records.pop("a.py/f")
     store.records.pop("util/b.py/h")
-    report = generate_all(graph, gateway, store, make_config(demo_repo), 1, only={"a.py/f"})
+    report = generate_stale(graph, gateway, store, make_config(demo_repo), 1, only={"a.py/f"})
     assert report.generated == ["a.py/f"]
     assert "util/b.py/h" in report.skipped
 
@@ -608,7 +608,7 @@ def test_missing_prerequisite_renders_none_and_warns(demo_repo, caplog):
     provider = CapturingProvider()
     gateway = Gateway(provider, retries=0)
     with caplog.at_level(logging.WARNING, logger="repodoc.doc_pipeline"):
-        report = generate_all(
+        report = generate_stale(
             graph, gateway, store, make_config(demo_repo), 1, only={"a.py/g"}
         )
     assert report.generated == ["a.py/g"]
@@ -621,7 +621,7 @@ def test_failures_do_not_stop_the_run(demo_repo):
     graph = build_repo_graph(demo_repo)
     store = DocStore()
     gateway = Gateway(FailingProvider(frozenset({"f"})), retries=0)
-    report = generate_all(graph, gateway, store, make_config(demo_repo), 1)
+    report = generate_stale(graph, gateway, store, make_config(demo_repo), 1)
     assert not report.ok
     assert set(report.failures) == {"a.py/f"}
     assert "synthetic failure" in report.failures["a.py/f"]
@@ -664,7 +664,7 @@ def test_two_jobs_overlap_provider_sends(tmp_path):
     write_tree(tmp_path, {"m.py": "def a():\n    return 1\n\n\ndef b():\n    return 2\n"})
     graph = build_repo_graph(tmp_path)
     gateway = Gateway(BarrierProvider(2), retries=0)
-    report = generate_all(graph, gateway, DocStore(), make_config(tmp_path), 2)
+    report = generate_stale(graph, gateway, DocStore(), make_config(tmp_path), 2)
     assert report.ok
     assert sorted(report.generated) == ["m.py/a", "m.py/b"]
 
@@ -676,7 +676,7 @@ def test_single_job_generates_in_topological_order_on_the_labeled_repo(labeled_r
     only = set(sorted(graph.objects)[::2])
     for oid in only:
         del store.records[oid]
-    report = generate_all(graph, make_gateway(), store, make_config(labeled_repo), 1, only=only)
+    report = generate_stale(graph, make_gateway(), store, make_config(labeled_repo), 1, only=only)
     assert report.generated == topological_order(graph, only)
 
 
@@ -685,7 +685,7 @@ def test_a_cycle_that_survived_pruning_is_an_internal_error(tmp_path):
     graph = build_repo_graph(tmp_path)
     graph.edges = [ReferenceEdge("m.py/a", "m.py/b"), ReferenceEdge("m.py/b", "m.py/a")]
     with pytest.raises(InternalError, match="cycle survived pruning"):
-        generate_all(graph, make_gateway(), DocStore(), make_config(tmp_path), 1)
+        generate_stale(graph, make_gateway(), DocStore(), make_config(tmp_path), 1)
 
 
 def test_single_job_follows_filtered_topological_order(tmp_path):
@@ -699,12 +699,12 @@ def test_single_job_follows_filtered_topological_order(tmp_path):
     only = {"m.py/b", "m.py/c"}
     for oid in only:
         store.records.pop(oid)
-    report = generate_all(graph, make_gateway(), store, make_config(tmp_path), 1, only=only)
+    report = generate_stale(graph, make_gateway(), store, make_config(tmp_path), 1, only=only)
     assert report.generated == topological_order(graph, only) == ["m.py/b", "m.py/c"]
     assert [oid for oid in topological_order(graph) if oid in only] == ["m.py/c", "m.py/b"]
 
     only = {"m.py/b", "m.py/z"}
     for oid in only:
         store.records.pop(oid)
-    report = generate_all(graph, make_gateway(), store, make_config(tmp_path), 1, only=only)
+    report = generate_stale(graph, make_gateway(), store, make_config(tmp_path), 1, only=only)
     assert report.generated == ["m.py/z", "m.py/b"]

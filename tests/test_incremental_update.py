@@ -577,7 +577,7 @@ def test_a_missing_blob_of_a_staged_file_ends_the_reader(tmp_path, monkeypatch, 
     tools = LABELED_FILES["util/tools.py"]
     (repo / "util" / "tools.py").write_text(tools.replace("beta(x) * 2", "beta(x) * 3"), encoding="utf-8")
     git(repo, "add", "util/tools.py")
-    # the staged file's blob is read before the graph is built, on the fast path
+    # the staged file's blob is read while the graph is built, on the fast path
     oid = git(repo, "rev-parse", ":util/tools.py").strip()
     (repo / ".git" / "objects" / oid[:2] / oid[2:]).unlink()
 

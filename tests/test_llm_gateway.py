@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repodoc.doc_pipeline import DocStore, generate_all, parse_doc
+from repodoc.doc_pipeline import DocStore, parse_doc
 from repodoc.errors import AuthenticationError, ConfigError, ProviderError
 from repodoc.llm_gateway import (
     API_KEY_ENV,
@@ -25,7 +25,7 @@ from repodoc.llm_gateway import (
 )
 from repodoc.prompt_engine import FORMAT_INTRO, OUTPUT_EXAMPLE_INSTRUCTION, estimate_tokens, render_prompt
 
-from .helpers import build_repo_graph, context_for, generate_repo, make_config
+from .helpers import build_repo_graph, context_for, generate_repo, generate_stale, make_config
 from .mock_oracle import regex_answer
 
 
@@ -381,7 +381,7 @@ def test_http_provider_opens_no_more_connections_than_jobs(serve, labeled_repo):
     server = serve(mock_answer)
     graph = build_repo_graph(labeled_repo)
     gateway = Gateway(HttpChatProvider(server.url, "k"), retries=0)
-    report = generate_all(graph, gateway, DocStore(), make_config(labeled_repo), 2)
+    report = generate_stale(graph, gateway, DocStore(), make_config(labeled_repo), 2)
     assert report.failures == {}
     assert len(report.generated) == len(graph.objects) == len(server.calls)
     assert 1 <= len(server.peers) <= 2
