@@ -155,14 +155,16 @@ def cmd_update(args) -> int:
     report = run_update(None, config, args.jobs)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    elif report.ok:
-        print(report.summary_line())
-        _print_list("parse errors", report.parse_errors)
-    else:
+    elif not report.ok:
         _print_list(
             "documentation update failed",
             (f"{k}: {v}" for k, v in sorted(report.run.failures.items())),
         )
+    elif report.parse_errors:
+        print("Refused: staged Python fails to parse; fix it and stage it again")
+        _print_list("parse errors", report.parse_errors)
+    else:
+        print(report.summary_line())
     if not report.ok:
         return EXIT_GENERATION_FAILED
     if report.parse_errors:

@@ -32,10 +32,11 @@ from .project_graph import (
     ReferenceEdge,
     RepoGraph,
     TreeNode,
+    child_name,
     kahn,
     tree_node,
 )
-from .source_model import CLASS, CodeObject, parser_identity, write_atomically
+from .source_model import CLASS, CodeObject, base64url, parser_identity, write_atomically
 
 if TYPE_CHECKING:
     from concurrent.futures import Future
@@ -49,7 +50,7 @@ logger = logging.getLogger(__name__)
 # the same parses, or pruning may keep other edges of the same edge set: an
 # older store is migrated on load, and since the digest of its bytes is
 # taken under the older version, no run reuses a file of it.
-STORE_VERSION = 5
+STORE_VERSION = 6
 
 PARAM_LABEL = "parameters"
 ATTRIBUTE_LABEL = "Attributes"
@@ -246,13 +247,24 @@ def _record_of(version: int, data: dict) -> DocRecord:
     return DocRecord(text, data["source_hash"])
 
 
-def _children_in_source_order(graph_data: dict) -> None:
-    # versions 1 and 2 sorted every child list by id and kept each object's
-    # line span; a stable sort by start line gives the order of the source
-    nodes = graph_data["nodes"]
+def _upgrade(version: int, data: dict) -> None:
+    """Give the decoded ``data`` of a store of ``version``, 1 to 5, the form
+    of version 6 in place: each child list in source order and by name, and
+    each source hash, of a record or an object, the base64url of the bytes
+    its hex digest spells, so that the same sources match it again."""
+    for record in data.get("records", {}).values():
+        record["source_hash"] = base64url(bytes.fromhex(record["source_hash"]))
+    nodes = (data.get("graph") or {}).get("nodes", {})
     for entry in nodes.values():
-        if entry["node_kind"] not in (REPO, DIR):
-            entry["children"].sort(key=lambda oid: nodes[oid]["meta"]["line_span"][0])
+        children = entry["children"]
+        if version < 3 and entry["node_kind"] not in (REPO, DIR):
+            # versions 1 and 2 sorted every child list by id and kept each
+            # object's line span; a stable sort by start line gives the
+            # order of the source
+            children.sort(key=lambda oid: nodes[oid]["meta"]["line_span"][0])
+        entry["children"] = [child_name(child) for child in children]
+        if "meta" in entry:
+            entry["meta"]["source_hash"] = base64url(bytes.fromhex(entry["meta"]["source_hash"]))
 
 
 # the file in a repository's git directory that holds the digest of the
@@ -346,13 +358,16 @@ def _node_line(graph: RepoGraph, node_id: str) -> str:
     # graph.node_entry(node_id), its keys and those of its meta in sorted order
     node = graph.nodes[node_id]
     fields = [] if node.blob is None else [f'"blob":{_escape(node.blob)}']
-    fields.append(f'"children":[{",".join(map(_escape, node.children))}]')
+    if node.children:
+        names = ",".join([_escape(child_name(child)) for child in node.children])
+        fields.append(f'"children":[{names}]')
     obj = graph.objects.get(node_id)
     if obj is not None:
+        meta = '"meta":{"has_return":true,' if obj.has_return else '"meta":{'
+        if obj.params:
+            meta += f'"params":[{",".join(map(_escape, obj.params))}],'
         fields.append(
-            f'"meta":{{"has_return":{"true" if obj.has_return else "false"},'
-            f'"params":[{",".join(map(_escape, obj.params))}],'
-            f'"parent_id":{_escape(obj.parent_id)},"source_hash":{_escape(obj.source_hash)}}}'
+            f'{meta}"parent_id":{_escape(obj.parent_id)},"source_hash":{_escape(obj.source_hash)}}}'
         )
     fields.append(f'"node_kind":{_escape(node.node_kind)}')
     if node.parse_error is not None:
@@ -563,7 +578,8 @@ def load_store(path: str | Path, git_dir: Path | None = None) -> DocStore:
     """Load the store; a missing file is an empty store, and one that cannot
     be read or decoded a ``CorruptStoreError``.
 
-    Stores of versions 1 to 4 are migrated in memory; the next save writes
+    Stores of versions 1 to 5 are migrated in memory (``_upgrade``, then
+    ``_record_of``); the next save writes
     the current version. The digest of the file's bytes is taken as they
     are read. When ``git_dir`` records that digest, ``save_store`` wrote
     the bytes, each entry on a line of its own, and a store with a graph is
@@ -604,12 +620,12 @@ def load_store(path: str | Path, git_dir: Path | None = None) -> DocStore:
                 f"doc store {path} has version {version}, expected {STORE_VERSION}; "
                 "delete it and rerun generate to rebuild"
             )
+        if version < STORE_VERSION:
+            _upgrade(version, data)
         records = {oid: _record_of(version, rec) for oid, rec in data.get("records", {}).items()}
         if not all(type(value) is str for record in records.values() for value in record):
             raise TypeError("a doc record holds a value that is not a string")
         graph_data = data.get("graph")
-        if graph_data and version < 3:
-            _children_in_source_order(graph_data)
         graph = RepoGraph.from_dict(graph_data) if graph_data else None
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise CorruptStoreError(
@@ -648,7 +664,7 @@ class RunReport:
 
 
 _HASH_KEY = '"source_hash":"'
-_HASH_SPAN = len(_HASH_KEY) + 65  # the key, a SHA-256 hex digest and its closing quote
+_HASH_SPAN = len(_HASH_KEY) + 44  # the key, a source_digest and its closing quote
 
 
 def _unmatched(
@@ -656,7 +672,7 @@ def _unmatched(
 ) -> list[str]:
     """The ids of ``objects`` whose record is missing or may carry another
     source hash. Where both entries are still store lines, the lines are
-    compared from the hash's key to the quote after a SHA-256 hex digest,
+    compared from the hash's key to the quote after a ``source_digest``,
     with nothing decoded: a quote inside a string is escaped, so a line's
     one ``"source_hash":"`` opens its hash, and equal spans hold equal
     hashes."""

@@ -405,10 +405,13 @@ class RepoGraph:
         return out
 
     def node_entry(self, node_id: str) -> dict:
-        """A node's plain data: its kind, children and, as it has them, the
-        ``to_dict()`` of its object, its blob id and its parse error."""
+        """A node's plain data: its kind and, as it has them, its children by
+        name, the ``to_dict()`` of its object, its blob id and its parse
+        error. ``tree_node`` reads it back."""
         node = self.nodes[node_id]
-        entry: dict = {"node_kind": node.node_kind, "children": list(node.children)}
+        entry: dict = {"node_kind": node.node_kind}
+        if node.children:
+            entry["children"] = [child_name(child) for child in node.children]
         obj = self.objects.get(node_id)
         if obj is not None:
             entry["meta"] = obj.to_dict()
@@ -461,12 +464,19 @@ def _adjacency(pairs: Iterable[tuple[str, str]]) -> dict[str, list[str]]:
     return {k: sorted(set(v)) for k, v in out.items()}
 
 
+def child_name(child_id: str) -> str:
+    """The name a child is stored under: its id less its parent's id and
+    the slash after it. The root's children are their own names."""
+    return child_id.rpartition("/")[2]
+
+
 def tree_node(node_id: str, entry: dict) -> TreeNode:
-    """The tree node of a ``node_entry``."""
+    """The tree node of a ``node_entry``, its children by id."""
+    prefix = "" if node_id == ROOT_ID else node_id + "/"
     return TreeNode(
         id=node_id,
         node_kind=entry["node_kind"],
-        children=list(entry.get("children", [])),
+        children=[prefix + name for name in entry.get("children", ())],
         blob=entry.get("blob"),
         parse_error=entry.get("parse_error"),
     )

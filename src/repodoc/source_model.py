@@ -14,6 +14,7 @@ content.
 from __future__ import annotations
 
 import ast
+import binascii
 import contextlib
 import fnmatch
 import hashlib
@@ -50,13 +51,23 @@ def normalize_source(text: str) -> str:
 
 
 def source_digest(text: str) -> str:
-    """Hex digest of the normalized text. Stable across platforms.
+    """SHA-256 of the normalized text, in ``base64url``. Stable across platforms.
 
     Lone surrogates, which UTF-8 cannot encode, are passed through so that the
     digest is defined on every string; any other text hashes its UTF-8 bytes.
     """
     normalized = normalize_source(text)
-    return hashlib.sha256(normalized.encode("utf-8", "surrogatepass")).hexdigest()
+    return base64url(hashlib.sha256(normalized.encode("utf-8", "surrogatepass")).digest())
+
+
+_URLSAFE = bytes.maketrans(b"+/", b"-_")
+
+
+def base64url(digest: bytes) -> str:
+    """``digest`` in URL-safe base64 with no padding: the 32 bytes of a
+    SHA-256 in 43 characters, none of which JSON escapes."""
+    encoded = binascii.b2a_base64(digest, newline=False).rstrip(b"=")
+    return encoded.translate(_URLSAFE).decode("ascii")
 
 
 class CodeObject(NamedTuple):
@@ -74,13 +85,14 @@ class CodeObject(NamedTuple):
 
     def to_dict(self) -> dict:
         """What the store keeps of the object. Its tree node states its id,
-        kind and name, and its source_hash stands in for the snippet."""
-        return {
-            "params": list(self.params),
-            "has_return": self.has_return,
-            "parent_id": self.parent_id,
-            "source_hash": self.source_hash,
-        }
+        kind and name, and its source_hash stands in for the snippet. No
+        params and no return value are left out."""
+        data: dict = {"has_return": True} if self.has_return else {}
+        if self.params:
+            data["params"] = list(self.params)
+        data["parent_id"] = self.parent_id
+        data["source_hash"] = self.source_hash
+        return data
 
     @classmethod
     def from_dict(cls, object_id: str, kind: str, data: dict) -> "CodeObject":
@@ -92,8 +104,8 @@ class CodeObject(NamedTuple):
             name=object_id.rpartition("/")[2],
             line_span=(0, 0),
             snippet="",
-            params=tuple(data["params"]),
-            has_return=bool(data["has_return"]),
+            params=tuple(data.get("params", ())),
+            has_return=bool(data.get("has_return", False)),
             parent_id=data["parent_id"],
             source_hash=data.get("source_hash", ""),
         )
@@ -516,8 +528,9 @@ def write_atomically(path: Path, chunks: Iterable[bytes]) -> None:
 
 # Bump whenever parse_file can return something else for the same text, so
 # that the parses cached by an older parser are misses, and so that the hook
-# takes no file from a snapshot that an older parser saved.
-PARSER_VERSION = 1
+# takes no file from a snapshot that an older parser saved. Version 2 gives
+# source hashes in base64url.
+PARSER_VERSION = 2
 
 
 def parser_identity() -> str:

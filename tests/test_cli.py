@@ -244,6 +244,16 @@ def test_install_hook_and_update_inside_git(git_demo_repo, capsys):
     assert payload["staged"]["added"] == ["a.py", "util/b.py"]
 
 
+def test_an_update_refused_for_a_parse_error_does_not_say_passed(git_demo_repo, capsys):
+    (git_demo_repo / "broken.py").write_text("def oops(:\n", encoding="utf-8")
+    git(git_demo_repo, "add", "-A")
+    code, out, _ = run_cli("update", "--repo", git_demo_repo, capsys=capsys)
+    assert code == 2
+    assert "Passed" not in out
+    assert out.startswith("Refused: ")
+    assert "parse errors:\n  broken.py:1: " in out
+
+
 def test_publish_requires_store(demo_repo, capsys):
     code, _, err = run_cli("publish", "--repo", demo_repo, capsys=capsys)
     assert code == 1

@@ -12,11 +12,14 @@ import tracemalloc
 import pytest
 
 from repodoc.doc_pipeline import (
+    _HASH_KEY,
+    _HASH_SPAN,
     SNAPSHOT_DIGEST_NAME,
     STORE_VERSION,
     DocRecord,
     DocStore,
     LazyEntries,
+    _unmatched,
     load_store,
     parse_doc,
     record_from_parsed,
@@ -34,7 +37,7 @@ from repodoc.project_graph import (
     topological_order,
 )
 from repodoc.prompt_engine import CHILD_DOCS_INTRO
-from repodoc.source_model import CodeObject, parse_file
+from repodoc.source_model import CodeObject, parse_file, source_digest
 
 from .helpers import (
     DEMO_FILES,
@@ -352,6 +355,26 @@ def _saved_whole(store, path) -> bytes:
     graph = RepoGraph.from_dict(store.graph_snapshot.to_dict())
     save_store(DocStore(dict(store.records.items()), graph), path)
     return path.read_bytes()
+
+
+def test_the_hash_span_covers_a_whole_source_digest_and_its_quote():
+    assert _HASH_SPAN == len(_HASH_KEY) + len(source_digest("")) + 1
+
+
+def test_store_lines_whose_hashes_differ_in_the_last_character_are_unmatched(tmp_path, demo_repo):
+    # a span one character short would take this record for current
+    _, store, _, _ = generate_repo(demo_repo)
+    source_hash = store.graph_snapshot.objects["a.py/f"].source_hash
+    other = source_hash[:-1] + ("B" if source_hash[-1] == "A" else "A")
+    store.records["a.py/f"] = store.records["a.py/f"]._replace(source_hash=other)
+    path, git_dir = tmp_path / "store.json", tmp_path / "git"
+    git_dir.mkdir()
+    save_store(store, path, git_dir)
+    record_snapshot(store, git_dir)
+    loaded = load_store(path, git_dir)
+    objects, records = loaded.graph_snapshot.objects, loaded.records
+    assert type(objects.held["a.py/f"]) is str and type(records.held["a.py/f"]) is str
+    assert _unmatched(objects, records) == ["a.py/f"]
 
 
 def test_save_store_copies_unchanged_lines_and_writes_a_full_encode(tmp_path, demo_repo):

@@ -33,6 +33,7 @@ from .helpers import (
     LABELED_REMOVED_EDGE,
     ORDER_SOURCE_ORDER,
     build_repo_graph,
+    write_tree,
 )
 from .prune_oracle import prune_cycles_restarting
 
@@ -388,6 +389,47 @@ def test_graph_dict_roundtrip(demo_repo):
     # snippets and spans are intentionally not persisted; the rest is rebuilt
     for oid, obj in graph.objects.items():
         assert clone.objects[oid] == obj._replace(snippet="", line_span=(0, 0))
+
+
+def test_children_stored_by_name_read_back_as_ids(tmp_path):
+    # a file at the root, nested directories, and a def nested in a method
+    write_tree(
+        tmp_path,
+        {
+            "top.py": "def z():\n    pass\n\n\ndef a():\n    pass\n",
+            "pkg/sub/deep/m.py": (
+                "class K:\n"
+                "    def run(self):\n"
+                "        def inner():\n"
+                "            return 1\n"
+                "        return inner()\n"
+                "\n"
+                "    def b(self):\n"
+                "        pass\n"
+            ),
+        },
+    )
+    graph = build_repo_graph(tmp_path)
+    data = graph.to_dict()
+    assert data["nodes"]["."]["children"] == ["pkg", "top.py"]
+    assert data["nodes"]["pkg/sub"]["children"] == ["deep"]
+    assert data["nodes"]["top.py"]["children"] == ["z", "a"]  # source order
+    assert data["nodes"]["pkg/sub/deep/m.py/K"]["children"] == ["run", "b"]
+    assert data["nodes"]["pkg/sub/deep/m.py/K/run"]["children"] == ["inner"]
+    assert "children" not in data["nodes"]["pkg/sub/deep/m.py/K/run/inner"]
+    clone = RepoGraph.from_dict(data)
+    assert {nid: node.children for nid, node in clone.nodes.items()} == {
+        nid: node.children for nid, node in graph.nodes.items()
+    }
+    assert clone.nodes["pkg/sub/deep/m.py/K/run"].children == ["pkg/sub/deep/m.py/K/run/inner"]
+    for file_id in ("top.py", "pkg/sub/deep/m.py"):
+        assert clone.file_objects(file_id) == graph.file_objects(file_id)
+    assert [oid for oid, _ in clone.file_objects("pkg/sub/deep/m.py")] == [
+        "pkg/sub/deep/m.py/K",
+        "pkg/sub/deep/m.py/K/run",
+        "pkg/sub/deep/m.py/K/run/inner",
+        "pkg/sub/deep/m.py/K/b",
+    ]
 
 
 def _documented(graph: RepoGraph) -> dict:

@@ -6,12 +6,14 @@ provider, then ``repodoc eval --json``. It holds that store, its pages and
 the eval output. ``order_store_v2/class_prompt.txt`` is the prompt that
 release sent for class ``K`` of the order repo with child docs enabled.
 ``demo_cold_store.json`` is the store a cold ``repodoc generate`` of the
-demo repo wrote at version 4, each ``generated_at`` emptied, and
-``demo_cold_store_v5.json`` the one it writes at version 5.
+demo repo wrote at version 4, each ``generated_at`` emptied,
+``demo_cold_store_v5.json`` the one it wrote at version 5 and
+``demo_cold_store_v6.json`` the one it writes at version 6.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import shutil
 from pathlib import Path
@@ -40,10 +42,20 @@ DATA = Path(__file__).parent / "data"
 V1_DIR = DATA / "demo_store_v1"
 V3_DIR = DATA / "demo_store_v3"
 COLD_STORE_V4 = DATA / "demo_cold_store.json"
-COLD_STORE = DATA / "demo_cold_store_v5.json"
+COLD_STORE_V5 = DATA / "demo_cold_store_v5.json"
+COLD_STORE = DATA / "demo_cold_store_v6.json"
 STORE_REL = ".project_doc_record/project_hierarchy.json"
 RECORD_KEYS = {"text", "source_hash"}
-META_KEYS = {"params", "has_return", "parent_id", "source_hash"}
+META_KEYS = {"parent_id", "source_hash"}  # and has_return when true, params when any
+
+
+def digest_bytes(source_hash: str) -> bytes:
+    """The bytes a stored source hash spells, in hex before version 6 and
+    in unpadded base64url from it."""
+    if len(source_hash) == 64:
+        return bytes.fromhex(source_hash)
+    assert len(source_hash) == 43
+    return base64.urlsafe_b64decode(source_hash + "=")
 
 
 def run_cli(capsys, *argv):
@@ -87,7 +99,7 @@ def test_fresh_store_holds_only_what_is_read(labeled_repo, tmp_path):
     save_store(store, path)
     data = json.loads(path.read_text(encoding="utf-8"))
     assert set(data) == {"version", "records", "graph"}
-    assert data["version"] == STORE_VERSION == 5
+    assert data["version"] == STORE_VERSION == 6
     assert data["records"] and all(set(r) == RECORD_KEYS for r in data["records"].values())
     graph = data["graph"]
     assert set(graph) == {"nodes", "edges", "removed_edges"}
@@ -96,15 +108,26 @@ def test_fresh_store_holds_only_what_is_read(labeled_repo, tmp_path):
         assert set(edge) == {"caller", "callee"}
     metas = [node["meta"] for node in graph["nodes"].values() if "meta" in node]
     assert len(metas) == len(data["records"])
-    assert all(set(meta) == META_KEYS for meta in metas)
+    for meta in metas:
+        # each default is left out, and each hash is 32 bytes in base64url
+        assert META_KEYS <= set(meta) <= META_KEYS | {"has_return", "params"}
+        assert meta.get("has_return", True) is True and meta.get("params", ["p"]) != []
+        assert len(digest_bytes(meta["source_hash"])) == 32
+    assert {"has_return", "params"} <= {key for meta in metas for key in meta}
+    for record in data["records"].values():
+        assert len(digest_bytes(record["source_hash"])) == 32
     for node_id, node in graph["nodes"].items():
+        # children by name, left out when there are none
+        assert node.get("children", ["c"]) != []
+        prefix = "" if node_id == "." else node_id + "/"
+        assert all(prefix + name in graph["nodes"] for name in node.get("children", []))
         if node["node_kind"] == "File":
             # the blob id of the parsed text, which the hook compares
             source = (labeled_repo / node_id).read_bytes()
-            assert set(node) == {"node_kind", "children", "blob"}
+            assert set(node) - {"children"} == {"node_kind", "blob"}
             assert node["blob"] == blob_id(source)
         else:
-            assert set(node) - {"meta"} == {"node_kind", "children"}
+            assert set(node) - {"meta", "children"} == {"node_kind"}
 
 
 def assert_migrated_without_a_request(repo: Path, release: Path, capsys, sends) -> None:
@@ -135,7 +158,8 @@ def assert_migrated_without_a_request(repo: Path, release: Path, capsys, sends) 
     assert set(saved["records"]) == set(old["records"])
     for oid, record in saved["records"].items():
         assert set(record) == RECORD_KEYS
-        assert record["source_hash"] == old["records"][oid]["source_hash"]
+        # the same SHA-256, whatever form each version writes it in
+        assert digest_bytes(record["source_hash"]) == digest_bytes(old["records"][oid]["source_hash"])
     # the migrated store reads back as it was written
     code, out = run_cli(capsys, "eval", "--repo", repo, "--json")
     assert out == eval_out
@@ -166,15 +190,18 @@ def test_v3_store_is_migrated_without_a_request(tmp_path, capsys, sends):
     assert_migrated_without_a_request(repo, V3_DIR, capsys, sends)
 
 
-def test_v4_store_is_migrated_without_a_request(demo_repo, capsys, sends):
-    # a fresh store's pages and eval output, then the v4 store's
+def assert_cold_store_migrated(demo_repo: Path, old_store: Path, capsys, sends) -> None:
+    """The store a cold ``generate`` of the demo repo wrote at an older
+    version publishes and evaluates as a fresh store does, and ``generate``
+    on it sends nothing and writes the fresh store's bytes."""
+    # a fresh store's pages and eval output, then the old store's
     assert run_cli(capsys, "generate", "--repo", demo_repo)[0] == 0
     doc_dir = demo_repo / "markdown_docs"
     fresh_pages = pages(doc_dir)
     fresh_eval = run_cli(capsys, "eval", "--repo", demo_repo, "--json")
     sends.clear()
     shutil.rmtree(doc_dir)
-    shutil.copy(COLD_STORE_V4, demo_repo / STORE_REL)
+    shutil.copy(old_store, demo_repo / STORE_REL)
 
     code, out = run_cli(capsys, "publish", "--repo", demo_repo, "--json")
     assert code == 0 and pages(doc_dir) == fresh_pages
@@ -183,6 +210,38 @@ def test_v4_store_is_migrated_without_a_request(demo_repo, capsys, sends):
     assert code == 0 and json.loads(out)["generated"] == []
     assert sends == []
     assert (demo_repo / STORE_REL).read_bytes() == COLD_STORE.read_bytes()
+
+
+def test_v4_store_is_migrated_without_a_request(demo_repo, capsys, sends):
+    assert_cold_store_migrated(demo_repo, COLD_STORE_V4, capsys, sends)
+
+
+def test_v5_store_is_migrated_without_a_request(demo_repo, capsys, sends):
+    # the hex source hashes and child ids of version 5 become base64url and
+    # names, so that the same sources still match every record
+    assert json.loads(COLD_STORE_V5.read_text(encoding="utf-8"))["version"] == 5
+    assert_cold_store_migrated(demo_repo, COLD_STORE_V5, capsys, sends)
+
+
+def test_the_hook_on_a_v5_store_sends_nothing_for_a_comment(git_demo_repo, capsys, sends):
+    repo = git_demo_repo
+    assert main(["generate", "--repo", str(repo)]) == 0
+    fresh_pages = pages(repo / "markdown_docs")
+    shutil.copy(COLD_STORE_V5, repo / STORE_REL)
+    git(repo, "add", "-A")
+    git(repo, "commit", "-qm", "release 5")
+    sends.clear()
+    (repo / "a.py").write_text("# a comment\n" + DEMO_FILES["a.py"], encoding="utf-8")
+    git(repo, "add", "a.py")
+    capsys.readouterr()
+    assert main(["update", "--repo", str(repo), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["run"]["generated"] == [] and sends == []
+    assert pages(repo / "markdown_docs") == fresh_pages
+    # the upgrade is staged with the edit, and every record kept
+    staged = json.loads(git(repo, "show", f":{STORE_REL}"))
+    assert staged["version"] == STORE_VERSION
+    assert staged["records"] == json.loads(COLD_STORE.read_text(encoding="utf-8"))["records"]
 
 
 def test_first_update_on_a_v3_store_rebuilds_and_the_next_reuses(git_demo_repo, capsys):
@@ -289,7 +348,8 @@ def test_v1_record_sections_become_their_rendered_text(tmp_path, sections, text)
     path = tmp_path / "store.json"
     payload = {"version": 1, "records": {"a.py/f": _v1_record(**sections)}, "graph": None}
     path.write_text(json.dumps(payload), encoding="utf-8")
-    assert load_store(path).records["a.py/f"] == DocRecord(text, "0" * 64)
+    # the hex digest of 32 zero bytes becomes their base64url
+    assert load_store(path).records["a.py/f"] == DocRecord(text, "A" * 43)
 
 
 @pytest.mark.parametrize(
@@ -337,7 +397,8 @@ def test_record_lines_are_those_of_a_full_encode(tmp_path):
     path = tmp_path / "store.json"
     save_store(DocStore(records=dict(records)), path)
     lines = path.read_bytes().split(b"\n")
-    assert lines[0] == b'{"graph":null,"records":{' and lines[-2:] == [b'},"version":5}', b""]
+    assert lines[0] == b'{"graph":null,"records":{'
+    assert lines[-2:] == [b'},"version":%d}' % STORE_VERSION, b""]
     encode = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
     assert [line.removesuffix(b",") for line in lines[1:-2]] == [
         f"{encode(oid)}:{encode(records[oid]._asdict())}".encode("ascii") for oid in sorted(records)
