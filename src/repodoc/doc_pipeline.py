@@ -17,7 +17,7 @@ import logging
 import re
 from collections.abc import Mapping, MutableMapping
 from json.decoder import scanstring
-from json.encoder import encode_basestring_ascii
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
@@ -36,7 +36,7 @@ from .project_graph import (
     kahn,
     tree_node,
 )
-from .source_model import CLASS, CodeObject, base64url, parser_identity, write_atomically
+from .source_model import CLASS, FUNCTION, CodeObject, base64url, parser_identity, write_atomically
 
 if TYPE_CHECKING:
     from concurrent.futures import Future
@@ -50,7 +50,7 @@ logger = logging.getLogger(__name__)
 # the same parses, or pruning may keep other edges of the same edge set: an
 # older store is migrated on load, and since the digest of its bytes is
 # taken under the older version, no run reuses a file of it.
-STORE_VERSION = 6
+STORE_VERSION = 7
 
 PARAM_LABEL = "parameters"
 ATTRIBUTE_LABEL = "Attributes"
@@ -226,10 +226,16 @@ def record_from_parsed(obj: CodeObject, parsed: ParsedDoc) -> DocRecord:
     return DocRecord(text, obj.source_hash)
 
 
-def _record_of(version: int, data: dict) -> DocRecord:
-    """The record a store of ``version`` holds as ``data``, less the model
-    and time of generation that versions 1 to 4 held and nothing read. A
-    missing key raises, and from version 2 on so does a key it does not hold."""
+def _record_of(version: int, data: dict | list) -> DocRecord:
+    """The record a store of ``version`` holds as ``data``: from version 7
+    on the list of its text and source hash, before it an object, less the
+    model and time of generation that versions 1 to 4 held and nothing read.
+    A missing value raises, and from version 2 on so does one it does not
+    hold."""
+    if version > 6:
+        if type(data) is not list:
+            raise TypeError("a doc record is not a list")
+        return DocRecord(*data)
     if version < 5 and {type(data.pop("model")), type(data.pop("generated_at"))} != {str}:
         raise TypeError("a doc record holds a value that is not a string")
     if version > 1:
@@ -249,9 +255,10 @@ def _record_of(version: int, data: dict) -> DocRecord:
 
 def _upgrade(version: int, data: dict) -> None:
     """Give the decoded ``data`` of a store of ``version``, 1 to 5, the form
-    of version 6 in place: each child list in source order and by name, and
-    each source hash, of a record or an object, the base64url of the bytes
-    its hex digest spells, so that the same sources match it again."""
+    of version 6, which the decoders read, in place: each child list in
+    source order and by name, and each source hash, of a record or an
+    object, the base64url of the bytes its hex digest spells, so that the
+    same sources match it again."""
     for record in data.get("records", {}).values():
         record["source_hash"] = base64url(bytes.fromhex(record["source_hash"]))
     nodes = (data.get("graph") or {}).get("nodes", {})
@@ -274,8 +281,9 @@ SNAPSHOT_DIGEST_NAME = "repodoc-snapshot-digest"
 # member lines of the store file joined into one block before it is written
 _BLOCK_LINES = 128
 
-# what json.dumps gives a string: each store line is a template of its bytes
-_escape = encode_basestring_ascii
+# what json.dumps gives a string with ensure_ascii off: each store line is a
+# template of its text, written in UTF-8 (``_chunks``)
+_escape = encode_basestring
 
 
 def _new_digest():
@@ -308,10 +316,15 @@ class DocStore:
         self.recorded = False
 
     def to_dict(self) -> dict:
+        """The store as plain data: each record the list of its text and
+        source hash, and each object's node without the source hash that
+        its record states."""
+        records, graph = self.records, self.graph_snapshot
+        hashes = {oid: record.source_hash for oid, record in records.items()}
         return {
             "version": STORE_VERSION,
-            "records": {oid: self.records[oid]._asdict() for oid in sorted(self.records)},
-            "graph": self.graph_snapshot.to_dict() if self.graph_snapshot else None,
+            "records": {oid: list(records[oid]) for oid in sorted(records)},
+            "graph": graph.to_dict(hashes) if graph else None,
         }
 
 
@@ -329,10 +342,11 @@ def _section(opener: bytes, chunks: Iterator[bytes], closer: bytes) -> Iterator[
 
 def _chunks(keys: Iterable, line: Callable[..., str]) -> Iterator[bytes]:
     """The member lines ``line`` gives for ``keys``, each ending in a comma,
-    in chunks."""
+    in chunks of UTF-8. A lone surrogate, which UTF-8 cannot encode, is
+    written as the JSON escape of its code point, which reads it back."""
     keys = iter(keys)
     while batch := list(itertools.islice(keys, _BLOCK_LINES)):
-        yield ("\n".join(map(line, batch)) + "\n").encode("ascii")
+        yield ("\n".join(map(line, batch)) + "\n").encode("utf-8", "backslashreplace")
 
 
 def _held_line(entries: Mapping, key: str) -> str | None:
@@ -354,8 +368,9 @@ def _edge_line(edge: ReferenceEdge) -> str:
     return f'{{"callee":{_escape(edge.callee)},"caller":{_escape(edge.caller)}}},'
 
 
-def _node_line(graph: RepoGraph, node_id: str) -> str:
-    # graph.node_entry(node_id), its keys and those of its meta in sorted order
+def _node_line(graph: RepoGraph, node_id: str, record_hash: str | None) -> str:
+    # graph.node_entry(node_id, record_hash), its keys and those of its meta
+    # in sorted order
     node = graph.nodes[node_id]
     fields = [] if node.blob is None else [f'"blob":{_escape(node.blob)}']
     if node.children:
@@ -366,10 +381,12 @@ def _node_line(graph: RepoGraph, node_id: str) -> str:
         meta = '"meta":{"has_return":true,' if obj.has_return else '"meta":{'
         if obj.params:
             meta += f'"params":[{",".join(map(_escape, obj.params))}],'
-        fields.append(
-            f'{meta}"parent_id":{_escape(obj.parent_id)},"source_hash":{_escape(obj.source_hash)}}}'
-        )
-    fields.append(f'"node_kind":{_escape(node.node_kind)}')
+        meta += f'"parent_id":{_escape(obj.parent_id)}'
+        if obj.source_hash != record_hash:
+            meta += f',"source_hash":{_escape(obj.source_hash)}'
+        fields.append(meta + "}")
+    if obj is None or node.node_kind != FUNCTION:
+        fields.append(f'"node_kind":{_escape(node.node_kind)}')
     if node.parse_error is not None:
         fields.append(f'"parse_error":{_escape(node.parse_error)}')
     return f'{_escape(node_id)}:{{{",".join(fields)}}},'
@@ -379,21 +396,28 @@ def _store_blocks(store: DocStore) -> Iterator[bytes]:
     """The bytes of ``store.to_dict()``: compact JSON with sorted keys, one
     line per record, node and edge, and a final newline, in blocks of lines.
     Neither the text nor the dict is held whole. A node or record still held
-    as its store line is written as that line, the bytes its encode gives."""
-    graph = store.graph_snapshot
+    as its store line is written as that line, the bytes its encode gives,
+    but for the node of a record set or dropped since the load."""
+    graph, records = store.graph_snapshot, store.records
+    records_edited = records.edited if type(records) is LazyEntries else ()
 
     def node_line(node_id: str) -> str:
         # A node's line holds its object too, which changes only with it:
         # build_graph overlays both for each rebuilt id, and add_snippets
-        # gives objects only the snippets that the store leaves out.
+        # gives objects only the snippets that the store leaves out. It
+        # also states the object's source hash unless its record does, so
+        # the node of a record that the run set or dropped is encoded.
         line = _held_line(graph.nodes, node_id)
-        return _node_line(graph, node_id) if line is None else line
+        if line is None or node_id in records_edited:
+            record = records.get(node_id)
+            return _node_line(graph, node_id, None if record is None else record.source_hash)
+        return line
 
     def record_line(oid: str) -> str:
-        line = _held_line(store.records, oid)
+        line = _held_line(records, oid)
         if line is None:
-            text, source_hash = store.records[oid]
-            return f'{_escape(oid)}:{{"source_hash":{_escape(source_hash)},"text":{_escape(text)}}},'
+            text, source_hash = records[oid]
+            return f"{_escape(oid)}:[{_escape(text)},{_escape(source_hash)}],"
         return line
 
     if graph is None:
@@ -462,11 +486,12 @@ class LazyEntries(MutableMapping):
     ``decode(key, line)`` then stores the entry with ``settle``, in this
     mapping and in any other that holds the same line, so that a line is
     decoded once. Two threads that read a line first may both decode it,
-    to equal entries."""
+    to equal entries. ``edited`` names the keys set or deleted."""
 
     def __init__(self, held: dict, decode: Callable[[str, str], None]) -> None:
         self.held = held
         self._decode = decode
+        self.edited: set[str] = set()
 
     def __getitem__(self, key):
         value = self.held[key]
@@ -482,9 +507,11 @@ class LazyEntries(MutableMapping):
 
     def __setitem__(self, key: str, value) -> None:
         self.held[key] = value
+        self.edited.add(key)
 
     def __delitem__(self, key: str) -> None:
         del self.held[key]
+        self.edited.add(key)
 
     def __contains__(self, key) -> bool:
         return key in self.held
@@ -551,18 +578,26 @@ def _lazy_store(raw: bytes) -> DocStore | None:
             todo.extend(node.children)
     object_items = {oid: line for oid, line in node_items.items() if oid not in tree}
     node_items.update(tree)
+    # the record lines as loaded, whatever records the run sets
+    record_items = _indexed(record_lines)
 
     def decode_object(oid: str, line: str) -> None:
         entry = _decode_entry(line)
-        nodes.settle(oid, tree_node(oid, entry))
-        objects.settle(oid, CodeObject.from_dict(oid, entry["node_kind"], entry["meta"]))
+        node, meta, record_hash = tree_node(oid, entry), entry["meta"], None
+        if "source_hash" not in meta:
+            # the hash that the line of its record states
+            record = DocRecord(*_decode_entry(record_items[oid]))
+            records.settle(oid, record)
+            record_hash = record.source_hash
+        nodes.settle(oid, node)
+        objects.settle(oid, CodeObject.from_dict(oid, node.node_kind, meta, record_hash))
 
     def decode_record(oid: str, line: str) -> None:
-        records.settle(oid, DocRecord(**_decode_entry(line)))
+        records.settle(oid, DocRecord(*_decode_entry(line)))
 
     nodes = LazyEntries(node_items, decode_object)
     objects = LazyEntries(object_items, decode_object)
-    records = LazyEntries(_indexed(record_lines), decode_record)
+    records = LazyEntries(dict(record_items), decode_record)
     edges, removed = _edges(edge_lines), _edges(removed_lines)
     graph = RepoGraph(
         nodes=nodes,
@@ -578,10 +613,9 @@ def load_store(path: str | Path, git_dir: Path | None = None) -> DocStore:
     """Load the store; a missing file is an empty store, and one that cannot
     be read or decoded a ``CorruptStoreError``.
 
-    Stores of versions 1 to 5 are migrated in memory (``_upgrade``, then
-    ``_record_of``); the next save writes
-    the current version. The digest of the file's bytes is taken as they
-    are read. When ``git_dir`` records that digest, ``save_store`` wrote
+    Stores of versions 1 to 6 are migrated in memory (``_upgrade`` before
+    version 6, then ``_record_of``); the next save writes the current
+    version. The digest of the file's bytes is taken as they are read. When ``git_dir`` records that digest, ``save_store`` wrote
     the bytes, each entry on a line of its own, and a store with a graph is
     decoded lazily (``_lazy_store``) and ``recorded``; otherwise it is
     decoded whole, and a broken entry raises here.
@@ -620,13 +654,14 @@ def load_store(path: str | Path, git_dir: Path | None = None) -> DocStore:
                 f"doc store {path} has version {version}, expected {STORE_VERSION}; "
                 "delete it and rerun generate to rebuild"
             )
-        if version < STORE_VERSION:
+        if version < 6:
             _upgrade(version, data)
         records = {oid: _record_of(version, rec) for oid, rec in data.get("records", {}).items()}
         if not all(type(value) is str for record in records.values() for value in record):
             raise TypeError("a doc record holds a value that is not a string")
         graph_data = data.get("graph")
-        graph = RepoGraph.from_dict(graph_data) if graph_data else None
+        hashes = {oid: record.source_hash for oid, record in records.items()}
+        graph = RepoGraph.from_dict(graph_data, hashes) if graph_data else None
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise CorruptStoreError(
             f"doc store {path} is unreadable ({exc}); delete it and rerun generate to rebuild"
@@ -663,31 +698,28 @@ class RunReport:
         }
 
 
-_HASH_KEY = '"source_hash":"'
-_HASH_SPAN = len(_HASH_KEY) + 44  # the key, a source_digest and its closing quote
+_HASH_KEY = '"source_hash":'
 
 
 def _unmatched(
     objects: MutableMapping[str, CodeObject], records: MutableMapping[str, DocRecord]
 ) -> list[str]:
     """The ids of ``objects`` whose record is missing or may carry another
-    source hash. Where both entries are still store lines, the lines are
-    compared from the hash's key to the quote after a ``source_digest``,
-    with nothing decoded: a quote inside a string is escaped, so a line's
-    one ``"source_hash":"`` opens its hash, and equal spans hold equal
-    hashes."""
+    source hash. An object still held as its store line, with no
+    ``"source_hash":`` in it, has a record that states its hash
+    (``save_store``), so it is matched with nothing decoded: a quote inside
+    a string is escaped, so only the key can spell it."""
     lines = objects.held if isinstance(objects, LazyEntries) else {}
-    record_lines = records.held if isinstance(records, LazyEntries) else {}
     unmatched = []
     for oid in objects:
-        line, record_line = lines.get(oid), record_lines.get(oid)
-        if type(line) is str and type(record_line) is str:
-            start, record_start = line.find(_HASH_KEY), record_line.find(_HASH_KEY)
-            if line[start : start + _HASH_SPAN] == record_line[record_start : record_start + _HASH_SPAN]:
-                continue
-        elif oid in records and records[oid].source_hash == objects[oid].source_hash:
+        if oid not in records:
+            unmatched.append(oid)
             continue
-        unmatched.append(oid)
+        line = lines.get(oid)
+        if type(line) is str and _HASH_KEY not in line:
+            continue
+        if records[oid].source_hash != objects[oid].source_hash:
+            unmatched.append(oid)
     return unmatched
 
 

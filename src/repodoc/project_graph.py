@@ -404,27 +404,34 @@ class RepoGraph:
             stack.extend((child, depth + 1) for child in reversed(self.nodes[object_id].children))
         return out
 
-    def node_entry(self, node_id: str) -> dict:
-        """A node's plain data: its kind and, as it has them, its children by
-        name, the ``to_dict()`` of its object, its blob id and its parse
+    def node_entry(self, node_id: str, record_hash: str | None = None) -> dict:
+        """A node's plain data: its kind, left out for a function, which has
+        an object, and, as it has them, its children by name, the
+        ``to_dict(record_hash)`` of its object, its blob id and its parse
         error. ``tree_node`` reads it back."""
         node = self.nodes[node_id]
-        entry: dict = {"node_kind": node.node_kind}
+        obj = self.objects.get(node_id)
+        entry: dict = {}
+        if obj is None or node.node_kind != FUNCTION:
+            entry["node_kind"] = node.node_kind
         if node.children:
             entry["children"] = [child_name(child) for child in node.children]
-        obj = self.objects.get(node_id)
         if obj is not None:
-            entry["meta"] = obj.to_dict()
+            entry["meta"] = obj.to_dict(record_hash)
         if node.blob is not None:
             entry["blob"] = node.blob
         if node.parse_error is not None:
             entry["parse_error"] = node.parse_error
         return entry
 
-    def to_dict(self) -> dict:
-        """The graph as plain data."""
+    def to_dict(self, record_hashes: Mapping[str, str] | None = None) -> dict:
+        """The graph as plain data, each object's source hash left out where
+        ``record_hashes`` states it for its id."""
+        hashes = record_hashes or {}
         return {
-            "nodes": {node_id: self.node_entry(node_id) for node_id in sorted(self.nodes)},
+            "nodes": {
+                node_id: self.node_entry(node_id, hashes.get(node_id)) for node_id in sorted(self.nodes)
+            },
             "edges": [e._asdict() for e in self.edges],
             "removed_edges": [e._asdict() for e in self.removed_edges],
         }
@@ -437,15 +444,18 @@ class RepoGraph:
         return node_id
 
     @classmethod
-    def from_dict(cls, data: dict) -> "RepoGraph":
-        """The graph of ``to_dict()``; an object's id and kind are its node's."""
+    def from_dict(cls, data: dict, record_hashes: Mapping[str, str] | None = None) -> "RepoGraph":
+        """The graph of ``to_dict(record_hashes)``; an object's id and kind
+        are its node's."""
+        hashes = record_hashes or {}
         nodes: dict[str, TreeNode] = {}
         objects: dict[str, CodeObject] = {}
         for node_id, entry in data.get("nodes", {}).items():
-            nodes[node_id] = tree_node(node_id, entry)
+            node = nodes[node_id] = tree_node(node_id, entry)
             meta = entry.get("meta")
             if meta is not None:
-                objects[node_id] = CodeObject.from_dict(node_id, entry["node_kind"], meta)
+                record_hash = hashes.get(node_id)
+                objects[node_id] = CodeObject.from_dict(node_id, node.node_kind, meta, record_hash)
         return cls(
             nodes=nodes,
             objects=objects,
@@ -475,7 +485,7 @@ def tree_node(node_id: str, entry: dict) -> TreeNode:
     prefix = "" if node_id == ROOT_ID else node_id + "/"
     return TreeNode(
         id=node_id,
-        node_kind=entry["node_kind"],
+        node_kind=entry.get("node_kind", FUNCTION) if "meta" in entry else entry["node_kind"],
         children=[prefix + name for name in entry.get("children", ())],
         blob=entry.get("blob"),
         parse_error=entry.get("parse_error"),

@@ -206,9 +206,10 @@ def build_repo_graph(root: Path, ignore: tuple[str, ...] = ()) -> RepoGraph:
     return build_graph(list(sources), parse_repository(sources, sources))
 
 
-def make_gateway() -> Gateway:
-    """Mock gateway; ``gateway.provider`` is a CapturingProvider."""
-    return Gateway(CapturingProvider(), retries=0)
+def make_gateway(fail_names: frozenset[str] = frozenset()) -> Gateway:
+    """Mock gateway; ``gateway.provider`` is a CapturingProvider, whose
+    requests for the objects named in ``fail_names`` fail."""
+    return Gateway(CapturingProvider(fail_names), retries=0)
 
 
 def make_config(root: Path, **overrides) -> Config:
@@ -248,10 +249,12 @@ def generate_repo(root: Path, jobs: int = 1, **config_overrides):
 
 class CapturingProvider:
     """Mock provider that also records every request it receives and every
-    response it returns."""
+    response it returns. A request for an object named in ``fail_names``
+    fails."""
 
-    def __init__(self) -> None:
+    def __init__(self, fail_names: frozenset[str] = frozenset()) -> None:
         self._inner = MockProvider()
+        self.fail_names = fail_names
         self.requests: list[CompletionRequest] = []
         self.responses: list[CompletionResponse] = []
 
@@ -261,6 +264,9 @@ class CapturingProvider:
 
     def send(self, request: CompletionRequest) -> CompletionResponse:
         self.requests.append(request)
+        for name in self.fail_names:
+            if f'whose name is "{name}"' in request.prompt:
+                raise TransientProviderError(f"synthetic failure for {name}")
         response = self._inner.send(request)
         self.responses.append(response)
         return response

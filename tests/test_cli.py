@@ -270,11 +270,19 @@ def test_publish_rebuilds_pages(demo_repo, capsys):
 
 
 def test_graph_json_and_dot(demo_repo, capsys):
+    run_cli("generate", "--repo", demo_repo, capsys=capsys)
     code, out, _ = run_cli("graph", "--repo", demo_repo, capsys=capsys)
     assert code == 0
     payload = json.loads(out)
     edge_pairs = {(e["caller"], e["callee"]) for e in payload["edges"]}
     assert ("a.py/g", "a.py/f") in edge_pairs
+    # every source hash, which only the store leaves out where a record
+    # states it, and a function's kind left out as in the store
+    metas = {nid: node for nid, node in payload["nodes"].items() if "meta" in node}
+    assert len(metas) == 5 and all("source_hash" in node["meta"] for node in metas.values())
+    assert {nid: node.get("node_kind") for nid, node in metas.items() if "node_kind" in node} == {
+        "a.py/C": "Class"
+    }
 
     code, out, _ = run_cli("graph", "--repo", demo_repo, "--format", "dot", capsys=capsys)
     assert code == 0

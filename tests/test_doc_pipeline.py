@@ -12,8 +12,6 @@ import tracemalloc
 import pytest
 
 from repodoc.doc_pipeline import (
-    _HASH_KEY,
-    _HASH_SPAN,
     SNAPSHOT_DIGEST_NAME,
     STORE_VERSION,
     DocRecord,
@@ -357,12 +355,8 @@ def _saved_whole(store, path) -> bytes:
     return path.read_bytes()
 
 
-def test_the_hash_span_covers_a_whole_source_digest_and_its_quote():
-    assert _HASH_SPAN == len(_HASH_KEY) + len(source_digest("")) + 1
-
-
 def test_store_lines_whose_hashes_differ_in_the_last_character_are_unmatched(tmp_path, demo_repo):
-    # a span one character short would take this record for current
+    # the node line states its own hash, since its record states another
     _, store, _, _ = generate_repo(demo_repo)
     source_hash = store.graph_snapshot.objects["a.py/f"].source_hash
     other = source_hash[:-1] + ("B" if source_hash[-1] == "A" else "A")
@@ -375,6 +369,25 @@ def test_store_lines_whose_hashes_differ_in_the_last_character_are_unmatched(tmp
     objects, records = loaded.graph_snapshot.objects, loaded.records
     assert type(objects.held["a.py/f"]) is str and type(records.held["a.py/f"]) is str
     assert _unmatched(objects, records) == ["a.py/f"]
+
+
+def test_a_held_node_line_states_its_hash_while_its_record_does_not(tmp_path, demo_repo):
+    store, path, git_dir = _carrying_store(tmp_path, demo_repo)
+    full = tmp_path / "full.json"
+    assert '"source_hash":' not in store.graph_snapshot.objects.held["a.py/f"]
+    # a record of another hash set over a node still held as its line
+    record = store.records["a.py/f"]
+    store.records["a.py/f"] = record._replace(source_hash="A" * 43)
+    save_store(store, path, git_dir)
+    assert path.read_bytes() == _saved_whole(store, full)
+    record_snapshot(store, git_dir)
+    # and the record of its hash set again, over the line that states it
+    store = load_store(path, git_dir)
+    assert '"source_hash":' in store.graph_snapshot.objects.held["a.py/f"]
+    store.records["a.py/f"] = record
+    save_store(store, path, git_dir)
+    assert b'"source_hash":' not in path.read_bytes()
+    assert path.read_bytes() == _saved_whole(store, full)
 
 
 def test_save_store_copies_unchanged_lines_and_writes_a_full_encode(tmp_path, demo_repo):

@@ -115,18 +115,20 @@ def _recording(patch, module, *, full: bool) -> list:
     return built
 
 
-def _update(repo, monkeypatch, *, full: bool):
-    """Run ``update``; returns its report, graph and prompts."""
-    gateway = make_gateway()
+def _update(repo, monkeypatch, *, full: bool, fail: frozenset[str] = frozenset()):
+    """Run ``update``, the generation of each object named in ``fail``
+    failing; returns its report, graph and prompts."""
+    gateway = make_gateway(fail)
     with monkeypatch.context() as patch:
         built = _recording(patch, change_tracker, full=full)
         report = change_tracker.run_update(gateway, load_config(repo), 1)
     return report, built[0], gateway.provider.prompts
 
 
-def _generate(repo, monkeypatch, capsys, *, full: bool):
-    """Run ``generate --json``; returns its exit code, report, graph and prompts."""
-    gateway = make_gateway()
+def _generate(repo, monkeypatch, capsys, *, full: bool, fail: frozenset[str] = frozenset()):
+    """Run ``generate --json``, the generation of each object named in
+    ``fail`` failing; returns its exit code, report, graph and prompts."""
+    gateway = make_gateway(fail)
     capsys.readouterr()
     with monkeypatch.context() as patch:
         built = _recording(patch, cli, full=full)
@@ -213,6 +215,79 @@ def test_generate_fast_path_matches_the_full_rebuild_after_every_edit(
         assert _without_counts(fast) == _without_counts(full), name
         _assert_prerequisites_first(fast["generated"], fast_graph, name)
         assert _outputs(repo) == _outputs(twin), name
+        shutil.rmtree(twin)
+
+
+def _run(command, repo, monkeypatch, capsys, *, full: bool, fail: frozenset[str]):
+    """Run ``update`` or ``generate``; returns whether it succeeded, its
+    report as a dict, and its graph and prompts."""
+    if command == "update":
+        report, graph, prompts = _update(repo, monkeypatch, full=full, fail=fail)
+        return report.ok, report.to_dict(), graph, prompts
+    code, report, graph, prompts = _generate(repo, monkeypatch, capsys, full=full, fail=fail)
+    return code == 0, report, graph, prompts
+
+
+def _states_its_hash(repo, node_id: str) -> bool:
+    """Whether the store line of ``node_id`` states its source hash."""
+    _, text = _outputs(repo)
+    line = next(line for line in text.split("\n") if line.startswith(json.dumps(node_id) + ":{"))
+    return '"source_hash":' in line
+
+
+ALPHA_EDITED = _edit("core.py", CORE.replace("return 1", "return 2"))
+CALL_TO_ALPHA = _edit("app.py", "import core\n" + APP.replace("print(main())", "print(main(), core.alpha())"))
+
+# (name, edit, command, whether alpha's generation fails, whether alpha's
+# node states its hash after, files the fast path takes from the snapshot
+# or None when not checked)
+FAILED_THEN_DONE = {
+    "generate": [
+        ("body-edit-whose-generation-fails", ALPHA_EDITED, "generate", True, True, None),
+        # alpha's file is taken with its node, which loses its hash
+        ("rerun-that-succeeds", None, "generate", False, False, len(FILES)),
+    ],
+    "update": [
+        # a failed update writes nothing
+        ("body-edit-whose-update-fails", ALPHA_EDITED, "update", True, False, None),
+        ("generate-that-fails", None, "generate", True, True, None),
+        # alpha's file is taken with its node; the new call regenerates alpha
+        ("call-to-the-failed-def-added", CALL_TO_ALPHA, "update", False, False, len(FILES) - 1),
+    ],
+}
+
+
+@pytest.mark.parametrize("sequence", ["generate", "update"])
+def test_fast_path_matches_the_full_rebuild_when_a_generation_fails_then_succeeds(
+    tmp_path, monkeypatch, capsys, sequence
+):
+    # A node leaves out the source hash its record states, so the line of
+    # a node taken from the snapshot changes when its record does.
+    repo = tmp_path / "repo"
+    _init_repo(repo)
+    git(repo, "add", "-A")
+    assert _run(sequence, repo, monkeypatch, capsys, full=False, fail=frozenset())[0]
+    git(repo, "add", "-A")
+    git(repo, "commit", "-qm", "seed")
+
+    for name, edit, command, fails, own_hash, reused in FAILED_THEN_DONE[sequence]:
+        if edit is not None:
+            edit(repo)
+        git(repo, "add", "-A")
+        twin = tmp_path / f"full-{name}"
+        shutil.copytree(repo, twin, symlinks=True)
+        fail = frozenset({"alpha"} if fails else ())
+        ok, fast, fast_graph, fast_prompts = _run(command, repo, monkeypatch, capsys, full=False, fail=fail)
+        full_ok, full, full_graph, full_prompts = _run(command, twin, monkeypatch, capsys, full=True, fail=fail)
+        assert ok is full_ok is not fails, name
+        assert reused is None or fast["reused_files"] == reused, name
+        assert fast_graph.to_dict() == full_graph.to_dict(), name
+        assert fast_prompts == full_prompts, name
+        assert _without_counts(fast) == _without_counts(full), name
+        assert _outputs(repo) == _outputs(twin), name
+        assert _states_its_hash(repo, "core.py/alpha") is own_hash, name
+        git(repo, "add", "-A")
+        git(repo, "commit", "-qm", name)
         shutil.rmtree(twin)
 
 
@@ -666,8 +741,8 @@ def test_a_store_edited_by_hand_is_saved_before_its_digest_is_recorded(tmp_path,
     # JSON still reads the file, but save_store did not lay it out: a blank
     # line in the records section and an indented record line
     text = canonical.decode("utf-8")
-    alpha = next(line for line in text.split("\n") if line.startswith('"core.py/alpha":{"source_hash"'))
-    beta = next(line for line in text.split("\n") if line.startswith('"core.py/beta":{"source_hash"'))
+    alpha = next(line for line in text.split("\n") if line.startswith('"core.py/alpha":["'))
+    beta = next(line for line in text.split("\n") if line.startswith('"core.py/beta":["'))
     store_path.write_text(text.replace(alpha, "\n" + alpha).replace(beta, "  " + beta), encoding="utf-8")
     report = _generate_json(repo, capsys)
     assert report["reused_files"] == 0 and report["generated"] == []
@@ -718,8 +793,8 @@ def test_a_store_whose_digest_does_not_match_is_decoded_whole(tmp_path, capsys):
     # one record line broken, the layout kept: the bytes no longer match
     # the digest, so the broken entry is found at load
     text = store_path.read_text(encoding="utf-8")
-    line = next(line for line in text.split("\n") if line.startswith('"core.py/alpha":{"source_hash"'))
-    store_path.write_text(text.replace(line, line.replace('"text":', '"txet":')), encoding="utf-8")
+    line = next(line for line in text.split("\n") if line.startswith('"core.py/alpha":["'))
+    store_path.write_text(text.replace(line, line.replace(":[", ":[0,", 1)), encoding="utf-8")
     with pytest.raises(doc_pipeline.CorruptStoreError, match="unreadable"):
         doc_pipeline.load_store(store_path, git_dir)
     capsys.readouterr()
@@ -736,10 +811,10 @@ def _decoded_entries(patch) -> dict[str, list[str]]:
     def decode(line):
         value = real(line)
         ((key, _),) = json.loads("{%s}" % line.rstrip(",")).items()
-        if "meta" in value:
-            decoded["objects"].append(key)
-        elif "text" in value:
+        if type(value) is list:
             decoded["records"].append(key)
+        elif "meta" in value:
+            decoded["objects"].append(key)
         return value
 
     patch.setattr(doc_pipeline, "_decode_entry", decode)
@@ -834,14 +909,17 @@ def test_a_one_def_update_decodes_only_the_entries_it_reads(tmp_path, monkeypatc
 def test_a_lazy_store_reads_ids_that_the_store_escapes(tmp_path, capsys):
     repo = tmp_path / "repo"
     _init_repo(repo)
-    write_tree(repo, {"café.py": "import core\n\n\ndef crème():\n    return core.alpha()\n"})
+    module = "import core\n\n\ndef crème():\n    return core.alpha()\n"
+    write_tree(repo, {"café.py": module, 'say "hi".py': module})
     _generate_json(repo, capsys)
     store_path, git_dir = repo / load_config(repo).store_path, repo / ".git"
-    assert "\\u00e9" in store_path.read_text(encoding="utf-8")
+    # a quote is escaped, and any other character is stored as its UTF-8
+    text = store_path.read_text(encoding="utf-8")
+    assert '"say \\"hi\\".py/crème"' in text and '"café.py/crème"' in text
     lazy, whole = doc_pipeline.load_store(store_path, git_dir), doc_pipeline.load_store(store_path)
     assert isinstance(lazy.records, doc_pipeline.LazyEntries)
     assert dict(lazy.records) == whole.records
     assert lazy.graph_snapshot.to_dict() == whole.graph_snapshot.to_dict()
     assert lazy.graph_snapshot.files == whole.graph_snapshot.files
     report = _generate_json(repo, capsys)
-    assert report["reused_files"] == len(FILES) + 1 and report["generated"] == []
+    assert report["reused_files"] == len(FILES) + 2 and report["generated"] == []

@@ -7,8 +7,9 @@ the eval output. ``order_store_v2/class_prompt.txt`` is the prompt that
 release sent for class ``K`` of the order repo with child docs enabled.
 ``demo_cold_store.json`` is the store a cold ``repodoc generate`` of the
 demo repo wrote at version 4, each ``generated_at`` emptied,
-``demo_cold_store_v5.json`` the one it wrote at version 5 and
-``demo_cold_store_v6.json`` the one it writes at version 6.
+``demo_cold_store_v5.json`` the one it wrote at version 5,
+``demo_cold_store_v6.json`` the one it wrote at version 6 and
+``demo_cold_store_v7.json`` the one it writes at version 7.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ from repodoc.doc_pipeline import (
     STORE_VERSION,
     DocRecord,
     DocStore,
+    LazyEntries,
     load_store,
+    record_snapshot,
     save_store,
 )
 from repodoc.errors import CorruptStoreError
@@ -43,10 +46,21 @@ V1_DIR = DATA / "demo_store_v1"
 V3_DIR = DATA / "demo_store_v3"
 COLD_STORE_V4 = DATA / "demo_cold_store.json"
 COLD_STORE_V5 = DATA / "demo_cold_store_v5.json"
-COLD_STORE = DATA / "demo_cold_store_v6.json"
+COLD_STORE_V6 = DATA / "demo_cold_store_v6.json"
+COLD_STORE = DATA / "demo_cold_store_v7.json"
 STORE_REL = ".project_doc_record/project_hierarchy.json"
-RECORD_KEYS = {"text", "source_hash"}
-META_KEYS = {"parent_id", "source_hash"}  # and has_return when true, params when any
+# and has_return when true, params when any, and source_hash when the
+# object's record states another one or is missing
+META_KEYS = {"parent_id"}
+
+
+def record_hash(version: int, record) -> str:
+    """The source hash of a stored record: the second of its text and hash
+    from version 7 on, its ``source_hash`` before it."""
+    if version > 6:
+        assert type(record) is list and len(record) == 2
+        return record[1]
+    return record["source_hash"]
 
 
 def digest_bytes(source_hash: str) -> bytes:
@@ -95,39 +109,46 @@ def sends(monkeypatch) -> list[str]:
 
 def test_fresh_store_holds_only_what_is_read(labeled_repo, tmp_path):
     _, store, _, _ = generate_repo(labeled_repo)
+    graph_nodes = store.graph_snapshot.nodes
     path = tmp_path / "store.json"
     save_store(store, path)
     data = json.loads(path.read_text(encoding="utf-8"))
     assert set(data) == {"version", "records", "graph"}
-    assert data["version"] == STORE_VERSION == 6
-    assert data["records"] and all(set(r) == RECORD_KEYS for r in data["records"].values())
+    assert data["version"] == STORE_VERSION == 7
+    records = data["records"]
+    assert records and all(type(value) is str for r in records.values() for value in r)
     graph = data["graph"]
     assert set(graph) == {"nodes", "edges", "removed_edges"}
     assert graph["edges"] and graph["removed_edges"]  # the labeled repo has a call ring
     for edge in graph["edges"] + graph["removed_edges"]:
         assert set(edge) == {"caller", "callee"}
     metas = [node["meta"] for node in graph["nodes"].values() if "meta" in node]
-    assert len(metas) == len(data["records"])
+    assert len(metas) == len(records)
     for meta in metas:
-        # each default is left out, and each hash is 32 bytes in base64url
+        # each default is left out, and so is each hash, which the object's
+        # current record states
         assert META_KEYS <= set(meta) <= META_KEYS | {"has_return", "params"}
         assert meta.get("has_return", True) is True and meta.get("params", ["p"]) != []
-        assert len(digest_bytes(meta["source_hash"])) == 32
     assert {"has_return", "params"} <= {key for meta in metas for key in meta}
-    for record in data["records"].values():
-        assert len(digest_bytes(record["source_hash"])) == 32
+    for record in records.values():
+        # each hash is 32 bytes in base64url
+        assert len(digest_bytes(record_hash(STORE_VERSION, record))) == 32
     for node_id, node in graph["nodes"].items():
         # children by name, left out when there are none
         assert node.get("children", ["c"]) != []
         prefix = "" if node_id == "." else node_id + "/"
         assert all(prefix + name in graph["nodes"] for name in node.get("children", []))
-        if node["node_kind"] == "File":
+        if node.get("node_kind") == "File":
             # the blob id of the parsed text, which the hook compares
             source = (labeled_repo / node_id).read_bytes()
             assert set(node) - {"children"} == {"node_kind", "blob"}
             assert node["blob"] == blob_id(source)
+        elif "meta" in node and "node_kind" not in node:
+            # a function's kind is the default of an object's node
+            assert graph_nodes[node_id].node_kind == FUNCTION
         else:
             assert set(node) - {"meta", "children"} == {"node_kind"}
+            assert node["node_kind"] != FUNCTION
 
 
 def assert_migrated_without_a_request(repo: Path, release: Path, capsys, sends) -> None:
@@ -157,9 +178,9 @@ def assert_migrated_without_a_request(repo: Path, release: Path, capsys, sends) 
     assert saved["version"] == STORE_VERSION
     assert set(saved["records"]) == set(old["records"])
     for oid, record in saved["records"].items():
-        assert set(record) == RECORD_KEYS
         # the same SHA-256, whatever form each version writes it in
-        assert digest_bytes(record["source_hash"]) == digest_bytes(old["records"][oid]["source_hash"])
+        old_hash = record_hash(old["version"], old["records"][oid])
+        assert digest_bytes(record_hash(STORE_VERSION, record)) == digest_bytes(old_hash)
     # the migrated store reads back as it was written
     code, out = run_cli(capsys, "eval", "--repo", repo, "--json")
     assert out == eval_out
@@ -207,8 +228,9 @@ def assert_cold_store_migrated(demo_repo: Path, old_store: Path, capsys, sends) 
     assert code == 0 and pages(doc_dir) == fresh_pages
     assert run_cli(capsys, "eval", "--repo", demo_repo, "--json") == fresh_eval
     code, out = run_cli(capsys, "generate", "--repo", demo_repo, "--json")
-    assert code == 0 and json.loads(out)["generated"] == []
-    assert sends == []
+    report = json.loads(out)
+    assert code == 0 and report["generated"] == [] and report["pages_written"] == []
+    assert sends == [] and pages(doc_dir) == fresh_pages
     assert (demo_repo / STORE_REL).read_bytes() == COLD_STORE.read_bytes()
 
 
@@ -221,6 +243,13 @@ def test_v5_store_is_migrated_without_a_request(demo_repo, capsys, sends):
     # names, so that the same sources still match every record
     assert json.loads(COLD_STORE_V5.read_text(encoding="utf-8"))["version"] == 5
     assert_cold_store_migrated(demo_repo, COLD_STORE_V5, capsys, sends)
+
+
+def test_v6_store_is_migrated_without_a_request(demo_repo, capsys, sends):
+    # each node's hash that its record states, each function's kind and
+    # each record's keys are left out
+    assert json.loads(COLD_STORE_V6.read_text(encoding="utf-8"))["version"] == 6
+    assert_cold_store_migrated(demo_repo, COLD_STORE_V6, capsys, sends)
 
 
 def test_the_hook_on_a_v5_store_sends_nothing_for_a_comment(git_demo_repo, capsys, sends):
@@ -389,6 +418,14 @@ STRANGE_STRINGS = [
 ]
 
 
+def utf8_line(key: str, value) -> bytes:
+    """What ``json.dumps`` gives the member ``key: value``, compact, with
+    sorted keys and ``ensure_ascii`` off, in UTF-8, each lone surrogate
+    written as its JSON escape."""
+    encode = json.JSONEncoder(separators=(",", ":"), sort_keys=True, ensure_ascii=False).encode
+    return f"{encode(key)}:{encode(value)}".encode("utf-8", "backslashreplace")
+
+
 def test_record_lines_are_those_of_a_full_encode(tmp_path):
     records = {
         f"m.py/{value}{index}": DocRecord(value, value[::-1])
@@ -399,18 +436,18 @@ def test_record_lines_are_those_of_a_full_encode(tmp_path):
     lines = path.read_bytes().split(b"\n")
     assert lines[0] == b'{"graph":null,"records":{'
     assert lines[-2:] == [b'},"version":%d}' % STORE_VERSION, b""]
-    encode = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
     assert [line.removesuffix(b",") for line in lines[1:-2]] == [
-        f"{encode(oid)}:{encode(records[oid]._asdict())}".encode("ascii") for oid in sorted(records)
+        utf8_line(oid, list(records[oid])) for oid in sorted(records)
     ]
     assert load_store(path).records == records
 
 
 def test_node_lines_are_those_of_a_full_encode(tmp_path):
     # files with and without a blob and a parse error, each holding one
-    # object; every id, name, param and error a strange string
+    # object with a record of its hash, of another or none; every id,
+    # name, param, hash and error a strange string
     nodes = {ROOT_ID: TreeNode(ROOT_ID, REPO, ["d"]), "d": TreeNode("d", DIR)}
-    objects = {}
+    objects, records = {}, {}
     for index, value in enumerate(STRANGE_STRINGS):
         file_id, kind = f"d/{value}{index}.py", (CLASS, FUNCTION)[index % 2]
         blob = None if index == 0 else blob_id(value.encode("utf-8", "surrogatepass"))
@@ -420,16 +457,21 @@ def test_node_lines_are_those_of_a_full_encode(tmp_path):
         nodes[oid] = TreeNode(oid, kind)
         params = (value, value[::-1])
         objects[oid] = CodeObject(oid, kind, value, (0, 0), "", params, index % 2 == 0, file_id, value)
+        if index % 3 < 2:
+            records[oid] = DocRecord(value, (value, value + "!")[index % 3])
     graph = RepoGraph(nodes, objects, [], [])
     path = tmp_path / "store.json"
-    save_store(DocStore(graph_snapshot=graph), path)
+    save_store(DocStore(records=dict(records), graph_snapshot=graph), path)
     lines = path.read_bytes().split(b"\n")
     start, end = lines.index(b'],"nodes":{') + 1, lines.index(b'},"removed_edges":[')
-    encode = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+    hashes = {oid: record.source_hash for oid, record in records.items()}
     assert [line.removesuffix(b",") for line in lines[start:end]] == [
-        f"{encode(nid)}:{encode(graph.node_entry(nid))}".encode("ascii") for nid in sorted(nodes)
+        utf8_line(nid, graph.node_entry(nid, hashes.get(nid))) for nid in sorted(nodes)
     ]
-    assert load_store(path).graph_snapshot.to_dict() == graph.to_dict()
+    assert sum(b'"source_hash":' in line for line in lines[start:end]) == len(objects) - 3
+    loaded = load_store(path)
+    assert loaded.graph_snapshot.to_dict() == graph.to_dict()
+    assert loaded.records == records
 
 
 def test_a_record_value_that_is_not_a_string_is_refused(tmp_path):
@@ -451,6 +493,11 @@ def test_a_record_value_that_is_not_a_string_is_refused(tmp_path):
         (5, {"text": "t", "source_hash": "h", "model": "m", "generated_at": "g"}),
         (5, {"text": 4, "source_hash": "h"}),
         (5, ["t", "h"]),
+        (6, ["t", "h"]),
+        (7, {"text": "t", "source_hash": "h"}),
+        (7, ["t"]),
+        (7, ["t", "h", "x"]),
+        (7, ["t", 4]),
     ],
     ids=[
         "v3-missing-key",
@@ -461,6 +508,11 @@ def test_a_record_value_that_is_not_a_string_is_refused(tmp_path):
         "v4-record-in-v5",
         "v5-value-not-a-string",
         "v5-record-not-an-object",
+        "v6-record-not-an-object",
+        "v7-record-not-a-list",
+        "v7-missing-hash",
+        "v7-extra-value",
+        "v7-hash-not-a-string",
     ],
 )
 def test_a_record_its_version_does_not_hold_is_refused(tmp_path, version, record):
@@ -469,3 +521,60 @@ def test_a_record_its_version_does_not_hold_is_refused(tmp_path, version, record
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(CorruptStoreError, match="delete it and rerun generate"):
         load_store(path)
+
+
+def test_an_object_whose_hash_no_line_states_is_refused(tmp_path):
+    path = tmp_path / "store.json"
+    nodes = {"a.py/f": {"meta": {"parent_id": "a.py"}}}
+    graph = {"nodes": nodes, "edges": [], "removed_edges": []}
+    path.write_text(json.dumps({"version": STORE_VERSION, "records": {}, "graph": graph}), encoding="utf-8")
+    with pytest.raises(CorruptStoreError, match="delete it and rerun generate"):
+        load_store(path)
+
+
+def test_a_doc_in_another_language_is_stored_as_its_utf8(tmp_path, demo_repo):
+    _, store, _, _ = generate_repo(demo_repo)
+    doc = "**f**: 计算并返回一个值。"
+    store.records["a.py/f"] = store.records["a.py/f"]._replace(text=doc)
+    # a provider may answer with half of a surrogate pair
+    store.records["a.py/g"] = store.records["a.py/g"]._replace(text="a lone \ud83d half")
+    path, git_dir = tmp_path / "store.json", tmp_path / "git"
+    git_dir.mkdir()
+    save_store(store, path, git_dir)
+    record_snapshot(store, git_dir)
+    raw = path.read_bytes()
+    # three bytes a character, not the six of an escape; UTF-8 cannot
+    # encode a lone surrogate, so it keeps its escape
+    assert doc.encode("utf-8") in raw and b"\\u8ba1" not in raw
+    assert b"a lone \\ud83d half" in raw
+    lazy, whole = load_store(path, git_dir), load_store(path)
+    assert isinstance(lazy.records, LazyEntries)
+    assert dict(lazy.records) == whole.records == store.records
+    assert lazy.graph_snapshot.to_dict() == whole.graph_snapshot.to_dict()
+    save_store(lazy, path, git_dir)
+    assert path.read_bytes() == raw
+
+
+def test_a_clone_takes_each_hash_its_node_leaves_out_from_the_record(
+    git_demo_repo, tmp_path, capsys, sends
+):
+    repo = git_demo_repo
+    assert run_cli(capsys, "generate", "--repo", repo)[0] == 0
+    git(repo, "add", "-A")
+    git(repo, "commit", "-qm", "docs")
+    clone = tmp_path / "clone"
+    git(tmp_path, "clone", "-q", str(repo), str(clone))
+    stored = (clone / STORE_REL).read_bytes()
+    assert b'"source_hash":' not in stored
+    # a fresh clone records no digest, so its store is decoded whole
+    store = load_store(clone / STORE_REL, git_dir(clone))
+    assert not store.recorded
+    objects = store.graph_snapshot.objects
+    assert len(objects) == 5
+    assert all(objects[oid].source_hash == store.records[oid].source_hash for oid in objects)
+    sends.clear()
+    code, out = run_cli(capsys, "generate", "--repo", clone, "--json")
+    report = json.loads(out)
+    assert code == 0 and report["generated"] == [] and report["pages_written"] == []
+    assert sends == []
+    assert (clone / STORE_REL).read_bytes() == stored
