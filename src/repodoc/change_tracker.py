@@ -37,6 +37,7 @@ from .source_model import ParseCache, Sources, is_source, source_text
 if TYPE_CHECKING:
     from .config import Config
     from .llm_gateway import Gateway
+    from .project_graph import Unresolved
 
 logger = logging.getLogger(__name__)
 
@@ -269,7 +270,7 @@ class UpdateReport:
         self.written_pages: list[str] = []
         self.parse_errors: list[str] = []
         # unresolved calls of the files whose blob is not the stored snapshot's
-        self.diagnostics: list[str] = []
+        self.diagnostics: list[Unresolved] = []
         self.parsed_files = 0  # files parsed rather than read from the parse cache
         self.reused_files = 0  # files whose objects and edges came from the snapshot
 
@@ -300,7 +301,7 @@ class UpdateReport:
             "run": self.run.to_dict(),
             "written_pages": list(self.written_pages),
             "parse_errors": list(self.parse_errors),
-            "diagnostics": list(self.diagnostics),
+            "diagnostics": [str(d) for d in self.diagnostics],
             "parsed_files": self.parsed_files,
             "reused_files": self.reused_files,
         }
@@ -349,7 +350,7 @@ def run_update(gateway: "Gateway | None", config: "Config", jobs: int) -> Update
         run = generate_all(graph, gateway, store, config, jobs, pending, changes)
         report = UpdateReport(staged, plan, run)
         report.parse_errors = list(graph.parse_errors)
-        report.diagnostics = list(graph.diagnostics)
+        report.diagnostics = graph.diagnostics
         report.parsed_files, report.reused_files = cache.parsed, len(taken)
         if not run.ok:
             # leave store and pages untouched; the commit stays blocked

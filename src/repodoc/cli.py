@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import sys
+from itertools import islice
 from pathlib import Path
 
 from .change_tracker import _update_lock, git_dir, install_hook, persist, run_update
@@ -100,6 +101,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_json(payload: dict) -> None:
+    """Write ``payload`` to stdout as JSON indented by 2 with sorted keys and
+    a final newline, the bytes ``json.dumps`` gives, without holding the text
+    whole. It is encoded in blocks of 128 pieces, each written at once: an
+    unbuffered stdout (``PYTHONUNBUFFERED``) then makes a system call per
+    block rather than per piece, and a block is small enough to take memory
+    the run has freed rather than new pages."""
+    pieces = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+    while block := "".join(islice(pieces, 128)):
+        sys.stdout.write(block)
+    sys.stdout.write("\n")
+
+
 def _print_list(title: str, items) -> None:
     items = list(items)
     if not items:
@@ -128,24 +142,28 @@ def cmd_generate(args) -> int:
         # partial progress is kept even when some objects failed
         doc_dir = config.repo_root / config.doc_dir
         pages = persist(graph, store, store_path, doc_dir, repo_git)
+    parse_errors, diagnostics = graph.parse_errors, graph.diagnostics
+    # let go of the texts, the graph and the store, whose memory the
+    # report's lines then take, so that writing the report adds no peak
+    del sources, graph, store
     if args.json:
         payload = report.to_dict()
         payload["pages_written"] = pages
         payload["parsed_files"] = cache.parsed
         payload["reused_files"] = len(taken)
-        payload["parse_errors"] = list(graph.parse_errors)
-        payload["diagnostics"] = list(graph.diagnostics)
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        payload["parse_errors"] = parse_errors
+        payload["diagnostics"] = [str(d) for d in diagnostics]
+        _write_json(payload)
     else:
         print(
             f"generated {len(report.generated)} objects, skipped {len(report.skipped)}, "
             f"{len(pages)} pages written"
         )
-        _print_list("parse errors", graph.parse_errors)
+        _print_list("parse errors", parse_errors)
         _print_list("failures", (f"{k}: {v}" for k, v in sorted(report.failures.items())))
     if report.failures:
         return EXIT_GENERATION_FAILED
-    if graph.parse_errors:
+    if parse_errors:
         return EXIT_PARSE_ERRORS
     return EXIT_OK
 
@@ -154,7 +172,7 @@ def cmd_update(args) -> int:
     config = load_config(args.repo, args.config)
     report = run_update(None, config, args.jobs)
     if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        _write_json(report.to_dict())
     elif not report.ok:
         _print_list(
             "documentation update failed",
@@ -192,7 +210,7 @@ def cmd_publish(args) -> int:
         doc_dir = config.repo_root / config.doc_dir
         pages = persist(store.graph_snapshot, store, None, doc_dir, repo_git)
     if args.json:
-        print(json.dumps({"pages_written": pages}, indent=2))
+        _write_json({"pages_written": pages})
     else:
         print(f"{len(pages)} pages written")
     return EXIT_OK
@@ -206,7 +224,7 @@ def cmd_graph(args) -> int:
     if args.format == "dot":
         print(graph_to_dot(graph))
     else:
-        print(json.dumps(graph.to_dict(), indent=2, sort_keys=True))
+        _write_json(graph.to_dict())
     return EXIT_PARSE_ERRORS if graph.parse_errors else EXIT_OK
 
 
@@ -238,7 +256,7 @@ def cmd_eval(args) -> int:
         truth = _load_reference_truth(args.refs)
         payload["reference_recall"] = round(reference_recall(store.graph_snapshot, truth), 6)
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _write_json(payload)
     else:
         agg = payload["aggregates"]
         print(

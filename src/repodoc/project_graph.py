@@ -62,6 +62,18 @@ class ReferenceEdge(NamedTuple):
     callee: str
 
 
+class Unresolved(NamedTuple):
+    """A call site of ``file`` that resolves to no object of the repository:
+    a small record until a report writes it as ``str`` gives it."""
+
+    file: str
+    call: CallSite
+
+    def __str__(self) -> str:
+        file, (caller, chain, line) = self
+        return f"{file}:{line}: unresolved call {'.'.join(chain)} (caller {caller})"
+
+
 def build_tree(files: Sequence[str], parses: Sequence[FileParse]) -> dict[str, TreeNode]:
     """Tree nodes for the repo root, directories, files and parsed objects.
 
@@ -109,13 +121,14 @@ def resolve_references(
     nodes: Mapping[str, TreeNode],
     parses: Sequence[FileParse],
     objects: Mapping[str, CodeObject] | None = None,
-) -> tuple[list[ReferenceEdge], list[str]]:
+) -> tuple[list[ReferenceEdge], list[Unresolved]]:
     """Resolve the call sites of ``parses`` to in-repo objects.
 
     ``nodes`` gives the repository's files, by their file nodes, and
     ``objects`` its objects by id, by default those of ``parses``. Returns
-    deduplicated edges sorted by (caller, callee), plus a diagnostics list
-    for calls that could not be resolved. Self edges are dropped.
+    deduplicated edges sorted by (caller, callee), plus one ``Unresolved``
+    for each call that could not be resolved, in file order. Self edges are
+    dropped.
     """
     if objects is None:
         objects = {obj.id: obj for parse in parses for obj in parse.objects}
@@ -129,16 +142,13 @@ def resolve_references(
     }
 
     pairs: set[tuple[str, str]] = set()
-    diagnostics: list[str] = []
+    diagnostics: list[Unresolved] = []
 
     for parse in sorted(parses, key=lambda p: p.file):
         for call in parse.calls:
             target = _resolve_call(call, parse.file, objects, scopes, module_map)
-            dotted = ".".join(call.chain)
             if target is None:
-                diagnostics.append(
-                    f"{parse.file}:{call.line}: unresolved call {dotted} (caller {call.caller})"
-                )
+                diagnostics.append(Unresolved(parse.file, call))
                 continue
             if target != call.caller:
                 pairs.add((call.caller, target))
@@ -363,7 +373,7 @@ class RepoGraph:
         self.objects: MutableMapping[str, CodeObject] = objects
         self.edges: list[ReferenceEdge] = edges
         self.removed_edges: list[ReferenceEdge] = removed_edges
-        self.diagnostics: list[str] = diagnostics or []
+        self.diagnostics: list[Unresolved] = diagnostics or []
         self.parse_errors: list[str] = parse_errors or []
         if files is None:
             files = [nid for nid, node in nodes.items() if node.node_kind == FILE]
@@ -675,8 +685,7 @@ def source_graph(
         cache.keep(rel, blobs[rel])
     parsed = [parses[rel] for rel in files if rel in parses]
     graph = build_graph(files, parsed, snapshot if reuse else None)
-    dropped = tuple(f"{rel}:" for rel in unchanged)
-    graph.diagnostics = [d for d in graph.diagnostics if not d.startswith(dropped)]
+    graph.diagnostics = [d for d in graph.diagnostics if d.file not in unchanged]
     return graph, taken
 
 
@@ -687,9 +696,9 @@ def add_snippets(
     taken: Collection[str],
     targets: Collection[str],
 ) -> None:
-    """Give the objects that the prompts of ``targets`` quote their snippets,
-    which objects taken from the snapshot lack: parse each taken file that
-    holds a target, a caller or a callee of one."""
+    """Give the objects that the prompts of ``targets`` quote their file's
+    text, and so their snippets, which objects taken from the snapshot lack:
+    parse each taken file that holds a target, a caller or a callee of one."""
     if not taken:
         return  # every object was parsed, so none lacks its snippet
     quoted = set(targets)

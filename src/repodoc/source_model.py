@@ -23,6 +23,7 @@ import logging
 import os
 import stat
 import sys
+from itertools import accumulate
 from json.decoder import scanstring
 from pathlib import Path, PurePosixPath
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -71,17 +72,28 @@ def base64url(digest: bytes) -> str:
 
 
 class CodeObject(NamedTuple):
-    """One class or function definition extracted from a source file."""
+    """One class or function definition extracted from a source file.
+
+    It holds the text of its whole file, the one string that every object
+    of the file shares, and the span of its snippet in that text, so that no
+    object keeps a copy of its lines."""
 
     id: str
     kind: str  # CLASS or FUNCTION
     name: str
-    line_span: tuple[int, int]  # 1-based, inclusive
-    snippet: str
+    span: tuple[int, int]  # character offsets of the snippet in text, end exclusive
+    text: str
     params: tuple[str, ...]
     has_return: bool
     parent_id: str
     source_hash: str = ""
+
+    @property
+    def snippet(self) -> str:
+        """The definition's lines, decorators included, less the last
+        line's newline: a slice of the file's text, taken on each read."""
+        start, end = self.span
+        return self.text[start:end]
 
     def to_dict(self, record_hash: str | None = None) -> dict:
         """What the store keeps of the object. Its tree node states its id,
@@ -101,7 +113,7 @@ class CodeObject(NamedTuple):
         cls, object_id: str, kind: str, data: dict, record_hash: str | None = None
     ) -> "CodeObject":
         """The object whose ``to_dict(record_hash)`` is ``data``, with the id
-        and kind its tree node states. It has no snippet and no span."""
+        and kind its tree node states. It has no text, so no snippet."""
         source_hash = data.get("source_hash", record_hash)
         if type(source_hash) is not str:
             raise TypeError(f"{object_id} states no source hash")
@@ -109,8 +121,8 @@ class CodeObject(NamedTuple):
             id=object_id,
             kind=kind,
             name=object_id.rpartition("/")[2],
-            line_span=(0, 0),
-            snippet="",
+            span=(0, 0),
+            text="",
             params=tuple(data.get("params", ())),
             has_return=bool(data.get("has_return", False)),
             parent_id=data["parent_id"],
@@ -205,7 +217,11 @@ class _Collector(ast.NodeVisitor):
     """Single-pass walk producing objects, scopes and call sites."""
 
     def __init__(self, file_path: str, text: str) -> None:
-        self._lines = text.splitlines()
+        self._text = text
+        # the offset of each line's start, and one past the text's end; a
+        # line ends at "\n" alone, as ast numbers lines, and not at the form
+        # feeds and Unicode separators that str.splitlines also breaks at
+        self._starts = [0, *accumulate(len(line) + 1 for line in text.split("\n"))]
         self._pkg_parts = _package_parts(file_path)
         # None marks a slot whose definition is still being walked, or one
         # that a later definition of the same id replaced
@@ -273,17 +289,17 @@ class _Collector(ast.NodeVisitor):
         if node.decorator_list:
             start = min(start, node.decorator_list[0].lineno)
         end = node.end_lineno or start
-        snippet = "\n".join(self._lines[start - 1 : end])
+        span = (self._starts[start - 1], self._starts[end] - 1)
         self.objects[slot] = CodeObject(
             id=obj_id,
             kind=kind,
             name=node.name,
-            line_span=(start, end),
-            snippet=snippet,
+            span=span,
+            text=self._text,
             params=_class_params(node) if kind == CLASS else _function_params(node),
             has_return=has_return,
             parent_id=parent_id,
-            source_hash=source_digest(snippet),
+            source_hash=source_digest(self._text[span[0] : span[1]]),
         )
         return has_return
 
@@ -371,7 +387,9 @@ def _flatten_chain(node: ast.expr) -> tuple[str, ...] | None:
 
 
 def parse_file(path: str, text: str) -> FileParse:
-    """Parse one file's text. Syntax errors yield a FileParse with no objects."""
+    """Parse one file's text, whose lines end in "\\n" (``source_text``).
+    Its objects hold ``text`` itself. Syntax errors yield a FileParse with
+    no objects."""
     try:
         tree = ast.parse(text)
     except (SyntaxError, ValueError, RecursionError) as exc:
@@ -536,8 +554,9 @@ def write_atomically(path: Path, chunks: Iterable[bytes]) -> None:
 # Bump whenever parse_file can return something else for the same text, so
 # that the parses cached by an older parser are misses, and so that the hook
 # takes no file from a snapshot that an older parser saved. Version 2 gives
-# source hashes in base64url.
-PARSER_VERSION = 2
+# source hashes in base64url; version 3 ends lines at "\n" alone, and caches
+# snippet spans as character offsets.
+PARSER_VERSION = 3
 
 
 def parser_identity() -> str:
@@ -559,10 +578,10 @@ class ParseCache:
     ``parser_identity``; a file with another first line holds nothing. Each
     further line holds one file:
     ``[path, blob id, parse error, objects, calls, scopes]``. Object ids are
-    stored as positions in the object list, and snippets are left out, since
-    the text restores them. A line that cannot be read is a miss, never an
-    error, and so is a cache that cannot be written. ``ParseCache()``, with
-    no git directory, caches nothing.
+    stored as positions in the object list, and each snippet as its span in
+    the text, which the objects of a hit share. A line that cannot be read
+    is a miss, never an error, and so is a cache that cannot be written.
+    ``ParseCache()``, with no git directory, caches nothing.
     """
 
     def __init__(self, git_dir: Path | None = None) -> None:
@@ -646,7 +665,7 @@ def _encode_parse(key: tuple[str, str], parse: FileParse) -> str | None:
             if obj.id != f"{obj.parent_id}/{obj.name}":
                 return None
             index[obj.id] = pos
-            start, end = obj.line_span
+            start, end = obj.span
             objects.append(
                 [obj.name, obj.kind, parent, start, end, obj.params, obj.has_return, obj.source_hash]
             )
@@ -667,12 +686,11 @@ def _encode_parse(key: tuple[str, str], parse: FileParse) -> str | None:
 
 
 def _decode_parse(rel: str, text: str, line: str) -> FileParse:
-    """Rebuild the FileParse of one cache line; snippets come from ``text``."""
+    """Rebuild the FileParse of one cache line; its objects hold ``text``."""
     _rel, blob, error, objects_data, calls_data, scopes_data = json.loads(line)
     if error is not None:
         return FileParse(rel, [], error, [], {}, blob)
     intern = sys.intern
-    lines = text.splitlines()
     ids: list[str] = []
     objects = []
     for name, kind, parent, start, end, params, has_return, digest in objects_data:
@@ -681,9 +699,8 @@ def _decode_parse(rel: str, text: str, line: str) -> FileParse:
         obj_id = f"{parent_id}/{name}"
         ids.append(obj_id)
         kind, params = intern(kind), tuple(map(intern, params))
-        snippet = "\n".join(lines[start - 1 : end])
         objects.append(
-            CodeObject(obj_id, kind, name, (start, end), snippet, params, has_return, parent_id, digest)
+            CodeObject(obj_id, kind, name, (start, end), text, params, has_return, parent_id, digest)
         )
     calls = [
         CallSite(ids[caller], tuple(map(intern, chain)), lineno)

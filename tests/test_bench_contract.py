@@ -10,9 +10,13 @@ from __future__ import annotations
 import importlib
 import inspect
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from repodoc.project_graph import build_tree, resolve_references
+from repodoc.source_model import parse_file
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -53,3 +57,16 @@ def test_every_traced_method_exists(module_name, cls_name, attr):
 def test_counted_functions_keep_their_parameter_names(module_name, attr, parameter):
     function = getattr(importlib.import_module(f"repodoc.{module_name}"), attr)
     assert parameter in inspect.signature(function).parameters
+
+
+def test_resolve_references_gives_one_unresolved_entry_per_call():
+    # the tracer unpacks the result into two items and counts the second
+    # with len, one entry per unresolved call, duplicates included
+    text = "def f():\n    return g() + missing() + missing()\n\n\ndef g():\n    return 1\n"
+    parses = [parse_file("a.py", text)]
+    result = resolve_references(build_tree(["a.py"], parses), parses)
+    assert type(result) is tuple and len(result) == 2
+    assert len(result[1]) == 2
+    counts = Counter()
+    TRACER._count_resolve(counts, {"parses": parses}, result)
+    assert counts == {"project_graph.unresolved_calls": 2, "project_graph.resolved_calls": 1}

@@ -451,12 +451,39 @@ def test_a_commit_that_stages_a_top_level_logging_py_passes_the_hook(git_demo_re
     assert "logging.py" in git(repo, "show", "--name-only", "--pretty=format:", "HEAD").split()
 
 
-def test_graph_into_a_closed_pipe_exits_quietly(demo_repo):
-    proc = _repodoc_process("-m", "repodoc", "graph", "--repo", str(demo_repo))
-    proc.stdout.close()  # the reader leaves before the first byte, as `| head -c 0` would
-    _, err = proc.communicate(timeout=60)
-    assert "Traceback" not in err and "BrokenPipeError" not in err, err
-    assert proc.returncode == 1
+def test_graph_into_a_closed_pipe_exits_quietly(demo_repo, tmp_path, capsys):
+    # a generate report of more than a pipe buffer's 64 KiB: 2,000 unresolved calls
+    calls = "".join(f"    missing_{i}()\n" for i in range(2000))
+    (demo_repo / "noise.py").write_text(f"def noise():\n{calls}", encoding="utf-8")
+    twin = shutil.copytree(demo_repo, tmp_path / "twin")
+    out = run_cli("generate", "--repo", twin, "--json", capsys=capsys)[1]
+    assert len(out) > 1 << 16
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    for argv in (["graph"], ["generate", "--json"]):
+        proc = _repodoc_process("-m", "repodoc", *argv, "--repo", str(demo_repo))
+        proc.stdout.close()  # the reader leaves before the first byte, as `| head -c 0` would
+        _, err = proc.communicate(timeout=60)
+        assert "Traceback" not in err and "BrokenPipeError" not in err, (argv, err)
+        assert proc.returncode == 1, argv
+
+
+def test_json_reports_are_indented_with_sorted_keys_and_a_final_newline(git_demo_repo, capsys):
+    repo = git_demo_repo
+    (repo / "c.py").write_text("def k():\n    return missing()\n", encoding="utf-8")
+    line = "c.py:2: unresolved call missing (caller c.py/k)"
+    reports = {}
+    for argv in (
+        ["generate", "--json"], ["update", "--json"], ["graph", "--format", "json"], ["eval", "--json"]
+    ):
+        if argv[0] == "update":
+            (repo / "c.py").write_text("def k():\n    return missing() + 1\n", encoding="utf-8")
+            git(repo, "add", "-A")
+        code, out, err = run_cli(*argv, "--repo", repo, capsys=capsys)
+        assert (code, err) == (0, ""), argv
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", argv
+        reports[argv[0]] = json.loads(out)
+    assert reports["generate"]["diagnostics"] == reports["update"]["diagnostics"] == [line]
+    assert "c.py/k" in reports["graph"]["nodes"]
 
 
 def test_mock_and_noop_generates_import_no_http_code(demo_repo):

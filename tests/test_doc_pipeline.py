@@ -165,7 +165,7 @@ def test_parse_doc_keeps_non_bullet_param_prose_as_tail():
 
 def _target(name: str, kind: str = "Function", has_return: bool = True) -> CodeObject:
     return CodeObject(
-        id=f"m.py/{name}", kind=kind, name=name, line_span=(1, 2), snippet="", params=(),
+        id=f"m.py/{name}", kind=kind, name=name, span=(0, 0), text="", params=(),
         has_return=has_return, parent_id="m.py", source_hash="h",
     )
 

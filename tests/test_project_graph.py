@@ -86,8 +86,8 @@ def test_labeled_repo_resolves_every_hand_labeled_edge(labeled_repo):
     raw_edges, diagnostics = resolve_references(nodes, parses)
     assert pairs(raw_edges) == LABELED_EDGES
     # print(...) and wrapper.go(...) cannot resolve to repo objects
-    assert any("print" in d for d in diagnostics)
-    assert any("wrapper.go" in d for d in diagnostics)
+    assert any("print" in str(d) for d in diagnostics)
+    assert any("wrapper.go" in str(d) for d in diagnostics)
 
 
 def test_labeled_repo_prunes_exactly_the_ring_edge(labeled_repo):
@@ -102,7 +102,7 @@ def test_unresolved_call_diagnostic_format():
     parses = [parse_file("a.py", text)]
     nodes = build_tree(["a.py"], parses)
     _, diagnostics = resolve_references(nodes, parses)
-    assert diagnostics == ["a.py:2: unresolved call mystery (caller a.py/f)"]
+    assert list(map(str, diagnostics)) == ["a.py:2: unresolved call mystery (caller a.py/f)"]
 
 
 def test_module_level_calls_are_ignored():
@@ -218,7 +218,7 @@ def test_calls_resolve_through_enclosing_functions_classes_and_imported_modules(
         ("main.py/uses", "pkg/mod.py/C/smeth"),
         ("main.py/uses", "pkg/mod.py/C/meth"),
     }
-    assert diagnostics == [
+    assert list(map(str, diagnostics)) == [
         # an attribute of an attribute of self, self outside a class, and a
         # module, which is no call target
         "main.py:12: unresolved call self.x.y (caller main.py/K/n)",
@@ -386,9 +386,9 @@ def test_graph_dict_roundtrip(demo_repo):
     assert clone.to_dict() == graph.to_dict()
     assert sorted(clone.objects) == sorted(graph.objects)
     assert clone.callers("a.py/g") == graph.callers("a.py/g")
-    # snippets and spans are intentionally not persisted; the rest is rebuilt
+    # texts and spans are intentionally not persisted; the rest is rebuilt
     for oid, obj in graph.objects.items():
-        assert clone.objects[oid] == obj._replace(snippet="", line_span=(0, 0))
+        assert clone.objects[oid] == obj._replace(span=(0, 0), text="")
 
 
 def test_children_stored_by_name_read_back_as_ids(tmp_path):
@@ -449,7 +449,7 @@ _GRAPH_EDITS = {
     "nothing": lambda g: None,
     "blob": lambda g: setattr(g.nodes["a.py"], "blob", "0" * 40),
     "parse-error": lambda g: setattr(g.nodes["a.py"], "parse_error", "SyntaxError"),
-    "span-and-snippet": lambda g: _edit_object(g, "a.py/f", line_span=(1, 1), snippet=""),
+    "span-and-snippet": lambda g: _edit_object(g, "a.py/f", span=(1, 1), text=""),
     "node-kind": lambda g: setattr(g.nodes["util"], "node_kind", FILE),
     "child-order": lambda g: g.nodes["a.py"].children.reverse(),
     "new-node": lambda g: g.nodes.update(x=TreeNode("x", g.nodes["util"].node_kind)),

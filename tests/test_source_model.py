@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import ast
 import textwrap
+import tracemalloc
 
 import pytest
 from hypothesis import example, given
@@ -10,6 +12,7 @@ from repodoc.project_graph import build_graph, build_tree, resolve_references
 from repodoc.source_model import (
     CLASS,
     FUNCTION,
+    ParseCache,
     blob_id,
     module_name_for,
     normalize_source,
@@ -19,7 +22,14 @@ from repodoc.source_model import (
     source_digest,
 )
 
-from .helpers import DEMO_FILES, write_tree
+from .helpers import DEMO_FILES, LABELED_FILES, ORDER_FILES, write_tree
+
+
+def line_span(obj) -> tuple[int, int]:
+    """An object's first and last line, 1-based, counted in its text."""
+    start, end = obj.span
+    first = obj.text.count("\n", 0, start) + 1
+    return first, first + obj.text.count("\n", start, end)
 
 
 def test_scan_lists_python_files_sorted(demo_repo):
@@ -52,7 +62,7 @@ def test_parse_demo_objects():
     assert (c.kind, c.name, c.parent_id) == (CLASS, "C", "a.py")
     assert c.params == ()  # no __init__
     assert c.has_return is True  # method m returns a value
-    assert c.line_span == (1, 3)
+    assert line_span(c) == (1, 3)
 
     m = by_id["a.py/C/m"]
     assert (m.kind, m.parent_id) == (FUNCTION, "a.py/C")
@@ -60,12 +70,12 @@ def test_parse_demo_objects():
     assert m.has_return is True
 
     f = by_id["a.py/f"]
-    assert f.line_span == (6, 7)
+    assert line_span(f) == (6, 7)
     assert f.snippet == "def f():\n    return 1"
 
     g = by_id["a.py/g"]
     assert g.params == ("x",)
-    assert g.line_span == (10, 11)
+    assert line_span(g) == (10, 11)
 
 
 def test_parse_error_is_reported_not_raised():
@@ -79,7 +89,7 @@ def test_duplicate_definition_last_wins():
     text = "def f():\n    return 1\n\n\ndef f():\n    return 2\n"
     parse = parse_file("a.py", text)
     assert [o.id for o in parse.objects] == ["a.py/f"]
-    assert parse.objects[0].line_span == (5, 6)
+    assert line_span(parse.objects[0]) == (5, 6)
 
 
 _NESTED_DEFS = """\
@@ -167,7 +177,7 @@ def test_conditional_redefinition_drops_the_earlier_subtree(text, dropped, redef
     assert [o.id for o in parse.objects] == ids
     # the surviving definition is the last one
     redefined_id, start = redefined
-    assert {o.id: o.line_span[0] for o in parse.objects}[redefined_id] == start
+    assert {o.id: line_span(o)[0] for o in parse.objects}[redefined_id] == start
     graph = build_graph(["a.py"], [parse])
     assert sorted(graph.objects) == sorted(ids)
     named = [
@@ -196,7 +206,7 @@ def test_decorated_and_async_defs_are_functions():
     parse = parse_file("a.py", text)
     by_id = {o.id: o for o in parse.objects}
     assert by_id["a.py/cached"].kind == FUNCTION
-    assert by_id["a.py/cached"].line_span[0] == 4  # decorator included
+    assert line_span(by_id["a.py/cached"])[0] == 4  # decorator included
     assert by_id["a.py/fetch"].kind == FUNCTION
     assert by_id["a.py/fetch"].params == ("url",)
 
@@ -411,4 +421,100 @@ def test_a_relative_import_above_the_repository_binds_nothing():
     assert parses[1].scopes["pkg/a.py"].imports == {}
     edges, diagnostics = resolve_references(build_tree(["far.py", "pkg/a.py"], parses), parses)
     assert edges == []
-    assert diagnostics == ["pkg/a.py:5: unresolved call far (caller pkg/a.py/g)"]
+    assert list(map(str, diagnostics)) == ["pkg/a.py:5: unresolved call far (caller pkg/a.py/g)"]
+
+
+def test_lines_end_at_newlines_alone_as_ast_numbers_them(tmp_path):
+    # a form feed on a line of its own, and a line separator inside a string:
+    # str.splitlines breaks at both, ast at neither
+    text = (
+        'x = 1\n\x0c\ndef f():\n    return 1\n\n\n'
+        'def g():\n    return "a\u2028b"\n\n\n'
+        "def h():\n    return 2\n"
+    )
+    cache = ParseCache(tmp_path)
+    direct = cache.parse("ff.py", blob_id(text.encode("utf-8")), text)
+    cache.save()
+    cached = ParseCache(tmp_path)
+    hit = cached.parse("ff.py", blob_id(text.encode("utf-8")), text)
+    assert cached.parsed == 0
+    assert hit == direct
+    by_name = {obj.name: obj for obj in direct.objects}
+    assert {name: line_span(obj) for name, obj in by_name.items()} == {
+        "f": (3, 4),
+        "g": (7, 8),
+        "h": (11, 12),
+    }
+    assert by_name["f"].snippet == "def f():\n    return 1"
+    assert by_name["g"].snippet == 'def g():\n    return "a\u2028b"'
+    assert by_name["h"].snippet == "def h():\n    return 2"
+    # an edit of a def's last line changes its source hash
+    edited = parse_file("ff.py", text.replace("return 1", "return 3"))
+    assert {o.name: o.source_hash for o in edited.objects}["f"] != by_name["f"].source_hash
+    edited = parse_file("ff.py", text.replace("a\u2028b", "a\u2028c"))
+    assert {o.name: o.source_hash for o in edited.objects}["g"] != by_name["g"].source_hash
+
+
+def _snippets_by_splitlines(text: str) -> dict[tuple[str, int], str]:
+    """Each definition's snippet as the lines ``str.splitlines`` gives from
+    its first decorator to its end, by name and first line: right for text
+    with no line break but "\\n"."""
+    lines = text.splitlines()
+    out = {}
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            start = min([node.lineno, *(d.lineno for d in node.decorator_list)])
+            out[node.name, start] = "\n".join(lines[start - 1 : node.end_lineno])
+    return out
+
+
+def _nested_classes(depth: int, body_lines: int) -> str:
+    """Classes nested ``depth`` deep, each with a method of ``body_lines``
+    lines, so that a class's lines hold those of every class inside it."""
+    lines = []
+    for level in range(depth):
+        pad = "    " * level
+        lines += [f"{pad}class C{level}:", f"{pad}    def m(self):"]
+        lines += [f"{pad}        x = {i}" for i in range(body_lines)]
+        lines.append(f"{pad}        return x")
+    return "\n".join(lines) + "\n"
+
+
+def test_a_parse_keeps_memory_in_proportion_to_the_text_not_the_nesting(tmp_path):
+    text = _nested_classes(depth=20, body_lines=40)
+    blob = blob_id(text.encode("utf-8"))
+    parse_file("warm.py", "class W:\n    def m(self):\n        return 1\n")
+    cache = ParseCache(tmp_path)
+    cache.parse("n.py", blob, text)
+    cache.save()
+    cache = ParseCache(tmp_path)
+
+    def kept(parse_text):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            parse = parse_text()
+            return parse, tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+
+    for parse, size in (
+        kept(lambda: parse_file("n.py", text)),
+        kept(lambda: cache.parse("n.py", blob, text)),
+    ):
+        assert len(parse.objects) == 40
+        # a copy of each class's lines would keep about 15 times the text
+        assert size < 2 * len(text), size
+        assert all(obj.text is text for obj in parse.objects)
+    assert cache.parsed == 0
+
+
+def test_snippets_are_the_lines_of_each_definition():
+    fixtures = [DEMO_FILES, LABELED_FILES, ORDER_FILES, {"n.py": _nested_classes(4, 2)}]
+    checked = 0
+    for rel, text in (item for files in fixtures for item in files.items()):
+        expected = _snippets_by_splitlines(text)
+        for obj in parse_file(rel, text).objects:
+            assert obj.snippet == expected[obj.name, line_span(obj)[0]], obj.id
+            checked += 1
+    assert checked > 30
