@@ -16,7 +16,7 @@ import stat
 import subprocess
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Collection, Mapping, NamedTuple, Sequence
 
 from .config import build_gateway
 from .doc_pipeline import (
@@ -25,6 +25,7 @@ from .doc_pipeline import (
     forget_snapshot,
     generate_all,
     load_store,
+    outdated_docs,
     record_snapshot,
     save_store,
     stale_objects,
@@ -45,6 +46,7 @@ TRIGGER_SOURCE_MODIFIED = "SourceModified"
 TRIGGER_NEW_OBJECT = "NewObject"
 TRIGGER_REFERRER_REMOVED = "ReferrerRemoved"
 TRIGGER_NEW_REFERENCE = "NewReference"
+TRIGGER_DOC_OUTDATED = "DocOutdated"
 
 HOOK_MARKER = "# repodoc pre-commit hook"
 LOCAL_HOOK_NAME = "pre-commit.local"
@@ -216,12 +218,15 @@ class UpdatePlan(NamedTuple):
         return {oid for oid, _ in self.regenerate}
 
 
-def plan_updates(changes: ChangeSet) -> UpdatePlan:
+def plan_updates(changes: ChangeSet, outdated: Collection[str] = ()) -> UpdatePlan:
     """Select regeneration targets; the first matching trigger wins.
 
     A direct source edit beats object addition, which beats losing a caller,
-    which beats gaining one. Removed objects are never regenerated. Edits to
-    a callee's body deliberately do not touch its callers.
+    which beats gaining one, which beats a stored doc made from another
+    source than the snapshot's, or none: the ``outdated`` ids, which an
+    earlier run failed to regenerate. Removed objects are never
+    regenerated. Edits to a callee's body deliberately do not touch its
+    callers.
     """
     triggers: dict[str, str] = {}
     for oid in changes.modified:
@@ -235,6 +240,9 @@ def plan_updates(changes: ChangeSet) -> UpdatePlan:
     for _caller, callee in changes.edge_added:
         if callee not in gone:
             triggers.setdefault(callee, TRIGGER_NEW_REFERENCE)
+    for oid in outdated:
+        if oid not in gone:
+            triggers.setdefault(oid, TRIGGER_DOC_OUTDATED)
     return UpdatePlan(
         regenerate=tuple(sorted(triggers.items())),
         delete_docs=tuple(sorted(gone)),
@@ -276,7 +284,10 @@ class UpdateReport:
 
     @property
     def ok(self) -> bool:
-        return self.run.ok
+        # an object pending only as DocOutdated failed before and may fail
+        # on every run, say over every budget: it refuses no commit
+        outdated = {oid for oid, trig in self.plan.regenerate if trig == TRIGGER_DOC_OUTDATED}
+        return self.run.failures.keys() <= outdated
 
     def summary_line(self) -> str:
         if not self.staged:
@@ -312,16 +323,18 @@ def run_update(gateway: "Gateway | None", config: "Config", jobs: int) -> Update
 
     The graph of the index is built by ``source_graph``, which takes the
     files whose staged blob is the recorded snapshot's from that snapshot.
-    The pending objects are the ``stale_objects`` among the ids the plan
-    regenerates; they alone are quoted, requested and generated. Without
-    ``gateway``, one is built from ``config`` once an object is pending, so
-    a commit that regenerates nothing needs no API key.
-    Nothing is written to the store or the pages unless every pending object
-    regenerates successfully, so a failed generation leaves the repository
-    exactly as it was and the commit can be retried. A staged file that
-    fails to parse is different: its docs are written and staged, and the
-    command then exits with the parse-error code, which refuses the commit
-    with those docs left in the index (ROADMAP direction 4).
+    The plan also names the store's ``outdated_docs``, as a failed
+    ``generate`` leaves them. The pending objects are the ``stale_objects``
+    among the ids the plan regenerates; they alone are quoted, requested and
+    generated. Without ``gateway``, one is built from ``config`` once an
+    object is pending, so a commit that regenerates nothing needs no API
+    key. Nothing is written to the store or the pages unless the report is
+    ``ok``, so a failed generation leaves the repository exactly as it was
+    and the commit can be retried; an outdated doc that fails again is
+    reported, keeps its record, and is tried again on the next run. A staged
+    file that fails to parse is different: its docs are written and staged,
+    and the command then exits with the parse-error code, which refuses the
+    commit with those docs left in the index (ROADMAP direction 4).
     """
     repo_root = config.repo_root
     repo_git = require_git_repo(repo_root)
@@ -338,7 +351,7 @@ def run_update(gateway: "Gateway | None", config: "Config", jobs: int) -> Update
         try:
             graph, taken = source_graph(sources, cache, snapshot, reuse=store.recorded)
             changes = diff_objects(snapshot, graph)
-            plan = plan_updates(changes)
+            plan = plan_updates(changes, outdated_docs(store))
             pending = stale_objects(graph, store, changes, plan.regenerate_ids)
             if gateway is None and pending:
                 gateway = build_gateway(config)
@@ -352,7 +365,7 @@ def run_update(gateway: "Gateway | None", config: "Config", jobs: int) -> Update
         report.parse_errors = list(graph.parse_errors)
         report.diagnostics = graph.diagnostics
         report.parsed_files, report.reused_files = cache.parsed, len(taken)
-        if not run.ok:
+        if not report.ok:
             # leave store and pages untouched; the commit stays blocked
             return report
 

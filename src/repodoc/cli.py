@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .change_tracker import _update_lock, git_dir, install_hook, persist, run_update
 from .config import api_key, build_gateway, load_config
-from .doc_pipeline import generate_all, load_store, stale_objects
+from .doc_pipeline import generate_all, graph_dict, load_store, stale_objects
 from .errors import (
     CorruptStoreError,
     NotAGitRepoError,
@@ -56,44 +56,48 @@ def _job_count(value: str) -> int:
     return jobs
 
 
-def _common_options() -> argparse.ArgumentParser:
+def _options(jobs: bool = False, json: bool = False) -> argparse.ArgumentParser:
+    """The options every command takes, with ``--jobs`` and ``--json`` for
+    the commands that read them."""
     common = _Parser(add_help=False)
     common.add_argument("--repo", default=".", help="repository root (default: cwd)")
     common.add_argument("--config", default=None, help="config file (default: <repo>/.repodoc.json)")
-    common.add_argument(
-        "--jobs",
-        type=_job_count,
-        default=1,
-        help="objects generated at once, N >= 1 (default: %(default)s)",
-    )
-    common.add_argument("--json", action="store_true", help="machine readable output")
+    if jobs:
+        common.add_argument(
+            "--jobs",
+            type=_job_count,
+            default=1,
+            help="objects generated at once, N >= 1 (default: %(default)s)",
+        )
+    if json:
+        common.add_argument("--json", action="store_true", help="machine readable output")
     common.add_argument("--verbose", action="store_true", help="log progress details")
     return common
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _common_options()
     parser = _Parser(prog="repodoc", description="Repository documentation generator")
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
+    generating, reporting, plain = _options(jobs=True, json=True), _options(json=True), _options()
 
-    p = sub.add_parser("generate", parents=[common], help="document every object in the repo")
+    p = sub.add_parser("generate", parents=[generating], help="document every object in the repo")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("update", parents=[common], help="regenerate docs for staged changes")
+    p = sub.add_parser("update", parents=[generating], help="regenerate docs for staged changes")
     p.set_defaults(func=cmd_update)
 
-    p = sub.add_parser("install-hook", parents=[common], help="install the pre-commit hook")
+    p = sub.add_parser("install-hook", parents=[plain], help="install the pre-commit hook")
     p.set_defaults(func=cmd_install_hook)
 
-    p = sub.add_parser("publish", parents=[common], help="rewrite pages from the stored docs")
+    p = sub.add_parser("publish", parents=[reporting], help="rewrite pages from the stored docs")
     p.set_defaults(func=cmd_publish)
 
-    p = sub.add_parser("graph", parents=[common], help="print the project tree and references")
+    p = sub.add_parser("graph", parents=[plain], help="print the project tree and references")
     p.add_argument("--format", choices=("json", "dot"), default="json")
     p.set_defaults(func=cmd_graph)
 
-    p = sub.add_parser("eval", parents=[common], help="score stored docs for format and params")
+    p = sub.add_parser("eval", parents=[reporting], help="score stored docs for format and params")
     p.add_argument("--param-metric", choices=("jaccard", "precision"), default="jaccard")
     p.add_argument("--refs", default=None, help="ground truth reference JSON for recall")
     p.set_defaults(func=cmd_eval)
@@ -171,18 +175,17 @@ def cmd_generate(args) -> int:
 def cmd_update(args) -> int:
     config = load_config(args.repo, args.config)
     report = run_update(None, config, args.jobs)
+    failures = [f"{k}: {v}" for k, v in sorted(report.run.failures.items())]
     if args.json:
         _write_json(report.to_dict())
     elif not report.ok:
-        _print_list(
-            "documentation update failed",
-            (f"{k}: {v}" for k, v in sorted(report.run.failures.items())),
-        )
+        _print_list("documentation update failed", failures)
     elif report.parse_errors:
         print("Refused: staged Python fails to parse; fix it and stage it again")
         _print_list("parse errors", report.parse_errors)
     else:
         print(report.summary_line())
+        _print_list("outdated docs still failing", failures)
     if not report.ok:
         return EXIT_GENERATION_FAILED
     if report.parse_errors:
@@ -224,7 +227,7 @@ def cmd_graph(args) -> int:
     if args.format == "dot":
         print(graph_to_dot(graph))
     else:
-        _write_json(graph.to_dict())
+        _write_json(graph_dict(graph))
     return EXIT_PARSE_ERRORS if graph.parse_errors else EXIT_OK
 
 

@@ -34,7 +34,6 @@ from .project_graph import (
     TreeNode,
     child_name,
     kahn,
-    tree_node,
 )
 from .source_model import CLASS, FUNCTION, CodeObject, base64url, parser_identity, write_atomically
 
@@ -226,41 +225,37 @@ def record_from_parsed(obj: CodeObject, parsed: ParsedDoc) -> DocRecord:
     return DocRecord(text, obj.source_hash)
 
 
-def _record_of(version: int, data: dict | list) -> DocRecord:
-    """The record a store of ``version`` holds as ``data``: from version 7
-    on the list of its text and source hash, before it an object, less the
-    model and time of generation that versions 1 to 4 held and nothing read.
-    A missing value raises, and from version 2 on so does one it does not
-    hold."""
-    if version > 6:
-        if type(data) is not list:
-            raise TypeError("a doc record is not a list")
-        return DocRecord(*data)
-    if version < 5 and {type(data.pop("model")), type(data.pop("generated_at"))} != {str}:
-        raise TypeError("a doc record holds a value that is not a string")
-    if version > 1:
-        return DocRecord(**data)
-    # version 1 stored each doc as its sections, rules already applied
-    text = render_doc(
-        data["name_header"],
-        data["param_label"],
-        data.get("param_tail", ""),
-        data["param_section"],
-        data["code_description"],
-        data["note"],
-        data.get("output_example"),
-    )
-    return DocRecord(text, data["source_hash"])
-
-
 def _upgrade(version: int, data: dict) -> None:
-    """Give the decoded ``data`` of a store of ``version``, 1 to 5, the form
-    of version 6, which the decoders read, in place: each child list in
-    source order and by name, and each source hash, of a record or an
-    object, the base64url of the bytes its hex digest spells, so that the
-    same sources match it again."""
-    for record in data.get("records", {}).values():
-        record["source_hash"] = base64url(bytes.fromhex(record["source_hash"]))
+    """Give the decoded ``data`` of a store of ``version``, 1 to 6, the form
+    of version 7, which ``load_store`` reads, in place: each record the list
+    of its text and source hash, less the model and time of generation that
+    versions 1 to 4 held and nothing read, each child list in source order
+    and by name, and each source hash, of a record or an object, the
+    base64url of the bytes its hex digest spells, so that the same sources
+    match it again. A record that lacks a value raises, and from version 2
+    on so does one that holds another."""
+    records = data.get("records", {})
+    for oid, record in records.items():
+        if version < 5 and {type(record.pop("model")), type(record.pop("generated_at"))} != {str}:
+            raise TypeError("a doc record holds a value that is not a string")
+        if version == 1:
+            # version 1 stored each doc as its sections, rules already applied
+            text = render_doc(
+                record["name_header"],
+                record["param_label"],
+                record.get("param_tail", ""),
+                record["param_section"],
+                record["code_description"],
+                record["note"],
+                record.get("output_example"),
+            )
+            record = {"text": text, "source_hash": record["source_hash"]}
+        text, source_hash = DocRecord(**record)
+        if version < 6:
+            source_hash = base64url(bytes.fromhex(source_hash))
+        records[oid] = [text, source_hash]
+    if version > 5:
+        return  # a node of version 6 reads as one of version 7
     nodes = (data.get("graph") or {}).get("nodes", {})
     for entry in nodes.values():
         children = entry["children"]
@@ -280,6 +275,17 @@ SNAPSHOT_DIGEST_NAME = "repodoc-snapshot-digest"
 
 # member lines of the store file joined into one block before it is written
 _BLOCK_LINES = 128
+
+# the lines that open and close the sections of a store with a graph, and
+# the first line of one without
+_SECTION_LINES = (
+    '{"graph":{"edges":[',
+    '],"nodes":{',
+    '},"removed_edges":[',
+    ']},"records":{',
+    '},"version":%d}' % STORE_VERSION,
+)
+_NULL_GRAPH_LINE = '{"graph":null,"records":{'
 
 # what json.dumps gives a string with ensure_ascii off: each store line is a
 # template of its text, written in UTF-8 (``_chunks``)
@@ -324,20 +330,8 @@ class DocStore:
         return {
             "version": STORE_VERSION,
             "records": {oid: list(records[oid]) for oid in sorted(records)},
-            "graph": graph.to_dict(hashes) if graph else None,
+            "graph": graph_dict(graph, hashes) if graph else None,
         }
-
-
-def _section(opener: bytes, chunks: Iterator[bytes], closer: bytes) -> Iterator[bytes]:
-    """A JSON array or object with one member per line. Each chunk holds
-    whole member lines, each ending in ``,\n``; the last comma goes."""
-    previous = opener + b"\n"
-    for chunk in chunks:
-        yield previous
-        previous = chunk
-    if previous.endswith(b",\n"):
-        previous = previous[:-2] + b"\n"
-    yield previous + closer
 
 
 def _chunks(keys: Iterable, line: Callable[..., str]) -> Iterator[bytes]:
@@ -368,9 +362,49 @@ def _edge_line(edge: ReferenceEdge) -> str:
     return f'{{"callee":{_escape(edge.callee)},"caller":{_escape(edge.caller)}}},'
 
 
+def node_entry(graph: RepoGraph, node_id: str, record_hash: str | None = None) -> dict:
+    """A node's plain data: its kind, left out for a function, which has an
+    object, and, as it has them, its children by name, its object's
+    ``meta``, its blob id and its parse error. The meta holds what the node
+    does not state of the object, its source hash standing in for the
+    snippet, less no params, no return value and a source hash that is
+    ``record_hash``, the one its doc record states. ``_node_of`` reads it."""
+    node = graph.nodes[node_id]
+    obj = graph.objects.get(node_id)
+    entry: dict = {}
+    if obj is None or node.node_kind != FUNCTION:
+        entry["node_kind"] = node.node_kind
+    if node.children:
+        entry["children"] = [child_name(child) for child in node.children]
+    if obj is not None:
+        meta: dict = {"has_return": True} if obj.has_return else {}
+        if obj.params:
+            meta["params"] = list(obj.params)
+        meta["parent_id"] = obj.parent_id
+        if obj.source_hash != record_hash:
+            meta["source_hash"] = obj.source_hash
+        entry["meta"] = meta
+    if node.blob is not None:
+        entry["blob"] = node.blob
+    if node.parse_error is not None:
+        entry["parse_error"] = node.parse_error
+    return entry
+
+
+def graph_dict(graph: RepoGraph, record_hashes: Mapping[str, str] | None = None) -> dict:
+    """The graph as plain data, each object's source hash left out where
+    ``record_hashes`` states it for its id; ``graph_of`` reads it back."""
+    hashes = record_hashes or {}
+    return {
+        "nodes": {nid: node_entry(graph, nid, hashes.get(nid)) for nid in sorted(graph.nodes)},
+        "edges": [edge._asdict() for edge in graph.edges],
+        "removed_edges": [edge._asdict() for edge in graph.removed_edges],
+    }
+
+
 def _node_line(graph: RepoGraph, node_id: str, record_hash: str | None) -> str:
-    # graph.node_entry(node_id, record_hash), its keys and those of its meta
-    # in sorted order
+    # node_entry(graph, node_id, record_hash), its keys and those of its
+    # meta in sorted order
     node = graph.nodes[node_id]
     fields = [] if node.blob is None else [f'"blob":{_escape(node.blob)}']
     if node.children:
@@ -394,7 +428,8 @@ def _node_line(graph: RepoGraph, node_id: str, record_hash: str | None) -> str:
 
 def _store_blocks(store: DocStore) -> Iterator[bytes]:
     """The bytes of ``store.to_dict()``: compact JSON with sorted keys, one
-    line per record, node and edge, and a final newline, in blocks of lines.
+    line per record, node and edge, each section opened and closed by the
+    lines of ``_SECTION_LINES``, and a final newline, in blocks of lines.
     Neither the text nor the dict is held whole. A node or record still held
     as its store line is written as that line, the bytes its encode gives,
     but for the node of a record set or dropped since the load."""
@@ -420,18 +455,27 @@ def _store_blocks(store: DocStore) -> Iterator[bytes]:
             return f"{_escape(oid)}:[{_escape(text)},{_escape(source_hash)}],"
         return line
 
+    record_chunks = _chunks(sorted(records), record_line)
     if graph is None:
-        yield b'{"graph":null'
+        lines, sections = (_NULL_GRAPH_LINE, _SECTION_LINES[-1]), [record_chunks]
     else:
-        yield b'{"graph":{"edges":'
-        yield from _section(b"[", _chunks(graph.edges, _edge_line), b"]")
-        yield b',"nodes":'
-        yield from _section(b"{", _chunks(sorted(graph.nodes), node_line), b"}")
-        yield b',"removed_edges":'
-        yield from _section(b"[", _chunks(graph.removed_edges, _edge_line), b"]}")
-    yield b',"records":'
-    yield from _section(b"{", _chunks(sorted(store.records), record_line), b"}")
-    yield b',"version":%d}\n' % STORE_VERSION
+        lines, sections = _SECTION_LINES, [
+            _chunks(graph.edges, _edge_line),
+            _chunks(sorted(graph.nodes), node_line),
+            _chunks(graph.removed_edges, _edge_line),
+            record_chunks,
+        ]
+    # each chunk holds whole member lines, each ending in ",\n": the last
+    # one's comma goes before the line that closes its section
+    previous = lines[0].encode("ascii") + b"\n"
+    for chunks, closer in zip(sections, lines[1:]):
+        for chunk in chunks:
+            yield previous
+            previous = chunk
+        if previous.endswith(b",\n"):
+            previous = previous[:-2] + b"\n"
+        previous += closer.encode("ascii") + b"\n"
+    yield previous
 
 
 def save_store(store: DocStore, path: str | Path, git_dir: Path | None = None) -> None:
@@ -538,18 +582,43 @@ def _indexed(lines: list[str]) -> dict[str, str]:
     return {scanstring(line, 1)[0]: line for line in lines}
 
 
-def _edges(lines: list[str]) -> list[ReferenceEdge]:
-    return [ReferenceEdge(e["caller"], e["callee"]) for e in json.loads(f"[{''.join(lines)}]")]
+def _edges(items: Iterable[dict]) -> list[ReferenceEdge]:
+    return [ReferenceEdge(edge["caller"], edge["callee"]) for edge in items]
 
 
-# the lines that open and close the sections of a store with a graph
-_SECTION_LINES = (
-    '{"graph":{"edges":[',
-    '],"nodes":{',
-    '},"removed_edges":[',
-    ']},"records":{',
-    '},"version":%d}' % STORE_VERSION,
-)
+def _node_of(
+    node_id: str, entry: dict, record_hash: str | None
+) -> tuple[TreeNode, CodeObject | None]:
+    """The tree node of a ``node_entry``, its children by id, and its
+    object, or None when it has no meta. The object's source hash is
+    ``record_hash`` unless the meta states one; it has no text, so no
+    snippet."""
+    meta = entry.get("meta")
+    kind = entry["node_kind"] if meta is None else entry.get("node_kind", FUNCTION)
+    prefix = "" if node_id == ROOT_ID else node_id + "/"
+    children = [prefix + name for name in entry.get("children", ())]
+    node = TreeNode(node_id, kind, children, entry.get("blob"), entry.get("parse_error"))
+    if meta is None:
+        return node, None
+    source_hash = meta.get("source_hash", record_hash)
+    if type(source_hash) is not str:
+        raise TypeError(f"{node_id} states no source hash")
+    params, has_return = tuple(meta.get("params", ())), bool(meta.get("has_return", False))
+    name, parent_id = child_name(node_id), meta["parent_id"]
+    return node, CodeObject(node_id, kind, name, (0, 0), "", params, has_return, parent_id, source_hash)
+
+
+def graph_of(data: dict, record_hashes: Mapping[str, str] | None = None) -> RepoGraph:
+    """The graph of ``graph_dict(graph, record_hashes)``."""
+    hashes = record_hashes or {}
+    nodes: dict[str, TreeNode] = {}
+    objects: dict[str, CodeObject] = {}
+    for node_id, entry in data.get("nodes", {}).items():
+        nodes[node_id], obj = _node_of(node_id, entry, hashes.get(node_id))
+        if obj is not None:
+            objects[node_id] = obj
+    edges, removed = _edges(data.get("edges", [])), _edges(data.get("removed_edges", []))
+    return RepoGraph(nodes=nodes, objects=objects, edges=edges, removed_edges=removed)
 
 
 def _lazy_store(raw: bytes) -> DocStore | None:
@@ -573,7 +642,7 @@ def _lazy_store(raw: bytes) -> DocStore | None:
     todo = [ROOT_ID]
     while todo:
         node_id = todo.pop()
-        node = tree[node_id] = tree_node(node_id, _decode_entry(node_items[node_id]))
+        node = tree[node_id] = _node_of(node_id, _decode_entry(node_items[node_id]), None)[0]
         if node.node_kind in (REPO, DIR):
             todo.extend(node.children)
     object_items = {oid: line for oid, line in node_items.items() if oid not in tree}
@@ -582,15 +651,15 @@ def _lazy_store(raw: bytes) -> DocStore | None:
     record_items = _indexed(record_lines)
 
     def decode_object(oid: str, line: str) -> None:
-        entry = _decode_entry(line)
-        node, meta, record_hash = tree_node(oid, entry), entry["meta"], None
-        if "source_hash" not in meta:
+        entry, record_hash = _decode_entry(line), None
+        if "source_hash" not in entry["meta"]:
             # the hash that the line of its record states
             record = DocRecord(*_decode_entry(record_items[oid]))
             records.settle(oid, record)
             record_hash = record.source_hash
+        node, obj = _node_of(oid, entry, record_hash)
         nodes.settle(oid, node)
-        objects.settle(oid, CodeObject.from_dict(oid, node.node_kind, meta, record_hash))
+        objects.settle(oid, obj)
 
     def decode_record(oid: str, line: str) -> None:
         records.settle(oid, DocRecord(*_decode_entry(line)))
@@ -598,7 +667,8 @@ def _lazy_store(raw: bytes) -> DocStore | None:
     nodes = LazyEntries(node_items, decode_object)
     objects = LazyEntries(object_items, decode_object)
     records = LazyEntries(dict(record_items), decode_record)
-    edges, removed = _edges(edge_lines), _edges(removed_lines)
+    edges = _edges(json.loads(f"[{''.join(edge_lines)}]"))
+    removed = _edges(json.loads(f"[{''.join(removed_lines)}]"))
     graph = RepoGraph(
         nodes=nodes,
         objects=objects,
@@ -613,12 +683,13 @@ def load_store(path: str | Path, git_dir: Path | None = None) -> DocStore:
     """Load the store; a missing file is an empty store, and one that cannot
     be read or decoded a ``CorruptStoreError``.
 
-    Stores of versions 1 to 6 are migrated in memory (``_upgrade`` before
-    version 6, then ``_record_of``); the next save writes the current
-    version. The digest of the file's bytes is taken as they are read. When ``git_dir`` records that digest, ``save_store`` wrote
-    the bytes, each entry on a line of its own, and a store with a graph is
-    decoded lazily (``_lazy_store``) and ``recorded``; otherwise it is
-    decoded whole, and a broken entry raises here.
+    Stores of versions 1 to 6 are migrated in memory (``_upgrade``); the
+    next save writes the current version. The digest of the file's bytes is
+    taken as they are read. When ``git_dir`` records that digest,
+    ``save_store`` wrote the bytes, each entry on a line of its own, and a
+    store with a graph is decoded lazily (``_lazy_store``) and
+    ``recorded``; otherwise it is decoded whole, and a broken entry raises
+    here.
     """
     path = Path(path)
     try:
@@ -654,14 +725,16 @@ def load_store(path: str | Path, git_dir: Path | None = None) -> DocStore:
                 f"doc store {path} has version {version}, expected {STORE_VERSION}; "
                 "delete it and rerun generate to rebuild"
             )
-        if version < 6:
+        if version < STORE_VERSION:
             _upgrade(version, data)
-        records = {oid: _record_of(version, rec) for oid, rec in data.get("records", {}).items()}
-        if not all(type(value) is str for record in records.values() for value in record):
-            raise TypeError("a doc record holds a value that is not a string")
+        records = {}
+        for oid, record in data.get("records", {}).items():
+            if type(record) is not list or not all(type(value) is str for value in record):
+                raise TypeError("a doc record is not a list of strings")
+            records[oid] = DocRecord(*record)
         graph_data = data.get("graph")
         hashes = {oid: record.source_hash for oid, record in records.items()}
-        graph = RepoGraph.from_dict(graph_data, hashes) if graph_data else None
+        graph = graph_of(graph_data, hashes) if graph_data else None
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise CorruptStoreError(
             f"doc store {path} is unreadable ({exc}); delete it and rerun generate to rebuild"
@@ -723,15 +796,21 @@ def _unmatched(
     return unmatched
 
 
+def outdated_docs(store: DocStore) -> list[str]:
+    """The ids of the store's snapshot objects whose record is missing or
+    was made from another source, as a failed run leaves them, found
+    without decoding either entry (``_unmatched``)."""
+    old = store.graph_snapshot
+    return [] if old is None else _unmatched(old.objects, store.records)
+
+
 def stale_objects(
     graph: RepoGraph, store: DocStore, changes: ChangeSet, only: Iterable[str] | None = None
 ) -> set[str]:
     """The pending objects of ``graph`` among ``only``, by default among
     those that can be pending: the added and modified ones, the ends of the
-    kept edges that changed, and the snapshot's objects whose record is
-    missing or may carry another source hash, which ``_unmatched`` finds
-    without decoding either entry. ``changes`` is ``diff_objects`` of the
-    store's snapshot and ``graph``.
+    kept edges that changed, and the ``outdated_docs`` of the store.
+    ``changes`` is ``diff_objects`` of the store's snapshot and ``graph``.
 
     An object is pending when there is no snapshot, it has no record, its
     record carries another source hash, or it is an end of a kept edge that
@@ -739,9 +818,7 @@ def stale_objects(
     old, records, objects = store.graph_snapshot, store.records, graph.objects
     touched = changes.touched
     if only is None:
-        only = {*changes.added, *changes.modified, *touched}
-        if old is not None:
-            only.update(_unmatched(old.objects, records))
+        only = {*changes.added, *changes.modified, *touched, *outdated_docs(store)}
     return {
         oid
         for oid in only

@@ -10,7 +10,7 @@ from __future__ import annotations
 import contextlib
 import os
 from pathlib import Path, PurePosixPath
-from typing import Collection, NamedTuple
+from typing import Collection
 
 from .doc_pipeline import DocStore, forget_snapshot
 from .project_graph import DIR, FILE, REPO, RepoGraph, ROOT_ID, TreeNode
@@ -22,19 +22,14 @@ PLACEHOLDER = "*(documentation not yet generated)*"
 _HEADING_BY_KIND = {CLASS: "ClassDef"}
 
 
-class DocPage(NamedTuple):
-    source_file: str
-    output_path: str  # posix path relative to the doc dir
-    body: str
-
-
 def page_path_for(source_file: str) -> str:
     """markdown page path for a source file: util/b.py -> util/b.md"""
     return source_file.removesuffix(SOURCE_SUFFIX) + ".md"
 
 
-def compile_file_doc(graph: RepoGraph, file_id: str, store: DocStore) -> DocPage:
-    """One page: H1 of the file path, then each object in source order."""
+def compile_file_doc(graph: RepoGraph, file_id: str, store: DocStore) -> str:
+    """One page's text: H1 of the file path, then each object in source
+    order."""
     parts = [f"# {file_id}"]
     for object_id, depth in graph.file_objects(file_id):
         obj = graph.objects[object_id]
@@ -46,8 +41,7 @@ def compile_file_doc(graph: RepoGraph, file_id: str, store: DocStore) -> DocPage
         parts.append("***")
     if parts and parts[-1] == "***":
         parts.pop()
-    body = "\n\n".join(parts) + "\n"
-    return DocPage(source_file=file_id, output_path=page_path_for(file_id), body=body)
+    return "\n\n".join(parts) + "\n"
 
 
 def _summary_lines(node: TreeNode, nodes: dict[str, TreeNode], depth: int) -> list[str]:
@@ -113,7 +107,7 @@ def write_site(
         if rel == SUMMARY_NAME:
             body = compile_summary(graph).encode("utf-8")
         else:
-            body = compile_file_doc(graph, pages[rel], store).body.encode("utf-8")
+            body = compile_file_doc(graph, pages[rel], store).encode("utf-8")
         target = os.path.join(out, rel)
         with contextlib.suppress(FileNotFoundError), open(target, "rb") as handle:
             if handle.read() == body:

@@ -414,66 +414,12 @@ class RepoGraph:
             stack.extend((child, depth + 1) for child in reversed(self.nodes[object_id].children))
         return out
 
-    def node_entry(self, node_id: str, record_hash: str | None = None) -> dict:
-        """A node's plain data: its kind, left out for a function, which has
-        an object, and, as it has them, its children by name, the
-        ``to_dict(record_hash)`` of its object, its blob id and its parse
-        error. ``tree_node`` reads it back."""
-        node = self.nodes[node_id]
-        obj = self.objects.get(node_id)
-        entry: dict = {}
-        if obj is None or node.node_kind != FUNCTION:
-            entry["node_kind"] = node.node_kind
-        if node.children:
-            entry["children"] = [child_name(child) for child in node.children]
-        if obj is not None:
-            entry["meta"] = obj.to_dict(record_hash)
-        if node.blob is not None:
-            entry["blob"] = node.blob
-        if node.parse_error is not None:
-            entry["parse_error"] = node.parse_error
-        return entry
-
-    def to_dict(self, record_hashes: Mapping[str, str] | None = None) -> dict:
-        """The graph as plain data, each object's source hash left out where
-        ``record_hashes`` states it for its id."""
-        hashes = record_hashes or {}
-        return {
-            "nodes": {
-                node_id: self.node_entry(node_id, hashes.get(node_id)) for node_id in sorted(self.nodes)
-            },
-            "edges": [e._asdict() for e in self.edges],
-            "removed_edges": [e._asdict() for e in self.removed_edges],
-        }
-
     def file_of(self, node_id: str) -> str:
         """The top of an object's ``parent_id`` chain, its file; any other
         id is its own."""
         while node_id in self.objects:
             node_id = parent_of(node_id)
         return node_id
-
-    @classmethod
-    def from_dict(cls, data: dict, record_hashes: Mapping[str, str] | None = None) -> "RepoGraph":
-        """The graph of ``to_dict(record_hashes)``; an object's id and kind
-        are its node's."""
-        hashes = record_hashes or {}
-        nodes: dict[str, TreeNode] = {}
-        objects: dict[str, CodeObject] = {}
-        for node_id, entry in data.get("nodes", {}).items():
-            node = nodes[node_id] = tree_node(node_id, entry)
-            meta = entry.get("meta")
-            if meta is not None:
-                record_hash = hashes.get(node_id)
-                objects[node_id] = CodeObject.from_dict(node_id, node.node_kind, meta, record_hash)
-        return cls(
-            nodes=nodes,
-            objects=objects,
-            edges=[ReferenceEdge(e["caller"], e["callee"]) for e in data.get("edges", [])],
-            removed_edges=[
-                ReferenceEdge(e["caller"], e["callee"]) for e in data.get("removed_edges", [])
-            ],
-        )
 
 
 def _adjacency(pairs: Iterable[tuple[str, str]]) -> dict[str, list[str]]:
@@ -490,18 +436,6 @@ def child_name(child_id: str) -> str:
     return child_id.rpartition("/")[2]
 
 
-def tree_node(node_id: str, entry: dict) -> TreeNode:
-    """The tree node of a ``node_entry``, its children by id."""
-    prefix = "" if node_id == ROOT_ID else node_id + "/"
-    return TreeNode(
-        id=node_id,
-        node_kind=entry.get("node_kind", FUNCTION) if "meta" in entry else entry["node_kind"],
-        children=[prefix + name for name in entry.get("children", ())],
-        blob=entry.get("blob"),
-        parse_error=entry.get("parse_error"),
-    )
-
-
 class ChangeSet(NamedTuple):
     """What a graph changed of its snapshot (``diff_objects``)."""
 
@@ -510,10 +444,12 @@ class ChangeSet(NamedTuple):
     modified: tuple[str, ...]  # the objects of both whose source hash differs
     edge_added: tuple[tuple[str, str], ...]
     edge_removed: tuple[tuple[str, str], ...]
-    # the ids whose node_entry differs from the snapshot's, or that it lacks
+    # the ids whose node or object differs from the snapshot's in what the
+    # store keeps of it, or that the snapshot lacks
     nodes: frozenset[str]
-    # whether the two to_dict() are equal but for the file nodes' blob ids
-    # and parse errors, which say what was parsed rather than what is documented
+    # whether the two graphs are equal in what the store keeps of them but
+    # for the file nodes' blob ids and parse errors, which say what was
+    # parsed rather than what is documented
     same: bool
 
     @property
@@ -553,7 +489,11 @@ def diff_objects(old: RepoGraph | None, new: RepoGraph) -> ChangeSet:
             or node.blob != twin.blob
             or node.parse_error != twin.parse_error
             or obj is not twin_obj
-            and (obj is None or twin_obj is None or obj.to_dict() != twin_obj.to_dict())
+            and (
+                obj is None
+                or twin_obj is None
+                or obj._replace(span=twin_obj.span, text=twin_obj.text) != twin_obj
+            )
         ):
             nodes.add(node_id)
             # only a file's blob id or parse error may differ

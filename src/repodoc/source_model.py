@@ -95,40 +95,6 @@ class CodeObject(NamedTuple):
         start, end = self.span
         return self.text[start:end]
 
-    def to_dict(self, record_hash: str | None = None) -> dict:
-        """What the store keeps of the object. Its tree node states its id,
-        kind and name, and its source_hash stands in for the snippet. No
-        params, no return value and a source_hash that is ``record_hash``,
-        the one its doc record states, are left out."""
-        data: dict = {"has_return": True} if self.has_return else {}
-        if self.params:
-            data["params"] = list(self.params)
-        data["parent_id"] = self.parent_id
-        if self.source_hash != record_hash:
-            data["source_hash"] = self.source_hash
-        return data
-
-    @classmethod
-    def from_dict(
-        cls, object_id: str, kind: str, data: dict, record_hash: str | None = None
-    ) -> "CodeObject":
-        """The object whose ``to_dict(record_hash)`` is ``data``, with the id
-        and kind its tree node states. It has no text, so no snippet."""
-        source_hash = data.get("source_hash", record_hash)
-        if type(source_hash) is not str:
-            raise TypeError(f"{object_id} states no source hash")
-        return cls(
-            id=object_id,
-            kind=kind,
-            name=object_id.rpartition("/")[2],
-            span=(0, 0),
-            text="",
-            params=tuple(data.get("params", ())),
-            has_return=bool(data.get("has_return", False)),
-            parent_id=data["parent_id"],
-            source_hash=source_hash,
-        )
-
 
 class ImportBinding(NamedTuple):
     """A name bound by an import statement, resolved to an absolute module path.

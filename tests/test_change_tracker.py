@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import json
 import logging
 import os
 import shutil
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repodoc import change_tracker
+from repodoc import change_tracker, cli
 from repodoc.change_tracker import (
     HOOK_MARKER,
     LOCAL_HOOK_NAME,
@@ -598,6 +599,60 @@ def test_run_update_failure_leaves_store_untouched(git_demo_repo):
     assert set(report.run.failures) == {"a.py/f"}
     assert store_path.read_bytes() == before
     assert report.written_pages == []
+
+
+def test_update_regenerates_a_doc_that_a_failed_generate_left_outdated(git_demo_repo, monkeypatch):
+    assert main(["generate", "--repo", str(git_demo_repo)]) == 0
+    git(git_demo_repo, "add", "-A")
+    git(git_demo_repo, "commit", "-qm", "seed")
+    (git_demo_repo / "a.py").write_text(A_F_EDITED, encoding="utf-8")
+    with monkeypatch.context() as patch:
+        failing = Gateway(FailingProvider(frozenset({"f"})), retries=0)
+        patch.setattr(cli, "build_gateway", lambda config: failing)
+        # the snapshot takes the new f, its record keeps the doc of the old
+        assert main(["generate", "--repo", str(git_demo_repo)]) == 3
+    git(git_demo_repo, "add", "-A")
+    git(git_demo_repo, "commit", "-qm", "edit f", "--no-verify")
+
+    # a comment after h changes no object
+    b_py = git_demo_repo / "util" / "b.py"
+    b_py.write_text(DEMO_FILES["util/b.py"] + "# the end\n", encoding="utf-8")
+    git(git_demo_repo, "add", "util/b.py")
+    report, _ = run_full_update(git_demo_repo)
+    assert report.ok
+    assert report.plan.regenerate == (("a.py/f", "DocOutdated"),)
+    assert report.run.generated == ["a.py/f"]
+    report, _ = run_full_update(git_demo_repo)
+    assert report.plan.regenerate == () and report.run.generated == []
+
+
+def test_an_outdated_doc_that_fails_again_refuses_no_later_commit(git_demo_repo, capsys):
+    # one tier: the demo's objects fit it, an f of 3,000 lines fits no budget
+    config = {"provider": {"tiers": [{"name": "small", "context_window": 4000}]}}
+    (git_demo_repo / ".repodoc.json").write_text(json.dumps(config), encoding="utf-8")
+    assert main(["generate", "--repo", str(git_demo_repo)]) == 0
+    git(git_demo_repo, "add", "-A")
+    git(git_demo_repo, "commit", "-qm", "seed")
+    long_f = A_F_EDITED.replace("def f():\n", "def f():\n" + "    x = 1\n" * 3000)
+    (git_demo_repo / "a.py").write_text(long_f, encoding="utf-8")
+    assert main(["generate", "--repo", str(git_demo_repo)]) == 3
+    git(git_demo_repo, "add", "-A")
+    git(git_demo_repo, "commit", "-qm", "grow f", "--no-verify")
+
+    b_py = git_demo_repo / "util" / "b.py"
+    b_py.write_text(DEMO_FILES["util/b.py"].replace("g(3)", "g(4)"), encoding="utf-8")
+    git(git_demo_repo, "add", "util/b.py")
+    capsys.readouterr()
+    assert main(["update", "--repo", str(git_demo_repo), "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["plan"]["regenerate"] == [["a.py/f", "DocOutdated"], ["util/b.py/h", "SourceModified"]]
+    assert out["run"]["generated"] == ["util/b.py/h"] and list(out["run"]["failures"]) == ["a.py/f"]
+    # h's new record is saved and staged; f keeps its old one
+    staged_now = git(git_demo_repo, "diff", "--cached", "--name-only").splitlines()
+    assert load_config(git_demo_repo).store_path in staged_now
+    report, _ = run_full_update(git_demo_repo)
+    assert report.ok and report.plan.regenerate == (("a.py/f", "DocOutdated"),)
+    assert set(report.run.failures) == {"a.py/f"} and report.run.generated == []
 
 
 def test_run_update_store_write_failure_leaves_pages_untouched(git_demo_repo, monkeypatch):

@@ -216,6 +216,15 @@ def test_bad_arguments_exit_1(demo_repo, capsys):
     assert code == 1 and "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [("graph", "--json"), ("publish", "--jobs", "2"), ("install-hook", "--json")]
+)
+def test_a_command_refuses_an_option_it_does_not_read(git_demo_repo, capsys, argv):
+    code, out, err = run_cli(*argv, "--repo", git_demo_repo, capsys=capsys)
+    assert (code, out) == (1, "")
+    assert "error: unrecognized arguments" in err
+
+
 def test_update_outside_git_exits_4(demo_repo, capsys):
     code, _, err = run_cli("update", "--repo", demo_repo, capsys=capsys)
     assert code == 4

@@ -18,6 +18,8 @@ from repodoc.doc_pipeline import (
     DocStore,
     LazyEntries,
     _unmatched,
+    graph_dict,
+    graph_of,
     load_store,
     parse_doc,
     record_from_parsed,
@@ -328,7 +330,7 @@ def test_store_roundtrip_and_byte_stability(tmp_path, demo_repo):
     for oid in store.records:
         assert loaded.records[oid] == store.records[oid]
     assert loaded.graph_snapshot is not None
-    assert loaded.graph_snapshot.to_dict() == store.graph_snapshot.to_dict()
+    assert graph_dict(loaded.graph_snapshot) == graph_dict(store.graph_snapshot)
     second = tmp_path / "copy.json"
     save_store(loaded, second)
     assert second.read_bytes() == path.read_bytes()
@@ -350,7 +352,7 @@ def _carrying_store(tmp_path, demo_repo):
 def _saved_whole(store, path) -> bytes:
     """The bytes of a save that encodes every entry: the store's records and
     graph, decoded into plain mappings."""
-    graph = RepoGraph.from_dict(store.graph_snapshot.to_dict())
+    graph = graph_of(graph_dict(store.graph_snapshot))
     save_store(DocStore(dict(store.records.items()), graph), path)
     return path.read_bytes()
 

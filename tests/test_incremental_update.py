@@ -19,7 +19,7 @@ import pytest
 from repodoc import change_tracker, cli, doc_pipeline, markdown_publisher, project_graph, source_model
 from repodoc.cli import main
 from repodoc.config import load_config
-from repodoc.doc_pipeline import SNAPSHOT_DIGEST_NAME
+from repodoc.doc_pipeline import SNAPSHOT_DIGEST_NAME, graph_dict
 from repodoc.errors import StoreWriteError
 from repodoc.source_model import PARSE_CACHE_NAME
 
@@ -177,7 +177,7 @@ def test_fast_path_matches_the_full_rebuild_on_every_commit(tmp_path, monkeypatc
         assert fast.ok and full.ok, name
         assert fast.reused_files == (reused or 0), name
         assert full.reused_files == 0
-        assert fast_graph.to_dict() == full_graph.to_dict(), name
+        assert graph_dict(fast_graph) == graph_dict(full_graph), name
         assert fast_graph.parse_errors == full_graph.parse_errors, name
         assert fast.parse_errors == full.parse_errors, name
         assert fast_prompts == full_prompts, name
@@ -209,7 +209,7 @@ def test_generate_fast_path_matches_the_full_rebuild_after_every_edit(
         assert code == full_code, name
         assert fast["reused_files"] == (reused or 0), name
         assert full["reused_files"] == 0
-        assert fast_graph.to_dict() == full_graph.to_dict(), name
+        assert graph_dict(fast_graph) == graph_dict(full_graph), name
         assert fast_graph.parse_errors == full_graph.parse_errors, name
         assert fast_prompts == full_prompts, name
         assert _without_counts(fast) == _without_counts(full), name
@@ -281,7 +281,7 @@ def test_fast_path_matches_the_full_rebuild_when_a_generation_fails_then_succeed
         full_ok, full, full_graph, full_prompts = _run(command, twin, monkeypatch, capsys, full=True, fail=fail)
         assert ok is full_ok is not fails, name
         assert reused is None or fast["reused_files"] == reused, name
-        assert fast_graph.to_dict() == full_graph.to_dict(), name
+        assert graph_dict(fast_graph) == graph_dict(full_graph), name
         assert fast_prompts == full_prompts, name
         assert _without_counts(fast) == _without_counts(full), name
         assert _outputs(repo) == _outputs(twin), name
@@ -919,7 +919,7 @@ def test_a_lazy_store_reads_ids_that_the_store_escapes(tmp_path, capsys):
     lazy, whole = doc_pipeline.load_store(store_path, git_dir), doc_pipeline.load_store(store_path)
     assert isinstance(lazy.records, doc_pipeline.LazyEntries)
     assert dict(lazy.records) == whole.records
-    assert lazy.graph_snapshot.to_dict() == whole.graph_snapshot.to_dict()
+    assert graph_dict(lazy.graph_snapshot) == graph_dict(whole.graph_snapshot)
     assert lazy.graph_snapshot.files == whole.graph_snapshot.files
     report = _generate_json(repo, capsys)
     assert report["reused_files"] == len(FILES) + 2 and report["generated"] == []

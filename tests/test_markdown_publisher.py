@@ -95,9 +95,7 @@ def test_page_path_mapping():
 
 def test_demo_page_is_frozen(demo_repo):
     graph, store, _, _ = generate_repo(demo_repo)
-    page = compile_file_doc(graph, "a.py", store)
-    assert page.output_path == "a.md"
-    assert page.body == EXPECTED_A_MD
+    assert compile_file_doc(graph, "a.py", store) == EXPECTED_A_MD
 
 
 def test_demo_summary_is_frozen(demo_repo):
@@ -121,7 +119,7 @@ def test_page_lists_objects_in_source_order(order_repo):
         "## FunctionDef r",
     ]
     graph, store, _, _ = generate_repo(order_repo)
-    assert headings(compile_file_doc(graph, "order.py", store).body) == expected
+    assert headings(compile_file_doc(graph, "order.py", store)) == expected
 
     # again from the saved store, and byte for byte as the version-2 release wrote it
     assert main(["generate", "--repo", str(order_repo)]) == 0
@@ -148,14 +146,14 @@ def test_labeled_summary_nests_and_keeps_init(labeled_repo):
 def test_empty_module_page_is_title_only(labeled_repo):
     graph = build_repo_graph(labeled_repo)
     page = compile_file_doc(graph, "util/__init__.py", DocStore())
-    assert page.body == "# util/__init__.py\n"
+    assert page == "# util/__init__.py\n"
 
 
 def test_missing_record_renders_placeholder(demo_repo):
     graph = build_repo_graph(demo_repo)
     page = compile_file_doc(graph, "util/b.py", DocStore())
-    assert PLACEHOLDER in page.body
-    assert page.body == f"# util/b.py\n\n## FunctionDef h\n\n{PLACEHOLDER}\n"
+    assert PLACEHOLDER in page
+    assert page == f"# util/b.py\n\n## FunctionDef h\n\n{PLACEHOLDER}\n"
 
 
 def test_write_site_roundtrip_and_idempotence(demo_repo, tmp_path):
@@ -272,7 +270,7 @@ def test_heading_depth_caps_at_six(tmp_path):
     write_tree(tmp_path, {"deep.py": nested})
     graph = build_repo_graph(tmp_path)
     page = compile_file_doc(graph, "deep.py", DocStore())
-    assert "## ClassDef A" in page.body
-    assert "###### ClassDef E" in page.body
-    assert "###### FunctionDef leaf" in page.body
-    assert "#######" not in page.body
+    assert "## ClassDef A" in page
+    assert "###### ClassDef E" in page
+    assert "###### FunctionDef leaf" in page
+    assert "#######" not in page

@@ -13,6 +13,7 @@ import pytest
 
 from repodoc import source_model
 from repodoc.cli import main
+from repodoc.doc_pipeline import graph_dict
 from repodoc.project_graph import build_graph
 from repodoc.source_model import (
     PARSE_CACHE_NAME,
@@ -32,7 +33,7 @@ def graph_json(root: Path, cache: ParseCache) -> str:
     sources = scan_repository(root)
     graph = build_graph(list(sources), parse_repository(sources, sources, cache))
     cache.save()
-    return json.dumps(graph.to_dict())
+    return json.dumps(graph_dict(graph))
 
 
 def run_json(*argv, capsys) -> dict:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repodoc.doc_pipeline import graph_dict, graph_of, node_entry
 from repodoc.project_graph import (
     DIR,
     FILE,
@@ -382,8 +383,8 @@ def test_topological_order_respects_all_prerequisites(labeled_repo):
 
 def test_graph_dict_roundtrip(demo_repo):
     graph = build_repo_graph(demo_repo)
-    clone = RepoGraph.from_dict(graph.to_dict())
-    assert clone.to_dict() == graph.to_dict()
+    clone = graph_of(graph_dict(graph))
+    assert graph_dict(clone) == graph_dict(graph)
     assert sorted(clone.objects) == sorted(graph.objects)
     assert clone.callers("a.py/g") == graph.callers("a.py/g")
     # texts and spans are intentionally not persisted; the rest is rebuilt
@@ -410,14 +411,14 @@ def test_children_stored_by_name_read_back_as_ids(tmp_path):
         },
     )
     graph = build_repo_graph(tmp_path)
-    data = graph.to_dict()
+    data = graph_dict(graph)
     assert data["nodes"]["."]["children"] == ["pkg", "top.py"]
     assert data["nodes"]["pkg/sub"]["children"] == ["deep"]
     assert data["nodes"]["top.py"]["children"] == ["z", "a"]  # source order
     assert data["nodes"]["pkg/sub/deep/m.py/K"]["children"] == ["run", "b"]
     assert data["nodes"]["pkg/sub/deep/m.py/K/run"]["children"] == ["inner"]
     assert "children" not in data["nodes"]["pkg/sub/deep/m.py/K/run/inner"]
-    clone = RepoGraph.from_dict(data)
+    clone = graph_of(data)
     assert {nid: node.children for nid, node in clone.nodes.items()} == {
         nid: node.children for nid, node in graph.nodes.items()
     }
@@ -434,7 +435,7 @@ def test_children_stored_by_name_read_back_as_ids(tmp_path):
 
 def _documented(graph: RepoGraph) -> dict:
     """``to_dict()`` less the file nodes' blob ids and parse errors."""
-    data = graph.to_dict()
+    data = graph_dict(graph)
     for entry in data["nodes"].values():
         entry.pop("blob", None)
         entry.pop("parse_error", None)
@@ -467,7 +468,7 @@ _GRAPH_EDITS = {
 @pytest.mark.parametrize("edit", _GRAPH_EDITS)
 def test_same_as_agrees_with_the_stored_form(demo_repo, edit):
     graph = build_repo_graph(demo_repo)
-    other = RepoGraph.from_dict(graph.to_dict())
+    other = graph_of(graph_dict(graph))
     _GRAPH_EDITS[edit](other)
     expected = _documented(graph) == _documented(other)
     assert expected == (edit in ("nothing", "blob", "parse-error", "span-and-snippet"))
@@ -477,7 +478,7 @@ def test_same_as_agrees_with_the_stored_form(demo_repo, edit):
         assert changes.nodes == {
             node_id
             for node_id in new.nodes
-            if node_id not in old.nodes or new.node_entry(node_id) != old.node_entry(node_id)
+            if node_id not in old.nodes or node_entry(new, node_id) != node_entry(old, node_id)
         }
         assert changes.added == tuple(sorted(new.objects.keys() - old.objects.keys()))
         assert changes.removed == tuple(sorted(old.objects.keys() - new.objects.keys()))
@@ -507,7 +508,7 @@ def test_a_diff_over_the_snapshot_equals_the_full_diff(demo_repo, edit):
     assert graph.base is snapshot
     changes = diff_objects(snapshot, graph)
     # a copy of the snapshot is not the graph's base, so every node is compared
-    assert changes == diff_objects(RepoGraph.from_dict(snapshot.to_dict()), graph)
+    assert changes == diff_objects(graph_of(graph_dict(snapshot)), graph)
     assert changes.same is (edit == "comment")
     assert "a.py" in changes.nodes
     assert bool(changes.modified) is (edit != "comment")
@@ -527,7 +528,7 @@ def test_source_order_is_the_tree_child_order(order_repo):
     assert graph.nodes["order.py/K"].children == ["order.py/K/z", "order.py/K/y"]
     assert graph.file_objects("order.py") == ORDER_SOURCE_ORDER
     assert graph.object_children("order.py/K") == ["order.py/K/y", "order.py/K/z"]
-    clone = RepoGraph.from_dict(graph.to_dict())
+    clone = graph_of(graph_dict(graph))
     assert clone.file_objects("order.py") == ORDER_SOURCE_ORDER
 
 

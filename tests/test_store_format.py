@@ -10,10 +10,13 @@ demo repo wrote at version 4, each ``generated_at`` emptied,
 ``demo_cold_store_v5.json`` the one it wrote at version 5,
 ``demo_cold_store_v6.json`` the one it wrote at version 6 and
 ``demo_cold_store_v7.json`` the one it writes at version 7.
+``demo_graph.json`` is what ``repodoc graph --format json`` printed for the
+demo repo before the store's encoder moved into ``doc_pipeline``.
 """
 
 from __future__ import annotations
 
+import ast
 import base64
 import json
 import shutil
@@ -21,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+import repodoc
 from repodoc.change_tracker import git_dir
 from repodoc.cli import main
 from repodoc.doc_pipeline import (
@@ -29,7 +33,9 @@ from repodoc.doc_pipeline import (
     DocRecord,
     DocStore,
     LazyEntries,
+    graph_dict,
     load_store,
+    node_entry,
     record_snapshot,
     save_store,
 )
@@ -407,6 +413,26 @@ def test_a_cold_generate_writes_the_store_of_the_fixture(demo_repo, capsys):
         shutil.rmtree(demo_repo / "markdown_docs")
 
 
+def test_the_graph_command_prints_the_graph_of_the_fixture(demo_repo, capsys):
+    code, out = run_cli(capsys, "graph", "--repo", demo_repo, "--format", "json")
+    assert code == 0
+    assert out.encode("utf-8") == (DATA / "demo_graph.json").read_bytes()
+
+
+def test_only_doc_pipeline_spells_the_keys_of_the_store():
+    """The store's format lives in one module: no other holds a string that
+    is one of the keys its snapshot alone uses."""
+    keys = {"meta", "has_return", "parent_id", "source_hash", "removed_edges"}
+    found = []
+    for path in sorted(Path(repodoc.__file__).parent.glob("*.py")):
+        if path.name == "doc_pipeline.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in keys:
+                found.append(f"{path.name}:{node.lineno}: {node.value}")
+    assert found == []
+
+
 STRANGE_STRINGS = [
     "",
     "plain",
@@ -466,11 +492,11 @@ def test_node_lines_are_those_of_a_full_encode(tmp_path):
     start, end = lines.index(b'],"nodes":{') + 1, lines.index(b'},"removed_edges":[')
     hashes = {oid: record.source_hash for oid, record in records.items()}
     assert [line.removesuffix(b",") for line in lines[start:end]] == [
-        utf8_line(nid, graph.node_entry(nid, hashes.get(nid))) for nid in sorted(nodes)
+        utf8_line(nid, node_entry(graph, nid, hashes.get(nid))) for nid in sorted(nodes)
     ]
     assert sum(b'"source_hash":' in line for line in lines[start:end]) == len(objects) - 3
     loaded = load_store(path)
-    assert loaded.graph_snapshot.to_dict() == graph.to_dict()
+    assert graph_dict(loaded.graph_snapshot) == graph_dict(graph)
     assert loaded.records == records
 
 
@@ -550,7 +576,7 @@ def test_a_doc_in_another_language_is_stored_as_its_utf8(tmp_path, demo_repo):
     lazy, whole = load_store(path, git_dir), load_store(path)
     assert isinstance(lazy.records, LazyEntries)
     assert dict(lazy.records) == whole.records == store.records
-    assert lazy.graph_snapshot.to_dict() == whole.graph_snapshot.to_dict()
+    assert graph_dict(lazy.graph_snapshot) == graph_dict(whole.graph_snapshot)
     save_store(lazy, path, git_dir)
     assert path.read_bytes() == raw
 
