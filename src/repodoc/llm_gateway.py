@@ -20,6 +20,7 @@ from .errors import AuthenticationError, ConfigError, ProviderError
 from .prompt_engine import FORMAT_INTRO, OUTPUT_EXAMPLE_INSTRUCTION, estimate_tokens
 
 _BACKOFF_SCHEDULE = (1.0, 2.0, 4.0)
+RETRY_AFTER_CAP_S = 60.0  # the longest wait a provider's Retry-After buys
 REQUEST_TIMEOUT_S = 120.0
 
 
@@ -43,7 +44,13 @@ class CompletionResponse(NamedTuple):
 
 
 class TransientProviderError(ProviderError):
-    """Retryable failure: connection trouble, 5xx, or rate limiting."""
+    """Retryable failure: connection trouble, 5xx, or rate limiting.
+    ``retry_after`` is the wait in seconds that the provider asked for, if
+    any."""
+
+    def __init__(self, message: str, retry_after: float | None = None) -> None:
+        super().__init__(message)
+        self.retry_after = retry_after
 
 
 class Provider(Protocol):
@@ -145,12 +152,12 @@ class HttpChatProvider:
         reused = conn.sock is not None
         try:
             try:
-                status, data = _post(conn, route.target, body, headers)
+                status, retry_after, data = _post(conn, route.target, body, headers)
             except ConnectionError:
                 if not reused:
                     raise
                 conn.close()  # closed by the server while idle
-                status, data = _post(conn, route.target, body, headers)
+                status, retry_after, data = _post(conn, route.target, body, headers)
         except (OSError, http.client.HTTPException) as exc:
             conn.close()
             raise TransientProviderError(f"request failed: {exc}") from exc
@@ -161,7 +168,8 @@ class HttpChatProvider:
                 f"provider rejected credentials (HTTP {status}); check {API_KEY_ENV}"
             )
         if status == 429 or status >= 500:
-            raise TransientProviderError(f"provider returned HTTP {status}")
+            wait = _delta_seconds(retry_after) if status in (429, 503) else None
+            raise TransientProviderError(f"provider returned HTTP {status}", wait)
         if status != 200:
             text = data.decode("utf-8", "replace")
             raise ProviderError(f"provider returned HTTP {status}: {text[:200]}")
@@ -235,12 +243,19 @@ def _close_all(connections: list) -> None:
         conn.close()
 
 
-def _post(conn, target: str, body: bytes, headers: dict[str, str]) -> tuple[int, bytes]:
+def _post(conn, target: str, body: bytes, headers: dict[str, str]) -> tuple[int, str | None, bytes]:
     """One request on ``conn``, which opens its socket if it has none; the
-    status and the whole body, so that the connection can be reused."""
+    status, the Retry-After header and the whole body, so that the
+    connection can be reused."""
     conn.request("POST", target, body, headers)
     response = conn.getresponse()
-    return response.status, response.read()
+    return response.status, response.getheader("Retry-After"), response.read()
+
+
+def _delta_seconds(value: str | None) -> float | None:
+    """A Retry-After value in seconds; None for an HTTP-date or no value."""
+    value = (value or "").strip()
+    return float(value) if value.isascii() and value.isdigit() else None
 
 
 def _token_count(usage: dict, key: str, text: str) -> int:
@@ -284,6 +299,8 @@ class Gateway:
                 last_error = exc
                 if attempt < self.retries:
                     backoff = _BACKOFF_SCHEDULE[min(attempt, len(_BACKOFF_SCHEDULE) - 1)]
+                    if exc.retry_after is not None:
+                        backoff = min(exc.retry_after, RETRY_AFTER_CAP_S)
                     self._sleep(backoff)
         target = f" while generating {context_id}" if context_id else ""
         raise ProviderError(f"provider failed after {attempts} attempts{target}: {last_error}")

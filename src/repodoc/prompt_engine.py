@@ -5,12 +5,17 @@ target (target line marked with "*"), the document path, the object kind and
 name, the target code, callee blocks, caller blocks, optional child docs, the
 standard output format, and formatting rules. Token budgets are enforced by a
 fixed sequence of content reductions.
+
+A class in a callee or caller block is quoted as its skeleton
+(``quoted_code``): each of its methods is an object with a doc of its own.
+RepoAgent quotes it whole.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import tokenize
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .config import ModelTier
@@ -79,6 +84,8 @@ class PromptContext(NamedTuple):
     caller_blocks: tuple[RefBlock, ...]
     child_docs: tuple[tuple[str, str], ...] | None  # None when disabled
     doc_language: str
+    graph: RepoGraph | None = None  # where the last reduction finds a class's skeleton
+    target_code: str | None = None  # the target's code as quoted; None quotes its snippet
 
 
 def render_hierarchy(graph: RepoGraph, object_id: str, *, include_children: bool = True) -> str:
@@ -137,12 +144,11 @@ def assemble_context(
             return "None"
         return record.text
 
-    objects = graph.objects
     callee_blocks = tuple(
-        RefBlock(cid, _required_doc(cid), objects[cid].snippet) for cid in graph.callees(object_id)
+        RefBlock(cid, _required_doc(cid), quoted_code(graph, cid)) for cid in graph.callees(object_id)
     )
     caller_blocks = tuple(
-        RefBlock(cid, _optional_doc(cid), objects[cid].snippet) for cid in graph.callers(object_id)
+        RefBlock(cid, _optional_doc(cid), quoted_code(graph, cid)) for cid in graph.callers(object_id)
     )
     child_docs: tuple[tuple[str, str], ...] | None = None
     if child_docs_enabled:
@@ -150,7 +156,111 @@ def assemble_context(
             (cid, _required_doc(cid)) for cid in graph.object_children(object_id)
         )
     hierarchy = render_hierarchy(graph, object_id)
-    return PromptContext(obj, hierarchy, callee_blocks, caller_blocks, child_docs, doc_language)
+    return PromptContext(
+        obj, hierarchy, callee_blocks, caller_blocks, child_docs, doc_language, graph
+    )
+
+
+def quoted_code(graph: RepoGraph, object_id: str) -> str:
+    """The code a prompt quotes for an object in a callee or caller block.
+
+    A function is quoted whole. A class is quoted as its skeleton: its own
+    lines (header, docstring, attributes, comments) stay, and each direct
+    child definition is cut to its header, decorators and signature through
+    the closing ":", followed by " ..."; its body goes, nested definitions
+    included. A child whose body starts on the colon's line is kept whole, so
+    the skeleton is still Python. The cuts come from the children's spans in
+    the text that the class shares with them, so no parse is added.
+    """
+    obj = graph.objects[object_id]
+    children = graph.nodes[object_id].children if obj.kind == CLASS else ()
+    if not children:
+        return obj.snippet
+    text, objects = obj.text, graph.objects
+    (at, end), out = obj.span, []
+    for start, stop in sorted(objects[cid].span for cid in children):
+        cut = _header_end(text, start, stop)
+        if cut is not None:
+            out += (text[at:cut], " ...")
+            at = stop
+    out.append(text[at:end])
+    return "".join(out)
+
+
+def _simple_line(line: str) -> bool:
+    """Whether ``line`` holds no comment, continuation or triple quote and
+    balances its brackets, so that it ends where its statement or decorator
+    does."""
+    return (
+        "#" not in line
+        and not line.endswith("\\")
+        and '"""' not in line
+        and "'''" not in line
+        and line.count("(") == line.count(")")
+        and line.count("[") == line.count("]")
+        and line.count("{") == line.count("}")
+    )
+
+
+def _header_end(text: str, start: int, stop: int) -> int | None:
+    """The offset just past the ":" that closes the header of the definition
+    at ``text[start:stop]``, or None when its body starts on that line.
+
+    A header of one-line decorators and one line that ends in ":" is found
+    by string search; any other is tokenized, a line at a time, only as far
+    as the token after its colon.
+    """
+    at = start
+    while True:
+        newline = text.find("\n", at, stop)
+        if newline < 0:
+            return None  # the header and the body end on one line
+        line = text[at:newline].rstrip()
+        head = line.lstrip()
+        if not _simple_line(line):
+            break
+        if head.startswith("@"):
+            at = newline + 1
+        elif head.endswith(":") and head.startswith(("def ", "async def ", "class ")):
+            return at + len(line)
+        else:
+            break
+
+    starts: list[int] = []  # the offset of each line tokenized
+
+    def lines():
+        at = start
+        while at <= stop:
+            starts.append(at)
+            newline = text.find("\n", at, stop)
+            end = stop if newline < 0 else newline
+            yield text[at:end] + "\n"
+            at = end + 1
+
+    depth, header = 0, False
+    tokens = tokenize.generate_tokens(lines().__next__)
+    try:
+        for token in tokens:
+            kind, string = token.type, token.string
+            if kind == tokenize.OP and string in ("(", "[", "{"):
+                depth += 1
+            elif kind == tokenize.OP and string in (")", "]", "}"):
+                depth -= 1
+            elif kind == tokenize.NAME and not depth and string in ("def", "class"):
+                header = True
+            elif kind == tokenize.OP and string == ":" and header and not depth:
+                break
+        else:
+            return None
+        row, col = token.end
+        after = next(tokens)
+        if after.type == tokenize.COMMENT:
+            after = next(tokens)
+    except (tokenize.TokenError, SyntaxError):
+        return None
+    if after.type != tokenize.NEWLINE:
+        return None  # the body starts on the colon's line
+    return starts[row - 1] + col
 
 
 def _block_pieces(block: RefBlock) -> tuple[str, ...]:
@@ -191,7 +301,7 @@ def render_prompt(ctx: PromptContext) -> str:
         ROLE_PREAMBLE, "\n\n", HIERARCHY_INTRO, "\n", ctx.hierarchy_render, "\n\n",
         DOC_PATH_INTRO, "\n", target.id, ".\n\n",
         f'Now you need to generate a document for a {target.kind}, whose name is "{target.name}".',
-        "\n\n", CODE_INTRO, "\n\n", target.snippet,
+        "\n\n", CODE_INTRO, "\n\n", target.snippet if ctx.target_code is None else ctx.target_code,
     ]
     for intro, blocks in ((CALLEE_INTRO, ctx.callee_blocks), (CALLER_INTRO, ctx.caller_blocks)):
         if blocks:
@@ -259,12 +369,20 @@ def _drop_child_docs(ctx: PromptContext) -> PromptContext:
     return ctx._replace(child_docs=())
 
 
+def _quote_target_skeleton(ctx: PromptContext) -> PromptContext:
+    if ctx.graph is None:
+        return ctx
+    code = quoted_code(ctx.graph, ctx.target.id)  # a function's is its snippet
+    return ctx if code == ctx.target.snippet else ctx._replace(target_code=code)
+
+
 REDUCTION_STEPS: tuple[tuple[str, object], ...] = (
     ("drop caller snippets", _drop_caller_snippets),
     ("drop caller blocks", _drop_callers),
     ("drop callee snippets", _drop_callee_snippets),
     ("compact hierarchy", _compact_hierarchy),
     ("drop child docs", _drop_child_docs),
+    ("quote target class as skeleton", _quote_target_skeleton),
 )
 
 
@@ -276,9 +394,11 @@ def fit_to_budget(
     """Pick a tier, applying fixed reductions only when none fits. Returns
     the context, reduced or not, its tier and its rendered prompt.
 
-    Reductions are all-or-nothing, applied in order, and never touch the
-    target snippet or format block. Once any reduction was needed the largest
-    tier is used.
+    Reductions are all-or-nothing and applied in order. Only the last one
+    touches the target's code: it quotes a class target as its skeleton
+    (``quoted_code``), so a class that no tier holds whole can still be
+    documented. None touches the format block. Once any reduction was needed
+    the largest tier is used.
     """
     if not tiers:
         raise OverBudgetError("no model tiers configured")

@@ -643,6 +643,35 @@ def test_a_fast_path_update_reads_only_the_blobs_it_parses_or_quotes(tmp_path, m
     assert read == ["util/tools.py", "app.py", "core.py"]
 
 
+def test_the_fast_path_quotes_a_class_from_the_snapshot_as_the_full_path_does(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    _init_repo(repo)
+    git(repo, "add", "-A")
+    assert _update(repo, monkeypatch, full=False)[0].ok
+    git(repo, "commit", "-qm", "seed")
+    # Wrapper.__init__ calls core.py/Engine, and core.py is taken from the snapshot
+    tools = LABELED_FILES["util/tools.py"]
+    write_tree(repo, {"util/tools.py": tools.replace("core.Engine(3)", "core.Engine(4)")})
+    git(repo, "add", "-A")
+    twin = tmp_path / "full"
+    shutil.copytree(repo, twin, symlinks=True)
+    fast, _, fast_prompts = _update(repo, monkeypatch, full=False)
+    full, _, full_prompts = _update(twin, monkeypatch, full=True)
+    assert fast.reused_files == len(FILES) - 1 and full.reused_files == 0
+    assert fast_prompts == full_prompts
+    (prompt,) = [p for p in fast_prompts if 'whose name is "__init__"' in p]
+    skeleton = (
+        "class Engine:\n"
+        "    def __init__(self, size): ...\n"
+        "\n"
+        "    def run(self): ...\n"
+        "\n"
+        "    def helper(self): ..."
+    )
+    assert f"[Code begin of Engine]\n```\n{skeleton}\n```" in prompt
+    assert "return beta(self.size)" not in prompt
+
+
 def test_a_missing_blob_of_a_staged_file_ends_the_reader(tmp_path, monkeypatch, capsys):
     repo = tmp_path / "repo"
     _init_repo(repo)

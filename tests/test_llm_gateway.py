@@ -17,6 +17,7 @@ from repodoc.doc_pipeline import DocStore, parse_doc
 from repodoc.errors import AuthenticationError, ConfigError, ProviderError
 from repodoc.llm_gateway import (
     API_KEY_ENV,
+    RETRY_AFTER_CAP_S,
     CompletionRequest,
     Gateway,
     HttpChatProvider,
@@ -187,9 +188,11 @@ class _Handler(http.server.BaseHTTPRequestHandler):
     def do_POST(self) -> None:
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         self.server.calls.append({"path": self.path, "headers": self.headers, "json": body})
-        status, payload = self.server.answer(body)
+        status, payload, *extra = self.server.answer(body)  # extra: a dict of headers
         data = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
         self.send_response(status)
+        for name, value in (extra[0] if extra else {}).items():
+            self.send_header(name, value)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
@@ -286,6 +289,50 @@ def test_http_provider_transient_statuses(serve, status):
     provider = HttpChatProvider(serve(canned(status)).url, "k")
     with pytest.raises(TransientProviderError):
         provider.send(request_for("x"))
+
+
+def _answers(*answers):
+    """An answer that gives each of ``answers`` in turn, then the last again."""
+    queue = list(answers)
+    return lambda body: queue.pop(0) if len(queue) > 1 else queue[0]
+
+
+_OK = (200, {"choices": [{"message": {"content": "**f**: doc"}}]})
+
+
+@pytest.mark.parametrize("status", [429, 503])
+def test_gateway_sleeps_for_the_retry_after_of_a_429_or_503(serve, status):
+    server = serve(_answers((status, {}, {"Retry-After": "7"}), (status, {}, {"Retry-After": "0"}), _OK))
+    sleeps: list[float] = []
+    gateway = Gateway(HttpChatProvider(server.url, "k"), retries=3, sleep=sleeps.append)
+    assert gateway.complete(request_for("x")).text == "**f**: doc"
+    assert sleeps == [7.0, 0.0]
+
+
+def test_gateway_caps_the_retry_after_wait(serve):
+    server = serve(_answers((429, {}, {"Retry-After": "86400"}), _OK))
+    sleeps: list[float] = []
+    gateway = Gateway(HttpChatProvider(server.url, "k"), retries=3, sleep=sleeps.append)
+    gateway.complete(request_for("x"))
+    assert sleeps == [RETRY_AFTER_CAP_S]
+
+
+@pytest.mark.parametrize(
+    "status, headers",
+    [
+        (429, {"Retry-After": "Wed, 21 Oct 2026 07:28:00 GMT"}),
+        (503, {"Retry-After": "-5"}),
+        (503, {"Retry-After": "1.5"}),
+        (429, {}),
+        (500, {"Retry-After": "7"}),  # honoured on 429 and 503 alone
+    ],
+)
+def test_gateway_keeps_its_schedule_without_a_delta_seconds_retry_after(serve, status, headers):
+    server = serve(_answers((status, {}, headers), (status, {}, headers), _OK))
+    sleeps: list[float] = []
+    gateway = Gateway(HttpChatProvider(server.url, "k"), retries=3, sleep=sleeps.append)
+    gateway.complete(request_for("x"))
+    assert sleeps == [1.0, 2.0]
 
 
 def test_http_provider_other_status_quotes_the_body(serve):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repodoc.config import ProviderConfig
 from repodoc.doc_pipeline import DocStore
 from repodoc.errors import OverBudgetError, SchedulingError
 from repodoc.prompt_engine import (
@@ -22,6 +23,7 @@ from repodoc.prompt_engine import (
     choose_tier,
     estimate_tokens,
     fit_to_budget,
+    quoted_code,
     render_hierarchy,
     render_prompt,
 )
@@ -210,3 +212,219 @@ def test_reduction_order_drops_caller_snippets_first(demo_repo, caplog):
     assert all(b.snippet is None for b in fitted.caller_blocks)
     assert fitted.caller_blocks  # blocks themselves survived
     assert all(b.snippet is not None for b in fitted.callee_blocks)
+
+
+def _quoted(tmp_path: Path, source: str, object_id: str = "m.py/K") -> str:
+    write_tree(tmp_path, {"m.py": source})
+    return quoted_code(build_repo_graph(tmp_path), object_id)
+
+
+def test_a_class_is_quoted_with_its_decorated_methods_cut_to_their_headers(tmp_path):
+    source = (
+        "class K:\n"
+        "    @property\n"
+        "    @cache(size=2)\n"
+        "    def size(self):\n"
+        "        return 2\n"
+    )
+    assert _quoted(tmp_path, source) == (
+        "class K:\n"
+        "    @property\n"
+        "    @cache(size=2)\n"
+        "    def size(self): ..."
+    )
+
+
+def test_a_multi_line_signature_is_kept_through_its_colon(tmp_path):
+    source = (
+        "class K:\n"
+        "    def run(self, key=lambda x:\n"
+        "            x[1:],\n"
+        "    ) -> dict[str, int]:\n"
+        "        return {}\n"
+    )
+    # the first line ends in ":" too, inside the parentheses
+    assert _quoted(tmp_path, source) == (
+        "class K:\n"
+        "    def run(self, key=lambda x:\n"
+        "            x[1:],\n"
+        "    ) -> dict[str, int]: ..."
+    )
+
+
+def test_a_comment_after_the_colon_goes_with_the_body(tmp_path):
+    source = (
+        "class K:\n"
+        "    def run(self, sep=':'):  # note: not a body\n"
+        "        return sep\n"
+    )
+    assert _quoted(tmp_path, source) == "class K:\n    def run(self, sep=':'): ..."
+
+
+def test_an_async_method_is_cut_to_its_header(tmp_path):
+    source = "class K:\n    async def fetch(self, url):\n        return await get(url)\n"
+    assert _quoted(tmp_path, source) == "class K:\n    async def fetch(self, url): ..."
+
+
+def test_a_nested_class_is_cut_with_its_own_methods(tmp_path):
+    source = (
+        "class K:\n"
+        "    class Inner(Base):\n"
+        '        """Inner doc."""\n'
+        "\n"
+        "        def deep(self):\n"
+        "            return 1\n"
+        "\n"
+        "    def run(self):\n"
+        "        return self.Inner()\n"
+    )
+    assert _quoted(tmp_path, source) == (
+        "class K:\n"
+        "    class Inner(Base): ...\n"
+        "\n"
+        "    def run(self): ..."
+    )
+
+
+def test_a_one_line_child_is_kept_whole(tmp_path):
+    source = (
+        "class K:\n"
+        "    def one(self): return 1\n"
+        "    @staticmethod\n"
+        "    def two(): return 2  # two\n"
+        "    class E(Exception): pass\n"
+        "    def three(self):\n"
+        "        return 3\n"
+    )
+    assert _quoted(tmp_path, source) == (
+        "class K:\n"
+        "    def one(self): return 1\n"
+        "    @staticmethod\n"
+        "    def two(): return 2  # two\n"
+        "    class E(Exception): pass\n"
+        "    def three(self): ..."
+    )
+
+
+def test_class_attributes_docstring_and_comments_are_kept(tmp_path):
+    source = (
+        "@dataclass\n"
+        "class K(Base, metaclass=Meta):\n"
+        '    """K holds a size.\n'
+        "\n"
+        '    def looks_like_code(self): not a child\n'
+        '    """\n'
+        "\n"
+        "    size: int = 3  # the default\n"
+        "    # a comment between methods\n"
+        "    def grow(self, by: int = 1) -> None:\n"
+        "        self.size += by\n"
+        "\n"
+        "    limit = 10\n"
+    )
+    assert _quoted(tmp_path, source) == (
+        "@dataclass\n"
+        "class K(Base, metaclass=Meta):\n"
+        '    """K holds a size.\n'
+        "\n"
+        '    def looks_like_code(self): not a child\n'
+        '    """\n'
+        "\n"
+        "    size: int = 3  # the default\n"
+        "    # a comment between methods\n"
+        "    def grow(self, by: int = 1) -> None: ...\n"
+        "\n"
+        "    limit = 10"
+    )
+
+
+def test_a_class_with_no_child_is_quoted_whole(tmp_path):
+    source = 'class K:\n    """Doc."""\n\n    size = 3\n'
+    assert _quoted(tmp_path, source) == source[:-1]
+
+
+def test_a_function_is_quoted_whole(tmp_path):
+    source = "def f(x):\n    def inner():\n        return x\n    return inner\n"
+    assert _quoted(tmp_path, source, "m.py/f") == source[:-1]
+
+
+def test_form_feeds_and_line_separators_in_a_method_do_not_move_the_cuts(tmp_path):
+    # str.splitlines breaks at both; ast, and so every span, at "\n" alone
+    source = (
+        "class K:\n"
+        "    def a(self, s='\u2028'):\n"
+        "        \f\n"
+        "        return '\u2028x'\n"
+        "\f\n"
+        "    def b(self):\n"
+        "        return 2  # \u2028 here\n"
+    )
+    assert _quoted(tmp_path, source) == (
+        "class K:\n"
+        "    def a(self, s='\u2028'): ...\n"
+        "\f\n"
+        "    def b(self): ..."
+    )
+
+
+def test_a_header_with_non_ascii_text_is_cut_at_its_colon(tmp_path):
+    # tokenized for its comment; the colon's column counts characters
+    source = "class K:\n    def ü(self, s='é→'):  # ü\n        return s\n"
+    assert _quoted(tmp_path, source) == "class K:\n    def ü(self, s='é→'): ..."
+
+
+def test_every_class_skeleton_of_the_email_package_is_python(tmp_path):
+    import ast
+    import email
+    import textwrap
+
+    package = Path(email.__file__).parent
+    for path in package.rglob("*.py"):
+        rel = path.relative_to(package.parent)
+        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / rel).write_bytes(path.read_bytes())
+    graph = build_repo_graph(tmp_path)
+    classes = [oid for oid, obj in graph.objects.items() if obj.kind == "Class"]
+    assert len(classes) > 100
+    for oid in classes:
+        skeleton = quoted_code(graph, oid)
+        ast.parse(textwrap.dedent(skeleton))  # raises on a skeleton that is not Python
+        assert len(skeleton) <= len(graph.objects[oid].snippet) + 4 * len(graph.nodes[oid].children)
+
+
+def test_a_class_callee_is_quoted_as_its_skeleton(labeled_repo):
+    graph, store, _, _ = generate_repo(labeled_repo)
+    prompt = render_prompt(context_for(graph, store, "util/tools.py/Wrapper/__init__"))
+    assert "[Code begin of Engine]\n```\nclass Engine:\n    def __init__(self, size): ...\n" in prompt
+    assert "self.size = size" not in prompt
+    assert "def run(self): ...\n\n    def helper(self): ...\n```" in prompt
+
+
+def test_a_class_that_no_tier_holds_is_quoted_as_its_skeleton(tmp_path, caplog):
+    import logging
+
+    body = "".join(f"        total += {i}\n" for i in range(2998))
+    source = (
+        "class Big:\n"
+        '    """A class with one long method."""\n'
+        "\n"
+        "    def long(self):\n"
+        "        total = 0\n" + body + "        return total\n"
+        "\n"
+        "    def short(self):\n"
+        "        return 1\n"
+    )
+    write_tree(tmp_path, {"big.py": source, "small.py": "class Small:\n    def f(self):\n        return 1\n"})
+    tiers = (ModelTier("only-4k", 4000),)
+    with caplog.at_level(logging.INFO, logger="repodoc.prompt_engine"):
+        _, store, report, gateway = generate_repo(tmp_path, provider=ProviderConfig(tiers=tiers))
+    # the method is its own target and still fails; the class is rescued
+    assert list(report.failures) == ["big.py/Big/long"]
+    assert "big.py/Big" in report.generated
+    assert "budget reduction applied to big.py/Big: quote target class as skeleton" in caplog.text
+    prompt = gateway.provider.prompts[report.generated.index("big.py/Big")]
+    assert "    def long(self): ...\n\n    def short(self): ..." in prompt
+    assert "total += 1\n" not in prompt
+    # a class that fits is quoted whole as a target
+    small = gateway.provider.prompts[report.generated.index("small.py/Small")]
+    assert "class Small:\n    def f(self):\n        return 1\n" in small
