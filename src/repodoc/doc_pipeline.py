@@ -605,7 +605,7 @@ def _node_of(
         raise TypeError(f"{node_id} states no source hash")
     params, has_return = tuple(meta.get("params", ())), bool(meta.get("has_return", False))
     name, parent_id = child_name(node_id), meta["parent_id"]
-    return node, CodeObject(node_id, kind, name, (0, 0), "", params, has_return, parent_id, source_hash)
+    return node, CodeObject(node_id, kind, name, (0, 0, 0), "", params, has_return, parent_id, source_hash)
 
 
 def graph_of(data: dict, record_hashes: Mapping[str, str] | None = None) -> RepoGraph:

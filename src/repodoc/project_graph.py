@@ -704,15 +704,18 @@ def topological_order(graph: RepoGraph, only: Collection[str] | None = None) -> 
 
 
 def graph_to_dot(graph: RepoGraph) -> str:
-    """DOT rendering of the object-level reference graph."""
+    """DOT rendering of the object-level reference graph. Each id is a
+    quoted DOT ID, in which '\\"' is the one escape."""
+
+    def quoted(oid: str) -> str:
+        return '"' + oid.replace('"', '\\"') + '"'
+
     lines = ["digraph repodoc {", "    rankdir=LR;"]
     for oid in sorted(graph.objects):
-        obj = graph.objects[oid]
-        shape = "box" if obj.kind == CLASS else "ellipse"
-        lines.append(f'    "{oid}" [shape={shape}];')
-    for edge in graph.edges:
-        lines.append(f'    "{edge.caller}" -> "{edge.callee}";')
-    for edge in graph.removed_edges:
-        lines.append(f'    "{edge.caller}" -> "{edge.callee}" [style=dashed, color=red, label="removed"];')
+        shape = "box" if graph.objects[oid].kind == CLASS else "ellipse"
+        lines.append(f"    {quoted(oid)} [shape={shape}];")
+    removed = ' [style=dashed, color=red, label="removed"]'
+    for edges, style in ((graph.edges, ""), (graph.removed_edges, removed)):
+        lines += (f"    {quoted(e.caller)} -> {quoted(e.callee)}{style};" for e in edges)
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import logging
 import math
-import tokenize
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .config import ModelTier
@@ -84,7 +83,7 @@ class PromptContext(NamedTuple):
     caller_blocks: tuple[RefBlock, ...]
     child_docs: tuple[tuple[str, str], ...] | None  # None when disabled
     doc_language: str
-    graph: RepoGraph | None = None  # where the last reduction finds a class's skeleton
+    graph: RepoGraph  # where the last reduction finds a class's skeleton
     target_code: str | None = None  # the target's code as quoted; None quotes its snippet
 
 
@@ -169,98 +168,21 @@ def quoted_code(graph: RepoGraph, object_id: str) -> str:
     child definition is cut to its header, decorators and signature through
     the closing ":", followed by " ..."; its body goes, nested definitions
     included. A child whose body starts on the colon's line is kept whole, so
-    the skeleton is still Python. The cuts come from the children's spans in
-    the text that the class shares with them, so no parse is added.
+    the skeleton is still Python. The cuts are the children's spans in the
+    text that the class shares with them, which the parse records.
     """
     obj = graph.objects[object_id]
     children = graph.nodes[object_id].children if obj.kind == CLASS else ()
     if not children:
         return obj.snippet
     text, objects = obj.text, graph.objects
-    (at, end), out = obj.span, []
-    for start, stop in sorted(objects[cid].span for cid in children):
-        cut = _header_end(text, start, stop)
-        if cut is not None:
+    (at, _, end), out = obj.span, []
+    for _, cut, stop in sorted(objects[cid].span for cid in children):
+        if cut < stop:  # the body starts below the header
             out += (text[at:cut], " ...")
             at = stop
     out.append(text[at:end])
     return "".join(out)
-
-
-def _simple_line(line: str) -> bool:
-    """Whether ``line`` holds no comment, continuation or triple quote and
-    balances its brackets, so that it ends where its statement or decorator
-    does."""
-    return (
-        "#" not in line
-        and not line.endswith("\\")
-        and '"""' not in line
-        and "'''" not in line
-        and line.count("(") == line.count(")")
-        and line.count("[") == line.count("]")
-        and line.count("{") == line.count("}")
-    )
-
-
-def _header_end(text: str, start: int, stop: int) -> int | None:
-    """The offset just past the ":" that closes the header of the definition
-    at ``text[start:stop]``, or None when its body starts on that line.
-
-    A header of one-line decorators and one line that ends in ":" is found
-    by string search; any other is tokenized, a line at a time, only as far
-    as the token after its colon.
-    """
-    at = start
-    while True:
-        newline = text.find("\n", at, stop)
-        if newline < 0:
-            return None  # the header and the body end on one line
-        line = text[at:newline].rstrip()
-        head = line.lstrip()
-        if not _simple_line(line):
-            break
-        if head.startswith("@"):
-            at = newline + 1
-        elif head.endswith(":") and head.startswith(("def ", "async def ", "class ")):
-            return at + len(line)
-        else:
-            break
-
-    starts: list[int] = []  # the offset of each line tokenized
-
-    def lines():
-        at = start
-        while at <= stop:
-            starts.append(at)
-            newline = text.find("\n", at, stop)
-            end = stop if newline < 0 else newline
-            yield text[at:end] + "\n"
-            at = end + 1
-
-    depth, header = 0, False
-    tokens = tokenize.generate_tokens(lines().__next__)
-    try:
-        for token in tokens:
-            kind, string = token.type, token.string
-            if kind == tokenize.OP and string in ("(", "[", "{"):
-                depth += 1
-            elif kind == tokenize.OP and string in (")", "]", "}"):
-                depth -= 1
-            elif kind == tokenize.NAME and not depth and string in ("def", "class"):
-                header = True
-            elif kind == tokenize.OP and string == ":" and header and not depth:
-                break
-        else:
-            return None
-        row, col = token.end
-        after = next(tokens)
-        if after.type == tokenize.COMMENT:
-            after = next(tokens)
-    except (tokenize.TokenError, SyntaxError):
-        return None
-    if after.type != tokenize.NEWLINE:
-        return None  # the body starts on the colon's line
-    return starts[row - 1] + col
 
 
 def _block_pieces(block: RefBlock) -> tuple[str, ...]:
@@ -370,8 +292,6 @@ def _drop_child_docs(ctx: PromptContext) -> PromptContext:
 
 
 def _quote_target_skeleton(ctx: PromptContext) -> PromptContext:
-    if ctx.graph is None:
-        return ctx
     code = quoted_code(ctx.graph, ctx.target.id)  # a function's is its snippet
     return ctx if code == ctx.target.snippet else ctx._replace(target_code=code)
 

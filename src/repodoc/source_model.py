@@ -21,6 +21,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import stat
 import sys
 from itertools import accumulate
@@ -43,6 +44,9 @@ FUNCTION = "Function"
 _RECEIVER_NAMES = frozenset({"self", "cls"})
 
 _DEF_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+# what follows a header's ":" when its body starts on a later line
+_BODY_BELOW = re.compile(r"[ \t\f]*[#\n]")
 
 
 def normalize_source(text: str) -> str:
@@ -81,7 +85,10 @@ class CodeObject(NamedTuple):
     id: str
     kind: str  # CLASS or FUNCTION
     name: str
-    span: tuple[int, int]  # character offsets of the snippet in text, end exclusive
+    # character offsets in text: the snippet's start, its header's end (just
+    # past the ":", or the snippet's end when the body starts on that line),
+    # and the snippet's end, exclusive
+    span: tuple[int, int, int]
     text: str
     params: tuple[str, ...]
     has_return: bool
@@ -92,7 +99,7 @@ class CodeObject(NamedTuple):
     def snippet(self) -> str:
         """The definition's lines, decorators included, less the last
         line's newline: a slice of the file's text, taken on each read."""
-        start, end = self.span
+        start, _, end = self.span
         return self.text[start:end]
 
 
@@ -255,19 +262,46 @@ class _Collector(ast.NodeVisitor):
         if node.decorator_list:
             start = min(start, node.decorator_list[0].lineno)
         end = node.end_lineno or start
-        span = (self._starts[start - 1], self._starts[end] - 1)
+        first, stop = self._starts[start - 1], self._starts[end] - 1
         self.objects[slot] = CodeObject(
             id=obj_id,
             kind=kind,
             name=node.name,
-            span=span,
+            span=(first, self._header_end(node, stop), stop),
             text=self._text,
             params=_class_params(node) if kind == CLASS else _function_params(node),
             has_return=has_return,
             parent_id=parent_id,
-            source_hash=source_digest(self._text[span[0] : span[1]]),
+            source_hash=source_digest(self._text[first:stop]),
         )
         return has_return
+
+    def _header_end(self, node: ast.AST, stop: int) -> int:
+        """The offset just past the ":" that ends a definition's header, or
+        ``stop``, its snippet's end, when its body starts on that line.
+
+        The scan starts where the header's last expression ends (or at its
+        keyword, with none), so no string lies ahead of it before the ":",
+        and a "#" there always opens a comment.
+        """
+        if isinstance(node, ast.ClassDef):
+            exprs = [*node.bases, *node.keywords]
+        else:
+            exprs = [*ast.iter_child_nodes(node.args)]
+            if node.returns is not None:
+                exprs.append(node.returns)
+        exprs += getattr(node, "type_params", ())
+        line, col = max(
+            ((e.end_lineno, e.end_col_offset) for e in exprs), default=(node.lineno, node.col_offset)
+        )
+        text, at = self._text, self._starts[line - 1]
+        head = text[at : self._starts[line] - 1]
+        # ast counts columns in UTF-8 bytes
+        at += col if head.isascii() else len(head.encode("utf-8")[:col].decode("utf-8"))
+        while text[at] != ":":
+            at = text.index("\n", at) if text[at] == "#" else at + 1
+        at += 1
+        return at if _BODY_BELOW.match(text, at, stop) else stop
 
     def _forget(self, obj_id: str) -> None:
         """Drop a finished definition with its nested objects, calls and scopes.
@@ -481,11 +515,11 @@ def scan_repository(root: str | Path, ignore: Sequence[str] = ()) -> Sources:
 
 
 def source_text(data: bytes) -> str:
-    """A source file's text: its bytes decoded as UTF-8, undecodable bytes
-    replaced, and line endings made LF, as reading in text mode does. The
-    working tree and the index both go through here, so the same blob always
-    gives the same text."""
-    text = data.decode("utf-8", "replace")
+    """A source file's text: its bytes decoded as UTF-8, a leading byte
+    order mark dropped, undecodable bytes replaced, and line endings made LF,
+    as Python reads a source file. The working tree and the index both go
+    through here, so the same blob always gives the same text."""
+    text = data.decode("utf-8-sig", "replace")
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text
@@ -521,8 +555,9 @@ def write_atomically(path: Path, chunks: Iterable[bytes]) -> None:
 # that the parses cached by an older parser are misses, and so that the hook
 # takes no file from a snapshot that an older parser saved. Version 2 gives
 # source hashes in base64url; version 3 ends lines at "\n" alone, and caches
-# snippet spans as character offsets.
-PARSER_VERSION = 3
+# snippet spans as character offsets; version 4 adds each header's end to
+# the span, and drops a leading byte order mark.
+PARSER_VERSION = 4
 
 
 def parser_identity() -> str:
@@ -631,9 +666,8 @@ def _encode_parse(key: tuple[str, str], parse: FileParse) -> str | None:
             if obj.id != f"{obj.parent_id}/{obj.name}":
                 return None
             index[obj.id] = pos
-            start, end = obj.span
             objects.append(
-                [obj.name, obj.kind, parent, start, end, obj.params, obj.has_return, obj.source_hash]
+                [obj.name, obj.kind, parent, *obj.span, obj.params, obj.has_return, obj.source_hash]
             )
         if list(parse.scopes) != list(index):
             return None
@@ -659,14 +693,16 @@ def _decode_parse(rel: str, text: str, line: str) -> FileParse:
     intern = sys.intern
     ids: list[str] = []
     objects = []
-    for name, kind, parent, start, end, params, has_return, digest in objects_data:
+    for name, kind, parent, start, header_end, end, params, has_return, digest in objects_data:
         name = intern(name)
         parent_id = ids[parent] if parent >= 0 else rel
         obj_id = f"{parent_id}/{name}"
         ids.append(obj_id)
         kind, params = intern(kind), tuple(map(intern, params))
         objects.append(
-            CodeObject(obj_id, kind, name, (start, end), text, params, has_return, parent_id, digest)
+            CodeObject(
+                obj_id, kind, name, (start, header_end, end), text, params, has_return, parent_id, digest
+            )
         )
     calls = [
         CallSite(ids[caller], tuple(map(intern, chain)), lineno)

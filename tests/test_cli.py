@@ -263,6 +263,26 @@ def test_an_update_refused_for_a_parse_error_does_not_say_passed(git_demo_repo, 
     assert "parse errors:\n  broken.py:1: " in out
 
 
+_BOM_FILE = b"\xef\xbb\xbfdef f():\n    return 1\n"  # Python runs it, the mark dropped
+
+
+def test_generate_documents_a_file_that_starts_with_a_byte_order_mark(demo_repo, capsys):
+    (demo_repo / "m.py").write_bytes(_BOM_FILE)
+    code, out, _ = run_cli("generate", "--repo", demo_repo, "--json", capsys=capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["parse_errors"] == []
+    assert "m.py/f" in report["generated"]
+
+
+def test_update_documents_a_staged_file_that_starts_with_a_byte_order_mark(git_demo_repo, capsys):
+    (git_demo_repo / "m.py").write_bytes(_BOM_FILE)
+    git(git_demo_repo, "add", "-A")
+    code, out, _ = run_cli("update", "--repo", git_demo_repo, "--json", capsys=capsys)
+    assert code == 0
+    assert "m.py/f" in json.loads(out)["run"]["generated"]
+
+
 def test_publish_requires_store(demo_repo, capsys):
     code, _, err = run_cli("publish", "--repo", demo_repo, capsys=capsys)
     assert code == 1

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -389,7 +390,7 @@ def test_graph_dict_roundtrip(demo_repo):
     assert clone.callers("a.py/g") == graph.callers("a.py/g")
     # texts and spans are intentionally not persisted; the rest is rebuilt
     for oid, obj in graph.objects.items():
-        assert clone.objects[oid] == obj._replace(span=(0, 0), text="")
+        assert clone.objects[oid] == obj._replace(span=(0, 0, 0), text="")
 
 
 def test_children_stored_by_name_read_back_as_ids(tmp_path):
@@ -538,6 +539,17 @@ def test_graph_to_dot_smoke(demo_repo):
     assert dot.startswith("digraph")
     assert '"a.py/g" -> "a.py/f";' in dot
     assert '"a.py/C" [shape=box];' in dot
+
+
+def test_graph_to_dot_escapes_a_quote_in_an_id(tmp_path):
+    write_tree(tmp_path, {'a"b.py': "def f():\n    return g()\n\n\ndef g():\n    return 1\n"})
+    dot = graph_to_dot(build_repo_graph(tmp_path))
+    assert '    "a\\"b.py/f" [shape=ellipse];\n' in dot
+    assert '    "a\\"b.py/f" -> "a\\"b.py/g";\n' in dot
+    # every statement line is quoted IDs, each closed where it should be
+    quoted_id = r'"(?:[^"\\]|\\")*"'
+    statement = re.compile(rf"    {quoted_id}(?: -> {quoted_id})?(?: \[[^\]]*\])?;")
+    assert all(statement.fullmatch(line) for line in dot.splitlines()[2:-1])
 
 
 def test_build_graph_collects_parse_errors(tmp_path):

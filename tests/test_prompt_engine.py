@@ -156,17 +156,10 @@ def _fat_context(demo_repo) -> PromptContext:
     graph, store, _, _ = generate_repo(demo_repo)
     ctx = context_for(graph, store, "a.py/g")
     fat = "#" * 4000
-    return PromptContext(
-        target=ctx.target,
-        hierarchy_render=ctx.hierarchy_render,
-        callee_blocks=tuple(
-            RefBlock(id=b.id, doc=b.doc, snippet=fat) for b in ctx.callee_blocks
-        ),
-        caller_blocks=tuple(
-            RefBlock(id=b.id, doc=b.doc, snippet=fat) for b in ctx.caller_blocks
-        ),
+    return ctx._replace(
+        callee_blocks=tuple(b._replace(snippet=fat) for b in ctx.callee_blocks),
+        caller_blocks=tuple(b._replace(snippet=fat) for b in ctx.caller_blocks),
         child_docs=None,
-        doc_language=ctx.doc_language,
     )
 
 

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
 import ast
+import importlib.util
+import os
+import sys
+import sysconfig
 import textwrap
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -20,14 +25,16 @@ from repodoc.source_model import (
     parse_repository,
     scan_repository,
     source_digest,
+    source_text,
 )
 
+from .header_oracle import header_end
 from .helpers import DEMO_FILES, LABELED_FILES, ORDER_FILES, write_tree
 
 
 def line_span(obj) -> tuple[int, int]:
     """An object's first and last line, 1-based, counted in its text."""
-    start, end = obj.span
+    start, _, end = obj.span
     first = obj.text.count("\n", 0, start) + 1
     return first, first + obj.text.count("\n", start, end)
 
@@ -518,3 +525,106 @@ def test_snippets_are_the_lines_of_each_definition():
             assert obj.snippet == expected[obj.name, line_span(obj)[0]], obj.id
             checked += 1
     assert checked > 30
+
+
+# -- header ends -------------------------------------------------------------------
+
+# (source of a class K with one child, the child's header through its ":", or
+# None when its body starts on the colon's line and it is kept whole)
+_HEADER_CASES = {
+    "hash-colon-default": (
+        "class K:\n    def f(self, a='#:'):  # c: d\n        return a\n",
+        "    def f(self, a='#:'):",
+    ),
+    "lambda-default": (
+        "class K:\n    def f(self, key=lambda x: x[1:]):\n        return key\n",
+        "    def f(self, key=lambda x: x[1:]):",
+    ),
+    "comment-in-parentheses": (
+        "class K:\n    def f(\n        self,  # the receiver: here\n"
+        "        a,  # (a: b\n    ):\n        pass\n",
+        "    def f(\n        self,  # the receiver: here\n        a,  # (a: b\n    ):",
+    ),
+    "string-annotation": (
+        "class K:\n    def f(self, a: 'x: #y') -> \"T # :\":\n        pass\n",
+        "    def f(self, a: 'x: #y') -> \"T # :\":",
+    ),
+    "class-keywords": (
+        "class K:\n    class E(Base, metaclass=M, **{'a:': 1}):  # E: e\n        pass\n",
+        "    class E(Base, metaclass=M, **{'a:': 1}):",
+    ),
+    "no-parameters": (
+        "class K:\n    @staticmethod\n    def f() :\n        pass\n    # after\n",
+        "    @staticmethod\n    def f() :",
+    ),
+    "no-bases": (
+        "class K:\n    class E :  # E: e\n        pass\n",
+        "    class E :",
+    ),
+    "continuation-after-colon": ("class K:\n    def f(self): \\\n        return 1\n", None),
+    "last-line-no-newline": ("class K:\n    def f(self):\n        return 1", "    def f(self):"),
+    "last-line-no-newline-whole": ("class K:\n    def f(self): return 1", None),
+    "non-ascii-names": (
+        "class K:\n    def f(self, ü: 'é→' = 'ñ', *ß):  # ü\n        return ü\n",
+        "    def f(self, ü: 'é→' = 'ñ', *ß):",
+    ),
+}
+
+
+def _class_children(parse):
+    classes = {obj.id for obj in parse.objects if obj.kind == CLASS}
+    return [obj for obj in parse.objects if obj.parent_id in classes]
+
+
+def _check_header(text: str, expected: str | None) -> None:
+    (child,) = _class_children(parse_file("m.py", text))
+    start, cut, stop = child.span
+    assert cut == header_end(text, start, stop)
+    assert text[start:cut] == (child.snippet if expected is None else expected)
+
+
+@pytest.mark.parametrize("case", _HEADER_CASES)
+def test_a_header_ends_just_past_its_colon(case):
+    _check_header(*_HEADER_CASES[case])
+
+
+@pytest.mark.skipif(sys.version_info < (3, 12), reason="PEP 695 type parameters")
+def test_a_header_with_type_parameters_ends_just_past_its_colon():
+    _check_header(
+        "class K:\n    def f[T: (int, str), *Ts, **P](self, x: T):  # T: t\n        pass\n",
+        "    def f[T: (int, str), *Ts, **P](self, x: T):",
+    )
+    _check_header(
+        "class K:\n    class E[T: int, *Ts] :\n        pass\n", "    class E[T: int, *Ts] :"
+    )
+
+
+def _cuts_checked(root: Path) -> int:
+    """Compare every class child's header end under ``root`` with the
+    oracle's; returns the number compared."""
+    checked = 0
+    for path in sorted(root.rglob("*.py")):
+        if "site-packages" in path.parts or not path.is_file():
+            continue
+        text = source_text(path.read_bytes())
+        for child in _class_children(parse_file("m.py", text)):  # none when it does not parse
+            start, cut, stop = child.span
+            assert cut == header_end(text, start, stop), (str(path), child.id)
+            checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("package", ["email", "asyncio", "idlelib"])
+def test_header_ends_match_the_tokenize_oracle_on_a_stdlib_package(package):
+    spec = importlib.util.find_spec(package)
+    if spec is None or not spec.submodule_search_locations:
+        pytest.skip(f"no {package} package")
+    assert _cuts_checked(Path(spec.submodule_search_locations[0])) > 100
+
+
+@pytest.mark.skipif(
+    not os.environ.get("REPODOC_TEST_STDLIB_CUTS"),
+    reason="the whole stdlib takes about half a minute; set REPODOC_TEST_STDLIB_CUTS=1",
+)
+def test_header_ends_match_the_tokenize_oracle_on_the_whole_stdlib():
+    assert _cuts_checked(Path(sysconfig.get_paths()["stdlib"])) > 10_000
