@@ -1,9 +1,10 @@
 """Incremental doc maintenance driven by Git staged changes.
 
-The update flow diffs the staged object inventory against the stored graph
-snapshot, regenerates only what a trigger selects, and stages the refreshed
-pages and store so they land in the same commit. A pre-commit hook wires the
-flow into every commit.
+One pipeline, ``document``, serves ``generate`` on the working tree and
+``update`` on the index: it diffs the object inventory against the stored
+graph snapshot and regenerates only what a trigger selects. ``update`` then
+stages the refreshed pages and store so they land in the same commit. A
+pre-commit hook wires the flow into every commit.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .doc_pipeline import (
     stale_objects,
 )
 from .errors import LockError, NotAGitRepoError, StoreWriteError, UsageError
-from .markdown_publisher import write_site
+from .markdown_publisher import SUMMARY_NAME, page_path_for, write_site
 from .project_graph import ChangeSet, RepoGraph, add_snippets, diff_objects, source_graph
 from .source_model import ParseCache, Sources, is_source, source_text
 
@@ -269,9 +270,10 @@ def _update_lock(directory: Path):
 
 
 class UpdateReport:
-    """Outcome of one staged-changes update."""
+    """Outcome of one ``document`` run: of a staged-changes update, or of a
+    ``generate``, which stages nothing."""
 
-    def __init__(self, staged: StagedChanges, plan=UpdatePlan(), run=None) -> None:
+    def __init__(self, staged=StagedChanges(), plan=UpdatePlan(), run=None) -> None:
         self.staged = staged
         self.plan: UpdatePlan = plan
         self.run: RunReport = RunReport() if run is None else run
@@ -318,58 +320,69 @@ class UpdateReport:
         }
 
 
-def run_update(gateway: "Gateway | None", config: "Config", jobs: int) -> UpdateReport:
-    """Regenerate docs for staged changes and stage the results.
+def document(
+    config: "Config", sources: Sources, repo_git: Path | None, jobs: int, gateway: "Gateway | None" = None
+) -> tuple[RepoGraph, DocStore, UpdateReport]:
+    """The one pipeline of ``generate`` and ``update``: document ``sources``,
+    of the working tree or the index, and close them; the caller saves the
+    graph and store returned. ``source_graph`` takes the files whose blob is
+    the recorded snapshot's from it, and ``diff_objects`` compares the graph
+    with it once. The pending objects are the ``stale_objects`` among the
+    ids the plan regenerates, the store's ``outdated_docs`` among them, as a
+    failed run leaves them; they alone are quoted, requested and generated.
+    Without ``gateway``, one is built once an object is pending, so a run
+    that regenerates nothing needs no API key. A top-level ``SUMMARY.py`` is
+    refused first: its page would be the table of contents."""
+    try:
+        clash = [path for path in sources.blobs if page_path_for(path) == SUMMARY_NAME]
+        if clash:
+            raise UsageError(
+                f"{clash[0]} would be published as {SUMMARY_NAME}, the table of contents; "
+                "add it to ignore in the config"
+            )
+        store = load_store(config.repo_root / config.store_path, repo_git)
+        cache = ParseCache(repo_git)
+        graph, taken = source_graph(sources, cache, store.graph_snapshot, reuse=store.recorded)
+        changes = diff_objects(store.graph_snapshot, graph)
+        plan = plan_updates(changes, outdated_docs(store))
+        pending = stale_objects(graph, store, changes, plan.regenerate_ids)
+        if gateway is None and pending:
+            gateway = build_gateway(config)
+        add_snippets(graph, sources, cache, taken, pending)
+    finally:
+        sources.close()
+    cache.save()
+    run = generate_all(graph, gateway, store, config, jobs, pending, changes)
+    report = UpdateReport(plan=plan, run=run)
+    report.parse_errors = list(graph.parse_errors)
+    report.diagnostics = graph.diagnostics
+    report.parsed_files, report.reused_files = cache.parsed, len(taken)
+    return graph, store, report
 
-    The graph of the index is built by ``source_graph``, which takes the
-    files whose staged blob is the recorded snapshot's from that snapshot.
-    The plan also names the store's ``outdated_docs``, as a failed
-    ``generate`` leaves them. The pending objects are the ``stale_objects``
-    among the ids the plan regenerates; they alone are quoted, requested and
-    generated. Without ``gateway``, one is built from ``config`` once an
-    object is pending, so a commit that regenerates nothing needs no API
-    key. Nothing is written to the store or the pages unless the report is
-    ``ok``, so a failed generation leaves the repository exactly as it was
-    and the commit can be retried; an outdated doc that fails again is
-    reported, keeps its record, and is tried again on the next run. A staged
-    file that fails to parse is different: its docs are written and staged,
-    and the command then exits with the parse-error code, which refuses the
-    commit with those docs left in the index (ROADMAP direction 4).
+
+def run_update(gateway: "Gateway | None", config: "Config", jobs: int) -> UpdateReport:
+    """Regenerate docs for staged changes (``document`` of the index) and
+    stage the results. Nothing is written unless the report is ``ok``, so a
+    failed generation leaves the repository as it was and the commit can be
+    retried; an outdated doc that fails again is reported, keeps its record,
+    and is tried again on the next run. A staged file that fails to parse is
+    different: its docs are written and staged, and the command then exits
+    with the parse-error code, which refuses the commit with those docs left
+    in the index (ROADMAP direction 4).
     """
     repo_root = config.repo_root
     repo_git = require_git_repo(repo_root)
-    store_path = repo_root / config.store_path
     with _update_lock(repo_git):
         staged = staged_changes(repo_root, config.ignore)
         if not staged:
-            return UpdateReport(staged=staged)
-        cache = ParseCache(repo_git)
-
-        store = load_store(store_path, repo_git)
-        snapshot = store.graph_snapshot
+            return UpdateReport(staged)
         sources = read_staged_text(repo_root, config.ignore)
-        try:
-            graph, taken = source_graph(sources, cache, snapshot, reuse=store.recorded)
-            changes = diff_objects(snapshot, graph)
-            plan = plan_updates(changes, outdated_docs(store))
-            pending = stale_objects(graph, store, changes, plan.regenerate_ids)
-            if gateway is None and pending:
-                gateway = build_gateway(config)
-            add_snippets(graph, sources, cache, taken, pending)
-        finally:
-            sources.close()
-        cache.save()
-
-        run = generate_all(graph, gateway, store, config, jobs, pending, changes)
-        report = UpdateReport(staged, plan, run)
-        report.parse_errors = list(graph.parse_errors)
-        report.diagnostics = graph.diagnostics
-        report.parsed_files, report.reused_files = cache.parsed, len(taken)
+        graph, store, report = document(config, sources, repo_git, jobs, gateway)
+        report.staged = staged
         if not report.ok:
             # leave store and pages untouched; the commit stays blocked
             return report
-
-        doc_dir = repo_root / config.doc_dir
+        store_path, doc_dir = repo_root / config.store_path, repo_root / config.doc_dir
         report.written_pages = persist(graph, store, store_path, doc_dir, repo_git)
         _stage(repo_root, config.doc_dir, config.store_path)
         return report

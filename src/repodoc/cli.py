@@ -17,9 +17,9 @@ import sys
 from itertools import islice
 from pathlib import Path
 
-from .change_tracker import _update_lock, git_dir, install_hook, persist, run_update
-from .config import api_key, build_gateway, load_config
-from .doc_pipeline import generate_all, graph_dict, load_store, stale_objects
+from .change_tracker import _update_lock, document, git_dir, install_hook, persist, run_update
+from .config import api_key, load_config
+from .doc_pipeline import graph_dict, load_store
 from .errors import (
     CorruptStoreError,
     NotAGitRepoError,
@@ -28,7 +28,7 @@ from .errors import (
     StoreWriteError,
     UsageError,
 )
-from .project_graph import add_snippets, diff_objects, graph_to_dot, source_graph
+from .project_graph import graph_to_dot, source_graph
 from .source_model import ParseCache, scan_repository
 
 logger = logging.getLogger(__name__)
@@ -133,43 +133,29 @@ def cmd_generate(args) -> int:
     store_path = config.repo_root / config.store_path
     repo_git = git_dir(config.repo_root)
     with _update_lock(repo_git or store_path.parent):
-        store = load_store(store_path, repo_git)
         sources = scan_repository(config.repo_root, config.ignore)
-        cache = ParseCache(repo_git)
-        graph, taken = source_graph(sources, cache, store.graph_snapshot, reuse=store.recorded)
-        changes = diff_objects(store.graph_snapshot, graph)
-        stale = stale_objects(graph, store, changes)
-        add_snippets(graph, sources, cache, taken, stale)
-        cache.save()
-        gateway = build_gateway(config) if stale else None
-        report = generate_all(graph, gateway, store, config, args.jobs, stale, changes)
+        graph, store, report = document(config, sources, repo_git, args.jobs)
         # partial progress is kept even when some objects failed
-        doc_dir = config.repo_root / config.doc_dir
-        pages = persist(graph, store, store_path, doc_dir, repo_git)
-    parse_errors, diagnostics = graph.parse_errors, graph.diagnostics
+        pages = persist(graph, store, store_path, config.repo_root / config.doc_dir, repo_git)
     # let go of the texts, the graph and the store, whose memory the
     # report's lines then take, so that writing the report adds no peak
     del sources, graph, store
+    run = report.run
     if args.json:
+        # the report of update, the run's fields at the top and no staging
         payload = report.to_dict()
-        payload["pages_written"] = pages
-        payload["parsed_files"] = cache.parsed
-        payload["reused_files"] = len(taken)
-        payload["parse_errors"] = parse_errors
-        payload["diagnostics"] = [str(d) for d in diagnostics]
+        payload.update(payload.pop("run"), pages_written=pages)
+        for key in ("staged", "plan", "written_pages"):
+            del payload[key]
         _write_json(payload)
     else:
         print(
-            f"generated {len(report.generated)} objects, skipped {len(report.skipped)}, "
+            f"generated {len(run.generated)} objects, skipped {len(run.skipped)}, "
             f"{len(pages)} pages written"
         )
-        _print_list("parse errors", parse_errors)
-        _print_list("failures", (f"{k}: {v}" for k, v in sorted(report.failures.items())))
-    if report.failures:
-        return EXIT_GENERATION_FAILED
-    if parse_errors:
-        return EXIT_PARSE_ERRORS
-    return EXIT_OK
+        _print_list("parse errors", report.parse_errors)
+        _print_list("failures", (f"{k}: {v}" for k, v in sorted(run.failures.items())))
+    return _exit_code(bool(run.failures), report.parse_errors)
 
 
 def cmd_update(args) -> int:
@@ -186,11 +172,14 @@ def cmd_update(args) -> int:
     else:
         print(report.summary_line())
         _print_list("outdated docs still failing", failures)
-    if not report.ok:
+    return _exit_code(not report.ok, report.parse_errors)
+
+
+def _exit_code(failed: bool, parse_errors: list[str]) -> int:
+    """Failed generation outranks source files that failed to parse."""
+    if failed:
         return EXIT_GENERATION_FAILED
-    if report.parse_errors:
-        return EXIT_PARSE_ERRORS
-    return EXIT_OK
+    return EXIT_PARSE_ERRORS if parse_errors else EXIT_OK
 
 
 def cmd_install_hook(args) -> int:

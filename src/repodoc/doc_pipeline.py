@@ -805,20 +805,17 @@ def outdated_docs(store: DocStore) -> list[str]:
 
 
 def stale_objects(
-    graph: RepoGraph, store: DocStore, changes: ChangeSet, only: Iterable[str] | None = None
+    graph: RepoGraph, store: DocStore, changes: ChangeSet, only: Iterable[str]
 ) -> set[str]:
-    """The pending objects of ``graph`` among ``only``, by default among
-    those that can be pending: the added and modified ones, the ends of the
-    kept edges that changed, and the ``outdated_docs`` of the store.
-    ``changes`` is ``diff_objects`` of the store's snapshot and ``graph``.
+    """The pending objects of ``graph`` among ``only``, the ids that the
+    plan regenerates (``change_tracker.plan_updates``). ``changes`` is
+    ``diff_objects`` of the store's snapshot and ``graph``.
 
     An object is pending when there is no snapshot, it has no record, its
     record carries another source hash, or it is an end of a kept edge that
     changed: its doc is made from its source, callers and callees."""
     old, records, objects = store.graph_snapshot, store.records, graph.objects
     touched = changes.touched
-    if only is None:
-        only = {*changes.added, *changes.modified, *touched, *outdated_docs(store)}
     return {
         oid
         for oid in only
@@ -900,10 +897,10 @@ def generate_all(
 
     The caller decides the run's work: ``changes`` is ``diff_objects`` of
     the store's snapshot and ``graph``, and ``pending`` is ``stale_objects``
-    of both, among all objects for ``generate`` and among the ids its plan
-    regenerates for ``update``. The other objects are skipped without any
-    gateway call, and listed sorted by id. Failures are recorded and do not
-    stop the run; dependents see "None" for a failed prerequisite.
+    of both, among the ids the plan regenerates (``change_tracker.document``,
+    for ``generate`` and ``update`` alike). The other objects are skipped
+    without any gateway call, and listed sorted by id. Failures are recorded
+    and do not stop the run; dependents see "None" for a failed prerequisite.
 
     An object is dispatched once all of its pending callees and children
     have finished, the smallest id of those ready first (``kahn``), to at

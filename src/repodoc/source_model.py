@@ -391,7 +391,7 @@ def parse_file(path: str, text: str) -> FileParse:
     Its objects hold ``text`` itself. Syntax errors yield a FileParse with
     no objects."""
     try:
-        tree = ast.parse(text)
+        tree = ast.parse(text, filename=path)
     except (SyntaxError, ValueError, RecursionError) as exc:
         lineno = getattr(exc, "lineno", None)
         where = f"{path}:{lineno}" if lineno else path

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repodoc import change_tracker, cli
+from repodoc import change_tracker
 from repodoc.change_tracker import (
     HOOK_MARKER,
     LOCAL_HOOK_NAME,
@@ -608,7 +608,7 @@ def test_update_regenerates_a_doc_that_a_failed_generate_left_outdated(git_demo_
     (git_demo_repo / "a.py").write_text(A_F_EDITED, encoding="utf-8")
     with monkeypatch.context() as patch:
         failing = Gateway(FailingProvider(frozenset({"f"})), retries=0)
-        patch.setattr(cli, "build_gateway", lambda config: failing)
+        patch.setattr(change_tracker, "build_gateway", lambda config: failing)
         # the snapshot takes the new f, its record keeps the doc of the old
         assert main(["generate", "--repo", str(git_demo_repo)]) == 3
     git(git_demo_repo, "add", "-A")

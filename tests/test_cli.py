@@ -102,7 +102,7 @@ def test_generate_with_parse_error_exits_2(demo_repo, capsys):
 
 def test_generate_provider_failure_exits_3(demo_repo, capsys, monkeypatch):
     monkeypatch.setattr(
-        "repodoc.cli.build_gateway",
+        "repodoc.change_tracker.build_gateway",
         lambda config: Gateway(FailingProvider(), retries=0),
     )
     code, out, _ = run_cli("generate", "--repo", demo_repo, capsys=capsys)
@@ -114,7 +114,7 @@ def test_generate_provider_failure_exits_3(demo_repo, capsys, monkeypatch):
 def test_failures_outrank_parse_errors(demo_repo, capsys, monkeypatch):
     (demo_repo / "broken.py").write_text("def oops(:\n", encoding="utf-8")
     monkeypatch.setattr(
-        "repodoc.cli.build_gateway",
+        "repodoc.change_tracker.build_gateway",
         lambda config: Gateway(FailingProvider(), retries=0),
     )
     code, _, _ = run_cli("generate", "--repo", demo_repo, capsys=capsys)
@@ -187,6 +187,26 @@ def test_a_doc_dir_at_the_root_is_refused_before_anything_is_written(git_demo_re
     assert sorted(git_demo_repo.rglob("*")) == before
     assert (git_demo_repo / "README.md").read_text(encoding="utf-8") == "# demo\n"
     git(git_demo_repo, "status")
+
+
+@pytest.mark.parametrize("command", ["generate", "update"])
+def test_a_top_level_summary_py_is_refused_until_it_is_ignored(git_demo_repo, capsys, command):
+    # its page would be SUMMARY.md, the table of contents
+    (git_demo_repo / "SUMMARY.py").write_text("def f():\n    return 1\n", encoding="utf-8")
+    git(git_demo_repo, "add", "-A")
+    code, _, err = run_cli(command, "--repo", git_demo_repo, capsys=capsys)
+    assert code == 1
+    assert "SUMMARY.py" in err and "ignore" in err
+    assert not (git_demo_repo / STORE_REL).exists()
+    assert not (git_demo_repo / "markdown_docs").exists()
+
+    (git_demo_repo / ".repodoc.json").write_text('{"ignore": ["SUMMARY.py"]}', encoding="utf-8")
+    code, out, err = run_cli(command, "--repo", git_demo_repo, "--json", capsys=capsys)
+    assert (code, err) == (0, "")
+    pages = json.loads(out)["pages_written" if command == "generate" else "written_pages"]
+    assert sorted(pages) == ["SUMMARY.md", "a.md", "util/b.md"]
+    summary = (git_demo_repo / "markdown_docs" / "SUMMARY.md").read_text(encoding="utf-8")
+    assert summary.startswith("# Summary\n") and "SUMMARY.py" not in summary
 
 
 def test_a_file_name_that_is_not_utf8_is_skipped(git_demo_repo, capsys):

@@ -4,7 +4,9 @@ Each step of an edit sequence changes the repository, staged for ``update``
 or in the working tree for ``generate``, then runs the command twice on twin
 copies of the repository: once as shipped, which takes the unchanged files
 from the snapshot when it may, and once with every file parsed and resolved.
-Graph, parse errors, prompts, report, pages and store must agree.
+Graph, parse errors, prompts, report, pages and store must agree. The same
+edits replayed through ``generate`` and ``update`` on twin repositories must
+regenerate the same objects from the same prompts.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import sys
 
 import pytest
 
-from repodoc import change_tracker, cli, doc_pipeline, markdown_publisher, project_graph, source_model
+from repodoc import change_tracker, doc_pipeline, markdown_publisher, project_graph, source_model
 from repodoc.cli import main
 from repodoc.config import load_config
 from repodoc.doc_pipeline import SNAPSHOT_DIGEST_NAME, graph_dict
@@ -131,8 +133,8 @@ def _generate(repo, monkeypatch, capsys, *, full: bool, fail: frozenset[str] = f
     gateway = make_gateway(fail)
     capsys.readouterr()
     with monkeypatch.context() as patch:
-        built = _recording(patch, cli, full=full)
-        patch.setattr(cli, "build_gateway", lambda config: gateway)
+        built = _recording(patch, change_tracker, full=full)
+        patch.setattr(change_tracker, "build_gateway", lambda config: gateway)
         code = main(["generate", "--repo", str(repo), "--json"])
     return code, json.loads(capsys.readouterr().out), built[0], gateway.provider.prompts
 
@@ -216,6 +218,36 @@ def test_generate_fast_path_matches_the_full_rebuild_after_every_edit(
         _assert_prerequisites_first(fast["generated"], fast_graph, name)
         assert _outputs(repo) == _outputs(twin), name
         shutil.rmtree(twin)
+
+
+def test_generate_and_update_regenerate_the_same_objects_after_every_edit(
+    tmp_path, monkeypatch, capsys
+):
+    # twin repositories: one documented by generate from the working tree,
+    # the other by update from the index, with each edit staged
+    by_generate, by_update = tmp_path / "generate", tmp_path / "update"
+    for repo in (by_generate, by_update):
+        _init_repo(repo)
+        git(repo, "add", "-A")
+    assert _generate(by_generate, monkeypatch, capsys, full=False)[0] == 0
+    assert _update(by_update, monkeypatch, full=False)[0].ok
+    for repo in (by_generate, by_update):
+        git(repo, "add", "-A")
+        git(repo, "commit", "-qm", "seed")
+
+    for name, edit, _ in STEPS:
+        for repo in (by_generate, by_update):
+            edit(repo)
+        git(by_update, "add", "-A")
+        code, generated, _, generate_prompts = _generate(by_generate, monkeypatch, capsys, full=False)
+        updated, _, update_prompts = _update(by_update, monkeypatch, full=False)
+        assert updated.ok and code == (2 if updated.parse_errors else 0), name
+        assert generated["generated"] == updated.run.generated, name
+        assert generate_prompts == update_prompts, name
+        assert _outputs(by_generate) == _outputs(by_update), name
+        for repo in (by_generate, by_update):
+            git(repo, "add", "-A")
+            git(repo, "commit", "-qm", name)
 
 
 def _run(command, repo, monkeypatch, capsys, *, full: bool, fail: frozenset[str]):

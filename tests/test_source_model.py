@@ -7,6 +7,7 @@ import sys
 import sysconfig
 import textwrap
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -90,6 +91,16 @@ def test_parse_error_is_reported_not_raised():
     assert parse.objects == []
     assert parse.parse_error is not None
     assert parse.parse_error.startswith("bad.py:1:")
+
+
+def test_a_parse_warning_names_its_file():
+    # an invalid escape: a DeprecationWarning before Python 3.12, a
+    # SyntaxWarning since
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        parse = parse_file("pkg/esc.py", 'def f():\n    return "\\("\n')
+    assert [o.id for o in parse.objects] == ["pkg/esc.py/f"]
+    assert caught and {w.filename for w in caught} == {"pkg/esc.py"}
 
 
 def test_duplicate_definition_last_wins():
