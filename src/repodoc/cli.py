@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 1 usage or configuration problems, 2 completed with
 source files that failed to parse, 3 generation failures (provider errors or
-prompts that cannot fit any context window), 4 not a Git repository. A
-reader that closes the output pipe early also gives 1, with no traceback.
+prompts that cannot fit any context window), 4 not a Git repository, 130
+interrupted (Ctrl-C), with one line and no traceback: the requests in
+flight finish, and an interrupt during generation saves nothing. A reader
+that closes the output pipe early also gives 1, with no traceback.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ EXIT_USAGE = 1
 EXIT_PARSE_ERRORS = 2
 EXIT_GENERATION_FAILED = 3
 EXIT_NOT_A_REPO = 4
+EXIT_INTERRUPTED = 130
 
 
 class _Parser(argparse.ArgumentParser):
@@ -294,6 +297,11 @@ def _main(argv) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a reader that left early is seen here, not at exit
         return code
+    except KeyboardInterrupt:
+        # generate_all let the requests in flight finish; the store and pages
+        # are saved only after it returns
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     except BrokenPipeError:
         # the reader closed the pipe: send what is still buffered nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

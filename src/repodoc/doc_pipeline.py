@@ -912,7 +912,10 @@ def generate_all(
     ``project_graph.topo``. A cycle left among the pending ids is an
     ``InternalError``. Workers only generate; this thread records every
     outcome. The settings of each request are read from ``config``, and
-    ``gateway`` may be None when no object is pending.
+    ``gateway`` may be None when no object is pending. An interrupt
+    (``KeyboardInterrupt``) dispatches nothing more: the requests in flight
+    finish through the pool's shutdown, and it propagates, store untouched
+    on disk.
 
     The records of objects the graph no longer holds are dropped. The store
     is marked changed when a doc was recorded or dropped, or when the graph

@@ -6,9 +6,11 @@ name, the target code, callee blocks, caller blocks, optional child docs, the
 standard output format, and formatting rules. Token budgets are enforced by a
 fixed sequence of content reductions.
 
-A class in a callee or caller block is quoted as its skeleton
-(``quoted_code``): each of its methods is an object with a doc of its own.
-RepoAgent quotes it whole.
+A class is quoted as its skeleton (``quoted_code``), since each of its
+methods is an object with a doc of its own: in a callee or caller block with
+every method cut to its header, and as the target with its ``__init__`` kept
+whole, the body that assigns the attributes its doc lists. RepoAgent quotes
+both whole.
 """
 
 from __future__ import annotations
@@ -78,13 +80,13 @@ class PromptContext(NamedTuple):
     """Everything render_prompt needs for one target object."""
 
     target: CodeObject
+    target_code: str  # the target's code as quoted (``quoted_code``)
     hierarchy_render: str
     callee_blocks: tuple[RefBlock, ...]
     caller_blocks: tuple[RefBlock, ...]
     child_docs: tuple[tuple[str, str], ...] | None  # None when disabled
     doc_language: str
     graph: RepoGraph  # where the last reduction finds a class's skeleton
-    target_code: str | None = None  # the target's code as quoted; None quotes its snippet
 
 
 def render_hierarchy(graph: RepoGraph, object_id: str, *, include_children: bool = True) -> str:
@@ -119,7 +121,8 @@ def assemble_context(
     All callees (and children when enabled) must already have doc records in
     the store, except ids listed in ``allow_missing`` whose docs render as
     "None". Caller docs are optional and render as "None" when absent. Blocks
-    are ordered lexicographically by id.
+    are ordered lexicographically by id. A class target is quoted as its
+    skeleton with its ``__init__`` whole, a function as its snippet.
     """
     obj = graph.objects.get(object_id)
     if obj is None:
@@ -154,30 +157,34 @@ def assemble_context(
         child_docs = tuple(
             (cid, _required_doc(cid)) for cid in graph.object_children(object_id)
         )
+    code = quoted_code(graph, object_id, keep="__init__")
     hierarchy = render_hierarchy(graph, object_id)
     return PromptContext(
-        obj, hierarchy, callee_blocks, caller_blocks, child_docs, doc_language, graph
+        obj, code, hierarchy, callee_blocks, caller_blocks, child_docs, doc_language, graph
     )
 
 
-def quoted_code(graph: RepoGraph, object_id: str) -> str:
-    """The code a prompt quotes for an object in a callee or caller block.
+def quoted_code(graph: RepoGraph, object_id: str, keep: str | None = None) -> str:
+    """The code a prompt quotes for an object.
 
     A function is quoted whole. A class is quoted as its skeleton: its own
     lines (header, docstring, attributes, comments) stay, and each direct
-    child definition is cut to its header, decorators and signature through
-    the closing ":", followed by " ..."; its body goes, nested definitions
-    included. A child whose body starts on the colon's line is kept whole, so
-    the skeleton is still Python. The cuts are the children's spans in the
-    text that the class shares with them, which the parse records.
+    child definition but the one named ``keep`` is cut to its header,
+    decorators and signature through the closing ":", followed by " ...";
+    its body goes, nested definitions included. A child whose body starts on
+    the colon's line is kept whole, so the skeleton is still Python. The cuts
+    are the children's spans in the text that the class shares with them,
+    which the parse records. A callee or caller keeps no child whole; a
+    target keeps its ``__init__`` (``assemble_context``).
     """
     obj = graph.objects[object_id]
     children = graph.nodes[object_id].children if obj.kind == CLASS else ()
     if not children:
         return obj.snippet
     text, objects = obj.text, graph.objects
+    kept = None if keep is None else f"{object_id}/{keep}"
     (at, _, end), out = obj.span, []
-    for _, cut, stop in sorted(objects[cid].span for cid in children):
+    for _, cut, stop in sorted(objects[cid].span for cid in children if cid != kept):
         if cut < stop:  # the body starts below the header
             out += (text[at:cut], " ...")
             at = stop
@@ -223,7 +230,7 @@ def render_prompt(ctx: PromptContext) -> str:
         ROLE_PREAMBLE, "\n\n", HIERARCHY_INTRO, "\n", ctx.hierarchy_render, "\n\n",
         DOC_PATH_INTRO, "\n", target.id, ".\n\n",
         f'Now you need to generate a document for a {target.kind}, whose name is "{target.name}".',
-        "\n\n", CODE_INTRO, "\n\n", target.snippet if ctx.target_code is None else ctx.target_code,
+        "\n\n", CODE_INTRO, "\n\n", ctx.target_code,
     ]
     for intro, blocks in ((CALLEE_INTRO, ctx.callee_blocks), (CALLER_INTRO, ctx.caller_blocks)):
         if blocks:
@@ -292,8 +299,8 @@ def _drop_child_docs(ctx: PromptContext) -> PromptContext:
 
 
 def _quote_target_skeleton(ctx: PromptContext) -> PromptContext:
-    code = quoted_code(ctx.graph, ctx.target.id)  # a function's is its snippet
-    return ctx if code == ctx.target.snippet else ctx._replace(target_code=code)
+    code = quoted_code(ctx.graph, ctx.target.id)  # its __init__ cut too
+    return ctx if code == ctx.target_code else ctx._replace(target_code=code)
 
 
 REDUCTION_STEPS: tuple[tuple[str, object], ...] = (
@@ -314,11 +321,12 @@ def fit_to_budget(
     """Pick a tier, applying fixed reductions only when none fits. Returns
     the context, reduced or not, its tier and its rendered prompt.
 
-    Reductions are all-or-nothing and applied in order. Only the last one
-    touches the target's code: it quotes a class target as its skeleton
-    (``quoted_code``), so a class that no tier holds whole can still be
-    documented. None touches the format block. Once any reduction was needed
-    the largest tier is used.
+    Reductions are all-or-nothing and applied in order. A class target comes
+    quoted as its skeleton with its ``__init__`` whole (``quoted_code``).
+    Only the last reduction touches the target's code: it cuts that
+    ``__init__`` too, so a class whose ``__init__`` no tier holds can still
+    be documented. None touches the format block. Once any reduction was
+    needed the largest tier is used.
     """
     if not tiers:
         raise OverBudgetError("no model tiers configured")

@@ -7,6 +7,8 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,7 @@ from repodoc import cli
 from repodoc.change_tracker import LOCK_NAME, _update_lock
 from repodoc.cli import main
 from repodoc.doc_pipeline import SNAPSHOT_DIGEST_NAME
-from repodoc.llm_gateway import Gateway
+from repodoc.llm_gateway import Gateway, MockProvider
 
 from .conftest import git
 from .helpers import DEMO_FILES, FailingProvider
@@ -394,6 +396,74 @@ def test_generate_accepts_jobs_flag(demo_repo, capsys):
     code, out, _ = run_cli("generate", "--repo", demo_repo, "--jobs", 2, capsys=capsys)
     assert code == 0
     assert "generated 5 objects" in out
+
+
+class InterruptingProvider:
+    """The mock provider, whose ``n``-th send raises ``KeyboardInterrupt``,
+    as Ctrl-C does, and whose other sends take a moment, so that a request
+    left in flight would still be running when the command returns."""
+
+    def __init__(self, n: int) -> None:
+        self._inner, self.n = MockProvider(), n
+        self.started = self.finished = 0
+        self._lock = threading.Lock()
+
+    def send(self, request):
+        with self._lock:
+            self.started += 1
+            interrupt = self.started == self.n
+        if interrupt:
+            raise KeyboardInterrupt
+        time.sleep(0.05)
+        response = self._inner.send(request)
+        with self._lock:
+            self.finished += 1
+        return response
+
+
+def _snapshot(repo: Path) -> dict:
+    """Each file's bytes, but the lock's, which every run leaves behind."""
+    return {
+        path.relative_to(repo).as_posix(): path.read_bytes()
+        for path in sorted(repo.rglob("*"))
+        if path.is_file() and path.name != LOCK_NAME
+    }
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_an_interrupted_generate_exits_130_in_one_line_and_saves_nothing(
+    demo_repo, capsys, monkeypatch, jobs
+):
+    providers = []
+
+    def interrupting_gateway(n):
+        def build(config):
+            providers.append(InterruptingProvider(n))
+            return Gateway(providers[-1], retries=0)
+
+        monkeypatch.setattr("repodoc.change_tracker.build_gateway", build)
+
+    # a cold run: after f and g, the third send runs beside a fourth at --jobs 2
+    interrupting_gateway(3)
+    before = _snapshot(demo_repo)
+    code, out, err = run_cli("generate", "--repo", demo_repo, "--jobs", jobs, capsys=capsys)
+    assert code == 130
+    assert (out, err) == ("", "error: interrupted\n")
+    provider = providers[-1]
+    assert provider.finished == provider.started - 1  # no request was left running
+    assert provider.started <= 3 + (jobs == "2")
+    assert not (demo_repo / STORE_REL).exists()
+    assert _snapshot(demo_repo) == before
+
+    # with a store: interrupted on its first send, it leaves store and pages as they were
+    monkeypatch.undo()
+    assert run_cli("generate", "--repo", demo_repo, capsys=capsys)[0] == 0
+    (demo_repo / "a.py").write_text(DEMO_FILES["a.py"].replace("return 1", "return 7"), encoding="utf-8")
+    before = _snapshot(demo_repo)
+    interrupting_gateway(1)
+    code, out, err = run_cli("generate", "--repo", demo_repo, "--jobs", jobs, capsys=capsys)
+    assert (code, out, err) == (130, "", "error: interrupted\n")
+    assert _snapshot(demo_repo) == before
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])

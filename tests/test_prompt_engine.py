@@ -14,6 +14,7 @@ from repodoc.prompt_engine import (
     CALLEE_INTRO,
     CALLER_INTRO,
     CHILD_DOCS_INTRO,
+    CODE_INTRO,
     FORMAT_INTRO,
     OUTPUT_EXAMPLE_INSTRUCTION,
     REDUCTION_STEPS,
@@ -126,7 +127,12 @@ def test_class_prompt_lists_children_sorted_not_in_source_order(order_repo):
     )
     _, _, report, gateway = generate_repo(order_repo, child_docs_enabled=True)
     prompt = gateway.provider.prompts[report.generated.index("order.py/K")]
-    assert prompt == expected
+    # that release quoted the target whole; its methods are now cut to their headers
+    whole = "class K:\n    def z(self):\n        return 1\n\n    def y(self):\n        return self.z()\n"
+    skeleton = "class K:\n    def z(self): ...\n\n    def y(self): ...\n"
+    assert expected.count(CODE_INTRO + "\n\n" + whole) == 1
+    assert CODE_INTRO + "\n\n" + skeleton + "\n" + CHILD_DOCS_INTRO in prompt
+    assert prompt == expected.replace(whole, skeleton)
     assert "order.py\n    *K\n        y\n        z\n" in prompt
     assert prompt.index("OBJ_PATH: order.py/K/y") < prompt.index("OBJ_PATH: order.py/K/z")
 
@@ -379,10 +385,18 @@ def test_every_class_skeleton_of_the_email_package_is_python(tmp_path):
     graph = build_repo_graph(tmp_path)
     classes = [oid for oid, obj in graph.objects.items() if obj.kind == "Class"]
     assert len(classes) > 100
+    inits = 0
     for oid in classes:
-        skeleton = quoted_code(graph, oid)
-        ast.parse(textwrap.dedent(skeleton))  # raises on a skeleton that is not Python
-        assert len(skeleton) <= len(graph.objects[oid].snippet) + 4 * len(graph.nodes[oid].children)
+        # as a callee or caller, and as the target
+        target = context_for(graph, DocStore(), oid, allow_missing=set(graph.objects)).target_code
+        for skeleton in (quoted_code(graph, oid), target):
+            ast.parse(textwrap.dedent(skeleton))  # raises on a skeleton that is not Python
+            assert len(skeleton) <= len(graph.objects[oid].snippet) + 4 * len(graph.nodes[oid].children)
+        init = graph.objects.get(f"{oid}/__init__")
+        if init is not None:
+            inits += 1
+            assert init.snippet in target
+    assert inits > 20
 
 
 def test_a_class_callee_is_quoted_as_its_skeleton(labeled_repo):
@@ -393,31 +407,73 @@ def test_a_class_callee_is_quoted_as_its_skeleton(labeled_repo):
     assert "def run(self): ...\n\n    def helper(self): ...\n```" in prompt
 
 
+def test_a_class_target_keeps_its_init_whole_and_cuts_every_other_method(labeled_repo):
+    graph, store, _, _ = generate_repo(labeled_repo)
+    ctx = context_for(graph, store, "core.py/Engine")
+    assert ctx.target_code == (
+        "class Engine:\n"
+        "    def __init__(self, size):\n"
+        "        self.size = size\n"
+        "\n"
+        "    def run(self): ...\n"
+        "\n"
+        "    def helper(self): ..."
+    )
+    prompt = render_prompt(ctx)
+    assert CODE_INTRO + "\n\n" + ctx.target_code + "\n\n" in prompt
+    assert "self.size = size" in prompt
+    assert "return beta(self.size)" not in prompt
+    assert "return self.run()" not in prompt
+
+
+def test_a_class_target_with_no_init_is_quoted_as_its_skeleton(tmp_path):
+    source = (
+        "class K:\n"
+        "    size = 3\n"
+        "\n"
+        "    def grow(self):\n"
+        "        self.size += 1\n"
+        "\n"
+        "    class Inner:\n"
+        "        def __init__(self):\n"
+        "            self.deep = 1\n"
+    )
+    write_tree(tmp_path, {"m.py": source})
+    graph = build_repo_graph(tmp_path)
+    ctx = context_for(graph, DocStore(), "m.py/K", allow_missing=set(graph.objects))
+    assert ctx.target_code == quoted_code(graph, "m.py/K") == (
+        "class K:\n    size = 3\n\n    def grow(self): ...\n\n    class Inner: ..."
+    )
+    # a function target is quoted whole
+    method = context_for(graph, DocStore(), "m.py/K/grow", allow_missing=set(graph.objects))
+    assert method.target_code == graph.objects["m.py/K/grow"].snippet
+
+
 def test_a_class_that_no_tier_holds_is_quoted_as_its_skeleton(tmp_path, caplog):
     import logging
 
-    body = "".join(f"        total += {i}\n" for i in range(2998))
+    body = "".join(f"        self.a{i} = {i}\n" for i in range(2998))
     source = (
         "class Big:\n"
-        '    """A class with one long method."""\n'
+        '    """A class with one long __init__."""\n'
         "\n"
-        "    def long(self):\n"
-        "        total = 0\n" + body + "        return total\n"
-        "\n"
+        "    def __init__(self):\n" + body + "\n"
         "    def short(self):\n"
         "        return 1\n"
     )
-    write_tree(tmp_path, {"big.py": source, "small.py": "class Small:\n    def f(self):\n        return 1\n"})
+    small = "class Small:\n    def __init__(self):\n        self.n = 1\n\n    def f(self):\n        return 1\n"
+    write_tree(tmp_path, {"big.py": source, "small.py": small})
     tiers = (ModelTier("only-4k", 4000),)
     with caplog.at_level(logging.INFO, logger="repodoc.prompt_engine"):
         _, store, report, gateway = generate_repo(tmp_path, provider=ProviderConfig(tiers=tiers))
-    # the method is its own target and still fails; the class is rescued
-    assert list(report.failures) == ["big.py/Big/long"]
+    # the __init__ is its own target and still fails; the class is rescued
+    assert list(report.failures) == ["big.py/Big/__init__"]
     assert "big.py/Big" in report.generated
     assert "budget reduction applied to big.py/Big: quote target class as skeleton" in caplog.text
     prompt = gateway.provider.prompts[report.generated.index("big.py/Big")]
-    assert "    def long(self): ...\n\n    def short(self): ..." in prompt
-    assert "total += 1\n" not in prompt
-    # a class that fits is quoted whole as a target
-    small = gateway.provider.prompts[report.generated.index("small.py/Small")]
-    assert "class Small:\n    def f(self):\n        return 1\n" in small
+    assert "    def __init__(self): ...\n\n    def short(self): ..." in prompt
+    assert "self.a1 = 1\n" not in prompt
+    # a class that fits keeps its __init__ whole, with no reduction
+    small_prompt = gateway.provider.prompts[report.generated.index("small.py/Small")]
+    assert "class Small:\n    def __init__(self):\n        self.n = 1\n\n    def f(self): ...\n" in small_prompt
+    assert "budget reduction applied to small.py/Small" not in caplog.text
