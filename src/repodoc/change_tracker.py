@@ -26,7 +26,6 @@ from .doc_pipeline import (
     forget_snapshot,
     generate_all,
     load_store,
-    outdated_docs,
     record_snapshot,
     save_store,
     stale_objects,
@@ -214,20 +213,17 @@ class UpdatePlan(NamedTuple):
     regenerate: tuple[tuple[str, str], ...] = ()
     delete_docs: tuple[str, ...] = ()
 
-    @property
-    def regenerate_ids(self) -> set[str]:
-        return {oid for oid, _ in self.regenerate}
 
-
-def plan_updates(changes: ChangeSet, outdated: Collection[str] = ()) -> UpdatePlan:
-    """Select regeneration targets; the first matching trigger wins.
+def plan_updates(changes: ChangeSet, pending: Collection[str] = ()) -> UpdatePlan:
+    """The trigger of each id that ``changes`` names and of each id of
+    ``pending``, the run's ``stale_objects``; the first matching trigger
+    wins. The plan decides nothing: ``pending`` alone is generated.
 
     A direct source edit beats object addition, which beats losing a caller,
-    which beats gaining one, which beats a stored doc made from another
-    source than the snapshot's, or none: the ``outdated`` ids, which an
-    earlier run failed to regenerate. Removed objects are never
-    regenerated. Edits to a callee's body deliberately do not touch its
-    callers.
+    which beats gaining one, which beats none: a pending id that no change
+    names has a doc that is missing or was made from another source, as an
+    earlier run that failed leaves it. Removed objects are never named.
+    Edits to a callee's body deliberately do not name its callers.
     """
     triggers: dict[str, str] = {}
     for oid in changes.modified:
@@ -241,9 +237,8 @@ def plan_updates(changes: ChangeSet, outdated: Collection[str] = ()) -> UpdatePl
     for _caller, callee in changes.edge_added:
         if callee not in gone:
             triggers.setdefault(callee, TRIGGER_NEW_REFERENCE)
-    for oid in outdated:
-        if oid not in gone:
-            triggers.setdefault(oid, TRIGGER_DOC_OUTDATED)
+    for oid in pending:
+        triggers.setdefault(oid, TRIGGER_DOC_OUTDATED)
     return UpdatePlan(
         regenerate=tuple(sorted(triggers.items())),
         delete_docs=tuple(sorted(gone)),
@@ -327,9 +322,9 @@ def document(
     of the working tree or the index, and close them; the caller saves the
     graph and store returned. ``source_graph`` takes the files whose blob is
     the recorded snapshot's from it, and ``diff_objects`` compares the graph
-    with it once. The pending objects are the ``stale_objects`` among the
-    ids the plan regenerates, the store's ``outdated_docs`` among them, as a
-    failed run leaves them; they alone are quoted, requested and generated.
+    with it once. The pending objects are its ``stale_objects``, and the
+    plan only names the trigger of each; they alone are quoted, requested
+    and generated.
     Without ``gateway``, one is built once an object is pending, so a run
     that regenerates nothing needs no API key. A top-level ``SUMMARY.py`` is
     refused first: its page would be the table of contents."""
@@ -344,8 +339,8 @@ def document(
         cache = ParseCache(repo_git)
         graph, taken = source_graph(sources, cache, store.graph_snapshot, reuse=store.recorded)
         changes = diff_objects(store.graph_snapshot, graph)
-        plan = plan_updates(changes, outdated_docs(store))
-        pending = stale_objects(graph, store, changes, plan.regenerate_ids)
+        pending = stale_objects(graph, store, changes)
+        plan = plan_updates(changes, pending)
         if gateway is None and pending:
             gateway = build_gateway(config)
         add_snippets(graph, sources, cache, taken, pending)

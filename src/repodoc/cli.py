@@ -3,9 +3,10 @@
 Exit codes: 0 success, 1 usage or configuration problems, 2 completed with
 source files that failed to parse, 3 generation failures (provider errors or
 prompts that cannot fit any context window), 4 not a Git repository, 130
-interrupted (Ctrl-C), with one line and no traceback: the requests in
-flight finish, and an interrupt during generation saves nothing. A reader
-that closes the output pipe early also gives 1, with no traceback.
+interrupted (Ctrl-C or SIGTERM), with one line and no traceback: the
+requests in flight finish, and an interrupt during generation saves
+nothing. A reader that closes the output pipe early also gives 1, with no
+traceback.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import gc
 import json
 import logging
 import os
+import signal
 import sys
 from itertools import islice
 from pathlib import Path
@@ -264,12 +266,18 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _interrupt(signum, frame) -> None:
+    raise KeyboardInterrupt
+
+
 def main(argv=None) -> int:
-    """Run one command. The objects that exist on entry, the imported
-    modules among them, are frozen out of the collector's walks, and young
-    objects are collected every 10,000 allocations rather than 700, since
-    most of what a run allocates lives until it ends. Both are undone on
-    return, also when the command raises."""
+    """Run one command. A SIGTERM ends it as Ctrl-C does. The objects that
+    exist on entry, the imported modules among them, are frozen out of the
+    collector's walks, and young objects are collected every 10,000
+    allocations rather than 700, since most of what a run allocates lives
+    until it ends. All three are undone on return, also when the command
+    raises."""
+    terminate = signal.signal(signal.SIGTERM, _interrupt)
     threshold, frozen = gc.get_threshold(), gc.get_freeze_count()
     if not frozen:
         gc.freeze()
@@ -280,6 +288,7 @@ def main(argv=None) -> int:
         gc.set_threshold(*threshold)
         if not frozen:
             gc.unfreeze()
+        signal.signal(signal.SIGTERM, terminate)
 
 
 def _main(argv) -> int:

@@ -796,52 +796,36 @@ def _unmatched(
     return unmatched
 
 
-def outdated_docs(store: DocStore) -> list[str]:
-    """The ids of the store's snapshot objects whose record is missing or
-    was made from another source, as a failed run leaves them, found
-    without decoding either entry (``_unmatched``)."""
-    old = store.graph_snapshot
-    return [] if old is None else _unmatched(old.objects, store.records)
-
-
-def stale_objects(
-    graph: RepoGraph, store: DocStore, changes: ChangeSet, only: Iterable[str]
-) -> set[str]:
-    """The pending objects of ``graph`` among ``only``, the ids that the
-    plan regenerates (``change_tracker.plan_updates``). ``changes`` is
+def stale_objects(graph: RepoGraph, store: DocStore, changes: ChangeSet) -> set[str]:
+    """The objects of ``graph`` whose doc the run regenerates: the one
+    regeneration rule of ``generate`` and ``update``. ``changes`` is
     ``diff_objects`` of the store's snapshot and ``graph``.
 
-    An object is pending when there is no snapshot, it has no record, its
-    record carries another source hash, or it is an end of a kept edge that
-    changed: its doc is made from its source, callers and callees."""
+    Without a snapshot every object is pending. Otherwise an object is
+    pending when its record is missing or was made from another source, as
+    a failed run leaves it, and so is each kept callee of an edge added or
+    removed, whose doc names its callers. Only the records of the modified
+    and added objects are compared here; every other object has the
+    snapshot's source hash, matched by ``_unmatched`` without decoding a
+    line that shows the match."""
     old, records, objects = store.graph_snapshot, store.records, graph.objects
-    touched = changes.touched
-    return {
+    if old is None:
+        return set(objects)
+    modified = set(changes.modified)
+    pending = {
+        oid for oid in _unmatched(old.objects, records) if oid in objects and oid not in modified
+    }
+    pending.update(
         oid
-        for oid in only
-        if oid in objects
-        and (
-            old is None
-            or oid in touched
-            or oid not in records
-            or records[oid].source_hash != objects[oid].source_hash
-        )
-    }
-
-
-def _stale_prerequisites(graph: RepoGraph, store: DocStore, pending: set[str]) -> frozenset[str]:
-    # The callees and children of pending objects whose docs are absent yet
-    # will never be produced this run (a past run failed on them). Their
-    # docs render as "None" instead of wedging every dependent forever.
-    stale = {
-        need
-        for oid in pending
-        for need in (*graph.callees(oid), *graph.nodes[oid].children)
-        if need not in pending and need not in store.records
-    }
-    for oid in sorted(stale):
-        logger.warning("doc for %s is missing and not scheduled; rendering None", oid)
-    return frozenset(stale)
+        for oid in (*changes.modified, *changes.added)
+        if oid not in records or records[oid].source_hash != objects[oid].source_hash
+    )
+    pending.update(
+        callee
+        for _, callee in (*changes.edge_added, *changes.edge_removed)
+        if callee in objects
+    )
+    return pending
 
 
 def _generator(
@@ -897,10 +881,11 @@ def generate_all(
 
     The caller decides the run's work: ``changes`` is ``diff_objects`` of
     the store's snapshot and ``graph``, and ``pending`` is ``stale_objects``
-    of both, among the ids the plan regenerates (``change_tracker.document``,
-    for ``generate`` and ``update`` alike). The other objects are skipped
-    without any gateway call, and listed sorted by id. Failures are recorded
-    and do not stop the run; dependents see "None" for a failed prerequisite.
+    of both (``change_tracker.document``, for ``generate`` and ``update``
+    alike), so every object without a record is pending. The other objects
+    are skipped without any gateway call, and listed sorted by id. Failures
+    are recorded and do not stop the run; dependents see "None" for a
+    failed prerequisite.
 
     An object is dispatched once all of its pending callees and children
     have finished, the smallest id of those ready first (``kahn``), to at
@@ -928,7 +913,7 @@ def generate_all(
     objects = graph.objects
     report = RunReport(skipped=sorted(oid for oid in objects if oid not in pending))
     ready, done = kahn(graph, pending)
-    allow_missing = _stale_prerequisites(graph, store, pending)
+    allow_missing = frozenset()
 
     def finish(oid: str, outcome) -> None:
         nonlocal allow_missing
@@ -948,9 +933,15 @@ def generate_all(
     generate_one = _generator(graph, gateway, store, config) if pending else None
     pool = None
     if jobs > 1:
+        import signal
         from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 
         pool = ThreadPoolExecutor(max_workers=jobs)
+        # Ctrl-C and SIGTERM are held while a request is submitted: an
+        # interrupt raised while the pool starts a worker would leave that
+        # worker out of its shutdown, with its request still in flight. The
+        # workers start with both held, so only this thread takes them.
+        interrupts = (signal.SIGINT, signal.SIGTERM)
     running: dict[Future, str] = {}
     try:
         while ready or running:
@@ -959,7 +950,11 @@ def generate_all(
                 if pool is None:
                     finish(oid, generate_one(oid, allow_missing))
                 else:
-                    running[pool.submit(generate_one, oid, allow_missing)] = oid
+                    mask = signal.pthread_sigmask(signal.SIG_BLOCK, interrupts)
+                    try:
+                        running[pool.submit(generate_one, oid, allow_missing)] = oid
+                    finally:
+                        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             if running:
                 finished, _ = wait(running, return_when=FIRST_COMPLETED)
                 for future in sorted(finished, key=running.__getitem__):

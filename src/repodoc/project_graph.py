@@ -452,11 +452,6 @@ class ChangeSet(NamedTuple):
     # parsed rather than what is documented
     same: bool
 
-    @property
-    def touched(self) -> set[str]:
-        """The ends of the kept edges added or removed."""
-        return {oid for edge in (*self.edge_added, *self.edge_removed) for oid in edge}
-
 
 def diff_objects(old: RepoGraph | None, new: RepoGraph) -> ChangeSet:
     """The one comparison of a graph with its snapshot: what ``new`` changed

@@ -16,9 +16,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable
 
-from repodoc.change_tracker import plan_updates
 from repodoc.config import Config
-from repodoc.doc_pipeline import DocStore, generate_all, outdated_docs, stale_objects
+from repodoc.doc_pipeline import DocStore, generate_all, stale_objects
 from repodoc.llm_gateway import (
     CompletionRequest,
     CompletionResponse,
@@ -230,12 +229,9 @@ def context_for(graph: RepoGraph, store, object_id: str, **overrides) -> PromptC
 
 def generate_stale(graph, gateway, store, config, jobs, only=None):
     """``generate_all`` with the pending set ``generate`` and ``update``
-    pass: the ``stale_objects`` of ``graph`` among the ids that the plan
-    regenerates, or among ``only`` when given."""
+    pass, the ``stale_objects`` of ``graph``, or ``only`` when given."""
     changes = diff_objects(store.graph_snapshot, graph)
-    if only is None:
-        only = plan_updates(changes, outdated_docs(store)).regenerate_ids
-    pending = stale_objects(graph, store, changes, only)
+    pending = stale_objects(graph, store, changes) if only is None else set(only)
     return generate_all(graph, gateway, store, config, jobs, pending, changes)
 
 

@@ -299,9 +299,10 @@ def test_criterion_4_update_triggers_match_oracle(tmp_path):
     body_edit_plan = plan_updates(
         diff_objects(old, build_repo_graph(tmp_path / "new0"))
     )
-    assert body_edit_plan.regenerate_ids == {"a.py/f"}
+    regenerate_ids = {oid for oid, _ in body_edit_plan.regenerate}
+    assert regenerate_ids == {"a.py/f"}
     for caller in old.callers("a.py/f"):
-        assert caller not in body_edit_plan.regenerate_ids
+        assert caller not in regenerate_ids
     print(
         f"ACCEPTANCE criterion 4: PASS - {len(_MUTATIONS)} scripted mutations match "
         "the independent trigger oracle, callers of an edited callee untouched"

@@ -32,6 +32,7 @@ from repodoc.change_tracker import (
 )
 from repodoc.cli import main
 from repodoc.config import load_config
+from repodoc.doc_pipeline import SNAPSHOT_DIGEST_NAME
 from repodoc.errors import LockError, NotAGitRepoError, StoreWriteError, UsageError
 from repodoc.llm_gateway import Gateway
 from repodoc.source_model import PARSE_CACHE_NAME, ParseCache, blob_id, scan_repository
@@ -111,7 +112,7 @@ def test_plan_body_edit_regenerates_only_the_edited_object(tmp_path):
     assert plan.regenerate == (("a.py/f", TRIGGER_SOURCE_MODIFIED),)
     assert plan.delete_docs == ()
     # callers of the edited callee are left alone on purpose
-    assert "a.py/g" not in plan.regenerate_ids
+    assert "a.py/g" not in {oid for oid, _ in plan.regenerate}
 
 
 def test_plan_new_call_regenerates_callee(tmp_path):
@@ -624,6 +625,70 @@ def test_update_regenerates_a_doc_that_a_failed_generate_left_outdated(git_demo_
     assert report.run.generated == ["a.py/f"]
     report, _ = run_full_update(git_demo_repo)
     assert report.plan.regenerate == () and report.run.generated == []
+
+
+def test_update_regenerates_a_def_that_a_failed_generate_left_without_a_record(
+    git_demo_repo, monkeypatch
+):
+    assert main(["generate", "--repo", str(git_demo_repo)]) == 0
+    git(git_demo_repo, "add", "-A")
+    git(git_demo_repo, "commit", "-qm", "seed")
+    a_py = git_demo_repo / "a.py"
+    a_py.write_text(DEMO_FILES["a.py"] + "\n\ndef k():\n    return 0\n", encoding="utf-8")
+    with monkeypatch.context() as patch:
+        failing = Gateway(FailingProvider(frozenset({"k"})), retries=0)
+        patch.setattr(change_tracker, "build_gateway", lambda config: failing)
+        # the snapshot takes the new k, which has no record
+        assert main(["generate", "--repo", str(git_demo_repo)]) == 3
+    git(git_demo_repo, "add", "-A")
+    git(git_demo_repo, "commit", "-qm", "add k", "--no-verify")
+
+    b_py = git_demo_repo / "util" / "b.py"
+    b_py.write_text(DEMO_FILES["util/b.py"] + "# the end\n", encoding="utf-8")
+    git(git_demo_repo, "add", "util/b.py")
+    report, _ = run_full_update(git_demo_repo)
+    assert report.ok and report.reused_files > 0
+    assert report.plan.regenerate == (("a.py/k", "DocOutdated"),)
+    assert report.run.generated == ["a.py/k"]
+    report, _ = run_full_update(git_demo_repo)
+    assert report.plan.regenerate == () and report.run.generated == []
+
+
+def _docs(repo: Path) -> dict:
+    """The store's and the pages' bytes."""
+    config = load_config(repo)
+    paths = [repo / config.store_path, *sorted((repo / config.doc_dir).rglob("*.md"))]
+    return {p.relative_to(repo): p.read_bytes() for p in paths}
+
+
+def test_a_restored_source_whose_record_is_of_it_is_not_regenerated(
+    git_demo_repo, monkeypatch, capsys
+):
+    # A failed generate leaves h's record of the source the user then
+    # restores. The call to f that the edit added goes again, which
+    # regenerates f, its callee, and not h, its caller: h's doc is of h's
+    # source, callers and callees, all as they were when it was made.
+    assert main(["generate", "--repo", str(git_demo_repo)]) == 0
+    b_py = git_demo_repo / "util" / "b.py"
+    b_py.write_text(B_WITH_F_CALL, encoding="utf-8")
+    with monkeypatch.context() as patch:
+        failing = Gateway(FailingProvider(frozenset({"h"})), retries=0)
+        patch.setattr(change_tracker, "build_gateway", lambda config: failing)
+        assert main(["generate", "--repo", str(git_demo_repo)]) == 3
+    b_py.write_text(DEMO_FILES["util/b.py"], encoding="utf-8")
+    full = git_demo_repo.parent / "full"
+    shutil.copytree(git_demo_repo, full, symlinks=True)
+    (full / ".git" / SNAPSHOT_DIGEST_NAME).unlink()  # nothing is taken from the snapshot
+
+    reports = []
+    for repo in (git_demo_repo, full):
+        capsys.readouterr()
+        assert main(["generate", "--repo", str(repo), "--json"]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    fast, slow = reports
+    assert (fast["reused_files"], slow["reused_files"]) == (1, 0)
+    assert fast["generated"] == slow["generated"] == ["a.py/f"]
+    assert _docs(git_demo_repo) == _docs(full)
 
 
 def test_an_outdated_doc_that_fails_again_refuses_no_later_commit(git_demo_repo, capsys):

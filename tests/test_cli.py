@@ -5,6 +5,7 @@ import gc
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import threading
@@ -466,6 +467,81 @@ def test_an_interrupted_generate_exits_130_in_one_line_and_saves_nothing(
     assert _snapshot(demo_repo) == before
 
 
+class TerminatingProvider:
+    """The mock provider, whose ``n``-th send sends SIGTERM to this process,
+    as a service manager stopping the command would, and then completes;
+    every send takes a moment. ``running`` counts the sends not returned."""
+
+    def __init__(self, n: int) -> None:
+        self._inner, self.n = MockProvider(), n
+        self.started = self.running = 0
+        self._lock = threading.Lock()
+
+    def send(self, request):
+        with self._lock:
+            self.started += 1
+            self.running += 1
+            terminate = self.started == self.n
+        try:
+            if terminate:
+                os.kill(os.getpid(), signal.SIGTERM)
+            time.sleep(0.05)
+            return self._inner.send(request)
+        finally:
+            with self._lock:
+                self.running -= 1
+
+
+class _SigtermReachedTheTest(Exception):
+    pass
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_terminated_generate_exits_130_in_one_line_and_saves_nothing(
+    demo_repo, capsys, monkeypatch, jobs
+):
+    # a handler of the test's own, so that a SIGTERM main does not catch
+    # fails this test rather than ending the test run
+    def reached(signum, frame):
+        raise _SigtermReachedTheTest
+
+    providers = []
+
+    def terminating_gateway(n):
+        def build(config):
+            providers.append(TerminatingProvider(n))
+            return Gateway(providers[-1], retries=0)
+
+        monkeypatch.setattr("repodoc.change_tracker.build_gateway", build)
+
+    previous = signal.signal(signal.SIGTERM, reached)
+    try:
+        # a cold run: after f and g, the third send runs beside a fourth at --jobs 2
+        terminating_gateway(3)
+        before = _snapshot(demo_repo)
+        code, out, err = run_cli("generate", "--repo", demo_repo, "--jobs", jobs, capsys=capsys)
+        assert code == 130
+        assert (out, err) == ("", "error: interrupted\n")
+        assert providers[-1].running == 0  # no request was left running
+        assert providers[-1].started <= 3 + (jobs == "2")
+        assert not (demo_repo / STORE_REL).exists()
+        assert _snapshot(demo_repo) == before
+        assert signal.getsignal(signal.SIGTERM) is reached
+
+        # with a store: terminated on its first send, it leaves store and pages as they were
+        monkeypatch.undo()
+        assert run_cli("generate", "--repo", demo_repo, capsys=capsys)[0] == 0
+        (demo_repo / "a.py").write_text(DEMO_FILES["a.py"].replace("return 1", "return 7"), encoding="utf-8")
+        before = _snapshot(demo_repo)
+        terminating_gateway(1)
+        code, out, err = run_cli("generate", "--repo", demo_repo, "--jobs", jobs, capsys=capsys)
+        assert (code, out, err) == (130, "", "error: interrupted\n")
+        assert _snapshot(demo_repo) == before
+        assert signal.getsignal(signal.SIGTERM) is reached
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_jobs_below_one_is_a_usage_error(demo_repo, capsys, jobs):
     code, out, err = run_cli("generate", "--repo", demo_repo, "--jobs", jobs, capsys=capsys)
@@ -777,6 +853,33 @@ def test_an_update_that_regenerates_fails_without_an_api_key_and_writes_nothing(
     code, _, err = run_cli("update", "--repo", repo, capsys=capsys)
     assert (code, err) == (1, _NO_KEY_ERROR)
     assert _files(repo) == before
+
+
+def test_a_failed_update_lists_its_failures_and_writes_and_stages_nothing(
+    git_demo_repo, capsys, monkeypatch
+):
+    repo = git_demo_repo
+    _committed_demo(repo, capsys)
+    (repo / "a.py").write_text(DEMO_FILES["a.py"].replace("return 1", "return 5"), encoding="utf-8")
+    git(repo, "add", "a.py")
+
+    def docs():
+        return {p: p.read_bytes() for p in repo.rglob("*") if p.is_file() and ".git" not in p.parts}
+
+    before = docs()
+    monkeypatch.setattr(
+        "repodoc.change_tracker.build_gateway",
+        lambda config: Gateway(FailingProvider(frozenset({"f"})), retries=0),
+    )
+    code, out, _ = run_cli("update", "--repo", repo, capsys=capsys)
+    assert code == 3
+    assert out == (
+        "documentation update failed:\n"
+        "  a.py/f: provider failed after 1 attempts while generating a.py/f: "
+        "synthetic failure for f\n"
+    )
+    assert docs() == before
+    assert git(repo, "diff", "--cached", "--name-only") == "a.py\n"
 
 
 def test_main_leaves_the_collector_as_it_found_it(demo_repo, capsys, monkeypatch):

@@ -3,7 +3,6 @@ from __future__ import annotations
 import builtins
 import io
 import json
-import logging
 import os
 import stat
 import threading
@@ -25,6 +24,7 @@ from repodoc.doc_pipeline import (
     record_from_parsed,
     record_snapshot,
     save_store,
+    stale_objects,
 )
 from repodoc.config import load_config
 from repodoc.errors import CorruptStoreError, InternalError
@@ -34,6 +34,7 @@ from repodoc.project_graph import (
     ReferenceEdge,
     RepoGraph,
     build_tree,
+    diff_objects,
     topological_order,
 )
 from repodoc.prompt_engine import CHILD_DOCS_INTRO
@@ -42,8 +43,6 @@ from repodoc.source_model import CodeObject, parse_file, source_digest
 from .helpers import (
     DEMO_FILES,
     DEMO_TOPO_ORDER,
-    CapturingProvider,
-    FailingProvider,
     build_repo_graph,
     generate_repo,
     generate_stale,
@@ -625,40 +624,24 @@ def test_generate_all_regenerates_on_stale_hash(demo_repo):
     assert len(gateway.provider.prompts) == 1
 
 
-def test_generate_all_only_filter(demo_repo):
+def test_only_objects_without_a_current_record_are_pending(demo_repo):
     graph, store, _, _ = generate_repo(demo_repo)
-    gateway = make_gateway()
-    report = generate_stale(
-        graph, gateway, store, make_config(demo_repo), 1, only={"a.py/f", "a.py/g"}
-    )
-    # records are fresh, so even the named objects are up to date
-    assert report.generated == [] and gateway.provider.prompts == []
+    changes = diff_objects(store.graph_snapshot, graph)
+    # records are fresh, so nothing is pending
+    assert stale_objects(graph, store, changes) == set()
     store.records.pop("a.py/f")
     store.records.pop("util/b.py/h")
-    report = generate_stale(graph, gateway, store, make_config(demo_repo), 1, only={"a.py/f"})
-    assert report.generated == ["a.py/f"]
-    assert "util/b.py/h" in report.skipped
-
-
-def test_missing_prerequisite_renders_none_and_warns(demo_repo, caplog):
-    graph = build_repo_graph(demo_repo)
-    store = DocStore()
-    provider = CapturingProvider()
-    gateway = Gateway(provider, retries=0)
-    with caplog.at_level(logging.WARNING, logger="repodoc.doc_pipeline"):
-        report = generate_stale(
-            graph, gateway, store, make_config(demo_repo), 1, only={"a.py/g"}
-        )
-    assert report.generated == ["a.py/g"]
-    assert "a.py/f" in caplog.text and "rendering None" in caplog.text
-    prompt = provider.prompts[0]
-    assert "OBJ_NAME: f\nOBJ_PATH: a.py/f\nDocument: \nNone" in prompt
+    assert stale_objects(graph, store, changes) == {"a.py/f", "util/b.py/h"}
+    gateway = make_gateway()
+    report = generate_stale(graph, gateway, store, make_config(demo_repo), 1)
+    assert sorted(report.generated) == ["a.py/f", "util/b.py/h"]
+    assert len(gateway.provider.prompts) == 2
 
 
 def test_failures_do_not_stop_the_run(demo_repo):
     graph = build_repo_graph(demo_repo)
     store = DocStore()
-    gateway = Gateway(FailingProvider(frozenset({"f"})), retries=0)
+    gateway = make_gateway(frozenset({"f"}))
     report = generate_stale(graph, gateway, store, make_config(demo_repo), 1)
     assert not report.ok
     assert set(report.failures) == {"a.py/f"}
@@ -667,6 +650,8 @@ def test_failures_do_not_stop_the_run(demo_repo):
     assert "a.py/f" not in store.records
     # dependents still generated, with the failed doc shown as None
     assert "a.py/g" in store.records
+    (prompt,) = [p for p in gateway.provider.prompts if 'whose name is "g"' in p]
+    assert "OBJ_NAME: f\nOBJ_PATH: a.py/f\nDocument: \nNone" in prompt
 
 
 def test_parallel_generation_matches_sequential(labeled_repo):

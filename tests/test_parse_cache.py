@@ -19,7 +19,10 @@ from repodoc.source_model import (
     PARSE_CACHE_NAME,
     PARSER_VERSION,
     ParseCache,
+    _decode_parse,
+    _encode_parse,
     blob_id,
+    parse_file,
     parse_repository,
     scan_repository,
     source_text,
@@ -62,6 +65,31 @@ def test_cached_parse_equals_a_fresh_one_on_the_stdlib(tmp_path):
         for rel, (blob, text) in sources.items():
             assert warm.parse(rel, blob, text) == fresh[rel], rel
         assert warm.parsed == 0
+
+
+@pytest.mark.skipif(
+    not os.environ.get("REPODOC_TEST_STDLIB_CUTS"),
+    reason="the whole stdlib takes about half a minute; set REPODOC_TEST_STDLIB_CUTS=1",
+)
+def test_every_parse_survives_its_cache_line_on_the_whole_stdlib():
+    # ast's positions and node types differ across Python versions, so each
+    # interpreter checks its own stdlib, test suites included
+    root = Path(sysconfig.get_paths()["stdlib"])
+    checked, refused, changed = 0, [], []
+    for path in sorted(root.rglob("*.py")):
+        if "site-packages" in path.parts or not path.is_file():
+            continue
+        rel, data = path.relative_to(root).as_posix(), path.read_bytes()
+        text, blob = source_text(data), blob_id(data)
+        parse = parse_file(rel, text)
+        line = _encode_parse((rel, blob), parse)
+        if line is None:
+            refused.append(rel)
+        elif _decode_parse(rel, text, line) != parse._replace(blob=blob):
+            changed.append(rel)
+        checked += 1
+    assert (refused, changed) == ([], [])
+    assert checked > 1_000
 
 
 def _corrupt_line(path: Path) -> None:
