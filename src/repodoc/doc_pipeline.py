@@ -15,6 +15,7 @@ import itertools
 import json
 import logging
 import re
+import signal
 from collections.abc import Mapping, MutableMapping
 from json.decoder import scanstring
 from json.encoder import encode_basestring
@@ -899,8 +900,9 @@ def generate_all(
     outcome. The settings of each request are read from ``config``, and
     ``gateway`` may be None when no object is pending. An interrupt
     (``KeyboardInterrupt``) dispatches nothing more: the requests in flight
-    finish through the pool's shutdown, and it propagates, store untouched
-    on disk.
+    finish, on this thread before it is raised, or through the pool's
+    shutdown, and it propagates, their outcomes unrecorded and the store
+    untouched on disk.
 
     The records of objects the graph no longer holds are dropped. The store
     is marked changed when a doc was recorded or dropped, or when the graph
@@ -931,30 +933,31 @@ def generate_all(
 
     jobs = max(1, min(jobs, len(pending)))
     generate_one = _generator(graph, gateway, store, config) if pending else None
+    # Ctrl-C and SIGTERM are held while a request is sent on this thread,
+    # so that it finishes, or while one is submitted: an interrupt raised
+    # while the pool starts a worker would leave that worker out of its
+    # shutdown, with its request still in flight. The workers start with
+    # both held, so only this thread takes them.
+    interrupts = (signal.SIGINT, signal.SIGTERM)
     pool = None
     if jobs > 1:
-        import signal
         from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 
         pool = ThreadPoolExecutor(max_workers=jobs)
-        # Ctrl-C and SIGTERM are held while a request is submitted: an
-        # interrupt raised while the pool starts a worker would leave that
-        # worker out of its shutdown, with its request still in flight. The
-        # workers start with both held, so only this thread takes them.
-        interrupts = (signal.SIGINT, signal.SIGTERM)
     running: dict[Future, str] = {}
     try:
         while ready or running:
             while ready and len(running) < jobs:
                 oid = heapq.heappop(ready)
-                if pool is None:
-                    finish(oid, generate_one(oid, allow_missing))
-                else:
-                    mask = signal.pthread_sigmask(signal.SIG_BLOCK, interrupts)
-                    try:
+                mask = signal.pthread_sigmask(signal.SIG_BLOCK, interrupts)
+                try:
+                    if pool is not None:
                         running[pool.submit(generate_one, oid, allow_missing)] = oid
-                    finally:
-                        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                        continue
+                    outcome = generate_one(oid, allow_missing)
+                finally:
+                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                finish(oid, outcome)
             if running:
                 finished, _ = wait(running, return_when=FIRST_COMPLETED)
                 for future in sorted(finished, key=running.__getitem__):

@@ -9,14 +9,17 @@ fixed sequence of content reductions.
 A class is quoted as its skeleton (``quoted_code``), since each of its
 methods is an object with a doc of its own: in a callee or caller block with
 every method cut to its header, and as the target with its ``__init__`` kept
-whole, the body that assigns the attributes its doc lists. RepoAgent quotes
-both whole.
+whole, the body that assigns the attributes its doc lists. A function caller
+is quoted as its call sites of the target (``quoted_caller``): its header
+and the body lines that call the target, its docstring and other lines left
+out. RepoAgent quotes every class and every caller whole.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import re
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .config import ModelTier
@@ -122,7 +125,8 @@ def assemble_context(
     the store, except ids listed in ``allow_missing`` whose docs render as
     "None". Caller docs are optional and render as "None" when absent. Blocks
     are ordered lexicographically by id. A class target is quoted as its
-    skeleton with its ``__init__`` whole, a function as its snippet.
+    skeleton with its ``__init__`` whole, a function as its snippet, and
+    each caller by its calls of the target (``quoted_caller``).
     """
     obj = graph.objects.get(object_id)
     if obj is None:
@@ -150,7 +154,8 @@ def assemble_context(
         RefBlock(cid, _required_doc(cid), quoted_code(graph, cid)) for cid in graph.callees(object_id)
     )
     caller_blocks = tuple(
-        RefBlock(cid, _optional_doc(cid), quoted_code(graph, cid)) for cid in graph.callers(object_id)
+        RefBlock(cid, _optional_doc(cid), quoted_caller(graph, cid, obj.name))
+        for cid in graph.callers(object_id)
     )
     child_docs: tuple[tuple[str, str], ...] | None = None
     if child_docs_enabled:
@@ -190,6 +195,70 @@ def quoted_code(graph: RepoGraph, object_id: str, keep: str | None = None) -> st
             at = stop
     out.append(text[at:end])
     return "".join(out)
+
+
+# a string literal on one line, or a comment: no bracket in one is code
+_NOT_CODE = re.compile(r"#.*|'(?:[^'\\\n]|\\.)*'|" r'"(?:[^"\\\n]|\\.)*"')
+_OPENS_CALL = re.compile(r"[ \t]*\(")
+_NAME_CHAR = re.compile(r"\w")
+# the indentation of the first non-blank line
+_INDENT = re.compile(r"^([^\S\n]*)\S", re.MULTILINE)
+
+
+def _bracket_balance(line: str) -> int:
+    code = _NOT_CODE.sub("", line)
+    return sum(map(code.count, "([{")) - sum(map(code.count, ")]}"))
+
+
+def quoted_caller(graph: RepoGraph, caller_id: str, name: str) -> str:
+    """The code a prompt quotes for a caller of an object named ``name``.
+
+    A class is quoted as its skeleton (``quoted_code``), a function as its
+    call sites: its header through the ":" (``span[0]:span[1]``), then each
+    body line where ``name``, not part of a longer name, is followed by
+    "(", continued until the brackets opened on that line close; a bracket
+    in a one-line string or a comment does not count. Each run of lines
+    left out becomes one "..." line, indented as its first non-blank line,
+    or one blank line when it has none. A function with no such line, or
+    whose body starts on the header's line, is quoted whole. The quote
+    depends on the caller's text, its span and ``name`` alone, so a caller
+    taken from the snapshot is quoted as a parsed one is.
+    """
+    obj = graph.objects[caller_id]
+    if obj.kind == CLASS:
+        return quoted_code(graph, caller_id)
+    text, (start, head_end, end) = obj.text, obj.span
+    body = text.find("\n", head_end, end) + 1
+    if not body:  # the body starts on the header's line, where the header ends at ``end``
+        return obj.snippet
+    out, at = [text[start:head_end]], body  # at: the first line not yet quoted or left out
+    hit = text.find(name, body, end)
+    while hit >= 0:
+        if _OPENS_CALL.match(text, hit + len(name), end) and not _NAME_CHAR.match(text, hit - 1):
+            line = text.rfind("\n", at, hit) + 1 or at
+            if line > at:
+                out.append(_elision(text[at:line]))
+            at, depth = line, 0
+            while True:
+                stop = text.find("\n", at, end)
+                stop = end if stop < 0 else stop
+                depth += _bracket_balance(text[at:stop])
+                at = stop + 1
+                if depth <= 0 or at > end:
+                    break
+            out.append(text[line : at - 1])
+        hit = text.find(name, max(hit + 1, at), end)
+    if len(out) == 1:
+        return obj.snippet
+    if at <= end:
+        out.append(_elision(text[at:end]))
+    return "\n".join(out)
+
+
+def _elision(run: str) -> str:
+    """The line that stands for a run of left-out lines."""
+    first = _INDENT.search(run)
+    return first[1] + "..." if first else ""
 
 
 def _block_pieces(block: RefBlock) -> tuple[str, ...]:

@@ -467,26 +467,31 @@ def test_an_interrupted_generate_exits_130_in_one_line_and_saves_nothing(
     assert _snapshot(demo_repo) == before
 
 
-class TerminatingProvider:
-    """The mock provider, whose ``n``-th send sends SIGTERM to this process,
-    as a service manager stopping the command would, and then completes;
-    every send takes a moment. ``running`` counts the sends not returned."""
+class SignallingProvider:
+    """The mock provider, whose ``n``-th send sends ``signum`` to this
+    process, SIGTERM as a service manager stopping the command would, or
+    SIGINT as Ctrl-C does, and then completes; every send takes a moment.
+    ``running`` counts the sends not returned, ``completed`` those that
+    returned a response."""
 
-    def __init__(self, n: int) -> None:
-        self._inner, self.n = MockProvider(), n
-        self.started = self.running = 0
+    def __init__(self, n: int, signum: int = signal.SIGTERM) -> None:
+        self._inner, self.n, self.signum = MockProvider(), n, signum
+        self.started = self.running = self.completed = 0
         self._lock = threading.Lock()
 
     def send(self, request):
         with self._lock:
             self.started += 1
             self.running += 1
-            terminate = self.started == self.n
+            signalling = self.started == self.n
         try:
-            if terminate:
-                os.kill(os.getpid(), signal.SIGTERM)
+            if signalling:
+                os.kill(os.getpid(), self.signum)
             time.sleep(0.05)
-            return self._inner.send(request)
+            response = self._inner.send(request)
+            with self._lock:
+                self.completed += 1
+            return response
         finally:
             with self._lock:
                 self.running -= 1
@@ -509,7 +514,7 @@ def test_a_terminated_generate_exits_130_in_one_line_and_saves_nothing(
 
     def terminating_gateway(n):
         def build(config):
-            providers.append(TerminatingProvider(n))
+            providers.append(SignallingProvider(n))
             return Gateway(providers[-1], retries=0)
 
         monkeypatch.setattr("repodoc.change_tracker.build_gateway", build)
@@ -523,6 +528,7 @@ def test_a_terminated_generate_exits_130_in_one_line_and_saves_nothing(
         assert code == 130
         assert (out, err) == ("", "error: interrupted\n")
         assert providers[-1].running == 0  # no request was left running
+        assert providers[-1].completed == providers[-1].started  # the signalling one too
         assert providers[-1].started <= 3 + (jobs == "2")
         assert not (demo_repo / STORE_REL).exists()
         assert _snapshot(demo_repo) == before
@@ -536,10 +542,38 @@ def test_a_terminated_generate_exits_130_in_one_line_and_saves_nothing(
         terminating_gateway(1)
         code, out, err = run_cli("generate", "--repo", demo_repo, "--jobs", jobs, capsys=capsys)
         assert (code, out, err) == (130, "", "error: interrupted\n")
+        assert providers[-1].completed == providers[-1].started == 1
         assert _snapshot(demo_repo) == before
         assert signal.getsignal(signal.SIGTERM) is reached
     finally:
         signal.signal(signal.SIGTERM, previous)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_ctrl_c_lets_the_request_in_flight_finish(demo_repo, capsys, monkeypatch, jobs):
+    # SIGINT itself, which Python turns into KeyboardInterrupt on the main
+    # thread; with one job that thread is the one sending
+    providers = []
+
+    def build(config):
+        providers.append(SignallingProvider(3, signal.SIGINT))
+        return Gateway(providers[-1], retries=0)
+
+    monkeypatch.setattr("repodoc.change_tracker.build_gateway", build)
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        before = _snapshot(demo_repo)
+        code, out, err = run_cli("generate", "--repo", demo_repo, "--jobs", jobs, capsys=capsys)
+    except KeyboardInterrupt:
+        pytest.fail("the interrupt escaped the command")
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    assert (code, out, err) == (130, "", "error: interrupted\n")
+    provider = providers[-1]
+    assert provider.running == 0
+    assert provider.completed == provider.started  # the third send returned its response
+    assert 3 <= provider.started <= 3 + (jobs == "2")
+    assert _snapshot(demo_repo) == before
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])

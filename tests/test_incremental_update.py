@@ -39,6 +39,13 @@ X_WITHOUT_CALL = "import y\n\n\ndef p():\n    return 0\n"
 Y_WITHOUT_CALL = "import x\n\n\ndef q():\n    return 0\n"
 APP = LABELED_FILES["app.py"]
 CORE = LABELED_FILES["core.py"]
+CORE_WITH_GAMMA = CORE + "\n\ndef gamma():\n    return 3\n"
+# scale calls beta on one line of several, so beta's prompt quotes it by that line
+SCALE_GROWN = LABELED_FILES["util/tools.py"].replace(
+    "def scale(x):\n    return beta(x) * 2\n",
+    'def scale(x):\n    """Twice beta."""\n    factor = 2\n    return beta(x) * factor\n',
+)
+SCALE_QUOTED = "def scale(x):\n    ...\n    return beta(x) * factor\n```"
 
 
 def _edit(rel, text):
@@ -74,8 +81,7 @@ STEPS = [
     ("call-to-a-missing-def", _edit("app.py", APP.replace("print(main())", "print(core.gamma())")
                                     .replace("from util", "import core\nfrom util")), 5),
     # an unchanged file already calls the new def: its edges must be resolved again
-    ("def-added-that-a-reused-file-calls", _edit("core.py", CORE + "\n\ndef gamma():\n    return 3\n"),
-     None),
+    ("def-added-that-a-reused-file-calls", _edit("core.py", CORE_WITH_GAMMA), None),
     ("def-added", _edit("y.py", FILES["y.py"] + "\n\ndef z():\n    return 1\n"), None),
     ("def-removed", _edit("y.py", FILES["y.py"]), None),
     ("file-renamed", _rename_tools, None),
@@ -86,6 +92,12 @@ STEPS = [
     ("file-removed", _edit("bad.py", None), None),
     # the edge that pruning removed goes, and no kept edge changes
     ("removed-edge-dropped", _edit("y.py", Y_WITHOUT_CALL), 5),
+    ("caller-grown", _edit("util/helpers.py", SCALE_GROWN), 5),
+    # beta's caller scale lives in a file taken from the snapshot, so the
+    # text it is quoted from comes from add_snippets; with alpha edited too,
+    # two workers take the two
+    ("callee-of-a-taken-caller-edited", _edit("core.py", CORE_WITH_GAMMA.replace(
+        "alpha() + x", "alpha() + x + 0").replace("return 1", "return 2")), 5),
 ]
 
 
@@ -117,13 +129,13 @@ def _recording(patch, module, *, full: bool) -> list:
     return built
 
 
-def _update(repo, monkeypatch, *, full: bool, fail: frozenset[str] = frozenset()):
-    """Run ``update``, the generation of each object named in ``fail``
-    failing; returns its report, graph and prompts."""
+def _update(repo, monkeypatch, *, full: bool, fail: frozenset[str] = frozenset(), jobs: int = 1):
+    """Run ``update`` with ``jobs`` workers, the generation of each object
+    named in ``fail`` failing; returns its report, graph and prompts."""
     gateway = make_gateway(fail)
     with monkeypatch.context() as patch:
         built = _recording(patch, change_tracker, full=full)
-        report = change_tracker.run_update(gateway, load_config(repo), 1)
+        report = change_tracker.run_update(gateway, load_config(repo), jobs)
     return report, built[0], gateway.provider.prompts
 
 
@@ -172,10 +184,18 @@ def test_fast_path_matches_the_full_rebuild_on_every_commit(tmp_path, monkeypatc
     for name, edit, reused in STEPS:
         edit(repo)
         git(repo, "add", "-A")
-        twin = tmp_path / f"full-{name}"
+        twin, jobs_twin = tmp_path / f"full-{name}", tmp_path / f"jobs-{name}"
         shutil.copytree(repo, twin, symlinks=True)
+        shutil.copytree(repo, jobs_twin, symlinks=True)
         fast, fast_graph, fast_prompts = _update(repo, monkeypatch, full=False)
         full, full_graph, full_prompts = _update(twin, monkeypatch, full=True)
+        _, _, jobs_prompts = _update(jobs_twin, monkeypatch, full=False, jobs=2)
+        # two workers send the same prompts, in an order of their own
+        assert sorted(jobs_prompts) == sorted(fast_prompts), name
+        assert _outputs(jobs_twin) == _outputs(repo), name
+        if name == "callee-of-a-taken-caller-edited":
+            (beta_prompt,) = [p for p in fast_prompts if 'whose name is "beta"' in p]
+            assert SCALE_QUOTED in beta_prompt
         assert fast.ok and full.ok, name
         assert fast.reused_files == (reused or 0), name
         assert full.reused_files == 0
@@ -188,6 +208,7 @@ def test_fast_path_matches_the_full_rebuild_on_every_commit(tmp_path, monkeypatc
         assert _outputs(repo) == _outputs(twin), name
         git(repo, "commit", "-qm", name)
         shutil.rmtree(twin)
+        shutil.rmtree(jobs_twin)
 
 
 def test_generate_fast_path_matches_the_full_rebuild_after_every_edit(

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import importlib.util
+import os
 import re
+import shutil
+import sysconfig
 from pathlib import Path
 
 import pytest
@@ -10,6 +14,7 @@ from hypothesis import strategies as st
 from repodoc.config import ProviderConfig
 from repodoc.doc_pipeline import DocStore
 from repodoc.errors import OverBudgetError, SchedulingError
+from repodoc.project_graph import build_graph
 from repodoc.prompt_engine import (
     CALLEE_INTRO,
     CALLER_INTRO,
@@ -24,10 +29,12 @@ from repodoc.prompt_engine import (
     choose_tier,
     estimate_tokens,
     fit_to_budget,
+    quoted_caller,
     quoted_code,
     render_hierarchy,
     render_prompt,
 )
+from repodoc.source_model import CLASS, parse_repository, scan_repository
 
 from .helpers import build_repo_graph, context_for, generate_repo, write_tree
 
@@ -372,16 +379,24 @@ def test_a_header_with_non_ascii_text_is_cut_at_its_colon(tmp_path):
     assert _quoted(tmp_path, source) == "class K:\n    def ü(self, s='é→'): ..."
 
 
-def test_every_class_skeleton_of_the_email_package_is_python(tmp_path):
-    import ast
-    import email
-    import textwrap
-
-    package = Path(email.__file__).parent
+def _copy_package(tmp_path: Path, name: str) -> None:
+    """A copy of the running interpreter's package ``name`` under
+    ``tmp_path``, its sources alone; skips the test without one."""
+    spec = importlib.util.find_spec(name)
+    if spec is None or not spec.submodule_search_locations:
+        pytest.skip(f"no {name} package")
+    package = Path(spec.submodule_search_locations[0])
     for path in package.rglob("*.py"):
         rel = path.relative_to(package.parent)
         (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
-        (tmp_path / rel).write_bytes(path.read_bytes())
+        shutil.copyfile(path, tmp_path / rel)
+
+
+def test_every_class_skeleton_of_the_email_package_is_python(tmp_path):
+    import ast
+    import textwrap
+
+    _copy_package(tmp_path, "email")
     graph = build_repo_graph(tmp_path)
     classes = [oid for oid, obj in graph.objects.items() if obj.kind == "Class"]
     assert len(classes) > 100
@@ -477,3 +492,193 @@ def test_a_class_that_no_tier_holds_is_quoted_as_its_skeleton(tmp_path, caplog):
     small_prompt = gateway.provider.prompts[report.generated.index("small.py/Small")]
     assert "class Small:\n    def __init__(self):\n        self.n = 1\n\n    def f(self): ...\n" in small_prompt
     assert "budget reduction applied to small.py/Small" not in caplog.text
+
+
+def _caller_quote(tmp_path: Path, files: dict[str, str], caller: str, target: str) -> str:
+    write_tree(tmp_path, files)
+    graph = build_repo_graph(tmp_path)
+    assert caller in graph.callers(target)
+    return quoted_caller(graph, caller, graph.objects[target].name)
+
+
+def test_a_caller_is_quoted_as_its_call_sites(tmp_path):
+    source = (
+        "def target(*args):\n"
+        "    return args\n"
+        "\n"
+        "\n"
+        "def caller(x):\n"
+        '    """Call target twice.\n'
+        "\n"
+        "    The docstring goes.\n"
+        '    """\n'
+        "    y = x * 2\n"
+        "    f = target\n"
+        "    retarget(y)\n"
+        "    total = target(\n"
+        "        y,\n"
+        "        [x,\n"
+        '         ")"],\n'
+        "    )\n"
+        "\n"
+        "    again = target(total)\n"
+        "    return again\n"
+    )
+    # the call runs until its brackets close, a bracket in a string not
+    # counted; a run of blank lines stays one blank line
+    expected = (
+        "def caller(x):\n"
+        "    ...\n"
+        "    total = target(\n"
+        "        y,\n"
+        "        [x,\n"
+        '         ")"],\n'
+        "    )\n"
+        "\n"
+        "    again = target(total)\n"
+        "    ..."
+    )
+    assert _caller_quote(tmp_path, {"m.py": source}, "m.py/caller", "m.py/target") == expected
+    graph = build_repo_graph(tmp_path)
+    ctx = context_for(graph, DocStore(), "m.py/target")
+    assert [b.snippet for b in ctx.caller_blocks] == [expected]
+    prompt = render_prompt(ctx)
+    assert "The docstring goes." not in prompt
+    assert "retarget" not in prompt
+
+
+def test_a_decorated_caller_keeps_its_header_through_the_colon(tmp_path):
+    source = (
+        "def target(x):\n"
+        "    return x\n"
+        "\n"
+        "\n"
+        "@wrap(1)\n"
+        "@other\n"
+        "def caller(\n"
+        "    x,\n"
+        "):  # the header's comment\n"
+        '    """Doc."""\n'
+        "    if x:\n"
+        "        return target(x)  # a call (\n"
+        "    return 0\n"
+    )
+    # a bracket in a comment opens nothing
+    assert _caller_quote(tmp_path, {"m.py": source}, "m.py/caller", "m.py/target") == (
+        "@wrap(1)\n"
+        "@other\n"
+        "def caller(\n"
+        "    x,\n"
+        "):\n"
+        "    ...\n"
+        "        return target(x)  # a call (\n"
+        "    ..."
+    )
+
+
+def test_a_one_line_caller_is_quoted_whole(tmp_path):
+    source = "def target(x):\n    return x\n\n\ndef caller(x): return target(x)  # all\n"
+    assert _caller_quote(tmp_path, {"m.py": source}, "m.py/caller", "m.py/target") == (
+        "def caller(x): return target(x)  # all"
+    )
+    # a body that starts on the header's line and runs on
+    source = "def target(x):\n    return x\n\n\ndef caller(x): return (\n    target(x))\n"
+    assert _caller_quote(tmp_path, {"m.py": source}, "m.py/caller", "m.py/target") == (
+        "def caller(x): return (\n    target(x))"
+    )
+
+
+def test_a_nested_def_with_the_target_name_keeps_its_header_line(tmp_path):
+    # its header line names the target followed by "(", as a call does
+    source = (
+        "def caller(x):\n"
+        "    def target(y):\n"
+        "        return y\n"
+        "    z = 1\n"
+        "    return target(x) + z\n"
+    )
+    assert _caller_quote(tmp_path, {"m.py": source}, "m.py/caller", "m.py/caller/target") == (
+        "def caller(x):\n"
+        "    def target(y):\n"
+        "        ...\n"
+        "    return target(x) + z"
+    )
+
+
+def test_a_caller_with_no_line_naming_the_target_is_quoted_whole(tmp_path):
+    # the comment after the header's colon is not a body line
+    files = {
+        "m.py": "def target(x):\n    return x\n",
+        "n.py": (
+            "from m import target as alias\n"
+            "\n"
+            "\n"
+            "def caller(x):  # calls target(x) by its alias\n"
+            '    """Doc."""\n'
+            "    y = x + 1\n"
+            "    return alias(y)\n"
+        ),
+    }
+    quote = _caller_quote(tmp_path, files, "n.py/caller", "m.py/target")
+    assert quote == files["n.py"][files["n.py"].index("def") : -1]
+
+
+def test_a_class_caller_is_quoted_as_its_skeleton(tmp_path):
+    source = (
+        "def target(x):\n"
+        "    return x\n"
+        "\n"
+        "\n"
+        "class K:\n"
+        "    size = target(3)\n"
+        "\n"
+        "    def grow(self):\n"
+        "        return self.size\n"
+    )
+    quote = _caller_quote(tmp_path, {"m.py": source}, "m.py/K", "m.py/target")
+    assert quote == "class K:\n    size = target(3)\n\n    def grow(self): ..."
+
+
+def _call_sites_checked(root: Path, ignore: tuple[str, ...] = ()) -> int:
+    """Check, for each kept edge under ``root`` whose caller is a function,
+    that the caller's quote holds every line where a call of its own ends
+    in the callee's name, or is the caller whole; returns the number of
+    call sites checked."""
+    sources = scan_repository(root, ignore)
+    parses = list(parse_repository(sources, sources))
+    graph = build_graph(list(sources), parses)
+    sites: dict[tuple[str, str], list[int]] = {}
+    for parse in parses:
+        for call in parse.calls:
+            sites.setdefault((call.caller, call.chain[-1]), []).append(call.line)
+    file_lines: dict[str, list[str]] = {}
+    checked = 0
+    for callee, target in graph.objects.items():
+        for caller in graph.callers(callee):
+            obj = graph.objects[caller]
+            quote = quoted_caller(graph, caller, target.name)
+            if obj.kind == CLASS or quote == obj.snippet:
+                continue
+            file = graph.file_of(caller)
+            if file not in file_lines:
+                file_lines[file] = obj.text.split("\n")
+            quoted = set(quote.split("\n"))
+            for line in sites.get((caller, target.name), ()):
+                assert file_lines[file][line - 1] in quoted, (caller, callee, line)
+                checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("package", ["email", "idlelib"])
+def test_every_call_site_of_a_stdlib_package_is_quoted(tmp_path, package):
+    _copy_package(tmp_path, package)
+    assert _call_sites_checked(tmp_path) > 500
+
+
+@pytest.mark.skipif(
+    not os.environ.get("REPODOC_TEST_STDLIB_CUTS"),
+    reason="the whole stdlib takes about half a minute; set REPODOC_TEST_STDLIB_CUTS=1",
+)
+def test_every_call_site_is_quoted_on_the_whole_stdlib():
+    root = Path(sysconfig.get_paths()["stdlib"])
+    assert _call_sites_checked(root, ("site-packages",)) > 10_000
