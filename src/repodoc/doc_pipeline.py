@@ -900,9 +900,10 @@ def generate_all(
     outcome. The settings of each request are read from ``config``, and
     ``gateway`` may be None when no object is pending. An interrupt
     (``KeyboardInterrupt``) dispatches nothing more: the requests in flight
-    finish, on this thread before it is raised, or through the pool's
-    shutdown, and it propagates, their outcomes unrecorded and the store
-    untouched on disk.
+    finish, on this thread, which holds SIGINT and SIGTERM through its loop
+    and stops once either is pending, or through the pool's shutdown, and
+    it propagates, their outcomes unrecorded and the store untouched on
+    disk.
 
     The records of objects the graph no longer holds are dropped. The store
     is marked changed when a doc was recorded or dropped, or when the graph
@@ -933,37 +934,43 @@ def generate_all(
 
     jobs = max(1, min(jobs, len(pending)))
     generate_one = _generator(graph, gateway, store, config) if pending else None
-    # Ctrl-C and SIGTERM are held while a request is sent on this thread,
-    # so that it finishes, or while one is submitted: an interrupt raised
-    # while the pool starts a worker would leave that worker out of its
-    # shutdown, with its request still in flight. The workers start with
-    # both held, so only this thread takes them.
-    interrupts = (signal.SIGINT, signal.SIGTERM)
-    pool = None
-    if jobs > 1:
+    # Ctrl-C and SIGTERM are held while requests are sent on this thread,
+    # so that the one in flight finishes, or while one is submitted: an
+    # interrupt raised while the pool starts a worker would leave that
+    # worker out of its shutdown, with its request still in flight. The
+    # workers start with both held, so only this thread takes them.
+    interrupts = {signal.SIGINT, signal.SIGTERM}
+    if jobs == 1:
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, interrupts)
+        try:
+            while ready:
+                oid = heapq.heappop(ready)
+                outcome = generate_one(oid, allow_missing)
+                if interrupts & signal.sigpending():
+                    # raised even if the handler, run when the mask is
+                    # restored, raises nothing
+                    raise KeyboardInterrupt
+                finish(oid, outcome)
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+    else:
         from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 
         pool = ThreadPoolExecutor(max_workers=jobs)
-    running: dict[Future, str] = {}
-    try:
-        while ready or running:
-            while ready and len(running) < jobs:
-                oid = heapq.heappop(ready)
-                mask = signal.pthread_sigmask(signal.SIG_BLOCK, interrupts)
-                try:
-                    if pool is not None:
+        running: dict[Future, str] = {}
+        try:
+            while ready or running:
+                while ready and len(running) < jobs:
+                    oid = heapq.heappop(ready)
+                    mask = signal.pthread_sigmask(signal.SIG_BLOCK, interrupts)
+                    try:
                         running[pool.submit(generate_one, oid, allow_missing)] = oid
-                        continue
-                    outcome = generate_one(oid, allow_missing)
-                finally:
-                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-                finish(oid, outcome)
-            if running:
+                    finally:
+                        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                 finished, _ = wait(running, return_when=FIRST_COMPLETED)
                 for future in sorted(finished, key=running.__getitem__):
                     finish(running.pop(future), future.result())
-    finally:
-        if pool is not None:
+        finally:
             pool.shutdown()
     if len(report.generated) + len(report.failures) < len(pending):
         raise InternalError("cycle survived pruning; generation order undefined")

@@ -9,10 +9,13 @@ fixed sequence of content reductions.
 A class is quoted as its skeleton (``quoted_code``), since each of its
 methods is an object with a doc of its own: in a callee or caller block with
 every method cut to its header, and as the target with its ``__init__`` kept
-whole, the body that assigns the attributes its doc lists. A function caller
-is quoted as its call sites of the target (``quoted_caller``): its header
-and the body lines that call the target, its docstring and other lines left
-out. RepoAgent quotes every class and every caller whole.
+whole, the body that assigns the attributes its doc lists. A function callee
+with a doc is quoted as its header, decorators and signature through the
+":", followed by " ...", since the doc beside it was generated from its
+body; one with no doc ("None") is quoted whole. A function caller is quoted
+as its call sites of the target (``quoted_caller``): its header and the body
+lines that call the target, its docstring and other lines left out.
+RepoAgent quotes every class, every callee and every caller whole.
 """
 
 from __future__ import annotations
@@ -125,8 +128,12 @@ def assemble_context(
     the store, except ids listed in ``allow_missing`` whose docs render as
     "None". Caller docs are optional and render as "None" when absent. Blocks
     are ordered lexicographically by id. A class target is quoted as its
-    skeleton with its ``__init__`` whole, a function as its snippet, and
-    each caller by its calls of the target (``quoted_caller``).
+    skeleton with its ``__init__`` whole, a function as its snippet. A class
+    callee is quoted as its skeleton; a function callee as its header and
+    " ..." when its doc is not "None", else whole (``quoted_code``). Each
+    caller is quoted by its calls of the target (``quoted_caller``).
+    RepoAgent quotes every callee and caller whole. Each quote depends on
+    the graph and the records of prerequisites alone, so not on ``--jobs``.
     """
     obj = graph.objects.get(object_id)
     if obj is None:
@@ -150,9 +157,11 @@ def assemble_context(
             return "None"
         return record.text
 
-    callee_blocks = tuple(
-        RefBlock(cid, _required_doc(cid), quoted_code(graph, cid)) for cid in graph.callees(object_id)
-    )
+    def _callee_block(cid: str) -> RefBlock:
+        doc = _required_doc(cid)
+        return RefBlock(cid, doc, quoted_code(graph, cid, header=doc != "None"))
+
+    callee_blocks = tuple(map(_callee_block, graph.callees(object_id)))
     caller_blocks = tuple(
         RefBlock(cid, _optional_doc(cid), quoted_caller(graph, cid, obj.name))
         for cid in graph.callers(object_id)
@@ -169,27 +178,33 @@ def assemble_context(
     )
 
 
-def quoted_code(graph: RepoGraph, object_id: str, keep: str | None = None) -> str:
+def quoted_code(
+    graph: RepoGraph, object_id: str, keep: str | None = None, *, header: bool = False
+) -> str:
     """The code a prompt quotes for an object.
 
-    A function is quoted whole. A class is quoted as its skeleton: its own
-    lines (header, docstring, attributes, comments) stay, and each direct
-    child definition but the one named ``keep`` is cut to its header,
-    decorators and signature through the closing ":", followed by " ...";
-    its body goes, nested definitions included. A child whose body starts on
-    the colon's line is kept whole, so the skeleton is still Python. The cuts
-    are the children's spans in the text that the class shares with them,
-    which the parse records. A callee or caller keeps no child whole; a
-    target keeps its ``__init__`` (``assemble_context``).
+    A definition is cut to its header, decorators and signature through the
+    closing ":" (``span[0]:span[1]``), followed by " ..."; its body goes,
+    nested definitions included. One whose body starts on the colon's line
+    is kept whole, so the quote is still Python. A function is quoted whole,
+    or cut when ``header`` is set. A class is quoted as its skeleton: its
+    own lines (header, docstring, attributes, comments) stay, and each
+    direct child definition but the one named ``keep`` is cut. The cuts are
+    spans in the text that the class shares with its children, which the
+    parse records. A callee or caller keeps no child whole; a target keeps
+    its ``__init__`` (``assemble_context``).
     """
     obj = graph.objects[object_id]
-    children = graph.nodes[object_id].children if obj.kind == CLASS else ()
-    if not children:
+    if obj.kind == CLASS:
+        objects = graph.objects
+        kept = None if keep is None else f"{object_id}/{keep}"
+        cuts = sorted(objects[cid].span for cid in graph.nodes[object_id].children if cid != kept)
+    else:
+        cuts = [obj.span] if header else ()
+    if not cuts:
         return obj.snippet
-    text, objects = obj.text, graph.objects
-    kept = None if keep is None else f"{object_id}/{keep}"
-    (at, _, end), out = obj.span, []
-    for _, cut, stop in sorted(objects[cid].span for cid in children if cid != kept):
+    text, (at, _, end), out = obj.text, obj.span, []
+    for _, cut, stop in cuts:
         if cut < stop:  # the body starts below the header
             out += (text[at:cut], " ...")
             at = stop

@@ -576,6 +576,30 @@ def test_a_ctrl_c_lets_the_request_in_flight_finish(demo_repo, capsys, monkeypat
     assert _snapshot(demo_repo) == before
 
 
+def test_a_serial_generate_stops_at_a_ctrl_c_whose_handler_does_not_raise(
+    demo_repo, capsys, monkeypatch
+):
+    # the handler runs when the sending thread lets the held SIGINT in; the
+    # run still stops there, and no cycle is reported for what it left
+    providers, handled = [], []
+
+    def build(config):
+        providers.append(SignallingProvider(3, signal.SIGINT))
+        return Gateway(providers[-1], retries=0)
+
+    monkeypatch.setattr("repodoc.change_tracker.build_gateway", build)
+    previous = signal.signal(signal.SIGINT, lambda signum, frame: handled.append(signum))
+    try:
+        before = _snapshot(demo_repo)
+        code, out, err = run_cli("generate", "--repo", demo_repo, "--jobs", "1", capsys=capsys)
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    assert (code, out, err) == (130, "", "error: interrupted\n")
+    assert handled == [signal.SIGINT]
+    assert providers[-1].completed == providers[-1].started == 3
+    assert _snapshot(demo_repo) == before
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_jobs_below_one_is_a_usage_error(demo_repo, capsys, jobs):
     code, out, err = run_cli("generate", "--repo", demo_repo, "--jobs", jobs, capsys=capsys)

@@ -46,6 +46,8 @@ SCALE_GROWN = LABELED_FILES["util/tools.py"].replace(
     'def scale(x):\n    """Twice beta."""\n    factor = 2\n    return beta(x) * factor\n',
 )
 SCALE_QUOTED = "def scale(x):\n    ...\n    return beta(x) * factor\n```"
+# beta is documented, so a prompt quotes it by its header
+BETA_QUOTED = "[Code begin of beta]\n```\ndef beta(x): ...\n```"
 
 
 def _edit(rel, text):
@@ -98,7 +100,17 @@ STEPS = [
     # two workers take the two
     ("callee-of-a-taken-caller-edited", _edit("core.py", CORE_WITH_GAMMA.replace(
         "alpha() + x", "alpha() + x + 0").replace("return 1", "return 2")), 5),
+    # scale's callee beta lives in a file taken from the snapshot, so the
+    # text its header is cut from comes from add_snippets
+    ("caller-of-a-taken-callee-edited", _edit("util/helpers.py", SCALE_GROWN.replace(
+        "factor = 2", "factor = 3")), 5),
 ]
+
+# (target, quote): in a step named here, the prompt of the target quotes so
+QUOTED = {
+    "callee-of-a-taken-caller-edited": ("beta", SCALE_QUOTED),
+    "caller-of-a-taken-callee-edited": ("scale", BETA_QUOTED),
+}
 
 
 def _init_repo(repo):
@@ -193,9 +205,10 @@ def test_fast_path_matches_the_full_rebuild_on_every_commit(tmp_path, monkeypatc
         # two workers send the same prompts, in an order of their own
         assert sorted(jobs_prompts) == sorted(fast_prompts), name
         assert _outputs(jobs_twin) == _outputs(repo), name
-        if name == "callee-of-a-taken-caller-edited":
-            (beta_prompt,) = [p for p in fast_prompts if 'whose name is "beta"' in p]
-            assert SCALE_QUOTED in beta_prompt
+        if name in QUOTED:
+            target, quote = QUOTED[name]
+            (prompt,) = [p for p in fast_prompts if f'whose name is "{target}"' in p]
+            assert quote in prompt, name
         assert fast.ok and full.ok, name
         assert fast.reused_files == (reused or 0), name
         assert full.reused_files == 0

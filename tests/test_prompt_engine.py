@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repodoc.config import ProviderConfig
-from repodoc.doc_pipeline import DocStore
+from repodoc.doc_pipeline import DocRecord, DocStore
 from repodoc.errors import OverBudgetError, SchedulingError
 from repodoc.project_graph import build_graph
 from repodoc.prompt_engine import (
@@ -36,7 +36,15 @@ from repodoc.prompt_engine import (
 )
 from repodoc.source_model import CLASS, parse_repository, scan_repository
 
-from .helpers import build_repo_graph, context_for, generate_repo, write_tree
+from .helpers import (
+    build_repo_graph,
+    context_for,
+    generate_repo,
+    generate_stale,
+    make_config,
+    make_gateway,
+    write_tree,
+)
 
 TARGET_LINE = re.compile(r"^\s*\*[^*]", re.MULTILINE)
 
@@ -682,3 +690,145 @@ def test_every_call_site_of_a_stdlib_package_is_quoted(tmp_path, package):
 def test_every_call_site_is_quoted_on_the_whole_stdlib():
     root = Path(sysconfig.get_paths()["stdlib"])
     assert _call_sites_checked(root, ("site-packages",)) > 10_000
+
+
+def _callee_quote(tmp_path: Path, callee_source: str, **overrides) -> str:
+    """The quote of ``m.py/callee``, defined by ``callee_source``, in the
+    callee block of ``m.py/caller`` after a mock generation."""
+    write_tree(tmp_path, {"m.py": callee_source + "\n\ndef caller(x):\n    return callee(x)\n"})
+    graph, store, _, _ = generate_repo(tmp_path)
+    (block,) = context_for(graph, store, "m.py/caller", **overrides).callee_blocks
+    assert block.id == "m.py/callee"
+    return block.snippet
+
+
+def test_a_documented_function_callee_is_quoted_as_its_header(tmp_path):
+    source = (
+        "def callee(x, *, y=2) -> int:\n"
+        '    """Add y."""\n'
+        "    def inner():\n"
+        "        return y\n"
+        "    return x + inner()\n"
+    )
+    assert _callee_quote(tmp_path, source) == "def callee(x, *, y=2) -> int: ..."
+    graph, store, _, _ = generate_repo(tmp_path)
+    prompt = render_prompt(context_for(graph, store, "m.py/caller"))
+    # its doc stays, beside the header
+    assert "Document: \n**callee**: The function of callee is callee stub." in prompt
+    assert "[Code begin of callee]\n```\ndef callee(x, *, y=2) -> int: ...\n```" in prompt
+    assert "Add y." not in prompt and "return x + inner()" not in prompt
+    # a comment after the colon goes with the body
+    source = "def callee(\n    x,\n):  # a note\n    return x\n"
+    assert _callee_quote(tmp_path, source) == "def callee(\n    x,\n): ..."
+
+
+def test_a_decorated_callee_keeps_its_decorators(tmp_path):
+    source = (
+        "@wrap(1)\n"
+        "@other\n"
+        "async def callee(\n"
+        "    x: int = (1 if True else 2),\n"
+        ") -> dict[str, int]:\n"
+        "    return {}\n"
+    )
+    assert _callee_quote(tmp_path, source) == (
+        "@wrap(1)\n@other\nasync def callee(\n    x: int = (1 if True else 2),\n) -> dict[str, int]: ..."
+    )
+
+
+def test_a_one_line_callee_is_quoted_whole(tmp_path):
+    source = "def callee(x): return x  # all"
+    assert _callee_quote(tmp_path, source) == source
+    # a body that starts on the header's line and runs on
+    source = "def callee(x): return (\n    x)"
+    assert _callee_quote(tmp_path, source) == source
+
+
+def test_a_callee_with_no_doc_is_quoted_whole(tmp_path):
+    source = "def callee(x):\n    return x\n"
+    # failed in this run: its doc renders as "None"
+    write_tree(tmp_path, {"m.py": source + "\n\ndef caller(x):\n    return callee(x)\n"})
+    graph = build_repo_graph(tmp_path)
+    gateway = make_gateway(frozenset({"callee"}))
+    report = generate_stale(graph, gateway, DocStore(), make_config(tmp_path), 1)
+    assert list(report.failures) == ["m.py/callee"] and report.generated == ["m.py/caller"]
+    (prompt,) = [p for p in gateway.provider.prompts if 'whose name is "caller"' in p]
+    assert "Document: \nNone\n[Code begin of callee]\n```\n" + source + "```" in prompt
+    # listed as allowed to be missing
+    assert _callee_quote(tmp_path, source, allow_missing={"m.py/callee"}) == source[:-1]
+
+
+def test_a_class_callee_keeps_its_skeleton(tmp_path):
+    source = (
+        "class callee:\n"
+        '    """Doc."""\n'
+        "\n"
+        "    def __init__(self, x):\n"
+        "        self.x = x\n"
+        "\n"
+        "    def one(self): return 1\n"
+    )
+    assert _callee_quote(tmp_path, source) == (
+        'class callee:\n    """Doc."""\n\n    def __init__(self, x): ...\n\n    def one(self): return 1'
+    )
+
+
+def _callee_quotes_checked(root: Path, ignore: tuple[str, ...] = ()) -> tuple[int, int]:
+    """Check every callee block of every object under ``root``, a third of
+    the functions failed (their docs "None"): a function shows its exact
+    signature slice, decorators included, and a doc other than "None", or
+    its code whole; a class shows its skeleton. A signature slice, followed
+    by " ...", must parse as a def of the callee's name with that body.
+    Returns the numbers of function callee blocks quoted as a header and
+    quoted whole."""
+    import ast
+
+    graph = build_repo_graph(root, ignore)
+    objects = graph.objects
+    failed = set(sorted(oid for oid, obj in objects.items() if obj.kind != CLASS)[::3])
+    store = DocStore({oid: DocRecord(f"doc of {oid}", "") for oid in objects if oid not in failed})
+    headers = whole = 0
+    parsed: set[str] = set()
+    for oid in objects:
+        for block in context_for(graph, store, oid, allow_missing=failed).callee_blocks:
+            obj = objects[block.id]
+            if obj.kind == CLASS:
+                assert block.snippet == quoted_code(graph, block.id), block.id
+                continue
+            start, head_end, end = obj.span
+            if block.snippet == obj.snippet:
+                assert block.doc == "None" or head_end == end, block.id
+                whole += 1
+                continue
+            assert block.doc != "None", block.id
+            assert head_end < end and obj.text[head_end - 1] == ":", block.id
+            assert block.snippet == obj.text[start:head_end] + " ...", block.id
+            headers += 1
+            if block.id not in parsed:
+                parsed.add(block.id)
+                # the decorators and the def line share one indentation; the
+                # other lines are inside brackets, where indentation is free
+                lines = block.snippet.split("\n")
+                indent = lines[0][: len(lines[0]) - len(lines[0].lstrip())]
+                (node,) = ast.parse("\n".join(x.removeprefix(indent) for x in lines)).body
+                assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)), block.id
+                (body,) = node.body
+                assert node.name == obj.name and ast.unparse(body) == "...", block.id
+    return headers, whole
+
+
+@pytest.mark.parametrize("package", ["email", "idlelib"])
+def test_every_callee_of_a_stdlib_package_shows_its_signature(tmp_path, package):
+    _copy_package(tmp_path, package)
+    headers, whole = _callee_quotes_checked(tmp_path)
+    assert headers > 150 and whole > 50
+
+
+@pytest.mark.skipif(
+    not os.environ.get("REPODOC_TEST_STDLIB_CUTS"),
+    reason="the whole stdlib takes about half a minute; set REPODOC_TEST_STDLIB_CUTS=1",
+)
+def test_every_callee_shows_its_signature_on_the_whole_stdlib():
+    root = Path(sysconfig.get_paths()["stdlib"])
+    headers, whole = _callee_quotes_checked(root, ("site-packages",))
+    assert headers > 10_000 and whole > 5_000
