@@ -357,13 +357,12 @@ def document(
 
 def run_update(gateway: "Gateway | None", config: "Config", jobs: int) -> UpdateReport:
     """Regenerate docs for staged changes (``document`` of the index) and
-    stage the results. Nothing is written unless the report is ``ok``, so a
-    failed generation leaves the repository as it was and the commit can be
-    retried; an outdated doc that fails again is reported, keeps its record,
-    and is tried again on the next run. A staged file that fails to parse is
-    different: its docs are written and staged, and the command then exits
-    with the parse-error code, which refuses the commit with those docs left
-    in the index (ROADMAP direction 4).
+    stage the results. Nothing is written unless the report is ``ok`` and
+    every staged file parses, so a refused commit leaves the repository as
+    it was and can be retried, and the records of a file that failed to
+    parse are kept for the run after it is fixed. An outdated doc that
+    fails again is reported, keeps its record, and is tried again on the
+    next run.
     """
     repo_root = config.repo_root
     repo_git = require_git_repo(repo_root)
@@ -374,7 +373,7 @@ def run_update(gateway: "Gateway | None", config: "Config", jobs: int) -> Update
         sources = read_staged_text(repo_root, config.ignore)
         graph, store, report = document(config, sources, repo_git, jobs, gateway)
         report.staged = staged
-        if not report.ok:
+        if not report.ok or report.parse_errors:
             # leave store and pages untouched; the commit stays blocked
             return report
         store_path, doc_dir = repo_root / config.store_path, repo_root / config.doc_dir

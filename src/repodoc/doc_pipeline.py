@@ -35,6 +35,7 @@ from .project_graph import (
     TreeNode,
     child_name,
     kahn,
+    topological_order,
 )
 from .source_model import CLASS, FUNCTION, CodeObject, base64url, parser_identity, write_atomically
 
@@ -888,22 +889,23 @@ def generate_all(
     are recorded and do not stop the run; dependents see "None" for a
     failed prerequisite.
 
-    An object is dispatched once all of its pending callees and children
-    have finished, the smallest id of those ready first (``kahn``), to at
-    most ``jobs`` workers, so at most that many provider requests are in
-    flight. With one job, or one object pending, it runs on the calling
-    thread, so ``generated`` is ``topological_order`` of the pending ids;
-    that function is not a step of the run, but the order the tests check
-    it against, and the name the benchmark's tracer times as
-    ``project_graph.topo``. A cycle left among the pending ids is an
-    ``InternalError``. Workers only generate; this thread records every
-    outcome. The settings of each request are read from ``config``, and
-    ``gateway`` may be None when no object is pending. An interrupt
-    (``KeyboardInterrupt``) dispatches nothing more: the requests in flight
-    finish, on this thread, which holds SIGINT and SIGTERM through its loop
-    and stops once either is pending, or through the pool's shutdown, and
-    it propagates, their outcomes unrecorded and the store untouched on
-    disk.
+    With one job, or one object pending, the pending ids run on the
+    calling thread in ``topological_order``, which raises ``InternalError``
+    for a cycle left among them before any request. Otherwise an object is
+    dispatched once all of its pending callees and children have finished,
+    the smallest id of those ready first (``kahn``), to at most ``jobs``
+    workers, so at most that many provider requests are in flight; a cycle
+    is an ``InternalError`` once nothing is ready. Workers only generate;
+    this thread records every outcome. The settings of each request are
+    read from ``config``, and ``gateway`` may be None when no object is
+    pending.
+
+    Ctrl-C and SIGTERM are held, by this thread and so by the workers it
+    starts, from before the first dispatch until the requests in flight
+    have finished, the pool's shutdown included. One rule stops the run:
+    once either is pending, before a dispatch or before the outcomes of a
+    request or of a ``wait`` are recorded, a ``KeyboardInterrupt``
+    propagates, those outcomes unrecorded and the store untouched on disk.
 
     The records of objects the graph no longer holds are dropped. The store
     is marked changed when a doc was recorded or dropped, or when the graph
@@ -915,7 +917,6 @@ def generate_all(
     """
     objects = graph.objects
     report = RunReport(skipped=sorted(oid for oid in objects if oid not in pending))
-    ready, done = kahn(graph, pending)
     allow_missing = frozenset()
 
     def finish(oid: str, outcome) -> None:
@@ -930,50 +931,45 @@ def generate_all(
             report.generated.append(oid)
             report.prompt_tokens += ptok
             report.completion_tokens += ctok
-        done(oid)
+
+    interrupts = {signal.SIGINT, signal.SIGTERM}
+
+    def stop_if_interrupted() -> None:
+        # raised even if the handler, run when the mask is restored, raises nothing
+        if interrupts & signal.sigpending():
+            raise KeyboardInterrupt
 
     jobs = max(1, min(jobs, len(pending)))
     generate_one = _generator(graph, gateway, store, config) if pending else None
-    # Ctrl-C and SIGTERM are held while requests are sent on this thread,
-    # so that the one in flight finishes, or while one is submitted: an
-    # interrupt raised while the pool starts a worker would leave that
-    # worker out of its shutdown, with its request still in flight. The
-    # workers start with both held, so only this thread takes them.
-    interrupts = {signal.SIGINT, signal.SIGTERM}
-    if jobs == 1:
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, interrupts)
-        try:
-            while ready:
-                oid = heapq.heappop(ready)
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, interrupts)
+    try:
+        if jobs == 1:
+            for oid in topological_order(graph, pending):
+                stop_if_interrupted()
                 outcome = generate_one(oid, allow_missing)
-                if interrupts & signal.sigpending():
-                    # raised even if the handler, run when the mask is
-                    # restored, raises nothing
-                    raise KeyboardInterrupt
+                stop_if_interrupted()
                 finish(oid, outcome)
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-    else:
-        from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+        else:
+            from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 
-        pool = ThreadPoolExecutor(max_workers=jobs)
-        running: dict[Future, str] = {}
-        try:
-            while ready or running:
-                while ready and len(running) < jobs:
-                    oid = heapq.heappop(ready)
-                    mask = signal.pthread_sigmask(signal.SIG_BLOCK, interrupts)
-                    try:
+            ready, done = kahn(graph, pending)
+            running: dict[Future, str] = {}
+            with ThreadPoolExecutor(max_workers=jobs) as pool:
+                while ready or running:
+                    while ready and len(running) < jobs:
+                        stop_if_interrupted()
+                        oid = heapq.heappop(ready)
                         running[pool.submit(generate_one, oid, allow_missing)] = oid
-                    finally:
-                        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-                finished, _ = wait(running, return_when=FIRST_COMPLETED)
-                for future in sorted(finished, key=running.__getitem__):
-                    finish(running.pop(future), future.result())
-        finally:
-            pool.shutdown()
-    if len(report.generated) + len(report.failures) < len(pending):
-        raise InternalError("cycle survived pruning; generation order undefined")
+                    finished, _ = wait(running, return_when=FIRST_COMPLETED)
+                    stop_if_interrupted()
+                    for future in sorted(finished, key=running.__getitem__):
+                        oid = running.pop(future)
+                        finish(oid, future.result())
+                        done(oid)
+            if len(report.generated) + len(report.failures) < len(pending):
+                raise InternalError("cycle survived pruning; generation order undefined")
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
     gone = [oid for oid in store.records if oid not in objects]
     for oid in gone:

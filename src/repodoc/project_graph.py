@@ -361,9 +361,7 @@ class RepoGraph:
     ``files`` lists the file ids in order. A graph that ``build_graph``
     derived from a snapshot has ``base``, that snapshot: its nodes and
     objects are those of ``base`` but for the ``rebuilt`` ids, the parsed
-    files and their objects, and the ids of both are the same. When its
-    kept edges are the list ``base`` holds, so are its caller and callee
-    maps."""
+    files and their objects, and the ids of both are the same."""
 
     def __init__(
         self, nodes, objects, edges, removed_edges, diagnostics=None, parse_errors=None,
@@ -383,14 +381,10 @@ class RepoGraph:
 
     @cached_property
     def _callee_map(self) -> dict[str, list[str]]:
-        if self.base is not None and self.edges is self.base.edges:
-            return self.base._callee_map
         return _adjacency((edge.caller, edge.callee) for edge in self.edges)
 
     @cached_property
     def _caller_map(self) -> dict[str, list[str]]:
-        if self.base is not None and self.edges is self.base.edges:
-            return self.base._caller_map
         return _adjacency((edge.callee, edge.caller) for edge in self.edges)
 
     def callees(self, object_id: str) -> list[str]:

@@ -369,11 +369,8 @@ def _drop_callee_snippets(ctx: PromptContext) -> PromptContext:
 
 
 def _compact_hierarchy(ctx: PromptContext) -> PromptContext:
-    # the render without the target's children, which follow the "*" line;
-    # no object name holds a "*", so the last one is the target's
-    render = ctx.hierarchy_render
-    end = render.find("\n", render.rfind("*"))
-    return ctx if end < 0 else ctx._replace(hierarchy_render=render[:end])
+    render = render_hierarchy(ctx.graph, ctx.target.id, include_children=False)
+    return ctx._replace(hierarchy_render=render)
 
 
 def _drop_child_docs(ctx: PromptContext) -> PromptContext:

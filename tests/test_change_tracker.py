@@ -602,6 +602,28 @@ def test_run_update_failure_leaves_store_untouched(git_demo_repo):
     assert report.written_pages == []
 
 
+def test_an_update_refused_for_a_parse_error_writes_and_stages_nothing(git_demo_repo):
+    git(git_demo_repo, "add", "-A")
+    assert run_full_update(git_demo_repo)[0].ok
+    git(git_demo_repo, "commit", "-qm", "seed")
+    kept = [p for p in git_demo_repo.rglob("*") if p.is_file() and ".git" not in p.parts]
+    before = {path: path.read_bytes() for path in kept if path.name != "a.py"}
+
+    (git_demo_repo / "a.py").write_text(A_F_EDITED.replace("def f():", "def f(:"), encoding="utf-8")
+    git(git_demo_repo, "add", "a.py")
+    assert main(["update", "--repo", str(git_demo_repo)]) == 2
+    assert git(git_demo_repo, "diff", "--cached", "--name-only").splitlines() == ["a.py"]
+    assert {path: path.read_bytes() for path in before} == before
+
+    # the records of a.py were kept, so fixing it regenerates only what changed
+    (git_demo_repo / "a.py").write_text(A_F_EDITED, encoding="utf-8")
+    git(git_demo_repo, "add", "a.py")
+    report, _ = run_full_update(git_demo_repo)
+    assert report.ok and not report.parse_errors
+    assert report.plan.regenerate == (("a.py/f", TRIGGER_SOURCE_MODIFIED),)
+    assert report.run.generated == ["a.py/f"]
+
+
 def test_update_regenerates_a_doc_that_a_failed_generate_left_outdated(git_demo_repo, monkeypatch):
     assert main(["generate", "--repo", str(git_demo_repo)]) == 0
     git(git_demo_repo, "add", "-A")

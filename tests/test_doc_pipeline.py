@@ -4,6 +4,7 @@ import builtins
 import io
 import json
 import os
+import signal
 import stat
 import threading
 import tracemalloc
@@ -709,6 +710,35 @@ def test_a_cycle_that_survived_pruning_is_an_internal_error(tmp_path):
     graph.edges = [ReferenceEdge("m.py/a", "m.py/b"), ReferenceEdge("m.py/b", "m.py/a")]
     with pytest.raises(InternalError, match="cycle survived pruning"):
         generate_stale(graph, make_gateway(), DocStore(), make_config(tmp_path), 1)
+
+
+THREE_INDEPENDENT = "def a():\n    return 1\n\n\ndef b():\n    return 2\n\n\ndef c():\n    return 3\n"
+
+
+def test_a_serial_run_finds_a_cycle_before_its_first_request(tmp_path):
+    write_tree(tmp_path, {"m.py": THREE_INDEPENDENT})
+    graph = build_repo_graph(tmp_path)
+    graph.edges = [ReferenceEdge("m.py/a", "m.py/b"), ReferenceEdge("m.py/b", "m.py/a")]
+    gateway = make_gateway()
+    with pytest.raises(InternalError, match="cycle survived pruning"):
+        generate_stale(graph, gateway, DocStore(), make_config(tmp_path), 1)
+    assert gateway.provider.prompts == []  # not even c, which is ready
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_run_blocks_the_interrupts_once_and_restores_them_once(tmp_path, monkeypatch, jobs):
+    write_tree(tmp_path, {"m.py": THREE_INDEPENDENT})
+    graph = build_repo_graph(tmp_path)
+    calls, real = [], signal.pthread_sigmask
+
+    def counting(how, mask):
+        calls.append(how)
+        return real(how, mask)
+
+    monkeypatch.setattr(signal, "pthread_sigmask", counting)
+    report = generate_stale(graph, make_gateway(), DocStore(), make_config(tmp_path), jobs)
+    assert sorted(report.generated) == ["m.py/a", "m.py/b", "m.py/c"]
+    assert calls == [signal.SIG_BLOCK, signal.SIG_SETMASK]
 
 
 def test_single_job_follows_filtered_topological_order(tmp_path):

@@ -106,6 +106,11 @@ STEPS = [
         "factor = 2", "factor = 3")), 5),
 ]
 
+# a refused update saves no snapshot, so the file it could not parse is new
+# to the snapshot until an update parses it: the update of a step named
+# here takes the full path
+FULL_AFTER_A_REFUSED_UPDATE = {"body-edit-beside-a-syntax-error", "syntax-error-fixed"}
+
 # (target, quote): in a step named here, the prompt of the target quotes so
 QUOTED = {
     "callee-of-a-taken-caller-edited": ("beta", SCALE_QUOTED),
@@ -210,7 +215,7 @@ def test_fast_path_matches_the_full_rebuild_on_every_commit(tmp_path, monkeypatc
             (prompt,) = [p for p in fast_prompts if f'whose name is "{target}"' in p]
             assert quote in prompt, name
         assert fast.ok and full.ok, name
-        assert fast.reused_files == (reused or 0), name
+        assert fast.reused_files == (0 if name in FULL_AFTER_A_REFUSED_UPDATE else reused or 0), name
         assert full.reused_files == 0
         assert graph_dict(fast_graph) == graph_dict(full_graph), name
         assert fast_graph.parse_errors == full_graph.parse_errors, name
@@ -273,9 +278,15 @@ def test_generate_and_update_regenerate_the_same_objects_after_every_edit(
         for repo in (by_generate, by_update):
             edit(repo)
         git(by_update, "add", "-A")
-        code, generated, _, generate_prompts = _generate(by_generate, monkeypatch, capsys, full=False)
+        before = _outputs(by_update)
         updated, _, update_prompts = _update(by_update, monkeypatch, full=False)
-        assert updated.ok and code == (2 if updated.parse_errors else 0), name
+        if updated.parse_errors:
+            # a refused update writes nothing, so its twin documents this
+            # edit together with the next one, as the update does
+            assert updated.ok and _outputs(by_update) == before, name
+            continue
+        code, generated, _, generate_prompts = _generate(by_generate, monkeypatch, capsys, full=False)
+        assert updated.ok and code == 0, name
         assert generated["generated"] == updated.run.generated, name
         assert generate_prompts == update_prompts, name
         assert _outputs(by_generate) == _outputs(by_update), name
@@ -432,8 +443,9 @@ def test_a_syntax_error_reported_from_the_snapshot_fails_the_hook_alike(tmp_path
     repo = tmp_path / "repo"
     _init_repo(repo)
     write_tree(repo, {"bad.py": "def broken(:\n    pass\n"})
+    # generate saves the parse error in the snapshot, which an update refuses to
+    assert main(["generate", "--repo", str(repo)]) == 2
     git(repo, "add", "-A")
-    assert main(["update", "--repo", str(repo)]) == 2
     git(repo, "commit", "-qm", "seed")
     (repo / "core.py").write_text(CORE.replace("return 1", "return 2"), encoding="utf-8")
     git(repo, "add", "core.py")
@@ -459,8 +471,9 @@ def test_no_file_is_taken_from_a_snapshot_saved_elsewhere(tmp_path, monkeypatch,
     repo = tmp_path / "repo"
     _init_repo(repo)
     write_tree(repo, {"bad.py": "def broken(:\n    pass\n"})
+    # generate saves the parse error in the snapshot, which an update refuses to
+    assert main(["generate", "--repo", str(repo)]) == 2
     git(repo, "add", "-A")
-    assert main(["update", "--repo", str(repo)]) == 2
     git(repo, "commit", "-qm", "seed")
 
     # the next update runs under another parser or Python, or on a store
