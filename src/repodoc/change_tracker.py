@@ -316,7 +316,8 @@ class UpdateReport:
 
 
 def document(
-    config: "Config", sources: Sources, repo_git: Path | None, jobs: int, gateway: "Gateway | None" = None
+    config: "Config", sources: Sources, repo_git: Path | None, jobs: int,
+    gateway: "Gateway | None" = None, *, refuse_parse_errors: bool = False,
 ) -> tuple[RepoGraph, DocStore, UpdateReport]:
     """The one pipeline of ``generate`` and ``update``: document ``sources``,
     of the working tree or the index, and close them; the caller saves the
@@ -324,7 +325,8 @@ def document(
     the recorded snapshot's from it, and ``diff_objects`` compares the graph
     with it once. The pending objects are its ``stale_objects``, and the
     plan only names the trigger of each; they alone are quoted, requested
-    and generated.
+    and generated. With ``refuse_parse_errors``, a file that fails to parse
+    leaves nothing pending, so a refused commit sends no request.
     Without ``gateway``, one is built once an object is pending, so a run
     that regenerates nothing needs no API key. A top-level ``SUMMARY.py`` is
     refused first: its page would be the table of contents."""
@@ -339,7 +341,8 @@ def document(
         cache = ParseCache(repo_git)
         graph, taken = source_graph(sources, cache, store.graph_snapshot, reuse=store.recorded)
         changes = diff_objects(store.graph_snapshot, graph)
-        pending = stale_objects(graph, store, changes)
+        refused = refuse_parse_errors and graph.parse_errors
+        pending = set() if refused else stale_objects(graph, store, changes)
         plan = plan_updates(changes, pending)
         if gateway is None and pending:
             gateway = build_gateway(config)
@@ -357,7 +360,8 @@ def document(
 
 def run_update(gateway: "Gateway | None", config: "Config", jobs: int) -> UpdateReport:
     """Regenerate docs for staged changes (``document`` of the index) and
-    stage the results. Nothing is written unless the report is ``ok`` and
+    stage the results. A staged file that fails to parse refuses the commit
+    before any request. Nothing is written unless the report is ``ok`` and
     every staged file parses, so a refused commit leaves the repository as
     it was and can be retried, and the records of a file that failed to
     parse are kept for the run after it is fixed. An outdated doc that
@@ -371,7 +375,7 @@ def run_update(gateway: "Gateway | None", config: "Config", jobs: int) -> Update
         if not staged:
             return UpdateReport(staged)
         sources = read_staged_text(repo_root, config.ignore)
-        graph, store, report = document(config, sources, repo_git, jobs, gateway)
+        graph, store, report = document(config, sources, repo_git, jobs, gateway, refuse_parse_errors=True)
         report.staged = staged
         if not report.ok or report.parse_errors:
             # leave store and pages untouched; the commit stays blocked

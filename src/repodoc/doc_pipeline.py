@@ -22,7 +22,7 @@ from json.encoder import encode_basestring
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
-from .errors import CorruptStoreError, InternalError, OverBudgetError, ProviderError, StoreWriteError
+from .errors import CorruptStoreError, OverBudgetError, ProviderError, StoreWriteError
 from .project_graph import (
     DIR,
     FILE,
@@ -889,13 +889,13 @@ def generate_all(
     are recorded and do not stop the run; dependents see "None" for a
     failed prerequisite.
 
-    With one job, or one object pending, the pending ids run on the
-    calling thread in ``topological_order``, which raises ``InternalError``
-    for a cycle left among them before any request. Otherwise an object is
-    dispatched once all of its pending callees and children have finished,
-    the smallest id of those ready first (``kahn``), to at most ``jobs``
-    workers, so at most that many provider requests are in flight; a cycle
-    is an ``InternalError`` once nothing is ready. Workers only generate;
+    The pending ids are put in ``topological_order`` first, which raises
+    ``InternalError`` for a cycle left among them before any request. With
+    one job, or one object pending, they run in that order on the calling
+    thread. Otherwise an object is dispatched once all of its pending
+    callees and children have finished, the smallest id of those ready
+    first (``kahn``), to at most ``jobs`` workers, so at most that many
+    provider requests are in flight. Workers only generate;
     this thread records every outcome. The settings of each request are
     read from ``config``, and ``gateway`` may be None when no object is
     pending.
@@ -939,12 +939,13 @@ def generate_all(
         if interrupts & signal.sigpending():
             raise KeyboardInterrupt
 
+    order = topological_order(graph, pending)
     jobs = max(1, min(jobs, len(pending)))
     generate_one = _generator(graph, gateway, store, config) if pending else None
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, interrupts)
     try:
         if jobs == 1:
-            for oid in topological_order(graph, pending):
+            for oid in order:
                 stop_if_interrupted()
                 outcome = generate_one(oid, allow_missing)
                 stop_if_interrupted()
@@ -966,8 +967,6 @@ def generate_all(
                         oid = running.pop(future)
                         finish(oid, future.result())
                         done(oid)
-            if len(report.generated) + len(report.failures) < len(pending):
-                raise InternalError("cycle survived pruning; generation order undefined")
     finally:
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 

@@ -21,7 +21,6 @@ from .source_model import (
     CodeObject,
     FileParse,
     ParseCache,
-    Scope,
     Sources,
     module_name_for,
     parse_repository,
@@ -125,16 +124,14 @@ def resolve_references(
     """Resolve the call sites of ``parses`` to in-repo objects.
 
     ``nodes`` gives the repository's files, by their file nodes, and
-    ``objects`` its objects by id, by default those of ``parses``. Returns
+    ``objects`` its objects by id, by default those of ``parses``. A call
+    resolves from its own file's scopes, these files and these ids. Returns
     deduplicated edges sorted by (caller, callee), plus one ``Unresolved``
     for each call that could not be resolved, in file order. Self edges are
     dropped.
     """
     if objects is None:
         objects = {obj.id: obj for parse in parses for obj in parse.objects}
-    scopes: dict[str, Scope] = {}
-    for parse in parses:
-        scopes.update(parse.scopes)
     module_map = {
         module_name_for(node.id): node.id
         for node in nodes.values()
@@ -146,7 +143,7 @@ def resolve_references(
 
     for parse in sorted(parses, key=lambda p: p.file):
         for call in parse.calls:
-            target = _resolve_call(call, parse.file, objects, scopes, module_map)
+            target = _resolve_call(call, parse, objects, module_map)
             if target is None:
                 diagnostics.append(Unresolved(parse.file, call))
                 continue
@@ -180,68 +177,48 @@ def _nearest_class(caller_id: str, objects: Mapping[str, CodeObject]) -> str | N
     return None
 
 
+def _member(oid: str, attrs: Sequence[str], objects: Mapping[str, CodeObject]) -> str | None:
+    """``oid`` extended by the attribute chain ``attrs``, when the
+    repository holds that object."""
+    if attrs:
+        oid = "/".join((oid, *attrs))
+    return oid if oid in objects else None
+
+
 def _resolve_call(
     call: CallSite,
-    file_path: str,
+    parse: FileParse,
     objects: Mapping[str, CodeObject],
-    scopes: Mapping[str, Scope],
     module_map: Mapping[str, str],
 ) -> str | None:
+    """The object ``call`` names, from its own file's scopes, the files by
+    module name and the object ids alone."""
     base, attrs = call.chain[0], call.chain[1:]
 
     if base in _RECEIVERS:
-        if len(attrs) != 1:
-            return None
-        class_id = _nearest_class(call.caller, objects)
-        if class_id is None:
-            return None
-        candidate = f"{class_id}/{attrs[0]}"
-        return candidate if candidate in objects else None
+        class_id = _nearest_class(call.caller, objects) if len(attrs) == 1 else None
+        return None if class_id is None else _member(class_id, attrs, objects)
 
-    for scope_id in _scope_chain(call.caller, objects, file_path):
-        scope = scopes.get(scope_id)
-        if scope is None:
-            continue
+    for scope_id in _scope_chain(call.caller, objects, parse.file):
+        scope = parse.scopes[scope_id]
         if base in scope.defs:
-            oid = scope.defs[base]
-            for attr in attrs:
-                oid = f"{oid}/{attr}"
-            return oid if oid in objects else None
+            return _member(scope.defs[base], attrs, objects)
         if base in scope.imports:
-            binding = scope.imports[base]
-            if binding.member is None:
-                return _resolve_module_chain(binding.module, attrs, objects, module_map)
-            dotted = f"{binding.module}.{binding.member}" if binding.module else binding.member
-            if dotted in module_map:
-                return _resolve_module_chain(dotted, attrs, objects, module_map)
-            file_id = module_map.get(binding.module)
-            if file_id is None:
-                return None
-            oid = f"{file_id}/{binding.member}"
-            for attr in attrs:
-                oid = f"{oid}/{attr}"
-            return oid if oid in objects else None
-    return None
-
-
-def _resolve_module_chain(
-    module: str,
-    attrs: Sequence[str],
-    objects: Mapping[str, CodeObject],
-    module_map: Mapping[str, str],
-) -> str | None:
-    # Longest dotted prefix that names a file wins; the remainder must walk
-    # down objects within that file.
-    for split in range(len(attrs), -1, -1):
-        dotted = ".".join([module, *attrs[:split]])
-        file_id = module_map.get(dotted)
-        if file_id is None:
-            continue
-        rest = attrs[split:]
-        if not rest:
-            return None  # a module itself is not a documentable call target
-        oid = file_id + "/" + "/".join(rest)
-        return oid if oid in objects else None
+            module, member = scope.imports[base]
+            if member is not None:
+                dotted = f"{module}.{member}" if module else member
+                if dotted not in module_map:
+                    file_id = module_map.get(module)
+                    return None if file_id is None else _member(file_id, (member, *attrs), objects)
+                module = dotted
+            # The longest dotted prefix that names a file wins; the rest
+            # walks down its objects. A file is no object, so a module
+            # itself is no call target.
+            for split in range(len(attrs), -1, -1):
+                file_id = module_map.get(".".join((module, *attrs[:split])))
+                if file_id is not None:
+                    return _member(file_id, attrs[split:], objects)
+            return None
     return None
 
 

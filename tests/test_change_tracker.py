@@ -624,6 +624,26 @@ def test_an_update_refused_for_a_parse_error_writes_and_stages_nothing(git_demo_
     assert report.run.generated == ["a.py/f"]
 
 
+def test_an_update_refused_for_a_parse_error_sends_no_request(git_demo_repo, monkeypatch, capsys):
+    git(git_demo_repo, "add", "-A")
+    assert run_full_update(git_demo_repo)[0].ok
+    git(git_demo_repo, "commit", "-qm", "seed")
+
+    # a.py fails to parse while h, in the other file, has a new body
+    (git_demo_repo / "a.py").write_text(A_F_EDITED.replace("def f():", "def f(:"), encoding="utf-8")
+    b_py = git_demo_repo / "util" / "b.py"
+    b_py.write_text(DEMO_FILES["util/b.py"].replace("g(3)", "g(4)"), encoding="utf-8")
+    git(git_demo_repo, "add", "-A")
+    gateway = make_gateway()
+    monkeypatch.setattr(change_tracker, "build_gateway", lambda config: gateway)
+    capsys.readouterr()
+    assert main(["update", "--repo", str(git_demo_repo), "--json"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert gateway.provider.requests == []
+    assert report["run"]["generated"] == [] and report["run"]["prompt_tokens"] == 0
+    assert git(git_demo_repo, "diff", "--cached", "--name-only").splitlines() == ["a.py", "util/b.py"]
+
+
 def test_update_regenerates_a_doc_that_a_failed_generate_left_outdated(git_demo_repo, monkeypatch):
     assert main(["generate", "--repo", str(git_demo_repo)]) == 0
     git(git_demo_repo, "add", "-A")

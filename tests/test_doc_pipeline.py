@@ -715,13 +715,14 @@ def test_a_cycle_that_survived_pruning_is_an_internal_error(tmp_path):
 THREE_INDEPENDENT = "def a():\n    return 1\n\n\ndef b():\n    return 2\n\n\ndef c():\n    return 3\n"
 
 
-def test_a_serial_run_finds_a_cycle_before_its_first_request(tmp_path):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_run_finds_a_cycle_before_its_first_request(tmp_path, jobs):
     write_tree(tmp_path, {"m.py": THREE_INDEPENDENT})
     graph = build_repo_graph(tmp_path)
     graph.edges = [ReferenceEdge("m.py/a", "m.py/b"), ReferenceEdge("m.py/b", "m.py/a")]
     gateway = make_gateway()
     with pytest.raises(InternalError, match="cycle survived pruning"):
-        generate_stale(graph, gateway, DocStore(), make_config(tmp_path), 1)
+        generate_stale(graph, gateway, DocStore(), make_config(tmp_path), jobs)
     assert gateway.provider.prompts == []  # not even c, which is ready
 
 

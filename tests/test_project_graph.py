@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
+import platform
 import re
+import shutil
+import sysconfig
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -235,6 +241,40 @@ def test_first_call_site_wins_for_duplicate_edges():
     nodes = build_tree(["a.py"], parses)
     edges, _ = resolve_references(nodes, parses)
     assert len(edges) == 1
+
+
+TRUTH_DIR = Path(__file__).resolve().parents[1] / "bench" / "data"
+
+
+def _package_digest(package: Path) -> str:
+    """sha256 over (relative path, bytes) of every .py file of ``package``,
+    the digest that pins the benchmark's stdlib corpora."""
+    digest = hashlib.sha256()
+    for path in sorted(p for p in package.rglob("*.py") if "__pycache__" not in p.parts):
+        digest.update(path.relative_to(package.parent).as_posix().encode("utf-8") + b"\0")
+        digest.update(path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("package, found, agreed", [("idlelib", 1541, 1522), ("email", 541, 521)])
+def test_the_resolver_agrees_with_the_jedi_truth_of_a_pinned_stdlib_package(
+    tmp_path, package, found, agreed
+):
+    # the truth is a Jedi goto pass over the package of one interpreter
+    truth = json.loads((TRUTH_DIR / f"truth-{package}.json").read_text(encoding="utf-8"))
+    source = Path(sysconfig.get_paths()["stdlib"]) / package
+    if platform.python_version() != truth["python"] or not source.is_dir():
+        pytest.skip(f"the truth of {package} is for the sources of Python {truth['python']}")
+    if _package_digest(source) != truth["sha256"]:
+        pytest.skip(f"this interpreter's {package} is not the one the truth was made from")
+    for path in source.rglob("*.py"):
+        target = tmp_path / path.relative_to(source.parent)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copyfile(path, target)
+    graph = build_repo_graph(tmp_path)
+    edges = pairs(graph.edges) | pairs(graph.removed_edges)
+    expected = {tuple(e) for e in truth["edges"]}
+    assert (len(edges), len(edges & expected)) == (found, agreed)
 
 
 # -- cycle pruning ----------------------------------------------------------------

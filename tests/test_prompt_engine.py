@@ -228,6 +228,29 @@ def test_reduction_order_drops_caller_snippets_first(demo_repo, caplog):
     assert all(b.snippet is not None for b in fitted.callee_blocks)
 
 
+def test_a_class_that_fits_without_its_child_docs_keeps_its_init_whole(labeled_repo, caplog):
+    import logging
+
+    graph, store, _, _ = generate_repo(labeled_repo)
+    ctx = context_for(graph, store, "core.py/Engine", child_docs_enabled=True)
+    assert ctx.child_docs
+    # the one tier holds the prompt once every reduction up to dropping the
+    # child docs is applied, and not before
+    estimates, reduced = [estimate_tokens(render_prompt(ctx))], ctx
+    last = [name for name, _ in REDUCTION_STEPS].index("drop child docs")
+    for _, step in REDUCTION_STEPS[: last + 1]:
+        reduced = step(reduced)
+        estimates.append(estimate_tokens(render_prompt(reduced)))
+    window = estimates[-1] + 64
+    assert min(estimates[:-1]) + 64 > window
+    with caplog.at_level(logging.INFO, logger="repodoc.prompt_engine"):
+        fitted, _, prompt = fit_to_budget(ctx, [ModelTier("only", window)], reserve=64)
+    assert "budget reduction applied to core.py/Engine: drop child docs" in caplog.text
+    assert "quote target class as skeleton" not in caplog.text
+    assert fitted.child_docs == () and CHILD_DOCS_INTRO not in prompt
+    assert "    def __init__(self, size):\n        self.size = size\n" in prompt
+
+
 def _quoted(tmp_path: Path, source: str, object_id: str = "m.py/K") -> str:
     write_tree(tmp_path, {"m.py": source})
     return quoted_code(build_repo_graph(tmp_path), object_id)
