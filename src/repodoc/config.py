@@ -55,16 +55,9 @@ class Config(NamedTuple):
     completion_reserve_tokens: int = DEFAULT_COMPLETION_RESERVE
 
 
-_TOP_KEYS = {
-    "ignore",
-    "doc_dir",
-    "store_path",
-    "provider",
-    "doc_language",
-    "child_docs_enabled",
-    "completion_reserve_tokens",
-}
-_PROVIDER_KEYS = {"base_url", "tiers", "temperature", "retries"}
+# the keys of a config file: the settings, less the root it is read from
+_TOP_KEYS = set(Config._fields) - {"repo_root"}
+_PROVIDER_KEYS = set(ProviderConfig._fields)
 
 
 def split_http_url(base_url: str) -> SplitResult:

@@ -323,18 +323,6 @@ class DocStore:
         # then may its snapshot lend files, and are the pages on disk its own.
         self.recorded = False
 
-    def to_dict(self) -> dict:
-        """The store as plain data: each record the list of its text and
-        source hash, and each object's node without the source hash that
-        its record states."""
-        records, graph = self.records, self.graph_snapshot
-        hashes = {oid: record.source_hash for oid, record in records.items()}
-        return {
-            "version": STORE_VERSION,
-            "records": {oid: list(records[oid]) for oid in sorted(records)},
-            "graph": graph_dict(graph, hashes) if graph else None,
-        }
-
 
 def _chunks(keys: Iterable, line: Callable[..., str]) -> Iterator[bytes]:
     """The member lines ``line`` gives for ``keys``, each ending in a comma,
@@ -364,49 +352,16 @@ def _edge_line(edge: ReferenceEdge) -> str:
     return f'{{"callee":{_escape(edge.callee)},"caller":{_escape(edge.caller)}}},'
 
 
-def node_entry(graph: RepoGraph, node_id: str, record_hash: str | None = None) -> dict:
-    """A node's plain data: its kind, left out for a function, which has an
-    object, and, as it has them, its children by name, its object's
-    ``meta``, its blob id and its parse error. The meta holds what the node
-    does not state of the object, its source hash standing in for the
-    snippet, less no params, no return value and a source hash that is
-    ``record_hash``, the one its doc record states. ``_node_of`` reads it."""
-    node = graph.nodes[node_id]
-    obj = graph.objects.get(node_id)
-    entry: dict = {}
-    if obj is None or node.node_kind != FUNCTION:
-        entry["node_kind"] = node.node_kind
-    if node.children:
-        entry["children"] = [child_name(child) for child in node.children]
-    if obj is not None:
-        meta: dict = {"has_return": True} if obj.has_return else {}
-        if obj.params:
-            meta["params"] = list(obj.params)
-        meta["parent_id"] = obj.parent_id
-        if obj.source_hash != record_hash:
-            meta["source_hash"] = obj.source_hash
-        entry["meta"] = meta
-    if node.blob is not None:
-        entry["blob"] = node.blob
-    if node.parse_error is not None:
-        entry["parse_error"] = node.parse_error
-    return entry
-
-
-def graph_dict(graph: RepoGraph, record_hashes: Mapping[str, str] | None = None) -> dict:
-    """The graph as plain data, each object's source hash left out where
-    ``record_hashes`` states it for its id; ``graph_of`` reads it back."""
-    hashes = record_hashes or {}
-    return {
-        "nodes": {nid: node_entry(graph, nid, hashes.get(nid)) for nid in sorted(graph.nodes)},
-        "edges": [edge._asdict() for edge in graph.edges],
-        "removed_edges": [edge._asdict() for edge in graph.removed_edges],
-    }
-
-
 def _node_line(graph: RepoGraph, node_id: str, record_hash: str | None) -> str:
-    # node_entry(graph, node_id, record_hash), its keys and those of its
-    # meta in sorted order
+    """A node's store line, the one encoding of a node: ``"<id>":`` and
+    its compact JSON with sorted keys, ending in a comma. It states the
+    node's kind, left out for a function, which has an object, and, as it
+    has them, its children by name, its object's ``meta``, its blob id and
+    its parse error. The meta holds what the node does not state of the
+    object, its source hash standing in for the snippet, and leaves out
+    empty params, a false ``has_return`` and a source hash that is
+    ``record_hash``, the one its doc record states. ``_node_of`` reads it,
+    and ``graph_dict`` decodes it."""
     node = graph.nodes[node_id]
     fields = [] if node.blob is None else [f'"blob":{_escape(node.blob)}']
     if node.children:
@@ -428,13 +383,25 @@ def _node_line(graph: RepoGraph, node_id: str, record_hash: str | None) -> str:
     return f'{_escape(node_id)}:{{{",".join(fields)}}},'
 
 
+def graph_dict(graph: RepoGraph) -> dict:
+    """The graph as plain data, as ``repodoc graph`` prints it: each node
+    its store line decoded, every source hash stated. ``graph_of`` reads it
+    back."""
+    return {
+        "nodes": {nid: _decode_entry(_node_line(graph, nid, None)) for nid in sorted(graph.nodes)},
+        "edges": [edge._asdict() for edge in graph.edges],
+        "removed_edges": [edge._asdict() for edge in graph.removed_edges],
+    }
+
+
 def _store_blocks(store: DocStore) -> Iterator[bytes]:
-    """The bytes of ``store.to_dict()``: compact JSON with sorted keys, one
-    line per record, node and edge, each section opened and closed by the
-    lines of ``_SECTION_LINES``, and a final newline, in blocks of lines.
-    Neither the text nor the dict is held whole. A node or record still held
-    as its store line is written as that line, the bytes its encode gives,
-    but for the node of a record set or dropped since the load."""
+    """The bytes of the store: compact JSON with sorted keys, one line per
+    record (the list of its text and source hash), node (``_node_line``,
+    less the source hash its record states) and edge, each section opened
+    and closed by the lines of ``_SECTION_LINES``, and a final newline, in
+    blocks of lines. The text is never held whole. A node or record still
+    held as its store line is written as that line, the bytes its encode
+    gives, but for the node of a record set or dropped since the load."""
     graph, records = store.graph_snapshot, store.records
     records_edited = records.edited if type(records) is LazyEntries else ()
 
@@ -591,8 +558,8 @@ def _edges(items: Iterable[dict]) -> list[ReferenceEdge]:
 def _node_of(
     node_id: str, entry: dict, record_hash: str | None
 ) -> tuple[TreeNode, CodeObject | None]:
-    """The tree node of a ``node_entry``, its children by id, and its
-    object, or None when it has no meta. The object's source hash is
+    """The tree node of a decoded ``_node_line``, its children by id, and
+    its object, or None when it has no meta. The object's source hash is
     ``record_hash`` unless the meta states one; it has no text, so no
     snippet."""
     meta = entry.get("meta")
@@ -611,7 +578,9 @@ def _node_of(
 
 
 def graph_of(data: dict, record_hashes: Mapping[str, str] | None = None) -> RepoGraph:
-    """The graph of ``graph_dict(graph, record_hashes)``."""
+    """The graph of a store's decoded ``graph`` section, or of
+    ``graph_dict``: each object's source hash is that of its node, or else
+    the one ``record_hashes`` states for its id."""
     hashes = record_hashes or {}
     nodes: dict[str, TreeNode] = {}
     objects: dict[str, CodeObject] = {}
@@ -706,17 +675,12 @@ def load_store(path: str | Path, git_dir: Path | None = None) -> DocStore:
     if git_dir is not None:
         with contextlib.suppress(OSError, ValueError):
             recorded = (git_dir / SNAPSHOT_DIGEST_NAME).read_text(encoding="utf-8")
-    if recorded == digest.hexdigest() + "\n":
-        try:
-            store = _lazy_store(raw)
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
-            raise CorruptStoreError(
-                f"doc store {path} is unreadable ({exc}); delete it and rerun generate to rebuild"
-            ) from exc
-        if store is not None:
-            store.digest, store.recorded = digest.hexdigest(), True
-            return store
     try:
+        if recorded == digest.hexdigest() + "\n":
+            store = _lazy_store(raw)
+            if store is not None:
+                store.digest, store.recorded = digest.hexdigest(), True
+                return store
         text = raw.decode("utf-8")
         del raw
         data = json.loads(text)
@@ -887,7 +851,9 @@ def generate_all(
     alike), so every object without a record is pending. The other objects
     are skipped without any gateway call, and listed sorted by id. Failures
     are recorded and do not stop the run; dependents see "None" for a
-    failed prerequisite.
+    failed prerequisite. A failed object whose record states its source
+    was pending for a caller added or removed alone: its record keeps the
+    text under no source hash, so the next run finds it pending again.
 
     The pending ids are put in ``topological_order`` first, which raises
     ``InternalError`` for a cycle left among them before any request. With
@@ -925,6 +891,14 @@ def generate_all(
             allow_missing = allow_missing | {oid}
             report.failures[oid] = str(outcome)
             logger.error("generation failed for %s: %s", oid, outcome)
+            record = store.records.get(oid)
+            if record is not None and record.source_hash == objects[oid].source_hash:
+                # pending only for a caller added or removed, which the
+                # snapshot saved with it holds: a record of no source keeps
+                # the text and leaves the object pending on the next run
+                store.records[oid] = DocRecord(record.text, "")
+                store.edited.add(oid)
+                store.changed = True
         else:
             record, ptok, ctok = outcome
             store.records[oid] = record

@@ -13,11 +13,12 @@ Three fixture repositories are used throughout:
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 from typing import Iterable
 
 from repodoc.config import Config
-from repodoc.doc_pipeline import DocStore, generate_all, stale_objects
+from repodoc.doc_pipeline import DocStore, generate_all, load_store, record_snapshot, stale_objects
 from repodoc.llm_gateway import (
     CompletionRequest,
     CompletionResponse,
@@ -27,7 +28,7 @@ from repodoc.llm_gateway import (
 )
 from repodoc.project_graph import RepoGraph, build_graph, diff_objects
 from repodoc.prompt_engine import PromptContext, assemble_context
-from repodoc.source_model import parse_repository, scan_repository
+from repodoc.source_model import FUNCTION, parse_repository, scan_repository
 
 DEMO_FILES = {
     "a.py": (
@@ -245,6 +246,56 @@ def generate_repo(root: Path, jobs: int = 1, **config_overrides):
     gateway = make_gateway()
     report = generate_stale(graph, gateway, store, make_config(root, **config_overrides), jobs)
     return graph, store, report, gateway
+
+
+def assert_stored_fact_by_fact(store: DocStore, path: Path) -> None:
+    """Check the file that ``save_store`` just wrote of ``store``, which
+    has a graph, with no encoder of the test's own:
+
+    - each member line is canonical compact JSON: the bytes ``json.dumps``
+      gives its value, with sorted keys and ``ensure_ascii`` off, in UTF-8,
+      each lone surrogate as its escape;
+    - the store loaded whole, and lazily under its recorded digest, holds
+      the same records, and ``diff_objects``, which compares every stored
+      fact field by field, finds no node or object of the saved graph
+      changed;
+    - no node line states a default: no false ``has_return``, no empty
+      ``params`` or ``children``, no ``node_kind`` on a function, and no
+      source hash that the object's record states.
+    """
+    canonical = json.JSONEncoder(separators=(",", ":"), sort_keys=True, ensure_ascii=False).encode
+    graph, records = store.graph_snapshot, store.records
+    lines = path.read_bytes().split(b"\n")
+    start, end = lines.index(b'],"nodes":{') + 1, lines.index(b'},"removed_edges":[')
+    for number, line in enumerate(lines):
+        if not line or line.endswith((b"[", b"{")) or line.startswith((b"]", b"}")):
+            continue  # a line that opens or closes a section
+        line = line.removesuffix(b",")
+        if line.startswith(b"{"):  # an edge
+            value = json.loads(line)
+            assert canonical(value).encode("utf-8", "backslashreplace") == line
+            continue
+        ((key, value),) = json.loads(b"{" + line + b"}").items()
+        assert f"{canonical(key)}:{canonical(value)}".encode("utf-8", "backslashreplace") == line
+        if not start <= number < end:
+            continue
+        assert value.get("children") != []
+        meta = value.get("meta")
+        assert ("node_kind" in value) is (meta is None or graph.nodes[key].node_kind != FUNCTION)
+        if meta is not None:
+            assert meta.get("has_return", True) is True and meta.get("params") != []
+            record = records.get(key)
+            stated = record is not None and record.source_hash == graph.objects[key].source_hash
+            assert ("source_hash" in meta) is not stated, key
+    git_dir = path.parent / "git"
+    git_dir.mkdir(exist_ok=True)
+    record_snapshot(store, git_dir)
+    whole, lazy = load_store(path), load_store(path, git_dir)
+    assert (whole.recorded, lazy.recorded) == (False, True)
+    for loaded in (whole, lazy):
+        assert dict(loaded.records) == dict(records)
+        changes = diff_objects(graph, loaded.graph_snapshot)
+        assert changes.nodes == frozenset() and changes.same
 
 
 class CapturingProvider:

@@ -733,6 +733,33 @@ def test_a_restored_source_whose_record_is_of_it_is_not_regenerated(
     assert _docs(git_demo_repo) == _docs(full)
 
 
+def test_a_callee_that_fails_for_a_new_caller_is_pending_on_the_next_run(
+    tmp_path, monkeypatch, capsys
+):
+    # f is pending only because g, added, calls it. The failed run saves the
+    # snapshot with g -> f, so without a mark on f's record the next run
+    # would find no edge added and f's doc would never name its caller.
+    repo = tmp_path / "repo"
+    write_tree(repo, {"a.py": "def f():\n    return 1\n"})
+    git(repo, "init", "-q")
+    assert main(["generate", "--repo", str(repo)]) == 0
+    page = (repo / "markdown_docs" / "a.md").read_bytes()
+    write_tree(repo, {"b.py": "from a import f\n\n\ndef g():\n    return f()\n"})
+    with monkeypatch.context() as patch:
+        failing = Gateway(FailingProvider(frozenset({"f"})), retries=0)
+        patch.setattr(change_tracker, "build_gateway", lambda config: failing)
+        capsys.readouterr()
+        assert main(["generate", "--repo", str(repo), "--json"]) == 3
+        report = json.loads(capsys.readouterr().out)
+    assert report["generated"] == ["b.py/g"] and list(report["failures"]) == ["a.py/f"]
+    # the page keeps the doc f had
+    assert (repo / "markdown_docs" / "a.md").read_bytes() == page
+
+    for generated in (["a.py/f"], []):
+        assert main(["generate", "--repo", str(repo), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["generated"] == generated
+
+
 def test_an_outdated_doc_that_fails_again_refuses_no_later_commit(git_demo_repo, capsys):
     # one tier: the demo's objects fit it, an f of 3,000 lines fits no budget
     config = {"provider": {"tiers": [{"name": "small", "context_window": 4000}]}}

@@ -3,6 +3,7 @@ from __future__ import annotations
 import builtins
 import io
 import json
+import logging
 import os
 import signal
 import stat
@@ -29,7 +30,7 @@ from repodoc.doc_pipeline import (
 )
 from repodoc.config import load_config
 from repodoc.errors import CorruptStoreError, InternalError
-from repodoc.llm_gateway import Gateway, MockProvider
+from repodoc.llm_gateway import CompletionResponse, Gateway, MockProvider
 from repodoc.project_graph import (
     Overlay,
     ReferenceEdge,
@@ -44,6 +45,7 @@ from repodoc.source_model import CodeObject, parse_file, source_digest
 from .helpers import (
     DEMO_FILES,
     DEMO_TOPO_ORDER,
+    assert_stored_fact_by_fact,
     build_repo_graph,
     generate_repo,
     generate_stale,
@@ -290,6 +292,34 @@ def test_a_provider_answer_becomes_the_record_text_it_always_gave(case):
     assert record_from_parsed(obj, parsed) == DocRecord(text, "h")
 
 
+class _SameAnswer:
+    """A provider that gives every request the same answer."""
+
+    def __init__(self, answer: str) -> None:
+        self.answer = answer
+
+    def send(self, request) -> CompletionResponse:
+        return CompletionResponse(self.answer, 10, 5)
+
+
+def test_a_non_compliant_answer_is_stored_with_one_warning(tmp_path, caplog):
+    write_tree(tmp_path, {"m.py": "def f(x):\n    print(x)\n"})
+    graph = build_repo_graph(tmp_path)
+    store = DocStore()
+    # no parameters and no Code Description, and a section of no known label
+    answer = "**f**: Prints x.\n**Note**: none.\n**Vibes**: immaculate."
+    gateway = Gateway(_SameAnswer(answer), retries=0)
+    with caplog.at_level(logging.WARNING, logger="repodoc"):
+        report = generate_stale(graph, gateway, store, make_config(tmp_path), 1)
+    assert report.generated == ["m.py/f"] and report.failures == {}
+    (warning,) = [record for record in caplog.records if record.levelno >= logging.WARNING]
+    assert warning.getMessage() == (
+        "m.py/f: non-compliant doc (missing=['parameters', 'Code Description'] extra=['Vibes'])"
+    )
+    # the kind's label stands in for the section the answer left out
+    assert store.records["m.py/f"].text == "**f**: Prints x.\n\n**parameters**:\n\n**Note**: none."
+
+
 def test_record_roundtrips_through_render_and_reparse(demo_repo):
     graph, store, _, _ = generate_repo(demo_repo)
     for oid, record in store.records.items():
@@ -490,25 +520,13 @@ def test_save_store_streams_one_value_per_line(tmp_path):
     finally:
         tracemalloc.stop()
     text = path.read_text(encoding="utf-8")
-    data = store.to_dict()
-    assert json.loads(text) == data and text.endswith("}\n")
-
-    # one line per edge, node and record: its compact JSON with sorted keys
-    def dump(value) -> str:
-        return json.dumps(value, separators=(",", ":"), sort_keys=True)
-
-    lines = text.splitlines()
-    members = [
-        line.removesuffix(",")
-        for line in lines
-        if not line.endswith(("[", "{")) and not line.startswith(("]", "}"))
-    ]
-    graph = data["graph"]
-    assert len(members) == len(graph["edges"]) + len(graph["nodes"]) + len(data["records"])
-    for member in members:
-        member = member if member.startswith("{") else "{" + member + "}"
-        assert dump(json.loads(member)) == member
-    assert len(lines) == len(members) + 5
+    assert text.endswith("}\n")
+    # one line per edge, node and record, and one for each section's start
+    # and end
+    graph = store.graph_snapshot
+    members = len(graph.edges) + len(graph.nodes) + len(store.records)
+    assert len(text.splitlines()) == members + 5
+    assert_stored_fact_by_fact(store, path)
     # holding the whole text, as json.dumps does, would take more than this
     assert peak < path.stat().st_size
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repodoc.doc_pipeline import graph_dict, graph_of, node_entry
+from repodoc.doc_pipeline import graph_dict, graph_of
 from repodoc.project_graph import (
     DIR,
     FILE,
@@ -475,7 +475,7 @@ def test_children_stored_by_name_read_back_as_ids(tmp_path):
 
 
 def _documented(graph: RepoGraph) -> dict:
-    """``to_dict()`` less the file nodes' blob ids and parse errors."""
+    """``graph_dict`` less the file nodes' blob ids and parse errors."""
     data = graph_dict(graph)
     for entry in data["nodes"].values():
         entry.pop("blob", None)
@@ -516,10 +516,12 @@ def test_same_as_agrees_with_the_stored_form(demo_repo, edit):
     for old, new in ((graph, other), (other, graph)):
         changes = diff_objects(old, new)
         assert changes.same is expected
+        # the nodes whose store line differs, each hash stated
+        stored, stored_old = graph_dict(new)["nodes"], graph_dict(old)["nodes"]
         assert changes.nodes == {
             node_id
             for node_id in new.nodes
-            if node_id not in old.nodes or node_entry(new, node_id) != node_entry(old, node_id)
+            if node_id not in old.nodes or stored[node_id] != stored_old[node_id]
         }
         assert changes.added == tuple(sorted(new.objects.keys() - old.objects.keys()))
         assert changes.removed == tuple(sorted(old.objects.keys() - new.objects.keys()))

@@ -19,7 +19,10 @@ from __future__ import annotations
 import ast
 import base64
 import json
+import os
 import shutil
+import sysconfig
+from json.decoder import scanstring
 from pathlib import Path
 
 import pytest
@@ -35,7 +38,6 @@ from repodoc.doc_pipeline import (
     LazyEntries,
     graph_dict,
     load_store,
-    node_entry,
     record_snapshot,
     save_store,
 )
@@ -45,7 +47,14 @@ from repodoc.project_graph import DIR, FILE, REPO, ROOT_ID, RepoGraph, TreeNode
 from repodoc.source_model import CLASS, FUNCTION, CodeObject, blob_id
 
 from .conftest import git
-from .helpers import DEMO_FILES, ORDER_FILES, generate_repo, write_tree
+from .helpers import (
+    DEMO_FILES,
+    ORDER_FILES,
+    assert_stored_fact_by_fact,
+    build_repo_graph,
+    generate_repo,
+    write_tree,
+)
 
 DATA = Path(__file__).parent / "data"
 V1_DIR = DATA / "demo_store_v1"
@@ -470,8 +479,8 @@ def test_record_lines_are_those_of_a_full_encode(tmp_path):
 
 def test_node_lines_are_those_of_a_full_encode(tmp_path):
     # files with and without a blob and a parse error, each holding one
-    # object with a record of its hash, of another or none; every id,
-    # name, param, hash and error a strange string
+    # object with a record of its hash, of another or none, and all but one
+    # with params; every id, name, param, hash and error a strange string
     nodes = {ROOT_ID: TreeNode(ROOT_ID, REPO, ["d"]), "d": TreeNode("d", DIR)}
     objects, records = {}, {}
     for index, value in enumerate(STRANGE_STRINGS):
@@ -481,23 +490,41 @@ def test_node_lines_are_those_of_a_full_encode(tmp_path):
         nodes["d"].children.append(file_id)
         nodes[file_id] = TreeNode(file_id, FILE, [oid], blob, value if index % 3 else None)
         nodes[oid] = TreeNode(oid, kind)
-        params = (value, value[::-1])
+        params = () if index == 1 else (value, value[::-1])
         objects[oid] = CodeObject(oid, kind, value, (0, 0), "", params, index % 2 == 0, file_id, value)
         if index % 3 < 2:
             records[oid] = DocRecord(value, (value, value + "!")[index % 3])
     graph = RepoGraph(nodes, objects, [], [])
     path = tmp_path / "store.json"
-    save_store(DocStore(records=dict(records), graph_snapshot=graph), path)
+    store = DocStore(records=dict(records), graph_snapshot=graph)
+    save_store(store, path)
     lines = path.read_bytes().split(b"\n")
     start, end = lines.index(b'],"nodes":{') + 1, lines.index(b'},"removed_edges":[')
-    hashes = {oid: record.source_hash for oid, record in records.items()}
-    assert [line.removesuffix(b",") for line in lines[start:end]] == [
-        utf8_line(nid, node_entry(graph, nid, hashes.get(nid))) for nid in sorted(nodes)
-    ]
+    assert [scanstring(line.decode("utf-8"), 1)[0] for line in lines[start:end]] == sorted(nodes)
     assert sum(b'"source_hash":' in line for line in lines[start:end]) == len(objects) - 3
-    loaded = load_store(path)
-    assert graph_dict(loaded.graph_snapshot) == graph_dict(graph)
-    assert loaded.records == records
+    assert_stored_fact_by_fact(store, path)
+
+
+@pytest.mark.skipif(
+    not os.environ.get("REPODOC_TEST_STDLIB_CUTS"),
+    reason="the whole stdlib takes seconds to parse and save; set REPODOC_TEST_STDLIB_CUTS=1",
+)
+def test_the_store_of_the_whole_stdlib_holds_each_fact(tmp_path):
+    # the interpreter's own stdlib, less its test suites and what is not
+    # the stdlib's own code; every other object has a record of its source,
+    # so node lines both state and leave out the source hash
+    root = Path(sysconfig.get_paths()["stdlib"])
+    ignore = ("site-packages", "test", "tests", "idle_test", "lib2to3", "turtledemo", "ensurepip")
+    graph = build_repo_graph(root, ignore)
+    assert len(graph.objects) > 10_000
+    records = {
+        oid: DocRecord(f"**{graph.objects[oid].name}**: a doc.", graph.objects[oid].source_hash)
+        for oid in sorted(graph.objects)[::2]
+    }
+    store = DocStore(records=records, graph_snapshot=graph)
+    path = tmp_path / "store.json"
+    save_store(store, path)
+    assert_stored_fact_by_fact(store, path)
 
 
 def test_a_record_value_that_is_not_a_string_is_refused(tmp_path):
