@@ -31,7 +31,14 @@ from .doc_pipeline import (
     stale_objects,
 )
 from .errors import LockError, NotAGitRepoError, StoreWriteError, UsageError
-from .markdown_publisher import SUMMARY_NAME, page_path_for, write_site
+from .markdown_publisher import (
+    SUMMARY_NAME,
+    compiled_pages,
+    page_path_for,
+    readable,
+    rewritten_files,
+    write_site,
+)
 from .project_graph import ChangeSet, RepoGraph, add_snippets, diff_objects, source_graph
 from .source_model import ParseCache, Sources, is_source, source_text
 
@@ -329,7 +336,9 @@ def document(
     leaves nothing pending, so a refused commit sends no request.
     Without ``gateway``, one is built once an object is pending, so a run
     that regenerates nothing needs no API key. A top-level ``SUMMARY.py`` is
-    refused first: its page would be the table of contents."""
+    refused first: its page would be the table of contents. Every page the
+    run may read a text from is read before the first request
+    (``_read_pages``)."""
     try:
         clash = [path for path in sources.blobs if page_path_for(path) == SUMMARY_NAME]
         if clash:
@@ -337,7 +346,7 @@ def document(
                 f"{clash[0]} would be published as {SUMMARY_NAME}, the table of contents; "
                 "add it to ignore in the config"
             )
-        store = load_store(config.repo_root / config.store_path, repo_git)
+        store = load_store(config.repo_root / config.store_path, repo_git, config.repo_root / config.doc_dir)
         cache = ParseCache(repo_git)
         graph, taken = source_graph(sources, cache, store.graph_snapshot, reuse=store.recorded)
         changes = diff_objects(store.graph_snapshot, graph)
@@ -347,6 +356,8 @@ def document(
         if gateway is None and pending:
             gateway = build_gateway(config)
         add_snippets(graph, sources, cache, taken, pending)
+        if not refused:
+            _read_pages(graph, store, pending, changes, config)
     finally:
         sources.close()
     cache.save()
@@ -356,6 +367,25 @@ def document(
     report.diagnostics = graph.diagnostics
     report.parsed_files, report.reused_files = cache.parsed, len(taken)
     return graph, store, report
+
+
+def _read_pages(
+    graph: RepoGraph, store: DocStore, pending: set[str], changes: ChangeSet, config: "Config"
+) -> None:
+    """Read the pages of a lazily loaded store that the run may take a text
+    from: those ``write_site`` compiles for the pending ids and the changed
+    nodes, and those of the neighbours that the pending objects' prompts
+    quote. A page that does not split ends the run here, before any
+    request or write (``DocStore.read_pages``). A store decoded whole read
+    every page at load."""
+    if not store.recorded:
+        return
+    doc_dir = config.repo_root / config.doc_dir
+    files = set(compiled_pages(graph, doc_dir, rewritten_files(graph, pending | changes.nodes)).values())
+    for oid in pending:
+        children = graph.object_children(oid) if config.child_docs_enabled else ()
+        files.update(map(graph.file_of, (*graph.callees(oid), *graph.callers(oid), *children)))
+    store.read_pages(sorted(files - {None}))
 
 
 def run_update(gateway: "Gateway | None", config: "Config", jobs: int) -> UpdateReport:
@@ -394,40 +424,84 @@ def persist(
     repo_git: Path | None,
 ) -> list[str]:
     """Save the store to ``store_path`` when it changed, write its pages to
-    ``doc_dir``, and only then record the store's digest in ``repo_git``, so
+    ``doc_dir``, save it again with each text that a page now holds left to
+    the page, and only then record the store's digest in ``repo_git``, so
     that a recorded digest also vouches for the pages. Returns the pages
     written. A page that cannot be written is a ``StoreWriteError``, and
     leaves no digest recorded.
 
-    Store first: if saving fails, no page has changed. The save and the
-    first page written remove the digest, so a run that stops between
-    leaves none and the next one rewrites every stale page. When the store
-    was ``recorded`` as loaded, only the pages of what the run changed
-    (``DocStore.edited``) are compiled. Otherwise every page is compiled,
-    and in a Git repository a store loaded from a file and left unchanged
-    (``DocStore.changed``: no doc written or dropped, and a graph the
-    ``same`` as the snapshot, blob ids and parse errors aside) is saved
-    anyway, as loaded, so that the digest recorded there is of bytes
-    ``save_store`` wrote. It keeps the snapshot's blob ids, so the next run
-    parses each file whose blob is not the snapshot's, as after a
-    fast-path run with such a change. Without ``store_path``, as for
-    ``publish``, the store is not saved, no graph was built, and every page
-    is compiled.
+    Store first: the first save holds the text of every record whose page
+    this run may rewrite, or whose page on disk was not found to hold it
+    (``DocStore.pages_at_rest``), so if saving fails, no page has changed,
+    and a run stopped at any point leaves every text on disk. The saves and
+    the first page written remove the digest, so a run that stops between
+    leaves none, and the next one decodes the store whole and rewrites
+    every stale page. The second save is left out when the first already
+    leaves every text it may to the pages, as for a run that sets no
+    record. Texts stay in the store when Git would not commit the pages
+    (``_pages_committed``). When the store was ``recorded`` as loaded, only
+    the pages of what the run changed (``DocStore.edited``) are compiled.
+    Otherwise every page is compiled, and in a Git repository a store
+    loaded from a file and left unchanged (``DocStore.changed``: no doc
+    written or dropped, and a graph the ``same`` as the snapshot, blob ids
+    and parse errors aside) is saved anyway, as loaded, so that the digest
+    recorded there is of bytes ``save_store`` wrote. It keeps the
+    snapshot's blob ids, so the next run parses each file whose blob is not
+    the snapshot's, as after a fast-path run with such a change. Without
+    ``store_path``, as for ``publish``, the store is not saved, no graph was
+    built, and every page is compiled.
     """
     recorded = store.recorded
     current = repo_git is not None and not (recorded or store.changed)
     saved = store_path is not None and (store.changed or current)
+    settled = True
     if saved:
-        save_store(store, store_path, repo_git)
+        committed = _pages_committed(doc_dir, repo_git)
+        held = _held_until_written(store) if committed else None
+        texts = (store.records[oid].text for oid in (store.records if held is None else held))
+        settled = not committed or not any(map(readable, texts))
+        save_store(store, store_path, repo_git, held)
     changed = store.edited if store_path is not None and recorded else None
     try:
         pages = write_site(graph, store, doc_dir, changed, repo_git)
     except OSError as exc:
         forget_snapshot(repo_git)
         raise StoreWriteError(f"cannot write pages to {doc_dir}: {exc}") from exc
+    if not settled:
+        save_store(store, store_path, repo_git, frozenset())
     if saved or (recorded and pages):
         record_snapshot(store, repo_git)
     return pages
+
+
+def _pages_committed(doc_dir: Path, repo_git: Path | None) -> bool:
+    """Whether Git would commit the pages in ``doc_dir``: outside a Git
+    repository, or when one ``git check-ignore`` finds a page path there
+    neither ignored nor outside the work tree."""
+    if repo_git is None:
+        return True
+    anchor = doc_dir
+    while not anchor.is_dir() and anchor != anchor.parent:
+        anchor = anchor.parent
+    page = os.fspath(doc_dir / SUMMARY_NAME)
+    return _git(anchor, "check-ignore", "-q", "--", page, check=False).returncode == 1
+
+
+def _held_until_written(store: DocStore) -> frozenset[str] | None:
+    """The records whose text the first save holds, None for every record:
+    those of the files whose page the run may rewrite (``rewritten_files``)
+    or was not found to hold their texts (``DocStore.pages_at_rest``)."""
+    snapshot, records, rest = store.graph_snapshot, store.records, store.pages_at_rest
+    rewritten = None if snapshot is None else rewritten_files(snapshot, store.edited)
+    if rewritten is None:
+        return None
+    return frozenset(
+        oid
+        for file_id in snapshot.files
+        if file_id in rewritten or rest is not None and file_id not in rest
+        for oid, _ in snapshot.file_objects(file_id)
+        if oid in records
+    )
 
 
 def _stage(repo_root: Path, *paths: str) -> None:

@@ -201,10 +201,17 @@ def cmd_publish(args) -> int:
         raise UsageError("no doc store found; run: repodoc generate")
     repo_git = git_dir(config.repo_root)
     with _update_lock(repo_git or store_path.parent):
-        store = load_store(store_path, repo_git)
+        doc_dir = config.repo_root / config.doc_dir
+        store = load_store(store_path, repo_git, doc_dir)
         if store.graph_snapshot is None:
             raise UsageError("no doc store found; run: repodoc generate")
-        doc_dir = config.repo_root / config.doc_dir
+        # every text is read before any page is written
+        store.read_pages(store.graph_snapshot.files)
+        if store.unsplit:
+            raise UsageError(
+                f"{', '.join(store.unsplit)} no longer give back their docs; "
+                "run: repodoc generate, which regenerates them"
+            )
         pages = persist(store.graph_snapshot, store, None, doc_dir, repo_git)
     if args.json:
         _write_json({"pages_written": pages})
@@ -243,7 +250,7 @@ def cmd_eval(args) -> int:
     from .eval_harness import evaluate_docs, reference_recall
 
     config = load_config(args.repo, args.config)
-    store = load_store(config.repo_root / config.store_path)
+    store = load_store(config.repo_root / config.store_path, None, config.repo_root / config.doc_dir)
     if store.graph_snapshot is None:
         raise UsageError("no doc store found; run: repodoc generate")
     docs = {oid: rec.text for oid, rec in store.records.items()}

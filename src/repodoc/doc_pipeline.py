@@ -3,7 +3,9 @@
 Objects are generated bottom-to-top in topological order so every prompt can
 embed the already-written docs of its callees and children. The store is one
 JSON file holding all doc records plus the graph snapshot they were generated
-against; it is the unit of persistence, diffing and Git tracking.
+against; it is the unit of persistence, diffing and Git tracking. A record
+whose text its file's page gives back states its source hash alone, and its
+text is read from the page.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from collections.abc import Mapping, MutableMapping
 from json.decoder import scanstring
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Collection, Iterable, Iterator, NamedTuple
 
 from .errors import CorruptStoreError, OverBudgetError, ProviderError, StoreWriteError
 from .project_graph import (
@@ -50,8 +52,9 @@ logger = logging.getLogger(__name__)
 # Bump whenever the layout changes, the resolver may give other edges for
 # the same parses, or pruning may keep other edges of the same edge set: an
 # older store is migrated on load, and since the digest of its bytes is
-# taken under the older version, no run reuses a file of it.
-STORE_VERSION = 7
+# taken under the older version, no run reuses a file of it. Version 8
+# leaves each text that its page gives back to the page.
+STORE_VERSION = 8
 
 PARAM_LABEL = "parameters"
 ATTRIBUTE_LABEL = "Attributes"
@@ -229,7 +232,8 @@ def record_from_parsed(obj: CodeObject, parsed: ParsedDoc) -> DocRecord:
 
 def _upgrade(version: int, data: dict) -> None:
     """Give the decoded ``data`` of a store of ``version``, 1 to 6, the form
-    of version 7, which ``load_store`` reads, in place: each record the list
+    of version 7, whose records version 8 reads as texts the store holds, in
+    place: each record the list
     of its text and source hash, less the model and time of generation that
     versions 1 to 4 held and nothing read, each child list in source order
     and by name, and each source hash, of a record or an object, the
@@ -306,7 +310,9 @@ class DocStore:
     A store that ``load_store`` decoded lazily holds each node and record
     that the run has neither decoded nor set as its store line;
     ``save_store`` writes such a line as it is, unless a graph overlaid on
-    the snapshot gives the node a value of its own."""
+    the snapshot gives the node a value of its own. It reads the text of a
+    record stated by its source hash alone from its file's page, a page at
+    a time, on first need or when ``read_pages`` names the file."""
 
     def __init__(self, records=None, graph_snapshot=None, changed=False, digest=None):
         self.records: MutableMapping[str, DocRecord] = {} if records is None else records
@@ -322,6 +328,23 @@ class DocStore:
         # Python, then wrote its pages, and nothing changed it since. Only
         # then may its snapshot lend files, and are the pages on disk its own.
         self.recorded = False
+        # the files whose page on disk is the one compile_file_doc gives for
+        # the snapshot and records as loaded, None for every file of a
+        # recorded store
+        self.pages_at_rest: frozenset[str] | None = frozenset()
+        # the pages whose file's records the whole decode dropped, as they
+        # did not split
+        self.unsplit: list[str] = []
+        self._pages: _PageReader | None = None
+
+    def read_pages(self, files: Iterable[str]) -> None:
+        """Read the texts that the pages of ``files`` hold for a lazily
+        loaded store, each page once; a page that does not split raises
+        ``CorruptStoreError`` and forgets the recorded digest. A store
+        decoded whole read every page at load."""
+        if self._pages is not None:
+            for file_id in files:
+                self._pages.texts(file_id)
 
 
 def _chunks(keys: Iterable, line: Callable[..., str]) -> Iterator[bytes]:
@@ -394,14 +417,20 @@ def graph_dict(graph: RepoGraph) -> dict:
     }
 
 
-def _store_blocks(store: DocStore) -> Iterator[bytes]:
+def _store_blocks(store: DocStore, held: Collection[str] | None) -> Iterator[bytes]:
     """The bytes of the store: compact JSON with sorted keys, one line per
-    record (the list of its text and source hash), node (``_node_line``,
-    less the source hash its record states) and edge, each section opened
-    and closed by the lines of ``_SECTION_LINES``, and a final newline, in
-    blocks of lines. The text is never held whole. A node or record still
-    held as its store line is written as that line, the bytes its encode
-    gives, but for the node of a record set or dropped since the load."""
+    record, node (``_node_line``, less the source hash its record states)
+    and edge, each section opened and closed by the lines of
+    ``_SECTION_LINES``, and a final newline, in blocks of lines. The text is
+    never held whole. A record is its source hash alone when ``held``, the
+    records that keep their text, is not None and leaves it out, its object
+    is in the snapshot and its text is ``readable`` from the page;
+    otherwise it is the list of its text and source hash. A node or record
+    still held as its store line is written as that line, the bytes its
+    encode gives, but for the node of a record set or dropped since the
+    load."""
+    from .markdown_publisher import readable
+
     graph, records = store.graph_snapshot, store.records
     records_edited = records.edited if type(records) is LazyEntries else ()
 
@@ -418,11 +447,17 @@ def _store_blocks(store: DocStore) -> Iterator[bytes]:
         return line
 
     def record_line(oid: str) -> str:
+        # a held line of the form this save gives is what its encode gives:
+        # one that states its hash alone was saved for an object of the
+        # snapshot, whose ids a run that decodes lazily keeps
         line = _held_line(records, oid)
-        if line is None:
-            text, source_hash = records[oid]
+        holds = held is None or oid in held
+        if line is not None and line.endswith("],") == holds:
+            return line
+        text, source_hash = records[oid]
+        if holds or graph is None or oid not in graph.objects or not readable(text):
             return f"{_escape(oid)}:[{_escape(text)},{_escape(source_hash)}],"
-        return line
+        return f"{_escape(oid)}:{_escape(source_hash)},"
 
     record_chunks = _chunks(sorted(records), record_line)
     if graph is None:
@@ -447,19 +482,28 @@ def _store_blocks(store: DocStore) -> Iterator[bytes]:
     yield previous
 
 
-def save_store(store: DocStore, path: str | Path, git_dir: Path | None = None) -> None:
+def save_store(
+    store: DocStore,
+    path: str | Path,
+    git_dir: Path | None = None,
+    held: Collection[str] | None = None,
+) -> None:
     """Write the store atomically with ``write_atomically``, one line per
     record, node and edge (``_store_blocks``), and note the digest of the
-    new file in ``store.digest``. Given the repository's ``git_dir``, first
-    remove the digest recorded there, so that no run trusts the store until
-    ``record_snapshot`` records it again, once the pages are written too.
-    No file is read: the lines of the entries the run left are held."""
+    new file in ``store.digest``. Unless ``held`` is None, every record that
+    it does not name leaves the text that its page gives back to the page;
+    only call it so once the pages hold those texts.
+    Given the repository's ``git_dir``, first remove the digest recorded
+    there, so that no run trusts the store until ``record_snapshot``
+    records it again, once the pages are written too. No file is read but
+    the pages of records held as their line that must now hold their text:
+    the lines of the entries the run left are held."""
     path = Path(path)
     forget_snapshot(git_dir)
     digest = _new_digest()
 
     def blocks() -> Iterator[bytes]:
-        for block in _store_blocks(store):
+        for block in _store_blocks(store, held):
             digest.update(block)
             yield block
 
@@ -592,12 +636,98 @@ def graph_of(data: dict, record_hashes: Mapping[str, str] | None = None) -> Repo
     return RepoGraph(nodes=nodes, objects=objects, edges=edges, removed_edges=removed)
 
 
-def _lazy_store(raw: bytes) -> DocStore | None:
+def _page_texts(
+    doc_dir: Path | None, graph: RepoGraph, file_id: str, held: Mapping[str, str | None]
+) -> dict[str, str] | None:
+    """What ``split_file_doc`` reads from the page of ``file_id`` in
+    ``doc_dir``, or None when the page is missing or not UTF-8."""
+    from .markdown_publisher import page_path_for, split_file_doc
+
+    if doc_dir is None:
+        return None
+    try:
+        page = Path(doc_dir, page_path_for(file_id)).read_bytes().decode("utf-8")
+    except (OSError, ValueError):
+        return None
+    return split_file_doc(graph, file_id, page, held)
+
+
+def _texts_from_pages(store: DocStore, alone: Mapping[str, str], doc_dir: Path | None) -> None:
+    """Give the store decoded whole, whose records are those its lines hold
+    the text of, the record of each id of ``alone``, a line that states its
+    source hash alone, with the text its file's page holds, and note in
+    ``pages_at_rest`` each file whose page splits. The records of a page
+    that is missing or does not split are dropped with a warning, so their
+    objects are pending, and the page is noted in ``unsplit``."""
+    from .markdown_publisher import page_path_for
+
+    graph, records, rest = store.graph_snapshot, store.records, set()
+    for file_id in graph.files if graph is not None else ():
+        objects = [oid for oid, _ in graph.file_objects(file_id)]
+        if not any(oid in records or oid in alone for oid in objects):
+            continue
+        held = {oid: records[oid].text if oid in records else None for oid in objects if oid not in alone}
+        texts = _page_texts(doc_dir, graph, file_id, held)
+        if texts is not None:
+            rest.add(file_id)
+            records.update((oid, DocRecord(text, alone[oid])) for oid, text in texts.items())
+        elif len(held) < len(objects):
+            store.unsplit.append(str(Path(doc_dir or "", page_path_for(file_id))))
+    lost = sum(oid not in records for oid in alone)
+    if lost:
+        logger.warning(
+            "%d docs are on no page that gives them back (%s); their objects are pending",
+            lost, ", ".join(store.unsplit) or "no page",
+        )
+    store.pages_at_rest = frozenset(rest)
+
+
+class _PageReader:
+    """The texts of a lazily loaded store's records that state their source
+    hash alone, read from their files' pages under the snapshot and record
+    lines as loaded, a page at a time."""
+
+    def __init__(
+        self, graph: RepoGraph, lines: Mapping[str, str], doc_dir: Path | None, git_dir: Path | None
+    ) -> None:
+        self.graph, self.lines, self.doc_dir, self.git_dir = graph, lines, doc_dir, git_dir
+        self.files = set(graph.files)
+        self.read: dict[str, dict[str, str]] = {}
+
+    def texts(self, file_id: str) -> dict[str, str]:
+        """The texts of the page of ``file_id``; a page that does not
+        split forgets the recorded digest and raises."""
+        from .markdown_publisher import page_path_for
+
+        texts = self.read.get(file_id)
+        if texts is None and file_id in self.files:
+            objects = [oid for oid, _ in self.graph.file_objects(file_id)]
+            # a line that holds its text ends in its list
+            held = {
+                oid: _decode_entry(self.lines[oid])[0] if oid in self.lines else None
+                for oid in objects
+                if oid not in self.lines or self.lines[oid].rstrip(",").endswith("]")
+            }
+            texts = {} if len(held) == len(objects) else _page_texts(self.doc_dir, self.graph, file_id, held)
+            if texts is None:
+                forget_snapshot(self.git_dir)
+                page = Path(self.doc_dir or "", page_path_for(file_id))
+                raise CorruptStoreError(
+                    f"page {page} no longer gives back the docs of {file_id}; "
+                    "run again to regenerate them"
+                )
+            self.read[file_id] = texts
+        return texts or {}
+
+
+def _lazy_store(raw: bytes, git_dir: Path | None, doc_dir: Path | None) -> DocStore | None:
     """The store of ``raw``, bytes that ``save_store`` wrote, or None when
     it holds no graph. Only the edges and the root, directory and file
     nodes are decoded; every other node and every record is held as its
     line and decoded on first read, so a run decodes the entries it reads,
-    and a save writes each line the run did not set as it is."""
+    and a save writes each line the run did not set as it is. A record
+    that states its source hash alone takes its text from its page in
+    ``doc_dir`` (``_PageReader``)."""
     lines = raw.decode("utf-8").split("\n")
     if lines[0] != _SECTION_LINES[0]:
         return None
@@ -625,15 +755,19 @@ def _lazy_store(raw: bytes) -> DocStore | None:
         entry, record_hash = _decode_entry(line), None
         if "source_hash" not in entry["meta"]:
             # the hash that the line of its record states
-            record = DocRecord(*_decode_entry(record_items[oid]))
-            records.settle(oid, record)
-            record_hash = record.source_hash
+            value = _decode_entry(record_items[oid])
+            if type(value) is not str:
+                records.settle(oid, DocRecord(*value))
+            record_hash = value if type(value) is str else value[1]
         node, obj = _node_of(oid, entry, record_hash)
         nodes.settle(oid, node)
         objects.settle(oid, obj)
 
     def decode_record(oid: str, line: str) -> None:
-        records.settle(oid, DocRecord(*_decode_entry(line)))
+        value = _decode_entry(line)
+        if type(value) is str:
+            value = (pages.texts(graph.file_of(oid))[oid], value)
+        records.settle(oid, DocRecord(*value))
 
     nodes = LazyEntries(node_items, decode_object)
     objects = LazyEntries(object_items, decode_object)
@@ -647,20 +781,27 @@ def _lazy_store(raw: bytes) -> DocStore | None:
         removed_edges=removed,
         files=sorted(oid for oid, node in tree.items() if node.node_kind == FILE),
     )
-    return DocStore(records=records, graph_snapshot=graph)
+    pages = _PageReader(graph, record_items, doc_dir, git_dir)
+    store = DocStore(records=records, graph_snapshot=graph)
+    store.pages_at_rest, store._pages = None, pages
+    return store
 
 
-def load_store(path: str | Path, git_dir: Path | None = None) -> DocStore:
+def load_store(
+    path: str | Path, git_dir: Path | None = None, doc_dir: Path | None = None
+) -> DocStore:
     """Load the store; a missing file is an empty store, and one that cannot
     be read or decoded a ``CorruptStoreError``.
 
-    Stores of versions 1 to 6 are migrated in memory (``_upgrade``); the
-    next save writes the current version. The digest of the file's bytes is
-    taken as they are read. When ``git_dir`` records that digest,
-    ``save_store`` wrote the bytes, each entry on a line of its own, and a
-    store with a graph is decoded lazily (``_lazy_store``) and
-    ``recorded``; otherwise it is decoded whole, and a broken entry raises
-    here.
+    Stores of versions 1 to 6 are migrated in memory (``_upgrade``), and
+    version 7 reads as version 8 with every text held; the next save
+    writes the current version. The digest of the file's bytes is taken as
+    they are read. When ``git_dir`` records that digest, ``save_store``
+    wrote the bytes, each entry on a line of its own, and a store with a
+    graph is decoded lazily (``_lazy_store``) and ``recorded``: the pages in
+    ``doc_dir`` are read as records need them. Otherwise it is decoded
+    whole, a broken entry raises here, and every page is read
+    (``_texts_from_pages``): a text the store holds wins over its page.
     """
     path = Path(path)
     try:
@@ -677,7 +818,7 @@ def load_store(path: str | Path, git_dir: Path | None = None) -> DocStore:
             recorded = (git_dir / SNAPSHOT_DIGEST_NAME).read_text(encoding="utf-8")
     try:
         if recorded == digest.hexdigest() + "\n":
-            store = _lazy_store(raw)
+            store = _lazy_store(raw, git_dir, doc_dir)
             if store is not None:
                 store.digest, store.recorded = digest.hexdigest(), True
                 return store
@@ -691,26 +832,26 @@ def load_store(path: str | Path, git_dir: Path | None = None) -> DocStore:
                 f"doc store {path} has version {version}, expected {STORE_VERSION}; "
                 "delete it and rerun generate to rebuild"
             )
-        if version < STORE_VERSION:
+        if version < 7:
             _upgrade(version, data)
-        records = {}
+        records, alone = {}, {}
         for oid, record in data.get("records", {}).items():
+            if type(record) is str and version == STORE_VERSION:
+                alone[oid] = record  # its text is on its page
+                continue
             if type(record) is not list or not all(type(value) is str for value in record):
-                raise TypeError("a doc record is not a list of strings")
+                raise TypeError("a doc record is neither a list of strings nor a source hash")
             records[oid] = DocRecord(*record)
         graph_data = data.get("graph")
         hashes = {oid: record.source_hash for oid, record in records.items()}
-        graph = graph_of(graph_data, hashes) if graph_data else None
+        graph = graph_of(graph_data, {**hashes, **alone}) if graph_data else None
+        store = DocStore(records, graph, version != STORE_VERSION, digest.hexdigest())
+        _texts_from_pages(store, alone, doc_dir)
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise CorruptStoreError(
             f"doc store {path} is unreadable ({exc}); delete it and rerun generate to rebuild"
         ) from exc
-    return DocStore(
-        records=records,
-        graph_snapshot=graph,
-        changed=version != STORE_VERSION,
-        digest=digest.hexdigest(),
-    )
+    return store
 
 
 class RunReport:

@@ -482,12 +482,15 @@ def test_criterion_8_store_integrity(git_demo_repo, tmp_path):
     assert report.ok
     git(repo, "commit", "-qm", "seed")
 
-    store_path = repo / STORE_REL
-    loaded = load_store(store_path)
+    # the store and its pages read back as they were written: each text
+    # from its page, saved again to the same bytes
+    store_path, doc_dir = repo / STORE_REL, repo / config.doc_dir
+    loaded = load_store(store_path, None, doc_dir)
+    assert len(loaded.records) == 5 and loaded.pages_at_rest == {"a.py", "util/b.py"}
     copy_path = tmp_path / "copy.json"
-    save_store(loaded, copy_path)
+    save_store(loaded, copy_path, None, frozenset())
     assert copy_path.read_bytes() == store_path.read_bytes()
-    assert loaded.records == load_store(copy_path).records
+    assert loaded.records == load_store(copy_path, None, doc_dir).records
 
     corrupt = tmp_path / "corrupt.json"
     corrupt.write_text('{"version": 1, "records": "nope"', encoding="utf-8")

@@ -291,7 +291,7 @@ def test_update_reads_the_index_with_a_fixed_number_of_git_calls(git_demo_repo, 
     assert "show" not in commands
 
 
-def test_one_file_update_runs_five_git_processes(git_demo_repo, monkeypatch):
+def test_one_file_update_runs_six_git_processes(git_demo_repo, monkeypatch):
     git(git_demo_repo, "add", "-A")
     assert run_full_update(git_demo_repo)[0].ok
     git(git_demo_repo, "commit", "-qm", "seed")
@@ -307,16 +307,49 @@ def test_one_file_update_runs_five_git_processes(git_demo_repo, monkeypatch):
     monkeypatch.setattr(change_tracker, "_git", recording_git)
     report, _ = run_full_update(git_demo_repo)
     assert report.run.generated == ["a.py/f"]
-    # the repository check, the staged diff, the index listing, the blobs, one add
+    # the repository check, the staged diff, the index listing, the blobs,
+    # whether Git commits the pages, which then hold the texts, one add
     assert commands == [
         ("rev-parse", "--git-dir"),
         ("diff", "--cached"),
         ("ls-files", "--stage"),
         ("cat-file", "--batch"),
+        ("check-ignore", "-q"),
         ("add", "-A"),
     ]
     # the one add staged the page and the store
     assert git(git_demo_repo, "diff", "--name-only") == ""
+
+
+@pytest.mark.parametrize("where", ["ignored", "outside the work tree"])
+def test_texts_stay_in_the_store_when_git_would_not_commit_the_pages(
+    git_demo_repo, tmp_path, monkeypatch, where
+):
+    repo = git_demo_repo
+    if where == "ignored":
+        write_tree(repo, {".gitignore": "markdown_docs/\n"})
+    else:
+        # the doc dir is a link to a directory outside the work tree
+        (tmp_path / "pages").mkdir()
+        (repo / "markdown_docs").symlink_to(tmp_path / "pages")
+    assert main(["generate", "--repo", str(repo)]) == 0
+    store_rel = load_config(repo).store_path
+    records = json.loads((repo / store_rel).read_text(encoding="utf-8"))["records"]
+    assert len(records) == 5 and all(type(record) is list for record in records.values())
+    if where != "ignored":
+        return
+    pages = {p.name: p.read_bytes() for p in (repo / "markdown_docs").rglob("*.md")}
+    git(repo, "add", "-A")
+    git(repo, "commit", "-qm", "seed")
+
+    # a clone has the store and no page, and writes them all from the store
+    clone = tmp_path / "clone"
+    git(tmp_path, "clone", "-q", str(repo), str(clone))
+    gateway = make_gateway()
+    monkeypatch.setattr(change_tracker, "build_gateway", lambda config: gateway)
+    assert main(["generate", "--repo", str(clone)]) == 0
+    assert gateway.provider.prompts == []
+    assert {p.name: p.read_bytes() for p in (clone / "markdown_docs").rglob("*.md")} == pages
 
 
 def test_a_git_ignored_doc_dir_stays_unstaged_and_the_store_is_staged(git_demo_repo):
@@ -803,7 +836,7 @@ def test_run_update_store_write_failure_leaves_pages_untouched(git_demo_repo, mo
     (git_demo_repo / "a.py").write_text(A_F_EDITED.replace("def f():", "def f(y=0):"), encoding="utf-8")
     git(git_demo_repo, "add", "a.py")
 
-    def refuse(store, path, git_dir=None):
+    def refuse(store, path, *args):
         raise StoreWriteError("disk full")
 
     monkeypatch.setattr(change_tracker, "save_store", refuse)
@@ -838,7 +871,8 @@ def test_update_saves_the_store_only_when_it_changed(git_demo_repo):
     (git_demo_repo / "a.py").write_text(A_F_EDITED, encoding="utf-8")
     git(git_demo_repo, "add", "a.py")
     assert main(["update", "--repo", str(git_demo_repo)]) == 0
-    assert store.stat().st_ino != saved.st_ino
+    # saved twice, so the second file may take the first's freed inode
+    assert (store.stat().st_ino, store.stat().st_mtime_ns) != (saved.st_ino, saved.st_mtime_ns)
     assert store_rel in git(git_demo_repo, "diff", "--cached", "--name-only").split()
 
 

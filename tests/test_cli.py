@@ -68,7 +68,6 @@ def test_a_noop_generate_leaves_the_store_alone(demo_repo, capsys):
     a_py.write_text(swapped, encoding="utf-8")
     code, out, _ = run_cli("generate", "--repo", demo_repo, capsys=capsys)
     assert code == 0 and "generated 0 objects" in out
-    assert store.stat().st_ino != saved.st_ino
     assert store.read_text(encoding="utf-8") != before
 
 
@@ -226,7 +225,9 @@ def test_a_file_name_that_is_not_utf8_is_skipped(git_demo_repo, capsys):
     assert (code, err) == (0, "")
     assert json.loads(out)["staged"]["added"] == ["a.py", "util/b.py"]
     assert sorted(json.loads(out)["written_pages"]) == pages
+    # the pages hold the texts, so only a cold generate rewrites them all
     shutil.rmtree(git_demo_repo / "markdown_docs")
+    shutil.rmtree((git_demo_repo / STORE_REL).parent)
     code, out, err = run_cli("generate", "--repo", git_demo_repo, "--json", capsys=capsys)
     assert (code, err) == (0, "")
     assert sorted(json.loads(out)["pages_written"]) == pages
@@ -314,11 +315,18 @@ def test_publish_requires_store(demo_repo, capsys):
 
 def test_publish_rebuilds_pages(demo_repo, capsys):
     run_cli("generate", "--repo", demo_repo, capsys=capsys)
-    (demo_repo / "markdown_docs" / "a.md").unlink()
+    (demo_repo / "markdown_docs" / "SUMMARY.md").unlink()
     code, out, _ = run_cli("publish", "--repo", demo_repo, capsys=capsys)
     assert code == 0
     assert "1 pages written" in out
-    assert (demo_repo / "markdown_docs" / "a.md").exists()
+    assert (demo_repo / "markdown_docs" / "SUMMARY.md").exists()
+    # a page holds the docs that the store leaves to it: publish refuses
+    # to go on without it, and writes nothing
+    (demo_repo / "markdown_docs" / "a.md").unlink()
+    (demo_repo / "markdown_docs" / "SUMMARY.md").unlink()
+    code, _, err = run_cli("publish", "--repo", demo_repo, capsys=capsys)
+    assert code == 1 and "a.md no longer give back their docs" in err
+    assert sorted(p.name for p in (demo_repo / "markdown_docs").rglob("*")) == ["b.md", "util"]
 
 
 def test_graph_json_and_dot(demo_repo, capsys):
@@ -1002,6 +1010,7 @@ def test_a_doc_dir_that_is_a_file_exits_1_and_leaves_no_digest(git_demo_repo, ca
     doc_dir.write_text("not a directory\n", encoding="utf-8")
     code, _, err = run_cli(command, "--repo", git_demo_repo, capsys=capsys)
     assert code == 1
-    assert f"cannot write pages to {doc_dir}" in _one_error_line(err)
+    # the fast path reads a page that a doc dir that is a file cannot hold
+    assert f"page {doc_dir / 'a.md'} no longer gives back the docs of a.py" in _one_error_line(err)
     assert not digest.exists()
     assert doc_dir.read_text(encoding="utf-8") == "not a directory\n"

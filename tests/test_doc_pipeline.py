@@ -40,7 +40,7 @@ from repodoc.project_graph import (
     topological_order,
 )
 from repodoc.prompt_engine import CHILD_DOCS_INTRO
-from repodoc.source_model import CodeObject, parse_file, source_digest
+from repodoc.source_model import CodeObject, parse_file
 
 from .helpers import (
     DEMO_FILES,

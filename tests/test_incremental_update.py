@@ -142,7 +142,9 @@ def _recording(patch, module, *, full: bool) -> list:
     patch.setattr(module, "source_graph", source_graph)
     if full:
         load_store = module.load_store
-        patch.setattr(module, "load_store", lambda path, git_dir=None: load_store(path))
+        patch.setattr(
+            module, "load_store", lambda path, git_dir=None, doc_dir=None: load_store(path, None, doc_dir)
+        )
     return built
 
 
@@ -575,19 +577,45 @@ def test_a_noop_generate_parses_nothing_and_reuses_every_file(tmp_path, monkeypa
     assert _files_kept(repo) == before
 
 
-def test_a_deleted_page_is_restored_by_a_noop_generate(tmp_path, capsys):
+def test_a_deleted_page_costs_the_docs_of_its_file(tmp_path, monkeypatch, capsys):
     repo = tmp_path / "repo"
     _init_repo(repo)
-    _generate_json(repo, capsys)
+    first = _generate_json(repo, capsys)
+    before = _outputs(repo)
     page = repo / load_config(repo).doc_dir / "core.md"
-    text = page.read_bytes()
     page.unlink()
+    # the fast path needs the page to restore it: it stops before any
+    # request or write, names the page and forgets the digest
+    digest = repo / ".git" / SNAPSHOT_DIGEST_NAME
+    kept = _outputs(repo), (repo / load_config(repo).store_path).stat().st_mtime_ns
+    gateway = make_gateway()
+    monkeypatch.setattr(change_tracker, "build_gateway", lambda config: gateway)
+    capsys.readouterr()
+    assert main(["generate", "--repo", str(repo), "--json"]) == 1
+    assert f"page {page} no longer gives back the docs of core.py" in capsys.readouterr().err
+    assert gateway.provider.prompts == [] and not digest.exists()
+    assert (_outputs(repo), (repo / load_config(repo).store_path).stat().st_mtime_ns) == kept
+    # the full path drops the docs that the page held, and only those are
+    # regenerated, to the same page and store
     report = _generate_json(repo, capsys)
-    assert report["parsed_files"] == 0 and report["generated"] == []
+    assert report["generated"] == [oid for oid in first["generated"] if oid.startswith("core.py/")]
     assert report["pages_written"] == ["core.md"]
-    assert page.read_bytes() == text
-    # the digest, removed while the page was written, is recorded again
+    assert _outputs(repo) == before
     assert _generate_json(repo, capsys)["reused_files"] == len(FILES)
+
+
+def test_a_deleted_page_regenerates_exactly_its_files_objects_on_the_full_path(tmp_path, capsys):
+    repo = tmp_path / "repo"
+    _init_repo(repo)
+    first = _generate_json(repo, capsys)
+    before = _outputs(repo)
+    (repo / ".git" / SNAPSHOT_DIGEST_NAME).unlink()
+    (repo / load_config(repo).doc_dir / "core.md").unlink()
+    report = _generate_json(repo, capsys)
+    core = [oid for oid in first["generated"] if oid.startswith("core.py/")]
+    assert len(core) == 8 and report["generated"] == core
+    assert report["pages_written"] == ["core.md"]
+    assert _outputs(repo) == before
 
 
 def test_a_generate_stopped_while_restoring_pages_leaves_no_digest(tmp_path, monkeypatch, capsys):
@@ -595,54 +623,64 @@ def test_a_generate_stopped_while_restoring_pages_leaves_no_digest(tmp_path, mon
     _init_repo(repo)
     _generate_json(repo, capsys)
     doc_dir = repo / load_config(repo).doc_dir
-    pages = {name: (doc_dir / name).read_bytes() for name in ("app.md", "core.md")}
+    # pages that hold no doc text, so the fast path may restore them:
+    # SUMMARY.md is written first, then util/__init__.md fails
+    pages = {name: (doc_dir / name).read_bytes() for name in ("SUMMARY.md", "util/__init__.md")}
     for name in pages:
         (doc_dir / name).unlink()
-    real = markdown_publisher.compile_file_doc
-    compiled = []
 
-    def fail_on_the_second_page(graph, file_id, store):
-        if compiled:
-            raise OSError("no space left on device")
-        compiled.append(file_id)
-        return real(graph, file_id, store)
+    def fail(*args):
+        raise OSError("no space left on device")
 
     with monkeypatch.context() as patch:
-        patch.setattr(markdown_publisher, "compile_file_doc", fail_on_the_second_page)
+        patch.setattr(markdown_publisher, "compile_file_doc", fail)
         capsys.readouterr()
         assert main(["generate", "--repo", str(repo), "--json"]) == 1
     assert "cannot write pages" in capsys.readouterr().err
     # the store did not change, yet no digest vouches for the pages
     assert not (repo / ".git" / SNAPSHOT_DIGEST_NAME).exists()
     report = _generate_json(repo, capsys)
-    assert report["reused_files"] == 0 and report["pages_written"] == ["core.md"]
+    assert report["reused_files"] == 0 and report["pages_written"] == ["util/__init__.md"]
     assert {name: (doc_dir / name).read_bytes() for name in pages} == pages
 
 
-def test_a_page_edited_by_hand_is_left_alone_until_publish(tmp_path, capsys):
+def test_a_page_edited_by_hand_becomes_its_doc(tmp_path, monkeypatch, capsys):
     repo = tmp_path / "repo"
     _init_repo(repo)
     git(repo, "add", "-A")
     assert main(["update", "--repo", str(repo)]) == 0
     git(repo, "commit", "-qm", "seed")
     page = repo / load_config(repo).doc_dir / "app.md"
-    text = page.read_text(encoding="utf-8")
-    page.write_text(text + "\nA note added by hand.\n", encoding="utf-8")
+    # the note ends the text of app.py/report, the page's last object
+    edited = page.read_text(encoding="utf-8") + "\nA note added by hand.\n"
+    page.write_text(edited, encoding="utf-8")
 
-    # neither a no-op generate nor an update of another file's docs reads it
+    # neither a no-op generate, nor an update of another file's docs, nor
+    # publish writes it
     assert _generate_json(repo, capsys)["pages_written"] == []
     (repo / "core.py").write_text(CORE.replace("def alpha():", "def alpha(y=0):"), encoding="utf-8")
     git(repo, "add", "core.py")
     capsys.readouterr()
     assert main(["update", "--repo", str(repo), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["written_pages"] == ["core.md"]
-    assert page.read_text(encoding="utf-8").endswith("A note added by hand.\n")
-
-    capsys.readouterr()
     assert main(["publish", "--repo", str(repo), "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["pages_written"] == ["app.md"]
-    assert page.read_text(encoding="utf-8") == text
+    assert json.loads(capsys.readouterr().out)["pages_written"] == []
+    assert page.read_text(encoding="utf-8") == edited
     assert _generate_json(repo, capsys)["reused_files"] == len(FILES)
+    git(repo, "commit", "-qm", "alpha")
+
+    # report calls main, so main's prompt quotes the edited doc as its
+    # caller's, on the fast path and the full path alike
+    write_tree(repo, {"app.py": APP.replace("return wrapper.go(scale(1))", "return wrapper.go(scale(2))")})
+    git(repo, "add", "app.py")
+    twin = tmp_path / "twin"
+    shutil.copytree(repo, twin, symlinks=True)
+    fast, _, fast_prompts = _update(repo, monkeypatch, full=False)
+    full, _, full_prompts = _update(twin, monkeypatch, full=True)
+    assert fast.run.generated == full.run.generated == ["app.py/main"]
+    assert fast_prompts == full_prompts and "A note added by hand." in fast_prompts[0]
+    assert _outputs(repo) == _outputs(twin)
+    assert page.read_text(encoding="utf-8").endswith("\nA note added by hand.\n")
 
 
 def test_an_update_cut_off_while_writing_pages_is_mended_by_the_next(tmp_path, monkeypatch):
@@ -717,7 +755,8 @@ def test_a_fast_path_update_reads_only_the_blobs_it_parses_or_quotes(tmp_path, m
     report = json.loads(capsys.readouterr().out)
     assert report["run"]["generated"] == ["util/tools.py/scale"]
     assert report["reused_files"] == len(FILES) - 1
-    assert started == ["rev-parse", "diff", "ls-files", "cat-file", "add"]
+    # one check that Git commits the pages, which then hold the texts
+    assert started == ["rev-parse", "diff", "ls-files", "cat-file", "check-ignore", "add"]
     # the staged file, parsed; then the files of scale's callers and callee, quoted
     assert read == ["util/tools.py", "app.py", "core.py"]
 
@@ -849,8 +888,8 @@ def test_a_store_edited_by_hand_is_saved_before_its_digest_is_recorded(tmp_path,
     # JSON still reads the file, but save_store did not lay it out: a blank
     # line in the records section and an indented record line
     text = canonical.decode("utf-8")
-    alpha = next(line for line in text.split("\n") if line.startswith('"core.py/alpha":["'))
-    beta = next(line for line in text.split("\n") if line.startswith('"core.py/beta":["'))
+    alpha = next(line for line in text.split("\n") if line.startswith('"core.py/alpha":"'))
+    beta = next(line for line in text.split("\n") if line.startswith('"core.py/beta":"'))
     store_path.write_text(text.replace(alpha, "\n" + alpha).replace(beta, "  " + beta), encoding="utf-8")
     report = _generate_json(repo, capsys)
     assert report["reused_files"] == 0 and report["generated"] == []
@@ -901,8 +940,8 @@ def test_a_store_whose_digest_does_not_match_is_decoded_whole(tmp_path, capsys):
     # one record line broken, the layout kept: the bytes no longer match
     # the digest, so the broken entry is found at load
     text = store_path.read_text(encoding="utf-8")
-    line = next(line for line in text.split("\n") if line.startswith('"core.py/alpha":["'))
-    store_path.write_text(text.replace(line, line.replace(":[", ":[0,", 1)), encoding="utf-8")
+    line = next(line for line in text.split("\n") if line.startswith('"core.py/alpha":"'))
+    store_path.write_text(text.replace(line, line.replace(':"', ':[0,"', 1)), encoding="utf-8")
     with pytest.raises(doc_pipeline.CorruptStoreError, match="unreadable"):
         doc_pipeline.load_store(store_path, git_dir)
     capsys.readouterr()
@@ -912,14 +951,15 @@ def test_a_store_whose_digest_does_not_match_is_decoded_whole(tmp_path, capsys):
 
 def _decoded_entries(patch) -> dict[str, list[str]]:
     """Wrap the store's entry decoder; returns the ids of the object and
-    record entries it decodes."""
+    record entries it decodes, a record either its text and source hash or
+    its source hash alone."""
     decoded: dict[str, list[str]] = {"objects": [], "records": []}
     real = doc_pipeline._decode_entry
 
     def decode(line):
         value = real(line)
         ((key, _),) = json.loads("{%s}" % line.rstrip(",")).items()
-        if type(value) is list:
+        if type(value) in (list, str):
             decoded["records"].append(key)
         elif "meta" in value:
             decoded["objects"].append(key)
@@ -1004,13 +1044,21 @@ def test_a_one_def_update_decodes_only_the_entries_it_reads(tmp_path, monkeypatc
         "util/tools.py/scale",
         "util/tools.py/spin",
     ]
-    # the old entries of the parsed file, compared with the new ones
-    assert sorted(decoded["objects"]) == tools_objects
-    # the records of the parsed file, quoted by its page, and those of
-    # scale's callee and callers, quoted by its prompt
-    assert sorted(decoded["records"]) == sorted(
-        [*tools_objects, "core.py/beta", "app.py/main"]
-    )
+    # the old entries of the parsed file, compared with the new ones, and
+    # those of the files whose pages give the texts of scale's callee and
+    # callers, which its prompt quotes: a page is split at the headings of
+    # its objects
+    read = [
+        *tools_objects,
+        "app.py/main",
+        "app.py/report",
+        *(f"core.py/{name}" for name in ("Engine", "Engine/__init__", "Engine/helper", "Engine/run")),
+        *(f"core.py/{name}" for name in ("alpha", "beta", "ring_a", "ring_b")),
+    ]
+    assert sorted(decoded["objects"]) == sorted(read)
+    # a record line that states its hash alone is decoded for its object's
+    # hash, and again for its text if the run reads it
+    assert sorted(set(decoded["records"])) == sorted(read)
     assert sizes == [1]
 
 
@@ -1021,13 +1069,159 @@ def test_a_lazy_store_reads_ids_that_the_store_escapes(tmp_path, capsys):
     write_tree(repo, {"café.py": module, 'say "hi".py': module})
     _generate_json(repo, capsys)
     store_path, git_dir = repo / load_config(repo).store_path, repo / ".git"
+    doc_dir = repo / load_config(repo).doc_dir
     # a quote is escaped, and any other character is stored as its UTF-8
     text = store_path.read_text(encoding="utf-8")
     assert '"say \\"hi\\".py/crème"' in text and '"café.py/crème"' in text
-    lazy, whole = doc_pipeline.load_store(store_path, git_dir), doc_pipeline.load_store(store_path)
+    lazy = doc_pipeline.load_store(store_path, git_dir, doc_dir)
+    whole = doc_pipeline.load_store(store_path, None, doc_dir)
     assert isinstance(lazy.records, doc_pipeline.LazyEntries)
     assert dict(lazy.records) == whole.records
     assert graph_dict(lazy.graph_snapshot) == graph_dict(whole.graph_snapshot)
     assert lazy.graph_snapshot.files == whole.graph_snapshot.files
     report = _generate_json(repo, capsys)
     assert report["reused_files"] == len(FILES) + 2 and report["generated"] == []
+
+
+class Killed(BaseException):
+    """A run stopped at one point, as a kill stops it: no handler runs."""
+
+
+def _stop_at(patch, point: str) -> None:
+    """Patch the save sequence of ``persist`` so that it stops at ``point``."""
+    if point == "after-the-first-save":
+        def write_site(*args, **kwargs):
+            raise Killed
+        patch.setattr(change_tracker, "write_site", write_site)
+    elif point == "between-pages":
+        compiled, real = [], markdown_publisher.compile_file_doc
+
+        def compile_file_doc(*args):
+            if compiled:
+                raise OSError("no space left on device")
+            compiled.append(args)
+            return real(*args)
+        patch.setattr(markdown_publisher, "compile_file_doc", compile_file_doc)
+    elif point == "in-the-second-save":
+        saves, real_save = [], change_tracker.save_store
+
+        def save_store(*args):
+            saves.append(args)
+            if len(saves) == 2:
+                raise StoreWriteError("cannot write doc store: no space left on device")
+            return real_save(*args)
+        patch.setattr(change_tracker, "save_store", save_store)
+    else:
+        def record_snapshot(*args):
+            raise Killed
+        patch.setattr(change_tracker, "record_snapshot", record_snapshot)
+
+
+@pytest.mark.parametrize(
+    "point", ["after-the-first-save", "between-pages", "in-the-second-save", "before-the-digest"]
+)
+def test_an_update_stopped_after_its_first_save_costs_no_request(tmp_path, monkeypatch, capsys, point):
+    # the first save holds every text whose page the run rewrites, so from
+    # then on no text lives on a page alone that the run may have cut short
+    repo = tmp_path / "repo"
+    _init_repo(repo)
+    git(repo, "add", "-A")
+    assert _update(repo, monkeypatch, full=False)[0].ok
+    git(repo, "commit", "-qm", "seed")
+    twin = tmp_path / "twin"
+    shutil.copytree(repo, twin, symlinks=True)
+    for each in (repo, twin):
+        # new parameters change the docs and pages of core.py and app.py
+        write_tree(each, {
+            "core.py": CORE.replace("def alpha():", "def alpha(y=0):"),
+            "app.py": APP.replace("def report():", "def report(z=None):"),
+        })
+        git(each, "add", "-A")
+    with monkeypatch.context() as patch:
+        _stop_at(patch, point)
+        with pytest.raises((Killed, StoreWriteError)):
+            _update(repo, monkeypatch, full=False)
+    assert not (repo / ".git" / SNAPSHOT_DIGEST_NAME).exists()
+
+    report, _, prompts = _update(repo, monkeypatch, full=False)
+    uninterrupted, _, _ = _update(twin, monkeypatch, full=False)
+    assert report.ok and report.run.generated == [] and prompts == []
+    assert uninterrupted.run.generated == ["app.py/report", "core.py/alpha"]
+    assert _outputs(repo) == _outputs(twin)
+    assert _generate_json(repo, capsys)["reused_files"] == len(FILES)
+
+
+def _saves(patch) -> list:
+    """Wrap ``persist``'s store save; returns the records each save holds
+    the text of, None for every record."""
+    saves, real = [], change_tracker.save_store
+
+    def save_store(store, path, git_dir=None, held=None):
+        saves.append(held)
+        return real(store, path, git_dir, held)
+
+    patch.setattr(change_tracker, "save_store", save_store)
+    return saves
+
+
+def test_a_run_that_sets_no_record_saves_once(tmp_path, monkeypatch, capsys):
+    repo = tmp_path / "repo"
+    _init_repo(repo)
+    saves = _saves(monkeypatch)
+    # cold: every text, then the texts left to the pages written between
+    generated = _generate_json(repo, capsys)["generated"]
+    assert len(generated) == 17 and saves == [None, frozenset()]
+    store = (repo / load_config(repo).store_path).read_bytes()
+
+    # as after a clone: every page gives back its texts, so the one save
+    # already leaves them to it
+    saves.clear()
+    (repo / ".git" / SNAPSHOT_DIGEST_NAME).unlink()
+    report = _generate_json(repo, capsys)
+    assert report["generated"] == [] and report["pages_written"] == []
+    assert len(saves) == 1 and (repo / load_config(repo).store_path).read_bytes() == store
+
+    # a body edit sets a record: the texts of its page are held until it is
+    # written
+    saves.clear()
+    write_tree(repo, {"core.py": CORE.replace("return 1", "return 2")})
+    assert _generate_json(repo, capsys)["generated"] == ["core.py/alpha"]
+    core = {oid for oid in generated if oid.startswith("core.py/")}
+    assert saves == [frozenset(core), frozenset()]
+
+
+def test_a_page_whose_headings_broke_stops_the_fast_path_before_any_request(
+    tmp_path, monkeypatch, capsys, caplog
+):
+    repo = tmp_path / "repo"
+    _init_repo(repo)
+    git(repo, "add", "-A")
+    assert _update(repo, monkeypatch, full=False)[0].ok
+    git(repo, "commit", "-qm", "seed")
+    page = repo / load_config(repo).doc_dir / "core.md"
+    page.write_text(page.read_text(encoding="utf-8").replace("## FunctionDef beta", "## beta"), encoding="utf-8")
+    twin = tmp_path / "twin"
+    shutil.copytree(repo, twin, symlinks=True)
+    # scale's prompt quotes the doc of beta, its callee on the broken page;
+    # report is generated first, and its prompt reads no doc of core.py
+    tools = LABELED_FILES["util/tools.py"]
+    (repo / "util" / "tools.py").write_text(tools.replace("beta(x) * 2", "beta(x) * 3"), encoding="utf-8")
+    (repo / "app.py").write_text(APP.replace("print(main())", "print(main(), 1)"), encoding="utf-8")
+    git(repo, "add", "util/tools.py", "app.py")
+    before = _outputs(repo), (repo / load_config(repo).store_path).stat().st_mtime_ns
+    gateway = make_gateway()
+    monkeypatch.setattr(change_tracker, "build_gateway", lambda config: gateway)
+    capsys.readouterr()
+    assert main(["update", "--repo", str(repo)]) == 1
+    assert f"page {page} no longer gives back the docs of core.py" in capsys.readouterr().err
+    assert gateway.provider.prompts == []
+    assert (_outputs(repo), (repo / load_config(repo).store_path).stat().st_mtime_ns) == before
+    assert not (repo / ".git" / SNAPSHOT_DIGEST_NAME).exists()
+    # the next run drops the docs of the broken page, with a warning, and
+    # regenerates them with scale
+    assert main(["update", "--repo", str(repo), "--json"]) == 0
+    assert f"8 docs are on no page that gives them back ({page})" in caplog.text
+    generated = json.loads(capsys.readouterr().out)["run"]["generated"]
+    assert sorted(generated) == sorted([*(f"core.py/{n}" for n in (
+        "alpha", "beta", "ring_a", "ring_b", "Engine", "Engine/__init__", "Engine/run", "Engine/helper"
+    )), "util/tools.py/scale", "app.py/report"])

@@ -8,8 +8,10 @@ release sent for class ``K`` of the order repo with child docs enabled.
 ``demo_cold_store.json`` is the store a cold ``repodoc generate`` of the
 demo repo wrote at version 4, each ``generated_at`` emptied,
 ``demo_cold_store_v5.json`` the one it wrote at version 5,
-``demo_cold_store_v6.json`` the one it wrote at version 6 and
-``demo_cold_store_v7.json`` the one it writes at version 7.
+``demo_cold_store_v6.json`` the one it wrote at version 6,
+``demo_cold_store_v7.json`` the one it wrote at version 7 and
+``demo_cold_store_v8.json`` the one it writes at version 8, each text left
+to its page.
 ``demo_graph.json`` is what ``repodoc graph --format json`` printed for the
 demo repo before the store's encoder moved into ``doc_pipeline``.
 """
@@ -43,6 +45,7 @@ from repodoc.doc_pipeline import (
 )
 from repodoc.errors import CorruptStoreError
 from repodoc.llm_gateway import MockProvider
+from repodoc.markdown_publisher import write_site
 from repodoc.project_graph import DIR, FILE, REPO, ROOT_ID, RepoGraph, TreeNode
 from repodoc.source_model import CLASS, FUNCTION, CodeObject, blob_id
 
@@ -62,7 +65,8 @@ V3_DIR = DATA / "demo_store_v3"
 COLD_STORE_V4 = DATA / "demo_cold_store.json"
 COLD_STORE_V5 = DATA / "demo_cold_store_v5.json"
 COLD_STORE_V6 = DATA / "demo_cold_store_v6.json"
-COLD_STORE = DATA / "demo_cold_store_v7.json"
+COLD_STORE_V7 = DATA / "demo_cold_store_v7.json"
+COLD_STORE = DATA / "demo_cold_store_v8.json"
 STORE_REL = ".project_doc_record/project_hierarchy.json"
 # and has_return when true, params when any, and source_hash when the
 # object's record states another one or is missing
@@ -70,8 +74,11 @@ META_KEYS = {"parent_id"}
 
 
 def record_hash(version: int, record) -> str:
-    """The source hash of a stored record: the second of its text and hash
-    from version 7 on, its ``source_hash`` before it."""
+    """The source hash of a stored record: the record itself when it states
+    its hash alone, from version 8 on, the second of its text and hash from
+    version 7 on, its ``source_hash`` before it."""
+    if version > 7 and type(record) is str:
+        return record
     if version > 6:
         assert type(record) is list and len(record) == 2
         return record[1]
@@ -129,7 +136,7 @@ def test_fresh_store_holds_only_what_is_read(labeled_repo, tmp_path):
     save_store(store, path)
     data = json.loads(path.read_text(encoding="utf-8"))
     assert set(data) == {"version", "records", "graph"}
-    assert data["version"] == STORE_VERSION == 7
+    assert data["version"] == STORE_VERSION == 8
     records = data["records"]
     assert records and all(type(value) is str for r in records.values() for value in r)
     graph = data["graph"]
@@ -169,7 +176,8 @@ def test_fresh_store_holds_only_what_is_read(labeled_repo, tmp_path):
 def assert_migrated_without_a_request(repo: Path, release: Path, capsys, sends) -> None:
     """``publish``, ``eval`` and ``generate`` on the store of an older release
     send nothing and change no page and no eval output; the store is then
-    saved in the current format, every record's source hash kept."""
+    saved in the current format, every record's source hash kept, and each
+    text left to its page."""
     old = json.loads((release / "project_hierarchy.json").read_text(encoding="utf-8"))
     eval_out = (release / "eval.json").read_text(encoding="utf-8")
     doc_dir = repo / "markdown_docs"
@@ -196,12 +204,14 @@ def assert_migrated_without_a_request(repo: Path, release: Path, capsys, sends) 
         # the same SHA-256, whatever form each version writes it in
         old_hash = record_hash(old["version"], old["records"][oid])
         assert digest_bytes(record_hash(STORE_VERSION, record)) == digest_bytes(old_hash)
-    # the migrated store reads back as it was written
+    assert all(type(record) is str for record in saved["records"].values())
+    # the migrated store reads back as it was written, each text from its
+    # page, so without the pages publish writes nothing
     code, out = run_cli(capsys, "eval", "--repo", repo, "--json")
     assert out == eval_out
     shutil.rmtree(doc_dir)
     code, out = run_cli(capsys, "publish", "--repo", repo, "--json")
-    assert code == 0 and pages(doc_dir) == before
+    assert code == 1 and not doc_dir.exists()
 
 
 def test_v1_store_is_migrated_without_a_request(tmp_path, capsys, sends):
@@ -265,6 +275,12 @@ def test_v6_store_is_migrated_without_a_request(demo_repo, capsys, sends):
     # each record's keys are left out
     assert json.loads(COLD_STORE_V6.read_text(encoding="utf-8"))["version"] == 6
     assert_cold_store_migrated(demo_repo, COLD_STORE_V6, capsys, sends)
+
+
+def test_v7_store_is_migrated_without_a_request(demo_repo, capsys, sends):
+    # every text, which version 7 held, is left to its page
+    assert json.loads(COLD_STORE_V7.read_text(encoding="utf-8"))["version"] == 7
+    assert_cold_store_migrated(demo_repo, COLD_STORE_V7, capsys, sends)
 
 
 def test_the_hook_on_a_v5_store_sends_nothing_for_a_comment(git_demo_repo, capsys, sends):
@@ -525,6 +541,17 @@ def test_the_store_of_the_whole_stdlib_holds_each_fact(tmp_path):
     path = tmp_path / "store.json"
     save_store(store, path)
     assert_stored_fact_by_fact(store, path)
+    # and with each text left to its page: every page gives back every
+    # record of its file, decoded whole or lazily
+    doc_dir, git_dir = tmp_path / "docs", tmp_path / "git"
+    write_site(graph, store, doc_dir)
+    save_store(store, path, git_dir, frozenset())
+    record_snapshot(store, git_dir)
+    assert all(type(line) is str for line in json.loads(path.read_bytes())["records"].values())
+    whole, lazy = load_store(path, None, doc_dir), load_store(path, git_dir, doc_dir)
+    assert whole.pages_at_rest == {graph.file_of(oid) for oid in records} and whole.unsplit == []
+    lazy.read_pages(graph.files)
+    assert whole.records == dict(lazy.records) == records
 
 
 def test_a_record_value_that_is_not_a_string_is_refused(tmp_path):
@@ -619,8 +646,9 @@ def test_a_clone_takes_each_hash_its_node_leaves_out_from_the_record(
     git(tmp_path, "clone", "-q", str(repo), str(clone))
     stored = (clone / STORE_REL).read_bytes()
     assert b'"source_hash":' not in stored
-    # a fresh clone records no digest, so its store is decoded whole
-    store = load_store(clone / STORE_REL, git_dir(clone))
+    # a fresh clone records no digest, so its store is decoded whole, each
+    # text read from the page the clone checked out
+    store = load_store(clone / STORE_REL, git_dir(clone), clone / "markdown_docs")
     assert not store.recorded
     objects = store.graph_snapshot.objects
     assert len(objects) == 5
